@@ -213,9 +213,16 @@ def single_head_forward(params: SingleHeadParams, query: Array, keys: Array, val
         )
     if k.shape[2] != params.w_key.shape[1]:
         raise ValueError(f"key dim {k.shape[2]} does not match w_key {params.w_key.shape}")
-    proj_q = q @ params.w_query.T                      # (B, h)
-    proj_k = k @ params.w_key.T                        # (B, M, h)
-    act = np.tanh(proj_q[:, None, :] + proj_k + params.bias)
+    # Both projections are stacked, one matmul per instance. A 2-D gemm over
+    # the batch (q @ w_query.T, or keys flattened to (B*M, k)) gives bits
+    # that depend on the batch size, and the closed loop relies on one batch
+    # matching the concatenation of its shards. The tanh pre-activation is
+    # built in place in the key projection.
+    proj_q = q[:, None, :] @ params.w_query.T          # (B, 1, h)
+    proj_q += params.bias
+    act = k @ params.w_key.T                           # (B, M, h)
+    act += proj_q
+    np.tanh(act, out=act)
     scores = act @ params.w_score                      # (B, M)
     weights = softmax(scores, axis=-1)
     pooled = np.einsum("bm,bmd->bd", weights, v)
@@ -254,31 +261,35 @@ class MultiHeadGrads:
         return out
 
 
-def single_head_backward(params: SingleHeadParams, cache, upstream: Array):
-    """Gradients of an arbitrary scalar loss given d loss / d pooled.
+def single_head_backward(params: SingleHeadParams, cache, upstream: Array) -> SingleHeadGrads:
+    """Parameter gradients of an arbitrary scalar loss given d loss / d pooled.
 
-    Returns ``(grads, d_query, d_keys, d_values)``. The softmax Jacobian is
-    applied in its contracted form a * (g - <a, g>).
+    The softmax Jacobian is applied in its contracted form a * (g - <a, g>).
+    Gradients with respect to the inputs are not formed: no caller trains
+    through the query, keys or values.
     """
     q, k, v, act, weights = cache
     upstream = np.asarray(upstream, dtype=np.float64)
     if upstream.ndim == 1:
         upstream = upstream[None]
+    b, m, h = act.shape
     d_weights = np.einsum("bd,bmd->bm", upstream, v)
     inner = np.sum(weights * d_weights, axis=1, keepdims=True)
     d_scores = weights * (d_weights - inner)           # (B, M)
-    d_act = d_scores[:, :, None] * params.w_score      # (B, M, h)
-    d_pre = d_act * (1.0 - act * act)                  # tanh'
-    grads = SingleHeadGrads(
-        w_query=np.einsum("bmh,bq->hq", d_pre, q),
-        w_key=np.einsum("bmh,bmk->hk", d_pre, k),
-        w_score=np.einsum("bm,bmh->h", d_scores, act),
-        bias=d_pre.sum(axis=(0, 1)),
+    # The pre-activation gradient d_scores * w_score * tanh' is never formed
+    # at (B, M, h): w_score varies only along h, so it scales the reduced
+    # gradients, and d_scores is folded into the reductions over M.
+    d_tanh = act * act
+    np.subtract(1.0, d_tanh, out=d_tanh)               # tanh', (B, M, h)
+    d_pre_m = (d_scores[:, None, :] @ d_tanh)[:, 0]    # (B, h), sum over M / w_score
+    scaled_keys = (d_scores[:, :, None] * k).reshape(b * m, k.shape[2])
+    w = params.w_score
+    return SingleHeadGrads(
+        w_query=w[:, None] * (d_pre_m.T @ q),
+        w_key=w[:, None] * (d_tanh.reshape(b * m, h).T @ scaled_keys),
+        w_score=d_scores.reshape(-1) @ act.reshape(b * m, h),
+        bias=w * d_pre_m.sum(axis=0),
     )
-    d_query = d_pre.sum(axis=1) @ params.w_query       # (B, q)
-    d_keys = d_pre @ params.w_key                      # (B, M, k)
-    d_values = weights[:, :, None] * upstream[:, None, :]
-    return grads, d_query, d_keys, d_values
 
 
 def multi_head_forward(params: MultiHeadParams, query: Array, keys: Array, values: Array):
@@ -301,22 +312,18 @@ def multi_head_forward(params: MultiHeadParams, query: Array, keys: Array, value
     return out, head_weights, cache
 
 
-def multi_head_backward(params: MultiHeadParams, cache, upstream: Array):
+def multi_head_backward(params: MultiHeadParams, cache, upstream: Array) -> MultiHeadGrads:
     head_caches, concat, (b, p, d) = cache
     upstream = np.asarray(upstream, dtype=np.float64)
     if upstream.ndim == 1:
         upstream = upstream[None]
     d_w_out = np.einsum("bd,bc->dc", upstream, concat)
     d_concat = (upstream @ params.w_out).reshape(b, p, d)
-    head_grads = []
-    d_query = d_keys = d_values = None
-    for i, (head, hcache) in enumerate(zip(params.heads, head_caches)):
-        g, dq, dk, dv = single_head_backward(head, hcache, d_concat[:, i, :])
-        head_grads.append(g)
-        d_query = dq if d_query is None else d_query + dq
-        d_keys = dk if d_keys is None else d_keys + dk
-        d_values = dv if d_values is None else d_values + dv
-    return MultiHeadGrads(heads=head_grads, w_out=d_w_out), d_query, d_keys, d_values
+    head_grads = [
+        single_head_backward(head, hcache, d_concat[:, i, :])
+        for i, (head, hcache) in enumerate(zip(params.heads, head_caches))
+    ]
+    return MultiHeadGrads(heads=head_grads, w_out=d_w_out)
 
 
 # single-instance convenience ops ------------------------------------------

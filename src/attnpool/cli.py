@@ -865,17 +865,20 @@ def run_lorenz_experiment(cfg: ExperimentConfig) -> Path:
 
 
 def _weight_rows(res, seg_t0, dt) -> list[list[str]]:
+    """One row per (segment, step, model) up to each segment's truncation.
+
+    Strings repeated across rows are formatted once and shared between them.
+    """
     rows = []
-    n_seg, horizon, n_models = res.weights.shape
+    n_seg, horizon, _ = res.weights.shape
+    rhos = [_fmt(rho) for rho in CANDIDATE_RHOS]
     for seg in range(n_seg):
         stop = res.truncated_at[seg]
         stop = horizon if stop < 0 else int(stop)
-        for step in range(stop):
-            t = seg_t0[seg] + step * dt
-            for mdl in range(n_models):
-                rows.append(
-                    [str(seg), str(step), _fmt(t), _fmt(CANDIDATE_RHOS[mdl]), _fmt(res.weights[seg, step, mdl])]
-                )
+        seg_s, t0 = str(seg), seg_t0[seg]
+        for step, weights in enumerate(res.weights[seg, :stop].tolist()):
+            head = [seg_s, str(step), _fmt(t0 + step * dt)]
+            rows.extend(head + [rho, _fmt(w)] for rho, w in zip(rhos, weights, strict=True))
     return rows
 
 

@@ -34,7 +34,6 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.stats import norm
 
 from .attention import (
     MultiHeadParams,
@@ -817,11 +816,9 @@ def train_pooler(
                     "bias": g_preds.sum(axis=0),
                 }
             elif kind == "additive":
-                head_grads, _, _, _ = single_head_backward(params, cache, g_preds)
-                grads = head_grads.names()
+                grads = single_head_backward(params, cache, g_preds).names()
             else:
-                mh_grads, _, _, _ = multi_head_backward(params, cache, g_preds)
-                grads = mh_grads.names()
+                grads = multi_head_backward(params, cache, g_preds).names()
             for name, (obj, attr) in slots.items():
                 setattr(obj, attr, adam_step(getattr(obj, attr), grads[name], opt[name], name))
         curve[epoch] /= train_rows.size
@@ -1060,6 +1057,9 @@ def synthesize_hub(
             series += amp * _logistic_bump((t - center) / width)
         series += rng.normal(0.0, 0.03 * (series + 4.0))
         truth[li] = np.round(np.maximum(series, 0.0))
+
+    # imported here so that importing the package does not load scipy.stats
+    from scipy.stats import norm
 
     z = norm.ppf(QUANTILE_LEVELS)
     regime = (np.arange(n_weeks) >= n_weeks // 2).astype(int)

@@ -15,11 +15,12 @@ i.e. the observation counts as covered.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Mapping
 
 import numpy as np
-from scipy.stats import binom
 
 from .numerics import Array
 
@@ -70,16 +71,25 @@ def valid_time(pred: Array, truth: Array, cfg: ValidTimeConfig | None = None) ->
 
 def median_ci_ranks(n: int, level: float = 0.95) -> tuple[int, int]:
     """1-indexed order-statistic ranks (r, s) bracketing the median with
-    two-sided coverage >= level, from Binomial(n, 1/2)."""
+    two-sided coverage >= level, from Binomial(n, 1/2).
+
+    r is the largest rank with P(X <= r - 1) <= alpha/2. The CDF is kept
+    exactly, in integers scaled by 2^n, and compared with the exact value of
+    the float alpha/2. The search walks down from the median, where the CDF
+    is known by symmetry, so it takes about sqrt(n) steps rather than n/2.
+    """
     if n < 6:
         raise ValueError(f"need at least 6 samples for a {level:.0%} median CI, got {n}")
-    alpha2 = (1.0 - level) / 2.0
-    # largest r with P(X <= r - 1) <= alpha/2
-    r = int(binom.ppf(alpha2, n, 0.5))  # smallest k with CDF >= alpha/2
-    while r >= 1 and binom.cdf(r - 1, n, 0.5) > alpha2:
+    # cdf is an integer, so cdf <= alpha/2 * 2^n exactly when cdf <= the floor
+    limit = math.floor(Fraction((1.0 - level) / 2.0) * 2**n)
+    r = n // 2
+    term = math.comb(n, r)                             # C(n, r)
+    # 2^n * P(X <= n // 2): half of 2^n, plus half the central term if n is even
+    cdf = ((1 << n) + (0 if n % 2 else term)) >> 1
+    while r > 0 and cdf - term > limit:               # P(X <= r - 1) > alpha/2
+        cdf -= term
+        term = term * r // (n - r + 1)                 # C(n, r - 1)
         r -= 1
-    while binom.cdf(r, n, 0.5) <= alpha2:
-        r += 1
     r = max(r, 1)
     return r, n - r + 1
 

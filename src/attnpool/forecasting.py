@@ -322,7 +322,7 @@ def train_attention(
             resid = pooled - y[batch]
             check_finite_loss(resid, epoch, bi)
             sq_sum += float(np.sum(resid * resid))
-            grads, _, _, _ = single_head_backward(params, cache, 2.0 * resid / resid.size)
+            grads = single_head_backward(params, cache, 2.0 * resid / resid.size)
             for name, g in grads.names().items():
                 setattr(params, name, adam_step(getattr(params, name), g, opt[name], name))
         curve[epoch] = sq_sum / y.size

@@ -340,15 +340,27 @@ def save_trajectory_csv(path: str | Path, traj: Trajectory) -> None:
 
 
 def load_trajectory_csv(path: str | Path) -> Trajectory:
+    """Read a trajectory CSV; errors name the file and the 1-based CSV row
+    (the header is row 1). Blank lines are skipped."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != ["t", "u1", "u2", "u3"]:
             raise ValueError(f"unexpected trajectory header in {path}: {header}")
         times, rows = [], []
-        for rec in reader:
-            times.append(float(rec[0]))
-            rows.append([float(v) for v in rec[1:4]])
+        for rownum, rec in enumerate(reader, start=2):
+            if not rec:
+                continue
+            if len(rec) != 4:
+                raise ValueError(f"{path} row {rownum}: expected 4 fields, got {len(rec)}")
+            try:
+                values = [float(v) for v in rec]
+            except ValueError:
+                raise ValueError(f"{path} row {rownum}: non-numeric value in {rec!r}") from None
+            if not all(map(math.isfinite, values)):
+                raise ValueError(f"{path} row {rownum}: non-finite value in {rec!r}")
+            times.append(values[0])
+            rows.append(values[1:])
     if len(rows) < 2:
         raise ValueError(f"trajectory in {path} has fewer than 2 samples")
     times_arr = np.array(times)

@@ -115,7 +115,7 @@ class TestGradientSuite:
                 return float(np.sum((pooled - y) ** 2))
 
             pooled, _, cache = single_head_forward(params, q, k, v)
-            grads, _, _, _ = single_head_backward(params, cache, 2.0 * (pooled - y))
+            grads = single_head_backward(params, cache, 2.0 * (pooled - y))
             worst = _check_grads(
                 [(params, n) for n in HEAD_NAMES],
                 loss,
@@ -139,7 +139,7 @@ class TestGradientSuite:
                 return float(np.sum((out - y) ** 2))
 
             out, _, cache = multi_head_forward(params, q, k, v)
-            grads, _, _, _ = multi_head_backward(params, cache, 2.0 * (out - y))
+            grads = multi_head_backward(params, cache, 2.0 * (out - y))
             owners = [(params, "w_out")] + [
                 (h, n) for h in params.heads for n in HEAD_NAMES
             ]

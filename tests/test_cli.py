@@ -2,6 +2,9 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
 from datetime import date
 from pathlib import Path
 
@@ -10,6 +13,8 @@ import pytest
 from click.testing import CliRunner
 
 from attnpool import cli, covid
+from attnpool.forecasting import ClosedLoopResult
+from attnpool.lorenz import CANDIDATE_RHOS
 
 LORENZ_TINY = """\
 experiment: lorenz
@@ -460,6 +465,50 @@ class TestCovidRun:
 
 # ---------------------------------------------------------------------------
 # command surface
+
+
+def reference_weight_rows(res, seg_t0, dt):
+    """The row-at-a-time formatter that cli._weight_rows replaced."""
+    rows = []
+    n_seg, horizon, n_models = res.weights.shape
+    for seg in range(n_seg):
+        stop = res.truncated_at[seg]
+        stop = horizon if stop < 0 else int(stop)
+        for step in range(stop):
+            t = seg_t0[seg] + step * dt
+            for mdl in range(n_models):
+                rows.append([
+                    str(seg), str(step), cli._fmt(t),
+                    cli._fmt(CANDIDATE_RHOS[mdl]), cli._fmt(res.weights[seg, step, mdl]),
+                ])
+    return rows
+
+
+class TestWeightRows:
+    def test_matches_row_at_a_time_formatter_with_truncation(self):
+        rng = np.random.default_rng(0)
+        n_seg, horizon, n_models = 5, 7, len(CANDIDATE_RHOS)
+        weights = rng.dirichlet(np.ones(n_models), size=(n_seg, horizon))
+        res = ClosedLoopResult(
+            predictions=np.zeros((n_seg, horizon, 3)),
+            weights=weights,
+            truncated_at=np.array([-1, 3, 0, -1, 6]),
+        )
+        seg_t0 = 12.3 + np.arange(n_seg) * 25.6
+        rows = cli._weight_rows(res, seg_t0, 0.1)
+        assert rows == reference_weight_rows(res, seg_t0, 0.1)
+        assert len(rows) == (7 + 3 + 0 + 7 + 6) * n_models
+
+
+def test_importing_the_cli_does_not_load_scipy_stats():
+    code = "import sys, attnpool.cli; print('scipy.stats' in sys.modules)"
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
 
 
 class TestCommands:

@@ -98,6 +98,21 @@ class TestMedianCI:
             )
             assert cover >= 0.95
 
+    def test_ranks_match_scipy_binomial_search(self):
+        # the float search over scipy's binomial CDF these ranks replaced
+        binom = pytest.importorskip("scipy.stats").binom
+        ns = np.arange(6, 1500)
+        for level in (0.8, 0.9, 0.95, 0.99):
+            alpha2 = (1.0 - level) / 2.0
+            r = binom.ppf(alpha2, ns, 0.5).astype(int)
+            while np.any(down := (r >= 1) & (binom.cdf(r - 1, ns, 0.5) > alpha2)):
+                r -= down
+            while np.any(up := binom.cdf(r, ns, 0.5) <= alpha2):
+                r += up
+            r = np.maximum(r, 1)
+            for n, rank in zip(ns.tolist(), r.tolist()):
+                assert median_ci_ranks(n, level) == (rank, n - rank + 1), (n, level)
+
     def test_bounds_are_sample_elements_and_bracket(self):
         rng = np.random.default_rng(2)
         for _ in range(20):

@@ -224,6 +224,22 @@ class TestTrajectoryCSV:
         with pytest.raises(ValueError, match="header"):
             load_trajectory_csv(path)
 
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("0.2,1,2", r"row 3: expected 4 fields, got 3"),
+            ("0.2,1,x,3", r"row 3: non-numeric value"),
+            ("0.2,1,nan,3", r"row 3: non-finite value"),
+            ("inf,1,2,3", r"row 3: non-finite value"),
+        ],
+    )
+    def test_malformed_row_names_file_and_row(self, tmp_path, row, message):
+        path = tmp_path / "traj.csv"
+        path.write_text(f"t,u1,u2,u3\n0.1,1,2,3\n{row}\n0.3,1,2,3\n")
+        with pytest.raises(ValueError, match=message) as err:
+            load_trajectory_csv(path)
+        assert str(path) in str(err.value)
+
     def test_times_column(self, tmp_path):
         traj = Trajectory(t0=0.5, dt_sample=0.1, states=np.arange(9.0).reshape(3, 3))
         path = tmp_path / "t.csv"
