@@ -9,8 +9,9 @@ average of the candidate forecasts:
     pooled  = sum_i a_i F_i
 
 Queries and keys are delay embeddings: the l most recent base vectors
-concatenated newest first. A multi-head variant runs P identical-shape heads
-and mixes the concatenated pooled outputs through one output matrix.
+concatenated newest first. A multi-head variant runs P identical-shape heads,
+stacked on a leading axis, and mixes the concatenated pooled outputs through
+one output matrix.
 
 All forward functions here accept either a single instance (query ``(q,)``,
 keys ``(M, k)``, values ``(M, d)``) or a batch with one extra leading axis.
@@ -20,7 +21,7 @@ differences in the test suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Sequence
 
@@ -94,6 +95,9 @@ class DelayEmbedding:
 # parameters
 
 
+HEAD_FIELDS = ("w_query", "w_key", "w_score", "bias")
+
+
 @dataclass
 class SingleHeadParams:
     """One additive-attention head: two input projections, score vector, bias."""
@@ -108,12 +112,7 @@ class SingleHeadParams:
         return self.w_query.shape[0]
 
     def names(self) -> dict[str, Array]:
-        return {
-            "w_query": self.w_query,
-            "w_key": self.w_key,
-            "w_score": self.w_score,
-            "bias": self.bias,
-        }
+        return {n: getattr(self, n) for n in HEAD_FIELDS}
 
     def count(self) -> int:
         return sum(a.size for a in self.names().values())
@@ -121,24 +120,39 @@ class SingleHeadParams:
 
 @dataclass
 class MultiHeadParams:
-    """P identical-shape heads plus the output mixing matrix (d, d * P)."""
+    """P identical-shape heads stacked on a leading axis, plus the output
+    mixing matrix (d, d * P)."""
 
-    heads: list[SingleHeadParams]
-    w_out: Array
+    w_query: Array  # (P, hidden, query_dim)
+    w_key: Array    # (P, hidden, key_dim)
+    w_score: Array  # (P, hidden)
+    bias: Array     # (P, hidden)
+    w_out: Array    # (d, d * P)
+
+    @classmethod
+    def from_heads(cls, heads: Sequence[SingleHeadParams], w_out: Array) -> "MultiHeadParams":
+        stacked = {n: np.stack([getattr(h, n) for h in heads]) for n in HEAD_FIELDS}
+        return cls(**stacked, w_out=w_out)
 
     @property
     def n_heads(self) -> int:
-        return len(self.heads)
+        return self.w_query.shape[0]
 
     def names(self) -> dict[str, Array]:
-        out = {"w_out": self.w_out}
-        for i, h in enumerate(self.heads):
-            for k, v in h.names().items():
-                out[f"head{i}.{k}"] = v
-        return out
+        return _per_head_names(self)
 
     def count(self) -> int:
         return sum(a.size for a in self.names().values())
+
+
+def _per_head_names(stacked) -> dict[str, Array]:
+    """Per-head views keyed ``head{i}.<field>`` plus ``w_out``: the
+    checkpoint layout of stacked heads."""
+    out = {"w_out": stacked.w_out}
+    for i in range(stacked.w_query.shape[0]):
+        for n in HEAD_FIELDS:
+            out[f"head{i}.{n}"] = getattr(stacked, n)[i]
+    return out
 
 
 def init_single_head(
@@ -163,7 +177,7 @@ def init_multi_head(
 ) -> MultiHeadParams:
     heads = [init_single_head(rng, hidden, query_dim, key_dim) for _ in range(n_heads)]
     w_out = uniform_init(rng, (value_dim, value_dim * n_heads), value_dim * n_heads)
-    return MultiHeadParams(heads=heads, w_out=w_out)
+    return MultiHeadParams.from_heads(heads, w_out)
 
 
 # ---------------------------------------------------------------------------
@@ -240,38 +254,44 @@ class SingleHeadGrads:
     bias: Array
 
     def names(self) -> dict[str, Array]:
-        return {
-            "w_query": self.w_query,
-            "w_key": self.w_key,
-            "w_score": self.w_score,
-            "bias": self.bias,
-        }
+        return {n: getattr(self, n) for n in HEAD_FIELDS}
 
 
 @dataclass
 class MultiHeadGrads:
-    heads: list[SingleHeadGrads]
+    """Gradients shaped like :class:`MultiHeadParams`, heads stacked."""
+
+    w_query: Array
+    w_key: Array
+    w_score: Array
+    bias: Array
     w_out: Array
 
     def names(self) -> dict[str, Array]:
-        out = {"w_out": self.w_out}
-        for i, h in enumerate(self.heads):
-            for k, v in h.names().items():
-                out[f"head{i}.{k}"] = v
-        return out
+        return _per_head_names(self)
 
 
-def single_head_backward(params: SingleHeadParams, cache, upstream: Array) -> SingleHeadGrads:
+def _empty_like_fields(cls, params):
+    return cls(**{f.name: np.empty_like(getattr(params, f.name)) for f in fields(cls)})
+
+
+def single_head_backward(
+    params: SingleHeadParams, cache, upstream: Array, out: SingleHeadGrads | None = None
+) -> SingleHeadGrads:
     """Parameter gradients of an arbitrary scalar loss given d loss / d pooled.
 
     The softmax Jacobian is applied in its contracted form a * (g - <a, g>).
     Gradients with respect to the inputs are not formed: no caller trains
-    through the query, keys or values.
+    through the query, keys or values. The gradients are written into
+    ``out`` when given (a training loop passes views into its gradient
+    buffer), else into new arrays.
     """
     q, k, v, act, weights = cache
     upstream = np.asarray(upstream, dtype=np.float64)
     if upstream.ndim == 1:
         upstream = upstream[None]
+    if out is None:
+        out = _empty_like_fields(SingleHeadGrads, params)
     b, m, h = act.shape
     d_weights = np.einsum("bd,bmd->bm", upstream, v)
     inner = np.sum(weights * d_weights, axis=1, keepdims=True)
@@ -284,46 +304,87 @@ def single_head_backward(params: SingleHeadParams, cache, upstream: Array) -> Si
     d_pre_m = (d_scores[:, None, :] @ d_tanh)[:, 0]    # (B, h), sum over M / w_score
     scaled_keys = (d_scores[:, :, None] * k).reshape(b * m, k.shape[2])
     w = params.w_score
-    return SingleHeadGrads(
-        w_query=w[:, None] * (d_pre_m.T @ q),
-        w_key=w[:, None] * (d_tanh.reshape(b * m, h).T @ scaled_keys),
-        w_score=d_scores.reshape(-1) @ act.reshape(b * m, h),
-        bias=w * d_pre_m.sum(axis=0),
-    )
+    np.matmul(d_pre_m.T, q, out=out.w_query)
+    out.w_query *= w[:, None]
+    np.matmul(d_tanh.reshape(b * m, h).T, scaled_keys, out=out.w_key)
+    out.w_key *= w[:, None]
+    np.matmul(d_scores.reshape(-1), act.reshape(b * m, h), out=out.w_score)
+    np.sum(d_pre_m, axis=0, out=out.bias)
+    out.bias *= w
+    return out
 
 
 def multi_head_forward(params: MultiHeadParams, query: Array, keys: Array, values: Array):
     """All heads share query/keys/values; pooled head outputs are concatenated
-    in head order and mixed by ``w_out``."""
+    in head order and mixed by ``w_out``.
+
+    The heads run as one stacked computation with the head axis leading,
+    activations (P, B, M, h). Every per-(head, instance) matmul has the shape
+    and operand layout of :func:`single_head_forward`, so each head gives
+    the bits it would give alone.
+    """
     q, k, v, single = _batched(query, keys, values)
-    per_head = [single_head_forward(h, q, k, v) for h in params.heads]
-    stacked = np.stack([p[0] for p in per_head], axis=1)   # (B, P, d)
-    b, p, d = stacked.shape
-    if params.w_out.shape != (d, d * p):
+    n_heads = params.n_heads
+    if q.shape[1] != params.w_query.shape[2]:
         raise ValueError(
-            f"w_out shape {params.w_out.shape} does not match {p} heads of dim {d}"
+            f"query dim {q.shape[1]} does not match w_query {params.w_query.shape}"
         )
-    concat = stacked.reshape(b, p * d)
-    out = concat @ params.w_out.T                           # (B, d)
-    head_weights = np.stack([p_[1] for p_ in per_head], axis=1)  # (B, P, M)
-    cache = ([p_[2] for p_ in per_head], concat, (b, p, d))
+    if k.shape[2] != params.w_key.shape[2]:
+        raise ValueError(f"key dim {k.shape[2]} does not match w_key {params.w_key.shape}")
+    b, d = q.shape[0], v.shape[2]
+    if params.w_out.shape != (d, d * n_heads):
+        raise ValueError(
+            f"w_out shape {params.w_out.shape} does not match {n_heads} heads of dim {d}"
+        )
+    proj_q = q[None, :, None, :] @ params.w_query.transpose(0, 2, 1)[:, None]  # (P, B, 1, h)
+    proj_q += params.bias[:, None, None, :]
+    act = k[None] @ params.w_key.transpose(0, 2, 1)[:, None]                   # (P, B, M, h)
+    act += proj_q
+    np.tanh(act, out=act)
+    scores = (act @ params.w_score[:, None, :, None])[..., 0]                  # (P, B, M)
+    weights = softmax(scores, axis=-1)
+    pooled = np.einsum("pbm,bmd->pbd", weights, v)
+    concat = pooled.transpose(1, 0, 2).reshape(b, n_heads * d)
+    out = concat @ params.w_out.T                                              # (B, d)
+    head_weights = weights.transpose(1, 0, 2)                                  # (B, P, M)
+    cache = (q, k, v, act, weights, concat)
     if single:
         return out[0], head_weights[0], cache
     return out, head_weights, cache
 
 
-def multi_head_backward(params: MultiHeadParams, cache, upstream: Array) -> MultiHeadGrads:
-    head_caches, concat, (b, p, d) = cache
+def multi_head_backward(
+    params: MultiHeadParams, cache, upstream: Array, out: MultiHeadGrads | None = None
+) -> MultiHeadGrads:
+    """Parameter gradients of the stacked heads and the mixer, computed as
+    in :func:`single_head_backward` with a leading head axis; written into
+    ``out`` when given."""
+    q, k, v, act, weights, concat = cache
     upstream = np.asarray(upstream, dtype=np.float64)
     if upstream.ndim == 1:
         upstream = upstream[None]
-    d_w_out = np.einsum("bd,bc->dc", upstream, concat)
-    d_concat = (upstream @ params.w_out).reshape(b, p, d)
-    head_grads = [
-        single_head_backward(head, hcache, d_concat[:, i, :])
-        for i, (head, hcache) in enumerate(zip(params.heads, head_caches))
-    ]
-    return MultiHeadGrads(heads=head_grads, w_out=d_w_out)
+    if out is None:
+        out = _empty_like_fields(MultiHeadGrads, params)
+    p, b, m, h = act.shape
+    d = v.shape[2]
+    np.einsum("bd,bc->dc", upstream, concat, out=out.w_out)
+    d_pooled = (upstream @ params.w_out).reshape(b, p, d).transpose(1, 0, 2)   # (P, B, d)
+    d_weights = np.einsum("pbd,bmd->pbm", d_pooled, v)
+    inner = np.sum(weights * d_weights, axis=-1, keepdims=True)
+    d_scores = weights * (d_weights - inner)                                   # (P, B, M)
+    np.matmul(d_scores.reshape(p, 1, b * m), act.reshape(p, b * m, h), out=out.w_score[:, None])
+    d_tanh = act * act
+    np.subtract(1.0, d_tanh, out=d_tanh)                                       # tanh'
+    d_pre_m = (d_scores[..., None, :] @ d_tanh)[:, :, 0]                       # (P, B, h)
+    scaled_keys = (d_scores[..., None] * k).reshape(p, b * m, k.shape[2])
+    w = params.w_score
+    np.matmul(d_pre_m.transpose(0, 2, 1), q, out=out.w_query)
+    out.w_query *= w[:, :, None]
+    np.matmul(d_tanh.reshape(p, b * m, h).transpose(0, 2, 1), scaled_keys, out=out.w_key)
+    out.w_key *= w[:, :, None]
+    np.sum(d_pre_m, axis=1, out=out.bias)
+    out.bias *= w
+    return out
 
 
 # single-instance convenience ops ------------------------------------------
@@ -400,15 +461,10 @@ def arrays_to_params(arrays: dict[str, Array]) -> SingleHeadParams | MultiHeadPa
         raise ValueError(f"unknown checkpoint kind {kind!r}")
     n_heads = len({k.split(".")[0] for k in arrays if k.startswith("head")})
     heads = [
-        SingleHeadParams(
-            w_query=arrays[f"head{i}.w_query"],
-            w_key=arrays[f"head{i}.w_key"],
-            w_score=arrays[f"head{i}.w_score"],
-            bias=arrays[f"head{i}.bias"],
-        )
+        SingleHeadParams(**{n: arrays[f"head{i}.{n}"] for n in HEAD_FIELDS})
         for i in range(n_heads)
     ]
-    return MultiHeadParams(heads=heads, w_out=arrays["w_out"])
+    return MultiHeadParams.from_heads(heads, arrays["w_out"])
 
 
 def save_checkpoint(path: str | Path, arrays: dict[str, Array]) -> None:

@@ -606,9 +606,29 @@ class _OutputStage:
         }
 
     def commit(self) -> None:
-        for p in sorted(self.partial.iterdir()):
+        """Move the staged files into place, then delete the files that the
+        previous run's manifest listed and this run did not write. A file no
+        manifest lists is never touched."""
+        written = sorted(self.partial.iterdir())
+        stale = self._previous_outputs() - {p.name for p in written}
+        for p in written:
             p.replace(self.final / p.name)
         self.partial.rmdir()
+        for name in sorted(stale):
+            path = self.final / name
+            if path.is_file():
+                path.unlink()
+
+    def _previous_outputs(self) -> set[str]:
+        """File names listed by the manifest already in the output directory."""
+        try:
+            outputs = json.loads((self.final / "manifest.json").read_text())["outputs"]
+        except (OSError, ValueError, KeyError, TypeError):
+            return set()
+        if not isinstance(outputs, dict):
+            return set()
+        # only plain names inside the output directory, never a path out of it
+        return {n for n in outputs if isinstance(n, str) and n == Path(n).name}
 
     def abort(self) -> None:
         shutil.rmtree(self.partial, ignore_errors=True)
@@ -1072,7 +1092,7 @@ def run_covid_experiment(cfg: ExperimentConfig) -> Path:
         )
         extra = {
             "n_imputed_cells": len(log),
-            "ingest_warnings": len(report.warnings),
+            "ingest_warnings": list(report.warnings),
             "training": training_info,
         }
         if best_single_ids:

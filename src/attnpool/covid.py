@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
+from dataclasses import fields as dataclass_fields
 from datetime import date, timedelta
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -36,7 +37,9 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .attention import (
+    MultiHeadGrads,
     MultiHeadParams,
+    SingleHeadGrads,
     SingleHeadParams,
     init_single_head,
     multi_head_backward,
@@ -51,7 +54,7 @@ from .forecasting import (
     check_finite_loss,
     epoch_batches,
 )
-from .numerics import AdamState, Array, adam_step, spawn_rng
+from .numerics import AdamState, Array, adam_step, pack_params, spawn_rng
 
 # ---------------------------------------------------------------------------
 # quantile grid
@@ -655,21 +658,6 @@ class PoolerTrainResult:
     sort_repairs: int     # rows whose output needed sorting during training
 
 
-def _parameter_slots(params) -> dict[str, tuple[object, str]]:
-    """Name -> (owner, attribute) map covering every trainable array."""
-    if isinstance(params, SingleHeadParams):
-        return {n: (params, n) for n in ("w_query", "w_key", "w_score", "bias")}
-    if isinstance(params, MultiHeadParams):
-        slots: dict[str, tuple[object, str]] = {"w_out": (params, "w_out")}
-        for i, head in enumerate(params.heads):
-            for n in ("w_query", "w_key", "w_score", "bias"):
-                slots[f"head{i}.{n}"] = (head, n)
-        return slots
-    if isinstance(params, LinearPooler):
-        return {"weight": (params, "weight"), "bias": (params, "bias")}
-    raise TypeError(f"no trainable slots for {type(params).__name__}")
-
-
 def _uniform_pool_linear(n_models: int, delay: int) -> LinearPooler:
     """Linear pooler warm-started at the uniform mean of the current-week
     forecasts; with a small fixed learning rate the start point matters."""
@@ -768,17 +756,19 @@ def train_pooler(
                 init_single_head(rng, hidden, samples.delay, key_dim)
                 for _ in range(cfg.n_heads)
             ]
-            params = MultiHeadParams(
-                heads=heads, w_out=_head_average_mixer(cfg.n_heads, N_LEVELS)
+            params = MultiHeadParams.from_heads(
+                heads, _head_average_mixer(cfg.n_heads, N_LEVELS)
             )
 
-    slots = _parameter_slots(params)
-    opt = {
-        name: AdamState.for_param(
-            getattr(obj, attr), learning_rate=cfg.learning_rate, weight_decay=decay
-        )
-        for name, (obj, attr) in slots.items()
-    }
+    buffer = pack_params(params, [f.name for f in dataclass_fields(params)])
+    grad_buffer = buffer.zeros_like()
+    if kind == "additive":
+        grads = SingleHeadGrads(**grad_buffer.views)
+    elif kind == "multi_head":
+        grads = MultiHeadGrads(**grad_buffer.views)
+    opt = AdamState.for_param(
+        buffer.flat, learning_rate=cfg.learning_rate, weight_decay=decay
+    )
     levels = np.array(QUANTILE_LEVELS)
     wis_cfg = WISConfig()
     curve = np.zeros(cfg.epochs)
@@ -811,16 +801,13 @@ def train_pooler(
             g_preds = np.empty_like(g_sorted)
             np.put_along_axis(g_preds, perm, g_sorted, axis=1)
             if kind == "linear":
-                grads = {
-                    "weight": g_preds.T @ x,
-                    "bias": g_preds.sum(axis=0),
-                }
+                np.matmul(g_preds.T, x, out=grad_buffer.views["weight"])
+                np.sum(g_preds, axis=0, out=grad_buffer.views["bias"])
             elif kind == "additive":
-                grads = single_head_backward(params, cache, g_preds).names()
+                single_head_backward(params, cache, g_preds, out=grads)
             else:
-                grads = multi_head_backward(params, cache, g_preds).names()
-            for name, (obj, attr) in slots.items():
-                setattr(obj, attr, adam_step(getattr(obj, attr), grads[name], opt[name], name))
+                multi_head_backward(params, cache, g_preds, out=grads)
+            adam_step(buffer.flat, grad_buffer.flat, opt, buffer)
         curve[epoch] /= train_rows.size
 
     pooler = QuantilePooler(

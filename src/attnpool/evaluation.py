@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from typing import Mapping
 
 import numpy as np
@@ -160,12 +161,23 @@ def _level_index(levels: Array, level: float, what: str) -> int:
     return int(hits[0])
 
 
-def _wis_layout(levels: Array, cfg: WISConfig):
-    """Indices of the median and of each interval's endpoints in ``levels``."""
-    med = _level_index(levels, 0.5, "median")
-    lowers = [_level_index(levels, a / 2.0, f"alpha={a} lower") for a in cfg.alphas]
-    uppers = [_level_index(levels, 1.0 - a / 2.0, f"alpha={a} upper") for a in cfg.alphas]
+@lru_cache(maxsize=16)
+def _layout_of(levels: tuple[float, ...], cfg: WISConfig):
+    arr = np.array(levels)
+    med = _level_index(arr, 0.5, "median")
+    lowers = tuple(_level_index(arr, a / 2.0, f"alpha={a} lower") for a in cfg.alphas)
+    uppers = tuple(_level_index(arr, 1.0 - a / 2.0, f"alpha={a} upper") for a in cfg.alphas)
     return med, lowers, uppers
+
+
+def _wis_layout(levels: Array, cfg: WISConfig):
+    """Indices of the median and of each interval's endpoints in ``levels``.
+
+    A training run scores thousands of batches against one level grid, so
+    the layout is found once per (levels, config) and then reused; a
+    missing level raises on every call, since errors are not cached.
+    """
+    return _layout_of(tuple(levels.tolist()), cfg)
 
 
 def wis_batch(levels: Array, values: Array, observed: Array, cfg: WISConfig | None = None) -> Array:

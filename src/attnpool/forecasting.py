@@ -30,6 +30,8 @@ from typing import Callable
 import numpy as np
 
 from .attention import (
+    HEAD_FIELDS,
+    SingleHeadGrads,
     SingleHeadParams,
     init_single_head,
     params_to_arrays,
@@ -40,7 +42,7 @@ from .attention import (
     single_head_forward,
 )
 from .lorenz import CANDIDATE_RHOS, candidate_one_step_batch
-from .numerics import AdamState, Array, adam_step, spawn_rng, uniform_init
+from .numerics import AdamState, Array, adam_step, pack_params, spawn_rng, uniform_init
 
 # ---------------------------------------------------------------------------
 # input standardization
@@ -236,21 +238,24 @@ def ffnn_forward(net: FeedForwardNet, inputs: Array):
     return out, (x, act)
 
 
-def ffnn_backward(net: FeedForwardNet, cache, upstream: Array):
-    """Gradients given d loss / d out; returns (grads, d_inputs)."""
+def ffnn_backward(
+    net: FeedForwardNet, cache, upstream: Array, out: FeedForwardGrads | None = None
+):
+    """Gradients given d loss / d out; returns (grads, d_inputs). The
+    parameter gradients are written into ``out`` when given."""
     x, act = cache
     upstream = np.asarray(upstream, dtype=np.float64)
     if upstream.ndim == 1:
         upstream = upstream[None]
+    if out is None:
+        out = FeedForwardGrads(*(np.empty_like(a) for a in (net.w1, net.b1, net.w2, net.b2)))
     d_act = upstream @ net.w2
     d_pre = d_act * (1.0 - act * act)
-    grads = FeedForwardGrads(
-        w1=d_pre.T @ x,
-        b1=d_pre.sum(axis=0),
-        w2=upstream.T @ act,
-        b2=upstream.sum(axis=0),
-    )
-    return grads, d_pre @ net.w1
+    np.matmul(d_pre.T, x, out=out.w1)
+    np.sum(d_pre, axis=0, out=out.b1)
+    np.matmul(upstream.T, act, out=out.w2)
+    np.sum(upstream, axis=0, out=out.b2)
+    return out, d_pre @ net.w1
 
 
 def init_ffnn(
@@ -309,10 +314,10 @@ def train_attention(
 
     rng = spawn_rng(config.seed, f"train-attention-l{length}")
     params = init_single_head(rng, hidden, q.shape[1], k.shape[2])
-    opt = {
-        name: AdamState.for_param(p, config.learning_rate, config.weight_decay)
-        for name, p in params.names().items()
-    }
+    buffer = pack_params(params, HEAD_FIELDS)
+    grad_buffer = buffer.zeros_like()
+    grads = SingleHeadGrads(**grad_buffer.views)
+    opt = AdamState.for_param(buffer.flat, config.learning_rate, config.weight_decay)
     n = len(y)
     curve = np.empty(config.epochs)
     for epoch in range(config.epochs):
@@ -322,9 +327,8 @@ def train_attention(
             resid = pooled - y[batch]
             check_finite_loss(resid, epoch, bi)
             sq_sum += float(np.sum(resid * resid))
-            grads = single_head_backward(params, cache, 2.0 * resid / resid.size)
-            for name, g in grads.names().items():
-                setattr(params, name, adam_step(getattr(params, name), g, opt[name], name))
+            single_head_backward(params, cache, 2.0 * resid / resid.size, out=grads)
+            adam_step(buffer.flat, grad_buffer.flat, opt, buffer)
         curve[epoch] = sq_sum / y.size
     pooler = AttentionPooler(params, query_scaler, key_scaler, length)
     return pooler, curve
@@ -342,10 +346,9 @@ def train_linear(
         weight=uniform_init(rng, (y.shape[1], x.shape[1]), x.shape[1]),
         bias=np.zeros(y.shape[1]),
     )
-    opt = {
-        "weight": AdamState.for_param(model.weight, config.learning_rate, config.weight_decay),
-        "bias": AdamState.for_param(model.bias, config.learning_rate, config.weight_decay),
-    }
+    buffer = pack_params(model, ("weight", "bias"))
+    grads = buffer.zeros_like()
+    opt = AdamState.for_param(buffer.flat, config.learning_rate, config.weight_decay)
     curve = np.empty(config.epochs)
     for epoch in range(config.epochs):
         sq_sum = 0.0
@@ -354,8 +357,9 @@ def train_linear(
             check_finite_loss(resid, epoch, bi)
             sq_sum += float(np.sum(resid * resid))
             upstream = 2.0 * resid / resid.size
-            model.weight = adam_step(model.weight, upstream.T @ x[batch], opt["weight"], "weight")
-            model.bias = adam_step(model.bias, upstream.sum(axis=0), opt["bias"], "bias")
+            np.matmul(upstream.T, x[batch], out=grads.views["weight"])
+            np.sum(upstream, axis=0, out=grads.views["bias"])
+            adam_step(buffer.flat, grads.flat, opt, buffer)
         curve[epoch] = sq_sum / y.size
     return model, curve
 
@@ -389,10 +393,10 @@ def train_ffnn(
     net = init_ffnn(rng, hidden, x.shape[1], y.shape[1])
     net.scaler = scaler
     net.delay_length = length
-    opt = {
-        name: AdamState.for_param(p, config.learning_rate, config.weight_decay)
-        for name, p in (("w1", net.w1), ("b1", net.b1), ("w2", net.w2), ("b2", net.b2))
-    }
+    buffer = pack_params(net, ("w1", "b1", "w2", "b2"))
+    grad_buffer = buffer.zeros_like()
+    grads = FeedForwardGrads(**grad_buffer.views)
+    opt = AdamState.for_param(buffer.flat, config.learning_rate, config.weight_decay)
     curve = np.empty(config.epochs)
     for epoch in range(config.epochs):
         sq_sum = 0.0
@@ -401,9 +405,8 @@ def train_ffnn(
             resid = out - y[batch]
             check_finite_loss(resid, epoch, bi)
             sq_sum += float(np.sum(resid * resid))
-            grads, _ = ffnn_backward(net, cache, 2.0 * resid / resid.size)
-            for name, g in grads.names().items():
-                setattr(net, name, adam_step(getattr(net, name), g, opt[name], name))
+            ffnn_backward(net, cache, 2.0 * resid / resid.size, out=grads)
+            adam_step(buffer.flat, grad_buffer.flat, opt, buffer)
         curve[epoch] = sq_sum / y.size
     return net, curve
 

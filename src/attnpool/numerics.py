@@ -1,5 +1,6 @@
-"""Float64 numerics shared by every model: Adam updates, finite-difference
-gradient checking, and seeded parameter initialization.
+"""Float64 numerics shared by every model: flat parameter buffers, Adam
+updates, finite-difference gradient checking, and seeded parameter
+initialization.
 
 All numeric state in this package lives in C-ordered float64 numpy arrays.
 Every public operation here either returns finite values or raises.
@@ -7,8 +8,9 @@ Every public operation here either returns finite values or raises.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Mapping, Sequence
 from zlib import crc32
 
 import numpy as np
@@ -41,13 +43,54 @@ def uniform_init(rng: np.random.Generator, shape: tuple[int, ...] | int, fan_in:
     return rng.uniform(-scale, scale, size=shape)
 
 
+class ParamBuffer:
+    """Named float64 arrays held as shaped views into one contiguous vector.
+
+    ``flat`` is the vector and ``views`` maps each name, in the order given,
+    to its view. An elementwise update of ``flat`` (one :func:`adam_step`)
+    updates every array at once; :meth:`zeros_like` makes a second buffer
+    with the same layout for the gradients.
+    """
+
+    def __init__(self, shapes: Mapping[str, tuple[int, ...]]):
+        sizes = [math.prod(shape) for shape in shapes.values()]
+        self.flat = np.zeros(sum(sizes))
+        self._stops = np.cumsum(sizes)
+        self.views: dict[str, Array] = {}
+        start = 0
+        for (name, shape), stop in zip(shapes.items(), self._stops):
+            self.views[name] = self.flat[start:stop].reshape(shape)
+            start = stop
+
+    def zeros_like(self) -> "ParamBuffer":
+        return ParamBuffer({name: view.shape for name, view in self.views.items()})
+
+    def name_at(self, index: int) -> str:
+        """Name of the array that holds entry ``index`` of ``flat``."""
+        return list(self.views)[int(np.searchsorted(self._stops, index, side="right"))]
+
+
+def pack_params(owner: object, names: Sequence[str]) -> ParamBuffer:
+    """Copy the named array attributes of ``owner`` into one ParamBuffer and
+    rebind each attribute to its view, so updating the buffer updates the
+    model."""
+    arrays = {name: np.asarray(getattr(owner, name), dtype=np.float64) for name in names}
+    buffer = ParamBuffer({name: a.shape for name, a in arrays.items()})
+    for name, a in arrays.items():
+        buffer.views[name][...] = a
+        setattr(owner, name, buffer.views[name])
+    return buffer
+
+
 @dataclass
 class AdamState:
-    """Per-parameter Adam moments plus hyperparameters.
+    """Adam moments plus hyperparameters for one parameter array.
 
-    ``step_count`` is the number of updates already applied; bias correction
-    uses step_count + 1 on the next call. Weight decay is decoupled: it is
-    applied directly to the parameters, not folded into the gradient.
+    The array is usually the ``flat`` vector of a :class:`ParamBuffer`, so
+    one state covers every array of a model. ``step_count`` is the number of
+    updates already applied; bias correction uses step_count + 1 on the next
+    call. Weight decay is decoupled: it is applied directly to the
+    parameters, not folded into the gradient.
     """
 
     first_moment: Array
@@ -58,6 +101,10 @@ class AdamState:
     beta2: float = 0.999
     epsilon: float = 1e-8
     weight_decay: float = 0.0
+
+    def __post_init__(self):
+        # scratch for the in-place update, so a step allocates nothing
+        self._scratch = (np.empty_like(self.first_moment), np.empty_like(self.first_moment))
 
     @classmethod
     def for_param(
@@ -80,32 +127,69 @@ class AdamState:
         )
 
 
-def adam_step(param: Array, grad: Array, state: AdamState, name: str = "param") -> Array:
-    """One Adam update. Mutates ``state`` and returns the new parameter array."""
-    param = np.asarray(param, dtype=np.float64)
+def _require_finite_entries(arr: Array, what: str, name: str | ParamBuffer) -> None:
+    finite = np.isfinite(arr)
+    if not finite.all():
+        if isinstance(name, ParamBuffer):
+            name = name.name_at(int(np.argmin(finite.ravel())))
+        raise ValueError(f"non-finite entries in {what}{name}")
+
+
+def adam_step(
+    param: Array, grad: Array, state: AdamState, name: str | ParamBuffer = "param"
+) -> Array:
+    """One Adam update of ``param`` in place. Mutates ``state``; returns ``param``.
+
+    ``name`` labels errors: a string, or the ParamBuffer whose ``flat``
+    vector ``param`` is, and then an error names the array that holds the
+    first non-finite entry. The update applies the per-element operations of
+
+        m = b1 m + (1 - b1) g,   v = b2 v + (1 - b2) g^2,
+        p = p - lr (m / (1 - b1^t)) / (sqrt(v / (1 - b2^t)) + eps) - lr wd p
+
+    in this order, so it gives the same bits as evaluating them array by
+    array.
+    """
+    if not isinstance(param, np.ndarray) or param.dtype != np.float64:
+        raise TypeError(f"Adam updates a float64 array in place, got {type(param).__name__}")
     grad = np.asarray(grad, dtype=np.float64)
+    label = name if isinstance(name, str) else "parameter buffer"
     if param.shape != grad.shape:
         raise ValueError(
-            f"shape mismatch for {name}: param {param.shape} vs gradient {grad.shape}"
+            f"shape mismatch for {label}: param {param.shape} vs gradient {grad.shape}"
         )
     if state.first_moment.shape != param.shape:
         raise ValueError(
-            f"Adam state for {name} has shape {state.first_moment.shape}, "
+            f"Adam state for {label} has shape {state.first_moment.shape}, "
             f"param has {param.shape}"
         )
-    require_finite(grad, f"gradient of {name}")
+    _require_finite_entries(grad, "gradient of ", name)
 
     state.step_count += 1
     t = state.step_count
-    b1, b2 = state.beta1, state.beta2
-    state.first_moment = b1 * state.first_moment + (1.0 - b1) * grad
-    state.second_moment = b2 * state.second_moment + (1.0 - b2) * (grad * grad)
-    m_hat = state.first_moment / (1.0 - b1**t)
-    v_hat = state.second_moment / (1.0 - b2**t)
-    updated = param - state.learning_rate * m_hat / (np.sqrt(v_hat) + state.epsilon)
+    b1, b2, lr = state.beta1, state.beta2, state.learning_rate
+    m, v = state.first_moment, state.second_moment
+    step, denom = state._scratch
+    m *= b1
+    np.multiply(grad, 1.0 - b1, out=step)
+    m += step
+    np.multiply(grad, grad, out=step)
+    step *= 1.0 - b2
+    v *= b2
+    v += step
+    np.divide(m, 1.0 - b1**t, out=step)
+    step *= lr
+    np.divide(v, 1.0 - b2**t, out=denom)
+    np.sqrt(denom, out=denom)
+    denom += state.epsilon
+    step /= denom
     if state.weight_decay != 0.0:
-        updated = updated - state.learning_rate * state.weight_decay * param
-    return require_finite(updated, f"updated {name}")
+        np.multiply(param, lr * state.weight_decay, out=denom)  # from the old param
+    param -= step
+    if state.weight_decay != 0.0:
+        param -= denom
+    _require_finite_entries(param, "updated ", name)
+    return param
 
 
 def finite_difference_gradient(

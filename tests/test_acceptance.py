@@ -97,6 +97,22 @@ def _check_grads(owners, loss, analytic):
     return worst
 
 
+class _HeadSlice:
+    """Owner of one head's slice of a stacked multi-head array: ``value``
+    reads a copy of the slice and writes into it."""
+
+    def __init__(self, stacked, head):
+        self.stacked, self.head = stacked, head
+
+    @property
+    def value(self):
+        return self.stacked[self.head].copy()
+
+    @value.setter
+    def value(self, arr):
+        self.stacked[self.head] = arr
+
+
 class TestGradientSuite:
     """Analytic gradients match central finite differences to < 1e-5
     relative error on 20 random instances per model; the whole class runs
@@ -141,10 +157,11 @@ class TestGradientSuite:
             out, _, cache = multi_head_forward(params, q, k, v)
             grads = multi_head_backward(params, cache, 2.0 * (out - y))
             owners = [(params, "w_out")] + [
-                (h, n) for h in params.heads for n in HEAD_NAMES
+                (_HeadSlice(getattr(params, n), i), "value")
+                for i in range(params.n_heads) for n in HEAD_NAMES
             ]
             analytic = [grads.w_out] + [
-                getattr(g, n) for g in grads.heads for n in HEAD_NAMES
+                getattr(grads, n)[i] for i in range(params.n_heads) for n in HEAD_NAMES
             ]
             worst = _check_grads(owners, loss, analytic)
             assert worst < GRADIENT_TOLERANCE, f"seed {seed}: rel err {worst:.2e}"

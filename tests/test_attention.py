@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from attnpool.attention import (
+    HEAD_FIELDS,
     DelayEmbedding,
     EnsembleStep,
+    MultiHeadGrads,
     MultiHeadParams,
     SingleHeadParams,
     arrays_to_params,
@@ -40,6 +42,29 @@ def transcribed_forward(params, query, keys, values):
     for i in range(M):
         pooled += a[i] * values[i]
     return pooled, a
+
+
+def head_of(mp, i):
+    """Head i of stacked multi-head parameters, as views."""
+    return SingleHeadParams(mp.w_query[i], mp.w_key[i], mp.w_score[i], mp.bias[i])
+
+
+def per_head_reference(mp, query, keys, values, upstream):
+    """Multi-head forward and parameter gradients assembled head by head
+    from the single-head kernels: the reference for the stacked path."""
+    heads = [head_of(mp, i) for i in range(mp.n_heads)]
+    per_head = [single_head_forward(h, query, keys, values) for h in heads]
+    concat = np.concatenate([p[0] for p in per_head], axis=1)
+    out = concat @ mp.w_out.T
+    d_concat = (upstream @ mp.w_out).reshape(len(query), mp.n_heads, -1)
+    head_grads = [
+        single_head_backward(h, p[2], d_concat[:, i, :])
+        for i, (h, p) in enumerate(zip(heads, per_head))
+    ]
+    grads = {n: np.stack([getattr(g, n) for g in head_grads]) for n in HEAD_FIELDS}
+    grads["w_out"] = np.einsum("bd,bc->dc", upstream, concat)
+    weights = np.stack([p[1] for p in per_head], axis=1)
+    return out, weights, grads
 
 
 def random_instance(rng, hidden=5, M=3, l=2, base_q=3, base_k=3, d=3):
@@ -216,7 +241,7 @@ class TestMultiHead:
     def test_one_head_identity_mix_equals_single(self):
         rng = np.random.default_rng(11)
         head, query, keys, values = random_instance(rng)
-        mp = MultiHeadParams(heads=[head], w_out=np.eye(3))
+        mp = MultiHeadParams.from_heads([head], np.eye(3))
         out_m, w_m, _ = multi_head_forward(mp, query, keys, values)
         out_s, w_s, _ = single_head_forward(head, query, keys, values)
         np.testing.assert_array_equal(out_m, out_s)
@@ -239,11 +264,36 @@ class TestMultiHead:
         values = rng.normal(size=(5, 3))
         out, _, _ = multi_head_forward(mp, query, keys, values)
         parts = []
-        for h in mp.heads:
-            pooled, _ = transcribed_forward(h, query, keys, values)
+        for i in range(mp.n_heads):
+            pooled, _ = transcribed_forward(head_of(mp, i), query, keys, values)
             parts.append(pooled)
         manual = mp.w_out @ np.concatenate(parts)
         np.testing.assert_allclose(out, manual, rtol=1e-12)
+
+    @pytest.mark.parametrize(
+        "batch, n_heads", [(1, 21), (32, 5)], ids=["hub-sgd", "hub-batch"]
+    )
+    def test_stacked_heads_match_per_head_kernels_bitwise(self, batch, n_heads):
+        """The stacked forward and backward give, bit for bit, what the
+        single-head kernels give head by head, at the hub shapes (h=100,
+        M=9, key dim 105, d=21); a gradient buffer passed as ``out`` gets
+        the same bits."""
+        rng = np.random.default_rng(batch + n_heads)
+        mp = init_multi_head(rng, n_heads, hidden=100, query_dim=5, key_dim=105, value_dim=21)
+        query = rng.normal(size=(batch, 5))
+        keys = rng.normal(size=(batch, 9, 105))
+        values = rng.normal(size=(batch, 9, 21)) * 100.0
+        upstream = rng.normal(size=(batch, 21))
+        out, weights, cache = multi_head_forward(mp, query, keys, values)
+        ref_out, ref_weights, ref_grads = per_head_reference(mp, query, keys, values, upstream)
+        np.testing.assert_array_equal(out, ref_out)
+        np.testing.assert_array_equal(weights, ref_weights)
+        allocated = multi_head_backward(mp, cache, upstream)
+        into = MultiHeadGrads(**{n: np.full_like(g, np.nan) for n, g in ref_grads.items()})
+        multi_head_backward(mp, cache, upstream, out=into)
+        for name, expect in ref_grads.items():
+            np.testing.assert_array_equal(getattr(allocated, name), expect, err_msg=name)
+            np.testing.assert_array_equal(getattr(into, name), expect, err_msg=name)
 
 
 def einsum_backward(params, cache, upstream):

@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+import shutil
 import subprocess
 import sys
 from datetime import date
@@ -330,6 +331,32 @@ class TestLorenzRun:
             assert (tmp_path / "b" / name).read_bytes() == reference
             assert (tmp_path / "c" / name).read_bytes() == reference
 
+    def test_rerun_removes_the_previous_runs_stale_outputs(self, lorenz_out, tmp_path):
+        """A rerun that writes fewer files deletes the ones the previous
+        manifest listed, and leaves a file that no manifest lists."""
+        out, _ = lorenz_out
+        target = tmp_path / "rerun"
+        shutil.copytree(out, target)
+        (target / "notes.txt").write_text("kept\n")
+        assert (target / "attention_weights.csv").exists()
+        assert (target / "forecasts.csv").exists()
+        text = (
+            LORENZ_TINY.replace(
+                "methods: [additive, fixed_attention, best_initial, linear, ffnn]",
+                "methods: [linear]",
+            )
+            .replace("  weights_delay: 2\n", "")
+            .replace("write_forecasts: true", "write_forecasts: false")
+        )
+        cfg = write_config(tmp_path, text, out=str(target))
+        result = invoke("lorenz-run", "--config", str(cfg))
+        assert result.exit_code == 0, result.output + str(result.exception)
+        manifest = json.loads((target / "manifest.json").read_text())
+        assert "attention_weights.csv" not in manifest["outputs"]
+        assert sorted(p.name for p in target.iterdir()) == sorted(
+            [*manifest["outputs"], "manifest.json", "notes.txt"]
+        )
+
     def test_reseeded_run_differs(self, lorenz_out, tmp_path):
         out, cfg = lorenz_out
         result = invoke(
@@ -438,6 +465,33 @@ class TestCovidRun:
         assert set(manifest["best_single_candidates"]) == {
             "period0", "period1", "period2", "period3"
         }
+
+    def test_manifest_records_ingest_warning_texts(self, covid_out, tmp_path):
+        out, _ = covid_out
+        with open(out / "forecasts.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        header, body = rows[0], rows[1:]
+        cell = tuple(body[0][:3])
+        in_cell = [i for i, r in enumerate(body) if tuple(r[:3]) == cell]
+        lo, hi = in_cell[3], in_cell[4]  # two neighbouring quantile levels
+        body[lo][4], body[hi][4] = body[hi][4], body[lo][4]
+        with open(tmp_path / "forecasts.csv", "w", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows([header, *body])
+        shutil.copy(out / "truth.csv", tmp_path / "truth.csv")
+        cfg = write_config(
+            tmp_path,
+            "experiment: covid\noutput: {out}\n"
+            "data:\n  forecasts: forecasts.csv\n  truth: truth.csv\n  periods: split\n"
+            "model:\n  methods: [uniform]\n",
+            out=str(tmp_path / "out"),
+        )
+        result = invoke("covid-run", "--config", str(cfg))
+        assert result.exit_code == 0, result.output + str(result.exception)
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        model, location, week = cell
+        assert manifest["ingest_warnings"] == [
+            f"sorted non-monotone quantiles for ({model}, {location}, {week})"
+        ]
 
     def test_rerun_with_threads_is_byte_identical(self, covid_out, tmp_path):
         out, cfg = covid_out

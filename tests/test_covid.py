@@ -575,7 +575,7 @@ class TestTrainPooler:
         assert single.params.w_key.shape == (1000, 105)
         multi = covid.train_pooler("multi_head", samples, config=quick).pooler
         assert multi.params.n_heads == 21
-        assert multi.params.heads[0].w_key.shape == (100, 105)
+        assert multi.params.w_key.shape == (21, 100, 105)
         assert multi.params.w_out.shape == (21, 21 * 21)
         assert PoolerTrainConfig().learning_rate == 1e-5
         assert PoolerTrainConfig().epochs == 200

@@ -18,6 +18,7 @@ from attnpool.evaluation import (
     wis,
     wis_batch,
     wis_gradient,
+    wis_gradient_batch,
 )
 from attnpool.numerics import finite_difference_gradient
 
@@ -173,8 +174,12 @@ class TestWIS:
 
     def test_missing_level_names_it(self):
         cfg = WISConfig(alphas=(0.5,))
-        with pytest.raises(ValueError, match="0.25"):
-            wis({0.5: 2.0, 0.75: 3.0}, 2.0, cfg)
+        # the layout of a complete grid is reused across calls; a grid
+        # missing a level raises on every call, not only the first
+        assert wis({0.25: 1.0, 0.5: 2.0, 0.75: 3.0}, 2.0, cfg) > 0.0
+        for _ in range(2):
+            with pytest.raises(ValueError, match="0.25"):
+                wis({0.5: 2.0, 0.75: 3.0}, 2.0, cfg)
 
     def test_perfect_point_mass_scores_zero(self):
         cfg = WISConfig()
@@ -291,3 +296,38 @@ class TestWISGradient:
 
         fd = finite_difference_gradient(loss, values)
         np.testing.assert_allclose(analytic, fd, rtol=1e-6, atol=1e-9)
+
+    @settings(deadline=None, max_examples=80)
+    @given(
+        start=st.floats(min_value=-100.0, max_value=100.0),
+        gaps=st.lists(st.floats(min_value=0.05, max_value=5.0), min_size=20, max_size=20),
+        segment=st.integers(min_value=-1, max_value=21),
+        frac=st.floats(min_value=0.1, max_value=0.9),
+    )
+    def test_subgradient_matches_central_differences_property(self, start, gaps, segment, frac):
+        """On sorted quantiles with the observation kept away from every
+        quantile, the subgradient equals central differences of wis_batch.
+        The step is far below the smallest gap, so no difference crosses a
+        kink or unsorts the quantiles, and WIS is linear in between."""
+        cfg = WISConfig()
+        levels = np.array(cfg.required_levels)
+        values = start + np.concatenate([[0.0], np.cumsum(gaps)])
+        if segment == -1:
+            y = values[0] - frac * gaps[0]
+        elif segment >= 20:
+            y = values[-1] + frac * gaps[-1]
+        else:
+            y = values[segment] + frac * gaps[segment]
+        step = 1e-3 * min(gaps)
+        analytic = wis_gradient_batch(levels, values[None], np.array([y]), cfg)[0]
+        numeric = np.empty_like(values)
+        for i in range(values.size):
+            up, down = values.copy(), values.copy()
+            up[i] += step
+            down[i] -= step
+            diff = wis_batch(levels, np.stack([up, down]), np.array([y, y]), cfg)
+            numeric[i] = (diff[0] - diff[1]) / (2.0 * step)
+        # Scores stay below ~1e3, so rounding moves a difference quotient by
+        # ~1e-12 / 5e-5 at most; one wrong branch moves an entry by at
+        # least 2 * 0.01 / 10.5 ~ 2e-3.
+        np.testing.assert_allclose(analytic, numeric, rtol=0, atol=1e-6)

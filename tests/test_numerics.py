@@ -5,8 +5,10 @@ import pytest
 
 from attnpool.numerics import (
     AdamState,
+    ParamBuffer,
     adam_step,
     finite_difference_gradient,
+    pack_params,
     relative_gradient_error,
     spawn_rng,
     uniform_init,
@@ -21,11 +23,12 @@ class TestAdam:
         p = rng.normal(size=(4, 3))
         state = AdamState.for_param(p)
         state.step_count = 17
+        before = p.copy()  # the update is in place
         out = adam_step(p, np.zeros_like(p), state, name="w")
-        np.testing.assert_array_equal(out, p)
+        np.testing.assert_array_equal(out, before)
         # and again: moments stay zero, so it stays an identity
         out2 = adam_step(out, np.zeros_like(p), state, name="w")
-        np.testing.assert_array_equal(out2, p)
+        np.testing.assert_array_equal(out2, before)
 
     def test_first_step_magnitude(self):
         # scalar p=1, g=0.5 at defaults: update ~ -lr * g / (sqrt(g^2) + eps)
@@ -68,14 +71,68 @@ class TestAdam:
     def test_decoupled_weight_decay(self):
         # with zero gradient, decay must still shrink the parameter directly
         p = np.array([2.0, -2.0])
+        before = p.copy()  # the update is in place
         state = AdamState.for_param(p, learning_rate=0.1, weight_decay=0.5)
         out = adam_step(p, np.zeros_like(p), state)
-        np.testing.assert_allclose(out, p - 0.1 * 0.5 * p, rtol=1e-15)
+        np.testing.assert_allclose(out, before - 0.1 * 0.5 * before, rtol=1e-15)
 
     def test_non_finite_gradient_names_parameter(self):
         state = AdamState.for_param(np.ones(2))
         with pytest.raises(ValueError, match="w_key"):
             adam_step(np.ones(2), np.array([1.0, np.nan]), state, name="w_key")
+
+    def test_flat_update_matches_per_array_recurrence_bitwise(self):
+        """One in-place update of a multi-array buffer gives the bits of the
+        allocating update applied array by array, weight decay on."""
+        rng = np.random.default_rng(5)
+        shapes = {"w_query": (3, 4, 2), "w_key": (3, 4, 6), "bias": (3, 4), "w_out": (2, 6)}
+        buffer = ParamBuffer(shapes)
+        grads = buffer.zeros_like()
+        buffer.flat[:] = rng.normal(size=buffer.flat.size)
+        lr, wd, b1, b2, eps = 0.01, 1e-3, 0.9, 0.999, 1e-8
+        state = AdamState.for_param(buffer.flat, learning_rate=lr, weight_decay=wd)
+        expect = {n: v.copy() for n, v in buffer.views.items()}
+        moments = {n: (np.zeros(s), np.zeros(s)) for n, s in shapes.items()}
+        for t in range(1, 8):
+            grads.flat[:] = rng.normal(size=grads.flat.size) * 10.0 ** rng.integers(-6, 3)
+            for n, p in expect.items():
+                g = grads.views[n]
+                m, v = moments[n]
+                m = b1 * m + (1.0 - b1) * g
+                v = b2 * v + (1.0 - b2) * (g * g)
+                moments[n] = (m, v)
+                m_hat = m / (1.0 - b1**t)
+                v_hat = v / (1.0 - b2**t)
+                updated = p - lr * m_hat / (np.sqrt(v_hat) + eps)
+                expect[n] = updated - lr * wd * p
+            adam_step(buffer.flat, grads.flat, state, buffer)
+            for n, view in buffer.views.items():
+                np.testing.assert_array_equal(view, expect[n], err_msg=f"{n} at step {t}")
+
+    def test_non_finite_entry_in_buffer_names_its_array(self):
+        buffer = ParamBuffer({"w_query": (2, 3), "w_key": (2, 5), "bias": (2,)})
+        grads = buffer.zeros_like()
+        state = AdamState.for_param(buffer.flat)
+        grads.views["w_key"][1, 4] = np.inf
+        with pytest.raises(ValueError, match="gradient of w_key"):
+            adam_step(buffer.flat, grads.flat, state, buffer)
+        grads.views["w_key"][1, 4] = 0.0
+        buffer.views["bias"][0] = np.nan
+        with pytest.raises(ValueError, match="updated bias"):
+            adam_step(buffer.flat, grads.flat, state, buffer)
+
+    def test_pack_params_rebinds_attributes_to_views(self):
+        class Model:
+            pass
+
+        model = Model()
+        model.w, model.b = np.ones((2, 3)), np.arange(2.0)
+        buffer = pack_params(model, ("w", "b"))
+        np.testing.assert_array_equal(buffer.flat, [1, 1, 1, 1, 1, 1, 0, 1])
+        buffer.flat *= 2.0
+        np.testing.assert_array_equal(model.w, np.full((2, 3), 2.0))
+        np.testing.assert_array_equal(model.b, [0.0, 2.0])
+        assert buffer.name_at(5) == "w" and buffer.name_at(6) == "b"
 
     def test_shape_mismatch_rejected(self):
         state = AdamState.for_param(np.ones(3))
