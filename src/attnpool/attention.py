@@ -21,13 +21,13 @@ differences in the test suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .numerics import Array, require_finite, uniform_init
+from .numerics import Array, empty_like_fields, require_finite, uniform_init
 
 # ---------------------------------------------------------------------------
 # delay embedding
@@ -271,10 +271,6 @@ class MultiHeadGrads:
         return _per_head_names(self)
 
 
-def _empty_like_fields(cls, params):
-    return cls(**{f.name: np.empty_like(getattr(params, f.name)) for f in fields(cls)})
-
-
 def single_head_backward(
     params: SingleHeadParams, cache, upstream: Array, out: SingleHeadGrads | None = None
 ) -> SingleHeadGrads:
@@ -291,7 +287,7 @@ def single_head_backward(
     if upstream.ndim == 1:
         upstream = upstream[None]
     if out is None:
-        out = _empty_like_fields(SingleHeadGrads, params)
+        out = empty_like_fields(SingleHeadGrads, params)
     b, m, h = act.shape
     d_weights = np.einsum("bd,bmd->bm", upstream, v)
     inner = np.sum(weights * d_weights, axis=1, keepdims=True)
@@ -364,7 +360,7 @@ def multi_head_backward(
     if upstream.ndim == 1:
         upstream = upstream[None]
     if out is None:
-        out = _empty_like_fields(MultiHeadGrads, params)
+        out = empty_like_fields(MultiHeadGrads, params)
     p, b, m, h = act.shape
     d = v.shape[2]
     np.einsum("bd,bc->dc", upstream, concat, out=out.w_out)

@@ -29,6 +29,7 @@ from datetime import date
 from difflib import get_close_matches
 from functools import partial
 from pathlib import Path
+from typing import Sequence
 
 import click
 import numpy as np
@@ -605,27 +606,31 @@ class _OutputStage:
             for p in sorted(self.partial.iterdir())
         }
 
-    def commit(self) -> None:
+    def commit(self, command: str, inputs: Sequence[Path] = ()) -> None:
         """Move the staged files into place, then delete the files that the
-        previous run's manifest listed and this run did not write. A file no
-        manifest lists is never touched."""
+        previous run of the same ``command`` listed in its manifest and this
+        run did not write. A file no such manifest lists, and any of the
+        ``inputs`` this run read, is never touched."""
         written = sorted(self.partial.iterdir())
-        stale = self._previous_outputs() - {p.name for p in written}
+        stale = self._previous_outputs(command) - {p.name for p in written}
+        keep = {p.resolve() for p in inputs}
         for p in written:
             p.replace(self.final / p.name)
         self.partial.rmdir()
         for name in sorted(stale):
             path = self.final / name
-            if path.is_file():
+            if path.is_file() and path.resolve() not in keep:
                 path.unlink()
 
-    def _previous_outputs(self) -> set[str]:
-        """File names listed by the manifest already in the output directory."""
+    def _previous_outputs(self, command: str) -> set[str]:
+        """File names listed by the manifest already in the output directory,
+        if a run of ``command`` wrote it."""
         try:
-            outputs = json.loads((self.final / "manifest.json").read_text())["outputs"]
+            manifest = json.loads((self.final / "manifest.json").read_text())
+            outputs = manifest["outputs"]
         except (OSError, ValueError, KeyError, TypeError):
             return set()
-        if not isinstance(outputs, dict):
+        if manifest.get("command") != command or not isinstance(outputs, dict):
             return set()
         # only plain names inside the output directory, never a path out of it
         return {n for n in outputs if isinstance(n, str) and n == Path(n).name}
@@ -661,8 +666,16 @@ def _finish(stage: _OutputStage, cfg: ExperimentConfig, command: str, started: f
     stage.path("manifest.json").write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n"
     )
-    stage.commit()
+    stage.commit(command, _input_paths(cfg))
     return cfg.output
+
+
+def _input_paths(cfg: ExperimentConfig) -> list[Path]:
+    """The data files a run reads; a rerun's cleanup never deletes them."""
+    d = cfg.data
+    if isinstance(d, LorenzDataConfig):
+        return [] if d.cache is None else [d.cache / "train.csv", d.cache / "validation.csv"]
+    return [p for p in (d.forecasts, d.truth) if p is not None]
 
 
 # ---------------------------------------------------------------------------

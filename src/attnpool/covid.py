@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
-from dataclasses import fields as dataclass_fields
 from datetime import date, timedelta
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -49,12 +48,13 @@ from .attention import (
 )
 from .evaluation import WISConfig, wis_batch, wis_gradient_batch
 from .forecasting import (
+    LinearGrads,
     LinearPooler,
     Standardizer,
     check_finite_loss,
     epoch_batches,
 )
-from .numerics import AdamState, Array, adam_step, pack_params, spawn_rng
+from .numerics import Array, FlatAdam, spawn_rng
 
 # ---------------------------------------------------------------------------
 # quantile grid
@@ -760,15 +760,8 @@ def train_pooler(
                 heads, _head_average_mixer(cfg.n_heads, N_LEVELS)
             )
 
-    buffer = pack_params(params, [f.name for f in dataclass_fields(params)])
-    grad_buffer = buffer.zeros_like()
-    if kind == "additive":
-        grads = SingleHeadGrads(**grad_buffer.views)
-    elif kind == "multi_head":
-        grads = MultiHeadGrads(**grad_buffer.views)
-    opt = AdamState.for_param(
-        buffer.flat, learning_rate=cfg.learning_rate, weight_decay=decay
-    )
+    grads_type = {"linear": LinearGrads, "additive": SingleHeadGrads, "multi_head": MultiHeadGrads}
+    opt = FlatAdam(params, grads_type[kind], cfg.learning_rate, decay)
     levels = np.array(QUANTILE_LEVELS)
     wis_cfg = WISConfig()
     curve = np.zeros(cfg.epochs)
@@ -801,13 +794,13 @@ def train_pooler(
             g_preds = np.empty_like(g_sorted)
             np.put_along_axis(g_preds, perm, g_sorted, axis=1)
             if kind == "linear":
-                np.matmul(g_preds.T, x, out=grad_buffer.views["weight"])
-                np.sum(g_preds, axis=0, out=grad_buffer.views["bias"])
+                np.matmul(g_preds.T, x, out=opt.grads.weight)
+                np.sum(g_preds, axis=0, out=opt.grads.bias)
             elif kind == "additive":
-                single_head_backward(params, cache, g_preds, out=grads)
+                single_head_backward(params, cache, g_preds, out=opt.grads)
             else:
-                multi_head_backward(params, cache, g_preds, out=grads)
-            adam_step(buffer.flat, grad_buffer.flat, opt, buffer)
+                multi_head_backward(params, cache, g_preds, out=opt.grads)
+            opt.step()
         curve[epoch] /= train_rows.size
 
     pooler = QuantilePooler(

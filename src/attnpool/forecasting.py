@@ -30,7 +30,6 @@ from typing import Callable
 import numpy as np
 
 from .attention import (
-    HEAD_FIELDS,
     SingleHeadGrads,
     SingleHeadParams,
     init_single_head,
@@ -42,7 +41,7 @@ from .attention import (
     single_head_forward,
 )
 from .lorenz import CANDIDATE_RHOS, candidate_one_step_batch
-from .numerics import AdamState, Array, adam_step, pack_params, spawn_rng, uniform_init
+from .numerics import Array, FlatAdam, empty_like_fields, spawn_rng, uniform_init
 
 # ---------------------------------------------------------------------------
 # input standardization
@@ -193,6 +192,12 @@ class LinearPooler:
 
 
 @dataclass
+class LinearGrads:
+    weight: Array
+    bias: Array
+
+
+@dataclass
 class FeedForwardNet:
     """One-hidden-layer tanh net forecasting directly from delayed states."""
 
@@ -248,7 +253,7 @@ def ffnn_backward(
     if upstream.ndim == 1:
         upstream = upstream[None]
     if out is None:
-        out = FeedForwardGrads(*(np.empty_like(a) for a in (net.w1, net.b1, net.w2, net.b2)))
+        out = empty_like_fields(FeedForwardGrads, net)
     d_act = upstream @ net.w2
     d_pre = d_act * (1.0 - act * act)
     np.matmul(d_pre.T, x, out=out.w1)
@@ -314,10 +319,7 @@ def train_attention(
 
     rng = spawn_rng(config.seed, f"train-attention-l{length}")
     params = init_single_head(rng, hidden, q.shape[1], k.shape[2])
-    buffer = pack_params(params, HEAD_FIELDS)
-    grad_buffer = buffer.zeros_like()
-    grads = SingleHeadGrads(**grad_buffer.views)
-    opt = AdamState.for_param(buffer.flat, config.learning_rate, config.weight_decay)
+    opt = FlatAdam(params, SingleHeadGrads, config.learning_rate, config.weight_decay)
     n = len(y)
     curve = np.empty(config.epochs)
     for epoch in range(config.epochs):
@@ -327,8 +329,8 @@ def train_attention(
             resid = pooled - y[batch]
             check_finite_loss(resid, epoch, bi)
             sq_sum += float(np.sum(resid * resid))
-            single_head_backward(params, cache, 2.0 * resid / resid.size, out=grads)
-            adam_step(buffer.flat, grad_buffer.flat, opt, buffer)
+            single_head_backward(params, cache, 2.0 * resid / resid.size, out=opt.grads)
+            opt.step()
         curve[epoch] = sq_sum / y.size
     pooler = AttentionPooler(params, query_scaler, key_scaler, length)
     return pooler, curve
@@ -346,9 +348,7 @@ def train_linear(
         weight=uniform_init(rng, (y.shape[1], x.shape[1]), x.shape[1]),
         bias=np.zeros(y.shape[1]),
     )
-    buffer = pack_params(model, ("weight", "bias"))
-    grads = buffer.zeros_like()
-    opt = AdamState.for_param(buffer.flat, config.learning_rate, config.weight_decay)
+    opt = FlatAdam(model, LinearGrads, config.learning_rate, config.weight_decay)
     curve = np.empty(config.epochs)
     for epoch in range(config.epochs):
         sq_sum = 0.0
@@ -357,9 +357,9 @@ def train_linear(
             check_finite_loss(resid, epoch, bi)
             sq_sum += float(np.sum(resid * resid))
             upstream = 2.0 * resid / resid.size
-            np.matmul(upstream.T, x[batch], out=grads.views["weight"])
-            np.sum(upstream, axis=0, out=grads.views["bias"])
-            adam_step(buffer.flat, grads.flat, opt, buffer)
+            np.matmul(upstream.T, x[batch], out=opt.grads.weight)
+            np.sum(upstream, axis=0, out=opt.grads.bias)
+            opt.step()
         curve[epoch] = sq_sum / y.size
     return model, curve
 
@@ -393,10 +393,7 @@ def train_ffnn(
     net = init_ffnn(rng, hidden, x.shape[1], y.shape[1])
     net.scaler = scaler
     net.delay_length = length
-    buffer = pack_params(net, ("w1", "b1", "w2", "b2"))
-    grad_buffer = buffer.zeros_like()
-    grads = FeedForwardGrads(**grad_buffer.views)
-    opt = AdamState.for_param(buffer.flat, config.learning_rate, config.weight_decay)
+    opt = FlatAdam(net, FeedForwardGrads, config.learning_rate, config.weight_decay)
     curve = np.empty(config.epochs)
     for epoch in range(config.epochs):
         sq_sum = 0.0
@@ -405,8 +402,8 @@ def train_ffnn(
             resid = out - y[batch]
             check_finite_loss(resid, epoch, bi)
             sq_sum += float(np.sum(resid * resid))
-            ffnn_backward(net, cache, 2.0 * resid / resid.size, out=grads)
-            adam_step(buffer.flat, grad_buffer.flat, opt, buffer)
+            ffnn_backward(net, cache, 2.0 * resid / resid.size, out=opt.grads)
+            opt.step()
         curve[epoch] = sq_sum / y.size
     return net, curve
 

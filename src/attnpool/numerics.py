@@ -9,7 +9,7 @@ Every public operation here either returns finite values or raises.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Mapping, Sequence
 from zlib import crc32
 
@@ -82,6 +82,12 @@ def pack_params(owner: object, names: Sequence[str]) -> ParamBuffer:
     return buffer
 
 
+def empty_like_fields(cls: type, source: object):
+    """A ``cls`` dataclass whose fields are new arrays shaped like the
+    same-named attributes of ``source``."""
+    return cls(**{f.name: np.empty_like(getattr(source, f.name)) for f in fields(cls)})
+
+
 @dataclass
 class AdamState:
     """Adam moments plus hyperparameters for one parameter array.
@@ -127,22 +133,29 @@ class AdamState:
         )
 
 
-def _require_finite_entries(arr: Array, what: str, name: str | ParamBuffer) -> None:
+def _require_finite_entries(arr: Array, what: str, name: str, layout: ParamBuffer | None) -> None:
     finite = np.isfinite(arr)
     if not finite.all():
-        if isinstance(name, ParamBuffer):
-            name = name.name_at(int(np.argmin(finite.ravel())))
+        if layout is not None:
+            name = layout.name_at(int(np.argmin(finite.ravel())))
         raise ValueError(f"non-finite entries in {what}{name}")
 
 
 def adam_step(
-    param: Array, grad: Array, state: AdamState, name: str | ParamBuffer = "param"
+    param: Array | ParamBuffer,
+    grad: Array | ParamBuffer,
+    state: AdamState,
+    name: str = "param",
 ) -> Array:
-    """One Adam update of ``param`` in place. Mutates ``state``; returns ``param``.
+    """One Adam update of ``param`` in place. Mutates ``state``; returns the
+    updated array.
 
-    ``name`` labels errors: a string, or the ParamBuffer whose ``flat``
-    vector ``param`` is, and then an error names the array that holds the
-    first non-finite entry. The update applies the per-element operations of
+    ``param`` and ``grad`` are float64 arrays, or ParamBuffers of one layout;
+    then the update runs over their ``flat`` vectors and an error names the
+    array that holds the first non-finite entry, else ``name``. If the
+    gradient or the result is not finite, the error is raised before
+    ``param`` changes (``state`` has already advanced). The update applies
+    the per-element operations of
 
         m = b1 m + (1 - b1) g,   v = b2 v + (1 - b2) g^2,
         p = p - lr (m / (1 - b1^t)) / (sqrt(v / (1 - b2^t)) + eps) - lr wd p
@@ -150,20 +163,25 @@ def adam_step(
     in this order, so it gives the same bits as evaluating them array by
     array.
     """
+    layout = param if isinstance(param, ParamBuffer) else None
+    if layout is not None:
+        param = layout.flat
+        name = "parameter buffer"
+    if isinstance(grad, ParamBuffer):
+        grad = grad.flat
     if not isinstance(param, np.ndarray) or param.dtype != np.float64:
         raise TypeError(f"Adam updates a float64 array in place, got {type(param).__name__}")
     grad = np.asarray(grad, dtype=np.float64)
-    label = name if isinstance(name, str) else "parameter buffer"
     if param.shape != grad.shape:
         raise ValueError(
-            f"shape mismatch for {label}: param {param.shape} vs gradient {grad.shape}"
+            f"shape mismatch for {name}: param {param.shape} vs gradient {grad.shape}"
         )
     if state.first_moment.shape != param.shape:
         raise ValueError(
-            f"Adam state for {label} has shape {state.first_moment.shape}, "
+            f"Adam state for {name} has shape {state.first_moment.shape}, "
             f"param has {param.shape}"
         )
-    _require_finite_entries(grad, "gradient of ", name)
+    _require_finite_entries(grad, "gradient of ", name, layout)
 
     state.step_count += 1
     t = state.step_count
@@ -183,13 +201,35 @@ def adam_step(
     np.sqrt(denom, out=denom)
     denom += state.epsilon
     step /= denom
+    updated = np.subtract(param, step, out=step)
     if state.weight_decay != 0.0:
-        np.multiply(param, lr * state.weight_decay, out=denom)  # from the old param
-    param -= step
-    if state.weight_decay != 0.0:
-        param -= denom
-    _require_finite_entries(param, "updated ", name)
+        np.multiply(param, lr * state.weight_decay, out=denom)
+        updated -= denom
+    _require_finite_entries(updated, "updated ", name, layout)
+    np.copyto(param, updated)
     return param
+
+
+class FlatAdam:
+    """Adam over the trained arrays of one model, held in one ParamBuffer.
+
+    The trained arrays are the fields of ``grads_type``, the model's
+    gradient dataclass. Each of those attributes of ``owner`` is rebound to
+    its view of ``params``; ``grads`` is a ``grads_type`` whose arrays are
+    views of ``grad_buffer``, so a backward that writes into ``grads`` fills
+    what :meth:`step` reads.
+    """
+
+    def __init__(
+        self, owner: object, grads_type: type, learning_rate: float, weight_decay: float = 0.0
+    ):
+        self.params = pack_params(owner, [f.name for f in fields(grads_type)])
+        self.grad_buffer = self.params.zeros_like()
+        self.grads = grads_type(**self.grad_buffer.views)
+        self.state = AdamState.for_param(self.params.flat, learning_rate, weight_decay)
+
+    def step(self) -> None:
+        adam_step(self.params, self.grad_buffer, self.state)
 
 
 def finite_difference_gradient(

@@ -357,6 +357,27 @@ class TestLorenzRun:
             [*manifest["outputs"], "manifest.json", "notes.txt"]
         )
 
+    def test_rerun_keeps_a_dataset_cache_in_its_own_output_directory(self, tmp_path):
+        """lorenz-run reading data.cache from the directory it writes to
+        leaves the cached CSVs, which the lorenz-data manifest listed."""
+        target = tmp_path / "shared"
+        gen_cfg = write_config(tmp_path, LORENZ_TINY, out=str(target))
+        assert invoke("lorenz-data", "--config", str(gen_cfg)).exit_code == 0
+        text = (
+            LORENZ_TINY.replace("data:\n", f"data:\n  cache: {target}\n")
+            .replace(
+                "methods: [additive, fixed_attention, best_initial, linear, ffnn]",
+                "methods: [linear]",
+            )
+            .replace("  weights_delay: 2\n", "")
+        )
+        run_cfg = write_config(tmp_path, text, name="run.yaml", out=str(target))
+        for _ in range(2):
+            result = invoke("lorenz-run", "--config", str(run_cfg))
+            assert result.exit_code == 0, result.output + str(result.exception)
+            assert (target / "train.csv").exists()
+            assert (target / "validation.csv").exists()
+
     def test_reseeded_run_differs(self, lorenz_out, tmp_path):
         out, cfg = lorenz_out
         result = invoke(
@@ -492,6 +513,37 @@ class TestCovidRun:
         assert manifest["ingest_warnings"] == [
             f"sorted non-monotone quantiles for ({model}, {location}, {week})"
         ]
+
+    def test_rerun_keeps_input_files_its_previous_manifest_listed(self, covid_out, tmp_path):
+        """A covid-run reading forecasts.csv and truth.csv that the previous
+        covid-run in the same directory wrote leaves them in place."""
+        out, _ = covid_out
+        target = tmp_path / "hub"
+        shutil.copytree(out, target)
+        listed = json.loads((target / "manifest.json").read_text())["outputs"]
+        assert {"forecasts.csv", "truth.csv"} <= set(listed)
+        cfg = write_config(
+            target,
+            "experiment: covid\noutput: {out}\n"
+            "data:\n  forecasts: forecasts.csv\n  truth: truth.csv\n  periods: split\n"
+            "model:\n  methods: [uniform]\n",
+            out=str(target),
+        )
+        result = invoke("covid-run", "--config", str(cfg))
+        assert result.exit_code == 0, result.output + str(result.exception)
+        assert (target / "forecasts.csv").read_bytes() == (out / "forecasts.csv").read_bytes()
+        assert (target / "truth.csv").read_bytes() == (out / "truth.csv").read_bytes()
+
+    def test_run_leaves_the_outputs_of_another_command(self, tmp_path):
+        """Only a previous run of the same command has its files removed:
+        covid-run into a covid-synth directory keeps gaps.csv."""
+        target = tmp_path / "hub"
+        text = COVID_TINY.replace("model:\n", "model:\n  methods: [uniform]\n")
+        cfg = write_config(tmp_path, text, out=str(target))
+        assert invoke("covid-synth", "--config", str(cfg)).exit_code == 0
+        result = invoke("covid-run", "--config", str(cfg))
+        assert result.exit_code == 0, result.output + str(result.exception)
+        assert (target / "gaps.csv").exists()
 
     def test_rerun_with_threads_is_byte_identical(self, covid_out, tmp_path):
         out, cfg = covid_out

@@ -1,10 +1,13 @@
 """Adam updates, finite differences, and seeded init."""
 
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
 from attnpool.numerics import (
     AdamState,
+    FlatAdam,
     ParamBuffer,
     adam_step,
     finite_difference_gradient,
@@ -105,7 +108,7 @@ class TestAdam:
                 v_hat = v / (1.0 - b2**t)
                 updated = p - lr * m_hat / (np.sqrt(v_hat) + eps)
                 expect[n] = updated - lr * wd * p
-            adam_step(buffer.flat, grads.flat, state, buffer)
+            adam_step(buffer, grads, state)
             for n, view in buffer.views.items():
                 np.testing.assert_array_equal(view, expect[n], err_msg=f"{n} at step {t}")
 
@@ -115,11 +118,15 @@ class TestAdam:
         state = AdamState.for_param(buffer.flat)
         grads.views["w_key"][1, 4] = np.inf
         with pytest.raises(ValueError, match="gradient of w_key"):
-            adam_step(buffer.flat, grads.flat, state, buffer)
+            adam_step(buffer, grads, state)
         grads.views["w_key"][1, 4] = 0.0
+        buffer.flat[:] = np.arange(buffer.flat.size)
         buffer.views["bias"][0] = np.nan
+        before = buffer.flat.copy()
         with pytest.raises(ValueError, match="updated bias"):
-            adam_step(buffer.flat, grads.flat, state, buffer)
+            adam_step(buffer, grads, state)
+        # the check runs before the update is written back
+        np.testing.assert_array_equal(buffer.flat, before)
 
     def test_pack_params_rebinds_attributes_to_views(self):
         class Model:
@@ -133,6 +140,29 @@ class TestAdam:
         np.testing.assert_array_equal(model.w, np.full((2, 3), 2.0))
         np.testing.assert_array_equal(model.b, [0.0, 2.0])
         assert buffer.name_at(5) == "w" and buffer.name_at(6) == "b"
+
+    def test_flat_adam_trains_the_owner_through_its_grads(self):
+        @dataclass
+        class Grads:
+            w: np.ndarray
+            b: np.ndarray
+
+        class Model:
+            pass
+
+        model = Model()
+        model.w, model.b, model.frozen = np.ones((2, 3)), np.arange(2.0), np.ones(4)
+        opt = FlatAdam(model, Grads, learning_rate=0.1, weight_decay=0.01)
+        assert list(opt.params.views) == ["w", "b"]
+        expect = {"w": model.w.copy(), "b": model.b.copy()}
+        states = {n: AdamState.for_param(a, 0.1, 0.01) for n, a in expect.items()}
+        opt.grads.w[...] = np.linspace(-1.0, 1.0, 6).reshape(2, 3)
+        opt.grads.b[...] = [0.5, -2.0]
+        opt.step()
+        for n in ("w", "b"):
+            adam_step(expect[n], getattr(opt.grads, n), states[n], name=n)
+            np.testing.assert_array_equal(getattr(model, n), expect[n])
+        np.testing.assert_array_equal(model.frozen, np.ones(4))
 
     def test_shape_mismatch_rejected(self):
         state = AdamState.for_param(np.ones(3))
