@@ -27,69 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .numerics import Array, empty_like_fields, require_finite, uniform_init
-
-# ---------------------------------------------------------------------------
-# delay embedding
-
-
-def embed(history: Sequence[Array], length: int) -> Array:
-    """Concatenate the ``length`` most recent base vectors, newest first.
-
-    ``history`` is ordered newest first; entries may have any shared shape,
-    and concatenation happens along the last axis.
-    """
-    if length < 1:
-        raise ValueError(f"delay length must be >= 1, got {length}")
-    if len(history) < length:
-        raise ValueError(
-            f"need at least {length} history entries for the delay embedding, "
-            f"got {len(history)}"
-        )
-    parts = [np.asarray(h, dtype=np.float64) for h in history[:length]]
-    base_shape = parts[0].shape
-    for p in parts[1:]:
-        if p.shape != base_shape:
-            raise ValueError(
-                f"inconsistent base-vector shapes in history: {base_shape} vs {p.shape}"
-            )
-    return np.concatenate(parts, axis=-1)
-
-
-class DelayEmbedding:
-    """Rolling buffer holding the ``length`` most recent base vectors.
-
-    ``push`` adds the newest entry; ``vector()`` returns the delay embedding
-    (concatenation newest first along the last axis). Entries may be batched
-    arrays as long as their shapes agree.
-    """
-
-    def __init__(self, length: int):
-        if length < 1:
-            raise ValueError(f"delay length must be >= 1, got {length}")
-        self.length = length
-        self._entries: list[Array] = []  # newest at index 0
-
-    def push(self, vec: Array) -> None:
-        vec = np.asarray(vec, dtype=np.float64)
-        if self._entries and vec.shape != self._entries[0].shape:
-            raise ValueError(
-                f"base vector shape changed: {self._entries[0].shape} -> {vec.shape}"
-            )
-        self._entries.insert(0, vec)
-        del self._entries[self.length :]
-
-    @property
-    def ready(self) -> bool:
-        return len(self._entries) == self.length
-
-    def vector(self) -> Array:
-        if not self.ready:
-            raise ValueError(
-                f"delay buffer holds {len(self._entries)} of {self.length} entries"
-            )
-        return embed(self._entries, self.length)
-
+from .numerics import Array, empty_like_fields, uniform_init
 
 # ---------------------------------------------------------------------------
 # parameters
@@ -229,9 +167,9 @@ def single_head_forward(params: SingleHeadParams, query: Array, keys: Array, val
         raise ValueError(f"key dim {k.shape[2]} does not match w_key {params.w_key.shape}")
     # Both projections are stacked, one matmul per instance. A 2-D gemm over
     # the batch (q @ w_query.T, or keys flattened to (B*M, k)) gives bits
-    # that depend on the batch size, and the closed loop relies on one batch
-    # matching the concatenation of its shards. The tanh pre-activation is
-    # built in place in the key projection.
+    # that depend on the batch size; stacked, a segment's closed-loop
+    # forecast has the same bits whichever segments share its batch. The
+    # tanh pre-activation is built in place in the key projection.
     proj_q = q[:, None, :] @ params.w_query.T          # (B, 1, h)
     proj_q += params.bias
     act = k @ params.w_key.T                           # (B, M, h)
@@ -392,45 +330,6 @@ def attention_weights(params: SingleHeadParams, query: Array, keys: Array) -> Ar
     dummy = np.zeros((m, 1))
     _, weights, _ = single_head_forward(params, query, keys, dummy)
     return weights
-
-
-def pool(weights: Array, values: Array) -> Array:
-    """Convex combination of candidate forecasts."""
-    weights = np.asarray(weights, dtype=np.float64)
-    values = np.asarray(values, dtype=np.float64)
-    if weights.ndim != 1 or values.ndim != 2 or weights.shape[0] != values.shape[0]:
-        raise ValueError(
-            f"expected weights (M,) and values (M, d), got {weights.shape} and {values.shape}"
-        )
-    if abs(float(weights.sum()) - 1.0) > 1e-9:
-        raise ValueError(f"pooling weights sum to {weights.sum()!r}, expected 1")
-    return weights @ values
-
-
-@dataclass
-class EnsembleStep:
-    """Inputs for one attention step: query (q,), keys (M, k), values (M, d)."""
-
-    query: Array
-    keys: Array
-    values: Array
-
-    def __post_init__(self):
-        self.query = np.asarray(self.query, dtype=np.float64)
-        self.keys = np.asarray(self.keys, dtype=np.float64)
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.keys.ndim != 2 or self.values.ndim != 2:
-            raise ValueError("keys and values must be 2-D (one row per candidate)")
-        if self.keys.shape[0] != self.values.shape[0]:
-            raise ValueError(
-                f"{self.keys.shape[0]} keys but {self.values.shape[0]} values"
-            )
-        for name, arr in (("query", self.query), ("keys", self.keys), ("values", self.values)):
-            require_finite(arr, name)
-
-    @property
-    def n_models(self) -> int:
-        return self.keys.shape[0]
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from datetime import date
 from difflib import get_close_matches
-from functools import partial
 from pathlib import Path
 from typing import Sequence
 
@@ -42,9 +41,7 @@ from .forecasting import (
     TrainConfig,
     assemble_open_loop,
     closed_loop_forecast_batch,
-    ffnn_closed_loop_batch,
     gather_histories,
-    linear_closed_loop_batch,
     train_attention,
     train_ffnn,
     train_linear,
@@ -682,35 +679,6 @@ def _input_paths(cfg: ExperimentConfig) -> list[Path]:
 # Lorenz experiment
 
 
-def _merge_closed_loop(parts):
-    from .forecasting import ClosedLoopResult
-
-    if len(parts) == 1:
-        return parts[0]
-    weights = None
-    if parts[0].weights is not None:
-        weights = np.concatenate([p.weights for p in parts])
-    return ClosedLoopResult(
-        predictions=np.concatenate([p.predictions for p in parts]),
-        weights=weights,
-        truncated_at=np.concatenate([p.truncated_at for p in parts]),
-    )
-
-
-def _sharded(fn, histories, horizon: int, threads: int):
-    """Run a closed-loop batch in index-order shards across a thread pool.
-
-    Segments are independent, so sharding changes no arithmetic — results are
-    bit-identical to the single-threaded run regardless of ``threads``.
-    """
-    if threads <= 1 or len(histories) < 2:
-        return fn(histories, horizon)
-    chunks = np.array_split(np.arange(len(histories)), min(threads, len(histories)))
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        parts = list(pool.map(lambda ix: fn(histories[ix], horizon), chunks))
-    return _merge_closed_loop(parts)
-
-
 def _load_cached_dataset(cfg: ExperimentConfig) -> LorenzDataset:
     d = cfg.data
     train_csv = d.cache / "train.csv"
@@ -788,77 +756,51 @@ def run_lorenz_experiment(cfg: ExperimentConfig) -> Path:
         weight_rows: list[list[str]] = []
         forecast_rows: list[list[str]] = []
 
-        att_variants = [v for v in m.methods if v in VARIANTS]
-        for length in m.delays if att_variants else ():
-            pooler, curve = train_attention(
-                assemble_open_loop(train_states, cand_train, length),
-                length,
-                hidden=m.hidden,
-                config=TrainConfig(epochs=m.epochs, **base_train),
-            )
-            loss_rows += [
-                ["additive", str(length), str(e), _fmt(v)] for e, v in enumerate(curve)
-            ]
-            histories = gather_histories(val.states, starts, length + 1)
-            for variant in att_variants:
-                res = _sharded(
-                    partial(closed_loop_forecast_batch, pooler, variant=variant),
-                    histories,
-                    horizon,
-                    cfg.threads,
+        def train(method: str, length: int):
+            data = assemble_open_loop(train_states, cand_train, length)
+            if method == "additive":
+                return train_attention(
+                    data, length, hidden=m.hidden,
+                    config=TrainConfig(epochs=m.epochs, **base_train),
                 )
+            if method == "linear":
+                return train_linear(
+                    data.values.reshape(len(data.values), -1),
+                    data.targets,
+                    TrainConfig(epochs=m.epochs, **base_train),
+                )
+            return train_ffnn(
+                data.queries, data.targets, length, hidden=m.ffnn_hidden,
+                config=TrainConfig(epochs=m.ffnn_epochs, **base_train),
+            )
+
+        # (trained method, l, history depth, {scored method: variant}); the
+        # attention variants share one model per delay length
+        att_variants = {v: v for v in m.methods if v in VARIANTS}
+        jobs = [("additive", l, l + 1, att_variants) for l in m.delays if att_variants]
+        jobs += [
+            (method, length, length, {method: "additive"})
+            for method, length in (("linear", 1), ("ffnn", m.ffnn_delay))
+            if method in m.methods
+        ]
+        for trained, length, depth, scored in jobs:
+            model, curve = train(trained, length)
+            loss_rows += [
+                [trained, str(length), str(e), _fmt(v)] for e, v in enumerate(curve)
+            ]
+            histories = gather_histories(val.states, starts, depth)
+            for method, variant in scored.items():
+                res = closed_loop_forecast_batch(model, histories, horizon, variant=variant)
                 vts = [
                     valid_time(res.predictions[b], truths[b])
                     for b in range(len(starts))
                 ]
-                vt_rows.append((variant, length, vts))
-                if variant == "additive" and length == m.weights_delay:
+                vt_rows.append((method, length, vts))
+                if method == "additive" and length == m.weights_delay:
                     weight_rows = _weight_rows(res, seg_t0, val.dt_sample)
                     if m.write_forecasts:
                         forecast_rows = _forecast_rows(res, truths, seg_t0, val.dt_sample)
-            click.echo(f"[lorenz] attention l={length} done", err=True)
-
-        if "linear" in m.methods:
-            data1 = assemble_open_loop(train_states, cand_train, 1)
-            model, curve = train_linear(
-                data1.values.reshape(len(data1.values), -1),
-                data1.targets,
-                TrainConfig(epochs=m.epochs, **base_train),
-            )
-            loss_rows += [["linear", "1", str(e), _fmt(v)] for e, v in enumerate(curve)]
-            res = _sharded(
-                partial(linear_closed_loop_batch, model),
-                gather_histories(val.states, starts, 1),
-                horizon,
-                cfg.threads,
-            )
-            vt_rows.append(
-                ("linear", 1, [valid_time(res.predictions[b], truths[b]) for b in range(len(starts))])
-            )
-            click.echo("[lorenz] linear done", err=True)
-
-        if "ffnn" in m.methods:
-            data_f = assemble_open_loop(train_states, cand_train, m.ffnn_delay)
-            net, curve = train_ffnn(
-                data_f.queries,
-                data_f.targets,
-                m.ffnn_delay,
-                hidden=m.ffnn_hidden,
-                config=TrainConfig(epochs=m.ffnn_epochs, **base_train),
-            )
-            loss_rows += [
-                ["ffnn", str(m.ffnn_delay), str(e), _fmt(v)] for e, v in enumerate(curve)
-            ]
-            res = _sharded(
-                partial(ffnn_closed_loop_batch, net),
-                gather_histories(val.states, starts, m.ffnn_delay),
-                horizon,
-                cfg.threads,
-            )
-            vt_rows.append(
-                ("ffnn", m.ffnn_delay, [valid_time(res.predictions[b], truths[b]) for b in range(len(starts))])
-            )
-            click.echo("[lorenz] ffnn done", err=True)
+            click.echo(f"[lorenz] {trained} l={length} done", err=True)
 
         ordered = sorted(vt_rows, key=lambda r: (m.methods.index(r[0]), r[1]))
         _write_csv(
@@ -1160,7 +1102,7 @@ def _config_options(fn):
     for opt in (
         click.option("--config", "config_path", required=True, type=click.Path(), help="YAML experiment config."),
         click.option("--output", "output_override", default=None, help="Override the config's output directory."),
-        click.option("--threads", "threads_override", default=None, type=int, help="Worker threads for segment/period evaluation."),
+        click.option("--threads", "threads_override", default=None, type=int, help="Worker threads for hub period scoring (covid-run)."),
         click.option("--seed", "seed_override", default=None, type=int, help="Override the config's seed."),
     ):
         fn = opt(fn)

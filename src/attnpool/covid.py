@@ -47,13 +47,7 @@ from .attention import (
     single_head_forward,
 )
 from .evaluation import WISConfig, wis_batch, wis_gradient_batch
-from .forecasting import (
-    LinearGrads,
-    LinearPooler,
-    Standardizer,
-    check_finite_loss,
-    epoch_batches,
-)
+from .forecasting import LinearGrads, LinearPooler, Standardizer, fit
 from .numerics import Array, FlatAdam, spawn_rng
 
 # ---------------------------------------------------------------------------
@@ -762,46 +756,52 @@ def train_pooler(
 
     grads_type = {"linear": LinearGrads, "additive": SingleHeadGrads, "multi_head": MultiHeadGrads}
     opt = FlatAdam(params, grads_type[kind], cfg.learning_rate, decay)
+    if kind == "linear":
+
+        def forward(idx):
+            x = inputs[idx]
+            return params.predict(x), x
+
+        def backward(x, g_preds):
+            params.backward(x, g_preds, opt.grads)
+
+    else:
+        attend, attend_backward = (
+            (single_head_forward, single_head_backward)
+            if kind == "additive"
+            else (multi_head_forward, multi_head_backward)
+        )
+
+        def forward(idx):
+            preds, _, cache = attend(params, queries[idx], keys[idx], values[idx])
+            return preds, cache
+
+        def backward(cache, g_preds):
+            attend_backward(params, cache, g_preds, out=opt.grads)
+
     levels = np.array(QUANTILE_LEVELS)
     wis_cfg = WISConfig()
-    curve = np.zeros(cfg.epochs)
     repairs = 0
 
-    for epoch in range(cfg.epochs):
-        for bi, batch in enumerate(epoch_batches(rng, train_rows.size, cfg.batch_size)):
-            idx = train_rows[batch]
-            assert not in_holdout[idx].any(), (
-                "leave-one-period-out violation: held-out rows in a minibatch"
-            )
-            if kind == "linear":
-                x = inputs[idx]
-                preds = params.predict(x)
-            elif kind == "additive":
-                preds, _, cache = single_head_forward(
-                    params, queries[idx], keys[idx], values[idx]
-                )
-            else:
-                preds, _, cache = multi_head_forward(
-                    params, queries[idx], keys[idx], values[idx]
-                )
-            sorted_preds, perm, changed = _sort_repair(preds)
-            repairs += changed
-            scores = wis_batch(levels, sorted_preds, truths[idx], wis_cfg)
-            check_finite_loss(scores, epoch, bi)
-            curve[epoch] += scores.sum()
-            g_sorted = wis_gradient_batch(levels, sorted_preds, truths[idx], wis_cfg)
-            g_sorted /= idx.size
-            g_preds = np.empty_like(g_sorted)
-            np.put_along_axis(g_preds, perm, g_sorted, axis=1)
-            if kind == "linear":
-                np.matmul(g_preds.T, x, out=opt.grads.weight)
-                np.sum(g_preds, axis=0, out=opt.grads.bias)
-            elif kind == "additive":
-                single_head_backward(params, cache, g_preds, out=opt.grads)
-            else:
-                multi_head_backward(params, cache, g_preds, out=opt.grads)
-            opt.step()
-        curve[epoch] /= train_rows.size
+    def loss_and_grad(idx):
+        nonlocal repairs
+        preds, cache = forward(idx)
+        sorted_preds, perm, changed = _sort_repair(preds)
+        repairs += changed
+        scores = wis_batch(levels, sorted_preds, truths[idx], wis_cfg)
+        g_sorted = wis_gradient_batch(levels, sorted_preds, truths[idx], wis_cfg)
+        g_sorted /= idx.size
+        g_preds = np.empty_like(g_sorted)
+        np.put_along_axis(g_preds, perm, g_sorted, axis=1)
+        backward(cache, g_preds)
+        return scores
+
+    def outside_holdout(idx):
+        assert not in_holdout[idx].any(), (
+            "leave-one-period-out violation: held-out rows in a minibatch"
+        )
+
+    curve = fit(opt, loss_and_grad, train_rows, rng, cfg, check_rows=outside_holdout)
 
     pooler = QuantilePooler(
         kind=kind,

@@ -1,4 +1,4 @@
-"""Training loops and forecast drivers for ensemble pooling.
+"""Training loop and closed-loop forecast driver for ensemble pooling.
 
 The trainable pooling model is the additive-attention head from
 :mod:`attnpool.attention`; this module supplies the pieces around it:
@@ -6,11 +6,12 @@ The trainable pooling model is the additive-attention head from
 * assembly of open-loop training instances from a trajectory plus the
   candidate one-step forecasts (queries = delay-embedded past states, keys =
   delay-embedded past candidate errors, values = current candidate forecasts);
-* minibatch Adam training with per-epoch loss curves, for the attention
-  pooler and for two baselines — a linear pooler over the flattened candidate
-  forecasts and a feed-forward net that predicts directly from past states;
-* open-loop (one-step, truth-driven) and closed-loop (autonomous, outputs
-  recycled) forecast drivers, the latter batched across many start points.
+* one minibatch Adam loop, :func:`fit`, with per-epoch loss curves, run for
+  the attention pooler and for two baselines — a linear pooler over the
+  flattened candidate forecasts and a feed-forward net that predicts
+  directly from past states;
+* one closed-loop (autonomous, outputs recycled) forecast driver for all
+  three models, batched across many start points.
 
 Closed-loop mechanics: each step, every candidate model is re-integrated
 from the *pooled* previous output, the pooled output stands in for the truth
@@ -187,6 +188,12 @@ class LinearPooler:
     def predict(self, inputs: Array) -> Array:
         return np.asarray(inputs, dtype=np.float64) @ self.weight.T + self.bias
 
+    def backward(self, inputs: Array, upstream: Array, out: "LinearGrads") -> None:
+        """Write the parameter gradients for d loss / d output ``upstream``
+        (B, d_out) at ``inputs`` (B, d_in) into ``out``."""
+        np.matmul(upstream.T, inputs, out=out.weight)
+        np.sum(upstream, axis=0, out=out.bias)
+
     def count(self) -> int:
         return self.weight.size + self.bias.size
 
@@ -245,9 +252,10 @@ def ffnn_forward(net: FeedForwardNet, inputs: Array):
 
 def ffnn_backward(
     net: FeedForwardNet, cache, upstream: Array, out: FeedForwardGrads | None = None
-):
-    """Gradients given d loss / d out; returns (grads, d_inputs). The
-    parameter gradients are written into ``out`` when given."""
+) -> FeedForwardGrads:
+    """Parameter gradients given d loss / d out, written into ``out`` when
+    given. The gradient with respect to the inputs is not formed: no caller
+    trains through them."""
     x, act = cache
     upstream = np.asarray(upstream, dtype=np.float64)
     if upstream.ndim == 1:
@@ -260,7 +268,7 @@ def ffnn_backward(
     np.sum(d_pre, axis=0, out=out.b1)
     np.matmul(upstream.T, act, out=out.w2)
     np.sum(upstream, axis=0, out=out.b2)
-    return out, d_pre @ net.w1
+    return out
 
 
 def init_ffnn(
@@ -295,11 +303,42 @@ def epoch_batches(rng: np.random.Generator, n: int, batch_size: int):
         yield order[start : start + batch_size]
 
 
-def check_finite_loss(resid: Array, epoch: int, batch: int) -> None:
-    if not np.all(np.isfinite(resid)):
-        raise FloatingPointError(
-            f"non-finite training loss at epoch {epoch}, batch {batch}"
-        )
+def fit(
+    opt: FlatAdam,
+    loss_and_grad: Callable[[Array], Array],
+    rows: Array,
+    rng: np.random.Generator,
+    config,
+    check_rows: Callable[[Array], None] | None = None,
+) -> Array:
+    """The minibatch loop every trainer runs; returns the per-epoch loss.
+
+    ``config`` supplies ``epochs`` and ``batch_size`` (a :class:`TrainConfig`
+    or the hub's ``PoolerTrainConfig``). Each epoch draws a permutation of
+    ``rows`` from ``rng`` and cuts it into batches. For each batch,
+    ``check_rows`` (when given) sees the batch's rows first;
+    ``loss_and_grad`` then takes them, writes the gradients of the batch
+    loss into ``opt.grads`` and returns the per-element loss terms; a
+    non-finite term stops training before the Adam step. An epoch's loss is
+    the mean of all its terms.
+    """
+    curve = np.empty(config.epochs)
+    for epoch in range(config.epochs):
+        total, count = 0.0, 0
+        for bi, batch in enumerate(epoch_batches(rng, len(rows), config.batch_size)):
+            idx = rows[batch]
+            if check_rows is not None:
+                check_rows(idx)
+            losses = loss_and_grad(idx)
+            if not np.all(np.isfinite(losses)):
+                raise FloatingPointError(
+                    f"non-finite training loss at epoch {epoch}, batch {bi}"
+                )
+            total += float(np.sum(losses))
+            count += losses.size
+            opt.step()
+        curve[epoch] = total / count
+    return curve
 
 
 def train_attention(
@@ -320,20 +359,15 @@ def train_attention(
     rng = spawn_rng(config.seed, f"train-attention-l{length}")
     params = init_single_head(rng, hidden, q.shape[1], k.shape[2])
     opt = FlatAdam(params, SingleHeadGrads, config.learning_rate, config.weight_decay)
-    n = len(y)
-    curve = np.empty(config.epochs)
-    for epoch in range(config.epochs):
-        sq_sum = 0.0
-        for bi, batch in enumerate(epoch_batches(rng, n, config.batch_size)):
-            pooled, _, cache = single_head_forward(params, q[batch], k[batch], v[batch])
-            resid = pooled - y[batch]
-            check_finite_loss(resid, epoch, bi)
-            sq_sum += float(np.sum(resid * resid))
-            single_head_backward(params, cache, 2.0 * resid / resid.size, out=opt.grads)
-            opt.step()
-        curve[epoch] = sq_sum / y.size
-    pooler = AttentionPooler(params, query_scaler, key_scaler, length)
-    return pooler, curve
+
+    def loss_and_grad(batch):
+        pooled, _, cache = single_head_forward(params, q[batch], k[batch], v[batch])
+        resid = pooled - y[batch]
+        single_head_backward(params, cache, 2.0 * resid / resid.size, out=opt.grads)
+        return resid * resid
+
+    curve = fit(opt, loss_and_grad, np.arange(len(y)), rng, config)
+    return AttentionPooler(params, query_scaler, key_scaler, length), curve
 
 
 def train_linear(
@@ -349,18 +383,14 @@ def train_linear(
         bias=np.zeros(y.shape[1]),
     )
     opt = FlatAdam(model, LinearGrads, config.learning_rate, config.weight_decay)
-    curve = np.empty(config.epochs)
-    for epoch in range(config.epochs):
-        sq_sum = 0.0
-        for bi, batch in enumerate(epoch_batches(rng, len(y), config.batch_size)):
-            resid = model.predict(x[batch]) - y[batch]
-            check_finite_loss(resid, epoch, bi)
-            sq_sum += float(np.sum(resid * resid))
-            upstream = 2.0 * resid / resid.size
-            np.matmul(upstream.T, x[batch], out=opt.grads.weight)
-            np.sum(upstream, axis=0, out=opt.grads.bias)
-            opt.step()
-        curve[epoch] = sq_sum / y.size
+
+    def loss_and_grad(batch):
+        xb = x[batch]
+        resid = model.predict(xb) - y[batch]
+        model.backward(xb, 2.0 * resid / resid.size, opt.grads)
+        return resid * resid
+
+    curve = fit(opt, loss_and_grad, np.arange(len(y)), rng, config)
     return model, curve
 
 
@@ -394,56 +424,15 @@ def train_ffnn(
     net.scaler = scaler
     net.delay_length = length
     opt = FlatAdam(net, FeedForwardGrads, config.learning_rate, config.weight_decay)
-    curve = np.empty(config.epochs)
-    for epoch in range(config.epochs):
-        sq_sum = 0.0
-        for bi, batch in enumerate(epoch_batches(rng, len(y), config.batch_size)):
-            out, cache = ffnn_forward(net, x[batch])
-            resid = out - y[batch]
-            check_finite_loss(resid, epoch, bi)
-            sq_sum += float(np.sum(resid * resid))
-            ffnn_backward(net, cache, 2.0 * resid / resid.size, out=opt.grads)
-            opt.step()
-        curve[epoch] = sq_sum / y.size
+
+    def loss_and_grad(batch):
+        out, cache = ffnn_forward(net, x[batch])
+        resid = out - y[batch]
+        ffnn_backward(net, cache, 2.0 * resid / resid.size, out=opt.grads)
+        return resid * resid
+
+    curve = fit(opt, loss_and_grad, np.arange(len(y)), rng, config)
     return net, curve
-
-
-# ---------------------------------------------------------------------------
-# open-loop forecasting
-
-
-@dataclass(frozen=True)
-class OpenLoopForecast:
-    target_indices: Array
-    predictions: Array
-    weights: Array | None  # (N, M) for the attention pooler, else None
-
-
-def open_loop_forecast(
-    model: AttentionPooler | LinearPooler | FeedForwardNet,
-    states: Array,
-    candidates: Array | None = None,
-) -> OpenLoopForecast:
-    """One-step forecasts driven by the true series.
-
-    Targets start at index ``delay_length + 1`` for every model kind so that
-    different poolers are compared on identical target sets.
-    """
-    states = np.asarray(states, dtype=np.float64)
-    if isinstance(model, FeedForwardNet):
-        idx, delayed = _delayed_states(states, model.delay_length)
-        return OpenLoopForecast(idx, model.predict(delayed), None)
-    if candidates is None:
-        raise ValueError("pooling models need the candidate forecasts")
-    if isinstance(model, AttentionPooler):
-        data = assemble_open_loop(states, candidates, model.delay_length)
-        pooled, weights = model.forward(data.queries, data.keys, data.values)
-        return OpenLoopForecast(data.target_indices, pooled, weights)
-    if isinstance(model, LinearPooler):
-        data = assemble_open_loop(states, candidates, 1)
-        flat = data.values.reshape(len(data.values), -1)
-        return OpenLoopForecast(data.target_indices, model.predict(flat), None)
-    raise TypeError(f"unknown model type {type(model).__name__}")
 
 
 # ---------------------------------------------------------------------------
@@ -452,7 +441,7 @@ def open_loop_forecast(
 VARIANTS = ("additive", "fixed_attention", "best_initial")
 
 # A stepper maps current states (B, d) to all candidate one-step forecasts
-# (B, M, d); closed-loop drivers re-invoke it from the pooled output.
+# (B, M, d); the closed-loop driver re-invokes it from the pooled output.
 CandidateStepper = Callable[[Array], Array]
 
 
@@ -467,22 +456,6 @@ def lorenz_candidate_stepper(rhos=CANDIDATE_RHOS) -> CandidateStepper:
         return candidate_one_step_batch(tiled, rhos[None, :])
 
     return stepper
-
-
-def required_history(model) -> int:
-    """True samples a closed-loop forecast needs before its first target.
-
-    The attention pooler needs one extra sample beyond its delay length: the
-    oldest key term is a verified error, whose forecast was launched from the
-    sample before the oldest embedded state.
-    """
-    if isinstance(model, AttentionPooler):
-        return model.delay_length + 1
-    if isinstance(model, FeedForwardNet):
-        return model.delay_length
-    if isinstance(model, LinearPooler):
-        return 1
-    raise TypeError(f"unknown model type {type(model).__name__}")
 
 
 def gather_histories(states: Array, starts, depth: int) -> Array:
@@ -502,10 +475,10 @@ def gather_histories(states: Array, starts, depth: int) -> Array:
 class ClosedLoopResult:
     """Batched closed-loop forecasts.
 
-    ``predictions`` is (B, H, d) — or (H, d) from the single-segment wrapper —
-    with NaN from the truncation step onward; ``weights`` is the per-step
-    pooling weight matrix for pooling models; ``truncated_at`` holds the step
-    at which each forecast blew up, -1 where it never did.
+    ``predictions`` is (B, H, d) with NaN from the truncation step onward;
+    ``weights`` is the (B, H, M) per-step pooling weight matrix of the
+    attention pooler, None for the other models; ``truncated_at`` holds the
+    step at which each forecast blew up, -1 where it never did.
     """
 
     predictions: Array
@@ -530,8 +503,64 @@ def _finite_rows(arr: Array) -> Array:
     return np.isfinite(arr).all(axis=tuple(range(1, arr.ndim)))
 
 
+@dataclass(frozen=True)
+class _RolloutStep:
+    """What one model reads and computes at each closed-loop step.
+
+    ``step(states, errors, values)`` gets the newest-first buffers of the
+    last ``states`` outputs and the last ``errors`` candidate errors (each
+    candidate's forecast minus the output it stood in for), plus the
+    candidate forecasts for this step when ``candidates`` is set, else
+    None; it returns the output (B, d) and the pooling weights (B, M) or
+    None.
+    """
+
+    states: int
+    errors: int
+    candidates: bool
+    step: Callable
+
+
+def _rollout_step(model, variant: str) -> _RolloutStep:
+    if isinstance(model, AttentionPooler):
+        frozen = None
+
+        def attend(states, errors, values):
+            nonlocal frozen
+            weights = frozen
+            if weights is None:
+                query = np.concatenate(states, axis=-1)
+                keys = np.concatenate(errors, axis=-1)
+                _, weights = model.forward(query, keys, values)
+                if variant == "fixed_attention":
+                    frozen = weights
+                elif variant == "best_initial":
+                    frozen = np.zeros_like(weights)
+                    frozen[np.arange(len(weights)), weights.argmax(axis=1)] = 1.0
+                    weights = frozen
+            return np.einsum("bm,bmd->bd", weights, values), weights
+
+        length = model.delay_length
+        return _RolloutStep(length, length, True, attend)
+    if variant != "additive":
+        raise ValueError(f"variant {variant!r} applies to the attention pooler only")
+    if isinstance(model, LinearPooler):
+
+        def pool_linear(states, errors, values):
+            return model.predict(values.reshape(len(values), -1)), None
+
+        return _RolloutStep(1, 0, True, pool_linear)
+    if isinstance(model, FeedForwardNet):
+
+        def predict_direct(states, errors, values):
+            return model.predict(np.concatenate(states, axis=-1)), None
+
+        return _RolloutStep(model.delay_length, 0, False, predict_direct)
+    raise TypeError(f"unknown model type {type(model).__name__}")
+
+
 def closed_loop_forecast_batch(
-    pooler: AttentionPooler,
+    model: AttentionPooler | LinearPooler | FeedForwardNet,
     histories: Array,
     horizon: int,
     stepper: CandidateStepper = None,
@@ -539,12 +568,17 @@ def closed_loop_forecast_batch(
 ) -> ClosedLoopResult:
     """Autonomous multi-step forecasts from B start points in lockstep.
 
-    ``histories`` is (B, l+1, d) of true samples ending just before the first
-    forecast target. After initialization the driver sees no truth: candidate
-    models re-integrate from the pooled previous output, and the query/key
-    buffers are refilled with the pooled output and the candidates' deviation
-    from it. Rows whose candidates blow up are zeroed internally (the origin
-    integrates quietly) and reported as NaN with their truncation step.
+    ``histories`` is (B, depth, d) of true samples ending just before the
+    first forecast target: depth is l+1 for the attention pooler (its oldest
+    key term is a verified error, whose forecast was launched from the
+    sample before the oldest embedded state), l for the direct net and 1
+    for the linear pooler. After initialization the driver sees no truth:
+    candidate models re-integrate from the previous output, which also
+    refills the state buffer, and the error buffer takes the candidates'
+    deviation from it. Rows whose candidates or output blow up are zeroed
+    internally (the origin integrates quietly) and reported as NaN with
+    their truncation step. ``variant`` selects how the attention pooler
+    weighs the candidates; the other models take only ``"additive"``.
     """
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
@@ -552,132 +586,48 @@ def closed_loop_forecast_batch(
         raise ValueError(f"horizon must be >= 1, got {horizon}")
     if stepper is None:
         stepper = lorenz_candidate_stepper()
+    rollout = _rollout_step(model, variant)
+    depth = max(rollout.states, rollout.errors + 1)
     histories = np.asarray(histories, dtype=np.float64)
-    depth = pooler.delay_length + 1
     if histories.ndim != 3 or histories.shape[1] != depth:
         raise ValueError(
-            f"histories must be (B, {depth}, d) for delay length "
-            f"{pooler.delay_length}, got {histories.shape}"
+            f"histories must be (B, {depth}, d) for this {type(model).__name__}, "
+            f"got {histories.shape}"
         )
     n_batch, _, dim = histories.shape
-    length = pooler.delay_length
 
     # newest-first buffers seeded from true history; entry k of the error
     # buffer is (candidate forecast for history index -1-k) - (truth there)
-    state_buf = [histories[:, -1 - k, :] for k in range(length)]
+    state_buf = [histories[:, -1 - k, :] for k in range(rollout.states)]
     error_buf = [
         stepper(histories[:, -2 - k, :]) - histories[:, -1 - k, :][:, None, :]
-        for k in range(length)
+        for k in range(rollout.errors)
     ]
-    prev = histories[:, -1, :].copy()
 
-    track = _Truncation(n_batch)
-    predictions = weights_out = None
-    frozen_weights = None
-    for step in range(horizon):
-        values = stepper(prev)
-        if predictions is None:
-            n_models = values.shape[1]
-            predictions = np.full((n_batch, horizon, dim), np.nan)
-            weights_out = np.full((n_batch, horizon, n_models), np.nan)
-        track.kill(~_finite_rows(values), step)
-        values[~track.active] = 0.0
-
-        if variant == "additive" or step == 0:
-            query = np.concatenate(state_buf, axis=-1)
-            keys = np.concatenate(error_buf, axis=-1)
-            _, att_weights = pooler.forward(query, keys, values)
-        if variant == "fixed_attention":
-            if step == 0:
-                frozen_weights = att_weights.copy()
-            weights = frozen_weights
-        elif variant == "best_initial":
-            if step == 0:
-                frozen_weights = np.zeros_like(att_weights)
-                frozen_weights[np.arange(n_batch), att_weights.argmax(axis=1)] = 1.0
-            weights = frozen_weights
-        else:
-            weights = att_weights
-
-        pooled = np.einsum("bm,bmd->bd", weights, values)
-        track.kill(~_finite_rows(pooled), step)
-        pooled = np.where(track.active[:, None], pooled, 0.0)
-
-        predictions[track.active, step] = pooled[track.active]
-        weights_out[track.active, step] = weights[track.active]
-
-        state_buf.insert(0, pooled)
-        del state_buf[length:]
-        error_buf.insert(0, values - pooled[:, None, :])
-        del error_buf[length:]
-        prev = pooled
-    return ClosedLoopResult(predictions, weights_out, track.truncated_at)
-
-
-def ffnn_closed_loop_batch(
-    net: FeedForwardNet, histories: Array, horizon: int
-) -> ClosedLoopResult:
-    """Autonomous rollout of the direct net from (B, l, d) true histories."""
-    histories = np.asarray(histories, dtype=np.float64)
-    length = net.delay_length
-    if histories.ndim != 3 or histories.shape[1] != length:
-        raise ValueError(
-            f"histories must be (B, {length}, d), got {histories.shape}"
-        )
-    n_batch, _, dim = histories.shape
-    state_buf = [histories[:, -1 - k, :] for k in range(length)]
     track = _Truncation(n_batch)
     predictions = np.full((n_batch, horizon, dim), np.nan)
+    weights_out = None
+    values = None
     for step in range(horizon):
-        out = net.predict(np.concatenate(state_buf, axis=-1))
+        if rollout.candidates:
+            values = stepper(state_buf[0])
+            track.kill(~_finite_rows(values), step)
+            values[~track.active] = 0.0
+        out, weights = rollout.step(state_buf, error_buf, values)
         track.kill(~_finite_rows(out), step)
         out = np.where(track.active[:, None], out, 0.0)
         predictions[track.active, step] = out[track.active]
+        if weights is not None:
+            if weights_out is None:
+                weights_out = np.full((n_batch, horizon, weights.shape[1]), np.nan)
+            weights_out[track.active, step] = weights[track.active]
+
         state_buf.insert(0, out)
-        del state_buf[length:]
-    return ClosedLoopResult(predictions, None, track.truncated_at)
-
-
-def linear_closed_loop_batch(
-    model: LinearPooler,
-    histories: Array,
-    horizon: int,
-    stepper: CandidateStepper = None,
-) -> ClosedLoopResult:
-    """Autonomous rollout of the linear pooler from (B, 1, d) true histories."""
-    if stepper is None:
-        stepper = lorenz_candidate_stepper()
-    histories = np.asarray(histories, dtype=np.float64)
-    if histories.ndim != 3 or histories.shape[1] != 1:
-        raise ValueError(f"histories must be (B, 1, d), got {histories.shape}")
-    n_batch, _, dim = histories.shape
-    prev = histories[:, -1, :].copy()
-    track = _Truncation(n_batch)
-    predictions = np.full((n_batch, horizon, dim), np.nan)
-    for step in range(horizon):
-        values = stepper(prev)
-        track.kill(~_finite_rows(values), step)
-        values[~track.active] = 0.0
-        out = model.predict(values.reshape(n_batch, -1))
-        track.kill(~_finite_rows(out), step)
-        out = np.where(track.active[:, None], out, 0.0)
-        predictions[track.active, step] = out[track.active]
-        prev = out
-    return ClosedLoopResult(predictions, None, track.truncated_at)
-
-
-def closed_loop_forecast(
-    pooler: AttentionPooler,
-    history: Array,
-    horizon: int,
-    stepper: CandidateStepper = None,
-    variant: str = "additive",
-) -> ClosedLoopResult:
-    """Single-segment convenience wrapper; drops the batch axis."""
-    res = closed_loop_forecast_batch(pooler, history[None], horizon, stepper, variant)
-    return ClosedLoopResult(
-        res.predictions[0], res.weights[0], res.truncated_at[:1]
-    )
+        del state_buf[rollout.states :]
+        if rollout.errors:
+            error_buf.insert(0, values - out[:, None, :])
+            del error_buf[rollout.errors :]
+    return ClosedLoopResult(predictions, weights_out, track.truncated_at)
 
 
 # ---------------------------------------------------------------------------

@@ -57,18 +57,6 @@ def nonstationary_params() -> LorenzParams:
     return LorenzParams(SIGMA, BETA, rho_true)
 
 
-def lorenz_derivative(u: Array, t: float, params: LorenzParams) -> Array:
-    """Right-hand side (du1, du2, du3) at state ``u`` and time ``t``."""
-    u = np.asarray(u, dtype=np.float64)
-    if u.shape != (3,):
-        raise ValueError(f"state must have shape (3,), got {u.shape}")
-    x, y, z = float(u[0]), float(u[1]), float(u[2])
-    r = params.rho(t)
-    return np.array(
-        [params.sigma * (y - x), x * (r - z) - y, x * y - params.beta * z]
-    )
-
-
 # The sequential integrator runs on plain floats: a 3-vector RK4 step in
 # numpy spends nearly all its time on array bookkeeping. The batched path
 # below mirrors the same expression structure exactly, so both produce
@@ -186,21 +174,6 @@ def integrate(
     return Trajectory(t0=t0 + substeps * dt, dt_sample=dt * substeps, states=out)
 
 
-def sampling_step(u: Array, t: float, params: LorenzParams) -> Array:
-    """Advance one sampling interval (10 RK4 substeps of dt = 0.01)."""
-    traj = integrate(u, t, 1, params)
-    return traj.states[0]
-
-
-def candidate_one_step(u: Array, t: float, rho_value: float) -> Array:
-    """One sampling step under a stationary candidate model.
-
-    ``t`` only enters through the driving parameter and is ignored for a
-    stationary candidate; the argument is kept for signature symmetry.
-    """
-    return sampling_step(u, t, stationary_params(rho_value))
-
-
 def candidate_one_step_batch(states: Array, rho_values: Array) -> Array:
     """Vectorized one-sampling-step candidate forecasts.
 
@@ -250,18 +223,6 @@ class LorenzDataset:
     segment_starts: list[int]
     segment_len: int
     warmup: int
-
-    def segments(self) -> list[Trajectory]:
-        out = []
-        for s in self.segment_starts:
-            out.append(
-                Trajectory(
-                    t0=self.validation.t0 + s * self.validation.dt_sample,
-                    dt_sample=self.validation.dt_sample,
-                    states=self.validation.states[s : s + self.segment_len],
-                )
-            )
-        return out
 
 
 def _random_ic(rng: np.random.Generator) -> Array:

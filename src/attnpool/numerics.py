@@ -18,13 +18,6 @@ import numpy as np
 Array = np.ndarray
 
 
-def require_finite(arr: Array, name: str) -> Array:
-    """Raise ValueError if ``arr`` contains NaN or infinity."""
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"non-finite entries in {name}")
-    return arr
-
-
 def spawn_rng(seed: int, label: str) -> np.random.Generator:
     """Independent reproducible RNG stream for one named purpose.
 

@@ -37,11 +37,9 @@ from attnpool.forecasting import (
     assemble_open_loop,
     closed_loop_forecast_batch,
     ffnn_backward,
-    ffnn_closed_loop_batch,
     ffnn_forward,
     gather_histories,
     init_ffnn,
-    linear_closed_loop_batch,
     train_attention,
     train_ffnn,
     train_linear,
@@ -178,7 +176,7 @@ class TestGradientSuite:
                 return float(np.sum((out - y) ** 2))
 
             out, cache = ffnn_forward(net, x)
-            grads, _ = ffnn_backward(net, cache, 2.0 * (out - y))
+            grads = ffnn_backward(net, cache, 2.0 * (out - y))
             names = ("w1", "b1", "w2", "b2")
             worst = _check_grads(
                 [(net, n) for n in names], loss, [getattr(grads, n) for n in names]
@@ -328,7 +326,7 @@ def protocol() -> ProtocolRun:
     linear, _ = train_linear(
         current.values.reshape(len(current.targets), -1), current.targets, train_cfg
     )
-    lin_res = linear_closed_loop_batch(
+    lin_res = closed_loop_forecast_batch(
         linear, gather_histories(ds.validation.states, starts, 1), horizon
     )
     _, medians["linear"] = medians_of(lin_res)
@@ -339,7 +337,7 @@ def protocol() -> ProtocolRun:
         PROTOCOL_DELAY,
         config=TrainConfig(epochs=800, learning_rate=1e-3, batch_size=128, seed=PROTOCOL_SEED),
     )
-    ffnn_res = ffnn_closed_loop_batch(
+    ffnn_res = closed_loop_forecast_batch(
         net, gather_histories(ds.validation.states, starts, PROTOCOL_DELAY), horizon
     )
     _, medians["ffnn"] = medians_of(ffnn_res)

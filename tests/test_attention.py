@@ -1,25 +1,21 @@
-"""Additive attention: embeddings, forward, hand-derived backward."""
+"""Additive attention: forward, hand-derived backward, checkpoints."""
 
 import numpy as np
 import pytest
 
 from attnpool.attention import (
     HEAD_FIELDS,
-    DelayEmbedding,
-    EnsembleStep,
     MultiHeadGrads,
     MultiHeadParams,
     SingleHeadParams,
     arrays_to_params,
     attention_weights,
-    embed,
     init_multi_head,
     init_single_head,
     load_checkpoint,
     multi_head_backward,
     multi_head_forward,
     params_to_arrays,
-    pool,
     save_checkpoint,
     single_head_backward,
     single_head_forward,
@@ -78,53 +74,6 @@ def random_instance(rng, hidden=5, M=3, l=2, base_q=3, base_k=3, d=3):
     return params, query, keys, values
 
 
-class TestEmbed:
-    def test_l1_passthrough(self):
-        np.testing.assert_array_equal(embed([np.array([1.0, 2.0, 3.0])], 1), [1, 2, 3])
-
-    def test_newest_first_order(self):
-        hist = [np.array([4.0, 5.0, 6.0]), np.array([1.0, 2.0, 3.0])]
-        np.testing.assert_array_equal(embed(hist, 2), [4, 5, 6, 1, 2, 3])
-
-    def test_short_history_raises(self):
-        with pytest.raises(ValueError, match="at least 3"):
-            embed([np.zeros(2), np.zeros(2)], 3)
-
-    def test_matches_naive_assembly_on_series(self):
-        """Embedding at index j of a chronological series equals the naive
-        concatenation series[j], series[j-1], ..., series[j-l+1]."""
-        rng = np.random.default_rng(42)
-        series = rng.normal(size=(50, 3))
-        l = 3
-        for j in range(l - 1, 50):
-            newest_first = [series[j - s] for s in range(l)]
-            naive = np.concatenate([series[j], series[j - 1], series[j - 2]])
-            np.testing.assert_array_equal(embed(newest_first, l), naive)
-
-    def test_buffer_matches_embed(self):
-        rng = np.random.default_rng(1)
-        buf = DelayEmbedding(3)
-        entries = [rng.normal(size=4) for _ in range(5)]
-        for e in entries[:2]:
-            buf.push(e)
-        assert not buf.ready
-        with pytest.raises(ValueError):
-            buf.vector()
-        for e in entries[2:]:
-            buf.push(e)
-        expect = embed(list(reversed(entries))[:3], 3)
-        np.testing.assert_array_equal(buf.vector(), expect)
-
-    def test_buffer_batched_entries(self):
-        buf = DelayEmbedding(2)
-        buf.push(np.ones((4, 3)))
-        buf.push(2 * np.ones((4, 3)))
-        v = buf.vector()
-        assert v.shape == (4, 6)
-        np.testing.assert_array_equal(v[:, :3], 2.0)
-        np.testing.assert_array_equal(v[:, 3:], 1.0)
-
-
 class TestForward:
     def test_softmax_shift_invariance(self):
         rng = np.random.default_rng(0)
@@ -178,8 +127,8 @@ class TestForward:
     @pytest.mark.parametrize("hidden", [100, 120, 300, 600])
     @pytest.mark.parametrize("length", [1, 2, 5])
     def test_batch_equals_concatenated_shards_bitwise(self, hidden, length):
-        # the closed loop splits segments into index-order shards across
-        # threads, so one batch must give the same bits as its shards
+        # a segment's closed-loop forecast must not depend on which other
+        # segments share its batch, so one batch gives the bits of its shards
         rng = np.random.default_rng(1000 * length + hidden)
         dim = 3 * length
         params = init_single_head(rng, hidden, dim, dim)
@@ -217,18 +166,6 @@ class TestForward:
         params.w_score[...] = 1e4  # huge score scale
         pooled, w, _ = single_head_forward(params, query, keys, values)
         assert np.all(np.isfinite(w)) and np.all(np.isfinite(pooled))
-
-    def test_pool_requires_normalized_weights(self):
-        with pytest.raises(ValueError, match="sum"):
-            pool(np.array([0.5, 0.2]), np.ones((2, 3)))
-        out = pool(np.array([0.25, 0.75]), np.array([[0.0, 4.0], [4.0, 0.0]]))
-        np.testing.assert_allclose(out, [3.0, 1.0])
-
-    def test_ensemble_step_validation(self):
-        with pytest.raises(ValueError, match="keys"):
-            EnsembleStep(np.zeros(2), np.zeros((3, 2)), np.zeros((2, 2)))
-        with pytest.raises(ValueError, match="non-finite"):
-            EnsembleStep(np.array([np.inf]), np.zeros((1, 2)), np.zeros((1, 2)))
 
     def test_empty_ensemble_rejected(self):
         rng = np.random.default_rng(10)

@@ -634,6 +634,29 @@ class TestTrainPooler:
         with pytest.raises(ValueError, match="no training rows"):
             covid.train_pooler("linear", samples, holdout=everything)
 
+    def test_batch_hook_rejects_held_out_rows(self, samples, monkeypatch):
+        """train_pooler trains on rows outside the holdout only, and the
+        leave-one-period-out hook it hands the loop fires on a held-out row."""
+        period = covid.split_into_periods(samples.weeks, 4, skip=samples.delay)[1]
+        seen = {}
+        real_fit = covid.fit
+
+        def spy(opt, loss_and_grad, rows, rng, config, check_rows=None):
+            seen.update(rows=rows, check_rows=check_rows)
+            return real_fit(opt, loss_and_grad, rows, rng, config, check_rows)
+
+        monkeypatch.setattr(covid, "fit", spy)
+        covid.train_pooler(
+            "linear", samples, holdout=period,
+            config=PoolerTrainConfig(epochs=1, batch_size=64),
+        )
+        held_out = np.nonzero(samples.period_mask(period))[0]
+        assert held_out.size > 0
+        assert not np.isin(seen["rows"], held_out).any()
+        seen["check_rows"](seen["rows"][:5])
+        with pytest.raises(AssertionError, match="leave-one-period-out"):
+            seen["check_rows"](np.append(seen["rows"][:5], held_out[0]))
+
     def test_non_finite_loss_aborts_with_context(self, samples):
         s = covid.HubSamples(
             models=samples.models,

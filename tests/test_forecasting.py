@@ -7,26 +7,25 @@ from attnpool.attention import init_single_head, save_checkpoint
 from attnpool.forecasting import (
     AttentionPooler,
     FeedForwardNet,
+    LinearGrads,
     LinearPooler,
     Standardizer,
+    VARIANTS,
     TrainConfig,
     assemble_open_loop,
     attention_hidden_size,
     attention_param_count,
-    closed_loop_forecast,
+    epoch_batches,
     closed_loop_forecast_batch,
     ffnn_backward,
-    ffnn_closed_loop_batch,
     ffnn_forward,
     ffnn_hidden_size,
+    fit,
     fit_linear_ridge,
     gather_histories,
     init_ffnn,
-    linear_closed_loop_batch,
     load_model,
     lorenz_candidate_stepper,
-    open_loop_forecast,
-    required_history,
     save_model,
     train_attention,
     train_ffnn,
@@ -40,6 +39,7 @@ from attnpool.lorenz import (
     stationary_params,
 )
 from attnpool.numerics import (
+    FlatAdam,
     finite_difference_gradient,
     relative_gradient_error,
     spawn_rng,
@@ -184,7 +184,7 @@ class TestFeedForwardNet:
         y = rng.uniform(-0.5, 0.5, (4, 3))
         out, cache = ffnn_forward(net, x)
         resid = out - y
-        grads, _ = ffnn_backward(net, cache, 2.0 * resid / resid.size)
+        grads = ffnn_backward(net, cache, 2.0 * resid / resid.size)
         for name, analytic in grads.names().items():
             def loss(p, name=name):
                 saved = getattr(net, name)
@@ -194,21 +194,6 @@ class TestFeedForwardNet:
                 return float(np.mean((o - y) ** 2))
             numeric = finite_difference_gradient(loss, getattr(net, name))
             assert relative_gradient_error(analytic, numeric) < 1e-5, name
-
-    def test_input_gradient(self):
-        rng = np.random.default_rng(9)
-        net = init_ffnn(spawn_rng(9, "ffnn"), 5, 4, 3)
-        x = rng.uniform(-0.5, 0.5, (3, 4))
-        out, cache = ffnn_forward(net, x)
-        upstream = rng.uniform(-0.5, 0.5, (3, 3))
-        _, d_x = ffnn_backward(net, cache, upstream)
-
-        def loss(p):
-            o, _ = ffnn_forward(net, p)
-            return float(np.sum(o * upstream))
-
-        numeric = finite_difference_gradient(loss, x)
-        assert relative_gradient_error(d_x, numeric) < 1e-5
 
 
 class TestTraining:
@@ -269,8 +254,67 @@ class TestTraining:
         ds, cand, _ = small
         data = assemble_open_loop(ds.train.states[:120], cand[:120], 2)
         data.targets[5] = np.nan
-        with pytest.raises(FloatingPointError, match="epoch 0"):
-            train_attention(data, 2, hidden=8, config=TrainConfig(epochs=2, seed=0))
+        cfg = TrainConfig(epochs=2, seed=0)
+        flat_values = data.values.reshape(len(data.values), -1)
+        for train in (
+            lambda: train_attention(data, 2, hidden=8, config=cfg),
+            lambda: train_linear(flat_values, data.targets, cfg),
+            lambda: train_ffnn(data.queries, data.targets, 2, hidden=8, config=cfg),
+        ):
+            with pytest.raises(FloatingPointError, match="epoch 0"):
+                train()
+
+    def test_fit_steps_per_batch_and_records_the_epoch_mean(self):
+        """Each epoch visits the rows in the order epoch_batches draws from
+        the same stream, steps once per batch and records the mean of all
+        the loss terms the batches returned."""
+        rows = np.arange(10, 20)
+        model = LinearPooler(weight=np.ones((1, 1)), bias=np.zeros(1))
+        opt = FlatAdam(model, LinearGrads, 1e-2)
+        seen = []
+
+        def loss_and_grad(idx):
+            seen.append(idx)
+            opt.grads.weight[...] = 1.0
+            opt.grads.bias[...] = 0.0
+            return idx[:, None] * np.array([1.0, 2.0])
+
+        curve = fit(
+            opt, loss_and_grad, rows, np.random.default_rng(3),
+            TrainConfig(epochs=2, batch_size=4),
+        )
+        reference = np.random.default_rng(3)
+        expected = [rows[b] for _ in range(2) for b in epoch_batches(reference, 10, 4)]
+        assert len(seen) == len(expected) == 6
+        for got, want in zip(seen, expected):
+            np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(curve, [1.5 * rows.mean()] * 2)
+        assert opt.state.step_count == 6
+
+    def test_rejecting_batch_hook_stops_fit_before_the_step(self):
+        rng = np.random.default_rng(15)
+        x, y = rng.normal(size=(20, 4)), rng.normal(size=(20, 3))
+        model = LinearPooler(weight=rng.normal(size=(3, 4)), bias=np.zeros(3))
+        opt = FlatAdam(model, LinearGrads, 1e-2)
+        before = opt.params.flat.copy()
+        seen = []
+
+        def loss_and_grad(rows):
+            seen.append(rows)
+            resid = model.predict(x[rows]) - y[rows]
+            model.backward(x[rows], 2.0 * resid / resid.size, opt.grads)
+            return resid * resid
+
+        def reject_row_7(rows):
+            assert 7 not in rows, "row 7 is held out"
+
+        with pytest.raises(AssertionError, match="held out"):
+            fit(
+                opt, loss_and_grad, np.arange(20), np.random.default_rng(0),
+                TrainConfig(epochs=1, batch_size=20), check_rows=reject_row_7,
+            )
+        assert seen == []
+        np.testing.assert_array_equal(opt.params.flat, before)
 
     def test_ridge_recovers_generating_weights(self):
         rng = np.random.default_rng(6)
@@ -300,43 +344,47 @@ class TestTraining:
         assert curve[-1] < curve[0]
 
 
+def open_loop(pooler, states, cand):
+    """The pooler run one step ahead on the true series: the instances, the
+    pooled forecasts and the weights."""
+    data = assemble_open_loop(states, cand, pooler.delay_length)
+    pooled, weights = pooler.forward(data.queries, data.keys, data.values)
+    return data, pooled, weights
+
+
 class TestOpenLoop:
     def test_weights_sum_to_one(self, trained, small):
         pooler, _ = trained
         ds, _, vcand = small
-        fc = open_loop_forecast(pooler, ds.validation.states, vcand)
-        np.testing.assert_allclose(fc.weights.sum(axis=1), 1.0, atol=1e-12)
+        _, _, weights = open_loop(pooler, ds.validation.states, vcand)
+        np.testing.assert_allclose(weights.sum(axis=1), 1.0, atol=1e-12)
 
     def test_predictions_in_convex_hull(self, trained, small):
         pooler, _ = trained
         ds, _, vcand = small
-        fc = open_loop_forecast(pooler, ds.validation.states, vcand)
-        data = assemble_open_loop(ds.validation.states, vcand, pooler.delay_length)
+        data, pooled, _ = open_loop(pooler, ds.validation.states, vcand)
         low = data.values.min(axis=1) - 1e-12
         high = data.values.max(axis=1) + 1e-12
-        assert np.all(fc.predictions >= low) and np.all(fc.predictions <= high)
+        assert np.all(pooled >= low) and np.all(pooled <= high)
 
     def test_causality(self, trained, small):
         pooler, _ = trained
         ds, _, vcand = small
         states = ds.validation.states
-        fc = open_loop_forecast(pooler, states, vcand)
+        data, pooled, _ = open_loop(pooler, states, vcand)
 
         cut = 40
         mutated = states.copy()
         mutated[cut:] = np.random.default_rng(8).normal(0.0, 30.0, mutated[cut:].shape)
-        fc2 = open_loop_forecast(pooler, mutated, candidate_forecasts(mutated))
-        before = fc.target_indices < cut
-        np.testing.assert_array_equal(
-            fc.predictions[before], fc2.predictions[before]
-        )
+        _, pooled2, _ = open_loop(pooler, mutated, candidate_forecasts(mutated))
+        before = data.target_indices < cut
+        np.testing.assert_array_equal(pooled[before], pooled2[before])
 
     def test_beats_uniform_average(self, trained, small):
         pooler, _ = trained
         ds, _, vcand = small
-        fc = open_loop_forecast(pooler, ds.validation.states, vcand)
-        data = assemble_open_loop(ds.validation.states, vcand, pooler.delay_length)
-        mse_att = np.mean((fc.predictions - data.targets) ** 2)
+        data, pooled, _ = open_loop(pooler, ds.validation.states, vcand)
+        mse_att = np.mean((pooled - data.targets) ** 2)
         mse_uniform = np.mean((data.values.mean(axis=1) - data.targets) ** 2)
         assert mse_att < mse_uniform
 
@@ -344,29 +392,11 @@ class TestOpenLoop:
         ds, _, vcand = small
         rng = np.random.default_rng(12)
         model = LinearPooler(weight=rng.normal(size=(3, 33)), bias=rng.normal(size=3))
-        fc = open_loop_forecast(model, ds.validation.states, vcand)
         data = assemble_open_loop(ds.validation.states, vcand, 1)
+        predictions = model.predict(data.values.reshape(len(data.values), -1))
         row = 4
         manual = model.weight @ data.values[row].reshape(-1) + model.bias
-        np.testing.assert_allclose(fc.predictions[row], manual, atol=1e-12)
-        np.testing.assert_array_equal(fc.target_indices, data.target_indices)
-
-    def test_ffnn_path_needs_no_candidates(self, small):
-        ds, _, _ = small
-        net = init_ffnn(spawn_rng(5, "olffnn"), 8, 9, 3)
-        net.delay_length = 3
-        net.scaler = Standardizer.identity(9)
-        fc = open_loop_forecast(net, ds.validation.states)
-        np.testing.assert_array_equal(
-            fc.target_indices, np.arange(4, len(ds.validation.states))
-        )
-        assert fc.predictions.shape == (len(fc.target_indices), 3)
-
-    def test_pooling_models_require_candidates(self, trained, small):
-        pooler, _ = trained
-        ds, _, _ = small
-        with pytest.raises(ValueError, match="candidate"):
-            open_loop_forecast(pooler, ds.validation.states)
+        np.testing.assert_allclose(predictions[row], manual, atol=1e-12)
 
 
 class TestClosedLoop:
@@ -465,7 +495,7 @@ class TestClosedLoop:
         ds, _, _ = small
         model = LinearPooler(weight=np.full((3, 33), 50.0), bias=np.zeros(3))
         hist = gather_histories(ds.validation.states, [ds.segment_starts[0]], 1)
-        res = linear_closed_loop_batch(model, hist, 12)
+        res = closed_loop_forecast_batch(model, hist, 12)
         cut = int(res.truncated_at[0])
         assert cut >= 0
         assert np.isfinite(res.predictions[0, :cut]).all()
@@ -477,26 +507,75 @@ class TestClosedLoop:
         net.delay_length = 2
         net.scaler = Standardizer.identity(6)
         hist = gather_histories(ds.validation.states, ds.segment_starts, 2)
-        res = ffnn_closed_loop_batch(net, hist, 30)
+        res = closed_loop_forecast_batch(net, hist, 30)
         assert np.isfinite(res.predictions).all()
         assert res.truncated_at.tolist() == [-1, -1]
 
-    def test_single_segment_wrapper(self, trained, small):
+    @pytest.mark.parametrize("kind", ["linear", "ffnn"])
+    def test_rollout_matches_a_plain_loop(self, small, kind):
+        """The linear pooler and the direct net against a plain per-step
+        loop: the pooler pools the candidates launched from its previous
+        output, the net reads its own last l outputs, newest first."""
+        ds, _, _ = small
+        stepper = lorenz_candidate_stepper()
+        if kind == "linear":
+            weight = np.zeros((3, 33))
+            for c in range(3):
+                weight[c, c::3] = 1.0 / 11.0  # the candidates' mean
+            model, depth = LinearPooler(weight, np.zeros(3)), 1
+        else:
+            model, depth = init_ffnn(spawn_rng(4, "plain"), 8, 6, 3), 2
+            model.delay_length = depth
+            model.scaler = Standardizer.identity(6)
+        hist = gather_histories(ds.validation.states, ds.segment_starts, depth)
+        res = closed_loop_forecast_batch(model, hist, 10)
+
+        states = [hist[:, -1 - k] for k in range(depth)]
+        expected = []
+        for _ in range(10):
+            if kind == "linear":
+                out = model.predict(stepper(states[0]).reshape(len(hist), -1))
+            else:
+                out = model.predict(np.concatenate(states, axis=-1))
+            expected.append(out)
+            states = [out] + states[:-1]
+        np.testing.assert_array_equal(res.predictions, np.stack(expected, axis=1))
+        assert res.weights is None
+        assert res.truncated_at.tolist() == [-1, -1]
+
+    def test_single_segment_equals_its_batch_row(self, trained, small):
         pooler, _ = trained
         ds, _, _ = small
-        hist = gather_histories(ds.validation.states, [ds.segment_starts[0]], 4)
-        batch = closed_loop_forecast_batch(pooler, hist, 8)
-        single = closed_loop_forecast(pooler, hist[0], 8)
-        np.testing.assert_array_equal(single.predictions, batch.predictions[0])
-        np.testing.assert_array_equal(single.weights, batch.weights[0])
+        hist = gather_histories(ds.validation.states, ds.segment_starts, 4)
+        for variant in VARIANTS:
+            batch = closed_loop_forecast_batch(pooler, hist, 8, variant=variant)
+            for b in range(len(hist)):
+                single = closed_loop_forecast_batch(pooler, hist[b : b + 1], 8, variant=variant)
+                np.testing.assert_array_equal(single.predictions[0], batch.predictions[b])
+                np.testing.assert_array_equal(single.weights[0], batch.weights[b])
 
-    def test_required_history(self, trained):
+    def test_required_history(self, trained, small):
+        """The driver takes l+1 true samples for the attention pooler, l for
+        the direct net and 1 for the linear pooler."""
         pooler, _ = trained
-        assert required_history(pooler) == 4
+        ds, _, _ = small
         net = init_ffnn(spawn_rng(2, "rh"), 4, 6, 3)
         net.delay_length = 2
-        assert required_history(net) == 2
-        assert required_history(LinearPooler(np.zeros((3, 33)), np.zeros(3))) == 1
+        linear = LinearPooler(np.zeros((3, 33)), np.zeros(3))
+        for model, depth in ((pooler, 4), (net, 2), (linear, 1)):
+            hist = gather_histories(ds.validation.states, ds.segment_starts, depth)
+            res = closed_loop_forecast_batch(model, hist, 3)
+            assert res.predictions.shape == (len(hist), 3, 3)
+            assert (res.weights is None) == (model is not pooler)
+            with pytest.raises(ValueError, match=f"histories must be \\(B, {depth}, d\\)"):
+                closed_loop_forecast_batch(model, hist[:, 1:], 3)
+
+    def test_variants_apply_to_attention_only(self, small):
+        ds, _, _ = small
+        linear = LinearPooler(np.zeros((3, 33)), np.zeros(3))
+        hist = gather_histories(ds.validation.states, ds.segment_starts, 1)
+        with pytest.raises(ValueError, match="attention pooler only"):
+            closed_loop_forecast_batch(linear, hist, 3, variant="best_initial")
 
     def test_gather_histories_slices(self):
         states = np.arange(30.0).reshape(10, 3)
@@ -530,9 +609,9 @@ class TestPersistence:
             np.testing.assert_array_equal(
                 back.params.names()[name], pooler.params.names()[name]
             )
-        a = open_loop_forecast(pooler, ds.validation.states, vcand)
-        b = open_loop_forecast(back, ds.validation.states, vcand)
-        np.testing.assert_array_equal(a.predictions, b.predictions)
+        _, a, _ = open_loop(pooler, ds.validation.states, vcand)
+        _, b, _ = open_loop(back, ds.validation.states, vcand)
+        np.testing.assert_array_equal(a, b)
 
     def test_linear_round_trip(self, tmp_path):
         rng = np.random.default_rng(13)

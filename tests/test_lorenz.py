@@ -13,31 +13,34 @@ from attnpool.lorenz import (
     SIGMA,
     Trajectory,
     candidate_forecasts,
-    candidate_one_step,
     candidate_one_step_batch,
     generate_dataset,
     integrate,
     load_trajectory_csv,
-    lorenz_derivative,
     nonstationary_params,
     rho_true,
     rk4_step,
-    sampling_step,
     save_trajectory_csv,
     stationary_params,
 )
-from attnpool.lorenz import _rk4_scalar
+from attnpool.lorenz import _deriv_scalar, _rk4_scalar
+
+
+def one_sampling_step(u, rho):
+    """Scalar reference for one candidate step: one recorded sample of the
+    sequential integrator under stationary ``rho``."""
+    return integrate(u, 0.0, 1, stationary_params(rho)).states[0]
 
 
 class TestDerivativeAndRho:
     def test_origin_is_fixed_point_of_rhs(self):
-        d = lorenz_derivative(np.zeros(3), 1.7, nonstationary_params())
+        d = _deriv_scalar(0.0, 0.0, 0.0, rho_true(1.7), SIGMA, BETA)
         np.testing.assert_array_equal(d, np.zeros(3))
 
     def test_hand_substituted_value(self):
         # u = (-5, 3, 20) at stationary rho 28:
         # (10*(3+5), -5*(28-20)-3, -15 - (8/3)*20)
-        d = lorenz_derivative(np.array([-5.0, 3.0, 20.0]), 0.0, stationary_params(28.0))
+        d = _deriv_scalar(-5.0, 3.0, 20.0, 28.0, SIGMA, BETA)
         np.testing.assert_allclose(d, [80.0, -43.0, -15.0 - 160.0 / 3.0], rtol=1e-15)
 
     def test_constants(self):
@@ -100,7 +103,7 @@ class TestRK4:
         states[:, 2] += 25
         for rho in (28.0, 38.0, 48.0):
             batch = candidate_one_step_batch(states.copy(), np.float64(rho))
-            scalar = np.array([candidate_one_step(s, 0.0, rho) for s in states])
+            scalar = np.array([one_sampling_step(s, rho) for s in states])
             np.testing.assert_array_equal(batch, scalar)
 
 
@@ -131,15 +134,16 @@ class TestIntegrate:
     def test_frozen_rho_candidate_has_zero_one_step_error(self):
         # truth frozen at rho=28 and the rho=28 candidate share the dynamics
         u = np.array([1.0, 2.0, 25.0])
-        truth_next = sampling_step(u, 0.0, stationary_params(28.0))
-        np.testing.assert_array_equal(candidate_one_step(u, 0.0, 28.0), truth_next)
+        truth_next = one_sampling_step(u, 28.0)
+        candidate = candidate_one_step_batch(u[None], 28.0)[0]
+        np.testing.assert_array_equal(candidate, truth_next)
 
 
 class TestCandidates:
     def test_spread_monotone_in_rho_for_u2(self):
         # du2/dt = u1 (rho - u3) - u2: from (1,1,1) larger rho pushes u2 up
         u = np.array([1.0, 1.0, 1.0])
-        nexts = np.array([candidate_one_step(u, 0.0, r) for r in CANDIDATE_RHOS])
+        nexts = np.array([one_sampling_step(u, r) for r in CANDIDATE_RHOS])
         u2 = nexts[:, 1]
         assert np.all(np.diff(u2) > 0)
 
@@ -153,7 +157,7 @@ class TestCandidates:
         for j in range(1, 6):
             for m, rho in enumerate(CANDIDATE_RHOS):
                 np.testing.assert_array_equal(
-                    cand[j, m], candidate_one_step(states[j - 1], 0.0, rho)
+                    cand[j, m], one_sampling_step(states[j - 1], rho)
                 )
 
 
@@ -171,8 +175,8 @@ class TestDataset:
         assert len(small.train) == 400
         assert len(small.validation) == 8 + 640
         assert small.segment_starts == [8, 168, 328, 488]
-        segs = small.segments()
-        assert len(segs) == 4 and all(len(s) == 32 for s in segs)
+        assert small.segment_len == 32
+        assert small.segment_starts[-1] + small.segment_len <= len(small.validation)
 
     def test_recording_starts_at_zero(self, small):
         assert small.train.t0 == 0.0
