@@ -22,7 +22,6 @@ differences in the test suite.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -84,8 +83,7 @@ class MultiHeadParams:
 
 
 def _per_head_names(stacked) -> dict[str, Array]:
-    """Per-head views keyed ``head{i}.<field>`` plus ``w_out``: the
-    checkpoint layout of stacked heads."""
+    """Per-head views keyed ``head{i}.<field>`` plus ``w_out``."""
     out = {"w_out": stacked.w_out}
     for i in range(stacked.w_query.shape[0]):
         for n in HEAD_FIELDS:
@@ -319,54 +317,3 @@ def multi_head_backward(
     np.sum(d_pre_m, axis=1, out=out.bias)
     out.bias *= w
     return out
-
-
-# single-instance convenience ops ------------------------------------------
-
-
-def attention_weights(params: SingleHeadParams, query: Array, keys: Array) -> Array:
-    """Softmax pooling weights for one instance; sums to 1."""
-    m = np.asarray(keys).shape[0]
-    dummy = np.zeros((m, 1))
-    _, weights, _ = single_head_forward(params, query, keys, dummy)
-    return weights
-
-
-# ---------------------------------------------------------------------------
-# checkpoints
-
-
-def params_to_arrays(params: SingleHeadParams | MultiHeadParams) -> dict[str, Array]:
-    kind = "single" if isinstance(params, SingleHeadParams) else "multi"
-    out = {"kind": np.array(kind)}
-    out.update(params.names())
-    return out
-
-
-def arrays_to_params(arrays: dict[str, Array]) -> SingleHeadParams | MultiHeadParams:
-    kind = str(arrays["kind"])
-    if kind == "single":
-        return SingleHeadParams(
-            w_query=arrays["w_query"],
-            w_key=arrays["w_key"],
-            w_score=arrays["w_score"],
-            bias=arrays["bias"],
-        )
-    if kind != "multi":
-        raise ValueError(f"unknown checkpoint kind {kind!r}")
-    n_heads = len({k.split(".")[0] for k in arrays if k.startswith("head")})
-    heads = [
-        SingleHeadParams(**{n: arrays[f"head{i}.{n}"] for n in HEAD_FIELDS})
-        for i in range(n_heads)
-    ]
-    return MultiHeadParams.from_heads(heads, arrays["w_out"])
-
-
-def save_checkpoint(path: str | Path, arrays: dict[str, Array]) -> None:
-    """Write named arrays to an .npz container; float64 round-trips bit-exactly."""
-    np.savez(path, **arrays)
-
-
-def load_checkpoint(path: str | Path) -> dict[str, Array]:
-    with np.load(path, allow_pickle=False) as data:
-        return {k: data[k] for k in data.files}

@@ -24,7 +24,7 @@ import shutil
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from datetime import date
 from difflib import get_close_matches
 from pathlib import Path
@@ -48,8 +48,8 @@ from .forecasting import (
 )
 from .lorenz import (
     CANDIDATE_RHOS,
-    DT_SAMPLE,
     LorenzDataset,
+    _dataset_layout,
     candidate_forecasts,
     generate_dataset,
     load_trajectory_csv,
@@ -71,26 +71,27 @@ class ConfigError(Exception):
 # ---------------------------------------------------------------------------
 # config schema
 #
-# A schema is a dict of key -> _Field (leaf) or _Section (nested mapping).
+# Each config key is declared once, as a field of the frozen dataclass the
+# runners read: ``_key`` puts the key's parser in the field's metadata and
+# makes the key's default the field's default (a field without one is a
+# required key); ``_section`` marks a field that holds a nested mapping.
 # Validation collects *all* errors, each tagged with its dotted key path.
-
-_MISSING = object()
 
 
 class _Bad(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class _Field:
-    parse: object               # callable (value) -> parsed, raising _Bad
-    default: object = _MISSING  # _MISSING means the key is required
+def _key(parse, default=MISSING):
+    """A config key whose YAML value ``parse`` turns into the field's value,
+    raising _Bad."""
+    return field(default=default, metadata={"parse": parse})
 
 
-@dataclass(frozen=True)
-class _Section:
-    schema: dict
-    optional: bool = False      # absent/null -> None instead of defaults
+def _section(cls, optional=False):
+    """A nested mapping read by the fields of ``cls``; an absent or null
+    section is None if ``optional``, else it takes every default."""
+    return field(metadata={"section": cls, "optional": optional})
 
 
 def _no_bool(value):
@@ -227,188 +228,136 @@ def _periods_field():
     return parse
 
 
-_LORENZ_SCHEMA = {
-    "experiment": _Field(_str_field(("lorenz", "covid"))),
-    "seed": _Field(_int_field(minimum=0), default=0),
-    "output": _Field(_str_field()),
-    "threads": _Field(_int_field(minimum=1), default=1),
-    "data": _Section(
-        {
-            "t_transient": _Field(_float_field(exclusive_minimum=0.0), default=100.0),
-            "t_train": _Field(_float_field(exclusive_minimum=0.0), default=400.0),
-            "t_val": _Field(_float_field(exclusive_minimum=0.0), default=2560.0),
-            "n_val_segments": _Field(_int_field(minimum=6), default=200),
-            "segment_len": _Field(_int_field(minimum=2), default=128),
-            "warmup": _Field(_int_field(minimum=1), default=8),
-            "cache": _Field(_opt(_str_field()), default=None),
-        }
-    ),
-    "model": _Section(
-        {
-            "methods": _Field(_method_list(LORENZ_METHODS), default=LORENZ_METHODS),
-            "delays": _Field(_int_list(minimum=1), default=(1, 2, 3, 4, 5, 6)),
-            "hidden": _Field(_opt(_int_field(minimum=1)), default=None),
-            "epochs": _Field(_int_field(minimum=1), default=500),
-            "learning_rate": _Field(_float_field(exclusive_minimum=0.0), default=1e-3),
-            "weight_decay": _Field(_float_field(minimum=0.0), default=0.0),
-            "batch_size": _Field(_int_field(minimum=1), default=128),
-            "ffnn_delay": _Field(_int_field(minimum=1), default=5),
-            "ffnn_hidden": _Field(_opt(_int_field(minimum=1)), default=None),
-            "ffnn_epochs": _Field(_int_field(minimum=1), default=800),
-            "weights_delay": _Field(_opt(_int_field(minimum=1)), default=None),
-            "write_forecasts": _Field(_bool_field(), default=False),
-        }
-    ),
-}
-
-_COVID_SCHEMA = {
-    "experiment": _Field(_str_field(("lorenz", "covid"))),
-    "seed": _Field(_int_field(minimum=0), default=0),
-    "output": _Field(_str_field()),
-    "threads": _Field(_int_field(minimum=1), default=1),
-    "data": _Section(
-        {
-            "forecasts": _Field(_opt(_str_field()), default=None),
-            "truth": _Field(_opt(_str_field()), default=None),
-            "synthetic": _Section(
-                {
-                    "seed": _Field(_opt(_int_field(minimum=0)), default=None),
-                    "n_locations": _Field(_int_field(minimum=5), default=8),
-                    "n_weeks": _Field(_int_field(minimum=24), default=120),
-                    "n_models": _Field(_int_field(minimum=6, maximum=9), default=9),
-                },
-                optional=True,
-            ),
-            "periods": _Field(_periods_field(), default="auto"),
-        }
-    ),
-    "model": _Section(
-        {
-            "methods": _Field(_method_list(COVID_METHODS), default=COVID_METHODS),
-            "delay": _Field(_int_field(minimum=1), default=5),
-            "epochs": _Field(_int_field(minimum=1), default=200),
-            "learning_rate": _Field(_float_field(exclusive_minimum=0.0), default=1e-5),
-            "batch_size": _Field(_int_field(minimum=1), default=1),
-            "weight_decay": _Field(_opt(_float_field(minimum=0.0)), default=None),
-            "hidden": _Field(_opt(_int_field(minimum=1)), default=None),
-            "n_heads": _Field(_int_field(minimum=1), default=21),
-            "scale_per_location": _Field(_bool_field(), default=False),
-        }
-    ),
-}
+@dataclass(frozen=True, kw_only=True)
+class LorenzDataConfig:
+    t_transient: float = _key(_float_field(exclusive_minimum=0.0), 100.0)
+    t_train: float = _key(_float_field(exclusive_minimum=0.0), 400.0)
+    t_val: float = _key(_float_field(exclusive_minimum=0.0), 2560.0)
+    n_val_segments: int = _key(_int_field(minimum=6), 200)
+    segment_len: int = _key(_int_field(minimum=2), 128)
+    warmup: int = _key(_int_field(minimum=1), 8)
+    cache: Path | None = _key(_opt(_str_field()), None)
 
 
-def _walk(value, schema: dict, path: str, errors: list[str]) -> dict:
+@dataclass(frozen=True, kw_only=True)
+class LorenzModelConfig:
+    methods: tuple[str, ...] = _key(_method_list(LORENZ_METHODS), LORENZ_METHODS)
+    delays: tuple[int, ...] = _key(_int_list(minimum=1), (1, 2, 3, 4, 5, 6))
+    hidden: int | None = _key(_opt(_int_field(minimum=1)), None)
+    epochs: int = _key(_int_field(minimum=1), 500)
+    learning_rate: float = _key(_float_field(exclusive_minimum=0.0), 1e-3)
+    weight_decay: float = _key(_float_field(minimum=0.0), 0.0)
+    batch_size: int = _key(_int_field(minimum=1), 128)
+    ffnn_delay: int = _key(_int_field(minimum=1), 5)
+    ffnn_hidden: int | None = _key(_opt(_int_field(minimum=1)), None)
+    ffnn_epochs: int = _key(_int_field(minimum=1), 800)
+    # null in the file resolves to the largest delay
+    weights_delay: int = _key(_opt(_int_field(minimum=1)), None)
+    write_forecasts: bool = _key(_bool_field(), False)
+
+
+@dataclass(frozen=True, kw_only=True)
+class CovidSyntheticConfig:
+    # null in the file resolves to the top-level seed
+    seed: int = _key(_opt(_int_field(minimum=0)), None)
+    n_locations: int = _key(_int_field(minimum=5), 8)
+    n_weeks: int = _key(_int_field(minimum=24), 120)
+    n_models: int = _key(_int_field(minimum=6, maximum=9), 9)
+
+
+@dataclass(frozen=True, kw_only=True)
+class CovidDataConfig:
+    forecasts: Path | None = _key(_opt(_str_field()), None)
+    truth: Path | None = _key(_opt(_str_field()), None)
+    synthetic: CovidSyntheticConfig | None = _section(CovidSyntheticConfig, optional=True)
+    # 'auto' in the file resolves to 'split' (synthetic) or 'standard'
+    periods: str | tuple[covid.ValidationPeriod, ...] = _key(_periods_field(), "auto")
+
+
+@dataclass(frozen=True, kw_only=True)
+class CovidModelConfig:
+    methods: tuple[str, ...] = _key(_method_list(COVID_METHODS), COVID_METHODS)
+    delay: int = _key(_int_field(minimum=1), 5)
+    epochs: int = _key(_int_field(minimum=1), 200)
+    learning_rate: float = _key(_float_field(exclusive_minimum=0.0), 1e-5)
+    batch_size: int = _key(_int_field(minimum=1), 1)
+    weight_decay: float | None = _key(_opt(_float_field(minimum=0.0)), None)
+    hidden: int | None = _key(_opt(_int_field(minimum=1)), None)
+    n_heads: int = _key(_int_field(minimum=1), 21)
+    scale_per_location: bool = _key(_bool_field(), False)
+
+
+@dataclass(frozen=True, kw_only=True)
+class ExperimentConfig:
+    """The top-level keys both experiments share, and the config's hash."""
+
+    experiment: str = _key(_str_field(("lorenz", "covid")))
+    seed: int = _key(_int_field(minimum=0), 0)
+    output: Path = _key(_str_field())
+    threads: int = _key(_int_field(minimum=1), 1)
+    config_sha256: str
+
+
+@dataclass(frozen=True, kw_only=True)
+class LorenzConfig(ExperimentConfig):
+    data: LorenzDataConfig = _section(LorenzDataConfig)
+    model: LorenzModelConfig = _section(LorenzModelConfig)
+
+
+@dataclass(frozen=True, kw_only=True)
+class CovidConfig(ExperimentConfig):
+    data: CovidDataConfig = _section(CovidDataConfig)
+    model: CovidModelConfig = _section(CovidModelConfig)
+
+
+_CONFIGS = {"lorenz": LorenzConfig, "covid": CovidConfig}
+
+
+def _walk(value, cls, path: str, errors: list[str]) -> dict:
+    """Parse the mapping ``value`` by the keys of ``cls`` into a dict of the
+    same shape, defaults filled in."""
     prefix = f"{path}." if path else ""
+    keys = {f.name: f for f in fields(cls) if f.metadata}
     if value is None:
         value = {}
     if not isinstance(value, dict):
         errors.append(f"{path or 'config'}: expected a mapping, got {value!r}")
         value = {}
     for key in value:
-        if key not in schema:
+        if key not in keys:
             msg = f"{prefix}{key}: unknown key"
-            close = get_close_matches(str(key), list(schema), n=1)
+            close = get_close_matches(str(key), list(keys), n=1)
             if close:
                 msg += f" (did you mean {close[0]!r}?)"
             errors.append(msg)
     out = {}
-    for key, spec in schema.items():
-        if isinstance(spec, _Section):
-            raw = value.get(key, _MISSING)
-            if spec.optional and (raw is _MISSING or raw is None):
+    for key, f in keys.items():
+        raw = value.get(key, MISSING)
+        if "section" in f.metadata:
+            sub = None if raw is MISSING else raw
+            if sub is None and f.metadata["optional"]:
                 out[key] = None
             else:
-                out[key] = _walk(
-                    {} if raw is _MISSING else raw, spec.schema, f"{prefix}{key}", errors
-                )
-            continue
-        raw = value.get(key, _MISSING)
-        if raw is _MISSING:
-            if spec.default is _MISSING:
-                errors.append(f"{prefix}{key}: required key is missing")
-                out[key] = None
-            else:
-                out[key] = spec.default
-            continue
-        try:
-            out[key] = spec.parse(raw)
-        except _Bad as exc:
-            errors.append(f"{prefix}{key}: {exc}")
-            out[key] = spec.default if spec.default is not _MISSING else None
+                out[key] = _walk(sub, f.metadata["section"], f"{prefix}{key}", errors)
+        elif raw is not MISSING:
+            try:
+                out[key] = f.metadata["parse"](raw)
+            except _Bad as exc:
+                errors.append(f"{prefix}{key}: {exc}")
+        elif f.default is not MISSING:
+            out[key] = f.default
+        else:
+            errors.append(f"{prefix}{key}: required key is missing")
     return out
 
 
-# ---------------------------------------------------------------------------
-# parsed config
-
-
-@dataclass(frozen=True)
-class LorenzDataConfig:
-    t_transient: float
-    t_train: float
-    t_val: float
-    n_val_segments: int
-    segment_len: int
-    warmup: int
-    cache: Path | None
-
-
-@dataclass(frozen=True)
-class LorenzModelConfig:
-    methods: tuple[str, ...]
-    delays: tuple[int, ...]
-    hidden: int | None
-    epochs: int
-    learning_rate: float
-    weight_decay: float
-    batch_size: int
-    ffnn_delay: int
-    ffnn_hidden: int | None
-    ffnn_epochs: int
-    weights_delay: int
-    write_forecasts: bool
-
-
-@dataclass(frozen=True)
-class CovidSyntheticConfig:
-    seed: int
-    n_locations: int
-    n_weeks: int
-    n_models: int
-
-
-@dataclass(frozen=True)
-class CovidDataConfig:
-    forecasts: Path | None
-    truth: Path | None
-    synthetic: CovidSyntheticConfig | None
-    periods: str | tuple[covid.ValidationPeriod, ...]
-
-
-@dataclass(frozen=True)
-class CovidModelConfig:
-    methods: tuple[str, ...]
-    delay: int
-    epochs: int
-    learning_rate: float
-    batch_size: int
-    weight_decay: float | None
-    hidden: int | None
-    n_heads: int
-    scale_per_location: bool
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    experiment: str
-    seed: int
-    output: Path
-    threads: int
-    data: LorenzDataConfig | CovidDataConfig
-    model: LorenzModelConfig | CovidModelConfig
-    config_sha256: str
-    normalized: dict = field(repr=False)
+def _build(cls, values: dict):
+    """An instance of ``cls`` holding ``values``, sections built in turn."""
+    kwargs = {}
+    for f in fields(cls):
+        value, section = values[f.name], f.metadata.get("section")
+        kwargs[f.name] = value if section is None or value is None else _build(section, value)
+    return cls(**kwargs)
 
 
 def _jsonable(value):
@@ -468,8 +417,7 @@ def validate_config(
         )
 
     errors: list[str] = []
-    schema = _LORENZ_SCHEMA if experiment == "lorenz" else _COVID_SCHEMA
-    eff = _walk(raw, schema, "", errors)
+    eff = _walk(raw, _CONFIGS[experiment], "", errors)
     if output is not None:
         eff["output"] = output
     if threads is not None:
@@ -480,93 +428,66 @@ def validate_config(
         if seed < 0:
             errors.append(f"seed: must be >= 0, got {seed}")
         eff["seed"] = seed
-
-    if not errors:
-        errors.extend(_cross_checks(experiment, eff))
     if errors:
         raise ConfigError(errors)
 
-    base = path.parent
-    out_path = Path(eff["output"])
-
+    # the hash covers the file's values plus the overrides, before the
+    # resolutions below
+    eff["config_sha256"] = hashlib.sha256(
+        json.dumps(_jsonable(eff), sort_keys=True).encode()
+    ).hexdigest()
+    d, m = eff["data"], eff["model"]
+    eff["output"] = Path(eff["output"])
     if experiment == "lorenz":
-        d, m = eff["data"], dict(eff["model"])
+        d["cache"] = _resolve(path.parent, d["cache"])
         if m["weights_delay"] is None:
             m["weights_delay"] = max(m["delays"])
-        data_cfg = LorenzDataConfig(
-            t_transient=d["t_transient"],
-            t_train=d["t_train"],
-            t_val=d["t_val"],
-            n_val_segments=d["n_val_segments"],
-            segment_len=d["segment_len"],
-            warmup=d["warmup"],
-            cache=_resolve(base, d["cache"]),
-        )
-        model_cfg = LorenzModelConfig(**m)
     else:
-        d, m = eff["data"], eff["model"]
-        syn = d["synthetic"]
-        if syn is not None:
-            syn = CovidSyntheticConfig(
-                seed=eff["seed"] if syn["seed"] is None else syn["seed"],
-                n_locations=syn["n_locations"],
-                n_weeks=syn["n_weeks"],
-                n_models=syn["n_models"],
-            )
-        periods = d["periods"]
-        if periods == "auto":
-            periods = "split" if syn is not None else "standard"
-        data_cfg = CovidDataConfig(
-            forecasts=_resolve(base, d["forecasts"]),
-            truth=_resolve(base, d["truth"]),
-            synthetic=syn,
-            periods=periods,
-        )
-        model_cfg = CovidModelConfig(**m)
-
-    normalized = _jsonable(eff)
-    digest = hashlib.sha256(
-        json.dumps(normalized, sort_keys=True).encode()
-    ).hexdigest()
-    return ExperimentConfig(
-        experiment=experiment,
-        seed=eff["seed"],
-        output=out_path,
-        threads=eff["threads"],
-        data=data_cfg,
-        model=model_cfg,
-        config_sha256=digest,
-        normalized=normalized,
-    )
+        d["forecasts"] = _resolve(path.parent, d["forecasts"])
+        d["truth"] = _resolve(path.parent, d["truth"])
+        if d["synthetic"] is not None and d["synthetic"]["seed"] is None:
+            d["synthetic"]["seed"] = eff["seed"]
+        if d["periods"] == "auto":
+            d["periods"] = "standard" if d["synthetic"] is None else "split"
+    cfg = _build(_CONFIGS[experiment], eff)
+    errors = _cross_checks(cfg)
+    if errors:
+        raise ConfigError(errors)
+    return cfg
 
 
-def _cross_checks(experiment: str, eff: dict) -> list[str]:
+def _cross_checks(cfg: ExperimentConfig) -> list[str]:
     errors = []
-    if experiment == "lorenz":
-        d, m = eff["data"], eff["model"]
-        n_val = round(d["t_val"] / DT_SAMPLE)
-        if n_val % d["n_val_segments"] != 0:
+    d, m = cfg.data, cfg.model
+    if cfg.experiment == "lorenz":
+        try:
+            _dataset_layout(d.t_train, d.t_val, d.n_val_segments, d.segment_len, d.warmup)
+        except ValueError as exc:
+            errors.append(f"data.{exc}")
+        # the additive rollout is the one that writes the weights and forecasts
+        if "additive" in m.methods and m.weights_delay not in m.delays:
             errors.append(
-                f"data.n_val_segments: {n_val} validation samples do not split "
-                f"evenly into {d['n_val_segments']} segments"
+                f"model.weights_delay: {m.weights_delay} is not in "
+                f"model.delays {list(m.delays)}"
             )
-        elif d["segment_len"] > n_val // d["n_val_segments"]:
+        if m.write_forecasts and "additive" not in m.methods:
             errors.append(
-                f"data.segment_len: {d['segment_len']} exceeds the segment "
-                f"spacing {n_val // d['n_val_segments']}"
+                "model.write_forecasts: forecasts.csv comes from the additive "
+                "method, which model.methods does not list"
             )
-        wants_attention = any(v in m["methods"] for v in VARIANTS)
-        if wants_attention and m["weights_delay"] is not None:
-            if m["weights_delay"] not in m["delays"]:
-                errors.append(
-                    f"model.weights_delay: {m['weights_delay']} is not in "
-                    f"model.delays {list(m['delays'])}"
-                )
+        # a closed-loop forecast starts from the samples before its segment
+        needs = []
+        if any(v in m.methods for v in VARIANTS):
+            needs.append(("max(model.delays) + 1", max(m.delays) + 1))
+        if "ffnn" in m.methods:
+            needs.append(("model.ffnn_delay", m.ffnn_delay))
+        for source, need in needs:
+            if d.warmup < need:
+                errors.append(f"data.warmup: must be >= {need} ({source}), got {d.warmup}")
     else:
-        d = eff["data"]
-        has_paths = d["forecasts"] is not None or d["truth"] is not None
-        if d["synthetic"] is None:
-            if d["forecasts"] is None or d["truth"] is None:
+        has_paths = d.forecasts is not None or d.truth is not None
+        if d.synthetic is None:
+            if d.forecasts is None or d.truth is None:
                 errors.append(
                     "data.forecasts: provide both forecast and truth CSV paths, "
                     "or a data.synthetic section"
@@ -584,7 +505,8 @@ def _cross_checks(experiment: str, eff: dict) -> list[str]:
 
 
 class _OutputStage:
-    """Collects files under ``<output>/.partial`` until :meth:`commit`."""
+    """Collects files under ``<output>/.partial`` until :meth:`commit`; used
+    as a context manager, it discards them if the run raises."""
 
     def __init__(self, output_dir: Path):
         self.final = output_dir
@@ -632,8 +554,12 @@ class _OutputStage:
         # only plain names inside the output directory, never a path out of it
         return {n for n in outputs if isinstance(n, str) and n == Path(n).name}
 
-    def abort(self) -> None:
-        shutil.rmtree(self.partial, ignore_errors=True)
+    def __enter__(self) -> "_OutputStage":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        if exc_type is not None:  # interrupts too; the exception propagates
+            shutil.rmtree(self.partial, ignore_errors=True)
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
@@ -679,10 +605,20 @@ def _input_paths(cfg: ExperimentConfig) -> list[Path]:
 # Lorenz experiment
 
 
-def _load_cached_dataset(cfg: ExperimentConfig) -> LorenzDataset:
+def _lorenz_dataset(cfg: ExperimentConfig) -> LorenzDataset:
+    """The configured dataset: generated, or read from ``data.cache``."""
     d = cfg.data
-    train_csv = d.cache / "train.csv"
-    val_csv = d.cache / "validation.csv"
+    if d.cache is None:
+        return generate_dataset(
+            seed=cfg.seed,
+            t_transient=d.t_transient,
+            t_train=d.t_train,
+            t_val=d.t_val,
+            n_val_segments=d.n_val_segments,
+            segment_len=d.segment_len,
+            warmup=d.warmup,
+        )
+    train_csv, val_csv = _input_paths(cfg)
     for p in (train_csv, val_csv):
         if not p.exists():
             raise RuntimeError(
@@ -690,34 +626,18 @@ def _load_cached_dataset(cfg: ExperimentConfig) -> LorenzDataset:
             )
     train = load_trajectory_csv(train_csv)
     validation = load_trajectory_csv(val_csv)
-    n_train = round(d.t_train / DT_SAMPLE)
-    n_val = round(d.t_val / DT_SAMPLE)
-    if len(train) != n_train or len(validation) != d.warmup + n_val:
+    n_train, n_validation, starts = _dataset_layout(
+        d.t_train, d.t_val, d.n_val_segments, d.segment_len, d.warmup
+    )
+    if len(train) != n_train or len(validation) != n_validation:
         raise RuntimeError(
             f"cached dataset shape mismatch: train {len(train)} (config {n_train}), "
-            f"validation {len(validation)} (config {d.warmup + n_val})"
+            f"validation {len(validation)} (config {n_validation})"
         )
-    spacing = n_val // d.n_val_segments
-    starts = [d.warmup + k * spacing for k in range(d.n_val_segments)]
     return LorenzDataset(
         train=train,
         validation=validation,
         segment_starts=starts,
-        segment_len=d.segment_len,
-        warmup=d.warmup,
-    )
-
-
-def _lorenz_dataset(cfg: ExperimentConfig) -> LorenzDataset:
-    d = cfg.data
-    if d.cache is not None:
-        return _load_cached_dataset(cfg)
-    return generate_dataset(
-        seed=cfg.seed,
-        t_transient=d.t_transient,
-        t_train=d.t_train,
-        t_val=d.t_val,
-        n_val_segments=d.n_val_segments,
         segment_len=d.segment_len,
         warmup=d.warmup,
     )
@@ -734,8 +654,7 @@ def run_lorenz_experiment(cfg: ExperimentConfig) -> Path:
     """
     started = time.perf_counter()
     m = cfg.model
-    stage = _OutputStage(cfg.output)
-    try:
+    with _OutputStage(cfg.output) as stage:
         dataset = _lorenz_dataset(cfg)
         train_states = dataset.train.states
         val = dataset.validation
@@ -834,9 +753,6 @@ def run_lorenz_experiment(cfg: ExperimentConfig) -> Path:
                 forecast_rows,
             )
         return _finish(stage, cfg, "lorenz-run", started)
-    except BaseException:
-        stage.abort()
-        raise
 
 
 def _weight_rows(res, seg_t0, dt) -> list[list[str]]:
@@ -875,17 +791,8 @@ def write_lorenz_dataset(cfg: ExperimentConfig) -> Path:
     started = time.perf_counter()
     if cfg.data.cache is not None:
         raise RuntimeError("lorenz-data generates a dataset; remove data.cache from the config")
-    stage = _OutputStage(cfg.output)
-    try:
-        dataset = generate_dataset(
-            seed=cfg.seed,
-            t_transient=cfg.data.t_transient,
-            t_train=cfg.data.t_train,
-            t_val=cfg.data.t_val,
-            n_val_segments=cfg.data.n_val_segments,
-            segment_len=cfg.data.segment_len,
-            warmup=cfg.data.warmup,
-        )
+    with _OutputStage(cfg.output) as stage:
+        dataset = _lorenz_dataset(cfg)
         save_trajectory_csv(stage.path("train.csv"), dataset.train)
         save_trajectory_csv(stage.path("validation.csv"), dataset.validation)
         return _finish(
@@ -901,26 +808,29 @@ def write_lorenz_dataset(cfg: ExperimentConfig) -> Path:
                 "warmup": dataset.warmup,
             },
         )
-    except BaseException:
-        stage.abort()
-        raise
 
 
 # ---------------------------------------------------------------------------
 # COVID experiment
 
 
+def _synthetic_hub(cfg: ExperimentConfig, stage: _OutputStage) -> covid.SyntheticHub:
+    """Generate the configured synthetic hub and stage its two CSVs."""
+    syn = cfg.data.synthetic
+    hub = covid.synthesize_hub(
+        seed=syn.seed,
+        n_locations=syn.n_locations,
+        n_weeks=syn.n_weeks,
+        n_models=syn.n_models,
+    )
+    hub.write_csvs(stage.path("forecasts.csv"), stage.path("truth.csv"))
+    return hub
+
+
 def _covid_tables(cfg: ExperimentConfig, stage: _OutputStage):
     d = cfg.data
     if d.synthetic is not None:
-        syn = d.synthetic
-        hub = covid.synthesize_hub(
-            seed=syn.seed,
-            n_locations=syn.n_locations,
-            n_weeks=syn.n_weeks,
-            n_models=syn.n_models,
-        )
-        hub.write_csvs(stage.path("forecasts.csv"), stage.path("truth.csv"))
+        _synthetic_hub(cfg, stage)
         return covid.ingest(stage.path("forecasts.csv"), stage.path("truth.csv"))
     for p in (d.forecasts, d.truth):
         if not p.exists():
@@ -948,8 +858,7 @@ def run_covid_experiment(cfg: ExperimentConfig) -> Path:
     """
     started = time.perf_counter()
     m = cfg.model
-    stage = _OutputStage(cfg.output)
-    try:
+    with _OutputStage(cfg.output) as stage:
         table, truth, report = _covid_tables(cfg, stage)
         full, log = covid.impute_missing(table)
         _write_csv(
@@ -1053,9 +962,6 @@ def run_covid_experiment(cfg: ExperimentConfig) -> Path:
         if best_single_ids:
             extra["best_single_candidates"] = best_single_ids
         return _finish(stage, cfg, "covid-run", started, extra=extra)
-    except BaseException:
-        stage.abort()
-        raise
 
 
 def write_synthetic_hub(cfg: ExperimentConfig) -> Path:
@@ -1063,16 +969,8 @@ def write_synthetic_hub(cfg: ExperimentConfig) -> Path:
     started = time.perf_counter()
     if cfg.data.synthetic is None:
         raise RuntimeError("covid-synth needs a data.synthetic section in the config")
-    stage = _OutputStage(cfg.output)
-    try:
-        syn = cfg.data.synthetic
-        hub = covid.synthesize_hub(
-            seed=syn.seed,
-            n_locations=syn.n_locations,
-            n_weeks=syn.n_weeks,
-            n_models=syn.n_models,
-        )
-        hub.write_csvs(stage.path("forecasts.csv"), stage.path("truth.csv"))
+    with _OutputStage(cfg.output) as stage:
+        hub = _synthetic_hub(cfg, stage)
         _write_csv(
             stage.path("gaps.csv"),
             ["model", "location", "week", "expected_rule"],
@@ -1089,9 +987,6 @@ def write_synthetic_hub(cfg: ExperimentConfig) -> Path:
             started,
             extra={"n_gap_cells": sum(len(g.weeks) for g in hub.gaps)},
         )
-    except BaseException:
-        stage.abort()
-        raise
 
 
 # ---------------------------------------------------------------------------

@@ -238,11 +238,3 @@ def wis_gradient_batch(
         grad[:, li] += w * (-1.0 + (2.0 / a) * (observed < lo)) / denom
         grad[:, ui] += w * (1.0 - (2.0 / a) * (observed > up)) / denom
     return grad
-
-
-def wis_gradient(
-    levels: Array, values: Array, observed: float, cfg: WISConfig | None = None
-) -> Array:
-    """Single-forecast convenience wrapper around ``wis_gradient_batch``."""
-    g = wis_gradient_batch(levels, np.asarray(values)[None, :], np.array([observed]), cfg)
-    return g[0]

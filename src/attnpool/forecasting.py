@@ -25,7 +25,6 @@ that got the largest step-0 weight.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable
 
 import numpy as np
@@ -34,10 +33,6 @@ from .attention import (
     SingleHeadGrads,
     SingleHeadParams,
     init_single_head,
-    params_to_arrays,
-    arrays_to_params,
-    load_checkpoint,
-    save_checkpoint,
     single_head_backward,
     single_head_forward,
 )
@@ -628,65 +623,3 @@ def closed_loop_forecast_batch(
             error_buf.insert(0, values - out[:, None, :])
             del error_buf[rollout.errors :]
     return ClosedLoopResult(predictions, weights_out, track.truncated_at)
-
-
-# ---------------------------------------------------------------------------
-# model persistence (.npz; float64 round-trips bit-exactly)
-
-
-def save_model(path: str | Path, model) -> None:
-    if isinstance(model, AttentionPooler):
-        arrays = {f"params.{k}": v for k, v in params_to_arrays(model.params).items()}
-        arrays.update(
-            kind=np.array("attention"),
-            delay_length=np.array(model.delay_length),
-            **{
-                "query_scaler.mean": model.query_scaler.mean,
-                "query_scaler.scale": model.query_scaler.scale,
-                "key_scaler.mean": model.key_scaler.mean,
-                "key_scaler.scale": model.key_scaler.scale,
-            },
-        )
-    elif isinstance(model, LinearPooler):
-        arrays = {"kind": np.array("linear"), "weight": model.weight, "bias": model.bias}
-    elif isinstance(model, FeedForwardNet):
-        arrays = {
-            "kind": np.array("ffnn"),
-            "delay_length": np.array(model.delay_length),
-            "w1": model.w1,
-            "b1": model.b1,
-            "w2": model.w2,
-            "b2": model.b2,
-            "scaler.mean": model.scaler.mean,
-            "scaler.scale": model.scaler.scale,
-        }
-    else:
-        raise TypeError(f"unknown model type {type(model).__name__}")
-    save_checkpoint(path, arrays)
-
-
-def load_model(path: str | Path):
-    arrays = load_checkpoint(path)
-    kind = str(arrays["kind"])
-    if kind == "attention":
-        params = arrays_to_params(
-            {k.removeprefix("params."): v for k, v in arrays.items() if k.startswith("params.")}
-        )
-        return AttentionPooler(
-            params=params,
-            query_scaler=Standardizer(arrays["query_scaler.mean"], arrays["query_scaler.scale"]),
-            key_scaler=Standardizer(arrays["key_scaler.mean"], arrays["key_scaler.scale"]),
-            delay_length=int(arrays["delay_length"]),
-        )
-    if kind == "linear":
-        return LinearPooler(weight=arrays["weight"], bias=arrays["bias"])
-    if kind == "ffnn":
-        return FeedForwardNet(
-            w1=arrays["w1"],
-            b1=arrays["b1"],
-            w2=arrays["w2"],
-            b2=arrays["b2"],
-            scaler=Standardizer(arrays["scaler.mean"], arrays["scaler.scale"]),
-            delay_length=int(arrays["delay_length"]),
-        )
-    raise ValueError(f"unknown model kind {kind!r} in {path}")

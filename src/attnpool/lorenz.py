@@ -243,6 +243,28 @@ def _record_from_zero(rng, n_samples: int, t_transient: float, params) -> Trajec
     return Trajectory(t0=0.0, dt_sample=DT_SAMPLE, states=states)
 
 
+def _dataset_layout(
+    t_train: float, t_val: float, n_val_segments: int, segment_len: int, warmup: int
+) -> tuple[int, int, list[int]]:
+    """Sample counts of the training and validation runs, and the segment
+    starts in the validation run: ``warmup`` samples, then ``n_val_segments``
+    evenly spaced segments of ``segment_len`` samples.
+
+    Raises ValueError as ``<argument>: <problem>``.
+    """
+    n_val = round(t_val / DT_SAMPLE)
+    if n_val % n_val_segments != 0:
+        raise ValueError(
+            f"n_val_segments: {n_val} validation samples do not split evenly "
+            f"into {n_val_segments} segments"
+        )
+    spacing = n_val // n_val_segments
+    if segment_len > spacing:
+        raise ValueError(f"segment_len: {segment_len} exceeds the segment spacing {spacing}")
+    starts = [warmup + k * spacing for k in range(n_val_segments)]
+    return round(t_train / DT_SAMPLE), warmup + n_val, starts
+
+
 def generate_dataset(
     seed: int,
     t_transient: float = 100.0,
@@ -260,25 +282,16 @@ def generate_dataset(
     from the attractor box.
     """
     params = nonstationary_params()
-    n_train = round(t_train / DT_SAMPLE)
-    n_val = round(t_val / DT_SAMPLE)
-    if n_val % n_val_segments != 0:
-        raise ValueError(
-            f"{n_val} validation samples do not split evenly into {n_val_segments} segments"
-        )
-    spacing = n_val // n_val_segments
-    if segment_len > spacing:
-        raise ValueError(
-            f"segment_len {segment_len} exceeds the even spacing {spacing}"
-        )
+    n_train, n_validation, starts = _dataset_layout(
+        t_train, t_val, n_val_segments, segment_len, warmup
+    )
     if warmup < 1:
         raise ValueError("warmup must be >= 1 (closed-loop forecasts need history)")
 
     train = _record_from_zero(spawn_rng(seed, "lorenz-train-ic"), n_train, t_transient, params)
     validation = _record_from_zero(
-        spawn_rng(seed, "lorenz-validation-ic"), warmup + n_val, t_transient, params
+        spawn_rng(seed, "lorenz-validation-ic"), n_validation, t_transient, params
     )
-    starts = [warmup + k * spacing for k in range(n_val_segments)]
     return LorenzDataset(
         train=train,
         validation=validation,

@@ -1,4 +1,4 @@
-"""Additive attention: forward, hand-derived backward, checkpoints."""
+"""Additive attention: forward and hand-derived backward."""
 
 import numpy as np
 import pytest
@@ -8,15 +8,10 @@ from attnpool.attention import (
     MultiHeadGrads,
     MultiHeadParams,
     SingleHeadParams,
-    arrays_to_params,
-    attention_weights,
     init_multi_head,
     init_single_head,
-    load_checkpoint,
     multi_head_backward,
     multi_head_forward,
-    params_to_arrays,
-    save_checkpoint,
     single_head_backward,
     single_head_forward,
     softmax,
@@ -148,7 +143,7 @@ class TestForward:
         rng = np.random.default_rng(7)
         for _ in range(30):
             params, query, keys, _ = random_instance(rng, M=int(rng.integers(1, 9)))
-            w = attention_weights(params, query, keys)
+            _, w, _ = single_head_forward(params, query, keys, np.zeros((len(keys), 1)))
             assert abs(w.sum() - 1.0) < 1e-12
             assert np.all(w > 0)
 
@@ -325,8 +320,9 @@ class TestBackward:
 
         for name, arr in mp.names().items():
             def loss_fn(trial_arr, name=name):
-                arrays = {k: (trial_arr if k == name else v) for k, v in mp.names().items()}
-                trial = arrays_to_params({**arrays, "kind": np.array("multi")})
+                fields = (*HEAD_FIELDS, "w_out")
+                trial = MultiHeadParams(**{n: getattr(mp, n).copy() for n in fields})
+                trial.names()[name][...] = trial_arr
                 o, _, _ = multi_head_forward(trial, query, keys, values)
                 return float(np.mean((o - target) ** 2))
 
@@ -354,26 +350,7 @@ class TestBackward:
             np.testing.assert_allclose(batch_grads.names()[k], total[k], rtol=1e-12)
 
 
-class TestCheckpoints:
-    def test_single_round_trip_bit_exact(self, tmp_path):
-        rng = np.random.default_rng(19)
-        params, _, _, _ = random_instance(rng)
-        path = tmp_path / "single.npz"
-        save_checkpoint(path, params_to_arrays(params))
-        back = arrays_to_params(load_checkpoint(path))
-        for k, v in params.names().items():
-            np.testing.assert_array_equal(back.names()[k], v)
-
-    def test_multi_round_trip_bit_exact(self, tmp_path):
-        rng = np.random.default_rng(20)
-        mp = init_multi_head(rng, n_heads=3, hidden=4, query_dim=5, key_dim=5, value_dim=2)
-        path = tmp_path / "multi.npz"
-        save_checkpoint(path, params_to_arrays(mp))
-        back = arrays_to_params(load_checkpoint(path))
-        assert isinstance(back, MultiHeadParams) and back.n_heads == 3
-        for k, v in mp.names().items():
-            np.testing.assert_array_equal(back.names()[k], v)
-
+class TestParams:
     def test_param_count(self):
         rng = np.random.default_rng(21)
         p = init_single_head(rng, hidden=120, query_dim=15, key_dim=15)

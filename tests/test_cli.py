@@ -143,6 +143,9 @@ class TestValidateConfig:
         cfg = write_config(tmp_path, "experiment: weather\noutput: out\n")
         with pytest.raises(cli.ConfigError, match="lorenz.*covid"):
             cli.validate_config(cfg)
+        listed = write_config(tmp_path, "experiment: [lorenz]\noutput: out\n", name="l.yaml")
+        with pytest.raises(cli.ConfigError, match="lorenz.*covid"):
+            cli.validate_config(listed)
 
     def test_unreadable_and_malformed_files(self, tmp_path):
         with pytest.raises(cli.ConfigError, match="cannot read"):
@@ -179,6 +182,42 @@ class TestValidateConfig:
         )
         with pytest.raises(cli.ConfigError, match="model.weights_delay"):
             cli.validate_config(cfg)
+
+    def test_weights_delay_is_checked_only_for_the_additive_method(self, tmp_path):
+        cfg = write_config(
+            tmp_path,
+            "experiment: lorenz\noutput: out\n"
+            "model:\n  methods: [fixed_attention]\n  delays: [1, 2]\n  weights_delay: 5\n",
+        )
+        assert cli.validate_config(cfg).model.weights_delay == 5
+
+    def test_forecast_dump_needs_the_additive_method(self, tmp_path):
+        """forecasts.csv comes from the additive rollout only, so asking for
+        it without that method is an error, not a silently missing file."""
+        cfg = write_config(
+            tmp_path,
+            "experiment: lorenz\noutput: out\n"
+            "model:\n  methods: [fixed_attention, linear]\n  write_forecasts: true\n",
+        )
+        with pytest.raises(cli.ConfigError, match="model.write_forecasts"):
+            cli.validate_config(cfg)
+
+    @pytest.mark.parametrize(
+        "model, need",
+        [
+            ("methods: [additive, linear]\n  delays: [1, 4]", 5),
+            ("methods: [best_initial]\n  delays: [1, 4]", 5),
+            ("methods: [ffnn, linear]\n  ffnn_delay: 6", 6),
+        ],
+        ids=["additive", "best_initial", "ffnn"],
+    )
+    def test_warmup_must_cover_the_closed_loop_history(self, tmp_path, model, need):
+        text = "experiment: lorenz\noutput: out\ndata:\n  warmup: {warmup}\nmodel:\n  {model}\n"
+        short = write_config(tmp_path, text, warmup=need - 1, model=model)
+        with pytest.raises(cli.ConfigError, match="data.warmup"):
+            cli.validate_config(short)
+        enough = write_config(tmp_path, text, name="enough.yaml", warmup=need, model=model)
+        assert cli.validate_config(enough).data.warmup == need
 
     def test_covid_needs_exactly_one_data_source(self, tmp_path):
         neither = write_config(tmp_path, "experiment: covid\noutput: out\n")
@@ -250,10 +289,16 @@ class TestValidateConfig:
         assert parsed.output == Path("out")  # output is workdir-relative
 
     def test_shipped_example_configs_validate(self):
+        """The hash covers the file's values before any resolution, so a
+        change to parsing or defaults that moves it shows here."""
         root = Path(__file__).resolve().parent.parent / "configs"
-        for name in ("lorenz_full.yaml", "lorenz_smoke.yaml", "covid_synthetic.yaml"):
-            parsed = cli.validate_config(root / name)
-            assert parsed.experiment in ("lorenz", "covid")
+        pinned = {
+            "lorenz_full.yaml": "effe2e968f7cd38ae768f53f368fe867ee4c37a56c066b6ac32f8b276704ed64",
+            "lorenz_smoke.yaml": "1041f0fd6675a738248fcd148ec5110b8687277943266a69fd57d1d668f2304e",
+            "covid_synthetic.yaml": "42e051d23ee0e73d4ada411316a19bf6e6ff94a9a9817a41c16bfd438fed4bfc",
+        }
+        for name, digest in pinned.items():
+            assert cli.validate_config(root / name).config_sha256 == digest, name
 
 
 # ---------------------------------------------------------------------------
@@ -370,6 +415,7 @@ class TestLorenzRun:
                 "methods: [linear]",
             )
             .replace("  weights_delay: 2\n", "")
+            .replace("write_forecasts: true", "write_forecasts: false")
         )
         run_cfg = write_config(tmp_path, text, name="run.yaml", out=str(target))
         for _ in range(2):
@@ -410,6 +456,30 @@ class TestLorenzRun:
         assert (tmp_path / "e" / "valid_times.csv").read_bytes() == (
             out / "valid_times.csv"
         ).read_bytes()
+
+    def test_warmup_of_max_delay_plus_one_runs(self, tmp_path):
+        text = LORENZ_TINY.replace("data:\n", "data:\n  warmup: 5\n").replace(
+            "methods: [additive, fixed_attention, best_initial, linear, ffnn]\n"
+            "  delays: [1, 2]",
+            "methods: [additive, linear]\n  delays: [1, 4]",
+        ).replace("  weights_delay: 2\n", "")
+        cfg = write_config(tmp_path, text, out=str(tmp_path / "out"))
+        result = invoke("lorenz-run", "--config", str(cfg))
+        assert result.exit_code == 0, result.output + str(result.exception)
+
+    def test_cache_of_another_geometry_fails_at_runtime(self, tmp_path):
+        data_dir = tmp_path / "data"
+        gen_cfg = write_config(
+            tmp_path, LORENZ_TINY.replace("t_val: 25.6", "t_val: 51.2"), out=str(data_dir)
+        )
+        assert invoke("lorenz-data", "--config", str(gen_cfg)).exit_code == 0
+        text = LORENZ_TINY.replace("data:\n", f"data:\n  cache: {data_dir}\n")
+        cfg = write_config(tmp_path, text, name="run.yaml", out=str(tmp_path / "out"))
+        result = invoke("lorenz-run", "--config", str(cfg))
+        assert result.exit_code == 2
+        assert "cached dataset shape mismatch" in result.stderr
+        assert not (tmp_path / "out" / ".partial").exists()
+        assert not (tmp_path / "out" / "valid_times.csv").exists()
 
     def test_missing_cache_fails_at_runtime(self, tmp_path):
         cfg = write_config(tmp_path, LORENZ_TINY, out=str(tmp_path / "f"))

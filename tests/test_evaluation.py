@@ -17,7 +17,6 @@ from attnpool.evaluation import (
     valid_time,
     wis,
     wis_batch,
-    wis_gradient,
     wis_gradient_batch,
 )
 from attnpool.numerics import finite_difference_gradient
@@ -238,7 +237,8 @@ class TestWISGradient:
         cfg = WISConfig()
         levels = np.array(cfg.required_levels)
         values = np.linspace(-10, 10, levels.size)
-        g = wis_gradient(levels, values, -0.05, cfg)  # strictly inside, off every kink
+        # y = -0.05 is strictly inside every interval and off every kink
+        g = wis_gradient_batch(levels, values[None], np.array([-0.05]), cfg)[0]
         med = np.nonzero(levels == 0.5)[0][0]
         for k, a in enumerate(cfg.alphas):
             li = np.nonzero(np.isclose(levels, a / 2))[0][0]
@@ -251,7 +251,7 @@ class TestWISGradient:
         cfg = WISConfig()
         levels = np.array(cfg.required_levels)
         values = np.linspace(-1, 1, levels.size)
-        g = wis_gradient(levels, values, 100.0, cfg)
+        g = wis_gradient_batch(levels, values[None], np.array([100.0]), cfg)[0]
         for a in cfg.alphas:
             ui = np.nonzero(np.isclose(levels, 1 - a / 2))[0][0]
             expect = -(a / 2) / cfg.denominator * (2.0 / a - 1.0)
@@ -260,11 +260,11 @@ class TestWISGradient:
     def test_kink_subgradient_is_zero(self):
         cfg = WISConfig(alphas=(0.5,))
         levels = np.array([0.25, 0.5, 0.75])
-        g = wis_gradient(levels, np.array([1.0, 2.0, 3.0]), 1.0, cfg)
+        g = wis_gradient_batch(levels, np.array([[1.0, 2.0, 3.0]]), np.array([1.0]), cfg)[0]
         # y == lower endpoint: indicator off, only the -w contribution remains
         assert g[0] == pytest.approx(-0.25 / 1.5)
         # median at a kink would use sign(0) = 0
-        g2 = wis_gradient(levels, np.array([1.0, 2.0, 3.0]), 2.0, cfg)
+        g2 = wis_gradient_batch(levels, np.array([[1.0, 2.0, 3.0]]), np.array([2.0]), cfg)[0]
         assert g2[1] == 0.0
 
     @pytest.mark.parametrize("seed", range(8))
@@ -276,7 +276,7 @@ class TestWISGradient:
         y = float(rng.uniform(-1.5, 1.5))
         if np.min(np.abs(values - y)) < 1e-3:  # keep clear of kinks
             y += 2e-3
-        analytic = wis_gradient(levels, values, y, cfg)
+        analytic = wis_gradient_batch(levels, values[None], np.array([y]), cfg)[0]
 
         def loss(v):
             # bypass the crossing check: finite differencing may locally

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from attnpool.attention import init_single_head, save_checkpoint
+from attnpool.attention import init_single_head
 from attnpool.forecasting import (
     AttentionPooler,
     FeedForwardNet,
@@ -24,9 +24,7 @@ from attnpool.forecasting import (
     fit_linear_ridge,
     gather_histories,
     init_ffnn,
-    load_model,
     lorenz_candidate_stepper,
-    save_model,
     train_attention,
     train_ffnn,
     train_linear,
@@ -595,46 +593,3 @@ class TestClosedLoop:
             closed_loop_forecast_batch(pooler, hist, 0)
         with pytest.raises(ValueError, match="histories"):
             closed_loop_forecast_batch(pooler, hist[:, :3], 8)
-
-
-class TestPersistence:
-    def test_attention_round_trip(self, trained, small, tmp_path):
-        pooler, _ = trained
-        ds, _, vcand = small
-        path = tmp_path / "attention.npz"
-        save_model(path, pooler)
-        back = load_model(path)
-        assert back.delay_length == pooler.delay_length
-        for name in pooler.params.names():
-            np.testing.assert_array_equal(
-                back.params.names()[name], pooler.params.names()[name]
-            )
-        _, a, _ = open_loop(pooler, ds.validation.states, vcand)
-        _, b, _ = open_loop(back, ds.validation.states, vcand)
-        np.testing.assert_array_equal(a, b)
-
-    def test_linear_round_trip(self, tmp_path):
-        rng = np.random.default_rng(13)
-        model = LinearPooler(weight=rng.normal(size=(3, 33)), bias=rng.normal(size=3))
-        save_model(tmp_path / "linear.npz", model)
-        back = load_model(tmp_path / "linear.npz")
-        np.testing.assert_array_equal(back.weight, model.weight)
-        np.testing.assert_array_equal(back.bias, model.bias)
-
-    def test_ffnn_round_trip(self, tmp_path):
-        net = init_ffnn(spawn_rng(3, "io"), 7, 6, 3)
-        net.delay_length = 2
-        save_model(tmp_path / "net.npz", net)
-        back = load_model(tmp_path / "net.npz")
-        x = np.random.default_rng(14).normal(size=(4, 6))
-        np.testing.assert_array_equal(back.predict(x), net.predict(x))
-        assert back.delay_length == 2
-
-    def test_unknown_kind_rejected(self, tmp_path):
-        save_checkpoint(tmp_path / "bad.npz", {"kind": np.array("bogus")})
-        with pytest.raises(ValueError, match="bogus"):
-            load_model(tmp_path / "bad.npz")
-
-    def test_unknown_model_type_rejected(self, tmp_path):
-        with pytest.raises(TypeError):
-            save_model(tmp_path / "x.npz", object())
