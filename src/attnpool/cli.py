@@ -18,15 +18,18 @@ the run completes; an aborted run leaves no partial metric files behind.
 from __future__ import annotations
 
 import csv
+import ctypes
 import hashlib
 import json
+import os
 import shutil
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, field, fields
 from datetime import date
 from difflib import get_close_matches
+from functools import partial
 from pathlib import Path
 from typing import Sequence
 
@@ -526,20 +529,25 @@ class _OutputStage:
         }
 
     def commit(self, command: str, inputs: Sequence[Path] = ()) -> None:
-        """Move the staged files into place, then delete the files that the
-        previous run of the same ``command`` listed in its manifest and this
-        run did not write. A file no such manifest lists, and any of the
-        ``inputs`` this run read, is never touched."""
-        written = sorted(self.partial.iterdir())
-        stale = self._previous_outputs(command) - {p.name for p in written}
+        """Move the staged files into place, ``manifest.json`` last, and
+        delete the files that the previous run of the same ``command`` listed
+        in its manifest and this run did not write. A file no such manifest
+        lists, and any of the ``inputs`` this run read, is never touched.
+
+        The old manifest goes first, so a crash part-way leaves a directory
+        without one rather than a manifest next to another run's files."""
+        staged = sorted(self.partial.iterdir())
+        stale = self._previous_outputs(command) - {p.name for p in staged}
         keep = {p.resolve() for p in inputs}
-        for p in written:
-            p.replace(self.final / p.name)
-        self.partial.rmdir()
+        manifest = self.final / "manifest.json"
+        manifest.unlink(missing_ok=True)
         for name in sorted(stale):
             path = self.final / name
             if path.is_file() and path.resolve() not in keep:
                 path.unlink()
+        for p in sorted(staged, key=lambda p: p.name == manifest.name):
+            p.replace(self.final / p.name)
+        self.partial.rmdir()
 
     def _previous_outputs(self, command: str) -> set[str]:
         """File names listed by the manifest already in the output directory,
@@ -602,6 +610,102 @@ def _input_paths(cfg: ExperimentConfig) -> list[Path]:
 
 
 # ---------------------------------------------------------------------------
+# independent jobs
+
+
+def _worker_count(threads: int, n_jobs: int) -> int:
+    """Worker processes for ``n_jobs`` jobs: ``threads``, capped by the
+    cores this process may run on and by the number of jobs."""
+    try:
+        cores = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cores = os.cpu_count() or 1
+    return min(threads, cores, n_jobs)
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run OpenBLAS on one thread inside the block, then restore its thread
+    count; where numpy bundles no OpenBLAS, BLAS is left as it is.
+
+    Every job runs inside this, in a worker or in this process. The bits of
+    some hub kernels depend on OpenBLAS's thread count, so a job's results
+    then depend neither on the worker count nor on the environment's BLAS
+    settings; and the workers already fill the cores, so more BLAS threads
+    would only oversubscribe them.
+    """
+    restore = []
+    libs = Path(np.__file__).parent.parent / "numpy.libs"
+    for lib in sorted(libs.glob("*openblas*")):
+        handle = ctypes.CDLL(str(lib))
+        for name in (
+            "scipy_openblas_{}_num_threads64_",
+            "openblas_{}_num_threads64_",
+            "openblas_{}_num_threads",
+        ):
+            get = getattr(handle, name.format("get"), None)
+            set_ = getattr(handle, name.format("set"), None)
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                restore.append((set_, get()))
+                set_(1)
+                break
+    try:
+        yield
+    finally:
+        for set_, threads in restore:
+            set_(threads)
+
+
+# A worker process's copy of the inputs its pool's jobs share, set once in
+# each worker by _init_worker and never in the main process.
+_WORKER_SHARED = None
+
+
+def _init_worker(shared) -> None:
+    """Keep the jobs' shared inputs, which a forked worker inherits without
+    pickling."""
+    global _WORKER_SHARED
+    _WORKER_SHARED = shared
+
+
+def _call_in_worker(fn, job):
+    with _one_blas_thread():
+        return fn(_WORKER_SHARED, job)
+
+
+def _run_jobs(fn, shared, jobs: list, threads: int) -> list:
+    """``[fn(shared, job) for job in jobs]``, on up to ``threads`` worker
+    processes, the results in the order of ``jobs`` whatever order they
+    finish in. List the longest jobs first: the pool starts them in order.
+
+    With one worker the jobs run in this process and no pool starts. The
+    workers are forked: they start without importing numpy again and
+    inherit ``shared``, so only the job and its result are pickled; a job
+    should return rows or scores, not models. The main process runs no
+    other Python thread when it forks, and OpenBLAS resets its own thread
+    pool in a forked child. The first job that raises cancels the jobs not
+    yet started, and its exception propagates.
+    """
+    workers = _worker_count(threads, len(jobs))
+    if workers <= 1:
+        with _one_blas_thread():
+            return [fn(shared, job) for job in jobs]
+    # imported here: they would add to the startup of every command
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(
+        workers,
+        mp_context=multiprocessing.get_context("fork"),
+        initializer=_init_worker,
+        initargs=(shared,),
+    ) as pool:
+        return list(pool.map(partial(_call_in_worker, fn), jobs))
+
+
+# ---------------------------------------------------------------------------
 # Lorenz experiment
 
 
@@ -643,6 +747,61 @@ def _lorenz_dataset(cfg: ExperimentConfig) -> LorenzDataset:
     )
 
 
+@dataclass(frozen=True)
+class _LorenzInputs:
+    """What every (trained method, l) job of one ``lorenz-run`` reads."""
+
+    model: LorenzModelConfig
+    seed: int
+    dataset: LorenzDataset
+    cand_train: np.ndarray  # candidate forecasts along the training run
+    truths: np.ndarray      # (segments, segment_len, 3)
+    seg_t0: np.ndarray      # model time of each segment's first step
+
+
+def _train_lorenz_model(inputs: _LorenzInputs, method: str, length: int):
+    """The trained ``method`` model at delay ``length``, and its loss curve."""
+    m = inputs.model
+    config = TrainConfig(
+        epochs=m.ffnn_epochs if method == "ffnn" else m.epochs,
+        learning_rate=m.learning_rate,
+        batch_size=m.batch_size,
+        weight_decay=m.weight_decay,
+        seed=inputs.seed,
+    )
+    data = assemble_open_loop(inputs.dataset.train.states, inputs.cand_train, length)
+    if method == "additive":
+        return train_attention(data, length, hidden=m.hidden, config=config)
+    if method == "linear":
+        return train_linear(data.values.reshape(len(data.values), -1), data.targets, config)
+    return train_ffnn(data.queries, data.targets, length, hidden=m.ffnn_hidden, config=config)
+
+
+def _lorenz_job(inputs: _LorenzInputs, job) -> tuple[list, list, list, list]:
+    """Train one (method, l) model, roll out every method scored with it and
+    return its rows: loss curve, valid times, attention weights and
+    forecasts (the last two only for the ``additive`` run at
+    ``weights_delay``)."""
+    trained, length, depth, scored = job
+    m = inputs.model
+    model, curve = _train_lorenz_model(inputs, trained, length)
+    loss_rows = [[trained, str(length), str(e), _fmt(v)] for e, v in enumerate(curve)]
+
+    val = inputs.dataset.validation
+    histories = gather_histories(val.states, inputs.dataset.segment_starts, depth)
+    vt_rows, weight_rows, forecast_rows = [], [], []
+    for method, variant in scored:
+        res = closed_loop_forecast_batch(model, histories, inputs.dataset.segment_len, variant=variant)
+        vts = [valid_time(pred, truth) for pred, truth in zip(res.predictions, inputs.truths)]
+        vt_rows.append((method, length, vts))
+        if method == "additive" and length == m.weights_delay:
+            weight_rows = _weight_rows(res, inputs.seg_t0, val.dt_sample)
+            if m.write_forecasts:
+                forecast_rows = _forecast_rows(res, inputs.truths, inputs.seg_t0, val.dt_sample)
+    click.echo(f"[lorenz] {trained} l={length} done", err=True)
+    return loss_rows, vt_rows, weight_rows, forecast_rows
+
+
 def run_lorenz_experiment(cfg: ExperimentConfig) -> Path:
     """Train the requested methods, score closed-loop valid times, write CSVs.
 
@@ -651,75 +810,44 @@ def run_lorenz_experiment(cfg: ExperimentConfig) -> Path:
     single ``additive`` row set per delay. The linear pooler consumes only
     the current candidate forecasts (recorded as l=1) and the direct net
     runs at its own configured delay; both are trained once, not per delay.
+    Each (trained method, l) is one job; up to ``threads`` jobs run at once.
     """
     started = time.perf_counter()
     m = cfg.model
     with _OutputStage(cfg.output) as stage:
         dataset = _lorenz_dataset(cfg)
-        train_states = dataset.train.states
-        val = dataset.validation
-        starts = dataset.segment_starts
-        horizon = dataset.segment_len
-        truths = np.stack([val.states[s : s + horizon] for s in starts])
-        seg_t0 = val.t0 + np.asarray(starts) * val.dt_sample
-        cand_train = candidate_forecasts(train_states)
-
-        base_train = dict(
-            learning_rate=m.learning_rate,
-            batch_size=m.batch_size,
-            weight_decay=m.weight_decay,
+        val, starts, horizon = dataset.validation, dataset.segment_starts, dataset.segment_len
+        inputs = _LorenzInputs(
+            model=m,
             seed=cfg.seed,
+            dataset=dataset,
+            cand_train=candidate_forecasts(dataset.train.states),
+            truths=np.stack([val.states[s : s + horizon] for s in starts]),
+            seg_t0=val.t0 + np.asarray(starts) * val.dt_sample,
         )
+        # (trained method, l, history depth, ((scored method, variant), ...));
+        # the attention variants share one model per delay length
+        variants = tuple((v, v) for v in m.methods if v in VARIANTS)
+        attention = [("additive", l, l + 1, variants) for l in m.delays if variants]
+        baselines = [
+            (method, length, length, ((method, "additive"),))
+            for method, length in (("linear", 1), ("ffnn", m.ffnn_delay))
+            if method in m.methods
+        ]
+        # longest first: the smaller l, the wider the attention model
+        queue = sorted(attention, key=lambda job: job[1]) + baselines
+        done = dict(zip(queue, _run_jobs(_lorenz_job, inputs, queue, cfg.threads)))
+
         vt_rows: list[tuple[str, int, list[float]]] = []
         loss_rows: list[list[str]] = []
         weight_rows: list[list[str]] = []
         forecast_rows: list[list[str]] = []
-
-        def train(method: str, length: int):
-            data = assemble_open_loop(train_states, cand_train, length)
-            if method == "additive":
-                return train_attention(
-                    data, length, hidden=m.hidden,
-                    config=TrainConfig(epochs=m.epochs, **base_train),
-                )
-            if method == "linear":
-                return train_linear(
-                    data.values.reshape(len(data.values), -1),
-                    data.targets,
-                    TrainConfig(epochs=m.epochs, **base_train),
-                )
-            return train_ffnn(
-                data.queries, data.targets, length, hidden=m.ffnn_hidden,
-                config=TrainConfig(epochs=m.ffnn_epochs, **base_train),
-            )
-
-        # (trained method, l, history depth, {scored method: variant}); the
-        # attention variants share one model per delay length
-        att_variants = {v: v for v in m.methods if v in VARIANTS}
-        jobs = [("additive", l, l + 1, att_variants) for l in m.delays if att_variants]
-        jobs += [
-            (method, length, length, {method: "additive"})
-            for method, length in (("linear", 1), ("ffnn", m.ffnn_delay))
-            if method in m.methods
-        ]
-        for trained, length, depth, scored in jobs:
-            model, curve = train(trained, length)
-            loss_rows += [
-                [trained, str(length), str(e), _fmt(v)] for e, v in enumerate(curve)
-            ]
-            histories = gather_histories(val.states, starts, depth)
-            for method, variant in scored.items():
-                res = closed_loop_forecast_batch(model, histories, horizon, variant=variant)
-                vts = [
-                    valid_time(res.predictions[b], truths[b])
-                    for b in range(len(starts))
-                ]
-                vt_rows.append((method, length, vts))
-                if method == "additive" and length == m.weights_delay:
-                    weight_rows = _weight_rows(res, seg_t0, val.dt_sample)
-                    if m.write_forecasts:
-                        forecast_rows = _forecast_rows(res, truths, seg_t0, val.dt_sample)
-            click.echo(f"[lorenz] {trained} l={length} done", err=True)
+        for job in attention + baselines:
+            loss, vts, weights, forecasts = done[job]
+            loss_rows += loss
+            vt_rows += vts
+            if weights:  # the additive job at weights_delay, and only it
+                weight_rows, forecast_rows = weights, forecasts
 
         ordered = sorted(vt_rows, key=lambda r: (m.methods.index(r[0]), r[1]))
         _write_csv(
@@ -847,6 +975,21 @@ def _covid_periods(cfg: ExperimentConfig, samples) -> tuple[covid.ValidationPeri
     return periods
 
 
+def _covid_job(inputs, job) -> tuple[dict, covid.PeriodScores]:
+    """Train one kind of pooler with one period held out and score it there;
+    return the training record and the period's scores."""
+    samples, periods, config = inputs
+    pi, kind = job
+    result = covid.train_pooler(kind, samples, holdout=periods[pi], config=config)
+    info = {
+        "first_train_wis": float(result.curve[0]) if len(result.curve) else None,
+        "final_train_wis": float(result.curve[-1]) if len(result.curve) else None,
+        "sort_repairs": result.sort_repairs,
+    }
+    click.echo(f"[covid] trained {kind} holding out period {pi}", err=True)
+    return info, covid.evaluate_period(result.pooler, samples, periods[pi])
+
+
 def run_covid_experiment(cfg: ExperimentConfig) -> Path:
     """Leave-one-period-out pooling run over hub-format (or synthetic) data.
 
@@ -854,7 +997,8 @@ def run_covid_experiment(cfg: ExperimentConfig) -> Path:
     and is scored inside the period; the ``uniform`` and ``best_single``
     baselines need no training (``best_single`` picks its candidate per
     period by hindsight mean WIS — an oracle reference, not a forecast
-    method). Evaluations are fanned out across ``threads``.
+    method). Each (period, trained kind) is one job; up to ``threads`` jobs
+    run at once.
     """
     started = time.perf_counter()
     m = cfg.model
@@ -869,7 +1013,6 @@ def run_covid_experiment(cfg: ExperimentConfig) -> Path:
         samples = covid.assemble_samples(truth, full, delay=m.delay)
         periods = _covid_periods(cfg, samples)
 
-        trained_kinds = [k for k in m.methods if k in covid.POOLER_KINDS]
         train_cfg = covid.PoolerTrainConfig(
             epochs=m.epochs,
             learning_rate=m.learning_rate,
@@ -881,29 +1024,11 @@ def run_covid_experiment(cfg: ExperimentConfig) -> Path:
             scale_per_location=m.scale_per_location,
         )
 
-        poolers: dict[tuple[int, str], covid.QuantilePooler] = {}
-        training_info: dict[str, dict] = {}
-        for pi, period in enumerate(periods):
-            for kind in trained_kinds:
-                result = covid.train_pooler(kind, samples, holdout=period, config=train_cfg)
-                poolers[(pi, kind)] = result.pooler
-                training_info[f"period{pi}/{kind}"] = {
-                    "first_train_wis": float(result.curve[0]) if len(result.curve) else None,
-                    "final_train_wis": float(result.curve[-1]) if len(result.curve) else None,
-                    "sort_repairs": result.sort_repairs,
-                }
-                click.echo(f"[covid] trained {kind} holding out period {pi}", err=True)
-
-        def score(pi_kind):
-            pi, kind = pi_kind
-            return covid.evaluate_period(poolers[(pi, kind)], samples, periods[pi])
-
-        jobs = [(pi, kind) for pi in range(len(periods)) for kind in trained_kinds]
-        if cfg.threads > 1 and jobs:
-            with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-                scored = dict(zip(jobs, pool.map(score, jobs)))
-        else:
-            scored = {job: score(job) for job in jobs}
+        # longest first: the multi-head pooler, then the single head, then linear
+        kinds = [k for k in ("multi_head", "additive", "linear") if k in m.methods]
+        jobs = [(pi, kind) for kind in kinds for pi in range(len(periods))]
+        done = dict(zip(jobs, _run_jobs(_covid_job, (samples, periods, train_cfg), jobs, cfg.threads)))
+        training_info = {f"period{pi}/{kind}": info for (pi, kind), (info, _) in done.items()}
 
         levels = np.asarray(covid.QUANTILE_LEVELS)
         best_single_ids: dict[str, str] = {}
@@ -913,7 +1038,7 @@ def run_covid_experiment(cfg: ExperimentConfig) -> Path:
             for pi, period in enumerate(periods):
                 rows = covid.period_rows(samples, period)
                 if method in covid.POOLER_KINDS:
-                    ev = scored[(pi, method)]
+                    ev = done[(pi, method)][1]
                     week_scores = [(s.location, s.week, s.wis) for s in ev.scores]
                     mean_wis = ev.mean_wis
                 else:
@@ -997,7 +1122,7 @@ def _config_options(fn):
     for opt in (
         click.option("--config", "config_path", required=True, type=click.Path(), help="YAML experiment config."),
         click.option("--output", "output_override", default=None, help="Override the config's output directory."),
-        click.option("--threads", "threads_override", default=None, type=int, help="Worker threads for hub period scoring (covid-run)."),
+        click.option("--threads", "threads_override", default=None, type=int, help="Worker processes for the independent training jobs (lorenz-run, covid-run)."),
         click.option("--seed", "seed_override", default=None, type=int, help="Override the config's seed."),
     ):
         fn = opt(fn)

@@ -266,20 +266,22 @@ def _dataset_layout(
 
 
 def generate_dataset(
+    *,
     seed: int,
-    t_transient: float = 100.0,
-    t_train: float = 400.0,
-    t_val: float = 2560.0,
-    n_val_segments: int = 200,
-    segment_len: int = 128,
-    warmup: int = 8,
+    t_transient: float,
+    t_train: float,
+    t_val: float,
+    n_val_segments: int,
+    segment_len: int,
+    warmup: int,
 ) -> LorenzDataset:
     """Training run plus an independent validation run cut into segments.
 
-    Defaults give 4000 training samples and a 25,600-sample validation run
-    tiled by 200 segments of 128 samples (spacing 128). Each run discards its
-    own transient and records from t = 0 with a fresh initial condition drawn
-    from the attractor box.
+    The arguments are the ``data`` keys of a Lorenz config, whose defaults
+    (``cli.LorenzDataConfig``) give 4000 training samples and a 25,600-sample
+    validation run tiled by 200 segments of 128 samples (spacing 128). Each
+    run discards its own transient and records from t = 0 with a fresh
+    initial condition drawn from the attractor box.
     """
     params = nonstationary_params()
     n_train, n_validation, starts = _dataset_layout(

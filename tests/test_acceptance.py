@@ -294,7 +294,16 @@ class ProtocolRun:
 @pytest.fixture(scope="session")
 def protocol() -> ProtocolRun:
     start = time.monotonic()
-    ds = generate_dataset(seed=PROTOCOL_SEED)
+    data = cli.LorenzDataConfig()
+    ds = generate_dataset(
+        seed=PROTOCOL_SEED,
+        t_transient=data.t_transient,
+        t_train=data.t_train,
+        t_val=data.t_val,
+        n_val_segments=data.n_val_segments,
+        segment_len=data.segment_len,
+        warmup=data.warmup,
+    )
     assert len(ds.train.states) == 4000
     assert len(ds.segment_starts) == 200
 

@@ -88,6 +88,25 @@ def covid_out(tmp_path_factory):
     return d / "out", cfg
 
 
+@pytest.fixture
+def worker_pools(monkeypatch):
+    """Pretend the process may run on two cores, so ``--threads 2`` or more
+    starts a pool of two workers; returns the worker count of every pool
+    started."""
+    from concurrent import futures
+
+    pools = []
+
+    class RecordingPool(futures.ProcessPoolExecutor):
+        def __init__(self, max_workers, **kwargs):
+            pools.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1})
+    return pools
+
+
 # ---------------------------------------------------------------------------
 # config validation
 
@@ -361,20 +380,40 @@ class TestLorenzRun:
             assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
         assert not (out / ".partial").exists()
 
-    def test_rerun_and_thread_count_leave_outputs_byte_identical(self, lorenz_out, tmp_path):
+    def test_rerun_and_thread_count_leave_outputs_byte_identical(
+        self, lorenz_out, tmp_path, worker_pools
+    ):
+        """A rerun, and a run whose jobs go to worker processes (four
+        asked, two cores, so two workers), write the bytes of the first run,
+        which ran its jobs in-process."""
         out, cfg = lorenz_out
         rerun = invoke("lorenz-run", "--config", str(cfg), "--output", str(tmp_path / "b"))
         assert rerun.exit_code == 0
+        assert worker_pools == []
         threaded = invoke(
             "lorenz-run", "--config", str(cfg),
             "--output", str(tmp_path / "c"), "--threads", "4",
         )
         assert threaded.exit_code == 0
-        for name in ("valid_times.csv", "vt_summary.csv", "loss_curve.csv",
-                     "attention_weights.csv", "forecasts.csv"):
+        assert worker_pools == [2]
+        names = ["valid_times.csv", "vt_summary.csv", "loss_curve.csv",
+                 "attention_weights.csv", "forecasts.csv"]
+        assert sorted(json.loads((out / "manifest.json").read_text())["outputs"]) == sorted(names)
+        for name in names:
             reference = (out / name).read_bytes()
             assert (tmp_path / "b" / name).read_bytes() == reference
             assert (tmp_path / "c" / name).read_bytes() == reference
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_failing_job_exits_2_and_writes_nothing(self, tmp_path, worker_pools, threads):
+        text = LORENZ_TINY.replace("  epochs: 3\n", "  epochs: 3\n  learning_rate: 1.0e+300\n")
+        cfg = write_config(tmp_path, text, out=str(tmp_path / "out"))
+        result = invoke("lorenz-run", "--config", str(cfg), "--threads", threads)
+        assert result.exit_code == 2
+        assert "error: non-finite training loss at epoch 0, batch 1" in result.stderr
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == []
+        assert worker_pools == ([2] if threads == "2" else [])
 
     def test_rerun_removes_the_previous_runs_stale_outputs(self, lorenz_out, tmp_path):
         """A rerun that writes fewer files deletes the ones the previous
@@ -615,13 +654,14 @@ class TestCovidRun:
         assert result.exit_code == 0, result.output + str(result.exception)
         assert (target / "gaps.csv").exists()
 
-    def test_rerun_with_threads_is_byte_identical(self, covid_out, tmp_path):
+    def test_rerun_with_threads_is_byte_identical(self, covid_out, tmp_path, worker_pools):
         out, cfg = covid_out
         rerun = invoke(
             "covid-run", "--config", str(cfg),
             "--output", str(tmp_path / "r"), "--threads", "3",
         )
         assert rerun.exit_code == 0
+        assert worker_pools == [2]
         for name in ("wis_by_week.csv", "period_summary.csv",
                      "imputation_log.csv", "forecasts.csv", "truth.csv"):
             assert (tmp_path / "r" / name).read_bytes() == (out / name).read_bytes()
@@ -677,14 +717,110 @@ class TestWeightRows:
 
 
 def test_importing_the_cli_does_not_load_scipy_stats():
-    code = "import sys, attnpool.cli; print('scipy.stats' in sys.modules)"
+    """Nor the process-pool modules, which only a fanned-out run needs."""
+    unwanted = ["scipy.stats", "multiprocessing", "concurrent.futures.process"]
+    code = f"import sys, attnpool.cli; print([m for m in {unwanted!r} if m in sys.modules])"
     src = str(Path(cli.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"
+
+
+# hidden 100 at batch 32: the gradient of w_key then takes other bits when
+# OpenBLAS runs it on more than one thread
+COVID_TINY_WIDE = COVID_TINY.replace("batch_size: 64", "batch_size: 32").replace(
+    "hidden: 10\n", "hidden: 100\n"
+)
+
+
+@pytest.mark.parametrize(
+    "command, text", [("lorenz-run", LORENZ_TINY), ("covid-run", COVID_TINY_WIDE)]
+)
+def test_outputs_do_not_depend_on_workers_or_blas_threads(tmp_path, command, text):
+    """With OpenBLAS free to use every core, and its thread pool already
+    started by the parent, a run on two forked workers neither hangs nor
+    writes other bytes than a run in one process."""
+    code = (
+        "import os, sys\n"
+        "import numpy as np\n"
+        "from attnpool import cli\n"
+        "a = np.ones((1024, 1024))\n"
+        "a @ a\n"
+        "os.sched_getaffinity = lambda pid: {0, 1}\n"
+        "cli.main(sys.argv[1:])\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    env["PYTHONPATH"] = path
+    cfg = write_config(tmp_path, text, out=str(tmp_path / "out"))
+    outputs = []
+    for threads in ("1", "2"):
+        run = subprocess.run(
+            [sys.executable, "-c", code, command, "--config", str(cfg),
+             "--output", str(tmp_path / threads), "--threads", threads],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert run.returncode == 0, run.stderr
+        outputs.append(json.loads((tmp_path / threads / "manifest.json").read_text())["outputs"])
+    assert outputs[0] == outputs[1]
+
+
+def test_worker_count_is_capped_by_cores_and_jobs(monkeypatch):
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    assert cli._worker_count(threads=8, n_jobs=10) == 3
+    assert cli._worker_count(threads=2, n_jobs=10) == 2
+    assert cli._worker_count(threads=8, n_jobs=2) == 2
+    assert cli._worker_count(threads=8, n_jobs=0) == 0
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {5})
+    assert cli._worker_count(threads=4, n_jobs=8) == 1
+
+
+class TestOutputStage:
+    @staticmethod
+    def stage_run(final: Path, tag: str) -> None:
+        """Stage three files whose contents name the run, and their manifest."""
+        with cli._OutputStage(final) as stage:
+            for name in ("a.csv", "b.csv", "z.csv"):
+                stage.path(name).write_text(f"{tag}\n")
+            outputs = stage.file_hashes()
+            stage.path("manifest.json").write_text(json.dumps({"command": "x", "outputs": outputs}))
+            stage.commit("x")
+
+    @staticmethod
+    def manifest_matches_its_files(directory: Path) -> bool:
+        import hashlib
+
+        listed = json.loads((directory / "manifest.json").read_text())["outputs"]
+        return all(
+            hashlib.sha256((directory / name).read_bytes()).hexdigest() == digest
+            for name, digest in listed.items()
+        )
+
+    @pytest.mark.parametrize("failing", [1, 2, 3, 4])
+    def test_interrupted_commit_leaves_no_manifest_beside_another_runs_files(
+        self, tmp_path, monkeypatch, failing
+    ):
+        """Whichever of the four renames fails, the output directory holds
+        no manifest, or one that lists the files beside it."""
+        self.stage_run(tmp_path, "first")
+        replace, calls = Path.replace, []
+
+        def fail_one_replace(self, target):
+            calls.append(self.name)
+            if len(calls) == failing:
+                raise OSError("disk gone")
+            return replace(self, target)
+
+        monkeypatch.setattr(Path, "replace", fail_one_replace)
+        with pytest.raises(OSError, match="disk gone"):
+            self.stage_run(tmp_path, "second")
+        if (tmp_path / "manifest.json").exists():
+            assert self.manifest_matches_its_files(tmp_path)
 
 
 class TestCommands:

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from attnpool.cli import LorenzDataConfig
 from attnpool.lorenz import (
     BETA,
     CANDIDATE_RHOS,
@@ -186,10 +187,11 @@ class TestDataset:
         assert not np.allclose(small.train.states[:400], small.validation.states[:400])
 
     def test_deterministic(self):
+        warmup = LorenzDataConfig().warmup
         a = generate_dataset(seed=5, t_transient=10.0, t_train=20.0, t_val=32.0,
-                             n_val_segments=2, segment_len=16)
+                             n_val_segments=2, segment_len=16, warmup=warmup)
         b = generate_dataset(seed=5, t_transient=10.0, t_train=20.0, t_val=32.0,
-                             n_val_segments=2, segment_len=16)
+                             n_val_segments=2, segment_len=16, warmup=warmup)
         np.testing.assert_array_equal(a.train.states, b.train.states)
         np.testing.assert_array_equal(a.validation.states, b.validation.states)
 
@@ -198,8 +200,12 @@ class TestDataset:
         assert np.abs(small.validation.states).max() < 100.0
 
     def test_uneven_split_rejected(self):
+        data = LorenzDataConfig()
         with pytest.raises(ValueError, match="evenly"):
-            generate_dataset(seed=1, t_val=63.0, n_val_segments=4, segment_len=32)
+            generate_dataset(
+                seed=1, t_transient=data.t_transient, t_train=data.t_train, t_val=63.0,
+                n_val_segments=4, segment_len=32, warmup=data.warmup,
+            )
 
     def test_u3_windowed_mean_tracks_rho(self, small):
         """The attractor's vertical extent follows the parameter sweep: the
