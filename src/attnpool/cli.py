@@ -29,7 +29,6 @@ from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, field, fields
 from datetime import date
 from difflib import get_close_matches
-from functools import partial
 from pathlib import Path
 from typing import Sequence
 
@@ -685,8 +684,9 @@ def _run_jobs(fn, shared, jobs: list, threads: int) -> list:
     inherit ``shared``, so only the job and its result are pickled; a job
     should return rows or scores, not models. The main process runs no
     other Python thread when it forks, and OpenBLAS resets its own thread
-    pool in a forked child. The first job that raises cancels the jobs not
-    yet started, and its exception propagates.
+    pool in a forked child. The first job that raises does so here as soon
+    as it fails, after the workers still running are terminated; a worker
+    that dies raises ``BrokenProcessPool``.
     """
     workers = _worker_count(threads, len(jobs))
     if workers <= 1:
@@ -694,15 +694,25 @@ def _run_jobs(fn, shared, jobs: list, threads: int) -> list:
             return [fn(shared, job) for job in jobs]
     # imported here: they would add to the startup of every command
     import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures import ProcessPoolExecutor, as_completed
 
+    earlier = set(multiprocessing.active_children())
     with ProcessPoolExecutor(
         workers,
         mp_context=multiprocessing.get_context("fork"),
         initializer=_init_worker,
         initargs=(shared,),
     ) as pool:
-        return list(pool.map(partial(_call_in_worker, fn), jobs))
+        futures = [pool.submit(_call_in_worker, fn, job) for job in jobs]
+        try:
+            for future in as_completed(futures):
+                future.result()
+        except BaseException:
+            # the pool's shutdown would wait for the jobs still running
+            for worker in set(multiprocessing.active_children()) - earlier:
+                worker.terminate()
+            raise
+        return [future.result() for future in futures]
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,7 @@ score used for evaluation.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 from datetime import date, timedelta
 from pathlib import Path
@@ -70,13 +71,11 @@ TRUTH_HEADER = ("location", "week_ending", "inc_death")
 
 
 def _match_level(raw: float) -> int | None:
-    """Index into QUANTILE_LEVELS, -1 for a tolerated level, None otherwise."""
-    for i, lv in enumerate(QUANTILE_LEVELS):
+    """Slot of a quantile level: its index into QUANTILE_LEVELS, then
+    N_LEVELS + i for the i-th tolerated level, None for any other level."""
+    for i, lv in enumerate(QUANTILE_LEVELS + TOLERATED_LEVELS):
         if abs(raw - lv) < 1e-9:
             return i
-    for lv in TOLERATED_LEVELS:
-        if abs(raw - lv) < 1e-9:
-            return -1
     return None
 
 
@@ -185,7 +184,7 @@ def _parse_float(path, rownum, text: str, what: str) -> float:
         value = float(text)
     except ValueError:
         raise ValueError(f"{path} row {rownum}: bad {what} {text!r}") from None
-    if not np.isfinite(value):
+    if not math.isfinite(value):
         raise ValueError(f"{path} row {rownum}: non-finite {what} {text!r}")
     return value
 
@@ -200,7 +199,10 @@ def ingest(
     extra quantile levels are dropped (counted in the report). Cells whose
     21 values are not non-decreasing in level are repaired by sorting, with
     one warning per cell. Unknown levels, negative values, duplicate rows,
-    and off-grid rows are hard errors naming the offending CSV row.
+    off-grid rows and incomplete cells are hard errors naming a CSV row.
+    Each distinct (model, location, date) text and level text is checked
+    once, on its first row; later rows look it up, and only a row's value
+    is checked on every row. So the first bad occurrence is named by its row.
     """
     truth_cells: dict[tuple[str, date], float] = {}
     for rownum, fields in _read_rows(truth_csv, TRUTH_HEADER):
@@ -231,24 +233,28 @@ def ingest(
     week_index = {week: i for i, week in enumerate(weeks)}
     for (loc, week), value in truth_cells.items():
         deaths[loc_index[loc], week_index[week]] = value
-    if np.isnan(deaths).any():
-        l, w = (int(i[0]) for i in np.nonzero(np.isnan(deaths)))
-        raise ValueError(
-            f"{truth_csv}: no truth record for ({locations[l]}, {weeks[w]})"
-        )
+    for l, w in np.argwhere(np.isnan(deaths))[:1]:
+        raise ValueError(f"{truth_csv}: no truth record for ({locations[l]}, {weeks[w]})")
     truth = TruthTable(locations=locations, weeks=weeks, deaths=deaths)
 
     report = IngestReport()
-    seen: set[tuple[str, str, date, float]] = set()
-    cells: dict[tuple[str, str, date], dict[int, float]] = {}
+    # a cell: one slot per level (see _match_level), then its first row number
+    empty = [None] * (N_LEVELS + len(TOLERATED_LEVELS))
+    cells: dict[tuple[str, str, date], list] = {}
+    cell_of_text: dict[tuple[str, str, str], list] = {}
+    slot_of_text: dict[str, int] = {}
     for rownum, fields in _read_rows(forecast_csv, FORECAST_HEADER):
-        model = fields[0].strip()
-        loc = fields[1].strip()
-        week = _parse_date(forecast_csv, rownum, fields[2])
-        raw_level = _parse_float(forecast_csv, rownum, fields[3], "quantile level")
+        text = (fields[0], fields[1], fields[2])
+        cell = cell_of_text.get(text)
+        slot = slot_of_text.get(fields[3])
+        new = cell is None or slot is None  # a new text: all checks, in one fixed order
+        if new:
+            model, loc = fields[0].strip(), fields[1].strip()
+            week = _parse_date(forecast_csv, rownum, fields[2])
+            raw_level = _parse_float(forecast_csv, rownum, fields[3], "quantile level")
+            slot = _match_level(raw_level)
         value = _parse_float(forecast_csv, rownum, fields[4], "value")
-        level_idx = _match_level(raw_level)
-        if level_idx is None:
+        if slot is None:
             raise ValueError(
                 f"{forecast_csv} row {rownum}: quantile level {raw_level} is not "
                 f"one of the 21 carried levels (tolerated extras: 0.1, 0.9)"
@@ -257,44 +263,48 @@ def ingest(
             raise ValueError(
                 f"{forecast_csv} row {rownum}: negative forecast value {value}"
             )
-        if loc not in loc_index:
-            raise ValueError(
-                f"{forecast_csv} row {rownum}: location {loc!r} has no truth data"
-            )
-        if week not in week_index:
-            raise ValueError(
-                f"{forecast_csv} row {rownum}: week {week} is outside the truth "
-                f"week range"
-            )
-        dup_key = (model, loc, week, round(raw_level, 6))
-        if dup_key in seen:
+        if new:
+            if loc not in loc_index:
+                raise ValueError(
+                    f"{forecast_csv} row {rownum}: location {loc!r} has no truth data"
+                )
+            if week not in week_index:
+                raise ValueError(
+                    f"{forecast_csv} row {rownum}: week {week} is outside the truth "
+                    f"week range"
+                )
+            slot_of_text[fields[3]] = slot
+            cell = cell_of_text[text] = cells.setdefault((model, loc, week), empty + [rownum])
+        if cell[slot] is not None:
             raise ValueError(
                 f"{forecast_csv} row {rownum}: duplicate forecast row for "
-                f"({model}, {loc}, {week}, quantile {raw_level})"
+                f"({fields[0].strip()}, {fields[1].strip()}, "
+                f"{date.fromisoformat(fields[2].strip())}, quantile {float(fields[3])})"
             )
-        seen.add(dup_key)
-        if level_idx == -1:
-            report.dropped_level_rows += 1
-            continue
-        cells.setdefault((model, loc, week), {})[level_idx] = value
+        cell[slot] = value
 
-    models = tuple(sorted({m for m, _, _ in cells}))
-    model_index = {m: i for i, m in enumerate(models)}
-    values = np.full((len(models), len(locations), len(weeks), N_LEVELS), np.nan)
-    for (model, loc, week), levels in sorted(cells.items()):
-        if len(levels) != N_LEVELS:
-            raise ValueError(
-                f"{forecast_csv}: forecast cell ({model}, {loc}, {week}) has "
-                f"{len(levels)} of the {N_LEVELS} required quantile levels"
-            )
-        vec = np.array([levels[i] for i in range(N_LEVELS)])
-        if np.any(np.diff(vec) < 0):
-            vec = np.sort(vec)
-            report.repaired_cells.append((model, loc, week))
-            report.warnings.append(
-                f"sorted non-monotone quantiles for ({model}, {loc}, {week})"
-            )
-        values[model_index[model], loc_index[loc], week_index[week]] = vec
+    all_models = sorted({m for m, _, _ in cells})
+    model_index = {m: i for i, m in enumerate(all_models)}
+    at = [(model_index[m], loc_index[loc], week_index[w]) for m, loc, w in cells]
+    block = np.array(list(cells.values()), dtype=float).reshape(len(cells), len(empty) + 1)
+    grid = np.full((len(all_models), len(locations), len(weeks), len(empty) + 1), np.nan)
+    grid[tuple(np.array(at, dtype=int).reshape(-1, 3).T)] = block
+    count = np.count_nonzero(~np.isnan(grid[..., :N_LEVELS]), axis=3)
+    report.dropped_level_rows = int(np.count_nonzero(~np.isnan(grid[..., N_LEVELS:-1])))
+    for m, l, w in np.argwhere((count > 0) & (count < N_LEVELS))[:1]:
+        raise ValueError(
+            f"{forecast_csv} row {int(grid[m, l, w, -1])}: forecast cell "
+            f"({all_models[m]}, {locations[l]}, {weeks[w]}) has {count[m, l, w]} "
+            f"of the {N_LEVELS} required quantile levels"
+        )
+    keep = count.any(axis=(1, 2))  # a model with only 0.1/0.9 rows is dropped
+    models = tuple(m for m, k in zip(all_models, keep) if k)
+    values = grid[keep, ..., :N_LEVELS]  # a copy: keep is a boolean index
+    for m, l, w in np.argwhere((np.diff(values, axis=3) < 0).any(axis=3)):
+        values[m, l, w] = np.sort(values[m, l, w])
+        key = (models[m], locations[l], weeks[w])
+        report.repaired_cells.append(key)
+        report.warnings.append("sorted non-monotone quantiles for ({}, {}, {})".format(*key))
     if report.dropped_level_rows:
         report.warnings.append(
             f"dropped {report.dropped_level_rows} rows at unused quantile "

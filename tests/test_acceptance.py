@@ -7,6 +7,7 @@ candidates, leave-one-period-out) — runs once in session fixtures; the whole
 file finishes in a few minutes single-threaded.
 """
 
+import os
 import time
 from dataclasses import dataclass
 
@@ -423,6 +424,23 @@ class HubRun:
     elapsed: float
 
 
+HUB_CONFIGS = {
+    "additive": covid.PoolerTrainConfig(hidden=150, **TRAIN_KWARGS),
+    "multi_head": covid.PoolerTrainConfig(hidden=60, n_heads=5, **TRAIN_KWARGS),
+}
+
+
+def _hub_job(samples, job):
+    """The held-out WIS of one (period, kind) training, one per row of the
+    period."""
+    period, kind = job
+    rows = covid.period_rows(samples, period)
+    result = covid.train_pooler(kind, samples, holdout=period, config=HUB_CONFIGS[kind])
+    preds = covid.predict_quantiles(result.pooler, samples, rows)
+    levels = np.array(covid.QUANTILE_LEVELS)
+    return wis_batch(levels, preds.quantiles, samples.truths[rows])
+
+
 @pytest.fixture(scope="session")
 def hub_run(tmp_path_factory) -> HubRun:
     start = time.monotonic()
@@ -435,18 +453,12 @@ def hub_run(tmp_path_factory) -> HubRun:
     samples = covid.assemble_samples(truth, completed, delay=5)
     periods = covid.split_into_periods(samples.weeks, 4, skip=samples.delay)
 
-    configs = {
-        "additive": covid.PoolerTrainConfig(hidden=150, **TRAIN_KWARGS),
-        "multi_head": covid.PoolerTrainConfig(hidden=60, n_heads=5, **TRAIN_KWARGS),
-    }
-    pooled = {kind: np.full(samples.n_rows, np.nan) for kind in configs}
-    levels = np.array(covid.QUANTILE_LEVELS)
-    for period in periods:
-        rows = covid.period_rows(samples, period)
-        for kind, cfg in configs.items():
-            result = covid.train_pooler(kind, samples, holdout=period, config=cfg)
-            preds = covid.predict_quantiles(result.pooler, samples, rows)
-            pooled[kind][rows] = wis_batch(levels, preds.quantiles, samples.truths[rows])
+    # the 8 trainings are independent: one worker process per core
+    jobs = [(period, kind) for period in periods for kind in HUB_CONFIGS]
+    scores = cli._run_jobs(_hub_job, samples, jobs, threads=len(os.sched_getaffinity(0)))
+    pooled = {kind: np.full(samples.n_rows, np.nan) for kind in HUB_CONFIGS}
+    for (period, kind), wis_rows in zip(jobs, scores):
+        pooled[kind][covid.period_rows(samples, period)] = wis_rows
 
     union = np.concatenate([covid.period_rows(samples, p) for p in periods])
     return HubRun(

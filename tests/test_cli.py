@@ -4,8 +4,11 @@ import csv
 import json
 import os
 import shutil
+import signal
 import subprocess
 import sys
+import time
+from concurrent.futures.process import BrokenProcessPool
 from datetime import date
 from pathlib import Path
 
@@ -778,6 +781,39 @@ def test_worker_count_is_capped_by_cores_and_jobs(monkeypatch):
     assert cli._worker_count(threads=8, n_jobs=0) == 0
     monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {5})
     assert cli._worker_count(threads=4, n_jobs=8) == 1
+
+
+def _sleep_or_fail(shared, job):
+    if job == "raise":
+        raise ValueError("this job failed")
+    if job == "die":
+        os.kill(os.getpid(), signal.SIGKILL)
+    time.sleep(60.0)
+
+
+@pytest.mark.parametrize(
+    "job, error", [("raise", ValueError), ("die", BrokenProcessPool)], ids=["raise", "die"]
+)
+def test_failing_job_stops_the_running_ones(worker_pools, job, error):
+    """The failure is reported while the other worker still sleeps, and no
+    worker outlives the call."""
+    import multiprocessing
+
+    def hung(signum, frame):
+        raise TimeoutError("_run_jobs did not return")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(30)
+    start = time.monotonic()
+    try:
+        with pytest.raises(error):
+            cli._run_jobs(_sleep_or_fail, None, ["sleep", job], threads=2)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert time.monotonic() - start < 15.0
+    assert worker_pools == [2]
+    assert multiprocessing.active_children() == []
 
 
 class TestOutputStage:

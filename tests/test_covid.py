@@ -126,6 +126,9 @@ TRUTH_LINES = [
 ]
 
 
+FORECAST_HEADER_LINE = "model,location,target_end_date,quantile,value"
+
+
 def forecast_lines(model="m1", loc="az", week="2024-01-13", value=5.0, levels=None):
     levels = covid.QUANTILE_LEVELS if levels is None else levels
     return [f"{model},{loc},{week},{lv},{value + i}" for i, lv in enumerate(levels)]
@@ -206,7 +209,7 @@ class TestIngest:
         lines += ["m1,az,2024-01-13,0.5,5.0", "m1,az,2024-01-13,0.25,4.0"]
         fpath = write_csv(tmp_path / "f.csv", lines)
         tpath = write_csv(tmp_path / "t.csv", TRUTH_LINES)
-        with pytest.raises(ValueError, match="2 of the 21"):
+        with pytest.raises(ValueError, match=r"f\.csv row 2: .*has 2 of the 21"):
             covid.ingest(fpath, tpath)
 
     def test_unknown_location_and_off_grid_week(self, tmp_path):
@@ -293,6 +296,104 @@ class TestIngest:
         t2, _, _ = covid.ingest(shuffled_path, tpath)
         assert t1.models == t2.models
         np.testing.assert_array_equal(t1.values, t2.values)
+
+    def test_duplicate_under_another_spelling_names_the_second_row(self, tmp_path):
+        tpath = write_csv(tmp_path / "t.csv", TRUTH_LINES)
+        lines = [FORECAST_HEADER_LINE, "m1,az,2024-01-13,0.5,5.0", "m1,az,2024-01-06,0.5,5.0",
+                 " m1,az ,2024-01-13 ,0.50,6.0"]
+        with pytest.raises(ValueError, match=r"row 4: duplicate .*\(m1, az, 2024-01-13"):
+            covid.ingest(write_csv(tmp_path / "f1.csv", lines), tpath)
+        lines = [FORECAST_HEADER_LINE, "m1,az,2024-01-13,0.1,5.0", "m1,az,2024-01-13,1e-1,5.0"]
+        with pytest.raises(ValueError, match=r"row 3: duplicate .*quantile 0\.1\)"):
+            covid.ingest(write_csv(tmp_path / "f2.csv", lines), tpath)
+
+    def test_bad_text_first_seen_late_names_its_own_row(self, tmp_path):
+        """Rows 2-22 fill one cell, so every later row's texts but the
+        faulty one are already known."""
+        tpath = write_csv(tmp_path / "t.csv", TRUTH_LINES)
+        cell = [FORECAST_HEADER_LINE] + forecast_lines()
+        cases = [
+            ("m1,az,2024-13-06,0.5,5.0", "row 23: bad date '2024-13-06'"),
+            ("m1,az,2024-01-13,0.33,5.0", "row 23: quantile level 0.33 is not"),
+            ("m1,az,2024-01-06,0.5,oops", "row 23: bad value 'oops'"),
+            ("m1,az,2025-01-04,0.5,5.0", "row 23: week 2025-01-04 is outside"),
+        ]
+        for i, (line, message) in enumerate(cases):
+            fpath = write_csv(tmp_path / f"f{i}.csv", cell + [line])
+            with pytest.raises(ValueError, match=message):
+                covid.ingest(fpath, tpath)
+        # a second cell whose texts are all known by its sixth row, row 28
+        for value, message in [("-3.0", "negative forecast value -3.0"), ("x", "bad value 'x'")]:
+            late = forecast_lines(week="2024-01-06")
+            late[5] = late[5].rsplit(",", 1)[0] + "," + value
+            fpath = write_csv(tmp_path / "f9.csv", cell + late)
+            with pytest.raises(ValueError, match=f"row 28: {message}"):
+                covid.ingest(fpath, tpath)
+
+    def test_model_with_only_tolerated_levels_is_left_out(self, tmp_path):
+        lines = [FORECAST_HEADER_LINE] + forecast_lines()
+        lines += ["m2,az,2024-01-13,0.1,3.0", "m2,az,2024-01-13,0.9,4.0"]
+        fpath = write_csv(tmp_path / "f.csv", lines)
+        table, _, report = covid.ingest(fpath, write_csv(tmp_path / "t.csv", TRUTH_LINES))
+        assert table.models == ("m1",)
+        assert report.dropped_level_rows == 2
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 10_000))
+    def test_spelling_and_row_order_do_not_change_the_result(self, tmp_path_factory, seed):
+        """A hub written canonically and the same hub with every row
+        respelled (padded fields, levels as 0.5, 0.50, 5e-1 or ' 0.5') in
+        shuffled order ingest, and impute, to the same bits."""
+        rng = spawn_rng(seed, "spellings")
+        weeks = [w.isoformat() for w in week_grid(3)]
+        truth = ["location,week_ending,inc_death"]
+        truth += [f"{loc},{w},{10.0 + i}" for loc in ("az", "ca") for i, w in enumerate(weeks)]
+        rows, repaired, n_tolerated = [], [], 0
+        for model in ("m1", "m2", "m3"):
+            for loc in ("az", "ca"):
+                present = rng.random(3) < 0.7
+                present[rng.integers(3)] = True  # imputation needs one cell
+                for w, week in enumerate(weeks):
+                    cell = np.cumsum(rng.integers(0, 4, covid.N_LEVELS)) + 0.25
+                    if present[w] and rng.random() < 0.3:
+                        q = rng.integers(covid.N_LEVELS - 1)
+                        cell[q], cell[q + 1] = cell[q + 1] + 1.0, cell[q]
+                        repaired.append((model, loc, date.fromisoformat(week)))
+                    if present[w]:
+                        rows += [(model, loc, week, lv, v)
+                                 for lv, v in zip(covid.QUANTILE_LEVELS, cell)]
+                    for lv in covid.TOLERATED_LEVELS:
+                        if rng.random() < 0.25:
+                            rows.append((model, loc, week, lv, 1.5))
+                            n_tolerated += 1
+
+        def pad(text):
+            return [text, f" {text}", f"{text} "][rng.integers(3)]
+
+        def spell(lv):
+            return [str(lv), f" {lv}", f"{lv}0", f"{lv * 10:g}e-1"][rng.integers(4)]
+
+        canonical = [f"{m},{loc},{w},{lv},{v}" for m, loc, w, lv, v in rows]
+        respelled = [f"{pad(m)},{pad(loc)},{pad(w)},{spell(lv)},{v}" for m, loc, w, lv, v in rows]
+        rng.shuffle(respelled)
+        d = tmp_path_factory.mktemp("spellings")
+        tpath = write_csv(d / "t.csv", truth)
+        a = covid.ingest(write_csv(d / "a.csv", [FORECAST_HEADER_LINE] + canonical), tpath)
+        b = covid.ingest(write_csv(d / "b.csv", [FORECAST_HEADER_LINE] + respelled), tpath)
+
+        (table, truth_table, report), (table_b, truth_b, report_b) = a, b
+        assert report.dropped_level_rows == n_tolerated
+        assert report.repaired_cells == sorted(repaired)  # (model, location, week) order
+        assert np.all(np.diff(table.values, axis=3)[~table.missing_mask()] >= 0)
+        assert (table.models, table.locations, table.weeks) == (
+            table_b.models, table_b.locations, table_b.weeks)
+        assert table.values.tobytes() == table_b.values.tobytes()
+        assert (truth_table.locations, truth_table.weeks) == (truth_b.locations, truth_b.weeks)
+        assert truth_table.deaths.tobytes() == truth_b.deaths.tobytes()
+        assert report == report_b
+        (full, log), (full_b, log_b) = covid.impute_missing(table), covid.impute_missing(table_b)
+        assert full.values.tobytes() == full_b.values.tobytes()
+        assert log == log_b
 
     def test_synthetic_round_trip(self, hub, ingested):
         table, truth, report = ingested
