@@ -13,10 +13,9 @@ concatenated newest first. A multi-head variant runs P identical-shape heads,
 stacked on a leading axis, and mixes the concatenated pooled outputs through
 one output matrix.
 
-All forward functions here accept either a single instance (query ``(q,)``,
-keys ``(M, k)``, values ``(M, d)``) or a batch with one extra leading axis.
-Backward passes are hand-derived and checked against central finite
-differences in the test suite.
+All forward functions here take a batch: queries ``(B, q)``, keys
+``(B, M, k)``, values ``(B, M, d)``. Backward passes are hand-derived and
+checked against central finite differences in the test suite.
 """
 
 from __future__ import annotations
@@ -129,13 +128,10 @@ def softmax(scores: Array, axis: int = -1) -> Array:
 
 
 def _batched(query: Array, keys: Array, values: Array):
-    """Normalize inputs to batch form; returns (Q, K, V, was_single)."""
+    """Check the batch shapes; returns float64 (Q, K, V)."""
     query = np.asarray(query, dtype=np.float64)
     keys = np.asarray(keys, dtype=np.float64)
     values = np.asarray(values, dtype=np.float64)
-    single = query.ndim == 1
-    if single:
-        query, keys, values = query[None], keys[None], values[None]
     if query.ndim != 2 or keys.ndim != 3 or values.ndim != 3:
         raise ValueError(
             f"expected query (B,q), keys (B,M,k), values (B,M,d); got "
@@ -147,16 +143,15 @@ def _batched(query: Array, keys: Array, values: Array):
         )
     if keys.shape[1] == 0:
         raise ValueError("ensemble is empty (M = 0)")
-    return query, keys, values, single
+    return query, keys, values
 
 
 def single_head_forward(params: SingleHeadParams, query: Array, keys: Array, values: Array):
     """Pooled forecast and attention weights; also returns the backward cache.
 
-    Returns ``(pooled, weights, cache)`` with batch axes matching the input
-    (dropped again for single instances).
+    Returns ``(pooled, weights, cache)``: pooled (B, d), weights (B, M).
     """
-    q, k, v, single = _batched(query, keys, values)
+    q, k, v = _batched(query, keys, values)
     if q.shape[1] != params.w_query.shape[1]:
         raise ValueError(
             f"query dim {q.shape[1]} does not match w_query {params.w_query.shape}"
@@ -176,10 +171,7 @@ def single_head_forward(params: SingleHeadParams, query: Array, keys: Array, val
     scores = act @ params.w_score                      # (B, M)
     weights = softmax(scores, axis=-1)
     pooled = np.einsum("bm,bmd->bd", weights, v)
-    cache = (q, k, v, act, weights)
-    if single:
-        return pooled[0], weights[0], cache
-    return pooled, weights, cache
+    return pooled, weights, (q, k, v, act, weights)
 
 
 @dataclass
@@ -220,8 +212,6 @@ def single_head_backward(
     """
     q, k, v, act, weights = cache
     upstream = np.asarray(upstream, dtype=np.float64)
-    if upstream.ndim == 1:
-        upstream = upstream[None]
     if out is None:
         out = empty_like_fields(SingleHeadGrads, params)
     b, m, h = act.shape
@@ -255,7 +245,7 @@ def multi_head_forward(params: MultiHeadParams, query: Array, keys: Array, value
     and operand layout of :func:`single_head_forward`, so each head gives
     the bits it would give alone.
     """
-    q, k, v, single = _batched(query, keys, values)
+    q, k, v = _batched(query, keys, values)
     n_heads = params.n_heads
     if q.shape[1] != params.w_query.shape[2]:
         raise ValueError(
@@ -279,10 +269,7 @@ def multi_head_forward(params: MultiHeadParams, query: Array, keys: Array, value
     concat = pooled.transpose(1, 0, 2).reshape(b, n_heads * d)
     out = concat @ params.w_out.T                                              # (B, d)
     head_weights = weights.transpose(1, 0, 2)                                  # (B, P, M)
-    cache = (q, k, v, act, weights, concat)
-    if single:
-        return out[0], head_weights[0], cache
-    return out, head_weights, cache
+    return out, head_weights, (q, k, v, act, weights, concat)
 
 
 def multi_head_backward(
@@ -293,8 +280,6 @@ def multi_head_backward(
     ``out`` when given."""
     q, k, v, act, weights, concat = cache
     upstream = np.asarray(upstream, dtype=np.float64)
-    if upstream.ndim == 1:
-        upstream = upstream[None]
     if out is None:
         out = empty_like_fields(MultiHeadGrads, params)
     p, b, m, h = act.shape

@@ -788,10 +788,10 @@ def _train_lorenz_model(inputs: _LorenzInputs, method: str, length: int):
 
 
 def _lorenz_job(inputs: _LorenzInputs, job) -> tuple[list, list, list, list]:
-    """Train one (method, l) model, roll out every method scored with it and
-    return its rows: loss curve, valid times, attention weights and
-    forecasts (the last two only for the ``additive`` run at
-    ``weights_delay``)."""
+    """Train one (method, l) model, roll out every method scored with it in
+    one closed-loop call and return its rows: loss curve, valid times,
+    attention weights and forecasts (the last two only for the ``additive``
+    run at ``weights_delay``)."""
     trained, length, depth, scored = job
     m = inputs.model
     model, curve = _train_lorenz_model(inputs, trained, length)
@@ -799,9 +799,11 @@ def _lorenz_job(inputs: _LorenzInputs, job) -> tuple[list, list, list, list]:
 
     val = inputs.dataset.validation
     histories = gather_histories(val.states, inputs.dataset.segment_starts, depth)
+    results = closed_loop_forecast_batch(
+        model, histories, inputs.dataset.segment_len, variants=[v for _, v in scored]
+    )
     vt_rows, weight_rows, forecast_rows = [], [], []
-    for method, variant in scored:
-        res = closed_loop_forecast_batch(model, histories, inputs.dataset.segment_len, variant=variant)
+    for (method, _), res in zip(scored, results):
         vts = [valid_time(pred, truth) for pred, truth in zip(res.predictions, inputs.truths)]
         vt_rows.append((method, length, vts))
         if method == "additive" and length == m.weights_delay:

@@ -19,13 +19,16 @@ when forming the next query and the next key errors, and the attention
 weights are recomputed from those surrogate inputs. Two degraded variants
 reuse the same trained parameters: ``fixed_attention`` freezes the weight
 vector computed at step 0, and ``best_initial`` runs the single candidate
-that got the largest step-0 weight.
+that got the largest step-0 weight. The variants of one model run as one
+batch, one tile of the start points per variant: the step-0 weights are
+computed once for all tiles, only the ``additive`` tile recomputes them
+afterwards, and one stepper call integrates every tile's candidates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -233,16 +236,10 @@ class FeedForwardGrads:
 def ffnn_forward(net: FeedForwardNet, inputs: Array):
     """out = w2 tanh(w1 x + b1) + b2 for standardized inputs (B, d_in)."""
     x = np.asarray(inputs, dtype=np.float64)
-    single = x.ndim == 1
-    if single:
-        x = x[None]
-    if x.shape[1] != net.w1.shape[1]:
-        raise ValueError(f"input dim {x.shape[1]} does not match w1 {net.w1.shape}")
+    if x.ndim != 2 or x.shape[1] != net.w1.shape[1]:
+        raise ValueError(f"input dim of {x.shape} does not match w1 {net.w1.shape}")
     act = np.tanh(x @ net.w1.T + net.b1)
-    out = act @ net.w2.T + net.b2
-    if single:
-        return out[0], (x, act)
-    return out, (x, act)
+    return act @ net.w2.T + net.b2, (x, act)
 
 
 def ffnn_backward(
@@ -253,8 +250,6 @@ def ffnn_backward(
     trains through them."""
     x, act = cache
     upstream = np.asarray(upstream, dtype=np.float64)
-    if upstream.ndim == 1:
-        upstream = upstream[None]
     if out is None:
         out = empty_like_fields(FeedForwardGrads, net)
     d_act = upstream @ net.w2
@@ -445,9 +440,7 @@ def lorenz_candidate_stepper(rhos=CANDIDATE_RHOS) -> CandidateStepper:
 
     def stepper(states: Array) -> Array:
         states = np.asarray(states, dtype=np.float64)
-        tiled = np.broadcast_to(
-            states[:, None, :], (len(states), len(rhos), states.shape[1])
-        ).copy()
+        tiled = np.broadcast_to(states[:, None, :], (len(states), len(rhos), states.shape[1]))
         return candidate_one_step_batch(tiled, rhos[None, :])
 
     return stepper
@@ -516,29 +509,45 @@ class _RolloutStep:
     step: Callable
 
 
-def _rollout_step(model, variant: str) -> _RolloutStep:
+def _one_hot_argmax(weights: Array) -> Array:
+    out = np.zeros_like(weights)
+    out[np.arange(len(weights)), weights.argmax(axis=1)] = 1.0
+    return out
+
+
+def _rollout_step(model, variants: tuple[str, ...]) -> _RolloutStep:
+    """The step of ``model`` over a batch of ``len(variants)`` equal tiles,
+    tile i run as ``variants[i]``."""
     if isinstance(model, AttentionPooler):
-        frozen = None
+        additive = variants.index("additive") if "additive" in variants else None
+        weights = None
+
+        def weigh(states, errors, values, rows):
+            query = np.concatenate([s[rows] for s in states], axis=-1)
+            keys = np.concatenate([e[rows] for e in errors], axis=-1)
+            return model.forward(query, keys, values[rows])[1]
 
         def attend(states, errors, values):
-            nonlocal frozen
-            weights = frozen
+            nonlocal weights
+            n = len(values) // len(variants)  # rows per tile
             if weights is None:
-                query = np.concatenate(states, axis=-1)
-                keys = np.concatenate(errors, axis=-1)
-                _, weights = model.forward(query, keys, values)
-                if variant == "fixed_attention":
-                    frozen = weights
-                elif variant == "best_initial":
-                    frozen = np.zeros_like(weights)
-                    frozen[np.arange(len(weights)), weights.argmax(axis=1)] = 1.0
-                    weights = frozen
+                # every tile holds the same inputs at step 0, so the first
+                # tile's weights serve them all; the frozen tiles keep them
+                fresh = weigh(states, errors, values, slice(0, n))
+                weights = np.concatenate(
+                    [_one_hot_argmax(fresh) if v == "best_initial" else fresh for v in variants]
+                )
+            elif additive is not None:
+                rows = slice(additive * n, (additive + 1) * n)
+                weights[rows] = weigh(states, errors, values, rows)
             return np.einsum("bm,bmd->bd", weights, values), weights
 
         length = model.delay_length
         return _RolloutStep(length, length, True, attend)
-    if variant != "additive":
-        raise ValueError(f"variant {variant!r} applies to the attention pooler only")
+    if variants != ("additive",):
+        raise ValueError(
+            f"variants {variants!r}: all but 'additive' are for the attention pooler only"
+        )
     if isinstance(model, LinearPooler):
 
         def pool_linear(states, errors, values):
@@ -559,9 +568,10 @@ def closed_loop_forecast_batch(
     histories: Array,
     horizon: int,
     stepper: CandidateStepper = None,
-    variant: str = "additive",
-) -> ClosedLoopResult:
-    """Autonomous multi-step forecasts from B start points in lockstep.
+    variants: Sequence[str] = ("additive",),
+) -> tuple[ClosedLoopResult, ...]:
+    """Autonomous multi-step forecasts from B start points in lockstep, one
+    :class:`ClosedLoopResult` per name in ``variants``, in that order.
 
     ``histories`` is (B, depth, d) of true samples ending just before the
     first forecast target: depth is l+1 for the attention pooler (its oldest
@@ -572,16 +582,20 @@ def closed_loop_forecast_batch(
     refills the state buffer, and the error buffer takes the candidates'
     deviation from it. Rows whose candidates or output blow up are zeroed
     internally (the origin integrates quietly) and reported as NaN with
-    their truncation step. ``variant`` selects how the attention pooler
-    weighs the candidates; the other models take only ``"additive"``.
+    their truncation step. ``variants`` are distinct names from
+    :data:`VARIANTS`, each a way for the attention pooler to weigh the
+    candidates; the other models take only ``("additive",)``. The
+    histories are tiled once per variant and every tile steps in one
+    batch, so the candidates are integrated by one stepper call per step.
     """
-    if variant not in VARIANTS:
-        raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
+    variants = tuple(variants)
+    if not variants or len(set(variants)) < len(variants) or not set(variants) <= set(VARIANTS):
+        raise ValueError(f"variants must be distinct names from {VARIANTS}, got {variants!r}")
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
     if stepper is None:
         stepper = lorenz_candidate_stepper()
-    rollout = _rollout_step(model, variant)
+    rollout = _rollout_step(model, variants)
     depth = max(rollout.states, rollout.errors + 1)
     histories = np.asarray(histories, dtype=np.float64)
     if histories.ndim != 3 or histories.shape[1] != depth:
@@ -589,6 +603,8 @@ def closed_loop_forecast_batch(
             f"histories must be (B, {depth}, d) for this {type(model).__name__}, "
             f"got {histories.shape}"
         )
+    n_segments = len(histories)
+    histories = np.tile(histories, (len(variants), 1, 1))
     n_batch, _, dim = histories.shape
 
     # newest-first buffers seeded from true history; entry k of the error
@@ -622,4 +638,12 @@ def closed_loop_forecast_batch(
         if rollout.errors:
             error_buf.insert(0, values - out[:, None, :])
             del error_buf[rollout.errors :]
-    return ClosedLoopResult(predictions, weights_out, track.truncated_at)
+    tiles = [slice(i * n_segments, (i + 1) * n_segments) for i in range(len(variants))]
+    return tuple(
+        ClosedLoopResult(
+            predictions[rows],
+            None if weights_out is None else weights_out[rows],
+            track.truncated_at[rows],
+        )
+        for rows in tiles
+    )

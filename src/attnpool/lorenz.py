@@ -71,8 +71,9 @@ def _rk4_scalar(x, y, z, t, dt, params):
     sigma, beta, rho = params.sigma, params.beta, params.rho
     ax, ay, az = _deriv_scalar(x, y, z, rho(t), sigma, beta)
     half = dt / 2.0
-    bx, by, bz = _deriv_scalar(x + half * ax, y + half * ay, z + half * az, rho(t + half), sigma, beta)
-    cx, cy, cz = _deriv_scalar(x + half * bx, y + half * by, z + half * bz, rho(t + half), sigma, beta)
+    r_half = rho(t + half)
+    bx, by, bz = _deriv_scalar(x + half * ax, y + half * ay, z + half * az, r_half, sigma, beta)
+    cx, cy, cz = _deriv_scalar(x + half * bx, y + half * by, z + half * bz, r_half, sigma, beta)
     dx, dy, dz = _deriv_scalar(x + dt * cx, y + dt * cy, z + dt * cz, rho(t + dt), sigma, beta)
     sixth = dt / 6.0
     return (
@@ -95,35 +96,6 @@ def rk4_step(u: Array, t: float, dt: float, params: LorenzParams) -> Array:
             f"integration blew up: state {out} after step from t={t}"
         )
     return out
-
-
-def _rk4_batch(states: Array, dt: float, rho_values: Array, sigma=SIGMA, beta=BETA) -> Array:
-    """RK4 for a batch of states under *stationary* parameter values.
-
-    ``states`` is (..., 3); ``rho_values`` broadcasts against the leading
-    axes. Expression structure matches ``_rk4_scalar`` exactly so the two
-    paths agree bitwise.
-    """
-    x, y, z = states[..., 0], states[..., 1], states[..., 2]
-    r = rho_values
-
-    def deriv(x, y, z):
-        return sigma * (y - x), x * (r - z) - y, x * y - beta * z
-
-    ax, ay, az = deriv(x, y, z)
-    half = dt / 2.0
-    bx, by, bz = deriv(x + half * ax, y + half * ay, z + half * az)
-    cx, cy, cz = deriv(x + half * bx, y + half * by, z + half * bz)
-    dx, dy, dz = deriv(x + dt * cx, y + dt * cy, z + dt * cz)
-    sixth = dt / 6.0
-    return np.stack(
-        [
-            x + sixth * (ax + 2.0 * bx + 2.0 * cx + dx),
-            y + sixth * (ay + 2.0 * by + 2.0 * cy + dy),
-            z + sixth * (az + 2.0 * bz + 2.0 * cz + dz),
-        ],
-        axis=-1,
-    )
 
 
 @dataclass
@@ -175,17 +147,37 @@ def integrate(
 
 
 def candidate_one_step_batch(states: Array, rho_values: Array) -> Array:
-    """Vectorized one-sampling-step candidate forecasts.
+    """Vectorized one-sampling-step candidate forecasts: ``SUBSTEPS`` RK4
+    steps under *stationary* parameter values.
 
     ``states`` (..., 3) and ``rho_values`` broadcastable to its leading axes;
     non-finite outputs are returned as-is (callers decide how to truncate).
+    The three coordinates stay separate contiguous arrays across the
+    substeps. Expression structure matches ``_rk4_scalar`` exactly so the
+    two paths agree bitwise.
     """
     states = np.asarray(states, dtype=np.float64)
-    rho_values = np.asarray(rho_values, dtype=np.float64)
+    r = np.asarray(rho_values, dtype=np.float64)
+    x, y, z = (np.ascontiguousarray(states[..., i]) for i in range(3))
+    dt = DT_INTEGRATION
+    half = dt / 2.0
+    sixth = dt / 6.0
+
+    def deriv(x, y, z):
+        return SIGMA * (y - x), x * (r - z) - y, x * y - BETA * z
+
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(SUBSTEPS):
-            states = _rk4_batch(states, DT_INTEGRATION, rho_values)
-    return states
+            ax, ay, az = deriv(x, y, z)
+            bx, by, bz = deriv(x + half * ax, y + half * ay, z + half * az)
+            cx, cy, cz = deriv(x + half * bx, y + half * by, z + half * bz)
+            dx, dy, dz = deriv(x + dt * cx, y + dt * cy, z + dt * cz)
+            x, y, z = (
+                x + sixth * (ax + 2.0 * bx + 2.0 * cx + dx),
+                y + sixth * (ay + 2.0 * by + 2.0 * cy + dy),
+                z + sixth * (az + 2.0 * bz + 2.0 * cz + dz),
+            )
+    return np.stack([x, y, z], axis=-1)
 
 
 def candidate_forecasts(states: Array, rhos=CANDIDATE_RHOS) -> Array:
@@ -200,7 +192,7 @@ def candidate_forecasts(states: Array, rhos=CANDIDATE_RHOS) -> Array:
     rhos = np.asarray(rhos, dtype=np.float64)
     cand = np.full((n, len(rhos), 3), np.nan)
     if n > 1:
-        tiled = np.broadcast_to(states[:-1, None, :], (n - 1, len(rhos), 3)).copy()
+        tiled = np.broadcast_to(states[:-1, None, :], (n - 1, len(rhos), 3))
         cand[1:] = candidate_one_step_batch(tiled, rhos[None, :])
     return cand
 

@@ -326,17 +326,18 @@ def protocol() -> ProtocolRun:
 
     medians = {}
     histories = gather_histories(ds.validation.states, starts, PROTOCOL_DELAY + 1)
-    additive = closed_loop_forecast_batch(pooler, histories, horizon, variant="additive")
+    additive, fixed, best = closed_loop_forecast_batch(
+        pooler, histories, horizon, variants=("additive", "fixed_attention", "best_initial")
+    )
     additive_vts, medians["additive"] = medians_of(additive)
-    for variant in ("fixed_attention", "best_initial"):
-        res = closed_loop_forecast_batch(pooler, histories, horizon, variant=variant)
-        _, medians[variant] = medians_of(res)
+    _, medians["fixed_attention"] = medians_of(fixed)
+    _, medians["best_initial"] = medians_of(best)
 
     current = assemble_open_loop(ds.train.states, cand, 1)
     linear, _ = train_linear(
         current.values.reshape(len(current.targets), -1), current.targets, train_cfg
     )
-    lin_res = closed_loop_forecast_batch(
+    [lin_res] = closed_loop_forecast_batch(
         linear, gather_histories(ds.validation.states, starts, 1), horizon
     )
     _, medians["linear"] = medians_of(lin_res)
@@ -347,7 +348,7 @@ def protocol() -> ProtocolRun:
         PROTOCOL_DELAY,
         config=TrainConfig(epochs=800, learning_rate=1e-3, batch_size=128, seed=PROTOCOL_SEED),
     )
-    ffnn_res = closed_loop_forecast_batch(
+    [ffnn_res] = closed_loop_forecast_batch(
         net, gather_histories(ds.validation.states, starts, PROTOCOL_DELAY), horizon
     )
     _, medians["ffnn"] = medians_of(ffnn_res)

@@ -35,6 +35,13 @@ def transcribed_forward(params, query, keys, values):
     return pooled, a
 
 
+def forward_one(forward, params, query, keys, values):
+    """``forward`` on one instance (query (q,), keys (M, k), values (M, d)),
+    run as a batch of one; the cache keeps its batch axis."""
+    out, weights, cache = forward(params, query[None], keys[None], values[None])
+    return out[0], weights[0], cache
+
+
 def head_of(mp, i):
     """Head i of stacked multi-head parameters, as views."""
     return SingleHeadParams(mp.w_query[i], mp.w_key[i], mp.w_score[i], mp.bias[i])
@@ -85,7 +92,7 @@ class TestForward:
     def test_single_model_gets_weight_one(self):
         rng = np.random.default_rng(2)
         params, query, keys, values = random_instance(rng, M=1)
-        pooled, w, _ = single_head_forward(params, query, keys, values)
+        pooled, w, _ = forward_one(single_head_forward, params, query, keys, values)
         np.testing.assert_allclose(w, [1.0], atol=0)
         np.testing.assert_array_equal(pooled, values[0])
 
@@ -93,7 +100,7 @@ class TestForward:
         rng = np.random.default_rng(3)
         params, query, keys, values = random_instance(rng, M=4)
         keys[:] = keys[0]
-        _, w, _ = single_head_forward(params, query, keys, values)
+        _, w, _ = forward_one(single_head_forward, params, query, keys, values)
         np.testing.assert_allclose(w, np.full(4, 0.25), atol=1e-12)
 
     def test_matches_transcribed_oracle(self):
@@ -102,7 +109,7 @@ class TestForward:
             params, query, keys, values = random_instance(
                 rng, hidden=int(rng.integers(2, 9)), M=int(rng.integers(1, 7))
             )
-            pooled, w, _ = single_head_forward(params, query, keys, values)
+            pooled, w, _ = forward_one(single_head_forward, params, query, keys, values)
             exp_pool, exp_w = transcribed_forward(params, query, keys, values)
             np.testing.assert_allclose(w, exp_w, rtol=1e-12)
             np.testing.assert_allclose(pooled, exp_pool, rtol=1e-12)
@@ -115,7 +122,7 @@ class TestForward:
         V = rng.normal(size=(10, 3, 3))
         batch_pool, batch_w, _ = single_head_forward(params, Q, K, V)
         for b in range(10):
-            p1, w1, _ = single_head_forward(params, Q[b], K[b], V[b])
+            p1, w1, _ = forward_one(single_head_forward, params, Q[b], K[b], V[b])
             np.testing.assert_allclose(batch_pool[b], p1, rtol=1e-13)
             np.testing.assert_allclose(batch_w[b], w1, rtol=1e-13)
 
@@ -143,7 +150,8 @@ class TestForward:
         rng = np.random.default_rng(7)
         for _ in range(30):
             params, query, keys, _ = random_instance(rng, M=int(rng.integers(1, 9)))
-            _, w, _ = single_head_forward(params, query, keys, np.zeros((len(keys), 1)))
+            zeros = np.zeros((len(keys), 1))
+            _, w, _ = forward_one(single_head_forward, params, query, keys, zeros)
             assert abs(w.sum() - 1.0) < 1e-12
             assert np.all(w > 0)
 
@@ -151,7 +159,7 @@ class TestForward:
         rng = np.random.default_rng(8)
         for _ in range(30):
             params, query, keys, values = random_instance(rng, M=5)
-            pooled, _, _ = single_head_forward(params, query, keys, values)
+            pooled, _, _ = forward_one(single_head_forward, params, query, keys, values)
             assert np.all(pooled <= values.max(axis=0) + 1e-12)
             assert np.all(pooled >= values.min(axis=0) - 1e-12)
 
@@ -159,14 +167,20 @@ class TestForward:
         rng = np.random.default_rng(9)
         params, query, keys, values = random_instance(rng)
         params.w_score[...] = 1e4  # huge score scale
-        pooled, w, _ = single_head_forward(params, query, keys, values)
+        pooled, w, _ = forward_one(single_head_forward, params, query, keys, values)
         assert np.all(np.isfinite(w)) and np.all(np.isfinite(pooled))
 
     def test_empty_ensemble_rejected(self):
         rng = np.random.default_rng(10)
         params, query, _, _ = random_instance(rng)
         with pytest.raises(ValueError, match="empty"):
-            single_head_forward(params, query, np.zeros((0, 6)), np.zeros((0, 3)))
+            single_head_forward(params, query[None], np.zeros((1, 0, 6)), np.zeros((1, 0, 3)))
+
+    def test_unbatched_input_rejected(self):
+        rng = np.random.default_rng(10)
+        params, query, keys, values = random_instance(rng)
+        with pytest.raises(ValueError, match="expected query"):
+            single_head_forward(params, query, keys, values)
 
 
 class TestMultiHead:
@@ -174,8 +188,8 @@ class TestMultiHead:
         rng = np.random.default_rng(11)
         head, query, keys, values = random_instance(rng)
         mp = MultiHeadParams.from_heads([head], np.eye(3))
-        out_m, w_m, _ = multi_head_forward(mp, query, keys, values)
-        out_s, w_s, _ = single_head_forward(head, query, keys, values)
+        out_m, w_m, _ = forward_one(multi_head_forward, mp, query, keys, values)
+        out_s, w_s, _ = forward_one(single_head_forward, head, query, keys, values)
         np.testing.assert_array_equal(out_m, out_s)
         np.testing.assert_array_equal(w_m[0], w_s)
 
@@ -183,7 +197,9 @@ class TestMultiHead:
         rng = np.random.default_rng(12)
         mp = init_multi_head(rng, n_heads=3, hidden=4, query_dim=6, key_dim=6, value_dim=3)
         mp.w_out[...] = 0.0
-        out, _, _ = multi_head_forward(mp, np.ones(6), np.ones((2, 6)), np.ones((2, 3)))
+        out, _, _ = forward_one(
+            multi_head_forward, mp, np.ones(6), np.ones((2, 6)), np.ones((2, 3))
+        )
         np.testing.assert_array_equal(out, np.zeros(3))
 
     def test_composition_against_manual_stack(self):
@@ -194,7 +210,7 @@ class TestMultiHead:
         query = rng.normal(size=6)
         keys = rng.normal(size=(5, 6))
         values = rng.normal(size=(5, 3))
-        out, _, _ = multi_head_forward(mp, query, keys, values)
+        out, _, _ = forward_one(multi_head_forward, mp, query, keys, values)
         parts = []
         for i in range(mp.n_heads):
             pooled, _ = transcribed_forward(head_of(mp, i), query, keys, values)
@@ -249,16 +265,16 @@ class TestBackward:
         # depend on any attention parameter
         rng = np.random.default_rng(14)
         params, query, keys, values = random_instance(rng, M=1)
-        _, _, cache = single_head_forward(params, query, keys, values)
-        grads = single_head_backward(params, cache, np.ones(3))
+        _, _, cache = forward_one(single_head_forward, params, query, keys, values)
+        grads = single_head_backward(params, cache, np.ones((1, 3)))
         for name, g in grads.names().items():
             np.testing.assert_array_equal(g, np.zeros_like(g), err_msg=name)
 
     def test_zero_upstream_gives_zero_grads(self):
         rng = np.random.default_rng(15)
         params, query, keys, values = random_instance(rng, M=4)
-        _, _, cache = single_head_forward(params, query, keys, values)
-        grads = single_head_backward(params, cache, np.zeros(3))
+        _, _, cache = forward_one(single_head_forward, params, query, keys, values)
+        grads = single_head_backward(params, cache, np.zeros((1, 3)))
         for g in grads.names().values():
             np.testing.assert_array_equal(g, np.zeros_like(g))
 
@@ -269,12 +285,12 @@ class TestBackward:
         target = rng.uniform(-0.5, 0.5, size=3)
 
         def loss_with(p):
-            pooled, _, _ = single_head_forward(p, query, keys, values)
+            pooled, _, _ = forward_one(single_head_forward, p, query, keys, values)
             return float(np.mean((pooled - target) ** 2))
 
-        pooled, _, cache = single_head_forward(params, query, keys, values)
+        pooled, _, cache = forward_one(single_head_forward, params, query, keys, values)
         upstream = 2.0 * (pooled - target) / pooled.size
-        grads = single_head_backward(params, cache, upstream)
+        grads = single_head_backward(params, cache, upstream[None])
 
         for name in ("w_query", "w_key", "w_score", "bias"):
             def loss_fn(arr, name=name):
@@ -313,9 +329,9 @@ class TestBackward:
         values = rng.uniform(-0.5, 0.5, size=(3, 3))
         target = rng.uniform(-0.5, 0.5, size=3)
 
-        out, _, cache = multi_head_forward(mp, query, keys, values)
+        out, _, cache = forward_one(multi_head_forward, mp, query, keys, values)
         upstream = 2.0 * (out - target) / out.size
-        grads = multi_head_backward(mp, cache, upstream)
+        grads = multi_head_backward(mp, cache, upstream[None])
         flat_grads = grads.names()
 
         for name, arr in mp.names().items():
@@ -323,7 +339,7 @@ class TestBackward:
                 fields = (*HEAD_FIELDS, "w_out")
                 trial = MultiHeadParams(**{n: getattr(mp, n).copy() for n in fields})
                 trial.names()[name][...] = trial_arr
-                o, _, _ = multi_head_forward(trial, query, keys, values)
+                o, _, _ = forward_one(multi_head_forward, trial, query, keys, values)
                 return float(np.mean((o - target) ** 2))
 
             fd = finite_difference_gradient(loss_fn, arr)
@@ -342,8 +358,8 @@ class TestBackward:
         batch_grads = single_head_backward(params, cache, G)
         total = {k: np.zeros_like(v) for k, v in batch_grads.names().items()}
         for b in range(4):
-            _, _, c1 = single_head_forward(params, Q[b], K[b], V[b])
-            g1 = single_head_backward(params, c1, G[b])
+            _, _, c1 = forward_one(single_head_forward, params, Q[b], K[b], V[b])
+            g1 = single_head_backward(params, c1, G[b : b + 1])
             for k, v in g1.names().items():
                 total[k] += v
         for k in total:

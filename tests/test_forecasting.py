@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from attnpool.attention import init_single_head
 from attnpool.forecasting import (
@@ -59,6 +61,40 @@ def trained(small):
     ds, cand, _ = small
     data = assemble_open_loop(ds.train.states, cand, 3)
     return train_attention(data, 3, config=TrainConfig(epochs=120, seed=7))
+
+
+def ceiling_stepper(ceiling: float):
+    """The Lorenz candidates, blowing up from every state whose z exceeds
+    ``ceiling``: truncates chosen rows mid-rollout, row by row."""
+    lorenz = lorenz_candidate_stepper()
+
+    def stepper(states):
+        out = lorenz(states)
+        out[states[:, 2] > ceiling] = np.inf
+        return out
+
+    return stepper
+
+
+@pytest.fixture(scope="module")
+def segments(small, trained):
+    """Histories of 12 start points along the validation run, the stepper
+    they roll out under, and each one's rollout alone under every variant.
+    Some truncate at step 0, some later, some never."""
+    ds, _, _ = small
+    pooler, _ = trained
+    hist = gather_histories(ds.validation.states, range(8, 300, 25), 4)
+    stepper = ceiling_stepper(55.0)
+    alone = {
+        v: [
+            closed_loop_forecast_batch(pooler, hist[b : b + 1], 12, stepper, variants=[v])[0]
+            for b in range(len(hist))
+        ]
+        for v in VARIANTS
+    }
+    steps = {int(r.truncated_at[0]) for runs in alone.values() for r in runs}
+    assert {-1, 0} < steps
+    return hist, stepper, alone
 
 
 class TestStandardizer:
@@ -158,17 +194,12 @@ class TestFeedForwardNet:
         out, _ = ffnn_forward(net, np.ones((5, 6)))
         np.testing.assert_array_equal(out, np.tile([1.0, 2.0, 3.0], (5, 1)))
 
-    def test_single_and_batch_agree(self):
-        net = init_ffnn(spawn_rng(1, "ffnn"), 5, 6, 3)
-        x = np.random.default_rng(3).normal(size=6)
-        single, _ = ffnn_forward(net, x)
-        batch, _ = ffnn_forward(net, x[None])
-        np.testing.assert_array_equal(single, batch[0])
-
     def test_rejects_dim_mismatch(self):
         net = init_ffnn(spawn_rng(1, "ffnn"), 5, 6, 3)
         with pytest.raises(ValueError, match="input dim"):
             ffnn_forward(net, np.zeros((2, 7)))
+        with pytest.raises(ValueError, match="input dim"):
+            ffnn_forward(net, np.zeros(6))
 
     @pytest.mark.parametrize("seed", range(5))
     def test_gradients_match_finite_differences(self, seed):
@@ -407,7 +438,7 @@ class TestClosedLoop:
             delay_length=3,
         )
         hist = gather_histories(truth.states, [6], 4)
-        res = closed_loop_forecast_batch(
+        [res] = closed_loop_forecast_batch(
             pooler, hist, 20, lorenz_candidate_stepper([28.0])
         )
         np.testing.assert_array_equal(res.predictions[0], truth.states[6:26])
@@ -426,8 +457,8 @@ class TestClosedLoop:
             delay_length=2,
         )
         hist = gather_histories(truth.states, [5], 3)
-        res = closed_loop_forecast_batch(
-            pooler, hist, 12, lorenz_candidate_stepper([35.0]), variant=variant
+        [res] = closed_loop_forecast_batch(
+            pooler, hist, 12, lorenz_candidate_stepper([35.0]), variants=[variant]
         )
         ref = integrate(truth.states[4], 0.0, 12, stationary_params(35.0))
         np.testing.assert_array_equal(res.predictions[0], ref.states)
@@ -436,8 +467,8 @@ class TestClosedLoop:
         pooler, _ = trained
         ds, _, _ = small
         hist = gather_histories(ds.validation.states, ds.segment_starts, 4)
-        add = closed_loop_forecast_batch(pooler, hist, 16, variant="additive")
-        fix = closed_loop_forecast_batch(pooler, hist, 16, variant="fixed_attention")
+        [add] = closed_loop_forecast_batch(pooler, hist, 16, variants=["additive"])
+        [fix] = closed_loop_forecast_batch(pooler, hist, 16, variants=["fixed_attention"])
         np.testing.assert_array_equal(add.predictions[:, 0], fix.predictions[:, 0])
         np.testing.assert_array_equal(add.weights[:, 0], fix.weights[:, 0])
         assert not np.array_equal(add.predictions, fix.predictions)
@@ -446,8 +477,8 @@ class TestClosedLoop:
         pooler, _ = trained
         ds, _, _ = small
         hist = gather_histories(ds.validation.states, ds.segment_starts, 4)
-        add = closed_loop_forecast_batch(pooler, hist, 8, variant="additive")
-        best = closed_loop_forecast_batch(pooler, hist, 8, variant="best_initial")
+        [add] = closed_loop_forecast_batch(pooler, hist, 8, variants=["additive"])
+        [best] = closed_loop_forecast_batch(pooler, hist, 8, variants=["best_initial"])
         chosen = add.weights[:, 0].argmax(axis=1)
         np.testing.assert_array_equal(best.weights[:, 0].argmax(axis=1), chosen)
         np.testing.assert_allclose(best.weights[:, 0].max(axis=1), 1.0)
@@ -456,7 +487,7 @@ class TestClosedLoop:
         pooler, _ = trained
         ds, _, _ = small
         hist = gather_histories(ds.validation.states, ds.segment_starts, 4)
-        best = closed_loop_forecast_batch(pooler, hist, 10, variant="best_initial")
+        [best] = closed_loop_forecast_batch(pooler, hist, 10, variants=["best_initial"])
         for b, weights in enumerate(best.weights[:, 0]):
             rho = CANDIDATE_RHOS[int(weights.argmax())]
             ref = integrate(hist[b, -1], 0.0, 10, stationary_params(rho))
@@ -467,12 +498,12 @@ class TestClosedLoop:
         ds, _, _ = small
         states = ds.validation.states
         start = ds.segment_starts[0]
-        res = closed_loop_forecast_batch(
+        [res] = closed_loop_forecast_batch(
             pooler, gather_histories(states, [start], 4), 16
         )
         mutated = states.copy()
         mutated[start:] = 999.0  # everything from the first target onward
-        res2 = closed_loop_forecast_batch(
+        [res2] = closed_loop_forecast_batch(
             pooler, gather_histories(mutated, [start], 4), 16
         )
         np.testing.assert_array_equal(res.predictions, res2.predictions)
@@ -483,7 +514,7 @@ class TestClosedLoop:
         ds, _, _ = small
         hist = gather_histories(ds.validation.states, ds.segment_starts, 4)
         mixed = np.stack([hist[0], hist[1] * 1e155])
-        res = closed_loop_forecast_batch(pooler, mixed, 8)
+        [res] = closed_loop_forecast_batch(pooler, mixed, 8)
         assert res.truncated_at.tolist() == [-1, 0]
         assert np.isfinite(res.predictions[0]).all()
         assert np.isnan(res.predictions[1]).all()
@@ -493,7 +524,7 @@ class TestClosedLoop:
         ds, _, _ = small
         model = LinearPooler(weight=np.full((3, 33), 50.0), bias=np.zeros(3))
         hist = gather_histories(ds.validation.states, [ds.segment_starts[0]], 1)
-        res = closed_loop_forecast_batch(model, hist, 12)
+        [res] = closed_loop_forecast_batch(model, hist, 12)
         cut = int(res.truncated_at[0])
         assert cut >= 0
         assert np.isfinite(res.predictions[0, :cut]).all()
@@ -505,7 +536,7 @@ class TestClosedLoop:
         net.delay_length = 2
         net.scaler = Standardizer.identity(6)
         hist = gather_histories(ds.validation.states, ds.segment_starts, 2)
-        res = closed_loop_forecast_batch(net, hist, 30)
+        [res] = closed_loop_forecast_batch(net, hist, 30)
         assert np.isfinite(res.predictions).all()
         assert res.truncated_at.tolist() == [-1, -1]
 
@@ -526,7 +557,7 @@ class TestClosedLoop:
             model.delay_length = depth
             model.scaler = Standardizer.identity(6)
         hist = gather_histories(ds.validation.states, ds.segment_starts, depth)
-        res = closed_loop_forecast_batch(model, hist, 10)
+        [res] = closed_loop_forecast_batch(model, hist, 10)
 
         states = [hist[:, -1 - k] for k in range(depth)]
         expected = []
@@ -546,11 +577,54 @@ class TestClosedLoop:
         ds, _, _ = small
         hist = gather_histories(ds.validation.states, ds.segment_starts, 4)
         for variant in VARIANTS:
-            batch = closed_loop_forecast_batch(pooler, hist, 8, variant=variant)
+            [batch] = closed_loop_forecast_batch(pooler, hist, 8, variants=[variant])
             for b in range(len(hist)):
-                single = closed_loop_forecast_batch(pooler, hist[b : b + 1], 8, variant=variant)
+                [single] = closed_loop_forecast_batch(
+                    pooler, hist[b : b + 1], 8, variants=[variant]
+                )
                 np.testing.assert_array_equal(single.predictions[0], batch.predictions[b])
                 np.testing.assert_array_equal(single.weights[0], batch.weights[b])
+
+    @pytest.mark.parametrize("ceiling", [56.0, 60.0])
+    def test_variants_in_one_call_equal_separate_calls(self, trained, small, ceiling):
+        """One call with several variants gives, variant by variant, the
+        bits of separate calls, with or without the ``additive`` tile that
+        recomputes its weights. The first segment's last history sample
+        lies above both ceilings, so it truncates at step 0; the second
+        crosses a ceiling mid-rollout."""
+        pooler, _ = trained
+        ds, _, _ = small
+        hist = gather_histories(ds.validation.states, ds.segment_starts, 4)
+        stepper = ceiling_stepper(ceiling)
+        for variants in (VARIANTS, ("best_initial", "fixed_attention")):
+            merged = closed_loop_forecast_batch(pooler, hist, 16, stepper, variants=variants)
+            assert len(merged) == len(variants)
+            for variant, res in zip(variants, merged):
+                [alone] = closed_loop_forecast_batch(
+                    pooler, hist, 16, stepper, variants=[variant]
+                )
+                np.testing.assert_array_equal(res.predictions, alone.predictions)
+                np.testing.assert_array_equal(res.weights, alone.weights)
+                np.testing.assert_array_equal(res.truncated_at, alone.truncated_at)
+            steps = {int(t) for res in merged for t in res.truncated_at}
+            assert 0 in steps and max(steps) > 0
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_batched_rollout_equals_per_segment_rollouts(self, trained, segments, data):
+        """A batch of any subset of segments, in any order, run under any
+        ordered set of variants, gives each segment its rollout alone."""
+        pooler, _ = trained
+        hist, stepper, alone = segments
+        rows = data.draw(st.lists(st.integers(0, len(hist) - 1), min_size=1, unique=True))
+        variants = data.draw(st.lists(st.sampled_from(VARIANTS), min_size=1, unique=True))
+        merged = closed_loop_forecast_batch(pooler, hist[rows], 12, stepper, variants=variants)
+        for variant, res in zip(variants, merged):
+            for i, b in enumerate(rows):
+                ref = alone[variant][b]
+                np.testing.assert_array_equal(res.predictions[i], ref.predictions[0])
+                np.testing.assert_array_equal(res.weights[i], ref.weights[0])
+                assert res.truncated_at[i] == ref.truncated_at[0]
 
     def test_required_history(self, trained, small):
         """The driver takes l+1 true samples for the attention pooler, l for
@@ -562,7 +636,7 @@ class TestClosedLoop:
         linear = LinearPooler(np.zeros((3, 33)), np.zeros(3))
         for model, depth in ((pooler, 4), (net, 2), (linear, 1)):
             hist = gather_histories(ds.validation.states, ds.segment_starts, depth)
-            res = closed_loop_forecast_batch(model, hist, 3)
+            [res] = closed_loop_forecast_batch(model, hist, 3)
             assert res.predictions.shape == (len(hist), 3, 3)
             assert (res.weights is None) == (model is not pooler)
             with pytest.raises(ValueError, match=f"histories must be \\(B, {depth}, d\\)"):
@@ -573,7 +647,7 @@ class TestClosedLoop:
         linear = LinearPooler(np.zeros((3, 33)), np.zeros(3))
         hist = gather_histories(ds.validation.states, ds.segment_starts, 1)
         with pytest.raises(ValueError, match="attention pooler only"):
-            closed_loop_forecast_batch(linear, hist, 3, variant="best_initial")
+            closed_loop_forecast_batch(linear, hist, 3, variants=["best_initial"])
 
     def test_gather_histories_slices(self):
         states = np.arange(30.0).reshape(10, 3)
@@ -587,8 +661,9 @@ class TestClosedLoop:
         pooler, _ = trained
         ds, _, _ = small
         hist = gather_histories(ds.validation.states, [ds.segment_starts[0]], 4)
-        with pytest.raises(ValueError, match="variant"):
-            closed_loop_forecast_batch(pooler, hist, 8, variant="bogus")
+        for variants in (["bogus"], [], ["additive", "additive"], "additive"):
+            with pytest.raises(ValueError, match="variants"):
+                closed_loop_forecast_batch(pooler, hist, 8, variants=variants)
         with pytest.raises(ValueError, match="horizon"):
             closed_loop_forecast_batch(pooler, hist, 0)
         with pytest.raises(ValueError, match="histories"):
