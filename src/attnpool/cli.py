@@ -522,10 +522,7 @@ class _OutputStage:
         return self.partial / name
 
     def file_hashes(self) -> dict[str, str]:
-        return {
-            p.name: hashlib.sha256(p.read_bytes()).hexdigest()
-            for p in sorted(self.partial.iterdir())
-        }
+        return {p.name: _sha256(p) for p in sorted(self.partial.iterdir())}
 
     def commit(self, command: str, inputs: Sequence[Path] = ()) -> None:
         """Move the staged files into place, ``manifest.json`` last, and
@@ -574,6 +571,15 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
+
+
+def _sha256(path: Path) -> str:
+    """The file's SHA-256, read in 1 MiB chunks rather than as one copy."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(chunk)
+    return digest.hexdigest()
 
 
 def _fmt(x) -> str:
@@ -789,9 +795,9 @@ def _train_lorenz_model(inputs: _LorenzInputs, method: str, length: int):
 
 def _lorenz_job(inputs: _LorenzInputs, job) -> tuple[list, list, list, list]:
     """Train one (method, l) model, roll out every method scored with it in
-    one closed-loop call and return its rows: loss curve, valid times,
-    attention weights and forecasts (the last two only for the ``additive``
-    run at ``weights_delay``)."""
+    one closed-loop call and return its loss and valid-time rows, and the
+    text blocks of ``attention_weights.csv`` and ``forecasts.csv`` (empty
+    but for the ``additive`` run at ``weights_delay``)."""
     trained, length, depth, scored = job
     m = inputs.model
     model, curve = _train_lorenz_model(inputs, trained, length)
@@ -802,16 +808,16 @@ def _lorenz_job(inputs: _LorenzInputs, job) -> tuple[list, list, list, list]:
     results = closed_loop_forecast_batch(
         model, histories, inputs.dataset.segment_len, variants=[v for _, v in scored]
     )
-    vt_rows, weight_rows, forecast_rows = [], [], []
+    vt_rows, weights_text, forecasts_text = [], [], []
     for (method, _), res in zip(scored, results):
         vts = [valid_time(pred, truth) for pred, truth in zip(res.predictions, inputs.truths)]
         vt_rows.append((method, length, vts))
         if method == "additive" and length == m.weights_delay:
-            weight_rows = _weight_rows(res, inputs.seg_t0, val.dt_sample)
+            weights_text = _weights_text(res, inputs.seg_t0, val.dt_sample)
             if m.write_forecasts:
-                forecast_rows = _forecast_rows(res, inputs.truths, inputs.seg_t0, val.dt_sample)
+                forecasts_text = _forecasts_text(res, inputs.truths, inputs.seg_t0, val.dt_sample)
     click.echo(f"[lorenz] {trained} l={length} done", err=True)
-    return loss_rows, vt_rows, weight_rows, forecast_rows
+    return loss_rows, vt_rows, weights_text, forecasts_text
 
 
 def run_lorenz_experiment(cfg: ExperimentConfig) -> Path:
@@ -852,14 +858,13 @@ def run_lorenz_experiment(cfg: ExperimentConfig) -> Path:
 
         vt_rows: list[tuple[str, int, list[float]]] = []
         loss_rows: list[list[str]] = []
-        weight_rows: list[list[str]] = []
-        forecast_rows: list[list[str]] = []
+        texts = {}
         for job in attention + baselines:
             loss, vts, weights, forecasts = done[job]
             loss_rows += loss
             vt_rows += vts
             if weights:  # the additive job at weights_delay, and only it
-                weight_rows, forecast_rows = weights, forecasts
+                texts = {"attention_weights.csv": weights, "forecasts.csv": forecasts}
 
         ordered = sorted(vt_rows, key=lambda r: (m.methods.index(r[0]), r[1]))
         _write_csv(
@@ -880,50 +885,52 @@ def run_lorenz_experiment(cfg: ExperimentConfig) -> Path:
             ),
         )
         _write_csv(stage.path("loss_curve.csv"), ["method", "l", "epoch", "loss"], loss_rows)
-        if weight_rows:
-            _write_csv(
-                stage.path("attention_weights.csv"),
-                ["segment_id", "step", "t", "rho_m", "weight"],
-                weight_rows,
-            )
-        if forecast_rows:
-            _write_csv(
-                stage.path("forecasts.csv"),
-                ["segment_id", "step", "t", "yhat1", "yhat2", "yhat3", "true1", "true2", "true3"],
-                forecast_rows,
-            )
+        for name, blocks in texts.items():
+            if blocks:
+                with open(stage.path(name), "w", newline="") as fh:
+                    fh.writelines(blocks)
         return _finish(stage, cfg, "lorenz-run", started)
 
 
-def _weight_rows(res, seg_t0, dt) -> list[list[str]]:
-    """One row per (segment, step, model) up to each segment's truncation.
+def _segment_blocks(header: str, line: str, seg_t0, dt, steps_by_segment) -> list[str]:
+    """A CSV as text blocks: ``header``, then one block per segment holding
+    ``line.format(f"{segment_id},{step},{t}", *fields)`` for each step's
+    ``fields`` in that segment's entry of ``steps_by_segment``.
 
-    Strings repeated across rows are formatted once and shared between them.
+    The fields are integers and ``%.17g`` floats (``nan`` and ``inf``
+    included), none of which ``csv.writer`` would quote, so the blocks hold
+    the bytes it writes; each block is built by one join, without a list
+    per row.
     """
-    rows = []
-    n_seg, horizon, _ = res.weights.shape
-    rhos = [_fmt(rho) for rho in CANDIDATE_RHOS]
-    for seg in range(n_seg):
-        stop = res.truncated_at[seg]
-        stop = horizon if stop < 0 else int(stop)
-        seg_s, t0 = str(seg), seg_t0[seg]
-        for step, weights in enumerate(res.weights[seg, :stop].tolist()):
-            head = [seg_s, str(step), _fmt(t0 + step * dt)]
-            rows.extend(head + [rho, _fmt(w)] for rho, w in zip(rhos, weights, strict=True))
-    return rows
+    blocks = [header]
+    for seg, steps in enumerate(steps_by_segment):
+        t0 = seg_t0[seg]
+        blocks.append("".join(
+            line.format(f"{seg},{step},{_fmt(t0 + step * dt)}", *fields)
+            for step, fields in enumerate(steps)
+        ))
+    return blocks
 
 
-def _forecast_rows(res, truths, seg_t0, dt) -> list[list[str]]:
-    rows = []
-    n_seg, horizon, _ = res.predictions.shape
-    for seg in range(n_seg):
-        for step in range(horizon):
-            rows.append(
-                [str(seg), str(step), _fmt(seg_t0[seg] + step * dt)]
-                + [_fmt(v) for v in res.predictions[seg, step]]
-                + [_fmt(v) for v in truths[seg, step]]
-            )
-    return rows
+def _weights_text(res, seg_t0, dt) -> list[str]:
+    """``attention_weights.csv``: one row per (segment, step, candidate) up
+    to each segment's truncation."""
+    horizon = res.weights.shape[1]
+    line = "".join(
+        f"{{0}},{_fmt(rho)},{{{i}:.17g}}\n" for i, rho in enumerate(CANDIDATE_RHOS, 1)
+    )
+    stops = [horizon if stop < 0 else stop for stop in res.truncated_at]
+    steps = (w[:stop].tolist() for w, stop in zip(res.weights, stops))
+    return _segment_blocks("segment_id,step,t,rho_m,weight\n", line, seg_t0, dt, steps)
+
+
+def _forecasts_text(res, truths, seg_t0, dt) -> list[str]:
+    """``forecasts.csv``: one row per (segment, step) over the whole horizon,
+    the predictions ``nan`` from a segment's truncation on."""
+    header = "segment_id,step,t,yhat1,yhat2,yhat3,true1,true2,true3\n"
+    line = "{0}" + "".join(f",{{{i}:.17g}}" for i in range(1, 7)) + "\n"
+    steps = (np.hstack([p, t]).tolist() for p, t in zip(res.predictions, truths))
+    return _segment_blocks(header, line, seg_t0, dt, steps)
 
 
 def write_lorenz_dataset(cfg: ExperimentConfig) -> Path:

@@ -580,13 +580,14 @@ def closed_loop_forecast_batch(
     for the linear pooler. After initialization the driver sees no truth:
     candidate models re-integrate from the previous output, which also
     refills the state buffer, and the error buffer takes the candidates'
-    deviation from it. Rows whose candidates or output blow up are zeroed
-    internally (the origin integrates quietly) and reported as NaN with
-    their truncation step. ``variants`` are distinct names from
-    :data:`VARIANTS`, each a way for the attention pooler to weigh the
-    candidates; the other models take only ``("additive",)``. The
-    histories are tiled once per variant and every tile steps in one
-    batch, so the candidates are integrated by one stepper call per step.
+    deviation from it. Rows whose candidates (those seeding the error
+    buffer included) or output blow up are zeroed internally (the origin
+    integrates quietly) and reported as NaN with their truncation step.
+    ``variants`` are distinct names from :data:`VARIANTS`, each a way for
+    the attention pooler to weigh the candidates; the other models take
+    only ``("additive",)``. The histories are tiled once per variant and
+    every tile steps in one batch, so the candidates are integrated by one
+    stepper call per step.
     """
     variants = tuple(variants)
     if not variants or len(set(variants)) < len(variants) or not set(variants) <= set(VARIANTS):
@@ -615,7 +616,13 @@ def closed_loop_forecast_batch(
         for k in range(rollout.errors)
     ]
 
+    # a row whose seeded errors are not finite dies at step 0, its entries
+    # zeroed like every dead row's, so its weights never go NaN
     track = _Truncation(n_batch)
+    for errors in error_buf:
+        track.kill(~_finite_rows(errors), 0)
+    for errors in error_buf:
+        errors[~track.active] = 0.0
     predictions = np.full((n_batch, horizon, dim), np.nan)
     weights_out = None
     values = None

@@ -292,6 +292,59 @@ class ProtocolRun:
     elapsed: float
 
 
+def _medians_of(result, truths):
+    vt_cfg = ValidTimeConfig(epsilon=40.0, dt=DT_SAMPLE)
+    vts = np.array(
+        [valid_time(result.predictions[i], truths[i], vt_cfg) for i in range(len(truths))]
+    )
+    return vts, float(np.median(vts))
+
+
+def _protocol_job(shared, job):
+    """One of the protocol's two independent halves: ``"attention"`` trains
+    the attention pooler and rolls out its three variants, ``"baselines"``
+    trains and rolls out the linear pooler and the direct net. Returns the
+    medians, and for the attention half the additive variant's valid times
+    and weights."""
+    ds, cand, truths = shared
+    starts = np.array(ds.segment_starts)
+    horizon = ds.segment_len
+    data = assemble_open_loop(ds.train.states, cand, PROTOCOL_DELAY)
+    train_cfg = TrainConfig(epochs=500, learning_rate=1e-3, batch_size=128, seed=PROTOCOL_SEED)
+    medians = {}
+    if job == "attention":
+        pooler, _ = train_attention(data, PROTOCOL_DELAY, config=train_cfg)
+        histories = gather_histories(ds.validation.states, starts, PROTOCOL_DELAY + 1)
+        additive, fixed, best = closed_loop_forecast_batch(
+            pooler, histories, horizon, variants=("additive", "fixed_attention", "best_initial")
+        )
+        additive_vts, medians["additive"] = _medians_of(additive, truths)
+        _, medians["fixed_attention"] = _medians_of(fixed, truths)
+        _, medians["best_initial"] = _medians_of(best, truths)
+        return medians, additive_vts, additive.weights
+
+    current = assemble_open_loop(ds.train.states, cand, 1)
+    linear, _ = train_linear(
+        current.values.reshape(len(current.targets), -1), current.targets, train_cfg
+    )
+    [lin_res] = closed_loop_forecast_batch(
+        linear, gather_histories(ds.validation.states, starts, 1), horizon
+    )
+    _, medians["linear"] = _medians_of(lin_res, truths)
+
+    net, _ = train_ffnn(
+        data.queries,
+        data.targets,
+        PROTOCOL_DELAY,
+        config=TrainConfig(epochs=800, learning_rate=1e-3, batch_size=128, seed=PROTOCOL_SEED),
+    )
+    [ffnn_res] = closed_loop_forecast_batch(
+        net, gather_histories(ds.validation.states, starts, PROTOCOL_DELAY), horizon
+    )
+    _, medians["ffnn"] = _medians_of(ffnn_res, truths)
+    return medians, None, None
+
+
 @pytest.fixture(scope="session")
 def protocol() -> ProtocolRun:
     start = time.monotonic()
@@ -308,56 +361,21 @@ def protocol() -> ProtocolRun:
     assert len(ds.train.states) == 4000
     assert len(ds.segment_starts) == 200
 
-    cand = candidate_forecasts(ds.train.states)
-    data = assemble_open_loop(ds.train.states, cand, PROTOCOL_DELAY)
-    train_cfg = TrainConfig(epochs=500, learning_rate=1e-3, batch_size=128, seed=PROTOCOL_SEED)
-    pooler, _ = train_attention(data, PROTOCOL_DELAY, config=train_cfg)
-
     starts = np.array(ds.segment_starts)
-    truths = np.stack([ds.validation.states[s:s + ds.segment_len] for s in starts])
     horizon = ds.segment_len
-    vt_cfg = ValidTimeConfig(epsilon=40.0, dt=DT_SAMPLE)
-
-    def medians_of(result):
-        vts = np.array(
-            [valid_time(result.predictions[i], truths[i], vt_cfg) for i in range(len(truths))]
-        )
-        return vts, float(np.median(vts))
-
-    medians = {}
-    histories = gather_histories(ds.validation.states, starts, PROTOCOL_DELAY + 1)
-    additive, fixed, best = closed_loop_forecast_batch(
-        pooler, histories, horizon, variants=("additive", "fixed_attention", "best_initial")
+    truths = np.stack([ds.validation.states[s:s + horizon] for s in starts])
+    # the two halves are independent: one worker process per core, the
+    # longer (attention) first
+    shared = (ds, candidate_forecasts(ds.train.states), truths)
+    (medians, additive_vts, additive_weights), (baselines, _, _) = cli._run_jobs(
+        _protocol_job, shared, ["attention", "baselines"], threads=len(os.sched_getaffinity(0))
     )
-    additive_vts, medians["additive"] = medians_of(additive)
-    _, medians["fixed_attention"] = medians_of(fixed)
-    _, medians["best_initial"] = medians_of(best)
-
-    current = assemble_open_loop(ds.train.states, cand, 1)
-    linear, _ = train_linear(
-        current.values.reshape(len(current.targets), -1), current.targets, train_cfg
-    )
-    [lin_res] = closed_loop_forecast_batch(
-        linear, gather_histories(ds.validation.states, starts, 1), horizon
-    )
-    _, medians["linear"] = medians_of(lin_res)
-
-    net, _ = train_ffnn(
-        data.queries,
-        data.targets,
-        PROTOCOL_DELAY,
-        config=TrainConfig(epochs=800, learning_rate=1e-3, batch_size=128, seed=PROTOCOL_SEED),
-    )
-    [ffnn_res] = closed_loop_forecast_batch(
-        net, gather_histories(ds.validation.states, starts, PROTOCOL_DELAY), horizon
-    )
-    _, medians["ffnn"] = medians_of(ffnn_res)
 
     seg_t = ds.validation.t0 + (starts[:, None] + np.arange(horizon)[None, :]) * DT_SAMPLE
     return ProtocolRun(
-        medians=medians,
+        medians={**medians, **baselines},
         additive_vts=additive_vts,
-        additive_weights=additive.weights,
+        additive_weights=additive_weights,
         rho_at_step=np.vectorize(rho_true)(seg_t),
         elapsed=time.monotonic() - start,
     )

@@ -1,6 +1,7 @@
 """Config validation, the experiment runners, and the command-line surface."""
 
 import csv
+import io
 import json
 import os
 import shutil
@@ -8,6 +9,7 @@ import signal
 import subprocess
 import sys
 import time
+import tracemalloc
 from concurrent.futures.process import BrokenProcessPool
 from datetime import date
 from pathlib import Path
@@ -687,7 +689,8 @@ class TestCovidRun:
 
 
 def reference_weight_rows(res, seg_t0, dt):
-    """The row-at-a-time formatter that cli._weight_rows replaced."""
+    """``attention_weights.csv`` row by row, one list of fields per
+    (segment, step, candidate)."""
     rows = []
     n_seg, horizon, n_models = res.weights.shape
     for seg in range(n_seg):
@@ -703,20 +706,75 @@ def reference_weight_rows(res, seg_t0, dt):
     return rows
 
 
+def csv_bytes(header, rows) -> str:
+    """What ``csv.writer`` writes for ``header`` and ``rows``."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+def closed_loop_result(n_seg, horizon, truncated_at, seed=0):
+    """Dirichlet weights and normal predictions, both NaN from each
+    segment's truncation on, as the closed-loop driver reports them."""
+    rng = np.random.default_rng(seed)
+    weights = rng.dirichlet(np.ones(len(CANDIDATE_RHOS)), size=(n_seg, horizon))
+    predictions = rng.normal(0.0, 20.0, size=(n_seg, horizon, 3))
+    for seg, stop in enumerate(truncated_at):
+        if stop >= 0:
+            weights[seg, stop:] = np.nan
+            predictions[seg, stop:] = np.nan
+    return ClosedLoopResult(predictions, weights, np.array(truncated_at))
+
+
 class TestWeightRows:
     def test_matches_row_at_a_time_formatter_with_truncation(self):
-        rng = np.random.default_rng(0)
-        n_seg, horizon, n_models = 5, 7, len(CANDIDATE_RHOS)
-        weights = rng.dirichlet(np.ones(n_models), size=(n_seg, horizon))
-        res = ClosedLoopResult(
-            predictions=np.zeros((n_seg, horizon, 3)),
-            weights=weights,
-            truncated_at=np.array([-1, 3, 0, -1, 6]),
-        )
+        """Segments truncated at step 0, mid-run and never."""
+        n_seg, horizon = 5, 7
+        res = closed_loop_result(n_seg, horizon, [-1, 3, 0, -1, 6])
         seg_t0 = 12.3 + np.arange(n_seg) * 25.6
-        rows = cli._weight_rows(res, seg_t0, 0.1)
-        assert rows == reference_weight_rows(res, seg_t0, 0.1)
-        assert len(rows) == (7 + 3 + 0 + 7 + 6) * n_models
+        blocks = cli._weights_text(res, seg_t0, 0.1)
+        rows = reference_weight_rows(res, seg_t0, 0.1)
+        assert "".join(blocks) == csv_bytes(["segment_id", "step", "t", "rho_m", "weight"], rows)
+        assert len(blocks) == 1 + n_seg
+        assert len(rows) == (7 + 3 + 0 + 7 + 6) * len(CANDIDATE_RHOS)
+
+    def test_forecasts_match_csv_writer_over_the_whole_horizon(self):
+        """Every step of every segment, ``nan`` predictions after a
+        truncation included."""
+        n_seg, horizon = 4, 6
+        res = closed_loop_result(n_seg, horizon, [-1, 2, 0, -1], seed=1)
+        truths = np.random.default_rng(2).normal(0.0, 20.0, size=(n_seg, horizon, 3))
+        seg_t0 = 7.9 + np.arange(n_seg) * 25.6
+        rows = [
+            [str(seg), str(step), cli._fmt(seg_t0[seg] + step * 0.1)]
+            + [cli._fmt(v) for v in res.predictions[seg, step]]
+            + [cli._fmt(v) for v in truths[seg, step]]
+            for seg in range(n_seg)
+            for step in range(horizon)
+        ]
+        header = ["segment_id", "step", "t", "yhat1", "yhat2", "yhat3", "true1", "true2", "true3"]
+        text = "".join(cli._forecasts_text(res, truths, seg_t0, 0.1))
+        assert text == csv_bytes(header, rows)
+        assert text.count(",nan,nan,nan,") == 4 + 6
+
+    def test_formatting_peaks_near_the_file_size(self):
+        """40 segments of 128 steps: the blocks, and whatever formatting them
+        allocates on the way, stay below 1.5 times the file's bytes. Lists
+        of five strings per row would take about four times."""
+        n_seg, horizon = 40, 128
+        res = closed_loop_result(n_seg, horizon, [-1] * n_seg)
+        seg_t0 = 12.3 + np.arange(n_seg) * 25.6
+        tracemalloc.start()
+        try:
+            blocks = cli._weights_text(res, seg_t0, 0.1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        size = sum(len(b) for b in blocks)
+        assert size > n_seg * horizon * len(CANDIDATE_RHOS) * 30
+        assert peak < 1.5 * size, f"peak {peak} B for a {size} B file"
 
 
 def test_importing_the_cli_does_not_load_scipy_stats():

@@ -1,5 +1,7 @@
 """Training loops, baseline models, and forecast drivers."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -519,6 +521,26 @@ class TestClosedLoop:
         assert np.isfinite(res.predictions[0]).all()
         assert np.isnan(res.predictions[1]).all()
         assert np.isnan(res.weights[1]).all()
+
+    def test_non_finite_seed_errors_truncate_at_step0(self, trained, small):
+        """Rows whose newest history sample gives finite candidates but an
+        older one, which seeds the error buffer, does not: every variant
+        truncates them at step 0, with no NaN computed on the way."""
+        pooler, _ = trained
+        ds, _, _ = small
+        hist = gather_histories(ds.validation.states, range(8, 300, 25), 4)
+        z = hist[:, :, 2]
+        rows = np.nonzero((z[:, -1] <= 30.0) & (z[:, :-1] > 30.0).any(axis=1))[0]
+        assert len(rows) > 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            results = closed_loop_forecast_batch(
+                pooler, hist[rows], 12, ceiling_stepper(30.0), variants=VARIANTS
+            )
+        for res in results:
+            assert res.truncated_at.tolist() == [0] * len(rows)
+            assert np.isnan(res.predictions).all()
+            assert np.isnan(res.weights).all()
 
     def test_linear_rollout_truncates_on_explosion(self, small):
         ds, _, _ = small
