@@ -725,11 +725,52 @@ def _run_jobs(fn, shared, jobs: list, threads: int) -> list:
 # Lorenz experiment
 
 
-def _lorenz_dataset(cfg: ExperimentConfig) -> LorenzDataset:
-    """The configured dataset: generated, or read from ``data.cache``."""
+def _dataset_record(cfg: ExperimentConfig, train_csv: Path, val_csv: Path) -> dict:
+    """A Lorenz dataset's provenance: the seed and ``data`` keys (all but
+    ``cache``) that generate it, and the SHA-256 of its two CSVs."""
+    record = {"seed": cfg.seed}
+    record.update((f.name, getattr(cfg.data, f.name)) for f in fields(cfg.data) if f.name != "cache")
+    record["sha256"] = {p.name: _sha256(p) for p in (train_csv, val_csv)}
+    return record
+
+
+def _check_cache_record(cfg: ExperimentConfig, train_csv: Path, val_csv: Path) -> dict:
+    """The cache's ``dataset`` record, checked against this run's config and
+    the CSVs in the cache. Raises RuntimeError naming the first key that
+    differs, the CSV whose hash differs, or a manifest without the record."""
+    manifest = cfg.data.cache / "manifest.json"
+    try:
+        recorded = json.loads(manifest.read_text())["dataset"]
+    except (OSError, ValueError, KeyError, TypeError):
+        recorded = None
+    if not isinstance(recorded, dict):
+        raise RuntimeError(
+            f"cached dataset provenance unknown: {manifest} holds no dataset record; "
+            "run lorenz-data again"
+        )
+    record = _dataset_record(cfg, train_csv, val_csv)
+    for key, value in record.items():
+        if key != "sha256" and recorded.get(key) != value:
+            raise RuntimeError(
+                f"cached dataset provenance mismatch: {key} is {recorded.get(key)!r} "
+                f"in {manifest}, {value!r} in the config"
+            )
+    recorded_hashes = recorded.get("sha256")
+    for name, digest in record["sha256"].items():
+        if not isinstance(recorded_hashes, dict) or recorded_hashes.get(name) != digest:
+            raise RuntimeError(
+                f"cached dataset provenance mismatch: {cfg.data.cache / name} does not "
+                f"match the SHA-256 recorded in {manifest}"
+            )
+    return record
+
+
+def _lorenz_dataset(cfg: ExperimentConfig) -> tuple[LorenzDataset, dict | None]:
+    """The configured dataset: generated, or read from ``data.cache``; and,
+    for a cached one, its checked provenance record."""
     d = cfg.data
     if d.cache is None:
-        return generate_dataset(
+        dataset = generate_dataset(
             seed=cfg.seed,
             t_transient=d.t_transient,
             t_train=d.t_train,
@@ -738,6 +779,7 @@ def _lorenz_dataset(cfg: ExperimentConfig) -> LorenzDataset:
             segment_len=d.segment_len,
             warmup=d.warmup,
         )
+        return dataset, None
     train_csv, val_csv = _input_paths(cfg)
     for p in (train_csv, val_csv):
         if not p.exists():
@@ -754,13 +796,14 @@ def _lorenz_dataset(cfg: ExperimentConfig) -> LorenzDataset:
             f"cached dataset shape mismatch: train {len(train)} (config {n_train}), "
             f"validation {len(validation)} (config {n_validation})"
         )
-    return LorenzDataset(
+    dataset = LorenzDataset(
         train=train,
         validation=validation,
         segment_starts=starts,
         segment_len=d.segment_len,
         warmup=d.warmup,
     )
+    return dataset, _check_cache_record(cfg, train_csv, val_csv)
 
 
 @dataclass(frozen=True)
@@ -833,7 +876,7 @@ def run_lorenz_experiment(cfg: ExperimentConfig) -> Path:
     started = time.perf_counter()
     m = cfg.model
     with _OutputStage(cfg.output) as stage:
-        dataset = _lorenz_dataset(cfg)
+        dataset, record = _lorenz_dataset(cfg)
         val, starts, horizon = dataset.validation, dataset.segment_starts, dataset.segment_len
         inputs = _LorenzInputs(
             model=m,
@@ -889,7 +932,8 @@ def run_lorenz_experiment(cfg: ExperimentConfig) -> Path:
             if blocks:
                 with open(stage.path(name), "w", newline="") as fh:
                     fh.writelines(blocks)
-        return _finish(stage, cfg, "lorenz-run", started)
+        extra = None if record is None else {"dataset": record}
+        return _finish(stage, cfg, "lorenz-run", started, extra)
 
 
 def _segment_blocks(header: str, line: str, seg_t0, dt, steps_by_segment) -> list[str]:
@@ -939,15 +983,17 @@ def write_lorenz_dataset(cfg: ExperimentConfig) -> Path:
     if cfg.data.cache is not None:
         raise RuntimeError("lorenz-data generates a dataset; remove data.cache from the config")
     with _OutputStage(cfg.output) as stage:
-        dataset = _lorenz_dataset(cfg)
-        save_trajectory_csv(stage.path("train.csv"), dataset.train)
-        save_trajectory_csv(stage.path("validation.csv"), dataset.validation)
+        dataset, _ = _lorenz_dataset(cfg)
+        train_csv, val_csv = stage.path("train.csv"), stage.path("validation.csv")
+        save_trajectory_csv(train_csv, dataset.train)
+        save_trajectory_csv(val_csv, dataset.validation)
         return _finish(
             stage,
             cfg,
             "lorenz-data",
             started,
             extra={
+                "dataset": _dataset_record(cfg, train_csv, val_csv),
                 "n_train_samples": len(dataset.train),
                 "n_validation_samples": len(dataset.validation),
                 "n_segments": len(dataset.segment_starts),

@@ -63,6 +63,18 @@ QUANTILE_LEVELS: tuple[float, ...] = (
     0.55, 0.6, 0.65, 0.7, 0.75, 0.8, 0.85, 0.95, 0.975, 0.99,
 )
 TOLERATED_LEVELS: tuple[float, ...] = (0.1, 0.9)
+# Standard-normal quantiles of QUANTILE_LEVELS, the bits of
+# scipy.stats.norm.ppf(QUANTILE_LEVELS) (asserted in the tests); scipy's
+# values are not symmetric in the last digit.
+NORMAL_QUANTILES: tuple[float, ...] = (
+    -2.3263478740408408, -1.9599639845400545, -1.6448536269514729,
+    -1.0364333894937898, -0.8416212335729142, -0.6744897501960817,
+    -0.5244005127080409, -0.38532046640756773, -0.2533471031357997,
+    -0.12566134685507402, 0.0, 0.12566134685507416, 0.2533471031357997,
+    0.38532046640756773, 0.5244005127080407, 0.6744897501960817,
+    0.8416212335729143, 1.0364333894937898, 1.6448536269514722,
+    1.959963984540054, 2.3263478740408408,
+)
 MEDIAN_INDEX: int = QUANTILE_LEVELS.index(0.5)
 N_LEVELS: int = len(QUANTILE_LEVELS)
 
@@ -1048,10 +1060,7 @@ def synthesize_hub(
         series += rng.normal(0.0, 0.03 * (series + 4.0))
         truth[li] = np.round(np.maximum(series, 0.0))
 
-    # imported here so that importing the package does not load scipy.stats
-    from scipy.stats import norm
-
-    z = norm.ppf(QUANTILE_LEVELS)
+    z = np.array(NORMAL_QUANTILES)
     regime = (np.arange(n_weeks) >= n_weeks // 2).astype(int)
     forecasts = np.empty((n_models, n_locations, n_weeks, N_LEVELS))
     for mi in range(n_models):

@@ -57,45 +57,13 @@ def nonstationary_params() -> LorenzParams:
     return LorenzParams(SIGMA, BETA, rho_true)
 
 
-# The sequential integrator runs on plain floats: a 3-vector RK4 step in
-# numpy spends nearly all its time on array bookkeeping. The batched path
-# below mirrors the same expression structure exactly, so both produce
-# bit-identical IEEE results (asserted in the tests).
-
-
-def _deriv_scalar(x, y, z, r, sigma, beta):
-    return sigma * (y - x), x * (r - z) - y, x * y - beta * z
-
-
-def _rk4_scalar(x, y, z, t, dt, params):
-    sigma, beta, rho = params.sigma, params.beta, params.rho
-    ax, ay, az = _deriv_scalar(x, y, z, rho(t), sigma, beta)
-    half = dt / 2.0
-    r_half = rho(t + half)
-    bx, by, bz = _deriv_scalar(x + half * ax, y + half * ay, z + half * az, r_half, sigma, beta)
-    cx, cy, cz = _deriv_scalar(x + half * bx, y + half * by, z + half * bz, r_half, sigma, beta)
-    dx, dy, dz = _deriv_scalar(x + dt * cx, y + dt * cy, z + dt * cz, rho(t + dt), sigma, beta)
-    sixth = dt / 6.0
-    return (
-        x + sixth * (ax + 2.0 * bx + 2.0 * cx + dx),
-        y + sixth * (ay + 2.0 * by + 2.0 * cy + dy),
-        z + sixth * (az + 2.0 * bz + 2.0 * cz + dz),
-    )
-
-
-def rk4_step(u: Array, t: float, dt: float, params: LorenzParams) -> Array:
-    """One classical RK4 step with the driving parameter evaluated at the
-    stage times t, t + dt/2, t + dt. Raises on blow-up."""
-    u = np.asarray(u, dtype=np.float64)
-    if u.shape != (3,):
-        raise ValueError(f"state must have shape (3,), got {u.shape}")
-    x, y, z = _rk4_scalar(float(u[0]), float(u[1]), float(u[2]), t, dt, params)
-    out = np.array([x, y, z])
-    if not np.all(np.isfinite(out)):
-        raise FloatingPointError(
-            f"integration blew up: state {out} after step from t={t}"
-        )
-    return out
+# Both RK4 paths evaluate the same expressions in the same order, so they
+# agree bit for bit (asserted in the tests). The sequential integrator runs on
+# plain floats with the stages written out: a 3-vector step in numpy spends
+# nearly all its time on array bookkeeping, and a helper call per stage costs
+# more than its arithmetic. The batched candidate stepper keeps the three
+# coordinates as the rows of one (3, lanes) array and writes every stage into
+# buffers it allocates once per call.
 
 
 @dataclass
@@ -132,13 +100,28 @@ def integrate(
         raise ValueError(f"initial state must have shape (3,), got {u0.shape}")
     if n_samples < 0:
         raise ValueError(f"n_samples must be >= 0, got {n_samples}")
+    sigma, beta, rho = params.sigma, params.beta, params.rho
+    half = dt / 2.0
+    sixth = dt / 6.0
     x, y, z = float(u0[0]), float(u0[1]), float(u0[2])
     out = np.empty((n_samples, 3))
     step = 0
     for j in range(n_samples):
         for _ in range(substeps):
             t = t0 + step * dt  # multiplicative time to avoid accumulation drift
-            x, y, z = _rk4_scalar(x, y, z, t, dt, params)
+            r = rho(t)
+            ax, ay, az = sigma * (y - x), x * (r - z) - y, x * y - beta * z
+            r = rho(t + half)
+            px, py, pz = x + half * ax, y + half * ay, z + half * az
+            bx, by, bz = sigma * (py - px), px * (r - pz) - py, px * py - beta * pz
+            px, py, pz = x + half * bx, y + half * by, z + half * bz
+            cx, cy, cz = sigma * (py - px), px * (r - pz) - py, px * py - beta * pz
+            r = rho(t + dt)
+            px, py, pz = x + dt * cx, y + dt * cy, z + dt * cz
+            dx, dy, dz = sigma * (py - px), px * (r - pz) - py, px * py - beta * pz
+            x = x + sixth * (ax + 2.0 * bx + 2.0 * cx + dx)
+            y = y + sixth * (ay + 2.0 * by + 2.0 * cy + dy)
+            z = z + sixth * (az + 2.0 * bz + 2.0 * cz + dz)
             step += 1
         if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
             raise FloatingPointError(f"integration blew up at sample {j}")
@@ -146,38 +129,85 @@ def integrate(
     return Trajectory(t0=t0 + substeps * dt, dt_sample=dt * substeps, states=out)
 
 
+def rk4_step(u: Array, t: float, dt: float, params: LorenzParams) -> Array:
+    """One classical RK4 step with the driving parameter evaluated at the
+    stage times t, t + dt/2, t + dt. Raises on blow-up."""
+    return integrate(u, t, 1, params, dt=dt, substeps=1).states[0]
+
+
+def _deriv_into(k, u, r: Array, tmp: Array) -> None:
+    """The stationary Lorenz right-hand side of the state rows ``u`` = (x, y,
+    z) under ``r``, written into the rows ``k``; ``tmp`` is scratch."""
+    x, y, z = u
+    kx, ky, kz = k
+    np.subtract(y, x, kx)
+    kx *= SIGMA
+    np.subtract(r, z, ky)
+    ky *= x
+    ky -= y
+    np.multiply(x, y, kz)
+    np.multiply(z, BETA, tmp)
+    kz -= tmp
+
+
+# Lanes integrated at a time: the scratch rows stay a fixed size whatever the
+# lane count, and a block of them stays in cache across the stages.
+LANE_BLOCK = 8192
+
+
 def candidate_one_step_batch(states: Array, rho_values: Array) -> Array:
     """Vectorized one-sampling-step candidate forecasts: ``SUBSTEPS`` RK4
     steps under *stationary* parameter values.
 
     ``states`` (..., 3) and ``rho_values`` broadcastable to its leading axes;
-    non-finite outputs are returned as-is (callers decide how to truncate).
-    The three coordinates stay separate contiguous arrays across the
-    substeps. Expression structure matches ``_rk4_scalar`` exactly so the
-    two paths agree bitwise.
+    returns a new C-contiguous array of ``states.shape``. Non-finite outputs
+    are returned as-is (callers decide how to truncate). Each stage's
+    arithmetic matches the sequential ``integrate`` operation for operation,
+    so the two paths agree bitwise.
     """
     states = np.asarray(states, dtype=np.float64)
-    r = np.asarray(rho_values, dtype=np.float64)
-    x, y, z = (np.ascontiguousarray(states[..., i]) for i in range(3))
+    lead = states.shape[:-1]
+    lanes = states.reshape(-1, 3)
+    rho = np.broadcast_to(np.asarray(rho_values, dtype=np.float64), lead).reshape(-1)
+    n = len(lanes)
+    out = np.empty((n, 3))
     dt = DT_INTEGRATION
     half = dt / 2.0
     sixth = dt / 6.0
-
-    def deriv(x, y, z):
-        return SIGMA * (y - x), x * (r - z) - y, x * y - BETA * z
-
+    width = min(n, LANE_BLOCK)
+    u_buf, k_buf, s_buf, acc_buf = (np.empty((3, width)) for _ in range(4))
+    tmp_buf = np.empty(width)
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(SUBSTEPS):
-            ax, ay, az = deriv(x, y, z)
-            bx, by, bz = deriv(x + half * ax, y + half * ay, z + half * az)
-            cx, cy, cz = deriv(x + half * bx, y + half * by, z + half * bz)
-            dx, dy, dz = deriv(x + dt * cx, y + dt * cy, z + dt * cz)
-            x, y, z = (
-                x + sixth * (ax + 2.0 * bx + 2.0 * cx + dx),
-                y + sixth * (ay + 2.0 * by + 2.0 * cy + dy),
-                z + sixth * (az + 2.0 * bz + 2.0 * cz + dz),
-            )
-    return np.stack([x, y, z], axis=-1)
+        for start in range(0, n, LANE_BLOCK):
+            stop = min(start + LANE_BLOCK, n)
+            w = stop - start
+            u, k, s, acc = u_buf[:, :w], k_buf[:, :w], s_buf[:, :w], acc_buf[:, :w]
+            # the coordinate rows, as views made once per block
+            u_rows, k_rows, s_rows = tuple(u), tuple(k), tuple(s)
+            r, tmp = rho[start:stop], tmp_buf[:w]
+            u[...] = lanes[start:stop].T
+            for _ in range(SUBSTEPS):
+                # acc = ((k1 + 2 k2) + 2 k3) + k4, each stage added as it ends
+                _deriv_into(k_rows, u_rows, r, tmp)
+                np.copyto(acc, k)
+                np.multiply(k, half, s)
+                s += u
+                _deriv_into(k_rows, s_rows, r, tmp)
+                np.multiply(k, 2.0, s)
+                acc += s
+                np.multiply(k, half, s)
+                s += u
+                _deriv_into(k_rows, s_rows, r, tmp)
+                np.multiply(k, 2.0, s)
+                acc += s
+                np.multiply(k, dt, s)
+                s += u
+                _deriv_into(k_rows, s_rows, r, tmp)
+                acc += k
+                acc *= sixth
+                u += acc
+            out[start:stop] = u.T
+    return out.reshape(states.shape)
 
 
 def candidate_forecasts(states: Array, rhos=CANDIDATE_RHOS) -> Array:

@@ -525,6 +525,61 @@ class TestLorenzRun:
         assert not (tmp_path / "out" / ".partial").exists()
         assert not (tmp_path / "out" / "valid_times.csv").exists()
 
+    @pytest.mark.parametrize(
+        "spoil, message",
+        [
+            ("seed", "cached dataset provenance mismatch: seed is 1 in "),
+            ("validation.csv", "validation.csv does not match the SHA-256 recorded in "),
+            ("record", "manifest.json holds no dataset record"),
+        ],
+    )
+    def test_cache_of_another_provenance_fails_at_runtime(self, tmp_path, spoil, message):
+        """A cache of the right shape made with another seed, with an edited
+        CSV, or with no record of how it was made, is not read."""
+        data_dir = tmp_path / "data"
+        gen_cfg = write_config(tmp_path, LORENZ_TINY, out=str(data_dir))
+        seed = ["--seed", "1"] if spoil == "seed" else []
+        assert invoke("lorenz-data", "--config", str(gen_cfg), *seed).exit_code == 0
+        if spoil == "validation.csv":
+            path = data_dir / "validation.csv"
+            lines = path.read_text().splitlines(keepends=True)
+            t, u1, u2, u3 = lines[2].rstrip("\n").split(",")
+            lines[2] = f"{t},{float(u1) + 1.0!r},{u2},{u3}\n"
+            path.write_text("".join(lines))
+        if spoil == "record":
+            manifest = json.loads((data_dir / "manifest.json").read_text())
+            del manifest["dataset"]
+            (data_dir / "manifest.json").write_text(json.dumps(manifest))
+        text = LORENZ_TINY.replace("data:\n", f"data:\n  cache: {data_dir}\n")
+        cfg = write_config(tmp_path, text, name="run.yaml", out=str(tmp_path / "out"))
+        result = invoke("lorenz-run", "--config", str(cfg))
+        assert result.exit_code == 2
+        assert message in result.stderr
+        assert sorted((tmp_path / "out").iterdir()) == []
+
+    def test_cached_run_records_the_dataset_provenance(self, lorenz_out, tmp_path):
+        """lorenz-data records how its CSVs were made; a run that reads them
+        copies that record, and a run that generates its data has none."""
+        out, _ = lorenz_out
+        assert "dataset" not in json.loads((out / "manifest.json").read_text())
+        data_dir = tmp_path / "data"
+        gen_cfg = write_config(tmp_path, LORENZ_TINY, out=str(data_dir))
+        assert invoke("lorenz-data", "--config", str(gen_cfg)).exit_code == 0
+        generated = json.loads((data_dir / "manifest.json").read_text())
+        record = generated["dataset"]
+        assert record["seed"] == 0 and record["t_val"] == 25.6 and "cache" not in record
+        assert record["sha256"] == {
+            name: generated["outputs"][name] for name in ("train.csv", "validation.csv")
+        }
+        text = LORENZ_TINY.replace("data:\n", f"data:\n  cache: {data_dir}\n").replace(
+            "methods: [additive, fixed_attention, best_initial, linear, ffnn]",
+            "methods: [linear]",
+        ).replace("  weights_delay: 2\n", "").replace("write_forecasts: true", "write_forecasts: false")
+        run_cfg = write_config(tmp_path, text, name="run.yaml", out=str(tmp_path / "run"))
+        result = invoke("lorenz-run", "--config", str(run_cfg))
+        assert result.exit_code == 0, result.output + str(result.exception)
+        assert json.loads((tmp_path / "run" / "manifest.json").read_text())["dataset"] == record
+
     def test_missing_cache_fails_at_runtime(self, tmp_path):
         cfg = write_config(tmp_path, LORENZ_TINY, out=str(tmp_path / "f"))
         text = cfg.read_text().replace(

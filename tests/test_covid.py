@@ -1,6 +1,10 @@
 """Hub-format ingestion, imputation, WIS training, and the synthetic generator."""
 
+import os
+import subprocess
+import sys
 from datetime import date, timedelta
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -107,6 +111,11 @@ class TestQuantileGrid:
     def test_tolerated_levels_not_carried(self):
         for lv in covid.TOLERATED_LEVELS:
             assert lv not in covid.QUANTILE_LEVELS
+
+    def test_normal_quantiles_are_the_bits_of_scipys_ppf(self):
+        norm = pytest.importorskip("scipy.stats").norm
+        expected = norm.ppf(covid.QUANTILE_LEVELS)
+        assert np.array(covid.NORMAL_QUANTILES).tobytes() == expected.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -926,6 +935,16 @@ class TestSynthesizeHub:
         again.write_csvs(tmp_path / "f2.csv", tmp_path / "t2.csv")
         assert (tmp_path / "f1.csv").read_bytes() == (tmp_path / "f2.csv").read_bytes()
         assert (tmp_path / "t1.csv").read_bytes() == (tmp_path / "t2.csv").read_bytes()
+
+    def test_synthesizing_does_not_load_scipy(self):
+        code = "import sys, attnpool.covid as c; c.synthesize_hub(seed=1); print('scipy' in sys.modules)"
+        src = str(Path(covid.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path}
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "False"
 
     def test_seeds_differ(self, hub):
         other = covid.synthesize_hub(seed=12)

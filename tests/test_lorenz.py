@@ -1,6 +1,7 @@
 """Non-stationary Lorenz system, RK4 integration, candidates, dataset."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,9 +10,12 @@ from attnpool.cli import LorenzDataConfig
 from attnpool.lorenz import (
     BETA,
     CANDIDATE_RHOS,
+    DT_INTEGRATION,
     DT_SAMPLE,
+    LANE_BLOCK,
     OSCILLATION_PERIOD,
     SIGMA,
+    SUBSTEPS,
     Trajectory,
     candidate_forecasts,
     candidate_one_step_batch,
@@ -24,13 +28,55 @@ from attnpool.lorenz import (
     save_trajectory_csv,
     stationary_params,
 )
-from attnpool.lorenz import _deriv_scalar, _rk4_scalar
+
+
+# Reference oracle: the RK4 step as plain helper calls on floats, one
+# derivative per stage, in the expression order both library paths keep.
+
+
+def _deriv_scalar(x, y, z, r, sigma, beta):
+    return sigma * (y - x), x * (r - z) - y, x * y - beta * z
+
+
+def _rk4_scalar(x, y, z, t, dt, params):
+    sigma, beta, rho = params.sigma, params.beta, params.rho
+    ax, ay, az = _deriv_scalar(x, y, z, rho(t), sigma, beta)
+    half = dt / 2.0
+    r_half = rho(t + half)
+    bx, by, bz = _deriv_scalar(x + half * ax, y + half * ay, z + half * az, r_half, sigma, beta)
+    cx, cy, cz = _deriv_scalar(x + half * bx, y + half * by, z + half * bz, r_half, sigma, beta)
+    dx, dy, dz = _deriv_scalar(x + dt * cx, y + dt * cy, z + dt * cz, rho(t + dt), sigma, beta)
+    sixth = dt / 6.0
+    return (
+        x + sixth * (ax + 2.0 * bx + 2.0 * cx + dx),
+        y + sixth * (ay + 2.0 * by + 2.0 * cy + dy),
+        z + sixth * (az + 2.0 * bz + 2.0 * cz + dz),
+    )
+
+
+def oracle_samples(u, t0, n_samples, params):
+    """``integrate`` written with the oracle: (n_samples, 3), no blow-up check."""
+    x, y, z = (float(v) for v in u)
+    out = []
+    step = 0
+    for _ in range(n_samples):
+        for _ in range(SUBSTEPS):
+            x, y, z = _rk4_scalar(x, y, z, t0 + step * DT_INTEGRATION, DT_INTEGRATION, params)
+            step += 1
+        out.append([x, y, z])
+    return np.array(out)
 
 
 def one_sampling_step(u, rho):
     """Scalar reference for one candidate step: one recorded sample of the
     sequential integrator under stationary ``rho``."""
     return integrate(u, 0.0, 1, stationary_params(rho)).states[0]
+
+
+def attractor_states(rng, n):
+    states = rng.uniform(-15, 15, size=(n, 3))
+    states[:, 2] += 25
+    return states
 
 
 class TestDerivativeAndRho:
@@ -106,6 +152,75 @@ class TestRK4:
             batch = candidate_one_step_batch(states.copy(), np.float64(rho))
             scalar = np.array([one_sampling_step(s, rho) for s in states])
             np.testing.assert_array_equal(batch, scalar)
+            assert batch.flags.c_contiguous
+
+
+class TestKernelsAgainstOracle:
+    """Both RK4 paths keep the oracle's operations and their order, so they
+    match it bit for bit."""
+
+    @pytest.mark.parametrize(
+        "params, t0",
+        [
+            (stationary_params(28.0), 0.0),
+            (stationary_params(41.0), 3.7),
+            (nonstationary_params(), 0.0),
+            (nonstationary_params(), -12.3),
+        ],
+    )
+    def test_integrate_equals_the_oracle(self, params, t0):
+        u = np.array([3.0, -4.0, 21.0])
+        expected = oracle_samples(u, t0, 40, params)
+        np.testing.assert_array_equal(integrate(u, t0, 40, params).states, expected)
+
+    def test_rk4_step_equals_one_oracle_step(self):
+        params = nonstationary_params()
+        u = np.array([-7.5, 2.25, 30.0])
+        expected = _rk4_scalar(*u, -0.37, 0.01, params)
+        np.testing.assert_array_equal(rk4_step(u, -0.37, 0.01, params), expected)
+
+    def test_stepper_on_a_broadcast_candidate_view(self):
+        """The closed loop's call: each state tiled over the candidates."""
+        states = attractor_states(np.random.default_rng(1), 30)
+        rhos = np.asarray(CANDIDATE_RHOS)
+        tiled = np.broadcast_to(states[:, None, :], (30, len(rhos), 3))
+        out = candidate_one_step_batch(tiled, rhos[None, :])
+        assert out.shape == tiled.shape and out.flags.c_contiguous
+        expected = np.array([[one_sampling_step(s, rho) for rho in rhos] for s in states])
+        np.testing.assert_array_equal(out, expected)
+
+    def test_stepper_over_more_than_one_lane_block(self):
+        """Each lane keeps its own state and rho across the block edges."""
+        n = 2 * LANE_BLOCK + 37
+        states = attractor_states(np.random.default_rng(2), n)
+        rhos = np.resize(CANDIDATE_RHOS, n)
+        out = candidate_one_step_batch(states, rhos)
+        assert out.flags.c_contiguous
+        expected = np.array([one_sampling_step(s, rho) for s, rho in zip(states, rhos)])
+        np.testing.assert_array_equal(out, expected)
+
+    def test_blown_up_lanes_match_the_oracle(self):
+        """Lanes that overflow give NaN and inf where the oracle does."""
+        states = np.random.default_rng(3).uniform(-4000, 4000, size=(300, 3))
+        states[0] = (-12.0, 3200.0, -4.0)  # overflows to (finite, inf, inf)
+        out = candidate_one_step_batch(states, 28.0)
+        params = stationary_params(28.0)
+        expected = np.array([oracle_samples(s, 0.0, 1, params)[0] for s in states])
+        assert np.isinf(out).any() and np.isnan(out).any() and np.isfinite(out).any()
+        np.testing.assert_array_equal(out, expected)
+
+    def test_stepper_scratch_memory_stays_below_four_results(self):
+        """The stage buffers are lane blocks, not full-width copies."""
+        states = attractor_states(np.random.default_rng(4), 3999)
+        rhos = np.asarray(CANDIDATE_RHOS)
+        tiled = np.broadcast_to(states[:, None, :], (3999, len(rhos), 3))
+        tracemalloc.start()
+        try:
+            out = candidate_one_step_batch(tiled, rhos[None, :])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * out.nbytes, f"peak {peak} B for a {out.nbytes} B result"
 
 
 class TestIntegrate:
