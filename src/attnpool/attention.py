@@ -43,16 +43,6 @@ class SingleHeadParams:
     w_score: Array  # (hidden,)
     bias: Array     # (hidden,)
 
-    @property
-    def hidden(self) -> int:
-        return self.w_query.shape[0]
-
-    def names(self) -> dict[str, Array]:
-        return {n: getattr(self, n) for n in HEAD_FIELDS}
-
-    def count(self) -> int:
-        return sum(a.size for a in self.names().values())
-
 
 @dataclass
 class MultiHeadParams:
@@ -73,21 +63,6 @@ class MultiHeadParams:
     @property
     def n_heads(self) -> int:
         return self.w_query.shape[0]
-
-    def names(self) -> dict[str, Array]:
-        return _per_head_names(self)
-
-    def count(self) -> int:
-        return sum(a.size for a in self.names().values())
-
-
-def _per_head_names(stacked) -> dict[str, Array]:
-    """Per-head views keyed ``head{i}.<field>`` plus ``w_out``."""
-    out = {"w_out": stacked.w_out}
-    for i in range(stacked.w_query.shape[0]):
-        for n in HEAD_FIELDS:
-            out[f"head{i}.{n}"] = getattr(stacked, n)[i]
-    return out
 
 
 def init_single_head(
@@ -174,46 +149,21 @@ def single_head_forward(params: SingleHeadParams, query: Array, keys: Array, val
     return pooled, weights, (q, k, v, act, weights)
 
 
-@dataclass
-class SingleHeadGrads:
-    w_query: Array
-    w_key: Array
-    w_score: Array
-    bias: Array
-
-    def names(self) -> dict[str, Array]:
-        return {n: getattr(self, n) for n in HEAD_FIELDS}
-
-
-@dataclass
-class MultiHeadGrads:
-    """Gradients shaped like :class:`MultiHeadParams`, heads stacked."""
-
-    w_query: Array
-    w_key: Array
-    w_score: Array
-    bias: Array
-    w_out: Array
-
-    def names(self) -> dict[str, Array]:
-        return _per_head_names(self)
-
-
 def single_head_backward(
-    params: SingleHeadParams, cache, upstream: Array, out: SingleHeadGrads | None = None
-) -> SingleHeadGrads:
+    params: SingleHeadParams, cache, upstream: Array, out: SingleHeadParams | None = None
+) -> SingleHeadParams:
     """Parameter gradients of an arbitrary scalar loss given d loss / d pooled.
 
     The softmax Jacobian is applied in its contracted form a * (g - <a, g>).
     Gradients with respect to the inputs are not formed: no caller trains
-    through the query, keys or values. The gradients are written into
-    ``out`` when given (a training loop passes views into its gradient
-    buffer), else into new arrays.
+    through the query, keys or values. The gradients, shaped and typed like
+    ``params``, are written into ``out`` when given (a training loop passes
+    views into its gradient buffer), else into new arrays.
     """
     q, k, v, act, weights = cache
     upstream = np.asarray(upstream, dtype=np.float64)
     if out is None:
-        out = empty_like_fields(SingleHeadGrads, params)
+        out = empty_like_fields(params)
     b, m, h = act.shape
     d_weights = np.einsum("bd,bmd->bm", upstream, v)
     inner = np.sum(weights * d_weights, axis=1, keepdims=True)
@@ -273,15 +223,15 @@ def multi_head_forward(params: MultiHeadParams, query: Array, keys: Array, value
 
 
 def multi_head_backward(
-    params: MultiHeadParams, cache, upstream: Array, out: MultiHeadGrads | None = None
-) -> MultiHeadGrads:
+    params: MultiHeadParams, cache, upstream: Array, out: MultiHeadParams | None = None
+) -> MultiHeadParams:
     """Parameter gradients of the stacked heads and the mixer, computed as
     in :func:`single_head_backward` with a leading head axis; written into
     ``out`` when given."""
     q, k, v, act, weights, concat = cache
     upstream = np.asarray(upstream, dtype=np.float64)
     if out is None:
-        out = empty_like_fields(MultiHeadGrads, params)
+        out = empty_like_fields(params)
     p, b, m, h = act.shape
     d = v.shape[2]
     np.einsum("bd,bc->dc", upstream, concat, out=out.w_out)

@@ -37,7 +37,7 @@ import numpy as np
 import yaml
 
 from . import __version__, covid
-from .evaluation import median_with_ci, valid_time, wis_batch
+from .evaluation import median_with_ci, valid_time
 from .forecasting import (
     VARIANTS,
     TrainConfig,
@@ -1032,11 +1032,18 @@ def _covid_tables(cfg: ExperimentConfig, stage: _OutputStage):
 
 
 def _covid_periods(cfg: ExperimentConfig, samples) -> tuple[covid.ValidationPeriod, ...]:
+    """The configured validation periods; each must hold a scored week."""
     periods = cfg.data.periods
     if periods == "standard":
-        return covid.DEFAULT_VALIDATION_PERIODS
-    if periods == "split":
-        return tuple(covid.split_into_periods(samples.weeks, 4, skip=samples.delay))
+        periods = covid.DEFAULT_VALIDATION_PERIODS
+    elif periods == "split":
+        periods = tuple(covid.split_into_periods(samples.weeks, 4, skip=samples.delay))
+    for period in periods:
+        if not samples.period_mask(period).any():
+            raise ValueError(
+                f"validation period {period.start}..{period.end} holds no scored week "
+                f"of the data ({samples.weeks[samples.delay]}..{samples.weeks[-1]})"
+            )
     return periods
 
 
@@ -1062,8 +1069,9 @@ def run_covid_experiment(cfg: ExperimentConfig) -> Path:
     and is scored inside the period; the ``uniform`` and ``best_single``
     baselines need no training (``best_single`` picks its candidate per
     period by hindsight mean WIS — an oracle reference, not a forecast
-    method). Each (period, trained kind) is one job; up to ``threads`` jobs
-    run at once.
+    method). Every method is scored by ``covid.evaluate_period``. Each
+    (period, trained kind) is one job; up to ``threads`` jobs run at once.
+    A period without a scored week fails the run before any job starts.
     """
     started = time.perf_counter()
     m = cfg.model
@@ -1094,42 +1102,26 @@ def run_covid_experiment(cfg: ExperimentConfig) -> Path:
         jobs = [(pi, kind) for kind in kinds for pi in range(len(periods))]
         done = dict(zip(jobs, _run_jobs(_covid_job, (samples, periods, train_cfg), jobs, cfg.threads)))
         training_info = {f"period{pi}/{kind}": info for (pi, kind), (info, _) in done.items()}
+        scores = {job: ev for job, (_, ev) in done.items()}
 
-        levels = np.asarray(covid.QUANTILE_LEVELS)
         best_single_ids: dict[str, str] = {}
+        for pi, period in enumerate(periods):
+            for kind in (k for k in covid.BASELINE_KINDS if k in m.methods):
+                pooler = covid.baseline_pooler(kind, samples, covid.period_rows(samples, period))
+                scores[(pi, kind)] = covid.evaluate_period(pooler, samples, period)
+                if kind == "best_single":
+                    best_single_ids[f"period{pi}"] = samples.models[pooler.params]
+
         wis_rows: list[list[str]] = []
         summary_rows: list[list[str]] = []
         for method in m.methods:
             for pi, period in enumerate(periods):
-                rows = covid.period_rows(samples, period)
-                if method in covid.POOLER_KINDS:
-                    ev = done[(pi, method)][1]
-                    week_scores = [(s.location, s.week, s.wis) for s in ev.scores]
-                    mean_wis = ev.mean_wis
-                else:
-                    if method == "uniform":
-                        per_row = covid.uniform_pool_wis(samples, rows)
-                    else:  # best_single
-                        champion = int(np.argmin(covid.candidate_mean_wis(samples, rows)))
-                        best_single_ids[f"period{pi}"] = samples.models[champion]
-                        per_row = wis_batch(
-                            levels, samples.values[rows, champion], samples.truths[rows]
-                        )
-                    week_scores = [
-                        (
-                            samples.locations[samples.location_idx[r]],
-                            samples.weeks[samples.week_idx[r]],
-                            w,
-                        )
-                        for r, w in zip(rows, per_row)
-                    ]
-                    mean_wis = float(per_row.mean())
+                ev = scores[(pi, method)]
                 wis_rows += [
-                    [method, loc, week.isoformat(), _fmt(w)]
-                    for loc, week, w in week_scores
+                    [method, s.location, s.week.isoformat(), _fmt(s.wis)] for s in ev.scores
                 ]
                 summary_rows.append(
-                    [period.start.isoformat(), period.end.isoformat(), method, _fmt(mean_wis)]
+                    [period.start.isoformat(), period.end.isoformat(), method, _fmt(ev.mean_wis)]
                 )
 
         _write_csv(

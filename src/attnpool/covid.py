@@ -8,7 +8,10 @@ forecasts of weekly incident deaths:
   assemble_samples  build query/key/value arrays for the pooling models
   train_pooler      fit a pooler (additive / multi-head attention, linear)
                     by minimizing the mean weighted interval score
-  evaluate_period   score one-week-ahead pooled forecasts per location/week
+  baseline_pooler   the untrained poolers: the uniform candidate mean, and
+                    the best single candidate picked in hindsight
+  evaluate_period   score any pooler's one-week-ahead forecasts per
+                    location/week
   synthesize_hub    generate a seeded synthetic hub data set for testing
 
 Each candidate model contributes a 21-quantile forecast per location and
@@ -21,25 +24,25 @@ the stacked candidate forecasts of the most recent weeks.
 
 Training follows a leave-one-period-out discipline: samples whose target
 week falls inside the held-out validation period never enter a minibatch
-(asserted in the loop). All poolers minimize the same weighted interval
-score used for evaluation.
+(asserted in the loop). All trained poolers minimize the same weighted
+interval score used for evaluation. Every method, trained or baseline, is a
+:class:`QuantilePooler`, and :func:`evaluate_period` scores them all through
+one path: the pooler's inputs, its kind's forward, the sort repair, WIS.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from datetime import date, timedelta
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .attention import (
-    MultiHeadGrads,
     MultiHeadParams,
-    SingleHeadGrads,
     SingleHeadParams,
     init_single_head,
     multi_head_backward,
@@ -48,7 +51,7 @@ from .attention import (
     single_head_forward,
 )
 from .evaluation import WISConfig, wis_batch, wis_gradient_batch
-from .forecasting import LinearGrads, LinearPooler, Standardizer, fit
+from .forecasting import LinearPooler, Standardizer, fit
 from .numerics import Array, FlatAdam, spawn_rng
 
 # ---------------------------------------------------------------------------
@@ -614,6 +617,7 @@ def period_rows(samples: HubSamples, period: ValidationPeriod) -> Array:
 # poolers
 
 POOLER_KINDS = ("additive", "multi_head", "linear")
+BASELINE_KINDS = ("uniform", "best_single")
 
 # full-scale defaults per kind: (hidden units, weight decay)
 _KIND_DEFAULTS = {
@@ -650,21 +654,91 @@ class PoolerTrainConfig:
 
 @dataclass(frozen=True)
 class QuantilePooler:
-    """A trained pooling model plus the input transforms it was fit under.
+    """One way of pooling the candidates' quantile forecasts, with the
+    input transforms it was fit under.
 
-    ``location_scales`` is None unless per-location scaling was enabled; it
-    is aligned with ``locations`` and predictions are mapped back to raw
-    death counts on the way out.
+    A trained kind (``POOLER_KINDS``) holds its model in ``params``. An
+    untrained baseline (``BASELINE_KINDS``) reads only the candidates'
+    values: ``uniform`` takes their mean (``params`` None), ``best_single``
+    passes one candidate through (``params`` is its index). The two
+    standardizers are set for the attention kinds only. ``location_scales``
+    is None unless per-location scaling was enabled; it is aligned with
+    ``locations`` and predictions are mapped back to raw death counts on the
+    way out.
     """
 
     kind: str
-    params: SingleHeadParams | MultiHeadParams | LinearPooler
-    query_scaler: Standardizer | None
-    key_scaler: Standardizer | None
+    params: SingleHeadParams | MultiHeadParams | LinearPooler | int | None
     delay: int
-    levels: tuple[float, ...]
+    query_scaler: Standardizer | None = None
+    key_scaler: Standardizer | None = None
     locations: tuple[str, ...] | None = None
     location_scales: Array | None = None
+
+    def _row_scales(self, samples: HubSamples, rows: Array | slice) -> Array:
+        """The per-location divisor of each of the sample rows ``rows``;
+        ones without per-location scaling."""
+        if self.location_scales is None:
+            return np.ones(samples.location_idx[rows].size)
+        if self.locations != samples.locations:
+            raise ValueError(
+                "per-location scales do not transfer: pooler and samples "
+                "disagree on the location set"
+            )
+        return self.location_scales[samples.location_idx[rows]]
+
+    def inputs(self, samples: HubSamples, rows: Array | slice) -> tuple[Array, tuple[Array, ...]]:
+        """The row scales and the model's inputs for the sample rows
+        ``rows``, an index array or a slice (a slice reads the samples
+        without a copy): each row divided by its location's scale, then
+        standardized, in the order the kind's forward takes them."""
+        if self.delay != samples.delay:
+            raise ValueError(
+                f"pooler was trained at delay {self.delay}, samples use {samples.delay}"
+            )
+        scale = self._row_scales(samples, rows)
+        if self.kind in BASELINE_KINDS:
+            return scale, (samples.values[rows],)
+        if self.kind == "linear":
+            return scale, (_per_row(samples.linear_inputs[rows], scale),)
+        return scale, (
+            self.query_scaler.apply(_per_row(samples.queries[rows], scale)),
+            self.key_scaler.apply(_per_row(samples.keys[rows], scale)),
+            _per_row(samples.values[rows], scale),
+        )
+
+
+def _per_row(arr: Array, scale: Array) -> Array:
+    """``arr`` with each row (first axis) divided by its entry of ``scale``."""
+    return arr / scale.reshape((-1,) + (1,) * (arr.ndim - 1))
+
+
+def _linear_forward(params: LinearPooler, inputs: Array):
+    return params.predict(inputs), None, inputs
+
+
+def _uniform_forward(params: None, values: Array):
+    return values.mean(axis=1), None, None
+
+
+def _best_single_forward(champion: int, values: Array):
+    return values[:, champion], None, None
+
+
+def _kind_functions(kind: str) -> tuple[Callable, Callable | None]:
+    """``(forward, backward)`` of a pooler kind. ``forward(params, *inputs)``
+    returns ``(preds, weights, cache)``, ``weights`` None where the kind has
+    none; ``backward(params, cache, upstream, out=grads)`` writes the
+    parameter gradients into ``grads``; a baseline has no backward. The
+    table is built on each call, so it holds whatever the module's names
+    are bound to then (a profiler that wraps them sees the calls)."""
+    return {
+        "additive": (single_head_forward, single_head_backward),
+        "multi_head": (multi_head_forward, multi_head_backward),
+        "linear": (_linear_forward, LinearPooler.backward),
+        "uniform": (_uniform_forward, None),
+        "best_single": (_best_single_forward, None),
+    }[kind]
 
 
 @dataclass(frozen=True)
@@ -741,65 +815,38 @@ def train_pooler(
     if train_rows.size == 0:
         raise ValueError("holdout period leaves no training rows")
 
-    if cfg.scale_per_location:
-        loc_scales = _location_scales(samples, train_rows)
-    else:
-        loc_scales = None
-    row_scale = (
-        loc_scales[samples.location_idx] if loc_scales is not None
-        else np.ones(samples.n_rows)
-    )
-    values = samples.values / row_scale[:, None, None]
-    truths = samples.truths / row_scale
-
+    loc_scales = _location_scales(samples, train_rows) if cfg.scale_per_location else None
     rng = spawn_rng(cfg.seed, f"train-pooler-{kind}")
-    query_scaler = key_scaler = None
+    key_dim = samples.delay * N_LEVELS
     if kind == "linear":
-        inputs = samples.linear_inputs / row_scale[:, None]
         params = _uniform_pool_linear(samples.n_models, samples.delay)
+    elif kind == "additive":
+        params = init_single_head(rng, hidden, samples.delay, key_dim)
     else:
-        queries_raw = samples.queries / row_scale[:, None]
-        keys_raw = samples.keys / row_scale[:, None, None]
-        query_scaler = Standardizer.fit(queries_raw[train_rows])
-        key_scaler = Standardizer.fit(keys_raw[train_rows])
-        queries = query_scaler.apply(queries_raw)
-        keys = key_scaler.apply(keys_raw)
-        key_dim = samples.delay * N_LEVELS
-        if kind == "additive":
-            params = init_single_head(rng, hidden, samples.delay, key_dim)
-        else:
-            heads = [
-                init_single_head(rng, hidden, samples.delay, key_dim)
-                for _ in range(cfg.n_heads)
-            ]
-            params = MultiHeadParams.from_heads(
-                heads, _head_average_mixer(cfg.n_heads, N_LEVELS)
-            )
-
-    grads_type = {"linear": LinearGrads, "additive": SingleHeadGrads, "multi_head": MultiHeadGrads}
-    opt = FlatAdam(params, grads_type[kind], cfg.learning_rate, decay)
-    if kind == "linear":
-
-        def forward(idx):
-            x = inputs[idx]
-            return params.predict(x), x
-
-        def backward(x, g_preds):
-            params.backward(x, g_preds, opt.grads)
-
-    else:
-        attend, attend_backward = (
-            (single_head_forward, single_head_backward)
-            if kind == "additive"
-            else (multi_head_forward, multi_head_backward)
+        heads = [
+            init_single_head(rng, hidden, samples.delay, key_dim)
+            for _ in range(cfg.n_heads)
+        ]
+        params = MultiHeadParams.from_heads(heads, _head_average_mixer(cfg.n_heads, N_LEVELS))
+    pooler = QuantilePooler(
+        kind=kind,
+        params=params,
+        delay=samples.delay,
+        locations=samples.locations if loc_scales is not None else None,
+        location_scales=loc_scales,
+    )
+    if kind != "linear":
+        # the standardizers see the training rows after per-location scaling
+        train_scale = pooler._row_scales(samples, train_rows)
+        pooler = replace(
+            pooler,
+            query_scaler=Standardizer.fit(_per_row(samples.queries[train_rows], train_scale)),
+            key_scaler=Standardizer.fit(_per_row(samples.keys[train_rows], train_scale)),
         )
-
-        def forward(idx):
-            preds, _, cache = attend(params, queries[idx], keys[idx], values[idx])
-            return preds, cache
-
-        def backward(cache, g_preds):
-            attend_backward(params, cache, g_preds, out=opt.grads)
+    scale, inputs = pooler.inputs(samples, slice(None))
+    truths = samples.truths / scale
+    forward, backward = _kind_functions(kind)
+    opt = FlatAdam(params, cfg.learning_rate, decay)
 
     levels = np.array(QUANTILE_LEVELS)
     wis_cfg = WISConfig()
@@ -807,7 +854,7 @@ def train_pooler(
 
     def loss_and_grad(idx):
         nonlocal repairs
-        preds, cache = forward(idx)
+        preds, _, cache = forward(params, *(x[idx] for x in inputs))
         sorted_preds, perm, changed = _sort_repair(preds)
         repairs += changed
         scores = wis_batch(levels, sorted_preds, truths[idx], wis_cfg)
@@ -815,7 +862,7 @@ def train_pooler(
         g_sorted /= idx.size
         g_preds = np.empty_like(g_sorted)
         np.put_along_axis(g_preds, perm, g_sorted, axis=1)
-        backward(cache, g_preds)
+        backward(params, cache, g_preds, out=opt.grads)
         return scores
 
     def outside_holdout(idx):
@@ -824,17 +871,6 @@ def train_pooler(
         )
 
     curve = fit(opt, loss_and_grad, train_rows, rng, cfg, check_rows=outside_holdout)
-
-    pooler = QuantilePooler(
-        kind=kind,
-        params=params,
-        query_scaler=query_scaler,
-        key_scaler=key_scaler,
-        delay=samples.delay,
-        levels=QUANTILE_LEVELS,
-        locations=samples.locations if loc_scales is not None else None,
-        location_scales=loc_scales,
-    )
     return PoolerTrainResult(pooler=pooler, curve=curve, sort_repairs=repairs)
 
 
@@ -848,7 +884,7 @@ class QuantilePredictions:
 
     rows: Array           # indices into the samples
     quantiles: Array      # (R, 21), non-decreasing per row
-    weights: Array | None  # (R, M) additive, (R, P, M) multi-head, None linear
+    weights: Array | None  # (R, M) additive, (R, P, M) multi-head, else None
     sort_repairs: int
 
 
@@ -858,35 +894,13 @@ def predict_quantiles(
     if rows is None:
         rows = np.arange(samples.n_rows)
     rows = np.asarray(rows, dtype=np.intp)
-    if pooler.delay != samples.delay:
-        raise ValueError(
-            f"pooler was trained at delay {pooler.delay}, samples use {samples.delay}"
-        )
-    if pooler.location_scales is not None:
-        if pooler.locations != samples.locations:
-            raise ValueError(
-                "per-location scales do not transfer: pooler and samples "
-                "disagree on the location set"
-            )
-        row_scale = pooler.location_scales[samples.location_idx[rows]]
-    else:
-        row_scale = np.ones(rows.size)
-
-    weights = None
-    if pooler.kind == "linear":
-        preds = pooler.params.predict(samples.linear_inputs[rows] / row_scale[:, None])
-    else:
-        queries = pooler.query_scaler.apply(samples.queries[rows] / row_scale[:, None])
-        keys = pooler.key_scaler.apply(samples.keys[rows] / row_scale[:, None, None])
-        values = samples.values[rows] / row_scale[:, None, None]
-        if pooler.kind == "additive":
-            preds, weights, _ = single_head_forward(pooler.params, queries, keys, values)
-        else:
-            preds, weights, _ = multi_head_forward(pooler.params, queries, keys, values)
+    scale, inputs = pooler.inputs(samples, rows)
+    forward, _ = _kind_functions(pooler.kind)
+    preds, weights, _ = forward(pooler.params, *inputs)
     repaired, _, changed = _sort_repair(preds)
     return QuantilePredictions(
         rows=rows,
-        quantiles=repaired * row_scale[:, None],
+        quantiles=repaired * scale[:, None],
         weights=weights,
         sort_repairs=changed,
     )
@@ -911,12 +925,13 @@ def evaluate_period(
     pooler: QuantilePooler, samples: HubSamples, period: ValidationPeriod
 ) -> PeriodScores:
     """Score one-week-ahead pooled forecasts for every (location, week) whose
-    target week falls inside the period."""
+    target week falls inside the period; the pooler may be of any kind,
+    trained or baseline."""
     rows = period_rows(samples, period)
     if rows.size == 0:
         raise ValueError(f"no scored weeks fall inside {period}")
     preds = predict_quantiles(pooler, samples, rows)
-    wis = wis_batch(np.array(pooler.levels), preds.quantiles, samples.truths[rows])
+    wis = wis_batch(np.array(QUANTILE_LEVELS), preds.quantiles, samples.truths[rows])
     scores = tuple(
         WeekScore(
             location=samples.locations[int(samples.location_idx[r])],
@@ -933,14 +948,6 @@ def evaluate_period(
     )
 
 
-def uniform_pool_wis(samples: HubSamples, rows: Array | None = None) -> Array:
-    """Per-row WIS of the plain candidate mean (the no-training baseline)."""
-    if rows is None:
-        rows = np.arange(samples.n_rows)
-    pooled = samples.values[rows].mean(axis=1)
-    return wis_batch(np.array(QUANTILE_LEVELS), pooled, samples.truths[rows])
-
-
 def candidate_mean_wis(samples: HubSamples, rows: Array | None = None) -> Array:
     """Mean WIS of each candidate model alone over the selected rows; (M,)."""
     if rows is None:
@@ -950,6 +957,18 @@ def candidate_mean_wis(samples: HubSamples, rows: Array | None = None) -> Array:
     for m in range(samples.n_models):
         out[m] = wis_batch(levels, samples.values[rows, m], samples.truths[rows]).mean()
     return out
+
+
+def baseline_pooler(kind: str, samples: HubSamples, rows: Array) -> QuantilePooler:
+    """The untrained pooler of a baseline kind. ``best_single`` passes
+    through the candidate of lowest mean WIS over the sample rows ``rows``;
+    scored on those same rows it is a hindsight oracle, not a forecast."""
+    if kind not in BASELINE_KINDS:
+        raise ValueError(f"unknown baseline kind {kind!r}; expected one of {BASELINE_KINDS}")
+    if len(rows) == 0:
+        raise ValueError("a baseline pooler needs at least one sample row")
+    champion = int(np.argmin(candidate_mean_wis(samples, rows))) if kind == "best_single" else None
+    return QuantilePooler(kind=kind, params=champion, delay=samples.delay)
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .attention import (
-    SingleHeadGrads,
     SingleHeadParams,
     init_single_head,
     single_head_backward,
@@ -186,20 +185,17 @@ class LinearPooler:
     def predict(self, inputs: Array) -> Array:
         return np.asarray(inputs, dtype=np.float64) @ self.weight.T + self.bias
 
-    def backward(self, inputs: Array, upstream: Array, out: "LinearGrads") -> None:
-        """Write the parameter gradients for d loss / d output ``upstream``
-        (B, d_out) at ``inputs`` (B, d_in) into ``out``."""
+    def backward(
+        self, inputs: Array, upstream: Array, out: "LinearPooler | None" = None
+    ) -> "LinearPooler":
+        """The parameter gradients for d loss / d output ``upstream``
+        (B, d_out) at ``inputs`` (B, d_in), written into ``out`` when given,
+        else into new arrays."""
+        if out is None:
+            out = empty_like_fields(self)
         np.matmul(upstream.T, inputs, out=out.weight)
         np.sum(upstream, axis=0, out=out.bias)
-
-    def count(self) -> int:
-        return self.weight.size + self.bias.size
-
-
-@dataclass
-class LinearGrads:
-    weight: Array
-    bias: Array
+        return out
 
 
 @dataclass
@@ -217,21 +213,6 @@ class FeedForwardNet:
         out, _ = ffnn_forward(self, self.scaler.apply(inputs_raw))
         return out
 
-    def count(self) -> int:
-        """Trainable parameters only (the standardizer is not trained)."""
-        return self.w1.size + self.b1.size + self.w2.size + self.b2.size
-
-
-@dataclass
-class FeedForwardGrads:
-    w1: Array
-    b1: Array
-    w2: Array
-    b2: Array
-
-    def names(self) -> dict[str, Array]:
-        return {"w1": self.w1, "b1": self.b1, "w2": self.w2, "b2": self.b2}
-
 
 def ffnn_forward(net: FeedForwardNet, inputs: Array):
     """out = w2 tanh(w1 x + b1) + b2 for standardized inputs (B, d_in)."""
@@ -243,15 +224,16 @@ def ffnn_forward(net: FeedForwardNet, inputs: Array):
 
 
 def ffnn_backward(
-    net: FeedForwardNet, cache, upstream: Array, out: FeedForwardGrads | None = None
-) -> FeedForwardGrads:
-    """Parameter gradients given d loss / d out, written into ``out`` when
-    given. The gradient with respect to the inputs is not formed: no caller
-    trains through them."""
+    net: FeedForwardNet, cache, upstream: Array, out: FeedForwardNet | None = None
+) -> FeedForwardNet:
+    """Parameter gradients given d loss / d out, typed like ``net`` (its
+    standardizer and delay length are shared, not trained), written into
+    ``out`` when given. The gradient with respect to the inputs is not
+    formed: no caller trains through them."""
     x, act = cache
     upstream = np.asarray(upstream, dtype=np.float64)
     if out is None:
-        out = empty_like_fields(FeedForwardGrads, net)
+        out = empty_like_fields(net)
     d_act = upstream @ net.w2
     d_pre = d_act * (1.0 - act * act)
     np.matmul(d_pre.T, x, out=out.w1)
@@ -348,7 +330,7 @@ def train_attention(
 
     rng = spawn_rng(config.seed, f"train-attention-l{length}")
     params = init_single_head(rng, hidden, q.shape[1], k.shape[2])
-    opt = FlatAdam(params, SingleHeadGrads, config.learning_rate, config.weight_decay)
+    opt = FlatAdam(params, config.learning_rate, config.weight_decay)
 
     def loss_and_grad(batch):
         pooled, _, cache = single_head_forward(params, q[batch], k[batch], v[batch])
@@ -372,7 +354,7 @@ def train_linear(
         weight=uniform_init(rng, (y.shape[1], x.shape[1]), x.shape[1]),
         bias=np.zeros(y.shape[1]),
     )
-    opt = FlatAdam(model, LinearGrads, config.learning_rate, config.weight_decay)
+    opt = FlatAdam(model, config.learning_rate, config.weight_decay)
 
     def loss_and_grad(batch):
         xb = x[batch]
@@ -413,7 +395,7 @@ def train_ffnn(
     net = init_ffnn(rng, hidden, x.shape[1], y.shape[1])
     net.scaler = scaler
     net.delay_length = length
-    opt = FlatAdam(net, FeedForwardGrads, config.learning_rate, config.weight_decay)
+    opt = FlatAdam(net, config.learning_rate, config.weight_decay)
 
     def loss_and_grad(batch):
         out, cache = ffnn_forward(net, x[batch])

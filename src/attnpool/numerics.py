@@ -9,7 +9,7 @@ Every public operation here either returns finite values or raises.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from typing import Callable, Mapping, Sequence
 from zlib import crc32
 
@@ -75,10 +75,17 @@ def pack_params(owner: object, names: Sequence[str]) -> ParamBuffer:
     return buffer
 
 
-def empty_like_fields(cls: type, source: object):
-    """A ``cls`` dataclass whose fields are new arrays shaped like the
-    same-named attributes of ``source``."""
-    return cls(**{f.name: np.empty_like(getattr(source, f.name)) for f in fields(cls)})
+def _array_fields(model: object) -> list[str]:
+    """Names of the dataclass fields of ``model`` that hold arrays: the
+    parameters a trainer updates, in declaration order."""
+    return [f.name for f in fields(model) if isinstance(getattr(model, f.name), np.ndarray)]
+
+
+def empty_like_fields(model):
+    """A gradient of ``model``: a copy of the same type whose array fields
+    are new, uninitialized arrays; the other fields are shared."""
+    arrays = {name: np.empty_like(getattr(model, name)) for name in _array_fields(model)}
+    return replace(model, **arrays)
 
 
 @dataclass
@@ -204,21 +211,19 @@ def adam_step(
 
 
 class FlatAdam:
-    """Adam over the trained arrays of one model, held in one ParamBuffer.
+    """Adam over the array fields of one model dataclass, held in one
+    ParamBuffer.
 
-    The trained arrays are the fields of ``grads_type``, the model's
-    gradient dataclass. Each of those attributes of ``owner`` is rebound to
-    its view of ``params``; ``grads`` is a ``grads_type`` whose arrays are
-    views of ``grad_buffer``, so a backward that writes into ``grads`` fills
-    what :meth:`step` reads.
+    Each array field of ``model`` is rebound to its view of ``params``;
+    fields that are not arrays are not trained. ``grads`` is a copy of
+    ``model`` whose array fields are views of ``grad_buffer``, so a backward
+    that writes into ``grads`` fills what :meth:`step` reads.
     """
 
-    def __init__(
-        self, owner: object, grads_type: type, learning_rate: float, weight_decay: float = 0.0
-    ):
-        self.params = pack_params(owner, [f.name for f in fields(grads_type)])
+    def __init__(self, model: object, learning_rate: float, weight_decay: float = 0.0):
+        self.params = pack_params(model, _array_fields(model))
         self.grad_buffer = self.params.zeros_like()
-        self.grads = grads_type(**self.grad_buffer.views)
+        self.grads = replace(model, **self.grad_buffer.views)
         self.state = AdamState.for_param(self.params.flat, learning_rate, weight_decay)
 
     def step(self) -> None:

@@ -514,8 +514,10 @@ class TestHubPipeline:
         assert np.array_equal(again.values, hub_run.completed.values)
 
     def test_trained_poolers_beat_uniform_pooling(self, hub_run):
-        rows = hub_run.union_rows
-        uniform = float(covid.uniform_pool_wis(hub_run.samples, rows).mean())
+        samples, rows = hub_run.samples, hub_run.union_rows
+        pooled = covid.predict_quantiles(covid.baseline_pooler("uniform", samples, rows), samples, rows)
+        levels = np.array(covid.QUANTILE_LEVELS)
+        uniform = float(wis_batch(levels, pooled.quantiles, samples.truths[rows]).mean())
         for kind, scores in hub_run.pooled_wis.items():
             assert np.isfinite(scores[rows]).all()
             trained = float(scores[rows].mean())

@@ -1,11 +1,12 @@
 """Additive attention: forward and hand-derived backward."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from attnpool.attention import (
     HEAD_FIELDS,
-    MultiHeadGrads,
     MultiHeadParams,
     SingleHeadParams,
     init_multi_head,
@@ -65,10 +66,19 @@ def per_head_reference(mp, query, keys, values, upstream):
     return out, weights, grads
 
 
+def w_out_then_heads(stacked):
+    """``w_out``, then each head's arrays in ``HEAD_FIELDS`` order, as views
+    into the stacked fields of multi-head parameters or gradients."""
+    return [stacked.w_out] + [
+        getattr(stacked, n)[i] for i in range(stacked.n_heads) for n in HEAD_FIELDS
+    ]
+
+
 def random_instance(rng, hidden=5, M=3, l=2, base_q=3, base_k=3, d=3):
     params = init_single_head(rng, hidden, base_q * l, base_k * l)
     # keep everything in the gradient-friendly range used by the checks
-    for name, arr in params.names().items():
+    for name in HEAD_FIELDS:
+        arr = getattr(params, name)
         arr[...] = rng.uniform(-0.5, 0.5, size=arr.shape)
     query = rng.uniform(-0.5, 0.5, size=base_q * l)
     keys = rng.uniform(-0.5, 0.5, size=(M, base_k * l))
@@ -237,7 +247,7 @@ class TestMultiHead:
         np.testing.assert_array_equal(out, ref_out)
         np.testing.assert_array_equal(weights, ref_weights)
         allocated = multi_head_backward(mp, cache, upstream)
-        into = MultiHeadGrads(**{n: np.full_like(g, np.nan) for n, g in ref_grads.items()})
+        into = MultiHeadParams(**{n: np.full_like(g, np.nan) for n, g in ref_grads.items()})
         multi_head_backward(mp, cache, upstream, out=into)
         for name, expect in ref_grads.items():
             np.testing.assert_array_equal(getattr(allocated, name), expect, err_msg=name)
@@ -267,7 +277,8 @@ class TestBackward:
         params, query, keys, values = random_instance(rng, M=1)
         _, _, cache = forward_one(single_head_forward, params, query, keys, values)
         grads = single_head_backward(params, cache, np.ones((1, 3)))
-        for name, g in grads.names().items():
+        for name in HEAD_FIELDS:
+            g = getattr(grads, name)
             np.testing.assert_array_equal(g, np.zeros_like(g), err_msg=name)
 
     def test_zero_upstream_gives_zero_grads(self):
@@ -275,7 +286,8 @@ class TestBackward:
         params, query, keys, values = random_instance(rng, M=4)
         _, _, cache = forward_one(single_head_forward, params, query, keys, values)
         grads = single_head_backward(params, cache, np.zeros((1, 3)))
-        for g in grads.names().values():
+        for name in HEAD_FIELDS:
+            g = getattr(grads, name)
             np.testing.assert_array_equal(g, np.zeros_like(g))
 
     @pytest.mark.parametrize("seed", range(5))
@@ -292,13 +304,12 @@ class TestBackward:
         upstream = 2.0 * (pooled - target) / pooled.size
         grads = single_head_backward(params, cache, upstream[None])
 
-        for name in ("w_query", "w_key", "w_score", "bias"):
+        for name in HEAD_FIELDS:
             def loss_fn(arr, name=name):
-                trial = SingleHeadParams(**{**params.names(), name: arr})
-                return loss_with(trial)
+                return loss_with(replace(params, **{name: arr}))
 
-            fd = finite_difference_gradient(loss_fn, params.names()[name])
-            err = relative_gradient_error(grads.names()[name], fd)
+            fd = finite_difference_gradient(loss_fn, getattr(params, name))
+            err = relative_gradient_error(getattr(grads, name), fd)
             assert err < 1e-5, f"{name}: rel err {err:.2e}"
 
     def test_matches_einsum_reference_at_protocol_shape(self):
@@ -310,19 +321,19 @@ class TestBackward:
         V = rng.normal(size=(128, 11, 3))
         G = rng.normal(size=(128, 3))
         _, _, cache = single_head_forward(params, Q, K, V)
-        grads = single_head_backward(params, cache, G).names()
+        grads = single_head_backward(params, cache, G)
         for name, expect in einsum_backward(params, cache, G).items():
             # the reductions run over B*M = 1408 terms in another order, so
             # entries that cancel to near zero are held to the array's scale
             scale = np.abs(expect).max()
             np.testing.assert_allclose(
-                grads[name], expect, rtol=1e-12, atol=1e-12 * scale, err_msg=name
+                getattr(grads, name), expect, rtol=1e-12, atol=1e-12 * scale, err_msg=name
             )
 
     def test_multi_head_grads_match_finite_differences(self):
         rng = np.random.default_rng(17)
         mp = init_multi_head(rng, n_heads=2, hidden=3, query_dim=4, key_dim=4, value_dim=3)
-        for arr in mp.names().values():
+        for arr in w_out_then_heads(mp):
             arr[...] = rng.uniform(-0.5, 0.5, size=arr.shape)
         query = rng.uniform(-0.5, 0.5, size=4)
         keys = rng.uniform(-0.5, 0.5, size=(3, 4))
@@ -332,19 +343,18 @@ class TestBackward:
         out, _, cache = forward_one(multi_head_forward, mp, query, keys, values)
         upstream = 2.0 * (out - target) / out.size
         grads = multi_head_backward(mp, cache, upstream[None])
-        flat_grads = grads.names()
 
-        for name, arr in mp.names().items():
-            def loss_fn(trial_arr, name=name):
+        for j, (arr, grad) in enumerate(zip(w_out_then_heads(mp), w_out_then_heads(grads))):
+            def loss_fn(trial_arr, j=j):
                 fields = (*HEAD_FIELDS, "w_out")
                 trial = MultiHeadParams(**{n: getattr(mp, n).copy() for n in fields})
-                trial.names()[name][...] = trial_arr
+                w_out_then_heads(trial)[j][...] = trial_arr
                 o, _, _ = forward_one(multi_head_forward, trial, query, keys, values)
                 return float(np.mean((o - target) ** 2))
 
             fd = finite_difference_gradient(loss_fn, arr)
-            err = relative_gradient_error(flat_grads[name], fd)
-            assert err < 1e-5, f"{name}: rel err {err:.2e}"
+            err = relative_gradient_error(grad, fd)
+            assert err < 1e-5, f"array {j}: rel err {err:.2e}"
 
     def test_batched_backward_accumulates(self):
         # gradient of a summed batch loss equals the sum of per-instance grads
@@ -356,18 +366,18 @@ class TestBackward:
         G = rng.normal(size=(4, 3))
         _, _, cache = single_head_forward(params, Q, K, V)
         batch_grads = single_head_backward(params, cache, G)
-        total = {k: np.zeros_like(v) for k, v in batch_grads.names().items()}
+        total = {k: np.zeros_like(getattr(batch_grads, k)) for k in HEAD_FIELDS}
         for b in range(4):
             _, _, c1 = forward_one(single_head_forward, params, Q[b], K[b], V[b])
             g1 = single_head_backward(params, c1, G[b : b + 1])
-            for k, v in g1.names().items():
-                total[k] += v
+            for k in HEAD_FIELDS:
+                total[k] += getattr(g1, k)
         for k in total:
-            np.testing.assert_allclose(batch_grads.names()[k], total[k], rtol=1e-12)
+            np.testing.assert_allclose(getattr(batch_grads, k), total[k], rtol=1e-12)
 
 
 class TestParams:
     def test_param_count(self):
         rng = np.random.default_rng(21)
         p = init_single_head(rng, hidden=120, query_dim=15, key_dim=15)
-        assert p.count() == 120 * (15 + 15 + 2)
+        assert sum(getattr(p, n).size for n in HEAD_FIELDS) == 120 * (15 + 15 + 2)

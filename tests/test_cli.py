@@ -726,6 +726,42 @@ class TestCovidRun:
                      "imputation_log.csv", "forecasts.csv", "truth.csv"):
             assert (tmp_path / "r" / name).read_bytes() == (out / name).read_bytes()
 
+    def test_baseline_scores_keep_their_bits(self, tmp_path):
+        """Pinned digests of a baselines-only run's score files. The two
+        baselines use only elementwise numpy (the candidates' mean, one
+        candidate, WIS) and no BLAS, so the digests hold on any machine."""
+        import hashlib
+
+        text = COVID_TINY.replace("model:\n", "model:\n  methods: [uniform, best_single]\n")
+        cfg = write_config(tmp_path, text, out=str(tmp_path / "out"))
+        result = invoke("covid-run", "--config", str(cfg))
+        assert result.exit_code == 0, result.output + str(result.exception)
+        digests = {
+            name: hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest()
+            for name in ("wis_by_week.csv", "period_summary.csv")
+        }
+        assert digests == {
+            "wis_by_week.csv": "5c33e1674e4be62c0c48af24ce43acbc9e42c26e03ab331b99f2c979205971e2",
+            "period_summary.csv": "2e94bc2f278928ae3e4816a4e284e9c667c4b15e8be602155cad4902a350e128",
+        }
+
+    @pytest.mark.parametrize("methods", ["[uniform, best_single]", "[additive, uniform]"])
+    def test_a_period_without_scored_weeks_fails_before_any_job(
+        self, tmp_path, monkeypatch, methods
+    ):
+        calls = []
+        monkeypatch.setattr(covid, "train_pooler", lambda *a, **k: calls.append("train"))
+        monkeypatch.setattr(covid, "evaluate_period", lambda *a, **k: calls.append("score"))
+        text = COVID_TINY.replace("model:\n", f"model:\n  methods: {methods}\n").replace(
+            "data:\n", "data:\n  periods: [[2023-03-04, 2023-04-29], [2030-01-05, 2030-02-02]]\n"
+        )
+        cfg = write_config(tmp_path, text, out=str(tmp_path / "out"))
+        result = invoke("covid-run", "--config", str(cfg))
+        assert result.exit_code == 2
+        assert "validation period 2030-01-05..2030-02-02 holds no scored week" in result.stderr
+        assert calls == []
+        assert list((tmp_path / "out").iterdir()) == []
+
     def test_missing_data_files_abort_cleanly(self, tmp_path):
         cfg = write_config(
             tmp_path,

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from attnpool import covid
+from attnpool.attention import HEAD_FIELDS
 from attnpool.covid import (
     ForecastTable,
     GapSpec,
@@ -706,8 +707,9 @@ class TestTrainPooler:
         cfg = PoolerTrainConfig(epochs=200, learning_rate=1e-3, batch_size=64,
                                 hidden=64, seed=2)
         res = covid.train_pooler("additive", s, config=cfg)
-        uniform = covid.uniform_pool_wis(s).mean()
-        assert res.curve[-1] < uniform
+        uniform = covid.predict_quantiles(covid.baseline_pooler("uniform", s, np.arange(s.n_rows)), s)
+        uniform_wis = wis_batch(np.array(covid.QUANTILE_LEVELS), uniform.quantiles, s.truths)
+        assert res.curve[-1] < uniform_wis.mean()
         assert res.curve[-1] < res.curve[0]
 
     def test_additive_outputs_monotone_without_repair(self, small_trained, samples):
@@ -730,8 +732,10 @@ class TestTrainPooler:
         r1 = covid.train_pooler("additive", samples, config=cfg)
         r2 = covid.train_pooler("additive", samples, config=cfg)
         np.testing.assert_array_equal(r1.curve, r2.curve)
-        for name, arr in r1.pooler.params.names().items():
-            np.testing.assert_array_equal(arr, r2.pooler.params.names()[name])
+        for name in HEAD_FIELDS:
+            np.testing.assert_array_equal(
+                getattr(r1.pooler.params, name), getattr(r2.pooler.params, name)
+            )
         r3 = covid.train_pooler(
             "additive", samples,
             config=PoolerTrainConfig(epochs=3, learning_rate=1e-3, batch_size=128,
@@ -885,10 +889,7 @@ class TestPredictEvaluate:
                 weight=-covid._uniform_pool_linear(samples.n_models, samples.delay).weight,
                 bias=np.zeros(covid.N_LEVELS),
             ),
-            query_scaler=None,
-            key_scaler=None,
             delay=samples.delay,
-            levels=covid.QUANTILE_LEVELS,
         )
         preds = covid.predict_quantiles(pooler, samples, rows=np.arange(50))
         assert preds.sort_repairs > 0
@@ -896,11 +897,38 @@ class TestPredictEvaluate:
 
     def test_uniform_and_candidate_baselines(self, samples):
         rows = np.arange(0, samples.n_rows, 7)
-        uni = covid.uniform_pool_wis(samples, rows)
-        assert uni.shape == (rows.size,)
+        uni = covid.predict_quantiles(covid.baseline_pooler("uniform", samples, rows), samples, rows)
+        assert uni.quantiles.shape == (rows.size, covid.N_LEVELS)
         per_model = covid.candidate_mean_wis(samples, rows)
         assert per_model.shape == (samples.n_models,)
         assert np.isfinite(per_model).all()
+
+    def test_baseline_poolers_keep_the_candidates_bits(self, samples):
+        """The uniform pooler is the candidates' mean and the best_single
+        pooler its period's champion, bit for bit, with no sort repair."""
+        period = covid.split_into_periods(samples.weeks, 4, skip=samples.delay)[2]
+        rows = covid.period_rows(samples, period)
+        champion = int(np.argmin(covid.candidate_mean_wis(samples, rows)))
+        expect = {
+            "uniform": samples.values[rows].mean(axis=1),
+            "best_single": samples.values[rows, champion],
+        }
+        for kind, quantiles in expect.items():
+            pooler = covid.baseline_pooler(kind, samples, rows)
+            preds = covid.predict_quantiles(pooler, samples, rows)
+            assert preds.quantiles.tobytes() == quantiles.tobytes(), kind
+            assert preds.sort_repairs == 0 and preds.weights is None, kind
+            ev = covid.evaluate_period(pooler, samples, period)
+            assert ev.sort_repairs == 0, kind
+            wis = wis_batch(np.array(covid.QUANTILE_LEVELS), quantiles, samples.truths[rows])
+            assert [s.wis for s in ev.scores] == wis.tolist(), kind
+        assert covid.baseline_pooler("best_single", samples, rows).params == champion
+
+    def test_baseline_pooler_rejects_unknown_kinds_and_empty_rows(self, samples):
+        with pytest.raises(ValueError, match="unknown baseline kind"):
+            covid.baseline_pooler("additive", samples, np.arange(3))
+        with pytest.raises(ValueError, match="at least one sample row"):
+            covid.baseline_pooler("best_single", samples, np.arange(0))
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(0, 10_000))

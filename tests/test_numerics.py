@@ -1,10 +1,19 @@
 """Adam updates, finite differences, and seeded init."""
 
-from dataclasses import dataclass
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
+from attnpool.attention import (
+    init_multi_head,
+    init_single_head,
+    multi_head_backward,
+    multi_head_forward,
+    single_head_backward,
+    single_head_forward,
+)
+from attnpool.forecasting import LinearPooler, ffnn_backward, ffnn_forward, init_ffnn
 from attnpool.numerics import (
     AdamState,
     FlatAdam,
@@ -16,6 +25,29 @@ from attnpool.numerics import (
     spawn_rng,
     uniform_init,
 )
+
+
+def model_cases(rng):
+    """One small model of each trained type, each with a backward that
+    takes the model and allocates its gradient (``out`` left as None)."""
+    q, k, v = rng.normal(size=(2, 2)), rng.normal(size=(2, 3, 4)), rng.normal(size=(2, 3, 2))
+    upstream = rng.normal(size=(2, 2))
+
+    def attention_backward(forward, backward):
+        return lambda p: backward(p, forward(p, q, k, v)[2], upstream)
+
+    net = init_ffnn(rng, hidden=4, in_dim=3, out_dim=2)
+    net.delay_length = 3
+    x = rng.normal(size=(2, 3))
+    return [
+        (init_single_head(rng, 3, 2, 4),
+         attention_backward(single_head_forward, single_head_backward)),
+        (init_multi_head(rng, 2, 3, 2, 4, 2),
+         attention_backward(multi_head_forward, multi_head_backward)),
+        (LinearPooler(weight=rng.normal(size=(2, 3)), bias=rng.normal(size=2)),
+         lambda p: p.backward(x, upstream)),
+        (net, lambda p: ffnn_backward(p, ffnn_forward(p, x)[1], upstream)),
+    ]
 
 
 class TestAdam:
@@ -142,27 +174,42 @@ class TestAdam:
         assert buffer.name_at(5) == "w" and buffer.name_at(6) == "b"
 
     def test_flat_adam_trains_the_owner_through_its_grads(self):
-        @dataclass
-        class Grads:
-            w: np.ndarray
-            b: np.ndarray
+        """For each model type, ``opt.grads`` is a model of that type whose
+        array fields are views of the gradient buffer; every array field is
+        trained and the other fields are shared, not trained; and a backward
+        without ``out`` returns the model's type with new arrays."""
+        for model, backward in model_cases(np.random.default_rng(7)):
+            kind = type(model).__name__
+            arrays = [
+                f.name for f in fields(model) if isinstance(getattr(model, f.name), np.ndarray)
+            ]
+            others = [f.name for f in fields(model) if f.name not in arrays]
+            expect = {n: getattr(model, n).copy() for n in arrays}
+            opt = FlatAdam(model, learning_rate=0.1, weight_decay=0.01)
+            assert type(opt.grads) is type(model), kind
+            assert list(opt.params.views) == arrays, kind
+            for n in others:
+                assert getattr(opt.grads, n) is getattr(model, n), (kind, n)
+            rng = np.random.default_rng(8)
+            for n in arrays:
+                grad = getattr(opt.grads, n)
+                assert np.shares_memory(grad, opt.grad_buffer.flat), (kind, n)
+                grad[...] = rng.normal(size=grad.shape)
+            opt.step()
+            for n in arrays:
+                state = AdamState.for_param(expect[n], 0.1, 0.01)
+                adam_step(expect[n], getattr(opt.grads, n), state, name=n)
+                np.testing.assert_array_equal(getattr(model, n), expect[n], err_msg=kind)
 
-        class Model:
-            pass
-
-        model = Model()
-        model.w, model.b, model.frozen = np.ones((2, 3)), np.arange(2.0), np.ones(4)
-        opt = FlatAdam(model, Grads, learning_rate=0.1, weight_decay=0.01)
-        assert list(opt.params.views) == ["w", "b"]
-        expect = {"w": model.w.copy(), "b": model.b.copy()}
-        states = {n: AdamState.for_param(a, 0.1, 0.01) for n, a in expect.items()}
-        opt.grads.w[...] = np.linspace(-1.0, 1.0, 6).reshape(2, 3)
-        opt.grads.b[...] = [0.5, -2.0]
-        opt.step()
-        for n in ("w", "b"):
-            adam_step(expect[n], getattr(opt.grads, n), states[n], name=n)
-            np.testing.assert_array_equal(getattr(model, n), expect[n])
-        np.testing.assert_array_equal(model.frozen, np.ones(4))
+            fresh = backward(model)
+            assert type(fresh) is type(model), kind
+            for n in arrays:
+                g = getattr(fresh, n)
+                assert g.shape == getattr(model, n).shape, (kind, n)
+                assert not np.shares_memory(g, opt.grad_buffer.flat), (kind, n)
+                assert not np.shares_memory(g, opt.params.flat), (kind, n)
+            for n in others:
+                assert getattr(fresh, n) is getattr(model, n), (kind, n)
 
     def test_shape_mismatch_rejected(self):
         state = AdamState.for_param(np.ones(3))
