@@ -77,19 +77,6 @@ def init_single_head(
     )
 
 
-def init_multi_head(
-    rng: np.random.Generator,
-    n_heads: int,
-    hidden: int,
-    query_dim: int,
-    key_dim: int,
-    value_dim: int,
-) -> MultiHeadParams:
-    heads = [init_single_head(rng, hidden, query_dim, key_dim) for _ in range(n_heads)]
-    w_out = uniform_init(rng, (value_dim, value_dim * n_heads), value_dim * n_heads)
-    return MultiHeadParams.from_heads(heads, w_out)
-
-
 # ---------------------------------------------------------------------------
 # forward
 

@@ -392,11 +392,11 @@ def validate_config(
 
     Raises :class:`ConfigError` carrying *every* problem found, each message
     prefixed with the offending key path. Keyword overrides take the place of
-    the file's ``output``/``threads``/``seed`` before the config is hashed,
-    so the manifest reflects what actually ran. Relative *input* paths (data
-    files, cache) resolve against the config file's directory, so a config
-    can ship next to its data; the relative ``output`` destination resolves
-    against the working directory.
+    the file's ``output``/``threads``/``seed`` before the config is parsed,
+    so they are checked like the file's values and the hash reflects what
+    actually ran. Relative *input* paths (data files, cache) resolve against
+    the config file's directory, so a config can ship next to its data; the
+    relative ``output`` destination resolves against the working directory.
     """
     path = Path(path)
     try:
@@ -418,18 +418,10 @@ def validate_config(
             [f"experiment: must be 'lorenz' or 'covid', got {experiment!r}"]
         )
 
+    overrides = {"output": output, "threads": threads, "seed": seed}
+    raw.update((key, value) for key, value in overrides.items() if value is not None)
     errors: list[str] = []
     eff = _walk(raw, _CONFIGS[experiment], "", errors)
-    if output is not None:
-        eff["output"] = output
-    if threads is not None:
-        if threads < 1:
-            errors.append(f"threads: must be >= 1, got {threads}")
-        eff["threads"] = threads
-    if seed is not None:
-        if seed < 0:
-            errors.append(f"seed: must be >= 0, got {seed}")
-        eff["seed"] = seed
     if errors:
         raise ConfigError(errors)
 

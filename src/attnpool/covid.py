@@ -147,10 +147,6 @@ class ForecastTable:
                 f"is only partially filled"
             )
 
-    def missing_mask(self) -> Array:
-        """(n_models, n_locations, n_weeks) boolean mask of absent cells."""
-        return np.isnan(self.values).all(axis=3)
-
 
 @dataclass
 class IngestReport:
@@ -357,9 +353,7 @@ def _missing_runs(missing: Array) -> Iterable[tuple[int, int]]:
             w += 1
 
 
-def impute_missing(
-    table: ForecastTable, roster: Sequence[str] | None = None
-) -> tuple[ForecastTable, list[ImputationEntry]]:
+def impute_missing(table: ForecastTable) -> tuple[ForecastTable, list[ImputationEntry]]:
     """Fill every missing forecast cell; returns the completed table + log.
 
     Three rules, decided per gap of consecutive missing weeks for one
@@ -375,21 +369,10 @@ def impute_missing(
 
     All rules read only original (pre-imputation) data, so the result does
     not depend on the order models are processed in and a second pass is a
-    no-op. ``roster`` selects and validates the models that must be present
-    (default: all models in the table). Every model needs at least one
-    original forecast per location.
+    no-op. Every model needs at least one original forecast per location.
     """
-    if roster is None:
-        models = table.models
-    else:
-        missing_models = sorted(set(roster) - set(table.models))
-        if missing_models:
-            raise ValueError(
-                f"roster models absent from the forecast table: {missing_models}"
-            )
-        models = tuple(sorted(roster))
-    model_rows = [table.models.index(m) for m in models]
-    orig = table.values[model_rows]  # (M, L, W, Q), the only data rules read
+    models = table.models
+    orig = table.values  # (M, L, W, Q), the only data rules read
     present = ~np.isnan(orig).all(axis=3)  # (M, L, W)
     n_weeks = len(table.weeks)
 

@@ -16,10 +16,9 @@ i.e. the observation counts as covered.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Mapping
 
 import numpy as np
 
@@ -34,36 +33,32 @@ WIS_ALPHAS: tuple[float, ...] = (0.02, 0.05, 0.1, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 
 # valid time
 
 
-@dataclass
-class ValidTimeConfig:
-    epsilon: float = 40.0   # mean-squared-error threshold
-    dt: float = 0.1         # sampling interval
+VALID_TIME_EPSILON = 40.0  # mean-squared-error threshold
+VALID_TIME_DT = 0.1        # sampling interval
 
 
-def valid_time(pred: Array, truth: Array, cfg: ValidTimeConfig | None = None) -> float:
-    """Duration until the forecast MSE first reaches ``epsilon``.
+def valid_time(pred: Array, truth: Array) -> float:
+    """Duration until the forecast MSE first reaches ``VALID_TIME_EPSILON``.
 
-    The error at step j is the squared error averaged over components, the
-    scale on which the default threshold of 40 is calibrated (the MSE between
-    unrelated states on the attractor saturates near 200). Returns ``j* . dt``
-    for the first index j* with that error >= epsilon (non-finite predictions
-    count as exceedance); if the threshold is never reached the full horizon
+    ``pred`` and ``truth`` are (n, d). The error at step j is the squared
+    error averaged over components, the scale on which the threshold of 40
+    is calibrated (the MSE between unrelated states on the attractor
+    saturates near 200). Returns ``j* . dt`` for the first index j* with
+    that error >= the threshold (non-finite predictions count as
+    exceedance); if the threshold is never reached the full horizon
     ``len(pred) . dt`` is returned, and if the very first step exceeds, 0.0.
     """
-    cfg = cfg or ValidTimeConfig()
     pred = np.asarray(pred, dtype=np.float64)
     truth = np.asarray(truth, dtype=np.float64)
     if pred.shape != truth.shape:
         raise ValueError(f"prediction shape {pred.shape} != truth shape {truth.shape}")
-    if pred.ndim == 1:
-        pred, truth = pred[:, None], truth[:, None]
     if len(pred) == 0:
         raise ValueError("empty forecast")
     err = np.mean((pred - truth) ** 2, axis=1)
-    exceeded = (err >= cfg.epsilon) | ~np.isfinite(err)
+    exceeded = (err >= VALID_TIME_EPSILON) | ~np.isfinite(err)
     hits = np.nonzero(exceeded)[0]
     j_star = int(hits[0]) if hits.size else len(pred)
-    return j_star * cfg.dt
+    return j_star * VALID_TIME_DT
 
 
 # ---------------------------------------------------------------------------
@@ -111,20 +106,6 @@ def median_with_ci(samples: Array, level: float = 0.95) -> tuple[float, float, f
 # interval score / WIS
 
 
-def interval_score(lower: float, upper: float, alpha: float, observed: float) -> float:
-    """Central (1 - alpha) prediction-interval score; lower is better."""
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    if lower > upper:
-        raise ValueError(f"interval endpoints crossed: lower {lower} > upper {upper}")
-    score = upper - lower
-    if observed < lower:
-        score += (2.0 / alpha) * (lower - observed)
-    elif observed > upper:
-        score += (2.0 / alpha) * (observed - upper)
-    return score
-
-
 @dataclass(frozen=True)
 class WISConfig:
     """Interval levels entering the weighted interval score."""
@@ -139,15 +120,6 @@ class WISConfig:
                 raise ValueError(f"alpha must lie in (0, 1), got {a}")
         if len(set(self.alphas)) != len(self.alphas):
             raise ValueError("duplicate alpha levels")
-
-    @property
-    def required_levels(self) -> tuple[float, ...]:
-        """All quantile levels the score needs: endpoints plus the median."""
-        levels = {0.5}
-        for a in self.alphas:
-            levels.add(round(a / 2.0, 6))
-            levels.add(round(1.0 - a / 2.0, 6))
-        return tuple(sorted(levels))
 
     @property
     def denominator(self) -> float:
@@ -201,18 +173,6 @@ def wis_batch(levels: Array, values: Array, observed: Array, cfg: WISConfig | No
         above = (2.0 / a) * np.maximum(observed - up, 0.0)
         total += (a / 2.0) * (width + below + above)
     return total / cfg.denominator
-
-
-def wis(quantiles: Mapping[float, float], observed: float, cfg: WISConfig | None = None) -> float:
-    """WIS of one quantile forecast given as a level -> value mapping.
-
-    Every required level (interval endpoints plus the median) must be
-    present; extra levels are ignored.
-    """
-    cfg = cfg or WISConfig()
-    levels = np.array(sorted(quantiles.keys()), dtype=np.float64)
-    values = np.array([quantiles[k] for k in sorted(quantiles.keys())], dtype=np.float64)
-    return float(wis_batch(levels, values[None, :], np.array([observed]), cfg)[0])
 
 
 def wis_gradient_batch(

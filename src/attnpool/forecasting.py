@@ -345,7 +345,7 @@ def train_attention(
 def train_linear(
     inputs: Array, targets: Array, config: TrainConfig | None = None
 ) -> tuple[LinearPooler, Array]:
-    """Adam-trained affine pooler (the closed-form ridge fit is the oracle)."""
+    """Adam-trained affine pooler."""
     config = config or TrainConfig()
     x = np.asarray(inputs, dtype=np.float64)
     y = np.asarray(targets, dtype=np.float64)
@@ -364,16 +364,6 @@ def train_linear(
 
     curve = fit(opt, loss_and_grad, np.arange(len(y)), rng, config)
     return model, curve
-
-
-def fit_linear_ridge(inputs: Array, targets: Array, ridge: float = 1e-8) -> LinearPooler:
-    """Closed-form least-squares fit (tiny ridge keeps the solve well posed)."""
-    x = np.asarray(inputs, dtype=np.float64)
-    y = np.asarray(targets, dtype=np.float64)
-    augmented = np.hstack([x, np.ones((len(x), 1))])
-    gram = augmented.T @ augmented + ridge * np.eye(augmented.shape[1])
-    solution = np.linalg.solve(gram, augmented.T @ y)  # (d_in + 1, d_out)
-    return LinearPooler(weight=solution[:-1].T.copy(), bias=solution[-1].copy())
 
 
 def train_ffnn(

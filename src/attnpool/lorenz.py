@@ -41,22 +41,6 @@ def rho_true(t: float) -> float:
     return RHO_MEAN - RHO_AMPLITUDE * math.cos(2.0 * math.pi * t / OSCILLATION_PERIOD)
 
 
-@dataclass
-class LorenzParams:
-    sigma: float
-    beta: float
-    rho: Callable[[float], float]
-
-
-def stationary_params(rho_value: float) -> LorenzParams:
-    rho_value = float(rho_value)
-    return LorenzParams(SIGMA, BETA, lambda t: rho_value)
-
-
-def nonstationary_params() -> LorenzParams:
-    return LorenzParams(SIGMA, BETA, rho_true)
-
-
 # Both RK4 paths evaluate the same expressions in the same order, so they
 # agree bit for bit (asserted in the tests). The sequential integrator runs on
 # plain floats with the stages written out: a 3-vector step in numpy spends
@@ -86,21 +70,24 @@ def integrate(
     u0: Array,
     t0: float,
     n_samples: int,
-    params: LorenzParams,
+    rho: Callable[[float], float],
     dt: float = DT_INTEGRATION,
     substeps: int = SUBSTEPS,
 ) -> Trajectory:
-    """Record ``n_samples`` states after ``u0``, ``substeps`` RK4 steps apart.
+    """Record ``n_samples`` states after ``u0``, ``substeps`` RK4 steps apart,
+    under the driving parameter ``rho`` of time (``rho_true`` for the true
+    system, a constant for a candidate) with ``SIGMA`` and ``BETA``.
 
+    Each step evaluates ``rho`` at its stage times t, t + dt/2 and t + dt.
     ``u0`` itself is not included; the returned trajectory starts at
-    t0 + substeps * dt.
+    t0 + substeps * dt. Raises on blow-up.
     """
     u0 = np.asarray(u0, dtype=np.float64)
     if u0.shape != (3,):
         raise ValueError(f"initial state must have shape (3,), got {u0.shape}")
     if n_samples < 0:
         raise ValueError(f"n_samples must be >= 0, got {n_samples}")
-    sigma, beta, rho = params.sigma, params.beta, params.rho
+    sigma, beta = SIGMA, BETA
     half = dt / 2.0
     sixth = dt / 6.0
     x, y, z = float(u0[0]), float(u0[1]), float(u0[2])
@@ -127,12 +114,6 @@ def integrate(
             raise FloatingPointError(f"integration blew up at sample {j}")
         out[j, 0], out[j, 1], out[j, 2] = x, y, z
     return Trajectory(t0=t0 + substeps * dt, dt_sample=dt * substeps, states=out)
-
-
-def rk4_step(u: Array, t: float, dt: float, params: LorenzParams) -> Array:
-    """One classical RK4 step with the driving parameter evaluated at the
-    stage times t, t + dt/2, t + dt. Raises on blow-up."""
-    return integrate(u, t, 1, params, dt=dt, substeps=1).states[0]
 
 
 def _deriv_into(k, u, r: Array, tmp: Array) -> None:
@@ -251,16 +232,16 @@ def _random_ic(rng: np.random.Generator) -> Array:
     return rng.uniform(IC_LOW, IC_HIGH)
 
 
-def _record_from_zero(rng, n_samples: int, t_transient: float, params) -> Trajectory:
+def _record_from_zero(rng, n_samples: int, t_transient: float) -> Trajectory:
     """Integrate a transient over negative times, then record from t = 0.
 
     Recording starts exactly where the transient ends, so the driving
     parameter is continuous and rho(0) = 28 at the first recorded sample.
     """
     n_trans = round(t_transient / DT_SAMPLE)
-    trans = integrate(_random_ic(rng), -t_transient, n_trans, params)
+    trans = integrate(_random_ic(rng), -t_transient, n_trans, rho_true)
     u_star = trans.states[-1]  # state at t ~ 0
-    rest = integrate(u_star, 0.0, n_samples - 1, params)
+    rest = integrate(u_star, 0.0, n_samples - 1, rho_true)
     states = np.vstack([u_star, rest.states])
     return Trajectory(t0=0.0, dt_sample=DT_SAMPLE, states=states)
 
@@ -305,16 +286,15 @@ def generate_dataset(
     run discards its own transient and records from t = 0 with a fresh
     initial condition drawn from the attractor box.
     """
-    params = nonstationary_params()
     n_train, n_validation, starts = _dataset_layout(
         t_train, t_val, n_val_segments, segment_len, warmup
     )
     if warmup < 1:
         raise ValueError("warmup must be >= 1 (closed-loop forecasts need history)")
 
-    train = _record_from_zero(spawn_rng(seed, "lorenz-train-ic"), n_train, t_transient, params)
+    train = _record_from_zero(spawn_rng(seed, "lorenz-train-ic"), n_train, t_transient)
     validation = _record_from_zero(
-        spawn_rng(seed, "lorenz-validation-ic"), n_validation, t_transient, params
+        spawn_rng(seed, "lorenz-validation-ic"), n_validation, t_transient
     )
     return LorenzDataset(
         train=train,
@@ -339,7 +319,8 @@ def save_trajectory_csv(path: str | Path, traj: Trajectory) -> None:
 
 def load_trajectory_csv(path: str | Path) -> Trajectory:
     """Read a trajectory CSV; errors name the file and the 1-based CSV row
-    (the header is row 1). Blank lines are skipped."""
+    (the header is row 1). Blank lines are skipped. Times must increase by
+    one step, the spacing of the first two samples."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -357,12 +338,16 @@ def load_trajectory_csv(path: str | Path) -> Trajectory:
                 raise ValueError(f"{path} row {rownum}: non-numeric value in {rec!r}") from None
             if not all(map(math.isfinite, values)):
                 raise ValueError(f"{path} row {rownum}: non-finite value in {rec!r}")
-            times.append(values[0])
+            t = values[0]
+            if times and t <= times[-1]:
+                raise ValueError(f"{path} row {rownum}: time {rec[0]} does not increase")
+            if len(times) >= 2 and abs((t - times[-1]) - (times[1] - times[0])) > 1e-9:
+                raise ValueError(
+                    f"{path} row {rownum}: non-uniform sampling, step {t - times[-1]:.17g} "
+                    f"after {times[1] - times[0]:.17g}"
+                )
+            times.append(t)
             rows.append(values[1:])
     if len(rows) < 2:
         raise ValueError(f"trajectory in {path} has fewer than 2 samples")
-    times_arr = np.array(times)
-    dts = np.diff(times_arr)
-    if np.max(np.abs(dts - dts[0])) > 1e-9:
-        raise ValueError(f"non-uniform sampling in {path}")
-    return Trajectory(t0=times[0], dt_sample=float(dts[0]), states=np.array(rows))
+    return Trajectory(t0=times[0], dt_sample=times[1] - times[0], states=np.array(rows))

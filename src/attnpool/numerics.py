@@ -1,6 +1,5 @@
 """Float64 numerics shared by every model: flat parameter buffers, Adam
-updates, finite-difference gradient checking, and seeded parameter
-initialization.
+updates, and seeded parameter initialization.
 
 All numeric state in this package lives in C-ordered float64 numpy arrays.
 Every public operation here either returns finite values or raises.
@@ -10,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields, replace
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 from zlib import crc32
 
 import numpy as np
@@ -88,74 +87,47 @@ def empty_like_fields(model):
     return replace(model, **arrays)
 
 
+# Adam's decay rates and denominator guard
+BETA1 = 0.9
+BETA2 = 0.999
+EPSILON = 1e-8
+
+
 @dataclass
 class AdamState:
-    """Adam moments plus hyperparameters for one parameter array.
+    """Adam moments, learning rate and weight decay for the ``flat`` vector
+    of one :class:`ParamBuffer`, so one state covers every array of a model.
 
-    The array is usually the ``flat`` vector of a :class:`ParamBuffer`, so
-    one state covers every array of a model. ``step_count`` is the number of
-    updates already applied; bias correction uses step_count + 1 on the next
-    call. Weight decay is decoupled: it is applied directly to the
-    parameters, not folded into the gradient.
+    ``step_count`` is the number of updates already applied; bias correction
+    uses step_count + 1 on the next call. Weight decay is decoupled: it is
+    applied directly to the parameters, not folded into the gradient.
     """
 
     first_moment: Array
     second_moment: Array
     step_count: int = 0
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     weight_decay: float = 0.0
 
     def __post_init__(self):
         # scratch for the in-place update, so a step allocates nothing
         self._scratch = (np.empty_like(self.first_moment), np.empty_like(self.first_moment))
 
-    @classmethod
-    def for_param(
-        cls,
-        param: Array,
-        learning_rate: float = 1e-3,
-        weight_decay: float = 0.0,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        epsilon: float = 1e-8,
-    ) -> "AdamState":
-        return cls(
-            first_moment=np.zeros_like(param, dtype=np.float64),
-            second_moment=np.zeros_like(param, dtype=np.float64),
-            learning_rate=learning_rate,
-            beta1=beta1,
-            beta2=beta2,
-            epsilon=epsilon,
-            weight_decay=weight_decay,
-        )
 
-
-def _require_finite_entries(arr: Array, what: str, name: str, layout: ParamBuffer | None) -> None:
+def _require_finite_entries(arr: Array, what: str, layout: ParamBuffer) -> None:
     finite = np.isfinite(arr)
     if not finite.all():
-        if layout is not None:
-            name = layout.name_at(int(np.argmin(finite.ravel())))
+        name = layout.name_at(int(np.argmin(finite.ravel())))
         raise ValueError(f"non-finite entries in {what}{name}")
 
 
-def adam_step(
-    param: Array | ParamBuffer,
-    grad: Array | ParamBuffer,
-    state: AdamState,
-    name: str = "param",
-) -> Array:
-    """One Adam update of ``param`` in place. Mutates ``state``; returns the
-    updated array.
+def adam_step(params: ParamBuffer, grads: ParamBuffer, state: AdamState) -> None:
+    """One Adam update of ``params.flat`` in place; mutates ``state``.
 
-    ``param`` and ``grad`` are float64 arrays, or ParamBuffers of one layout;
-    then the update runs over their ``flat`` vectors and an error names the
-    array that holds the first non-finite entry, else ``name``. If the
-    gradient or the result is not finite, the error is raised before
-    ``param`` changes (``state`` has already advanced). The update applies
-    the per-element operations of
+    ``grads`` has the layout of ``params``. If the gradient or the result is
+    not finite, the error names the array that holds the first non-finite
+    entry and is raised before ``params`` changes (``state`` has already
+    advanced). The update applies the per-element operations of
 
         m = b1 m + (1 - b1) g,   v = b2 v + (1 - b2) g^2,
         p = p - lr (m / (1 - b1^t)) / (sqrt(v / (1 - b2^t)) + eps) - lr wd p
@@ -163,29 +135,12 @@ def adam_step(
     in this order, so it gives the same bits as evaluating them array by
     array.
     """
-    layout = param if isinstance(param, ParamBuffer) else None
-    if layout is not None:
-        param = layout.flat
-        name = "parameter buffer"
-    if isinstance(grad, ParamBuffer):
-        grad = grad.flat
-    if not isinstance(param, np.ndarray) or param.dtype != np.float64:
-        raise TypeError(f"Adam updates a float64 array in place, got {type(param).__name__}")
-    grad = np.asarray(grad, dtype=np.float64)
-    if param.shape != grad.shape:
-        raise ValueError(
-            f"shape mismatch for {name}: param {param.shape} vs gradient {grad.shape}"
-        )
-    if state.first_moment.shape != param.shape:
-        raise ValueError(
-            f"Adam state for {name} has shape {state.first_moment.shape}, "
-            f"param has {param.shape}"
-        )
-    _require_finite_entries(grad, "gradient of ", name, layout)
+    param, grad = params.flat, grads.flat
+    _require_finite_entries(grad, "gradient of ", params)
 
     state.step_count += 1
     t = state.step_count
-    b1, b2, lr = state.beta1, state.beta2, state.learning_rate
+    b1, b2, lr = BETA1, BETA2, state.learning_rate
     m, v = state.first_moment, state.second_moment
     step, denom = state._scratch
     m *= b1
@@ -199,15 +154,14 @@ def adam_step(
     step *= lr
     np.divide(v, 1.0 - b2**t, out=denom)
     np.sqrt(denom, out=denom)
-    denom += state.epsilon
+    denom += EPSILON
     step /= denom
     updated = np.subtract(param, step, out=step)
     if state.weight_decay != 0.0:
         np.multiply(param, lr * state.weight_decay, out=denom)
         updated -= denom
-    _require_finite_entries(updated, "updated ", name, layout)
+    _require_finite_entries(updated, "updated ", params)
     np.copyto(param, updated)
-    return param
 
 
 class FlatAdam:
@@ -224,39 +178,11 @@ class FlatAdam:
         self.params = pack_params(model, _array_fields(model))
         self.grad_buffer = self.params.zeros_like()
         self.grads = replace(model, **self.grad_buffer.views)
-        self.state = AdamState.for_param(self.params.flat, learning_rate, weight_decay)
+        flat = self.params.flat
+        self.state = AdamState(
+            np.zeros_like(flat), np.zeros_like(flat), learning_rate=learning_rate,
+            weight_decay=weight_decay,
+        )
 
     def step(self) -> None:
         adam_step(self.params, self.grad_buffer, self.state)
-
-
-def finite_difference_gradient(
-    loss_fn: Callable[[Array], float], param: Array, step: float = 1e-5
-) -> Array:
-    """Central-difference gradient of a scalar loss w.r.t. every entry of ``param``.
-
-    The reference oracle for every analytic gradient in the package. O(2 * size)
-    loss evaluations; raises on a non-finite loss value.
-    """
-    param = np.asarray(param, dtype=np.float64)
-    grad = np.zeros_like(param)
-    flat = grad.ravel()
-    work = param.copy()
-    wflat = work.ravel()
-    for i in range(wflat.size):
-        orig = wflat[i]
-        wflat[i] = orig + step
-        up = float(loss_fn(work))
-        wflat[i] = orig - step
-        down = float(loss_fn(work))
-        wflat[i] = orig
-        if not (np.isfinite(up) and np.isfinite(down)):
-            raise ValueError(f"non-finite loss during finite differencing at entry {i}")
-        flat[i] = (up - down) / (2.0 * step)
-    return grad
-
-
-def relative_gradient_error(analytic: Array, numeric: Array) -> float:
-    """Matrix-level relative L2 error between two gradients."""
-    denom = max(float(np.linalg.norm(numeric)), 1e-12)
-    return float(np.linalg.norm(analytic - numeric)) / denom

@@ -17,22 +17,14 @@ from click.testing import CliRunner
 
 from attnpool import cli, covid
 from attnpool.attention import (
-    init_multi_head,
+    MultiHeadParams,
     init_single_head,
     multi_head_backward,
     multi_head_forward,
     single_head_backward,
     single_head_forward,
 )
-from attnpool.evaluation import (
-    ValidTimeConfig,
-    WISConfig,
-    interval_score,
-    valid_time,
-    wis,
-    wis_batch,
-    wis_gradient_batch,
-)
+from attnpool.evaluation import WISConfig, valid_time, wis_batch, wis_gradient_batch
 from attnpool.forecasting import (
     TrainConfig,
     assemble_open_loop,
@@ -51,10 +43,9 @@ from attnpool.lorenz import (
     candidate_forecasts,
     generate_dataset,
     integrate,
-    nonstationary_params,
     rho_true,
-    rk4_step,
 )
+from attnpool.numerics import uniform_init
 
 GRADIENT_TOLERANCE = 1e-5
 N_GRADIENT_SEEDS = 20
@@ -143,9 +134,8 @@ class TestGradientSuite:
         start = time.monotonic()
         for seed in range(N_GRADIENT_SEEDS):
             rng = np.random.default_rng(100 + seed)
-            params = init_multi_head(
-                rng, n_heads=3, hidden=4, query_dim=5, key_dim=4, value_dim=3
-            )
+            heads = [init_single_head(rng, hidden=4, query_dim=5, key_dim=4) for _ in range(3)]
+            params = MultiHeadParams.from_heads(heads, uniform_init(rng, (3, 9), 9))
             q, k = rng.normal(size=(4, 5)), rng.normal(size=(4, 3, 4))
             v, y = rng.normal(size=(4, 3, 3)), rng.normal(size=(4, 3))
 
@@ -187,7 +177,7 @@ class TestGradientSuite:
     def test_wis_loss_wrt_quantiles(self):
         # spaced quantiles and an observation kept away from every kink so
         # the central difference never straddles a non-smooth point
-        levels = np.array(WISConfig().required_levels)
+        levels = np.array(covid.QUANTILE_LEVELS)
         for seed in range(N_GRADIENT_SEEDS):
             rng = np.random.default_rng(300 + seed)
             values = 5.0 + np.cumsum(0.05 + rng.uniform(0.0, 1.0, size=21))
@@ -212,15 +202,11 @@ class TestIntegratorSuite:
     bounded long trajectory, all inside a minute."""
 
     def test_rk4_order_of_convergence(self):
-        params = nonstationary_params()
         u0 = np.array([-6.0, 8.0, 27.0])
 
         def advance(dt, t_end=0.5):
-            u, t = u0.copy(), 0.0
-            for _ in range(int(round(t_end / dt))):
-                u = rk4_step(u, t, dt, params)
-                t += dt
-            return u
+            n = int(round(t_end / dt))
+            return integrate(u0, 0.0, 1, rho_true, dt=dt, substeps=n).states[0]
 
         reference = advance(0.0003125)
         dts = np.array([0.02, 0.01, 0.005, 0.0025])
@@ -229,15 +215,23 @@ class TestIntegratorSuite:
         assert 3.7 <= slope <= 4.3, f"slope {slope:.3f}, errors {errors}"
 
     def test_origin_is_an_exact_fixed_point(self):
-        out = rk4_step(np.zeros(3), 1.23, 0.1, nonstationary_params())
+        out = integrate(np.zeros(3), 1.23, 1, rho_true, dt=0.1, substeps=1).states[0]
         assert np.all(out == 0.0)
 
     def test_long_trajectory_stays_bounded(self):
         start = time.monotonic()
-        traj = integrate(np.array([-6.0, 8.0, 27.0]), 0.0, 30_000, nonstationary_params())
+        traj = integrate(np.array([-6.0, 8.0, 27.0]), 0.0, 30_000, rho_true)
         assert traj.states.shape == (30_000, 3)
         assert np.max(np.abs(traj.states)) < 100.0
         assert time.monotonic() - start < 60.0
+
+
+def _one_interval_wis(lower, median, upper, alpha, observed):
+    """WIS of the forecast (lower, median, upper) of one central (1 - alpha)
+    interval: (0.5 |y - median| + (alpha/2) IS) / 1.5, IS the interval score."""
+    levels = np.array([alpha / 2, 0.5, 1 - alpha / 2])
+    forecast = np.array([[lower, median, upper]])
+    return wis_batch(levels, forecast, np.array([observed]), WISConfig(alphas=(alpha,)))[0]
 
 
 class TestScoreSuite:
@@ -245,24 +239,26 @@ class TestScoreSuite:
     homogeneity and translation invariance hold to 1e-12."""
 
     def test_observation_inside_interval_scores_the_width(self):
-        assert interval_score(1.0, 3.0, 0.2, 2.0) == 2.0
+        # IS = 2 (the width); the median sits on the observation
+        assert _one_interval_wis(1.0, 2.0, 3.0, 0.2, 2.0) == 0.1 * 2.0 / 1.5
 
     def test_observation_below_interval(self):
-        assert interval_score(1.0, 3.0, 0.2, 0.0) == 12.0
+        # IS = 12; the median is 2 from the observation
+        assert _one_interval_wis(1.0, 2.0, 3.0, 0.2, 0.0) == (0.5 * 2.0 + 0.1 * 12.0) / 1.5
 
     def test_observation_above_interval(self):
-        assert interval_score(1.0, 3.0, 0.5, 4.0) == 6.0
+        # IS = 6; the median is 2 from the observation
+        assert _one_interval_wis(1.0, 2.0, 3.0, 0.5, 4.0) == (0.5 * 2.0 + 0.25 * 6.0) / 1.5
 
     def test_single_interval_worked_example(self):
-        score = wis({0.25: 1.0, 0.5: 2.0, 0.75: 3.0}, 2.0, WISConfig(alphas=(0.5,)))
-        assert score == 1.0 / 3.0
+        assert _one_interval_wis(1.0, 2.0, 3.0, 0.5, 2.0) == 1.0 / 3.0
 
     def test_perfect_forecast_scores_zero(self):
-        levels = WISConfig().required_levels
-        assert wis({lv: 7.0 for lv in levels}, 7.0) == 0.0
+        levels = np.array(covid.QUANTILE_LEVELS)
+        assert wis_batch(levels, np.full((1, levels.size), 7.0), np.array([7.0]))[0] == 0.0
 
     def test_positive_homogeneity_and_translation_invariance(self):
-        levels = np.array(WISConfig().required_levels)
+        levels = np.array(covid.QUANTILE_LEVELS)
         for seed in range(N_GRADIENT_SEEDS):
             rng = np.random.default_rng(400 + seed)
             vals = np.sort(rng.uniform(0.0, 10.0, size=21))
@@ -293,10 +289,7 @@ class ProtocolRun:
 
 
 def _medians_of(result, truths):
-    vt_cfg = ValidTimeConfig(epsilon=40.0, dt=DT_SAMPLE)
-    vts = np.array(
-        [valid_time(result.predictions[i], truths[i], vt_cfg) for i in range(len(truths))]
-    )
+    vts = np.array([valid_time(result.predictions[i], truths[i]) for i in range(len(truths))])
     return vts, float(np.median(vts))
 
 
@@ -500,7 +493,7 @@ class TestHubPipeline:
     trainings completing is itself part of this gate)."""
 
     def test_imputation_completes_the_table(self, hub_run):
-        assert not hub_run.completed.missing_mask().any()
+        assert not np.isnan(hub_run.completed.values).all(axis=3).any()
         assert np.isfinite(hub_run.completed.values).all()
 
     def test_imputation_covers_all_three_rules(self, hub_run):

@@ -4,12 +4,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from oracles import finite_difference_gradient, relative_gradient_error
 
 from attnpool.attention import (
     HEAD_FIELDS,
     MultiHeadParams,
     SingleHeadParams,
-    init_multi_head,
     init_single_head,
     multi_head_backward,
     multi_head_forward,
@@ -17,7 +17,7 @@ from attnpool.attention import (
     single_head_forward,
     softmax,
 )
-from attnpool.numerics import finite_difference_gradient, relative_gradient_error
+from attnpool.numerics import uniform_init
 
 
 def transcribed_forward(params, query, keys, values):
@@ -41,6 +41,13 @@ def forward_one(forward, params, query, keys, values):
     run as a batch of one; the cache keeps its batch axis."""
     out, weights, cache = forward(params, query[None], keys[None], values[None])
     return out[0], weights[0], cache
+
+
+def random_multi_head(rng, n_heads, hidden, query_dim, key_dim, value_dim):
+    """Seeded multi-head parameters: the heads in order, then ``w_out``."""
+    heads = [init_single_head(rng, hidden, query_dim, key_dim) for _ in range(n_heads)]
+    w_out = uniform_init(rng, (value_dim, value_dim * n_heads), value_dim * n_heads)
+    return MultiHeadParams.from_heads(heads, w_out)
 
 
 def head_of(mp, i):
@@ -205,7 +212,7 @@ class TestMultiHead:
 
     def test_zero_mix_gives_zero(self):
         rng = np.random.default_rng(12)
-        mp = init_multi_head(rng, n_heads=3, hidden=4, query_dim=6, key_dim=6, value_dim=3)
+        mp = random_multi_head(rng, n_heads=3, hidden=4, query_dim=6, key_dim=6, value_dim=3)
         mp.w_out[...] = 0.0
         out, _, _ = forward_one(
             multi_head_forward, mp, np.ones(6), np.ones((2, 6)), np.ones((2, 3))
@@ -216,7 +223,7 @@ class TestMultiHead:
         """Multi-head output equals w_out applied to the concatenation of the
         per-head pooled vectors, assembled by hand head by head."""
         rng = np.random.default_rng(13)
-        mp = init_multi_head(rng, n_heads=4, hidden=5, query_dim=6, key_dim=6, value_dim=3)
+        mp = random_multi_head(rng, n_heads=4, hidden=5, query_dim=6, key_dim=6, value_dim=3)
         query = rng.normal(size=6)
         keys = rng.normal(size=(5, 6))
         values = rng.normal(size=(5, 3))
@@ -237,7 +244,7 @@ class TestMultiHead:
         M=9, key dim 105, d=21); a gradient buffer passed as ``out`` gets
         the same bits."""
         rng = np.random.default_rng(batch + n_heads)
-        mp = init_multi_head(rng, n_heads, hidden=100, query_dim=5, key_dim=105, value_dim=21)
+        mp = random_multi_head(rng, n_heads, hidden=100, query_dim=5, key_dim=105, value_dim=21)
         query = rng.normal(size=(batch, 5))
         keys = rng.normal(size=(batch, 9, 105))
         values = rng.normal(size=(batch, 9, 21)) * 100.0
@@ -332,7 +339,7 @@ class TestBackward:
 
     def test_multi_head_grads_match_finite_differences(self):
         rng = np.random.default_rng(17)
-        mp = init_multi_head(rng, n_heads=2, hidden=3, query_dim=4, key_dim=4, value_dim=3)
+        mp = random_multi_head(rng, n_heads=2, hidden=3, query_dim=4, key_dim=4, value_dim=3)
         for arr in w_out_then_heads(mp):
             arr[...] = rng.uniform(-0.5, 0.5, size=arr.shape)
         query = rng.uniform(-0.5, 0.5, size=4)

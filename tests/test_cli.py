@@ -300,6 +300,15 @@ class TestValidateConfig:
         rethreaded = cli.validate_config(cfg, threads=4)
         assert rethreaded.threads == 4
 
+    def test_overrides_are_checked_like_the_file(self, tmp_path):
+        """An override takes the file's place before parsing: a bad one is
+        reported once, and a good one replaces a bad value in the file."""
+        cfg = write_config(tmp_path, "experiment: lorenz\noutput: out\nthreads: 0\n")
+        with pytest.raises(cli.ConfigError) as err:
+            cli.validate_config(cfg, threads=0)
+        assert err.value.errors == ["threads: must be >= 1, got 0"]
+        assert cli.validate_config(cfg, threads=2).threads == 2
+
     def test_input_paths_resolve_against_the_config_directory(self, tmp_path):
         sub = tmp_path / "nested"
         sub.mkdir()

@@ -21,7 +21,7 @@ from attnpool.covid import (
     TruthTable,
     ValidationPeriod,
 )
-from attnpool.evaluation import WISConfig, wis_batch
+from attnpool.evaluation import WIS_ALPHAS, wis_batch
 from attnpool.forecasting import LinearPooler
 from attnpool.numerics import spawn_rng
 
@@ -102,7 +102,11 @@ def small_trained(samples):
 
 class TestQuantileGrid:
     def test_exactly_the_levels_the_score_needs(self):
-        assert covid.QUANTILE_LEVELS == WISConfig().required_levels
+        """Each interval's endpoints alpha/2 and 1 - alpha/2, plus the median."""
+        needed = {0.5}
+        for a in WIS_ALPHAS:
+            needed |= {round(a / 2.0, 6), round(1.0 - a / 2.0, 6)}
+        assert covid.QUANTILE_LEVELS == tuple(sorted(needed))
 
     def test_ascending_and_median_position(self):
         assert len(covid.QUANTILE_LEVELS) == 21
@@ -394,7 +398,7 @@ class TestIngest:
         (table, truth_table, report), (table_b, truth_b, report_b) = a, b
         assert report.dropped_level_rows == n_tolerated
         assert report.repaired_cells == sorted(repaired)  # (model, location, week) order
-        assert np.all(np.diff(table.values, axis=3)[~table.missing_mask()] >= 0)
+        assert np.all(np.diff(table.values, axis=3)[~np.isnan(table.values).all(axis=3)] >= 0)
         assert (table.models, table.locations, table.weeks) == (
             table_b.models, table_b.locations, table_b.weeks)
         assert table.values.tobytes() == table_b.values.tobytes()
@@ -490,7 +494,7 @@ class TestImputeMissing:
         table, _, _ = ingested
         full, log = imputed
         assert np.isfinite(full.values).all()
-        missing = np.argwhere(table.missing_mask())
+        missing = np.argwhere(np.isnan(table.values).all(axis=3))
         logged = {(e.model_id, e.location, e.week) for e in log}
         assert len(log) == len(logged) == len(missing)
         for m, li, w in missing:
@@ -519,13 +523,6 @@ class TestImputeMissing:
         gappy = blank(table, "m2", "s1", range(6))
         with pytest.raises(ValueError, match="m2.*no forecasts at all"):
             covid.impute_missing(gappy)
-
-    def test_roster_selects_and_validates(self):
-        table, _ = build_tables(seed=7)
-        full, _ = covid.impute_missing(table, roster=["m2", "m0"])
-        assert full.models == ("m0", "m2")
-        with pytest.raises(ValueError, match="absent from the forecast table"):
-            covid.impute_missing(table, roster=["m0", "nope"])
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 10_000))
@@ -987,9 +984,7 @@ class TestSynthesizeHub:
 
     def test_gaps_cover_all_three_rules(self, hub):
         assert {g.expected_rule for g in hub.gaps} == set(covid.IMPUTATION_RULES)
-        mask = covid.ForecastTable(
-            hub.models, hub.locations, hub.weeks, hub.forecasts
-        ).missing_mask()
+        mask = np.isnan(hub.forecasts).all(axis=3)
         for gap in hub.gaps:
             m = hub.models.index(gap.model_id)
             li = hub.locations.index(gap.location)

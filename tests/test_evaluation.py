@@ -7,19 +7,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import finite_difference_gradient
 
+from attnpool.covid import QUANTILE_LEVELS
 from attnpool.evaluation import (
-    ValidTimeConfig,
     WISConfig,
-    interval_score,
     median_ci_ranks,
     median_with_ci,
     valid_time,
-    wis,
     wis_batch,
     wis_gradient_batch,
 )
-from attnpool.numerics import finite_difference_gradient
 
 
 class TestValidTime:
@@ -61,10 +59,11 @@ class TestValidTime:
             assert valid_time(worse, truth) <= base
 
     def test_custom_threshold_and_dt(self):
-        cfg = ValidTimeConfig(epsilon=1.0, dt=0.5)
-        truth = np.zeros((4, 1))
-        pred = np.array([[0.0], [0.5], [2.0], [0.0]])
-        assert valid_time(pred, truth, cfg) == pytest.approx(1.0)
+        # an error of exactly 40 (mean of 4, 16 and 100) reaches the
+        # threshold; steps are 0.1 apart
+        truth = np.zeros((4, 3))
+        pred = np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0], [2.0, 4.0, 10.0], [0.0, 0.0, 0.0]])
+        assert valid_time(pred, truth) == pytest.approx(0.2)
 
 
 class TestMedianCI:
@@ -130,6 +129,34 @@ class TestMedianCI:
         assert med == lo == hi == 3.25
 
 
+def interval_score(lower, upper, alpha, observed):
+    """The interval score of [lower, upper], read off the WIS of a one-interval
+    forecast: WIS = (0.5 |y - median| + (alpha/2) IS) / 1.5."""
+    median = min(max(observed, lower), upper)
+    levels = np.array([alpha / 2, 0.5, 1 - alpha / 2])
+    score = wis_batch(
+        levels, np.array([[lower, median, upper]]), np.array([observed]), WISConfig(alphas=(alpha,))
+    )[0]
+    return (1.5 * score - 0.5 * abs(observed - median)) / (alpha / 2)
+
+
+def reference_wis(levels, values, y, alphas):
+    """WIS of one forecast written term by term from the definition. It does
+    not check that quantiles are sorted, so finite differences may unsort
+    neighbouring ones without changing the score's piecewise-linear form."""
+    total = 0.5 * abs(y - values[np.nonzero(levels == 0.5)[0][0]])
+    for a in alphas:
+        lo = values[np.nonzero(np.isclose(levels, a / 2))[0][0]]
+        up = values[np.nonzero(np.isclose(levels, 1 - a / 2))[0][0]]
+        term = up - lo
+        if y < lo:
+            term += (2 / a) * (lo - y)
+        if y > up:
+            term += (2 / a) * (y - up)
+        total += (a / 2) * term
+    return total / (len(alphas) + 0.5)
+
+
 class TestIntervalScore:
     def test_inside_interval_scores_width(self):
         # l=1, u=3, alpha=0.5, y=2 -> width only
@@ -153,37 +180,43 @@ class TestIntervalScore:
 
 
 def make_forecast(rng, scale=1.0, offset=0.0):
-    cfg = WISConfig()
-    levels = np.array(cfg.required_levels)
+    levels = np.array(QUANTILE_LEVELS)
     values = np.sort(rng.normal(size=levels.size)) * scale + offset
     return levels, values
+
+
+# the one-interval score at alpha = 0.5: levels 0.25, 0.5, 0.75
+ONE_INTERVAL = np.array([0.25, 0.5, 0.75])
+HALF = WISConfig(alphas=(0.5,))
 
 
 class TestWIS:
     def test_single_interval_worked_case(self):
         # K=1, alpha=0.5, quantiles {0.25: 1, 0.5: 2, 0.75: 3}, y=2:
         # (0.5*|2-2| + 0.25*((3-1))) / 1.5 = 1/3
-        cfg = WISConfig(alphas=(0.5,))
-        val = wis({0.25: 1.0, 0.5: 2.0, 0.75: 3.0}, 2.0, cfg)
+        val = wis_batch(ONE_INTERVAL, np.array([[1.0, 2.0, 3.0]]), np.array([2.0]), HALF)[0]
         assert val == pytest.approx(1.0 / 3.0, rel=1e-12)
 
     def test_required_levels_count(self):
-        assert len(WISConfig().required_levels) == 21
+        # the default score reads every level of the 21-level grid
+        levels = np.array(QUANTILE_LEVELS)
+        values = np.linspace(-10, 10, levels.size)
+        g = wis_gradient_batch(levels, values[None], np.array([-0.05]))[0]
+        assert levels.size == 21 and np.all(g != 0.0)
         assert WISConfig().denominator == pytest.approx(10.5)
 
     def test_missing_level_names_it(self):
-        cfg = WISConfig(alphas=(0.5,))
         # the layout of a complete grid is reused across calls; a grid
         # missing a level raises on every call, not only the first
-        assert wis({0.25: 1.0, 0.5: 2.0, 0.75: 3.0}, 2.0, cfg) > 0.0
+        forecast, y = np.array([[1.0, 2.0, 3.0]]), np.array([2.0])
+        assert wis_batch(ONE_INTERVAL, forecast, y, HALF)[0] > 0.0
         for _ in range(2):
             with pytest.raises(ValueError, match="0.25"):
-                wis({0.5: 2.0, 0.75: 3.0}, 2.0, cfg)
+                wis_batch(ONE_INTERVAL[1:], forecast[:, 1:], y, HALF)
 
     def test_perfect_point_mass_scores_zero(self):
-        cfg = WISConfig()
-        q = {lv: 7.0 for lv in cfg.required_levels}
-        assert wis(q, 7.0, cfg) == 0.0
+        levels = np.array(QUANTILE_LEVELS)
+        assert wis_batch(levels, np.full((1, levels.size), 7.0), np.array([7.0]))[0] == 0.0
 
     def test_nonnegative_and_zero_iff_all_equal_observation(self):
         rng = np.random.default_rng(3)
@@ -215,19 +248,17 @@ class TestWIS:
     def test_batch_matches_mapping_path(self):
         rng = np.random.default_rng(4)
         cfg = WISConfig()
-        levels = np.array(cfg.required_levels)
+        levels = np.array(QUANTILE_LEVELS)
         values = np.sort(rng.normal(size=(10, levels.size)), axis=1)
         ys = rng.normal(size=10)
         batch = wis_batch(levels, values, ys, cfg)
         for i in range(10):
-            mapping = dict(zip(levels.tolist(), values[i].tolist()))
-            assert batch[i] == pytest.approx(wis(mapping, float(ys[i]), cfg), rel=1e-12)
+            expect = reference_wis(levels, values[i], float(ys[i]), cfg.alphas)
+            assert batch[i] == pytest.approx(expect, rel=1e-12)
 
     def test_crossed_quantiles_raise(self):
-        cfg = WISConfig(alphas=(0.5,))
-        levels = np.array([0.25, 0.5, 0.75])
         with pytest.raises(ValueError, match="crossed"):
-            wis_batch(levels, np.array([[3.0, 2.0, 1.0]]), np.array([2.0]), cfg)
+            wis_batch(ONE_INTERVAL, np.array([[3.0, 2.0, 1.0]]), np.array([2.0]), HALF)
 
 
 class TestWISGradient:
@@ -235,7 +266,7 @@ class TestWISGradient:
         """y strictly inside every interval: each lower endpoint gets -w_k/denom,
         each upper +w_k/denom, median term sign(m - y)."""
         cfg = WISConfig()
-        levels = np.array(cfg.required_levels)
+        levels = np.array(QUANTILE_LEVELS)
         values = np.linspace(-10, 10, levels.size)
         # y = -0.05 is strictly inside every interval and off every kink
         g = wis_gradient_batch(levels, values[None], np.array([-0.05]), cfg)[0]
@@ -249,7 +280,7 @@ class TestWISGradient:
 
     def test_far_above_all_quantiles(self):
         cfg = WISConfig()
-        levels = np.array(cfg.required_levels)
+        levels = np.array(QUANTILE_LEVELS)
         values = np.linspace(-1, 1, levels.size)
         g = wis_gradient_batch(levels, values[None], np.array([100.0]), cfg)[0]
         for a in cfg.alphas:
@@ -258,43 +289,24 @@ class TestWISGradient:
             assert g[ui] == pytest.approx(expect)
 
     def test_kink_subgradient_is_zero(self):
-        cfg = WISConfig(alphas=(0.5,))
-        levels = np.array([0.25, 0.5, 0.75])
-        g = wis_gradient_batch(levels, np.array([[1.0, 2.0, 3.0]]), np.array([1.0]), cfg)[0]
+        g = wis_gradient_batch(ONE_INTERVAL, np.array([[1.0, 2.0, 3.0]]), np.array([1.0]), HALF)[0]
         # y == lower endpoint: indicator off, only the -w contribution remains
         assert g[0] == pytest.approx(-0.25 / 1.5)
         # median at a kink would use sign(0) = 0
-        g2 = wis_gradient_batch(levels, np.array([[1.0, 2.0, 3.0]]), np.array([2.0]), cfg)[0]
+        g2 = wis_gradient_batch(ONE_INTERVAL, np.array([[1.0, 2.0, 3.0]]), np.array([2.0]), HALF)[0]
         assert g2[1] == 0.0
 
     @pytest.mark.parametrize("seed", range(8))
     def test_matches_finite_differences_away_from_kinks(self, seed):
         rng = np.random.default_rng(1000 + seed)
         cfg = WISConfig()
-        levels = np.array(cfg.required_levels)
+        levels = np.array(QUANTILE_LEVELS)
         values = np.sort(rng.uniform(-1, 1, size=levels.size))
         y = float(rng.uniform(-1.5, 1.5))
         if np.min(np.abs(values - y)) < 1e-3:  # keep clear of kinks
             y += 2e-3
         analytic = wis_gradient_batch(levels, values[None], np.array([y]), cfg)[0]
-
-        def loss(v):
-            # bypass the crossing check: finite differencing may locally
-            # unsort neighbouring quantiles without changing the score's
-            # piecewise-linear form
-            total = 0.5 * abs(y - v[np.nonzero(levels == 0.5)[0][0]])
-            for a in cfg.alphas:
-                li = np.nonzero(np.isclose(levels, a / 2))[0][0]
-                ui = np.nonzero(np.isclose(levels, 1 - a / 2))[0][0]
-                term = v[ui] - v[li]
-                if y < v[li]:
-                    term += (2 / a) * (v[li] - y)
-                if y > v[ui]:
-                    term += (2 / a) * (y - v[ui])
-                total += (a / 2) * term
-            return total / cfg.denominator
-
-        fd = finite_difference_gradient(loss, values)
+        fd = finite_difference_gradient(lambda v: reference_wis(levels, v, y, cfg.alphas), values)
         np.testing.assert_allclose(analytic, fd, rtol=1e-6, atol=1e-9)
 
     @settings(deadline=None, max_examples=80)
@@ -310,7 +322,7 @@ class TestWISGradient:
         The step is far below the smallest gap, so no difference crosses a
         kink or unsorts the quantiles, and WIS is linear in between."""
         cfg = WISConfig()
-        levels = np.array(cfg.required_levels)
+        levels = np.array(QUANTILE_LEVELS)
         values = start + np.concatenate([[0.0], np.cumsum(gaps)])
         if segment == -1:
             y = values[0] - frac * gaps[0]

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import finite_difference_gradient, fit_linear_ridge, relative_gradient_error
 
 from attnpool.attention import HEAD_FIELDS, init_single_head
 from attnpool.forecasting import (
@@ -24,7 +25,6 @@ from attnpool.forecasting import (
     ffnn_forward,
     ffnn_hidden_size,
     fit,
-    fit_linear_ridge,
     gather_histories,
     init_ffnn,
     lorenz_candidate_stepper,
@@ -37,14 +37,8 @@ from attnpool.lorenz import (
     candidate_forecasts,
     generate_dataset,
     integrate,
-    stationary_params,
 )
-from attnpool.numerics import (
-    FlatAdam,
-    finite_difference_gradient,
-    relative_gradient_error,
-    spawn_rng,
-)
+from attnpool.numerics import FlatAdam, spawn_rng
 
 
 @pytest.fixture(scope="module")
@@ -432,7 +426,7 @@ class TestOpenLoop:
 
 class TestClosedLoop:
     def test_perfect_model_limit_is_exact(self):
-        truth = integrate(np.array([1.0, 2.0, 25.0]), 0.0, 40, stationary_params(28.0))
+        truth = integrate(np.array([1.0, 2.0, 25.0]), 0.0, 40, lambda t: 28.0)
         pooler = AttentionPooler(
             params=init_single_head(spawn_rng(0, "cl"), 8, 9, 9),
             query_scaler=Standardizer.identity(9),
@@ -451,7 +445,7 @@ class TestClosedLoop:
     def test_single_candidate_is_its_autonomous_rollout(self, variant):
         # truth runs at 28 but the lone candidate at 35: the pooled forecast
         # must follow the candidate's own trajectory from the warmup end
-        truth = integrate(np.array([0.5, -1.0, 20.0]), 0.0, 20, stationary_params(28.0))
+        truth = integrate(np.array([0.5, -1.0, 20.0]), 0.0, 20, lambda t: 28.0)
         pooler = AttentionPooler(
             params=init_single_head(spawn_rng(1, "cl"), 8, 6, 6),
             query_scaler=Standardizer.identity(6),
@@ -462,7 +456,7 @@ class TestClosedLoop:
         [res] = closed_loop_forecast_batch(
             pooler, hist, 12, lorenz_candidate_stepper([35.0]), variants=[variant]
         )
-        ref = integrate(truth.states[4], 0.0, 12, stationary_params(35.0))
+        ref = integrate(truth.states[4], 0.0, 12, lambda t: 35.0)
         np.testing.assert_array_equal(res.predictions[0], ref.states)
 
     def test_fixed_matches_additive_at_step0_only(self, trained, small):
@@ -492,7 +486,7 @@ class TestClosedLoop:
         [best] = closed_loop_forecast_batch(pooler, hist, 10, variants=["best_initial"])
         for b, weights in enumerate(best.weights[:, 0]):
             rho = CANDIDATE_RHOS[int(weights.argmax())]
-            ref = integrate(hist[b, -1], 0.0, 10, stationary_params(rho))
+            ref = integrate(hist[b, -1], 0.0, 10, lambda t: rho)
             np.testing.assert_array_equal(best.predictions[b], ref.states)
 
     def test_autonomous_after_warmup(self, trained, small):

@@ -22,11 +22,8 @@ from attnpool.lorenz import (
     generate_dataset,
     integrate,
     load_trajectory_csv,
-    nonstationary_params,
     rho_true,
-    rk4_step,
     save_trajectory_csv,
-    stationary_params,
 )
 
 
@@ -34,18 +31,17 @@ from attnpool.lorenz import (
 # derivative per stage, in the expression order both library paths keep.
 
 
-def _deriv_scalar(x, y, z, r, sigma, beta):
+def _deriv_scalar(x, y, z, r, sigma=SIGMA, beta=BETA):
     return sigma * (y - x), x * (r - z) - y, x * y - beta * z
 
 
-def _rk4_scalar(x, y, z, t, dt, params):
-    sigma, beta, rho = params.sigma, params.beta, params.rho
-    ax, ay, az = _deriv_scalar(x, y, z, rho(t), sigma, beta)
+def _rk4_scalar(x, y, z, t, dt, rho):
+    ax, ay, az = _deriv_scalar(x, y, z, rho(t))
     half = dt / 2.0
     r_half = rho(t + half)
-    bx, by, bz = _deriv_scalar(x + half * ax, y + half * ay, z + half * az, r_half, sigma, beta)
-    cx, cy, cz = _deriv_scalar(x + half * bx, y + half * by, z + half * bz, r_half, sigma, beta)
-    dx, dy, dz = _deriv_scalar(x + dt * cx, y + dt * cy, z + dt * cz, rho(t + dt), sigma, beta)
+    bx, by, bz = _deriv_scalar(x + half * ax, y + half * ay, z + half * az, r_half)
+    cx, cy, cz = _deriv_scalar(x + half * bx, y + half * by, z + half * bz, r_half)
+    dx, dy, dz = _deriv_scalar(x + dt * cx, y + dt * cy, z + dt * cz, rho(t + dt))
     sixth = dt / 6.0
     return (
         x + sixth * (ax + 2.0 * bx + 2.0 * cx + dx),
@@ -54,23 +50,33 @@ def _rk4_scalar(x, y, z, t, dt, params):
     )
 
 
-def oracle_samples(u, t0, n_samples, params):
+def oracle_samples(u, t0, n_samples, rho):
     """``integrate`` written with the oracle: (n_samples, 3), no blow-up check."""
     x, y, z = (float(v) for v in u)
     out = []
     step = 0
     for _ in range(n_samples):
         for _ in range(SUBSTEPS):
-            x, y, z = _rk4_scalar(x, y, z, t0 + step * DT_INTEGRATION, DT_INTEGRATION, params)
+            x, y, z = _rk4_scalar(x, y, z, t0 + step * DT_INTEGRATION, DT_INTEGRATION, rho)
             step += 1
         out.append([x, y, z])
     return np.array(out)
 
 
+def frozen(rho):
+    """The driving parameter of a stationary system: ``rho`` at every time."""
+    return lambda t: rho
+
+
+def rk4_step(u, t, dt, rho):
+    """One RK4 step of ``integrate``: one sample of one substep."""
+    return integrate(u, t, 1, rho, dt=dt, substeps=1).states[0]
+
+
 def one_sampling_step(u, rho):
     """Scalar reference for one candidate step: one recorded sample of the
     sequential integrator under stationary ``rho``."""
-    return integrate(u, 0.0, 1, stationary_params(rho)).states[0]
+    return integrate(u, 0.0, 1, frozen(rho)).states[0]
 
 
 def attractor_states(rng, n):
@@ -112,37 +118,36 @@ class TestDerivativeAndRho:
 
 class TestRK4:
     def test_origin_fixed_point_exact(self):
-        out = rk4_step(np.zeros(3), 0.3, 0.01, nonstationary_params())
+        out = rk4_step(np.zeros(3), 0.3, 0.01, rho_true)
         np.testing.assert_array_equal(out, np.zeros(3))
 
     def test_one_step_error_halves_like_2_to_5(self):
-        params = nonstationary_params()
         u0 = np.array([1.0, 1.0, 1.0])
 
         def ref(T, dt_fine=1e-5):
             x, y, z = u0
             for k in range(round(T / dt_fine)):
-                x, y, z = _rk4_scalar(x, y, z, k * dt_fine, dt_fine, params)
+                x, y, z = _rk4_scalar(x, y, z, k * dt_fine, dt_fine, rho_true)
             return np.array([x, y, z])
 
-        e_02 = np.linalg.norm(rk4_step(u0, 0.0, 0.02, params) - ref(0.02))
-        e_01 = np.linalg.norm(rk4_step(u0, 0.0, 0.01, params) - ref(0.01))
+        e_02 = np.linalg.norm(rk4_step(u0, 0.0, 0.02, rho_true) - ref(0.02))
+        e_01 = np.linalg.norm(rk4_step(u0, 0.0, 0.01, rho_true) - ref(0.01))
         assert 24.0 < e_02 / e_01 < 40.0
 
     def test_agrees_with_fine_reference(self):
         # One dt=0.01 step carries ~2.2e-6 truncation error here (the fine
         # path itself matches an adaptive integrator at rtol=1e-13 to 5e-15).
-        params = stationary_params(28.0)
+        rho = frozen(28.0)
         u0 = np.array([1.0, 1.0, 1.0])
-        coarse = rk4_step(u0, 0.0, 0.01, params)
+        coarse = rk4_step(u0, 0.0, 0.01, rho)
         x, y, z = u0
         for k in range(1000):
-            x, y, z = _rk4_scalar(x, y, z, k * 1e-5, 1e-5, params)
+            x, y, z = _rk4_scalar(x, y, z, k * 1e-5, 1e-5, rho)
         np.testing.assert_allclose(coarse, [x, y, z], atol=1e-5, rtol=0)
 
     def test_blow_up_detection(self):
         with pytest.raises(FloatingPointError, match="blew up"):
-            rk4_step(np.array([1e150, 1e150, 1e150]), 0.0, 0.01, stationary_params(28.0))
+            rk4_step(np.array([1e150, 1e150, 1e150]), 0.0, 0.01, frozen(28.0))
 
     def test_batch_path_bit_identical_to_scalar(self):
         rng = np.random.default_rng(0)
@@ -162,22 +167,21 @@ class TestKernelsAgainstOracle:
     @pytest.mark.parametrize(
         "params, t0",
         [
-            (stationary_params(28.0), 0.0),
-            (stationary_params(41.0), 3.7),
-            (nonstationary_params(), 0.0),
-            (nonstationary_params(), -12.3),
+            ({"rho": frozen(28.0)}, 0.0),
+            ({"rho": frozen(41.0)}, 3.7),
+            ({"rho": rho_true}, 0.0),
+            ({"rho": rho_true}, -12.3),
         ],
     )
     def test_integrate_equals_the_oracle(self, params, t0):
         u = np.array([3.0, -4.0, 21.0])
-        expected = oracle_samples(u, t0, 40, params)
-        np.testing.assert_array_equal(integrate(u, t0, 40, params).states, expected)
+        expected = oracle_samples(u, t0, 40, **params)
+        np.testing.assert_array_equal(integrate(u, t0, 40, **params).states, expected)
 
     def test_rk4_step_equals_one_oracle_step(self):
-        params = nonstationary_params()
         u = np.array([-7.5, 2.25, 30.0])
-        expected = _rk4_scalar(*u, -0.37, 0.01, params)
-        np.testing.assert_array_equal(rk4_step(u, -0.37, 0.01, params), expected)
+        expected = _rk4_scalar(*u, -0.37, 0.01, rho_true)
+        np.testing.assert_array_equal(rk4_step(u, -0.37, 0.01, rho_true), expected)
 
     def test_stepper_on_a_broadcast_candidate_view(self):
         """The closed loop's call: each state tiled over the candidates."""
@@ -204,8 +208,8 @@ class TestKernelsAgainstOracle:
         states = np.random.default_rng(3).uniform(-4000, 4000, size=(300, 3))
         states[0] = (-12.0, 3200.0, -4.0)  # overflows to (finite, inf, inf)
         out = candidate_one_step_batch(states, 28.0)
-        params = stationary_params(28.0)
-        expected = np.array([oracle_samples(s, 0.0, 1, params)[0] for s in states])
+        rho = frozen(28.0)
+        expected = np.array([oracle_samples(s, 0.0, 1, rho)[0] for s in states])
         assert np.isinf(out).any() and np.isnan(out).any() and np.isfinite(out).any()
         np.testing.assert_array_equal(out, expected)
 
@@ -225,26 +229,25 @@ class TestKernelsAgainstOracle:
 
 class TestIntegrate:
     def test_zero_samples(self):
-        traj = integrate(np.ones(3), 0.0, 0, stationary_params(28.0))
+        traj = integrate(np.ones(3), 0.0, 0, frozen(28.0))
         assert len(traj) == 0
 
     def test_origin_stays_origin(self):
-        traj = integrate(np.zeros(3), 0.0, 1, nonstationary_params())
+        traj = integrate(np.zeros(3), 0.0, 1, rho_true)
         np.testing.assert_array_equal(traj.states[0], np.zeros(3))
 
     def test_sample_spacing_and_t0(self):
-        traj = integrate(np.array([1.0, 1.0, 20.0]), 2.0, 5, stationary_params(30.0))
+        traj = integrate(np.array([1.0, 1.0, 20.0]), 2.0, 5, frozen(30.0))
         assert traj.dt_sample == pytest.approx(0.1)
         np.testing.assert_allclose(traj.times, 2.1 + 0.1 * np.arange(5), atol=1e-12)
 
     def test_substep_composition(self):
         # one recorded sample equals 10 explicit substeps
-        params = nonstationary_params()
         u = np.array([3.0, -4.0, 21.0])
-        traj = integrate(u, 0.0, 1, params)
+        traj = integrate(u, 0.0, 1, rho_true)
         x, y, z = u
         for k in range(10):
-            x, y, z = _rk4_scalar(x, y, z, k * 0.01, 0.01, params)
+            x, y, z = _rk4_scalar(x, y, z, k * 0.01, 0.01, rho_true)
         np.testing.assert_array_equal(traj.states[0], [x, y, z])
 
     def test_frozen_rho_candidate_has_zero_one_step_error(self):
@@ -335,7 +338,7 @@ class TestDataset:
 
 class TestTrajectoryCSV:
     def test_round_trip_bit_exact(self, tmp_path):
-        traj = integrate(np.array([1.0, 1.0, 20.0]), 0.0, 20, nonstationary_params())
+        traj = integrate(np.array([1.0, 1.0, 20.0]), 0.0, 20, rho_true)
         path = tmp_path / "traj.csv"
         save_trajectory_csv(path, traj)
         back = load_trajectory_csv(path)
@@ -356,6 +359,9 @@ class TestTrajectoryCSV:
             ("0.2,1,x,3", r"row 3: non-numeric value"),
             ("0.2,1,nan,3", r"row 3: non-finite value"),
             ("inf,1,2,3", r"row 3: non-finite value"),
+            ("0.1,1,2,3", r"row 3: time 0.1 does not increase"),
+            ("0.0,1,2,3", r"row 3: time 0.0 does not increase"),
+            ("0.25,1,2,3", r"row 4: non-uniform sampling"),
         ],
     )
     def test_malformed_row_names_file_and_row(self, tmp_path, row, message):

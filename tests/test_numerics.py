@@ -1,12 +1,13 @@
 """Adam updates, finite differences, and seeded init."""
 
-from dataclasses import fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 import pytest
+from oracles import finite_difference_gradient, relative_gradient_error
 
 from attnpool.attention import (
-    init_multi_head,
+    MultiHeadParams,
     init_single_head,
     multi_head_backward,
     multi_head_forward,
@@ -19,12 +20,37 @@ from attnpool.numerics import (
     FlatAdam,
     ParamBuffer,
     adam_step,
-    finite_difference_gradient,
     pack_params,
-    relative_gradient_error,
     spawn_rng,
     uniform_init,
 )
+
+
+@dataclass
+class Weights:
+    """A one-array model, trained through FlatAdam like the real ones."""
+
+    w: np.ndarray
+
+
+def adam_on(p, learning_rate=1e-3, weight_decay=0.0):
+    """A model holding a copy of ``p`` and its optimizer."""
+    model = Weights(np.array(p, dtype=np.float64))
+    return model, FlatAdam(model, learning_rate, weight_decay)
+
+
+def adam_update(opt, grad):
+    """One optimizer step with gradient ``grad``."""
+    opt.grads.w[...] = grad
+    opt.step()
+
+
+def fresh_state(buffer, learning_rate=1e-3, weight_decay=0.0):
+    """Adam state with zero moments for the flat vector of ``buffer``."""
+    zeros = np.zeros_like(buffer.flat)
+    return AdamState(
+        zeros, zeros.copy(), learning_rate=learning_rate, weight_decay=weight_decay
+    )
 
 
 def model_cases(rng):
@@ -42,7 +68,8 @@ def model_cases(rng):
     return [
         (init_single_head(rng, 3, 2, 4),
          attention_backward(single_head_forward, single_head_backward)),
-        (init_multi_head(rng, 2, 3, 2, 4, 2),
+        (MultiHeadParams.from_heads(
+            [init_single_head(rng, 3, 2, 4) for _ in range(2)], uniform_init(rng, (2, 4), 4)),
          attention_backward(multi_head_forward, multi_head_backward)),
         (LinearPooler(weight=rng.normal(size=(2, 3)), bias=rng.normal(size=2)),
          lambda p: p.backward(x, upstream)),
@@ -55,37 +82,36 @@ class TestAdam:
         """Zero gradient and zero weight decay leave the parameter untouched,
         whatever the step count says."""
         rng = np.random.default_rng(42)
-        p = rng.normal(size=(4, 3))
-        state = AdamState.for_param(p)
-        state.step_count = 17
-        before = p.copy()  # the update is in place
-        out = adam_step(p, np.zeros_like(p), state, name="w")
-        np.testing.assert_array_equal(out, before)
+        model, opt = adam_on(rng.normal(size=(4, 3)))
+        opt.state.step_count = 17
+        before = model.w.copy()  # the update is in place
+        adam_update(opt, 0.0)
+        np.testing.assert_array_equal(model.w, before)
         # and again: moments stay zero, so it stays an identity
-        out2 = adam_step(out, np.zeros_like(p), state, name="w")
-        np.testing.assert_array_equal(out2, before)
+        adam_update(opt, 0.0)
+        np.testing.assert_array_equal(model.w, before)
 
     def test_first_step_magnitude(self):
         # scalar p=1, g=0.5 at defaults: update ~ -lr * g / (sqrt(g^2) + eps)
-        state = AdamState.for_param(np.array([1.0]))
-        out = adam_step(np.array([1.0]), np.array([0.5]), state)
-        np.testing.assert_allclose(out, [0.99900000002], rtol=0, atol=1e-15)
+        model, opt = adam_on([1.0])
+        adam_update(opt, [0.5])
+        np.testing.assert_allclose(model.w, [0.99900000002], rtol=0, atol=1e-15)
 
     def test_two_step_recurrence(self):
         """Frozen oracle: the update equations evaluated step by step by hand
         for p0=1 with gradients (1, -1) at default hyperparameters."""
-        state = AdamState.for_param(np.array([1.0]))
-        p = adam_step(np.array([1.0]), np.array([1.0]), state)
-        np.testing.assert_allclose(p, [0.99900000001], rtol=0, atol=1e-15)
-        p = adam_step(p, np.array([-1.0]), state)
-        np.testing.assert_allclose(p, [0.9990526315884211], rtol=0, atol=1e-15)
-        assert state.step_count == 2
+        model, opt = adam_on([1.0])
+        adam_update(opt, [1.0])
+        np.testing.assert_allclose(model.w, [0.99900000001], rtol=0, atol=1e-15)
+        adam_update(opt, [-1.0])
+        np.testing.assert_allclose(model.w, [0.9990526315884211], rtol=0, atol=1e-15)
+        assert opt.state.step_count == 2
 
     def test_matches_transcribed_recurrence_on_random_stream(self):
         rng = np.random.default_rng(7)
         grads = rng.normal(size=(6, 2, 3))
         p = rng.normal(size=(2, 3))
-        state = AdamState.for_param(p, learning_rate=0.01)
+        model, opt = adam_on(p, learning_rate=0.01)
 
         # independent straight-line transcription of the update equations
         m = np.zeros_like(p)
@@ -98,23 +124,23 @@ class TestAdam:
                 np.sqrt(v / (1 - 0.999**t)) + 1e-8
             )
 
-        got = p.copy()
         for g in grads:
-            got = adam_step(got, g, state)
-        np.testing.assert_allclose(got, expect, rtol=1e-14)
+            adam_update(opt, g)
+        np.testing.assert_allclose(model.w, expect, rtol=1e-14)
 
     def test_decoupled_weight_decay(self):
         # with zero gradient, decay must still shrink the parameter directly
-        p = np.array([2.0, -2.0])
-        before = p.copy()  # the update is in place
-        state = AdamState.for_param(p, learning_rate=0.1, weight_decay=0.5)
-        out = adam_step(p, np.zeros_like(p), state)
-        np.testing.assert_allclose(out, before - 0.1 * 0.5 * before, rtol=1e-15)
+        before = np.array([2.0, -2.0])
+        model, opt = adam_on(before, learning_rate=0.1, weight_decay=0.5)
+        adam_update(opt, 0.0)
+        np.testing.assert_allclose(model.w, before - 0.1 * 0.5 * before, rtol=1e-15)
 
     def test_non_finite_gradient_names_parameter(self):
-        state = AdamState.for_param(np.ones(2))
+        buffer = ParamBuffer({"w_key": (2,)})
+        grads = buffer.zeros_like()
+        grads.flat[:] = [1.0, np.nan]
         with pytest.raises(ValueError, match="w_key"):
-            adam_step(np.ones(2), np.array([1.0, np.nan]), state, name="w_key")
+            adam_step(buffer, grads, fresh_state(buffer))
 
     def test_flat_update_matches_per_array_recurrence_bitwise(self):
         """One in-place update of a multi-array buffer gives the bits of the
@@ -125,7 +151,7 @@ class TestAdam:
         grads = buffer.zeros_like()
         buffer.flat[:] = rng.normal(size=buffer.flat.size)
         lr, wd, b1, b2, eps = 0.01, 1e-3, 0.9, 0.999, 1e-8
-        state = AdamState.for_param(buffer.flat, learning_rate=lr, weight_decay=wd)
+        state = fresh_state(buffer, learning_rate=lr, weight_decay=wd)
         expect = {n: v.copy() for n, v in buffer.views.items()}
         moments = {n: (np.zeros(s), np.zeros(s)) for n, s in shapes.items()}
         for t in range(1, 8):
@@ -147,7 +173,7 @@ class TestAdam:
     def test_non_finite_entry_in_buffer_names_its_array(self):
         buffer = ParamBuffer({"w_query": (2, 3), "w_key": (2, 5), "bias": (2,)})
         grads = buffer.zeros_like()
-        state = AdamState.for_param(buffer.flat)
+        state = fresh_state(buffer)
         grads.views["w_key"][1, 4] = np.inf
         with pytest.raises(ValueError, match="gradient of w_key"):
             adam_step(buffer, grads, state)
@@ -197,9 +223,9 @@ class TestAdam:
                 grad[...] = rng.normal(size=grad.shape)
             opt.step()
             for n in arrays:
-                state = AdamState.for_param(expect[n], 0.1, 0.01)
-                adam_step(expect[n], getattr(opt.grads, n), state, name=n)
-                np.testing.assert_array_equal(getattr(model, n), expect[n], err_msg=kind)
+                alone, alone_opt = adam_on(expect[n], 0.1, 0.01)
+                adam_update(alone_opt, getattr(opt.grads, n))
+                np.testing.assert_array_equal(getattr(model, n), alone.w, err_msg=kind)
 
             fresh = backward(model)
             assert type(fresh) is type(model), kind
@@ -211,19 +237,13 @@ class TestAdam:
             for n in others:
                 assert getattr(fresh, n) is getattr(model, n), (kind, n)
 
-    def test_shape_mismatch_rejected(self):
-        state = AdamState.for_param(np.ones(3))
-        with pytest.raises(ValueError, match="shape"):
-            adam_step(np.ones(3), np.ones(4), state)
-
     def test_determinism(self):
         def run():
             rng = np.random.default_rng(3)
-            p = rng.normal(size=(5,))
-            st = AdamState.for_param(p, learning_rate=0.05, weight_decay=0.01)
+            model, opt = adam_on(rng.normal(size=(5,)), learning_rate=0.05, weight_decay=0.01)
             for _ in range(20):
-                p = adam_step(p, rng.normal(size=5), st)
-            return p
+                adam_update(opt, rng.normal(size=5))
+            return model.w
 
         np.testing.assert_array_equal(run(), run())
 
