@@ -13,9 +13,12 @@ concatenated newest first. A multi-head variant runs P identical-shape heads,
 stacked on a leading axis, and mixes the concatenated pooled outputs through
 one output matrix.
 
-All forward functions here take a batch: queries ``(B, q)``, keys
-``(B, M, k)``, values ``(B, M, d)``. Backward passes are hand-derived and
-checked against central finite differences in the test suite.
+The forward and the hand-derived backward are written once, for heads
+stacked on a leading axis (``_stacked_forward``, ``_stacked_backward``).
+The single head runs as a stack of one, through (1, ...) views of its
+arrays. All forward functions here take a batch: queries ``(B, q)``, keys
+``(B, M, k)``, values ``(B, M, d)``. The backward is checked against central
+finite differences in the test suite.
 """
 
 from __future__ import annotations
@@ -89,8 +92,9 @@ def softmax(scores: Array, axis: int = -1) -> Array:
     return e / np.sum(e, axis=axis, keepdims=True)
 
 
-def _batched(query: Array, keys: Array, values: Array):
-    """Check the batch shapes; returns float64 (Q, K, V)."""
+def _batched(params, query: Array, keys: Array, values: Array):
+    """Check the batch shapes, and the input widths of ``params`` (one head
+    or stacked heads); returns float64 (Q, K, V)."""
     query = np.asarray(query, dtype=np.float64)
     keys = np.asarray(keys, dtype=np.float64)
     values = np.asarray(values, dtype=np.float64)
@@ -105,35 +109,85 @@ def _batched(query: Array, keys: Array, values: Array):
         )
     if keys.shape[1] == 0:
         raise ValueError("ensemble is empty (M = 0)")
+    if query.shape[1] != params.w_query.shape[-1]:
+        raise ValueError(
+            f"query dim {query.shape[1]} does not match w_query {params.w_query.shape}"
+        )
+    if keys.shape[2] != params.w_key.shape[-1]:
+        raise ValueError(f"key dim {keys.shape[2]} does not match w_key {params.w_key.shape}")
     return query, keys, values
+
+
+def _head_arrays(params, index) -> list[Array]:
+    """The ``HEAD_FIELDS`` arrays of parameters or gradients as views:
+    ``index`` None makes one head a stack of one, ``...`` keeps stacked
+    heads. Writing into a view writes into ``params``."""
+    return [getattr(params, n)[index] for n in HEAD_FIELDS]
+
+
+def _stacked_forward(heads: Sequence[Array], q: Array, k: Array, v: Array):
+    """Pooled outputs (P, B, d), activations (P, B, M, h) and weights
+    (P, B, M) of the heads given as stacked ``HEAD_FIELDS`` arrays.
+
+    Both projections are stacked, one matmul per (head, instance). A 2-D
+    gemm over the batch (q @ w_query.T, or keys flattened to (B*M, k)) gives
+    bits that depend on the batch size; stacked, a segment's closed-loop
+    forecast has the same bits whichever segments share its batch, and each
+    head the bits it would give alone. The tanh pre-activation is built in
+    place in the key projection.
+    """
+    w_query, w_key, w_score, bias = heads
+    proj_q = q[None, :, None, :] @ w_query.transpose(0, 2, 1)[:, None]     # (P, B, 1, h)
+    proj_q += bias[:, None, None, :]
+    act = k[None] @ w_key.transpose(0, 2, 1)[:, None]                      # (P, B, M, h)
+    act += proj_q
+    np.tanh(act, out=act)
+    scores = (act @ w_score[:, None, :, None])[..., 0]                     # (P, B, M)
+    weights = softmax(scores, axis=-1)
+    return np.einsum("pbm,bmd->pbd", weights, v), act, weights
+
+
+def _stacked_backward(heads: Sequence[Array], cache, d_pooled: Array, grads: Sequence[Array]):
+    """Gradients of the stacked heads given d loss / d pooled (P, B, d),
+    written into ``grads`` (stacked, in ``HEAD_FIELDS`` order).
+
+    The softmax Jacobian is applied in its contracted form a * (g - <a, g>).
+    The pre-activation gradient d_scores * w_score * tanh' is never formed
+    at (P, B, M, h): w_score varies only along h, so it scales the reduced
+    gradients, and d_scores is folded into the reductions over M. Gradients
+    with respect to the inputs are not formed: no caller trains through the
+    query, keys or values.
+    """
+    q, k, v, act, weights = cache
+    w_score = heads[2]
+    g_query, g_key, g_score, g_bias = grads
+    p, b, m, h = act.shape
+    d_weights = np.einsum("pbd,bmd->pbm", d_pooled, v)
+    inner = np.sum(weights * d_weights, axis=-1, keepdims=True)
+    d_scores = weights * (d_weights - inner)                               # (P, B, M)
+    np.matmul(d_scores.reshape(p, 1, b * m), act.reshape(p, b * m, h), out=g_score[:, None])
+    d_tanh = act * act
+    np.subtract(1.0, d_tanh, out=d_tanh)                                   # tanh'
+    d_pre_m = (d_scores[..., None, :] @ d_tanh)[:, :, 0]                   # (P, B, h)
+    scaled_keys = (d_scores[..., None] * k).reshape(p, b * m, k.shape[2])
+    np.matmul(d_pre_m.transpose(0, 2, 1), q, out=g_query)
+    g_query *= w_score[:, :, None]
+    np.matmul(d_tanh.reshape(p, b * m, h).transpose(0, 2, 1), scaled_keys, out=g_key)
+    g_key *= w_score[:, :, None]
+    np.sum(d_pre_m, axis=1, out=g_bias)
+    g_bias *= w_score
 
 
 def single_head_forward(params: SingleHeadParams, query: Array, keys: Array, values: Array):
     """Pooled forecast and attention weights; also returns the backward cache.
 
-    Returns ``(pooled, weights, cache)``: pooled (B, d), weights (B, M).
+    Returns ``(pooled, weights, cache)``: pooled (B, d), weights (B, M). The
+    head runs as a stack of one; the cache holds the activations (B, M, h)
+    and the weights without the head axis.
     """
-    q, k, v = _batched(query, keys, values)
-    if q.shape[1] != params.w_query.shape[1]:
-        raise ValueError(
-            f"query dim {q.shape[1]} does not match w_query {params.w_query.shape}"
-        )
-    if k.shape[2] != params.w_key.shape[1]:
-        raise ValueError(f"key dim {k.shape[2]} does not match w_key {params.w_key.shape}")
-    # Both projections are stacked, one matmul per instance. A 2-D gemm over
-    # the batch (q @ w_query.T, or keys flattened to (B*M, k)) gives bits
-    # that depend on the batch size; stacked, a segment's closed-loop
-    # forecast has the same bits whichever segments share its batch. The
-    # tanh pre-activation is built in place in the key projection.
-    proj_q = q[:, None, :] @ params.w_query.T          # (B, 1, h)
-    proj_q += params.bias
-    act = k @ params.w_key.T                           # (B, M, h)
-    act += proj_q
-    np.tanh(act, out=act)
-    scores = act @ params.w_score                      # (B, M)
-    weights = softmax(scores, axis=-1)
-    pooled = np.einsum("bm,bmd->bd", weights, v)
-    return pooled, weights, (q, k, v, act, weights)
+    q, k, v = _batched(params, query, keys, values)
+    pooled, act, weights = _stacked_forward(_head_arrays(params, None), q, k, v)
+    return pooled[0], weights[0], (q, k, v, act[0], weights[0])
 
 
 def single_head_backward(
@@ -141,35 +195,16 @@ def single_head_backward(
 ) -> SingleHeadParams:
     """Parameter gradients of an arbitrary scalar loss given d loss / d pooled.
 
-    The softmax Jacobian is applied in its contracted form a * (g - <a, g>).
-    Gradients with respect to the inputs are not formed: no caller trains
-    through the query, keys or values. The gradients, shaped and typed like
-    ``params``, are written into ``out`` when given (a training loop passes
-    views into its gradient buffer), else into new arrays.
+    The gradients, shaped and typed like ``params``, are written into
+    ``out`` when given (a training loop passes views into its gradient
+    buffer), else into new arrays.
     """
     q, k, v, act, weights = cache
     upstream = np.asarray(upstream, dtype=np.float64)
     if out is None:
         out = empty_like_fields(params)
-    b, m, h = act.shape
-    d_weights = np.einsum("bd,bmd->bm", upstream, v)
-    inner = np.sum(weights * d_weights, axis=1, keepdims=True)
-    d_scores = weights * (d_weights - inner)           # (B, M)
-    # The pre-activation gradient d_scores * w_score * tanh' is never formed
-    # at (B, M, h): w_score varies only along h, so it scales the reduced
-    # gradients, and d_scores is folded into the reductions over M.
-    d_tanh = act * act
-    np.subtract(1.0, d_tanh, out=d_tanh)               # tanh', (B, M, h)
-    d_pre_m = (d_scores[:, None, :] @ d_tanh)[:, 0]    # (B, h), sum over M / w_score
-    scaled_keys = (d_scores[:, :, None] * k).reshape(b * m, k.shape[2])
-    w = params.w_score
-    np.matmul(d_pre_m.T, q, out=out.w_query)
-    out.w_query *= w[:, None]
-    np.matmul(d_tanh.reshape(b * m, h).T, scaled_keys, out=out.w_key)
-    out.w_key *= w[:, None]
-    np.matmul(d_scores.reshape(-1), act.reshape(b * m, h), out=out.w_score)
-    np.sum(d_pre_m, axis=0, out=out.bias)
-    out.bias *= w
+    one = (q, k, v, act[None], weights[None])
+    _stacked_backward(_head_arrays(params, None), one, upstream[None], _head_arrays(out, None))
     return out
 
 
@@ -178,64 +213,34 @@ def multi_head_forward(params: MultiHeadParams, query: Array, keys: Array, value
     in head order and mixed by ``w_out``.
 
     The heads run as one stacked computation with the head axis leading,
-    activations (P, B, M, h). Every per-(head, instance) matmul has the shape
-    and operand layout of :func:`single_head_forward`, so each head gives
-    the bits it would give alone.
+    activations (P, B, M, h), the computation :func:`single_head_forward`
+    runs on a stack of one.
     """
-    q, k, v = _batched(query, keys, values)
+    q, k, v = _batched(params, query, keys, values)
     n_heads = params.n_heads
-    if q.shape[1] != params.w_query.shape[2]:
-        raise ValueError(
-            f"query dim {q.shape[1]} does not match w_query {params.w_query.shape}"
-        )
-    if k.shape[2] != params.w_key.shape[2]:
-        raise ValueError(f"key dim {k.shape[2]} does not match w_key {params.w_key.shape}")
     b, d = q.shape[0], v.shape[2]
     if params.w_out.shape != (d, d * n_heads):
         raise ValueError(
             f"w_out shape {params.w_out.shape} does not match {n_heads} heads of dim {d}"
         )
-    proj_q = q[None, :, None, :] @ params.w_query.transpose(0, 2, 1)[:, None]  # (P, B, 1, h)
-    proj_q += params.bias[:, None, None, :]
-    act = k[None] @ params.w_key.transpose(0, 2, 1)[:, None]                   # (P, B, M, h)
-    act += proj_q
-    np.tanh(act, out=act)
-    scores = (act @ params.w_score[:, None, :, None])[..., 0]                  # (P, B, M)
-    weights = softmax(scores, axis=-1)
-    pooled = np.einsum("pbm,bmd->pbd", weights, v)
+    pooled, act, weights = _stacked_forward(_head_arrays(params, ...), q, k, v)
     concat = pooled.transpose(1, 0, 2).reshape(b, n_heads * d)
-    out = concat @ params.w_out.T                                              # (B, d)
-    head_weights = weights.transpose(1, 0, 2)                                  # (B, P, M)
+    out = concat @ params.w_out.T                                          # (B, d)
+    head_weights = weights.transpose(1, 0, 2)                              # (B, P, M)
     return out, head_weights, (q, k, v, act, weights, concat)
 
 
 def multi_head_backward(
     params: MultiHeadParams, cache, upstream: Array, out: MultiHeadParams | None = None
 ) -> MultiHeadParams:
-    """Parameter gradients of the stacked heads and the mixer, computed as
-    in :func:`single_head_backward` with a leading head axis; written into
+    """Parameter gradients of the stacked heads and the mixer; written into
     ``out`` when given."""
-    q, k, v, act, weights, concat = cache
+    concat = cache[-1]
     upstream = np.asarray(upstream, dtype=np.float64)
     if out is None:
         out = empty_like_fields(params)
-    p, b, m, h = act.shape
-    d = v.shape[2]
+    b, p = len(upstream), params.n_heads
     np.einsum("bd,bc->dc", upstream, concat, out=out.w_out)
-    d_pooled = (upstream @ params.w_out).reshape(b, p, d).transpose(1, 0, 2)   # (P, B, d)
-    d_weights = np.einsum("pbd,bmd->pbm", d_pooled, v)
-    inner = np.sum(weights * d_weights, axis=-1, keepdims=True)
-    d_scores = weights * (d_weights - inner)                                   # (P, B, M)
-    np.matmul(d_scores.reshape(p, 1, b * m), act.reshape(p, b * m, h), out=out.w_score[:, None])
-    d_tanh = act * act
-    np.subtract(1.0, d_tanh, out=d_tanh)                                       # tanh'
-    d_pre_m = (d_scores[..., None, :] @ d_tanh)[:, :, 0]                       # (P, B, h)
-    scaled_keys = (d_scores[..., None] * k).reshape(p, b * m, k.shape[2])
-    w = params.w_score
-    np.matmul(d_pre_m.transpose(0, 2, 1), q, out=out.w_query)
-    out.w_query *= w[:, :, None]
-    np.matmul(d_tanh.reshape(p, b * m, h).transpose(0, 2, 1), scaled_keys, out=out.w_key)
-    out.w_key *= w[:, :, None]
-    np.sum(d_pre_m, axis=1, out=out.bias)
-    out.bias *= w
+    d_pooled = (upstream @ params.w_out).reshape(b, p, -1).transpose(1, 0, 2)  # (P, B, d)
+    _stacked_backward(_head_arrays(params, ...), cache[:5], d_pooled, _head_arrays(out, ...))
     return out

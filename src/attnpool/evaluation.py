@@ -65,9 +65,12 @@ def valid_time(pred: Array, truth: Array) -> float:
 # median with distribution-free CI (order statistics via the binomial)
 
 
-def median_ci_ranks(n: int, level: float = 0.95) -> tuple[int, int]:
+MEDIAN_CI_LEVEL = 0.95  # two-sided coverage of the median's interval
+
+
+def median_ci_ranks(n: int) -> tuple[int, int]:
     """1-indexed order-statistic ranks (r, s) bracketing the median with
-    two-sided coverage >= level, from Binomial(n, 1/2).
+    two-sided coverage >= ``MEDIAN_CI_LEVEL``, from Binomial(n, 1/2).
 
     r is the largest rank with P(X <= r - 1) <= alpha/2. The CDF is kept
     exactly, in integers scaled by 2^n, and compared with the exact value of
@@ -75,9 +78,9 @@ def median_ci_ranks(n: int, level: float = 0.95) -> tuple[int, int]:
     is known by symmetry, so it takes about sqrt(n) steps rather than n/2.
     """
     if n < 6:
-        raise ValueError(f"need at least 6 samples for a {level:.0%} median CI, got {n}")
+        raise ValueError(f"need at least 6 samples for a {MEDIAN_CI_LEVEL:.0%} median CI, got {n}")
     # cdf is an integer, so cdf <= alpha/2 * 2^n exactly when cdf <= the floor
-    limit = math.floor(Fraction((1.0 - level) / 2.0) * 2**n)
+    limit = math.floor(Fraction((1.0 - MEDIAN_CI_LEVEL) / 2.0) * 2**n)
     r = n // 2
     term = math.comb(n, r)                             # C(n, r)
     # 2^n * P(X <= n // 2): half of 2^n, plus half the central term if n is even
@@ -90,15 +93,15 @@ def median_ci_ranks(n: int, level: float = 0.95) -> tuple[int, int]:
     return r, n - r + 1
 
 
-def median_with_ci(samples: Array, level: float = 0.95) -> tuple[float, float, float]:
-    """Sample median plus a distribution-free >= ``level`` CI.
+def median_with_ci(samples: Array) -> tuple[float, float, float]:
+    """Sample median plus a distribution-free >= ``MEDIAN_CI_LEVEL`` CI.
 
     The bounds are always elements of ``samples`` and bracket the median.
     """
     x = np.sort(np.asarray(samples, dtype=np.float64))
     if not np.all(np.isfinite(x)):
         raise ValueError("non-finite entries in samples")
-    r, s = median_ci_ranks(len(x), level)
+    r, s = median_ci_ranks(len(x))
     return float(np.median(x)), float(x[r - 1]), float(x[s - 1])
 
 

@@ -57,12 +57,12 @@ class Standardizer:
     scale: Array
 
     @classmethod
-    def fit(cls, arr: Array, floor: float = 1e-8) -> "Standardizer":
+    def fit(cls, arr: Array) -> "Standardizer":
         arr = np.asarray(arr, dtype=np.float64)
         flat = arr.reshape(-1, arr.shape[-1])
         mean = flat.mean(axis=0)
         scale = flat.std(axis=0)
-        scale = np.where(scale < floor, 1.0, scale)  # constant columns pass through
+        scale = np.where(scale < 1e-8, 1.0, scale)  # constant columns pass through
         return cls(mean=mean, scale=scale)
 
     @classmethod
@@ -79,6 +79,7 @@ class Standardizer:
 # The scoring layer shrinks as the delay length grows, anchored at
 # hidden = 120 for length 5; the direct net's hidden width is then chosen so
 # its parameter count matches the attention pooler's for the same length.
+# Both counts are for the 3-component Lorenz state.
 
 
 def attention_hidden_size(length: int) -> int:
@@ -87,14 +88,12 @@ def attention_hidden_size(length: int) -> int:
     return round(600 / length)
 
 
-def attention_param_count(length: int, hidden: int | None = None, dim: int = 3) -> int:
-    h = attention_hidden_size(length) if hidden is None else hidden
-    return h * (2 * dim * length + 2)
+def attention_param_count(length: int) -> int:
+    return attention_hidden_size(length) * (2 * 3 * length + 2)
 
 
-def ffnn_hidden_size(length: int, dim: int = 3) -> int:
-    target = attention_param_count(length, dim=dim)
-    return round((target - dim) / (dim * length + 1 + dim))
+def ffnn_hidden_size(length: int) -> int:
+    return round((attention_param_count(length) - 3) / (3 * length + 1 + 3))
 
 
 # ---------------------------------------------------------------------------

@@ -191,7 +191,7 @@ def candidate_one_step_batch(states: Array, rho_values: Array) -> Array:
     return out.reshape(states.shape)
 
 
-def candidate_forecasts(states: Array, rhos=CANDIDATE_RHOS) -> Array:
+def candidate_forecasts(states: Array) -> Array:
     """One-step forecasts of every candidate from every state of a series.
 
     Returns ``cand`` of shape (n, M, 3) where ``cand[j, m]`` is candidate m's
@@ -200,7 +200,7 @@ def candidate_forecasts(states: Array, rhos=CANDIDATE_RHOS) -> Array:
     """
     states = np.asarray(states, dtype=np.float64)
     n = len(states)
-    rhos = np.asarray(rhos, dtype=np.float64)
+    rhos = np.asarray(CANDIDATE_RHOS)
     cand = np.full((n, len(rhos), 3), np.nan)
     if n > 1:
         tiled = np.broadcast_to(states[:-1, None, :], (n - 1, len(rhos), 3))

@@ -1,5 +1,5 @@
-"""Float64 numerics shared by every model: flat parameter buffers, Adam
-updates, and seeded parameter initialization.
+"""Float64 numerics shared by every model: one Adam optimizer over a model's
+flat parameter vector, and seeded parameter initialization.
 
 All numeric state in this package lives in C-ordered float64 numpy arrays.
 Every public operation here either returns finite values or raises.
@@ -7,9 +7,7 @@ Every public operation here either returns finite values or raises.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, fields, replace
-from typing import Mapping, Sequence
+from dataclasses import fields, replace
 from zlib import crc32
 
 import numpy as np
@@ -35,45 +33,6 @@ def uniform_init(rng: np.random.Generator, shape: tuple[int, ...] | int, fan_in:
     return rng.uniform(-scale, scale, size=shape)
 
 
-class ParamBuffer:
-    """Named float64 arrays held as shaped views into one contiguous vector.
-
-    ``flat`` is the vector and ``views`` maps each name, in the order given,
-    to its view. An elementwise update of ``flat`` (one :func:`adam_step`)
-    updates every array at once; :meth:`zeros_like` makes a second buffer
-    with the same layout for the gradients.
-    """
-
-    def __init__(self, shapes: Mapping[str, tuple[int, ...]]):
-        sizes = [math.prod(shape) for shape in shapes.values()]
-        self.flat = np.zeros(sum(sizes))
-        self._stops = np.cumsum(sizes)
-        self.views: dict[str, Array] = {}
-        start = 0
-        for (name, shape), stop in zip(shapes.items(), self._stops):
-            self.views[name] = self.flat[start:stop].reshape(shape)
-            start = stop
-
-    def zeros_like(self) -> "ParamBuffer":
-        return ParamBuffer({name: view.shape for name, view in self.views.items()})
-
-    def name_at(self, index: int) -> str:
-        """Name of the array that holds entry ``index`` of ``flat``."""
-        return list(self.views)[int(np.searchsorted(self._stops, index, side="right"))]
-
-
-def pack_params(owner: object, names: Sequence[str]) -> ParamBuffer:
-    """Copy the named array attributes of ``owner`` into one ParamBuffer and
-    rebind each attribute to its view, so updating the buffer updates the
-    model."""
-    arrays = {name: np.asarray(getattr(owner, name), dtype=np.float64) for name in names}
-    buffer = ParamBuffer({name: a.shape for name, a in arrays.items()})
-    for name, a in arrays.items():
-        buffer.views[name][...] = a
-        setattr(owner, name, buffer.views[name])
-    return buffer
-
-
 def _array_fields(model: object) -> list[str]:
     """Names of the dataclass fields of ``model`` that hold arrays: the
     parameters a trainer updates, in declaration order."""
@@ -93,41 +52,61 @@ BETA2 = 0.999
 EPSILON = 1e-8
 
 
-@dataclass
-class AdamState:
-    """Adam moments, learning rate and weight decay for the ``flat`` vector
-    of one :class:`ParamBuffer`, so one state covers every array of a model.
+class FlatAdam:
+    """Adam over the array fields of one model dataclass, held in one flat
+    float64 vector, so one elementwise update (:func:`adam_step`) trains
+    every array of the model.
 
-    ``step_count`` is the number of updates already applied; bias correction
-    uses step_count + 1 on the next call. Weight decay is decoupled: it is
+    ``flat_params`` holds the array fields of ``model`` in declaration order,
+    and each field is rebound to its view of it; fields that are not arrays
+    are shared, not trained. ``grads`` is a copy of ``model`` whose array
+    fields are views of ``flat_grads``, so a backward that writes into
+    ``grads`` fills what :meth:`step` reads. ``first_moment`` and
+    ``second_moment`` have the layout of ``flat_params``; ``step_count`` is
+    the number of updates already applied. Weight decay is decoupled: it is
     applied directly to the parameters, not folded into the gradient.
     """
 
-    first_moment: Array
-    second_moment: Array
-    step_count: int = 0
-    learning_rate: float = 1e-3
-    weight_decay: float = 0.0
-
-    def __post_init__(self):
+    def __init__(self, model: object, learning_rate: float, weight_decay: float = 0.0):
+        arrays = {n: np.asarray(getattr(model, n), dtype=np.float64) for n in _array_fields(model)}
+        self._names = list(arrays)
+        self._stops = np.cumsum([a.size for a in arrays.values()])
+        self.flat_params = np.zeros(self._stops[-1])
+        self.flat_grads = np.zeros_like(self.flat_params)
+        grads = {}
+        for (name, a), start, stop in zip(arrays.items(), [0, *self._stops], self._stops):
+            param = self.flat_params[start:stop].reshape(a.shape)
+            param[...] = a
+            setattr(model, name, param)
+            grads[name] = self.flat_grads[start:stop].reshape(a.shape)
+        self.grads = replace(model, **grads)
+        self.first_moment = np.zeros_like(self.flat_params)
+        self.second_moment = np.zeros_like(self.flat_params)
+        self.step_count = 0
+        self.learning_rate = learning_rate
+        self.weight_decay = weight_decay
         # scratch for the in-place update, so a step allocates nothing
-        self._scratch = (np.empty_like(self.first_moment), np.empty_like(self.first_moment))
+        self._scratch = (np.empty_like(self.flat_params), np.empty_like(self.flat_params))
+
+    def step(self) -> None:
+        adam_step(self)
 
 
-def _require_finite_entries(arr: Array, what: str, layout: ParamBuffer) -> None:
+def _require_finite_entries(arr: Array, what: str, opt: FlatAdam) -> None:
     finite = np.isfinite(arr)
     if not finite.all():
-        name = layout.name_at(int(np.argmin(finite.ravel())))
-        raise ValueError(f"non-finite entries in {what}{name}")
+        at = int(np.searchsorted(opt._stops, np.argmin(finite), side="right"))
+        raise ValueError(f"non-finite entries in {what}{opt._names[at]}")
 
 
-def adam_step(params: ParamBuffer, grads: ParamBuffer, state: AdamState) -> None:
-    """One Adam update of ``params.flat`` in place; mutates ``state``.
+def adam_step(opt: FlatAdam) -> None:
+    """One Adam update of ``opt.flat_params`` in place from
+    ``opt.flat_grads``; advances the moments and the step count.
 
-    ``grads`` has the layout of ``params``. If the gradient or the result is
-    not finite, the error names the array that holds the first non-finite
-    entry and is raised before ``params`` changes (``state`` has already
-    advanced). The update applies the per-element operations of
+    If the gradient or the result is not finite, the error names the array
+    that holds the first non-finite entry and is raised before the
+    parameters change (the moments have already advanced). The update
+    applies the per-element operations of
 
         m = b1 m + (1 - b1) g,   v = b2 v + (1 - b2) g^2,
         p = p - lr (m / (1 - b1^t)) / (sqrt(v / (1 - b2^t)) + eps) - lr wd p
@@ -135,14 +114,14 @@ def adam_step(params: ParamBuffer, grads: ParamBuffer, state: AdamState) -> None
     in this order, so it gives the same bits as evaluating them array by
     array.
     """
-    param, grad = params.flat, grads.flat
-    _require_finite_entries(grad, "gradient of ", params)
+    param, grad = opt.flat_params, opt.flat_grads
+    _require_finite_entries(grad, "gradient of ", opt)
 
-    state.step_count += 1
-    t = state.step_count
-    b1, b2, lr = BETA1, BETA2, state.learning_rate
-    m, v = state.first_moment, state.second_moment
-    step, denom = state._scratch
+    opt.step_count += 1
+    t = opt.step_count
+    b1, b2, lr = BETA1, BETA2, opt.learning_rate
+    m, v = opt.first_moment, opt.second_moment
+    step, denom = opt._scratch
     m *= b1
     np.multiply(grad, 1.0 - b1, out=step)
     m += step
@@ -157,32 +136,8 @@ def adam_step(params: ParamBuffer, grads: ParamBuffer, state: AdamState) -> None
     denom += EPSILON
     step /= denom
     updated = np.subtract(param, step, out=step)
-    if state.weight_decay != 0.0:
-        np.multiply(param, lr * state.weight_decay, out=denom)
+    if opt.weight_decay != 0.0:
+        np.multiply(param, lr * opt.weight_decay, out=denom)
         updated -= denom
-    _require_finite_entries(updated, "updated ", params)
+    _require_finite_entries(updated, "updated ", opt)
     np.copyto(param, updated)
-
-
-class FlatAdam:
-    """Adam over the array fields of one model dataclass, held in one
-    ParamBuffer.
-
-    Each array field of ``model`` is rebound to its view of ``params``;
-    fields that are not arrays are not trained. ``grads`` is a copy of
-    ``model`` whose array fields are views of ``grad_buffer``, so a backward
-    that writes into ``grads`` fills what :meth:`step` reads.
-    """
-
-    def __init__(self, model: object, learning_rate: float, weight_decay: float = 0.0):
-        self.params = pack_params(model, _array_fields(model))
-        self.grad_buffer = self.params.zeros_like()
-        self.grads = replace(model, **self.grad_buffer.views)
-        flat = self.params.flat
-        self.state = AdamState(
-            np.zeros_like(flat), np.zeros_like(flat), learning_rate=learning_rate,
-            weight_decay=weight_decay,
-        )
-
-    def step(self) -> None:
-        adam_step(self.params, self.grad_buffer, self.state)

@@ -337,6 +337,27 @@ class TestBackward:
                 getattr(grads, name), expect, rtol=1e-12, atol=1e-12 * scale, err_msg=name
             )
 
+    @pytest.mark.parametrize("hidden, length", [(120, 5), (600, 1)])
+    def test_out_gets_the_bits_of_the_allocating_call(self, hidden, length):
+        """Gradients written into a NaN-filled ``out`` (the single head runs
+        as a stack of one, through views of ``out``) have the bits of the
+        allocating call, at the protocol batch B=128, M=11."""
+        rng = np.random.default_rng(hidden + length)
+        dim = 3 * length
+        params = init_single_head(rng, hidden, dim, dim)
+        Q = rng.normal(size=(128, dim))
+        K = rng.normal(size=(128, 11, dim))
+        V = rng.normal(size=(128, 11, 3))
+        G = rng.normal(size=(128, 3))
+        _, _, cache = single_head_forward(params, Q, K, V)
+        allocated = single_head_backward(params, cache, G)
+        into = SingleHeadParams(*(np.full_like(getattr(params, n), np.nan) for n in HEAD_FIELDS))
+        assert single_head_backward(params, cache, G, out=into) is into
+        for name in HEAD_FIELDS:
+            np.testing.assert_array_equal(
+                getattr(into, name), getattr(allocated, name), err_msg=name
+            )
+
     def test_multi_head_grads_match_finite_differences(self):
         rng = np.random.default_rng(17)
         mp = random_multi_head(rng, n_heads=2, hidden=3, query_dim=4, key_dim=4, value_dim=3)

@@ -314,14 +314,14 @@ class TestTraining:
         for got, want in zip(seen, expected):
             np.testing.assert_array_equal(got, want)
         np.testing.assert_array_equal(curve, [1.5 * rows.mean()] * 2)
-        assert opt.state.step_count == 6
+        assert opt.step_count == 6
 
     def test_rejecting_batch_hook_stops_fit_before_the_step(self):
         rng = np.random.default_rng(15)
         x, y = rng.normal(size=(20, 4)), rng.normal(size=(20, 3))
         model = LinearPooler(weight=rng.normal(size=(3, 4)), bias=np.zeros(3))
         opt = FlatAdam(model, 1e-2)
-        before = opt.params.flat.copy()
+        before = opt.flat_params.copy()
         seen = []
 
         def loss_and_grad(rows):
@@ -339,7 +339,7 @@ class TestTraining:
                 TrainConfig(epochs=1, batch_size=20), check_rows=reject_row_7,
             )
         assert seen == []
-        np.testing.assert_array_equal(opt.params.flat, before)
+        np.testing.assert_array_equal(opt.flat_params, before)
 
     def test_ridge_recovers_generating_weights(self):
         rng = np.random.default_rng(6)

@@ -1,6 +1,6 @@
 """Adam updates, finite differences, and seeded init."""
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, make_dataclass
 
 import numpy as np
 import pytest
@@ -15,15 +15,7 @@ from attnpool.attention import (
     single_head_forward,
 )
 from attnpool.forecasting import LinearPooler, ffnn_backward, ffnn_forward, init_ffnn
-from attnpool.numerics import (
-    AdamState,
-    FlatAdam,
-    ParamBuffer,
-    adam_step,
-    pack_params,
-    spawn_rng,
-    uniform_init,
-)
+from attnpool.numerics import FlatAdam, spawn_rng, uniform_init
 
 
 @dataclass
@@ -45,12 +37,11 @@ def adam_update(opt, grad):
     opt.step()
 
 
-def fresh_state(buffer, learning_rate=1e-3, weight_decay=0.0):
-    """Adam state with zero moments for the flat vector of ``buffer``."""
-    zeros = np.zeros_like(buffer.flat)
-    return AdamState(
-        zeros, zeros.copy(), learning_rate=learning_rate, weight_decay=weight_decay
-    )
+def adam_over(shapes, learning_rate=1e-3, weight_decay=0.0):
+    """A model with one zero array field per (name, shape), in the order
+    given, and its optimizer."""
+    model = make_dataclass("Arrays", list(shapes))(*(np.zeros(s) for s in shapes.values()))
+    return model, FlatAdam(model, learning_rate, weight_decay)
 
 
 def model_cases(rng):
@@ -83,7 +74,7 @@ class TestAdam:
         whatever the step count says."""
         rng = np.random.default_rng(42)
         model, opt = adam_on(rng.normal(size=(4, 3)))
-        opt.state.step_count = 17
+        opt.step_count = 17
         before = model.w.copy()  # the update is in place
         adam_update(opt, 0.0)
         np.testing.assert_array_equal(model.w, before)
@@ -105,7 +96,7 @@ class TestAdam:
         np.testing.assert_allclose(model.w, [0.99900000001], rtol=0, atol=1e-15)
         adam_update(opt, [-1.0])
         np.testing.assert_allclose(model.w, [0.9990526315884211], rtol=0, atol=1e-15)
-        assert opt.state.step_count == 2
+        assert opt.step_count == 2
 
     def test_matches_transcribed_recurrence_on_random_stream(self):
         rng = np.random.default_rng(7)
@@ -136,28 +127,26 @@ class TestAdam:
         np.testing.assert_allclose(model.w, before - 0.1 * 0.5 * before, rtol=1e-15)
 
     def test_non_finite_gradient_names_parameter(self):
-        buffer = ParamBuffer({"w_key": (2,)})
-        grads = buffer.zeros_like()
-        grads.flat[:] = [1.0, np.nan]
+        _, opt = adam_over({"w_key": (2,)})
+        opt.flat_grads[:] = [1.0, np.nan]
         with pytest.raises(ValueError, match="w_key"):
-            adam_step(buffer, grads, fresh_state(buffer))
+            opt.step()
 
     def test_flat_update_matches_per_array_recurrence_bitwise(self):
-        """One in-place update of a multi-array buffer gives the bits of the
-        allocating update applied array by array, weight decay on."""
+        """One in-place update of a multi-array model's flat vector gives the
+        bits of the allocating update applied array by array, weight decay
+        on."""
         rng = np.random.default_rng(5)
         shapes = {"w_query": (3, 4, 2), "w_key": (3, 4, 6), "bias": (3, 4), "w_out": (2, 6)}
-        buffer = ParamBuffer(shapes)
-        grads = buffer.zeros_like()
-        buffer.flat[:] = rng.normal(size=buffer.flat.size)
         lr, wd, b1, b2, eps = 0.01, 1e-3, 0.9, 0.999, 1e-8
-        state = fresh_state(buffer, learning_rate=lr, weight_decay=wd)
-        expect = {n: v.copy() for n, v in buffer.views.items()}
+        model, opt = adam_over(shapes, learning_rate=lr, weight_decay=wd)
+        opt.flat_params[:] = rng.normal(size=opt.flat_params.size)
+        expect = {n: getattr(model, n).copy() for n in shapes}
         moments = {n: (np.zeros(s), np.zeros(s)) for n, s in shapes.items()}
         for t in range(1, 8):
-            grads.flat[:] = rng.normal(size=grads.flat.size) * 10.0 ** rng.integers(-6, 3)
+            opt.flat_grads[:] = rng.normal(size=opt.flat_grads.size) * 10.0 ** rng.integers(-6, 3)
             for n, p in expect.items():
-                g = grads.views[n]
+                g = getattr(opt.grads, n)
                 m, v = moments[n]
                 m = b1 * m + (1.0 - b1) * g
                 v = b2 * v + (1.0 - b2) * (g * g)
@@ -166,38 +155,41 @@ class TestAdam:
                 v_hat = v / (1.0 - b2**t)
                 updated = p - lr * m_hat / (np.sqrt(v_hat) + eps)
                 expect[n] = updated - lr * wd * p
-            adam_step(buffer, grads, state)
-            for n, view in buffer.views.items():
-                np.testing.assert_array_equal(view, expect[n], err_msg=f"{n} at step {t}")
+            opt.step()
+            for n in shapes:
+                np.testing.assert_array_equal(
+                    getattr(model, n), expect[n], err_msg=f"{n} at step {t}"
+                )
 
     def test_non_finite_entry_in_buffer_names_its_array(self):
-        buffer = ParamBuffer({"w_query": (2, 3), "w_key": (2, 5), "bias": (2,)})
-        grads = buffer.zeros_like()
-        state = fresh_state(buffer)
-        grads.views["w_key"][1, 4] = np.inf
+        model, opt = adam_over({"w_query": (2, 3), "w_key": (2, 5), "bias": (2,)})
+        opt.grads.w_key[1, 4] = np.inf
         with pytest.raises(ValueError, match="gradient of w_key"):
-            adam_step(buffer, grads, state)
-        grads.views["w_key"][1, 4] = 0.0
-        buffer.flat[:] = np.arange(buffer.flat.size)
-        buffer.views["bias"][0] = np.nan
-        before = buffer.flat.copy()
+            opt.step()
+        opt.grads.w_key[1, 4] = 0.0
+        opt.flat_params[:] = np.arange(opt.flat_params.size)
+        model.bias[0] = np.nan
+        before = opt.flat_params.copy()
         with pytest.raises(ValueError, match="updated bias"):
-            adam_step(buffer, grads, state)
+            opt.step()
         # the check runs before the update is written back
-        np.testing.assert_array_equal(buffer.flat, before)
+        np.testing.assert_array_equal(opt.flat_params, before)
 
-    def test_pack_params_rebinds_attributes_to_views(self):
-        class Model:
-            pass
-
-        model = Model()
-        model.w, model.b = np.ones((2, 3)), np.arange(2.0)
-        buffer = pack_params(model, ("w", "b"))
-        np.testing.assert_array_equal(buffer.flat, [1, 1, 1, 1, 1, 1, 0, 1])
-        buffer.flat *= 2.0
+    def test_fields_are_rebound_to_views_of_the_flat_vector(self):
+        """The model's arrays are copied into the flat vector in field order
+        and rebound to their views; the last entry of one array and the
+        first of the next are named by their own fields."""
+        model = make_dataclass("Model", ["w", "b"])(np.ones((2, 3)), np.arange(2.0))
+        opt = FlatAdam(model, 1e-3)
+        np.testing.assert_array_equal(opt.flat_params, [1, 1, 1, 1, 1, 1, 0, 1])
+        opt.flat_params *= 2.0
         np.testing.assert_array_equal(model.w, np.full((2, 3), 2.0))
         np.testing.assert_array_equal(model.b, [0.0, 2.0])
-        assert buffer.name_at(5) == "w" and buffer.name_at(6) == "b"
+        for index, name in ((5, "w"), (6, "b")):
+            opt.flat_grads[:] = 0.0
+            opt.flat_grads[index] = np.nan
+            with pytest.raises(ValueError, match=f"gradient of {name}$"):
+                opt.step()
 
     def test_flat_adam_trains_the_owner_through_its_grads(self):
         """For each model type, ``opt.grads`` is a model of that type whose
@@ -213,13 +205,15 @@ class TestAdam:
             expect = {n: getattr(model, n).copy() for n in arrays}
             opt = FlatAdam(model, learning_rate=0.1, weight_decay=0.01)
             assert type(opt.grads) is type(model), kind
-            assert list(opt.params.views) == arrays, kind
+            np.testing.assert_array_equal(
+                opt.flat_params, np.concatenate([expect[n].ravel() for n in arrays]), err_msg=kind
+            )
             for n in others:
                 assert getattr(opt.grads, n) is getattr(model, n), (kind, n)
             rng = np.random.default_rng(8)
             for n in arrays:
                 grad = getattr(opt.grads, n)
-                assert np.shares_memory(grad, opt.grad_buffer.flat), (kind, n)
+                assert np.shares_memory(grad, opt.flat_grads), (kind, n)
                 grad[...] = rng.normal(size=grad.shape)
             opt.step()
             for n in arrays:
@@ -232,8 +226,8 @@ class TestAdam:
             for n in arrays:
                 g = getattr(fresh, n)
                 assert g.shape == getattr(model, n).shape, (kind, n)
-                assert not np.shares_memory(g, opt.grad_buffer.flat), (kind, n)
-                assert not np.shares_memory(g, opt.params.flat), (kind, n)
+                assert not np.shares_memory(g, opt.flat_grads), (kind, n)
+                assert not np.shares_memory(g, opt.flat_params), (kind, n)
             for n in others:
                 assert getattr(fresh, n) is getattr(model, n), (kind, n)
 
