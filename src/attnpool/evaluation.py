@@ -140,13 +140,18 @@ def _level_index(levels: Array, level: float, what: str) -> int:
 def _layout_of(levels: tuple[float, ...], cfg: WISConfig):
     arr = np.array(levels)
     med = _level_index(arr, 0.5, "median")
-    lowers = tuple(_level_index(arr, a / 2.0, f"alpha={a} lower") for a in cfg.alphas)
-    uppers = tuple(_level_index(arr, 1.0 - a / 2.0, f"alpha={a} upper") for a in cfg.alphas)
-    return med, lowers, uppers
+    lowers = [_level_index(arr, a / 2.0, f"alpha={a} lower") for a in cfg.alphas]
+    uppers = [_level_index(arr, 1.0 - a / 2.0, f"alpha={a} upper") for a in cfg.alphas]
+    arrays = tuple(np.array(x) for x in (lowers, uppers, cfg.alphas))
+    for a in arrays:
+        a.flags.writeable = False  # cached, so shared by every caller
+    return (med, *arrays)
 
 
 def _wis_layout(levels: Array, cfg: WISConfig):
-    """Indices of the median and of each interval's endpoints in ``levels``.
+    """Index of the median in ``levels``, index arrays of the intervals'
+    lower and upper endpoints, and the alphas as an array, in
+    ``cfg.alphas`` order.
 
     A training run scores thousands of batches against one level grid, so
     the layout is found once per (levels, config) and then reused; a
@@ -157,24 +162,32 @@ def _wis_layout(levels: Array, cfg: WISConfig):
 
 def wis_batch(levels: Array, values: Array, observed: Array, cfg: WISConfig | None = None) -> Array:
     """WIS for a batch: ``values`` is (N, L) aligned with ``levels``, one row
-    per forecast; ``observed`` is (N,). Returns (N,)."""
+    per forecast; ``observed`` is (N,). Returns (N,).
+
+    The interval terms are formed for all alphas at once, (N, A), and added
+    to the median term one alpha at a time in ``cfg.alphas`` order, so the
+    sum is the one a loop over the intervals makes.
+    """
     cfg = cfg or WISConfig()
     levels = np.asarray(levels, dtype=np.float64)
     values = np.atleast_2d(np.asarray(values, dtype=np.float64))
     observed = np.atleast_1d(np.asarray(observed, dtype=np.float64))
-    med, lowers, uppers = _wis_layout(levels, cfg)
+    med, lowers, uppers, alphas = _wis_layout(levels, cfg)
+    lo, up = values[:, lowers], values[:, uppers]
+    crossed = lo > up
+    if crossed.any():
+        first = int(np.argmax(crossed.any(axis=0)))
+        bad = int(np.argmax(crossed[:, first]))
+        raise ValueError(
+            f"interval endpoints crossed for alpha={cfg.alphas[first]} in forecast row {bad}"
+        )
+    y = observed[:, None]
+    below = (2.0 / alphas) * np.maximum(lo - y, 0.0)
+    above = (2.0 / alphas) * np.maximum(y - up, 0.0)
+    terms = (alphas / 2.0) * (up - lo + below + above)
     total = 0.5 * np.abs(observed - values[:, med])
-    for a, li, ui in zip(cfg.alphas, lowers, uppers):
-        lo, up = values[:, li], values[:, ui]
-        if np.any(lo > up):
-            bad = int(np.nonzero(lo > up)[0][0])
-            raise ValueError(
-                f"interval endpoints crossed for alpha={a} in forecast row {bad}"
-            )
-        width = up - lo
-        below = (2.0 / a) * np.maximum(lo - observed, 0.0)
-        above = (2.0 / a) * np.maximum(observed - up, 0.0)
-        total += (a / 2.0) * (width + below + above)
+    for k in range(len(alphas)):
+        total += terms[:, k]
     return total / cfg.denominator
 
 
@@ -185,19 +198,19 @@ def wis_gradient_batch(
 
     Piecewise linear, so the gradient is exact away from kinks; at a kink
     (observation equal to a quantile) the 0 subgradient is chosen.
-    Returns an array shaped like ``values``.
+    Returns an array shaped like ``values``; each entry receives exactly one
+    term, since the median and the endpoints are distinct levels.
     """
     cfg = cfg or WISConfig()
     levels = np.asarray(levels, dtype=np.float64)
     values = np.atleast_2d(np.asarray(values, dtype=np.float64))
     observed = np.atleast_1d(np.asarray(observed, dtype=np.float64))
-    med, lowers, uppers = _wis_layout(levels, cfg)
+    med, lowers, uppers, alphas = _wis_layout(levels, cfg)
     grad = np.zeros_like(values)
     denom = cfg.denominator
+    y = observed[:, None]
+    w = alphas / 2.0
     grad[:, med] += 0.5 * np.sign(values[:, med] - observed) / denom
-    for a, li, ui in zip(cfg.alphas, lowers, uppers):
-        lo, up = values[:, li], values[:, ui]
-        w = a / 2.0
-        grad[:, li] += w * (-1.0 + (2.0 / a) * (observed < lo)) / denom
-        grad[:, ui] += w * (1.0 - (2.0 / a) * (observed > up)) / denom
+    grad[:, lowers] += w * (-1.0 + (2.0 / alphas) * (y < values[:, lowers])) / denom
+    grad[:, uppers] += w * (1.0 - (2.0 / alphas) * (y > values[:, uppers])) / denom
     return grad

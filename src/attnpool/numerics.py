@@ -51,6 +51,13 @@ BETA1 = 0.9
 BETA2 = 0.999
 EPSILON = 1e-8
 
+# elements per slice of the sliced update: a slice's six vectors (gradient,
+# parameters, two moments, two scratch) take 1.5 MB, so they stay in a 2 MB
+# L2 across the update's passes, where the whole vectors of a hub model (2 MB
+# each at 244,461 parameters) do not; smaller slices lose more to per-call
+# overhead than they gain
+ADAM_BLOCK = 32768
+
 
 class FlatAdam:
     """Adam over the array fields of one model dataclass, held in one flat
@@ -103,41 +110,48 @@ def adam_step(opt: FlatAdam) -> None:
     """One Adam update of ``opt.flat_params`` in place from
     ``opt.flat_grads``; advances the moments and the step count.
 
-    If the gradient or the result is not finite, the error names the array
-    that holds the first non-finite entry and is raised before the
-    parameters change (the moments have already advanced). The update
-    applies the per-element operations of
+    A non-finite gradient raises before anything changes: the moments, the
+    step count and the parameters are left as they were. A non-finite
+    result raises before the parameters change, but after the moments and
+    the step count have advanced. Either error names the array that holds
+    the first non-finite entry. The update applies the per-element
+    operations of
 
         m = b1 m + (1 - b1) g,   v = b2 v + (1 - b2) g^2,
         p = p - lr (m / (1 - b1^t)) / (sqrt(v / (1 - b2^t)) + eps) - lr wd p
 
-    in this order, so it gives the same bits as evaluating them array by
-    array.
+    in this order, one slice of ``ADAM_BLOCK`` elements at a time. Each
+    element gets the same operations whatever the slicing, so the update
+    gives the same bits as evaluating them array by array.
     """
     param, grad = opt.flat_params, opt.flat_grads
     _require_finite_entries(grad, "gradient of ", opt)
 
     opt.step_count += 1
     t = opt.step_count
-    b1, b2, lr = BETA1, BETA2, opt.learning_rate
-    m, v = opt.first_moment, opt.second_moment
-    step, denom = opt._scratch
-    m *= b1
-    np.multiply(grad, 1.0 - b1, out=step)
-    m += step
-    np.multiply(grad, grad, out=step)
-    step *= 1.0 - b2
-    v *= b2
-    v += step
-    np.divide(m, 1.0 - b1**t, out=step)
-    step *= lr
-    np.divide(v, 1.0 - b2**t, out=denom)
-    np.sqrt(denom, out=denom)
-    denom += EPSILON
-    step /= denom
-    updated = np.subtract(param, step, out=step)
-    if opt.weight_decay != 0.0:
-        np.multiply(param, lr * opt.weight_decay, out=denom)
-        updated -= denom
+    b1, b2, lr, wd = BETA1, BETA2, opt.learning_rate, opt.weight_decay
+    m_scale, v_scale = 1.0 - b1**t, 1.0 - b2**t
+    updated, scratch = opt._scratch
+    for start in range(0, param.size, ADAM_BLOCK):
+        block = slice(start, start + ADAM_BLOCK)
+        g, p, m, v = grad[block], param[block], opt.first_moment[block], opt.second_moment[block]
+        step, denom = updated[block], scratch[block]
+        m *= b1
+        np.multiply(g, 1.0 - b1, out=step)
+        m += step
+        np.multiply(g, g, out=step)
+        step *= 1.0 - b2
+        v *= b2
+        v += step
+        np.divide(m, m_scale, out=step)
+        step *= lr
+        np.divide(v, v_scale, out=denom)
+        np.sqrt(denom, out=denom)
+        denom += EPSILON
+        step /= denom
+        np.subtract(p, step, out=step)
+        if wd != 0.0:
+            np.multiply(p, lr * wd, out=denom)
+            step -= denom
     _require_finite_entries(updated, "updated ", opt)
     np.copyto(param, updated)

@@ -2,6 +2,7 @@
 
 import numpy as np
 
+from attnpool.evaluation import WISConfig, _wis_layout
 from attnpool.forecasting import LinearPooler
 
 
@@ -43,3 +44,45 @@ def fit_linear_ridge(inputs, targets, ridge=1e-8):
     gram = augmented.T @ augmented + ridge * np.eye(augmented.shape[1])
     solution = np.linalg.solve(gram, augmented.T @ y)  # (d_in + 1, d_out)
     return LinearPooler(weight=solution[:-1].T.copy(), bias=solution[-1].copy())
+
+
+def wis_per_interval(levels, values, observed, cfg=None):
+    """WIS for a batch, one interval level at a time: the loop the batched
+    :func:`attnpool.evaluation.wis_batch` replaces, kept as its reference."""
+    cfg = cfg or WISConfig()
+    levels = np.asarray(levels, dtype=np.float64)
+    values = np.atleast_2d(np.asarray(values, dtype=np.float64))
+    observed = np.atleast_1d(np.asarray(observed, dtype=np.float64))
+    med, lowers, uppers, _ = _wis_layout(levels, cfg)
+    total = 0.5 * np.abs(observed - values[:, med])
+    for a, li, ui in zip(cfg.alphas, lowers, uppers):
+        lo, up = values[:, li], values[:, ui]
+        if np.any(lo > up):
+            bad = int(np.nonzero(lo > up)[0][0])
+            raise ValueError(
+                f"interval endpoints crossed for alpha={a} in forecast row {bad}"
+            )
+        width = up - lo
+        below = (2.0 / a) * np.maximum(lo - observed, 0.0)
+        above = (2.0 / a) * np.maximum(observed - up, 0.0)
+        total += (a / 2.0) * (width + below + above)
+    return total / cfg.denominator
+
+
+def wis_gradient_per_interval(levels, values, observed, cfg=None):
+    """WIS subgradient for a batch, one interval level at a time: the
+    reference of :func:`attnpool.evaluation.wis_gradient_batch`."""
+    cfg = cfg or WISConfig()
+    levels = np.asarray(levels, dtype=np.float64)
+    values = np.atleast_2d(np.asarray(values, dtype=np.float64))
+    observed = np.atleast_1d(np.asarray(observed, dtype=np.float64))
+    med, lowers, uppers, _ = _wis_layout(levels, cfg)
+    grad = np.zeros_like(values)
+    denom = cfg.denominator
+    grad[:, med] += 0.5 * np.sign(values[:, med] - observed) / denom
+    for a, li, ui in zip(cfg.alphas, lowers, uppers):
+        lo, up = values[:, li], values[:, ui]
+        w = a / 2.0
+        grad[:, li] += w * (-1.0 + (2.0 / a) * (observed < lo)) / denom
+        grad[:, ui] += w * (1.0 - (2.0 / a) * (observed > up)) / denom
+    return grad

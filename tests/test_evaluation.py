@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import finite_difference_gradient
+from oracles import finite_difference_gradient, wis_gradient_per_interval, wis_per_interval
 
 from attnpool.covid import QUANTILE_LEVELS
 from attnpool.evaluation import (
@@ -258,6 +258,62 @@ class TestWIS:
     def test_crossed_quantiles_raise(self):
         with pytest.raises(ValueError, match="crossed"):
             wis_batch(ONE_INTERVAL, np.array([[3.0, 2.0, 1.0]]), np.array([2.0]), HALF)
+
+    def test_crossings_name_the_first_alpha_then_the_first_row(self):
+        """Two alphas crossed in different rows: the error names the alpha
+        that comes first in ``cfg.alphas``, not the one crossed first by
+        row, and the first crossed row of that alpha, as the per-interval
+        loop does."""
+        levels = np.array(QUANTILE_LEVELS)
+        values = np.sort(np.random.default_rng(6).normal(size=(6, levels.size)), axis=1)
+        swap = {0.1: 4, 0.5: 1}  # alpha 0.1 is crossed in row 4, alpha 0.5 in row 1
+        for a, row in swap.items():
+            lo = int(np.argmin(np.abs(levels - a / 2)))
+            up = int(np.argmin(np.abs(levels - (1 - a / 2))))
+            values[row, [lo, up]] = values[row, [up, lo]]
+        values[5] = values[4]  # a second crossed row for alpha 0.1
+        y = np.zeros(6)
+        for cfg, expect in ((WISConfig(), "alpha=0.1 in forecast row 4"),
+                            (WISConfig(alphas=(0.5, 0.1)), "alpha=0.5 in forecast row 1")):
+            for score in (wis_batch, wis_per_interval):
+                with pytest.raises(ValueError, match=expect):
+                    score(levels, values, y, cfg)
+
+
+def wis_cases(rng):
+    """(levels, values, observed, cfg) at N = 1, 32 and 500 on random sorted
+    quantiles; the larger batches hold a row whose observation equals a
+    quantile (the zero-subgradient kink) and a NaN row, and one case scores
+    a single interval."""
+    levels = np.array(QUANTILE_LEVELS)
+    cases = []
+    for n in (1, 32, 500):
+        values = np.sort(rng.normal(size=(n, levels.size)) * 10.0, axis=1)
+        observed = rng.normal(size=n) * 12.0
+        if n > 1:
+            # kinks: observations on a lower endpoint, an upper one, the median
+            observed[0], observed[3], observed[-1] = values[0, 3], values[3, 17], values[-1, 10]
+            values[1, 7] = np.nan
+            observed[2] = np.nan
+        cases.append((levels, values, observed, WISConfig()))
+    values = np.sort(rng.normal(size=(32, 3)), axis=1)
+    observed = rng.normal(size=32)
+    observed[0] = values[0, 0]
+    cases.append((ONE_INTERVAL, values, observed, HALF))
+    return cases
+
+
+def test_batched_wis_and_subgradient_match_the_per_interval_loops_bitwise():
+    for levels, values, observed, cfg in wis_cases(np.random.default_rng(12)):
+        pairs = (
+            (wis_batch, wis_per_interval),
+            (wis_gradient_batch, wis_gradient_per_interval),
+        )
+        for batched, reference in pairs:
+            got = batched(levels, values, observed, cfg)
+            expect = reference(levels, values, observed, cfg)
+            # bytes, so that a zero's sign and a NaN's place count too
+            assert got.tobytes() == expect.tobytes(), (batched.__name__, len(values))
 
 
 class TestWISGradient:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from oracles import finite_difference_gradient, relative_gradient_error
 
+from attnpool import numerics
 from attnpool.attention import (
     MultiHeadParams,
     init_single_head,
@@ -132,40 +133,59 @@ class TestAdam:
         with pytest.raises(ValueError, match="w_key"):
             opt.step()
 
-    def test_flat_update_matches_per_array_recurrence_bitwise(self):
+    def test_flat_update_matches_per_array_recurrence_bitwise(self, monkeypatch):
         """One in-place update of a multi-array model's flat vector gives the
         bits of the allocating update applied array by array, weight decay
-        on."""
-        rng = np.random.default_rng(5)
-        shapes = {"w_query": (3, 4, 2), "w_key": (3, 4, 6), "bias": (3, 4), "w_out": (2, 6)}
+        on, in one slice and in 5-element slices, where the array boundaries
+        fall inside slices and the last slice is short. A non-finite result
+        in the last slice names its array and leaves every parameter as it
+        was."""
+        # 122 entries: array stops at 24, 96, 108 and 122, a 2-entry last slice
+        shapes = {"w_query": (3, 4, 2), "w_key": (3, 4, 6), "bias": (3, 4), "w_out": (2, 7)}
         lr, wd, b1, b2, eps = 0.01, 1e-3, 0.9, 0.999, 1e-8
-        model, opt = adam_over(shapes, learning_rate=lr, weight_decay=wd)
-        opt.flat_params[:] = rng.normal(size=opt.flat_params.size)
-        expect = {n: getattr(model, n).copy() for n in shapes}
-        moments = {n: (np.zeros(s), np.zeros(s)) for n, s in shapes.items()}
-        for t in range(1, 8):
-            opt.flat_grads[:] = rng.normal(size=opt.flat_grads.size) * 10.0 ** rng.integers(-6, 3)
-            for n, p in expect.items():
-                g = getattr(opt.grads, n)
-                m, v = moments[n]
-                m = b1 * m + (1.0 - b1) * g
-                v = b2 * v + (1.0 - b2) * (g * g)
-                moments[n] = (m, v)
-                m_hat = m / (1.0 - b1**t)
-                v_hat = v / (1.0 - b2**t)
-                updated = p - lr * m_hat / (np.sqrt(v_hat) + eps)
-                expect[n] = updated - lr * wd * p
-            opt.step()
-            for n in shapes:
-                np.testing.assert_array_equal(
-                    getattr(model, n), expect[n], err_msg=f"{n} at step {t}"
-                )
+        for block in (numerics.ADAM_BLOCK, 5):
+            monkeypatch.setattr(numerics, "ADAM_BLOCK", block)
+            rng = np.random.default_rng(5)
+            model, opt = adam_over(shapes, learning_rate=lr, weight_decay=wd)
+            opt.flat_params[:] = rng.normal(size=opt.flat_params.size)
+            expect = {n: getattr(model, n).copy() for n in shapes}
+            moments = {n: (np.zeros(s), np.zeros(s)) for n, s in shapes.items()}
+            for t in range(1, 8):
+                grad = rng.normal(size=opt.flat_grads.size)
+                opt.flat_grads[:] = grad * 10.0 ** rng.integers(-6, 3)
+                for n, p in expect.items():
+                    g = getattr(opt.grads, n)
+                    m, v = moments[n]
+                    m = b1 * m + (1.0 - b1) * g
+                    v = b2 * v + (1.0 - b2) * (g * g)
+                    moments[n] = (m, v)
+                    m_hat = m / (1.0 - b1**t)
+                    v_hat = v / (1.0 - b2**t)
+                    updated = p - lr * m_hat / (np.sqrt(v_hat) + eps)
+                    expect[n] = updated - lr * wd * p
+                opt.step()
+                for n in shapes:
+                    np.testing.assert_array_equal(
+                        getattr(model, n), expect[n], err_msg=f"{n} at step {t}, block {block}"
+                    )
+            model.w_out[1, 6] = np.nan  # the last entry, in the (short) last slice
+            before = opt.flat_params.copy()
+            with pytest.raises(ValueError, match="updated w_out$"):
+                opt.step()
+            np.testing.assert_array_equal(opt.flat_params, before)
 
     def test_non_finite_entry_in_buffer_names_its_array(self):
         model, opt = adam_over({"w_query": (2, 3), "w_key": (2, 5), "bias": (2,)})
+        opt.flat_grads[:] = np.linspace(-1.0, 1.0, opt.flat_grads.size)
+        opt.step()
+        state = [opt.first_moment.copy(), opt.second_moment.copy(), opt.flat_params.copy()]
         opt.grads.w_key[1, 4] = np.inf
         with pytest.raises(ValueError, match="gradient of w_key"):
             opt.step()
+        # a bad gradient is found before anything advances
+        assert opt.step_count == 1
+        for now, was in zip((opt.first_moment, opt.second_moment, opt.flat_params), state):
+            np.testing.assert_array_equal(now, was)
         opt.grads.w_key[1, 4] = 0.0
         opt.flat_params[:] = np.arange(opt.flat_params.size)
         model.bias[0] = np.nan
