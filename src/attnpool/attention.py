@@ -28,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .numerics import Array, empty_like_fields, uniform_init
+from .numerics import Array, uniform_init
 
 # ---------------------------------------------------------------------------
 # parameters
@@ -191,18 +191,15 @@ def single_head_forward(params: SingleHeadParams, query: Array, keys: Array, val
 
 
 def single_head_backward(
-    params: SingleHeadParams, cache, upstream: Array, out: SingleHeadParams | None = None
+    params: SingleHeadParams, cache, upstream: Array, out: SingleHeadParams
 ) -> SingleHeadParams:
     """Parameter gradients of an arbitrary scalar loss given d loss / d pooled.
 
     The gradients, shaped and typed like ``params``, are written into
-    ``out`` when given (a training loop passes views into its gradient
-    buffer), else into new arrays.
+    ``out`` (a training loop passes views into its gradient buffer).
     """
     q, k, v, act, weights = cache
     upstream = np.asarray(upstream, dtype=np.float64)
-    if out is None:
-        out = empty_like_fields(params)
     one = (q, k, v, act[None], weights[None])
     _stacked_backward(_head_arrays(params, None), one, upstream[None], _head_arrays(out, None))
     return out
@@ -231,14 +228,12 @@ def multi_head_forward(params: MultiHeadParams, query: Array, keys: Array, value
 
 
 def multi_head_backward(
-    params: MultiHeadParams, cache, upstream: Array, out: MultiHeadParams | None = None
+    params: MultiHeadParams, cache, upstream: Array, out: MultiHeadParams
 ) -> MultiHeadParams:
-    """Parameter gradients of the stacked heads and the mixer; written into
-    ``out`` when given."""
+    """Parameter gradients of the stacked heads and the mixer, written into
+    ``out``."""
     concat = cache[-1]
     upstream = np.asarray(upstream, dtype=np.float64)
-    if out is None:
-        out = empty_like_fields(params)
     b, p = len(upstream), params.n_heads
     np.einsum("bd,bc->dc", upstream, concat, out=out.w_out)
     d_pooled = (upstream @ params.w_out).reshape(b, p, -1).transpose(1, 0, 2)  # (P, B, d)

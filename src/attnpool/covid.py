@@ -52,7 +52,7 @@ from .attention import (
 )
 from .evaluation import WISConfig, wis_batch, wis_gradient_batch
 from .forecasting import LinearPooler, Standardizer, fit
-from .numerics import Array, FlatAdam, spawn_rng
+from .numerics import Array, spawn_rng
 
 # ---------------------------------------------------------------------------
 # quantile grid
@@ -505,33 +505,28 @@ def assemble_samples(
         axis=3,
     )  # (M, L, W, 21)
 
-    targets = np.arange(delay, n_weeks)
-    queries, keys, values, linear_inputs, truths = [], [], [], [], []
-    loc_rows, week_rows = [], []
-    for li in range(n_locs):
-        for j in targets:
-            lags = [j - t for t in range(1, delay + 1)]  # newest first
-            queries.append(truth.deaths[li, lags])
-            keys.append(blocks[:, li, lags].reshape(n_models, delay * N_LEVELS))
-            values.append(forecasts.values[:, li, j])
-            current = [j - t for t in range(delay)]  # j itself, newest first
-            linear_inputs.append(forecasts.values[:, li, current].reshape(-1))
-            truths.append(truth.deaths[li, j])
-            loc_rows.append(li)
-            week_rows.append(j)
+    targets = np.arange(delay, n_weeks, dtype=np.intp)
+    lags = targets[:, None] - np.arange(1, delay + 1)  # (T, delay), newest first
+    n_rows = n_locs * len(targets)
 
+    def rows_first(arr: Array) -> Array:
+        """(M, L, T, ...) gathered per model -> (L * T, M, -1), location-major."""
+        return np.moveaxis(arr, 0, 2).reshape(n_rows, n_models, -1)
+
+    # the forecasts for weeks j .. j-delay+1 are those at lags + 1
+    linear_inputs = rows_first(forecasts.values[:, :, lags + 1]).reshape(n_rows, -1)
     return HubSamples(
         models=forecasts.models,
         locations=truth.locations,
         weeks=truth.weeks,
         delay=delay,
-        queries=np.array(queries),
-        keys=np.array(keys),
-        values=np.array(values),
-        linear_inputs=np.array(linear_inputs),
-        truths=np.array(truths),
-        location_idx=np.array(loc_rows, dtype=np.intp),
-        week_idx=np.array(week_rows, dtype=np.intp),
+        queries=truth.deaths[:, lags].reshape(n_rows, delay),
+        keys=rows_first(blocks[:, :, lags]),
+        values=rows_first(forecasts.values[:, :, targets]),
+        linear_inputs=linear_inputs,
+        truths=truth.deaths[:, targets].reshape(-1),
+        location_idx=np.repeat(np.arange(n_locs, dtype=np.intp), len(targets)),
+        week_idx=np.tile(targets, n_locs),
         skipped_weeks=truth.weeks[:delay],
     )
 
@@ -696,10 +691,6 @@ def _per_row(arr: Array, scale: Array) -> Array:
     return arr / scale.reshape((-1,) + (1,) * (arr.ndim - 1))
 
 
-def _linear_forward(params: LinearPooler, inputs: Array):
-    return params.predict(inputs), None, inputs
-
-
 def _uniform_forward(params: None, values: Array):
     return values.mean(axis=1), None, None
 
@@ -711,14 +702,14 @@ def _best_single_forward(champion: int, values: Array):
 def _kind_functions(kind: str) -> tuple[Callable, Callable | None]:
     """``(forward, backward)`` of a pooler kind. ``forward(params, *inputs)``
     returns ``(preds, weights, cache)``, ``weights`` None where the kind has
-    none; ``backward(params, cache, upstream, out=grads)`` writes the
-    parameter gradients into ``grads``; a baseline has no backward. The
+    none; ``backward(params, cache, upstream, out)`` writes the parameter
+    gradients into ``out`` and returns it; a baseline has no backward. The
     table is built on each call, so it holds whatever the module's names
     are bound to then (a profiler that wraps them sees the calls)."""
     return {
         "additive": (single_head_forward, single_head_backward),
         "multi_head": (multi_head_forward, multi_head_backward),
-        "linear": (_linear_forward, LinearPooler.backward),
+        "linear": (LinearPooler.forward, LinearPooler.backward),
         "uniform": (_uniform_forward, None),
         "best_single": (_best_single_forward, None),
     }[kind]
@@ -828,16 +819,13 @@ def train_pooler(
         )
     scale, inputs = pooler.inputs(samples, slice(None))
     truths = samples.truths / scale
-    forward, backward = _kind_functions(kind)
-    opt = FlatAdam(params, cfg.learning_rate, decay)
 
     levels = np.array(QUANTILE_LEVELS)
     wis_cfg = WISConfig()
     repairs = 0
 
-    def loss_and_grad(idx):
+    def wis_loss(preds, idx):
         nonlocal repairs
-        preds, _, cache = forward(params, *(x[idx] for x in inputs))
         sorted_preds, perm, changed = _sort_repair(preds)
         repairs += changed
         scores = wis_batch(levels, sorted_preds, truths[idx], wis_cfg)
@@ -845,15 +833,18 @@ def train_pooler(
         g_sorted /= idx.size
         g_preds = np.empty_like(g_sorted)
         np.put_along_axis(g_preds, perm, g_sorted, axis=1)
-        backward(params, cache, g_preds, out=opt.grads)
-        return scores
+        return scores, g_preds
 
     def outside_holdout(idx):
         assert not in_holdout[idx].any(), (
             "leave-one-period-out violation: held-out rows in a minibatch"
         )
 
-    curve = fit(opt, loss_and_grad, train_rows, rng, cfg, check_rows=outside_holdout)
+    forward, backward = _kind_functions(kind)
+    curve = fit(
+        params, forward, backward, inputs, wis_loss, train_rows, rng,
+        replace(cfg, weight_decay=decay), check_rows=outside_holdout,
+    )
     return PoolerTrainResult(pooler=pooler, curve=curve, sort_repairs=repairs)
 
 

@@ -6,10 +6,10 @@ The trainable pooling model is the additive-attention head from
 * assembly of open-loop training instances from a trajectory plus the
   candidate one-step forecasts (queries = delay-embedded past states, keys =
   delay-embedded past candidate errors, values = current candidate forecasts);
-* one minibatch Adam loop, :func:`fit`, with per-epoch loss curves, run for
-  the attention pooler and for two baselines — a linear pooler over the
-  flattened candidate forecasts and a feed-forward net that predicts
-  directly from past states;
+* :func:`fit`, the one training step (optimizer, forward, loss, backward),
+  run by all four trainers: the attention pooler, two baselines — a linear
+  pooler over the flattened candidate forecasts and a feed-forward net that
+  predicts directly from past states — and the hub's quantile pooler;
 * one closed-loop (autonomous, outputs recycled) forecast driver for all
   three models, batched across many start points.
 
@@ -39,7 +39,7 @@ from .attention import (
     single_head_forward,
 )
 from .lorenz import CANDIDATE_RHOS, candidate_one_step_batch
-from .numerics import Array, FlatAdam, empty_like_fields, spawn_rng, uniform_init
+from .numerics import Array, FlatAdam, spawn_rng, uniform_init
 
 # ---------------------------------------------------------------------------
 # input standardization
@@ -184,14 +184,14 @@ class LinearPooler:
     def predict(self, inputs: Array) -> Array:
         return np.asarray(inputs, dtype=np.float64) @ self.weight.T + self.bias
 
-    def backward(
-        self, inputs: Array, upstream: Array, out: "LinearPooler | None" = None
-    ) -> "LinearPooler":
+    def forward(self, inputs: Array):
+        """``(pooled, None, cache)``: the linear pooler has no weights, and
+        its backward reads the inputs."""
+        return self.predict(inputs), None, inputs
+
+    def backward(self, inputs: Array, upstream: Array, out: "LinearPooler") -> "LinearPooler":
         """The parameter gradients for d loss / d output ``upstream``
-        (B, d_out) at ``inputs`` (B, d_in), written into ``out`` when given,
-        else into new arrays."""
-        if out is None:
-            out = empty_like_fields(self)
+        (B, d_out) at ``inputs`` (B, d_in), written into ``out``."""
         np.matmul(upstream.T, inputs, out=out.weight)
         np.sum(upstream, axis=0, out=out.bias)
         return out
@@ -209,30 +209,28 @@ class FeedForwardNet:
     delay_length: int
 
     def predict(self, inputs_raw: Array) -> Array:
-        out, _ = ffnn_forward(self, self.scaler.apply(inputs_raw))
-        return out
+        return ffnn_forward(self, self.scaler.apply(inputs_raw))[0]
 
 
 def ffnn_forward(net: FeedForwardNet, inputs: Array):
-    """out = w2 tanh(w1 x + b1) + b2 for standardized inputs (B, d_in)."""
+    """out = w2 tanh(w1 x + b1) + b2 for standardized inputs (B, d_in);
+    returns ``(out, None, cache)``, the net having no pooling weights."""
     x = np.asarray(inputs, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != net.w1.shape[1]:
         raise ValueError(f"input dim of {x.shape} does not match w1 {net.w1.shape}")
     act = np.tanh(x @ net.w1.T + net.b1)
-    return act @ net.w2.T + net.b2, (x, act)
+    return act @ net.w2.T + net.b2, None, (x, act)
 
 
 def ffnn_backward(
-    net: FeedForwardNet, cache, upstream: Array, out: FeedForwardNet | None = None
+    net: FeedForwardNet, cache, upstream: Array, out: FeedForwardNet
 ) -> FeedForwardNet:
     """Parameter gradients given d loss / d out, typed like ``net`` (its
     standardizer and delay length are shared, not trained), written into
-    ``out`` when given. The gradient with respect to the inputs is not
-    formed: no caller trains through them."""
+    ``out``. The gradient with respect to the inputs is not formed: no
+    caller trains through them."""
     x, act = cache
     upstream = np.asarray(upstream, dtype=np.float64)
-    if out is None:
-        out = empty_like_fields(net)
     d_act = upstream @ net.w2
     d_pre = d_act * (1.0 - act * act)
     np.matmul(d_pre.T, x, out=out.w1)
@@ -275,24 +273,33 @@ def epoch_batches(rng: np.random.Generator, n: int, batch_size: int):
 
 
 def fit(
-    opt: FlatAdam,
-    loss_and_grad: Callable[[Array], Array],
+    model,
+    forward: Callable,
+    backward: Callable,
+    inputs: Sequence[Array],
+    loss: Callable[[Array, Array], tuple[Array, Array]],
     rows: Array,
     rng: np.random.Generator,
     config,
     check_rows: Callable[[Array], None] | None = None,
 ) -> Array:
-    """The minibatch loop every trainer runs; returns the per-epoch loss.
+    """The one training step, run by every trainer: trains the array fields
+    of ``model`` in place by minibatch Adam and returns the per-epoch loss.
 
-    ``config`` supplies ``epochs`` and ``batch_size`` (a :class:`TrainConfig`
-    or the hub's ``PoolerTrainConfig``). Each epoch draws a permutation of
-    ``rows`` from ``rng`` and cuts it into batches. For each batch,
-    ``check_rows`` (when given) sees the batch's rows first;
-    ``loss_and_grad`` then takes them, writes the gradients of the batch
-    loss into ``opt.grads`` and returns the per-element loss terms; a
-    non-finite term stops training before the Adam step. An epoch's loss is
-    the mean of all its terms.
+    ``config`` supplies ``epochs``, ``batch_size``, ``learning_rate`` and
+    ``weight_decay`` (a :class:`TrainConfig` or the hub's
+    ``PoolerTrainConfig`` with its weight decay resolved). Each epoch draws
+    a permutation of ``rows`` from ``rng`` and cuts it into batches. For
+    each batch, ``check_rows`` (when given) sees the batch's rows ``idx``
+    first; then ``forward(model, *(x[idx] for x in inputs))`` returns
+    ``(preds, weights or None, cache)``, ``loss(preds, idx)`` returns the
+    per-element loss terms and d loss / d preds, a non-finite term stops
+    training before the backward, ``backward(model, cache, d_preds, out)``
+    writes the parameter gradients into the optimizer's ``grads``, and one
+    Adam step updates the model. An epoch's loss is the mean of all its
+    terms.
     """
+    opt = FlatAdam(model, config.learning_rate, config.weight_decay)
     curve = np.empty(config.epochs)
     for epoch in range(config.epochs):
         total, count = 0.0, 0
@@ -300,52 +307,58 @@ def fit(
             idx = rows[batch]
             if check_rows is not None:
                 check_rows(idx)
-            losses = loss_and_grad(idx)
-            if not np.all(np.isfinite(losses)):
+            preds, _, cache = forward(model, *(x[idx] for x in inputs))
+            terms, d_preds = loss(preds, idx)
+            if not np.all(np.isfinite(terms)):
                 raise FloatingPointError(
                     f"non-finite training loss at epoch {epoch}, batch {bi}"
                 )
-            total += float(np.sum(losses))
-            count += losses.size
+            backward(model, cache, d_preds, out=opt.grads)
+            total += float(np.sum(terms))
+            count += terms.size
             opt.step()
         curve[epoch] = total / count
     return curve
+
+
+def _squared_error(targets: Array):
+    """The loss of the Lorenz trainers: squared error against ``targets``,
+    averaged over the batch's elements."""
+
+    def loss(preds, idx):
+        resid = preds - targets[idx]
+        return resid * resid, 2.0 * resid / resid.size
+
+    return loss
 
 
 def train_attention(
     data: OpenLoopData,
     length: int,
     hidden: int | None = None,
-    config: TrainConfig | None = None,
+    *,
+    config: TrainConfig,
 ) -> tuple[AttentionPooler, Array]:
     """Minibatch-Adam MSE training; returns the pooler and per-epoch losses."""
-    config = config or TrainConfig()
     hidden = attention_hidden_size(length) if hidden is None else hidden
     query_scaler = Standardizer.fit(data.queries)
     key_scaler = Standardizer.fit(data.keys)
     q = query_scaler.apply(data.queries)
     k = key_scaler.apply(data.keys)
-    v, y = data.values, data.targets
 
     rng = spawn_rng(config.seed, f"train-attention-l{length}")
     params = init_single_head(rng, hidden, q.shape[1], k.shape[2])
-    opt = FlatAdam(params, config.learning_rate, config.weight_decay)
-
-    def loss_and_grad(batch):
-        pooled, _, cache = single_head_forward(params, q[batch], k[batch], v[batch])
-        resid = pooled - y[batch]
-        single_head_backward(params, cache, 2.0 * resid / resid.size, out=opt.grads)
-        return resid * resid
-
-    curve = fit(opt, loss_and_grad, np.arange(len(y)), rng, config)
+    curve = fit(
+        params, single_head_forward, single_head_backward, (q, k, data.values),
+        _squared_error(data.targets), np.arange(len(data.targets)), rng, config,
+    )
     return AttentionPooler(params, query_scaler, key_scaler, length), curve
 
 
 def train_linear(
-    inputs: Array, targets: Array, config: TrainConfig | None = None
+    inputs: Array, targets: Array, config: TrainConfig
 ) -> tuple[LinearPooler, Array]:
     """Adam-trained affine pooler."""
-    config = config or TrainConfig()
     x = np.asarray(inputs, dtype=np.float64)
     y = np.asarray(targets, dtype=np.float64)
     rng = spawn_rng(config.seed, "train-linear")
@@ -353,15 +366,10 @@ def train_linear(
         weight=uniform_init(rng, (y.shape[1], x.shape[1]), x.shape[1]),
         bias=np.zeros(y.shape[1]),
     )
-    opt = FlatAdam(model, config.learning_rate, config.weight_decay)
-
-    def loss_and_grad(batch):
-        xb = x[batch]
-        resid = model.predict(xb) - y[batch]
-        model.backward(xb, 2.0 * resid / resid.size, opt.grads)
-        return resid * resid
-
-    curve = fit(opt, loss_and_grad, np.arange(len(y)), rng, config)
+    curve = fit(
+        model, LinearPooler.forward, LinearPooler.backward, (x,),
+        _squared_error(y), np.arange(len(y)), rng, config,
+    )
     return model, curve
 
 
@@ -370,11 +378,11 @@ def train_ffnn(
     targets: Array,
     length: int,
     hidden: int | None = None,
-    config: TrainConfig | None = None,
+    *,
+    config: TrainConfig,
 ) -> tuple[FeedForwardNet, Array]:
-    """Direct state-forecast baseline; default epoch budget is longer because
-    the net learns the dynamics from scratch rather than pooling forecasts."""
-    config = config or TrainConfig(epochs=800)
+    """Direct state-forecast baseline, trained from standardized delayed
+    states."""
     hidden = ffnn_hidden_size(length) if hidden is None else hidden
     scaler = Standardizer.fit(inputs_raw)
     x = scaler.apply(inputs_raw)
@@ -384,15 +392,10 @@ def train_ffnn(
     net = init_ffnn(rng, hidden, x.shape[1], y.shape[1])
     net.scaler = scaler
     net.delay_length = length
-    opt = FlatAdam(net, config.learning_rate, config.weight_decay)
-
-    def loss_and_grad(batch):
-        out, cache = ffnn_forward(net, x[batch])
-        resid = out - y[batch]
-        ffnn_backward(net, cache, 2.0 * resid / resid.size, out=opt.grads)
-        return resid * resid
-
-    curve = fit(opt, loss_and_grad, np.arange(len(y)), rng, config)
+    curve = fit(
+        net, ffnn_forward, ffnn_backward, (x,),
+        _squared_error(y), np.arange(len(y)), rng, config,
+    )
     return net, curve
 
 

@@ -39,13 +39,6 @@ def _array_fields(model: object) -> list[str]:
     return [f.name for f in fields(model) if isinstance(getattr(model, f.name), np.ndarray)]
 
 
-def empty_like_fields(model):
-    """A gradient of ``model``: a copy of the same type whose array fields
-    are new, uninitialized arrays; the other fields are shared."""
-    arrays = {name: np.empty_like(getattr(model, name)) for name in _array_fields(model)}
-    return replace(model, **arrays)
-
-
 # Adam's decay rates and denominator guard
 BETA1 = 0.9
 BETA2 = 0.999

@@ -1,5 +1,7 @@
 """Reference implementations the tests compare the library against."""
 
+from dataclasses import fields, replace
+
 import numpy as np
 
 from attnpool.evaluation import WISConfig, _wis_layout
@@ -86,3 +88,15 @@ def wis_gradient_per_interval(levels, values, observed, cfg=None):
         grad[:, li] += w * (-1.0 + (2.0 / a) * (observed < lo)) / denom
         grad[:, ui] += w * (1.0 - (2.0 / a) * (observed > up)) / denom
     return grad
+
+
+def empty_like_fields(model):
+    """A fresh gradient buffer for ``model``, to pass a backward as ``out``:
+    a copy of the same type whose array fields are new, uninitialized
+    arrays; the other fields are shared."""
+    arrays = {
+        f.name: np.empty_like(getattr(model, f.name))
+        for f in fields(model)
+        if isinstance(getattr(model, f.name), np.ndarray)
+    }
+    return replace(model, **arrays)

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from oracles import empty_like_fields
 
 from attnpool import cli, covid
 from attnpool.attention import (
@@ -121,7 +122,9 @@ class TestGradientSuite:
                 return float(np.sum((pooled - y) ** 2))
 
             pooled, _, cache = single_head_forward(params, q, k, v)
-            grads = single_head_backward(params, cache, 2.0 * (pooled - y))
+            grads = single_head_backward(
+                params, cache, 2.0 * (pooled - y), out=empty_like_fields(params)
+            )
             worst = _check_grads(
                 [(params, n) for n in HEAD_NAMES],
                 loss,
@@ -144,7 +147,9 @@ class TestGradientSuite:
                 return float(np.sum((out - y) ** 2))
 
             out, _, cache = multi_head_forward(params, q, k, v)
-            grads = multi_head_backward(params, cache, 2.0 * (out - y))
+            grads = multi_head_backward(
+                params, cache, 2.0 * (out - y), out=empty_like_fields(params)
+            )
             owners = [(params, "w_out")] + [
                 (_HeadSlice(getattr(params, n), i), "value")
                 for i in range(params.n_heads) for n in HEAD_NAMES
@@ -163,11 +168,11 @@ class TestGradientSuite:
             x, y = rng.normal(size=(5, 6)), rng.normal(size=(5, 3))
 
             def loss():
-                out, _ = ffnn_forward(net, x)
+                out, _, _ = ffnn_forward(net, x)
                 return float(np.sum((out - y) ** 2))
 
-            out, cache = ffnn_forward(net, x)
-            grads = ffnn_backward(net, cache, 2.0 * (out - y))
+            out, _, cache = ffnn_forward(net, x)
+            grads = ffnn_backward(net, cache, 2.0 * (out - y), out=empty_like_fields(net))
             names = ("w1", "b1", "w2", "b2")
             worst = _check_grads(
                 [(net, n) for n in names], loss, [getattr(grads, n) for n in names]

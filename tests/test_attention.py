@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from oracles import finite_difference_gradient, relative_gradient_error
+from oracles import empty_like_fields, finite_difference_gradient, relative_gradient_error
 
 from attnpool.attention import (
     HEAD_FIELDS,
@@ -64,7 +64,7 @@ def per_head_reference(mp, query, keys, values, upstream):
     out = concat @ mp.w_out.T
     d_concat = (upstream @ mp.w_out).reshape(len(query), mp.n_heads, -1)
     head_grads = [
-        single_head_backward(h, p[2], d_concat[:, i, :])
+        single_head_backward(h, p[2], d_concat[:, i, :], out=empty_like_fields(h))
         for i, (h, p) in enumerate(zip(heads, per_head))
     ]
     grads = {n: np.stack([getattr(g, n) for g in head_grads]) for n in HEAD_FIELDS}
@@ -242,7 +242,7 @@ class TestMultiHead:
         """The stacked forward and backward give, bit for bit, what the
         single-head kernels give head by head, at the hub shapes (h=100,
         M=9, key dim 105, d=21); a gradient buffer passed as ``out`` gets
-        the same bits."""
+        the same bits as a fresh one."""
         rng = np.random.default_rng(batch + n_heads)
         mp = random_multi_head(rng, n_heads, hidden=100, query_dim=5, key_dim=105, value_dim=21)
         query = rng.normal(size=(batch, 5))
@@ -253,11 +253,11 @@ class TestMultiHead:
         ref_out, ref_weights, ref_grads = per_head_reference(mp, query, keys, values, upstream)
         np.testing.assert_array_equal(out, ref_out)
         np.testing.assert_array_equal(weights, ref_weights)
-        allocated = multi_head_backward(mp, cache, upstream)
+        fresh = multi_head_backward(mp, cache, upstream, out=empty_like_fields(mp))
         into = MultiHeadParams(**{n: np.full_like(g, np.nan) for n, g in ref_grads.items()})
         multi_head_backward(mp, cache, upstream, out=into)
         for name, expect in ref_grads.items():
-            np.testing.assert_array_equal(getattr(allocated, name), expect, err_msg=name)
+            np.testing.assert_array_equal(getattr(fresh, name), expect, err_msg=name)
             np.testing.assert_array_equal(getattr(into, name), expect, err_msg=name)
 
 
@@ -283,7 +283,7 @@ class TestBackward:
         rng = np.random.default_rng(14)
         params, query, keys, values = random_instance(rng, M=1)
         _, _, cache = forward_one(single_head_forward, params, query, keys, values)
-        grads = single_head_backward(params, cache, np.ones((1, 3)))
+        grads = single_head_backward(params, cache, np.ones((1, 3)), out=empty_like_fields(params))
         for name in HEAD_FIELDS:
             g = getattr(grads, name)
             np.testing.assert_array_equal(g, np.zeros_like(g), err_msg=name)
@@ -292,7 +292,7 @@ class TestBackward:
         rng = np.random.default_rng(15)
         params, query, keys, values = random_instance(rng, M=4)
         _, _, cache = forward_one(single_head_forward, params, query, keys, values)
-        grads = single_head_backward(params, cache, np.zeros((1, 3)))
+        grads = single_head_backward(params, cache, np.zeros((1, 3)), out=empty_like_fields(params))
         for name in HEAD_FIELDS:
             g = getattr(grads, name)
             np.testing.assert_array_equal(g, np.zeros_like(g))
@@ -309,7 +309,7 @@ class TestBackward:
 
         pooled, _, cache = forward_one(single_head_forward, params, query, keys, values)
         upstream = 2.0 * (pooled - target) / pooled.size
-        grads = single_head_backward(params, cache, upstream[None])
+        grads = single_head_backward(params, cache, upstream[None], out=empty_like_fields(params))
 
         for name in HEAD_FIELDS:
             def loss_fn(arr, name=name):
@@ -328,7 +328,7 @@ class TestBackward:
         V = rng.normal(size=(128, 11, 3))
         G = rng.normal(size=(128, 3))
         _, _, cache = single_head_forward(params, Q, K, V)
-        grads = single_head_backward(params, cache, G)
+        grads = single_head_backward(params, cache, G, out=empty_like_fields(params))
         for name, expect in einsum_backward(params, cache, G).items():
             # the reductions run over B*M = 1408 terms in another order, so
             # entries that cancel to near zero are held to the array's scale
@@ -338,10 +338,10 @@ class TestBackward:
             )
 
     @pytest.mark.parametrize("hidden, length", [(120, 5), (600, 1)])
-    def test_out_gets_the_bits_of_the_allocating_call(self, hidden, length):
+    def test_every_entry_of_a_nan_filled_out_is_written(self, hidden, length):
         """Gradients written into a NaN-filled ``out`` (the single head runs
-        as a stack of one, through views of ``out``) have the bits of the
-        allocating call, at the protocol batch B=128, M=11."""
+        as a stack of one, through views of ``out``) have the bits of those
+        written into a fresh one, at the protocol batch B=128, M=11."""
         rng = np.random.default_rng(hidden + length)
         dim = 3 * length
         params = init_single_head(rng, hidden, dim, dim)
@@ -350,12 +350,12 @@ class TestBackward:
         V = rng.normal(size=(128, 11, 3))
         G = rng.normal(size=(128, 3))
         _, _, cache = single_head_forward(params, Q, K, V)
-        allocated = single_head_backward(params, cache, G)
+        fresh = single_head_backward(params, cache, G, out=empty_like_fields(params))
         into = SingleHeadParams(*(np.full_like(getattr(params, n), np.nan) for n in HEAD_FIELDS))
         assert single_head_backward(params, cache, G, out=into) is into
         for name in HEAD_FIELDS:
             np.testing.assert_array_equal(
-                getattr(into, name), getattr(allocated, name), err_msg=name
+                getattr(into, name), getattr(fresh, name), err_msg=name
             )
 
     def test_multi_head_grads_match_finite_differences(self):
@@ -370,7 +370,7 @@ class TestBackward:
 
         out, _, cache = forward_one(multi_head_forward, mp, query, keys, values)
         upstream = 2.0 * (out - target) / out.size
-        grads = multi_head_backward(mp, cache, upstream[None])
+        grads = multi_head_backward(mp, cache, upstream[None], out=empty_like_fields(mp))
 
         for j, (arr, grad) in enumerate(zip(w_out_then_heads(mp), w_out_then_heads(grads))):
             def loss_fn(trial_arr, j=j):
@@ -393,11 +393,11 @@ class TestBackward:
         V = rng.normal(size=(4, 3, 3))
         G = rng.normal(size=(4, 3))
         _, _, cache = single_head_forward(params, Q, K, V)
-        batch_grads = single_head_backward(params, cache, G)
+        batch_grads = single_head_backward(params, cache, G, out=empty_like_fields(params))
         total = {k: np.zeros_like(getattr(batch_grads, k)) for k in HEAD_FIELDS}
         for b in range(4):
             _, _, c1 = forward_one(single_head_forward, params, Q[b], K[b], V[b])
-            g1 = single_head_backward(params, c1, G[b : b + 1])
+            g1 = single_head_backward(params, c1, G[b : b + 1], out=empty_like_fields(params))
             for k in HEAD_FIELDS:
                 total[k] += getattr(g1, k)
         for k in total:

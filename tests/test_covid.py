@@ -561,34 +561,39 @@ class TestAssembleSamples:
         assert n == 8 * (120 - 5)
 
     def test_hand_assembled_row(self):
-        forecasts, truth = build_tables(seed=9, n_models=2, n_locations=1, n_weeks=8)
-        s = covid.assemble_samples(truth, forecasts, delay=3)
-        j = 5
-        row = np.nonzero(s.week_idx == j)[0][0]
-        np.testing.assert_array_equal(
-            s.queries[row], truth.deaths[0, [j - 1, j - 2, j - 3]]
-        )
+        """Every row, location-major and week-minor, against the row built
+        by hand from the tables, on one location and on three."""
         med = covid.MEDIAN_INDEX
         others = [i for i in range(21) if i != med]
-        for m in range(2):
-            expected = np.concatenate(
-                [
-                    np.concatenate(
+        for n_locations in (1, 3):
+            forecasts, truth = build_tables(seed=9, n_models=2, n_locations=n_locations, n_weeks=8)
+            s = covid.assemble_samples(truth, forecasts, delay=3)
+            cells = [(li, j) for li in range(n_locations) for j in range(3, 8)]
+            assert s.n_rows == len(cells)
+            for row, (li, j) in enumerate(cells):
+                assert (s.location_idx[row], s.week_idx[row]) == (li, j)
+                np.testing.assert_array_equal(
+                    s.queries[row], truth.deaths[li, [j - 1, j - 2, j - 3]]
+                )
+                for m in range(2):
+                    expected = np.concatenate(
                         [
-                            [forecasts.values[m, 0, j - t, med] - truth.deaths[0, j - t]],
-                            forecasts.values[m, 0, j - t, others],
+                            np.concatenate(
+                                [
+                                    [forecasts.values[m, li, j - t, med] - truth.deaths[li, j - t]],
+                                    forecasts.values[m, li, j - t, others],
+                                ]
+                            )
+                            for t in (1, 2, 3)
                         ]
                     )
-                    for t in (1, 2, 3)
-                ]
-            )
-            np.testing.assert_array_equal(s.keys[row, m], expected)
-        np.testing.assert_array_equal(s.values[row], forecasts.values[:, 0, j])
-        expected_lin = np.concatenate(
-            [forecasts.values[m, 0, [j, j - 1, j - 2]].ravel() for m in range(2)]
-        )
-        np.testing.assert_array_equal(s.linear_inputs[row], expected_lin)
-        assert s.truths[row] == truth.deaths[0, j]
+                    np.testing.assert_array_equal(s.keys[row, m], expected)
+                np.testing.assert_array_equal(s.values[row], forecasts.values[:, li, j])
+                expected_lin = np.concatenate(
+                    [forecasts.values[m, li, [j, j - 1, j - 2]].ravel() for m in range(2)]
+                )
+                np.testing.assert_array_equal(s.linear_inputs[row], expected_lin)
+                assert s.truths[row] == truth.deaths[li, j]
 
     def test_perfect_median_model_has_zero_error_components(self):
         forecasts, truth = build_tables(seed=10, n_models=2, n_locations=1, n_weeks=9)
@@ -752,9 +757,9 @@ class TestTrainPooler:
         seen = {}
         real_fit = covid.fit
 
-        def spy(opt, loss_and_grad, rows, rng, config, check_rows=None):
+        def spy(model, forward, backward, inputs, loss, rows, rng, config, check_rows=None):
             seen.update(rows=rows, check_rows=check_rows)
-            return real_fit(opt, loss_and_grad, rows, rng, config, check_rows)
+            return real_fit(model, forward, backward, inputs, loss, rows, rng, config, check_rows)
 
         monkeypatch.setattr(covid, "fit", spy)
         covid.train_pooler(

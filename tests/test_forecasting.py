@@ -6,7 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import finite_difference_gradient, fit_linear_ridge, relative_gradient_error
+from oracles import (
+    empty_like_fields,
+    finite_difference_gradient,
+    fit_linear_ridge,
+    relative_gradient_error,
+)
 
 from attnpool.attention import HEAD_FIELDS, init_single_head
 from attnpool.forecasting import (
@@ -38,7 +43,7 @@ from attnpool.lorenz import (
     generate_dataset,
     integrate,
 )
-from attnpool.numerics import FlatAdam, spawn_rng
+from attnpool.numerics import spawn_rng
 
 
 @pytest.fixture(scope="module")
@@ -187,7 +192,8 @@ class TestFeedForwardNet:
             w2=np.zeros((3, 4)), b2=np.array([1.0, 2.0, 3.0]),
             scaler=Standardizer.identity(6), delay_length=2,
         )
-        out, _ = ffnn_forward(net, np.ones((5, 6)))
+        out, weights, _ = ffnn_forward(net, np.ones((5, 6)))
+        assert weights is None
         np.testing.assert_array_equal(out, np.tile([1.0, 2.0, 3.0], (5, 1)))
 
     def test_rejects_dim_mismatch(self):
@@ -207,16 +213,16 @@ class TestFeedForwardNet:
         )
         x = rng.uniform(-0.5, 0.5, (4, 4))
         y = rng.uniform(-0.5, 0.5, (4, 3))
-        out, cache = ffnn_forward(net, x)
+        out, _, cache = ffnn_forward(net, x)
         resid = out - y
-        grads = ffnn_backward(net, cache, 2.0 * resid / resid.size)
+        grads = ffnn_backward(net, cache, 2.0 * resid / resid.size, out=empty_like_fields(net))
         for name in ("w1", "b1", "w2", "b2"):
             analytic = getattr(grads, name)
 
             def loss(p, name=name):
                 saved = getattr(net, name)
                 setattr(net, name, p)
-                o, _ = ffnn_forward(net, x)
+                o, _, _ = ffnn_forward(net, x)
                 setattr(net, name, saved)
                 return float(np.mean((o - y) ** 2))
             numeric = finite_difference_gradient(loss, getattr(net, name))
@@ -291,22 +297,29 @@ class TestTraining:
 
     def test_fit_steps_per_batch_and_records_the_epoch_mean(self):
         """Each epoch visits the rows in the order epoch_batches draws from
-        the same stream, steps once per batch and records the mean of all
-        the loss terms the batches returned."""
+        the same stream, runs forward, loss, backward and one Adam step per
+        batch, and records the mean of all the loss terms."""
         rows = np.arange(10, 20)
         model = LinearPooler(weight=np.ones((1, 1)), bias=np.zeros(1))
-        opt = FlatAdam(model, 1e-2)
         seen = []
 
-        def loss_and_grad(idx):
+        def forward(m, xb):
+            return xb, None, "cache"
+
+        def loss(preds, idx):
             seen.append(idx)
-            opt.grads.weight[...] = 1.0
-            opt.grads.bias[...] = 0.0
-            return idx[:, None] * np.array([1.0, 2.0])
+            np.testing.assert_array_equal(preds, idx[:, None] + 100.0)
+            return idx[:, None] * np.array([1.0, 2.0]), preds
+
+        def backward(m, cache, d_preds, out):
+            assert m is model and cache == "cache"
+            out.weight[...] = 1.0
+            out.bias[...] = 0.0
+            return out
 
         curve = fit(
-            opt, loss_and_grad, rows, np.random.default_rng(3),
-            TrainConfig(epochs=2, batch_size=4),
+            model, forward, backward, (np.arange(20.0)[:, None] + 100.0,), loss, rows,
+            np.random.default_rng(3), TrainConfig(epochs=2, batch_size=4, learning_rate=1e-2),
         )
         reference = np.random.default_rng(3)
         expected = [rows[b] for _ in range(2) for b in epoch_batches(reference, 10, 4)]
@@ -314,32 +327,69 @@ class TestTraining:
         for got, want in zip(seen, expected):
             np.testing.assert_array_equal(got, want)
         np.testing.assert_array_equal(curve, [1.5 * rows.mean()] * 2)
-        assert opt.step_count == 6
+        # six Adam steps of lr / (1 + eps) on a constant unit gradient, none
+        # on a zero one
+        np.testing.assert_allclose(model.weight, [[1.0 - 6 * 1e-2 / (1.0 + 1e-8)]], rtol=1e-12)
+        np.testing.assert_array_equal(model.bias, [0.0])
 
     def test_rejecting_batch_hook_stops_fit_before_the_step(self):
         rng = np.random.default_rng(15)
         x, y = rng.normal(size=(20, 4)), rng.normal(size=(20, 3))
         model = LinearPooler(weight=rng.normal(size=(3, 4)), bias=np.zeros(3))
-        opt = FlatAdam(model, 1e-2)
-        before = opt.flat_params.copy()
+        before = model.weight.copy()
         seen = []
 
-        def loss_and_grad(rows):
-            seen.append(rows)
-            resid = model.predict(x[rows]) - y[rows]
-            model.backward(x[rows], 2.0 * resid / resid.size, opt.grads)
-            return resid * resid
+        def forward(m, xb):
+            seen.append(xb)
+            return LinearPooler.forward(m, xb)
+
+        def loss(preds, idx):
+            resid = preds - y[idx]
+            return resid * resid, 2.0 * resid / resid.size
 
         def reject_row_7(rows):
             assert 7 not in rows, "row 7 is held out"
 
         with pytest.raises(AssertionError, match="held out"):
             fit(
-                opt, loss_and_grad, np.arange(20), np.random.default_rng(0),
-                TrainConfig(epochs=1, batch_size=20), check_rows=reject_row_7,
+                model, forward, LinearPooler.backward, (x,), loss, np.arange(20),
+                np.random.default_rng(0), TrainConfig(epochs=1, batch_size=20),
+                check_rows=reject_row_7,
             )
         assert seen == []
-        np.testing.assert_array_equal(opt.flat_params, before)
+        np.testing.assert_array_equal(model.weight, before)
+        np.testing.assert_array_equal(model.bias, np.zeros(3))
+
+    def test_nonfinite_loss_term_stops_fit_before_the_backward(self):
+        """A non-finite loss term at epoch 1, batch 1 raises with that
+        context; neither the backward nor the Adam step runs on the batch,
+        so the model keeps the arrays the four earlier steps left."""
+        model = LinearPooler(weight=np.ones((2, 3)), bias=np.zeros(2))
+        x = np.random.default_rng(4).normal(size=(10, 3))
+        calls = {"loss": 0, "backward": 0}
+        snapshot = {}
+
+        def loss(preds, idx):
+            calls["loss"] += 1
+            terms = preds * preds
+            if calls["loss"] == 5:
+                snapshot.update(weight=model.weight.copy(), bias=model.bias.copy())
+                terms[0, 1] = np.nan
+            return terms, 2.0 * preds / preds.size
+
+        def backward(m, cache, d_preds, out):
+            calls["backward"] += 1
+            return LinearPooler.backward(m, cache, d_preds, out)
+
+        with pytest.raises(FloatingPointError, match=r"^non-finite training loss at epoch 1, batch 1$"):
+            fit(
+                model, LinearPooler.forward, backward, (x,), loss, np.arange(10),
+                np.random.default_rng(5), TrainConfig(epochs=2, batch_size=4, learning_rate=1e-2),
+            )
+        assert calls == {"loss": 5, "backward": 4}
+        assert not np.array_equal(snapshot["weight"], np.ones((2, 3)))
+        np.testing.assert_array_equal(model.weight, snapshot["weight"])
+        np.testing.assert_array_equal(model.bias, snapshot["bias"])
 
     def test_ridge_recovers_generating_weights(self):
         rng = np.random.default_rng(6)
