@@ -1,11 +1,12 @@
 """Config-driven experiment runner.
 
 One YAML file describes a full experiment (which system, which methods, all
-hyperparameters, where outputs go); subcommands generate data, run the
-experiment, or just validate the file. Every run writes its metric CSVs plus
-a ``manifest.json`` recording the seed, a hash of the effective config, and
-per-file content hashes — two runs with the same seed and config hash produce
-byte-identical CSVs.
+hyperparameters, where outputs go); subcommands run the experiment, generate
+the synthetic hub, or just validate the file. Every run writes its metric CSVs
+plus a ``manifest.json`` recording the seed, a hash of the effective config,
+and per-file content hashes — two runs with the same seed and config hash
+produce byte-identical CSVs. A Lorenz run generates its trajectories from the
+seed and the ``data`` keys; it reads no data file.
 
 All randomness flows from the single top-level ``seed`` through labeled
 streams (one label per trained model, e.g. ``train-attention-l5``), so adding
@@ -26,7 +27,7 @@ import shutil
 import sys
 import time
 from contextlib import contextmanager
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from datetime import date
 from difflib import get_close_matches
 from pathlib import Path
@@ -54,8 +55,6 @@ from .lorenz import (
     _dataset_layout,
     candidate_forecasts,
     generate_dataset,
-    load_trajectory_csv,
-    save_trajectory_csv,
 )
 
 LORENZ_METHODS = ("additive", "fixed_attention", "best_initial", "linear", "ffnn")
@@ -238,7 +237,6 @@ class LorenzDataConfig:
     n_val_segments: int = _key(_int_field(minimum=6), 200)
     segment_len: int = _key(_int_field(minimum=2), 128)
     warmup: int = _key(_int_field(minimum=1), 8)
-    cache: Path | None = _key(_opt(_str_field()), None)
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -394,7 +392,7 @@ def validate_config(
     prefixed with the offending key path. Keyword overrides take the place of
     the file's ``output``/``threads``/``seed`` before the config is parsed,
     so they are checked like the file's values and the hash reflects what
-    actually ran. Relative *input* paths (data files, cache) resolve against
+    actually ran. Relative *input* paths (the hub's data files) resolve against
     the config file's directory, so a config can ship next to its data; the
     relative ``output`` destination resolves against the working directory.
     """
@@ -433,7 +431,6 @@ def validate_config(
     d, m = eff["data"], eff["model"]
     eff["output"] = Path(eff["output"])
     if experiment == "lorenz":
-        d["cache"] = _resolve(path.parent, d["cache"])
         if m["weights_delay"] is None:
             m["weights_delay"] = max(m["delays"])
     else:
@@ -591,19 +588,25 @@ def _finish(stage: _OutputStage, cfg: ExperimentConfig, command: str, started: f
     }
     if extra:
         manifest.update(extra)
+    # hashed here with the outputs, not before the run: a 1 MiB read ahead of
+    # training moves the allocator's mmap threshold and raises peak memory
+    inputs = _input_paths(cfg)
+    if inputs:
+        manifest["inputs"] = {key: _sha256(p) for key, p in inputs.items()}
     stage.path("manifest.json").write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n"
     )
-    stage.commit(command, _input_paths(cfg))
+    stage.commit(command, list(inputs.values()))
     return cfg.output
 
 
-def _input_paths(cfg: ExperimentConfig) -> list[Path]:
-    """The data files a run reads; a rerun's cleanup never deletes them."""
+def _input_paths(cfg: ExperimentConfig) -> dict[str, Path]:
+    """The hub data files a run reads, by config key; a rerun's cleanup
+    never deletes them. A Lorenz run generates its data and reads none."""
     d = cfg.data
     if isinstance(d, LorenzDataConfig):
-        return [] if d.cache is None else [d.cache / "train.csv", d.cache / "validation.csv"]
-    return [p for p in (d.forecasts, d.truth) if p is not None]
+        return {}
+    return {key: p for key, p in (("forecasts", d.forecasts), ("truth", d.truth)) if p is not None}
 
 
 # ---------------------------------------------------------------------------
@@ -717,87 +720,6 @@ def _run_jobs(fn, shared, jobs: list, threads: int) -> list:
 # Lorenz experiment
 
 
-def _dataset_record(cfg: ExperimentConfig, train_csv: Path, val_csv: Path) -> dict:
-    """A Lorenz dataset's provenance: the seed and ``data`` keys (all but
-    ``cache``) that generate it, and the SHA-256 of its two CSVs."""
-    record = {"seed": cfg.seed}
-    record.update((f.name, getattr(cfg.data, f.name)) for f in fields(cfg.data) if f.name != "cache")
-    record["sha256"] = {p.name: _sha256(p) for p in (train_csv, val_csv)}
-    return record
-
-
-def _check_cache_record(cfg: ExperimentConfig, train_csv: Path, val_csv: Path) -> dict:
-    """The cache's ``dataset`` record, checked against this run's config and
-    the CSVs in the cache. Raises RuntimeError naming the first key that
-    differs, the CSV whose hash differs, or a manifest without the record."""
-    manifest = cfg.data.cache / "manifest.json"
-    try:
-        recorded = json.loads(manifest.read_text())["dataset"]
-    except (OSError, ValueError, KeyError, TypeError):
-        recorded = None
-    if not isinstance(recorded, dict):
-        raise RuntimeError(
-            f"cached dataset provenance unknown: {manifest} holds no dataset record; "
-            "run lorenz-data again"
-        )
-    record = _dataset_record(cfg, train_csv, val_csv)
-    for key, value in record.items():
-        if key != "sha256" and recorded.get(key) != value:
-            raise RuntimeError(
-                f"cached dataset provenance mismatch: {key} is {recorded.get(key)!r} "
-                f"in {manifest}, {value!r} in the config"
-            )
-    recorded_hashes = recorded.get("sha256")
-    for name, digest in record["sha256"].items():
-        if not isinstance(recorded_hashes, dict) or recorded_hashes.get(name) != digest:
-            raise RuntimeError(
-                f"cached dataset provenance mismatch: {cfg.data.cache / name} does not "
-                f"match the SHA-256 recorded in {manifest}"
-            )
-    return record
-
-
-def _lorenz_dataset(cfg: ExperimentConfig) -> tuple[LorenzDataset, dict | None]:
-    """The configured dataset: generated, or read from ``data.cache``; and,
-    for a cached one, its checked provenance record."""
-    d = cfg.data
-    if d.cache is None:
-        dataset = generate_dataset(
-            seed=cfg.seed,
-            t_transient=d.t_transient,
-            t_train=d.t_train,
-            t_val=d.t_val,
-            n_val_segments=d.n_val_segments,
-            segment_len=d.segment_len,
-            warmup=d.warmup,
-        )
-        return dataset, None
-    train_csv, val_csv = _input_paths(cfg)
-    for p in (train_csv, val_csv):
-        if not p.exists():
-            raise RuntimeError(
-                f"dataset cache {d.cache} is missing {p.name}; run lorenz-data first"
-            )
-    train = load_trajectory_csv(train_csv)
-    validation = load_trajectory_csv(val_csv)
-    n_train, n_validation, starts = _dataset_layout(
-        d.t_train, d.t_val, d.n_val_segments, d.segment_len, d.warmup
-    )
-    if len(train) != n_train or len(validation) != n_validation:
-        raise RuntimeError(
-            f"cached dataset shape mismatch: train {len(train)} (config {n_train}), "
-            f"validation {len(validation)} (config {n_validation})"
-        )
-    dataset = LorenzDataset(
-        train=train,
-        validation=validation,
-        segment_starts=starts,
-        segment_len=d.segment_len,
-        warmup=d.warmup,
-    )
-    return dataset, _check_cache_record(cfg, train_csv, val_csv)
-
-
 @dataclass(frozen=True)
 class _LorenzInputs:
     """What every (trained method, l) job of one ``lorenz-run`` reads."""
@@ -868,7 +790,7 @@ def run_lorenz_experiment(cfg: ExperimentConfig) -> Path:
     started = time.perf_counter()
     m = cfg.model
     with _OutputStage(cfg.output) as stage:
-        dataset, record = _lorenz_dataset(cfg)
+        dataset = generate_dataset(seed=cfg.seed, **asdict(cfg.data))
         val, starts, horizon = dataset.validation, dataset.segment_starts, dataset.segment_len
         inputs = _LorenzInputs(
             model=m,
@@ -924,8 +846,7 @@ def run_lorenz_experiment(cfg: ExperimentConfig) -> Path:
             if blocks:
                 with open(stage.path(name), "w", newline="") as fh:
                     fh.writelines(blocks)
-        extra = None if record is None else {"dataset": record}
-        return _finish(stage, cfg, "lorenz-run", started, extra)
+        return _finish(stage, cfg, "lorenz-run", started)
 
 
 def _segment_blocks(header: str, line: str, seg_t0, dt, steps_by_segment) -> list[str]:
@@ -967,32 +888,6 @@ def _forecasts_text(res, truths, seg_t0, dt) -> list[str]:
     line = "{0}" + "".join(f",{{{i}:.17g}}" for i in range(1, 7)) + "\n"
     steps = (np.hstack([p, t]).tolist() for p, t in zip(res.predictions, truths))
     return _segment_blocks(header, line, seg_t0, dt, steps)
-
-
-def write_lorenz_dataset(cfg: ExperimentConfig) -> Path:
-    """Generate the training/validation trajectories and save them as CSVs."""
-    started = time.perf_counter()
-    if cfg.data.cache is not None:
-        raise RuntimeError("lorenz-data generates a dataset; remove data.cache from the config")
-    with _OutputStage(cfg.output) as stage:
-        dataset, _ = _lorenz_dataset(cfg)
-        train_csv, val_csv = stage.path("train.csv"), stage.path("validation.csv")
-        save_trajectory_csv(train_csv, dataset.train)
-        save_trajectory_csv(val_csv, dataset.validation)
-        return _finish(
-            stage,
-            cfg,
-            "lorenz-data",
-            started,
-            extra={
-                "dataset": _dataset_record(cfg, train_csv, val_csv),
-                "n_train_samples": len(dataset.train),
-                "n_validation_samples": len(dataset.validation),
-                "n_segments": len(dataset.segment_starts),
-                "segment_len": dataset.segment_len,
-                "warmup": dataset.warmup,
-            },
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -1207,14 +1102,6 @@ def _execute(runner, cfg: ExperimentConfig) -> None:
 @click.group()
 def main():
     """Attention-pooled ensemble forecasting experiments."""
-
-
-@main.command("lorenz-data")
-@_config_options
-def lorenz_data_cmd(config_path, output_override, threads_override, seed_override):
-    """Generate and save the chaotic benchmark trajectories."""
-    cfg = _load_or_exit(config_path, "lorenz", output_override, threads_override, seed_override)
-    _execute(write_lorenz_dataset, cfg)
 
 
 @main.command("lorenz-run")

@@ -10,10 +10,8 @@ Integration uses dt = 0.01 with 10 substeps per recorded sample
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable
 
 import numpy as np
@@ -60,10 +58,6 @@ class Trajectory:
 
     def __len__(self) -> int:
         return len(self.states)
-
-    @property
-    def times(self) -> Array:
-        return self.t0 + np.arange(len(self.states)) * self.dt_sample
 
 
 def integrate(
@@ -303,51 +297,3 @@ def generate_dataset(
         segment_len=segment_len,
         warmup=warmup,
     )
-
-
-# ---------------------------------------------------------------------------
-# trajectory CSV (t, u1, u2, u3; 17 significant digits round-trips float64)
-
-
-def save_trajectory_csv(path: str | Path, traj: Trajectory) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["t", "u1", "u2", "u3"])
-        for t, row in zip(traj.times, traj.states):
-            writer.writerow([f"{t:.17g}"] + [f"{v:.17g}" for v in row])
-
-
-def load_trajectory_csv(path: str | Path) -> Trajectory:
-    """Read a trajectory CSV; errors name the file and the 1-based CSV row
-    (the header is row 1). Blank lines are skipped. Times must increase by
-    one step, the spacing of the first two samples."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["t", "u1", "u2", "u3"]:
-            raise ValueError(f"unexpected trajectory header in {path}: {header}")
-        times, rows = [], []
-        for rownum, rec in enumerate(reader, start=2):
-            if not rec:
-                continue
-            if len(rec) != 4:
-                raise ValueError(f"{path} row {rownum}: expected 4 fields, got {len(rec)}")
-            try:
-                values = [float(v) for v in rec]
-            except ValueError:
-                raise ValueError(f"{path} row {rownum}: non-numeric value in {rec!r}") from None
-            if not all(map(math.isfinite, values)):
-                raise ValueError(f"{path} row {rownum}: non-finite value in {rec!r}")
-            t = values[0]
-            if times and t <= times[-1]:
-                raise ValueError(f"{path} row {rownum}: time {rec[0]} does not increase")
-            if len(times) >= 2 and abs((t - times[-1]) - (times[1] - times[0])) > 1e-9:
-                raise ValueError(
-                    f"{path} row {rownum}: non-uniform sampling, step {t - times[-1]:.17g} "
-                    f"after {times[1] - times[0]:.17g}"
-                )
-            times.append(t)
-            rows.append(values[1:])
-    if len(rows) < 2:
-        raise ValueError(f"trajectory in {path} has fewer than 2 samples")
-    return Trajectory(t0=times[0], dt_sample=times[1] - times[0], states=np.array(rows))

@@ -137,6 +137,14 @@ class TestValidateConfig:
             cli.validate_config(cfg)
         assert any("model.learning_rate" in e for e in err.value.errors)
 
+    def test_a_lorenz_dataset_cache_is_an_unknown_key(self, tmp_path):
+        """Every lorenz-run generates its data from the seed and the data
+        keys; a config still naming a cache directory fails validation."""
+        cfg = write_config(tmp_path, "experiment: lorenz\noutput: out\ndata:\n  cache: d\n")
+        result = invoke("validate", "--config", str(cfg))
+        assert result.exit_code == 1
+        assert "config error: data.cache: unknown key" in result.stderr
+
     def test_unknown_key_suggests_the_nearest_valid_one(self, tmp_path):
         cfg = write_config(
             tmp_path, "experiment: lorenz\noutput: out\nmodel:\n  hiddne: 30\n"
@@ -326,8 +334,8 @@ class TestValidateConfig:
         change to parsing or defaults that moves it shows here."""
         root = Path(__file__).resolve().parent.parent / "configs"
         pinned = {
-            "lorenz_full.yaml": "effe2e968f7cd38ae768f53f368fe867ee4c37a56c066b6ac32f8b276704ed64",
-            "lorenz_smoke.yaml": "1041f0fd6675a738248fcd148ec5110b8687277943266a69fd57d1d668f2304e",
+            "lorenz_full.yaml": "95c50c88e2b717dc2447b6a2579715397484a29761a8a5043c2c33c3990bae1e",
+            "lorenz_smoke.yaml": "17e1958d595d428ca118a69b2870683b6bdf361912cb50109937496170cb3443",
             "covid_synthetic.yaml": "42e051d23ee0e73d4ada411316a19bf6e6ff94a9a9817a41c16bfd438fed4bfc",
         }
         for name, digest in pinned.items():
@@ -393,6 +401,8 @@ class TestLorenzRun:
         for name, digest in manifest["outputs"].items():
             assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
         assert not (out / ".partial").exists()
+        # the data is generated from the seed and config, not read from files
+        assert "dataset" not in manifest and "inputs" not in manifest
 
     def test_rerun_and_thread_count_leave_outputs_byte_identical(
         self, lorenz_out, tmp_path, worker_pools
@@ -455,28 +465,6 @@ class TestLorenzRun:
             [*manifest["outputs"], "manifest.json", "notes.txt"]
         )
 
-    def test_rerun_keeps_a_dataset_cache_in_its_own_output_directory(self, tmp_path):
-        """lorenz-run reading data.cache from the directory it writes to
-        leaves the cached CSVs, which the lorenz-data manifest listed."""
-        target = tmp_path / "shared"
-        gen_cfg = write_config(tmp_path, LORENZ_TINY, out=str(target))
-        assert invoke("lorenz-data", "--config", str(gen_cfg)).exit_code == 0
-        text = (
-            LORENZ_TINY.replace("data:\n", f"data:\n  cache: {target}\n")
-            .replace(
-                "methods: [additive, fixed_attention, best_initial, linear, ffnn]",
-                "methods: [linear]",
-            )
-            .replace("  weights_delay: 2\n", "")
-            .replace("write_forecasts: true", "write_forecasts: false")
-        )
-        run_cfg = write_config(tmp_path, text, name="run.yaml", out=str(target))
-        for _ in range(2):
-            result = invoke("lorenz-run", "--config", str(run_cfg))
-            assert result.exit_code == 0, result.output + str(result.exception)
-            assert (target / "train.csv").exists()
-            assert (target / "validation.csv").exists()
-
     def test_reseeded_run_differs(self, lorenz_out, tmp_path):
         out, cfg = lorenz_out
         result = invoke(
@@ -485,28 +473,6 @@ class TestLorenzRun:
         )
         assert result.exit_code == 0
         assert (tmp_path / "d" / "valid_times.csv").read_bytes() != (
-            out / "valid_times.csv"
-        ).read_bytes()
-
-    def test_cached_dataset_reproduces_the_generated_run(self, lorenz_out, tmp_path):
-        out, cfg = lorenz_out
-        data_dir = tmp_path / "data"
-        gen = invoke("lorenz-data", "--config", str(cfg), "--output", str(data_dir))
-        assert gen.exit_code == 0
-        assert (data_dir / "train.csv").exists()
-        cached_cfg = write_config(
-            tmp_path,
-            LORENZ_TINY.rstrip() + f"\n  # reuse\n",
-            name="cached.yaml",
-            out=str(tmp_path / "e"),
-        )
-        text = cached_cfg.read_text().replace(
-            "data:\n", f"data:\n  cache: {data_dir}\n"
-        )
-        cached_cfg.write_text(text)
-        run = invoke("lorenz-run", "--config", str(cached_cfg))
-        assert run.exit_code == 0, run.output + str(run.exception)
-        assert (tmp_path / "e" / "valid_times.csv").read_bytes() == (
             out / "valid_times.csv"
         ).read_bytes()
 
@@ -519,87 +485,6 @@ class TestLorenzRun:
         cfg = write_config(tmp_path, text, out=str(tmp_path / "out"))
         result = invoke("lorenz-run", "--config", str(cfg))
         assert result.exit_code == 0, result.output + str(result.exception)
-
-    def test_cache_of_another_geometry_fails_at_runtime(self, tmp_path):
-        data_dir = tmp_path / "data"
-        gen_cfg = write_config(
-            tmp_path, LORENZ_TINY.replace("t_val: 25.6", "t_val: 51.2"), out=str(data_dir)
-        )
-        assert invoke("lorenz-data", "--config", str(gen_cfg)).exit_code == 0
-        text = LORENZ_TINY.replace("data:\n", f"data:\n  cache: {data_dir}\n")
-        cfg = write_config(tmp_path, text, name="run.yaml", out=str(tmp_path / "out"))
-        result = invoke("lorenz-run", "--config", str(cfg))
-        assert result.exit_code == 2
-        assert "cached dataset shape mismatch" in result.stderr
-        assert not (tmp_path / "out" / ".partial").exists()
-        assert not (tmp_path / "out" / "valid_times.csv").exists()
-
-    @pytest.mark.parametrize(
-        "spoil, message",
-        [
-            ("seed", "cached dataset provenance mismatch: seed is 1 in "),
-            ("validation.csv", "validation.csv does not match the SHA-256 recorded in "),
-            ("record", "manifest.json holds no dataset record"),
-        ],
-    )
-    def test_cache_of_another_provenance_fails_at_runtime(self, tmp_path, spoil, message):
-        """A cache of the right shape made with another seed, with an edited
-        CSV, or with no record of how it was made, is not read."""
-        data_dir = tmp_path / "data"
-        gen_cfg = write_config(tmp_path, LORENZ_TINY, out=str(data_dir))
-        seed = ["--seed", "1"] if spoil == "seed" else []
-        assert invoke("lorenz-data", "--config", str(gen_cfg), *seed).exit_code == 0
-        if spoil == "validation.csv":
-            path = data_dir / "validation.csv"
-            lines = path.read_text().splitlines(keepends=True)
-            t, u1, u2, u3 = lines[2].rstrip("\n").split(",")
-            lines[2] = f"{t},{float(u1) + 1.0!r},{u2},{u3}\n"
-            path.write_text("".join(lines))
-        if spoil == "record":
-            manifest = json.loads((data_dir / "manifest.json").read_text())
-            del manifest["dataset"]
-            (data_dir / "manifest.json").write_text(json.dumps(manifest))
-        text = LORENZ_TINY.replace("data:\n", f"data:\n  cache: {data_dir}\n")
-        cfg = write_config(tmp_path, text, name="run.yaml", out=str(tmp_path / "out"))
-        result = invoke("lorenz-run", "--config", str(cfg))
-        assert result.exit_code == 2
-        assert message in result.stderr
-        assert sorted((tmp_path / "out").iterdir()) == []
-
-    def test_cached_run_records_the_dataset_provenance(self, lorenz_out, tmp_path):
-        """lorenz-data records how its CSVs were made; a run that reads them
-        copies that record, and a run that generates its data has none."""
-        out, _ = lorenz_out
-        assert "dataset" not in json.loads((out / "manifest.json").read_text())
-        data_dir = tmp_path / "data"
-        gen_cfg = write_config(tmp_path, LORENZ_TINY, out=str(data_dir))
-        assert invoke("lorenz-data", "--config", str(gen_cfg)).exit_code == 0
-        generated = json.loads((data_dir / "manifest.json").read_text())
-        record = generated["dataset"]
-        assert record["seed"] == 0 and record["t_val"] == 25.6 and "cache" not in record
-        assert record["sha256"] == {
-            name: generated["outputs"][name] for name in ("train.csv", "validation.csv")
-        }
-        text = LORENZ_TINY.replace("data:\n", f"data:\n  cache: {data_dir}\n").replace(
-            "methods: [additive, fixed_attention, best_initial, linear, ffnn]",
-            "methods: [linear]",
-        ).replace("  weights_delay: 2\n", "").replace("write_forecasts: true", "write_forecasts: false")
-        run_cfg = write_config(tmp_path, text, name="run.yaml", out=str(tmp_path / "run"))
-        result = invoke("lorenz-run", "--config", str(run_cfg))
-        assert result.exit_code == 0, result.output + str(result.exception)
-        assert json.loads((tmp_path / "run" / "manifest.json").read_text())["dataset"] == record
-
-    def test_missing_cache_fails_at_runtime(self, tmp_path):
-        cfg = write_config(tmp_path, LORENZ_TINY, out=str(tmp_path / "f"))
-        text = cfg.read_text().replace(
-            "data:\n", f"data:\n  cache: {tmp_path / 'nowhere'}\n"
-        )
-        cfg.write_text(text)
-        result = invoke("lorenz-run", "--config", str(cfg))
-        assert result.exit_code == 2
-        assert "lorenz-data" in result.stderr
-        assert not (tmp_path / "f" / ".partial").exists()
-        assert not (tmp_path / "f" / "valid_times.csv").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -711,6 +596,30 @@ class TestCovidRun:
         assert result.exit_code == 0, result.output + str(result.exception)
         assert (target / "forecasts.csv").read_bytes() == (out / "forecasts.csv").read_bytes()
         assert (target / "truth.csv").read_bytes() == (out / "truth.csv").read_bytes()
+
+    def test_manifest_records_the_hashes_of_the_input_files(self, covid_out, tmp_path):
+        """A run over hub CSVs records the SHA-256 of each, by config key; a
+        synthetic run lists its staged CSVs under outputs instead."""
+        import hashlib
+
+        out, _ = covid_out
+        assert "inputs" not in json.loads((out / "manifest.json").read_text())
+        for name in ("forecasts.csv", "truth.csv"):
+            shutil.copy(out / name, tmp_path / name)
+        cfg = write_config(
+            tmp_path,
+            "experiment: covid\noutput: {out}\n"
+            "data:\n  forecasts: forecasts.csv\n  truth: truth.csv\n  periods: split\n"
+            "model:\n  methods: [uniform]\n",
+            out=str(tmp_path / "out"),
+        )
+        result = invoke("covid-run", "--config", str(cfg))
+        assert result.exit_code == 0, result.output + str(result.exception)
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["inputs"] == {
+            key: hashlib.sha256((tmp_path / f"{key}.csv").read_bytes()).hexdigest()
+            for key in ("forecasts", "truth")
+        }
 
     def test_run_leaves_the_outputs_of_another_command(self, tmp_path):
         """Only a previous run of the same command has its files removed:
@@ -1038,6 +947,21 @@ class TestCommands:
         result = invoke("covid-run", "--config", str(cfg))
         assert result.exit_code == 1
         assert "runs 'covid' configs" in result.stderr
+
+    def test_readme_documents_exactly_the_commands(self):
+        """The command lines of README's CLI block name every command, and
+        only commands that exist."""
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        block = readme.split("## CLI", 1)[1].split("```", 2)[1]
+        documented = {line.split()[1] for line in block.splitlines() if line.startswith("attnpool ")}
+        assert documented == set(cli.main.commands)
+
+    def test_lorenz_data_is_an_unknown_command(self, tmp_path):
+        cfg = write_config(tmp_path, LORENZ_TINY, out=str(tmp_path / "out"))
+        result = invoke("lorenz-data", "--config", str(cfg))
+        assert result.exit_code != 0
+        assert "No such command 'lorenz-data'" in result.output
+        assert not (tmp_path / "out").exists()
 
     def test_version(self):
         from attnpool import __version__

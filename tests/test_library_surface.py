@@ -1,4 +1,5 @@
-"""The library has no public surface that only the tests use."""
+"""The library has no public surface that only the tests use, and no
+module imports a name it never reads."""
 
 import ast
 import importlib
@@ -94,6 +95,47 @@ def unreferenced_public_definitions(src=SRC, package="attnpool"):
 
 def test_every_public_definition_is_used_by_the_library():
     assert unreferenced_public_definitions() == []
+
+
+def unused_imports(src=SRC) -> list[str]:
+    """``module.name`` of every name a module in ``src`` imports and never
+    reads; ``from __future__`` imports are directives, not names."""
+    unused = []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update(a.asname or a.name.partition(".")[0] for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported.update(a.asname or a.name for a in node.names)
+        read = {
+            node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        unused += [f"{path.stem}.{name}" for name in sorted(imported - read)]
+    return unused
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    assert unused_imports() == []
+
+
+def test_an_import_left_behind_is_found(tmp_path):
+    """A deleted reader leaves ``csv`` and ``Path`` imported; a dotted
+    import counts by its first name, an aliased one by its alias."""
+    (tmp_path / "traj.py").write_text(textwrap.dedent("""
+        from __future__ import annotations
+
+        import csv
+        import os.path
+        import numpy as np
+        from pathlib import Path
+
+        def exists(p):
+            return os.path.exists(p) and np.ndim(p) == 0
+    """))
+    assert unused_imports(tmp_path) == ["traj.Path", "traj.csv"]
 
 
 PACKAGE = {

@@ -16,14 +16,11 @@ from attnpool.lorenz import (
     OSCILLATION_PERIOD,
     SIGMA,
     SUBSTEPS,
-    Trajectory,
     candidate_forecasts,
     candidate_one_step_batch,
     generate_dataset,
     integrate,
-    load_trajectory_csv,
     rho_true,
-    save_trajectory_csv,
 )
 
 
@@ -239,7 +236,8 @@ class TestIntegrate:
     def test_sample_spacing_and_t0(self):
         traj = integrate(np.array([1.0, 1.0, 20.0]), 2.0, 5, frozen(30.0))
         assert traj.dt_sample == pytest.approx(0.1)
-        np.testing.assert_allclose(traj.times, 2.1 + 0.1 * np.arange(5), atol=1e-12)
+        times = traj.t0 + traj.dt_sample * np.arange(len(traj))
+        np.testing.assert_allclose(times, 2.1 + 0.1 * np.arange(5), atol=1e-12)
 
     def test_substep_composition(self):
         # one recorded sample equals 10 explicit substeps
@@ -329,52 +327,9 @@ class TestDataset:
         """The attractor's vertical extent follows the parameter sweep: the
         centered 8-sample running mean of u3 correlates with rho(t)."""
         u3 = small.train.states[:, 2]
-        rho = np.array([rho_true(t) for t in small.train.times])
+        times = small.train.t0 + small.train.dt_sample * np.arange(len(small.train))
+        rho = np.array([rho_true(t) for t in times])
         w = 8
         sm = np.convolve(u3, np.ones(w) / w, mode="valid")
         r = np.corrcoef(sm, rho[w // 2 : w // 2 + len(sm)])[0, 1]
         assert r > 0.5
-
-
-class TestTrajectoryCSV:
-    def test_round_trip_bit_exact(self, tmp_path):
-        traj = integrate(np.array([1.0, 1.0, 20.0]), 0.0, 20, rho_true)
-        path = tmp_path / "traj.csv"
-        save_trajectory_csv(path, traj)
-        back = load_trajectory_csv(path)
-        np.testing.assert_array_equal(back.states, traj.states)
-        assert back.dt_sample == pytest.approx(traj.dt_sample)
-        assert back.t0 == pytest.approx(traj.t0)
-
-    def test_bad_header_rejected(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("a,b,c,d\n1,2,3,4\n5,6,7,8\n")
-        with pytest.raises(ValueError, match="header"):
-            load_trajectory_csv(path)
-
-    @pytest.mark.parametrize(
-        "row, message",
-        [
-            ("0.2,1,2", r"row 3: expected 4 fields, got 3"),
-            ("0.2,1,x,3", r"row 3: non-numeric value"),
-            ("0.2,1,nan,3", r"row 3: non-finite value"),
-            ("inf,1,2,3", r"row 3: non-finite value"),
-            ("0.1,1,2,3", r"row 3: time 0.1 does not increase"),
-            ("0.0,1,2,3", r"row 3: time 0.0 does not increase"),
-            ("0.25,1,2,3", r"row 4: non-uniform sampling"),
-        ],
-    )
-    def test_malformed_row_names_file_and_row(self, tmp_path, row, message):
-        path = tmp_path / "traj.csv"
-        path.write_text(f"t,u1,u2,u3\n0.1,1,2,3\n{row}\n0.3,1,2,3\n")
-        with pytest.raises(ValueError, match=message) as err:
-            load_trajectory_csv(path)
-        assert str(path) in str(err.value)
-
-    def test_times_column(self, tmp_path):
-        traj = Trajectory(t0=0.5, dt_sample=0.1, states=np.arange(9.0).reshape(3, 3))
-        path = tmp_path / "t.csv"
-        save_trajectory_csv(path, traj)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "t,u1,u2,u3"
-        assert lines[1].startswith("0.5,0,1,2")
