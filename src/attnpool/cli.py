@@ -750,11 +750,15 @@ def _train_lorenz_model(inputs: _LorenzInputs, method: str, length: int):
     return train_ffnn(data.queries, data.targets, length, hidden=m.ffnn_hidden, config=config)
 
 
-def _lorenz_job(inputs: _LorenzInputs, job) -> tuple[list, list, list, list]:
+def _lorenz_job(inputs: _LorenzInputs, job) -> tuple[list, list, list, list, list]:
     """Train one (method, l) model, roll out every method scored with it in
-    one closed-loop call and return its loss and valid-time rows, and the
-    text blocks of ``attention_weights.csv`` and ``forecasts.csv`` (empty
-    but for the ``additive`` run at ``weights_delay``)."""
+    one closed-loop call and return its loss and valid-time rows, the text
+    blocks of ``attention_weights.csv`` and ``forecasts.csv`` (empty but for
+    the ``additive`` run at ``weights_delay``), and each scored method's
+    closed-loop work.
+
+    Every row stops once its valid time is decided, except in the tile whose
+    forecasts are written out, which runs the whole horizon."""
     trained, length, depth, scored = job
     m = inputs.model
     model, curve = _train_lorenz_model(inputs, trained, length)
@@ -762,19 +766,28 @@ def _lorenz_job(inputs: _LorenzInputs, job) -> tuple[list, list, list, list]:
 
     val = inputs.dataset.validation
     histories = gather_histories(val.states, inputs.dataset.segment_starts, depth)
+    # the additive pooler's tile at weights_delay, scored as "additive"
+    written = ("additive", "additive") in scored and length == m.weights_delay
     results = closed_loop_forecast_batch(
-        model, histories, inputs.dataset.segment_len, variants=[v for _, v in scored]
+        model, histories, inputs.dataset.segment_len, variants=[v for _, v in scored],
+        truths=inputs.truths, full_horizon=["additive"] if written else (),
     )
-    vt_rows, weights_text, forecasts_text = [], [], []
+    vt_rows, weights_text, forecasts_text, work = [], [], [], []
     for (method, _), res in zip(scored, results):
         vts = [valid_time(pred, truth) for pred, truth in zip(res.predictions, inputs.truths)]
         vt_rows.append((method, length, vts))
-        if method == "additive" and length == m.weights_delay:
+        work.append((method, length, {
+            "rows": len(res.steps),
+            "row_steps": int(res.steps.sum()),
+            "budget": res.predictions.shape[0] * res.predictions.shape[1],
+            "truncated_rows": int((res.truncated_at >= 0).sum()),
+        }))
+        if written and method == "additive":
             weights_text = _weights_text(res, inputs.seg_t0, val.dt_sample)
             if m.write_forecasts:
                 forecasts_text = _forecasts_text(res, inputs.truths, inputs.seg_t0, val.dt_sample)
     click.echo(f"[lorenz] {trained} l={length} done", err=True)
-    return loss_rows, vt_rows, weights_text, forecasts_text
+    return loss_rows, vt_rows, weights_text, forecasts_text, work
 
 
 def run_lorenz_experiment(cfg: ExperimentConfig) -> Path:
@@ -809,19 +822,23 @@ def run_lorenz_experiment(cfg: ExperimentConfig) -> Path:
             for method, length in (("linear", 1), ("ffnn", m.ffnn_delay))
             if method in m.methods
         ]
-        # longest first: the smaller l, the wider the attention model
-        queue = sorted(attention, key=lambda job: job[1]) + baselines
+        # longest first: the job at weights_delay, whose written tile runs
+        # the whole horizon, then the smaller l, the wider the attention model
+        queue = sorted(attention, key=lambda job: (job[1] != m.weights_delay, job[1])) + baselines
         done = dict(zip(queue, _run_jobs(_lorenz_job, inputs, queue, cfg.threads)))
 
         vt_rows: list[tuple[str, int, list[float]]] = []
         loss_rows: list[list[str]] = []
         texts = {}
+        closed_loop: dict[str, dict[str, dict]] = {}
         for job in attention + baselines:
-            loss, vts, weights, forecasts = done[job]
+            loss, vts, weights, forecasts, work = done[job]
             loss_rows += loss
             vt_rows += vts
             if weights:  # the additive job at weights_delay, and only it
                 texts = {"attention_weights.csv": weights, "forecasts.csv": forecasts}
+            for method, length, record in work:
+                closed_loop.setdefault(method, {})[str(length)] = record
 
         ordered = sorted(vt_rows, key=lambda r: (m.methods.index(r[0]), r[1]))
         _write_csv(
@@ -846,7 +863,7 @@ def run_lorenz_experiment(cfg: ExperimentConfig) -> Path:
             if blocks:
                 with open(stage.path(name), "w", newline="") as fh:
                     fh.writelines(blocks)
-        return _finish(stage, cfg, "lorenz-run", started)
+        return _finish(stage, cfg, "lorenz-run", started, extra={"closed_loop": closed_loop})
 
 
 def _segment_blocks(header: str, line: str, seg_t0, dt, steps_by_segment) -> list[str]:

@@ -37,16 +37,28 @@ VALID_TIME_EPSILON = 40.0  # mean-squared-error threshold
 VALID_TIME_DT = 0.1        # sampling interval
 
 
+def exceeded(pred: Array, truth: Array) -> Array:
+    """Whether each forecast step has left its valid time: ``pred`` and
+    ``truth`` are (..., d), and a step exceeds where its squared error,
+    averaged over the d components, reaches ``VALID_TIME_EPSILON`` or is
+    not finite. A finite error too large to square counts as infinite,
+    silently. :func:`valid_time` and the closed-loop driver's retirement of
+    rows both decide by this, so they agree on every step."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        err = np.mean((pred - truth) ** 2, axis=-1)
+    return (err >= VALID_TIME_EPSILON) | ~np.isfinite(err)
+
+
 def valid_time(pred: Array, truth: Array) -> float:
     """Duration until the forecast MSE first reaches ``VALID_TIME_EPSILON``.
 
     ``pred`` and ``truth`` are (n, d). The error at step j is the squared
     error averaged over components, the scale on which the threshold of 40
     is calibrated (the MSE between unrelated states on the attractor
-    saturates near 200). Returns ``j* . dt`` for the first index j* with
-    that error >= the threshold (non-finite predictions count as
-    exceedance); if the threshold is never reached the full horizon
-    ``len(pred) . dt`` is returned, and if the very first step exceeds, 0.0.
+    saturates near 200). Returns ``j* . dt`` for the first index j* that
+    :func:`exceeded` marks (non-finite predictions count as exceedance); if
+    the threshold is never reached the full horizon ``len(pred) . dt`` is
+    returned, and if the very first step exceeds, 0.0.
     """
     pred = np.asarray(pred, dtype=np.float64)
     truth = np.asarray(truth, dtype=np.float64)
@@ -54,9 +66,7 @@ def valid_time(pred: Array, truth: Array) -> float:
         raise ValueError(f"prediction shape {pred.shape} != truth shape {truth.shape}")
     if len(pred) == 0:
         raise ValueError("empty forecast")
-    err = np.mean((pred - truth) ** 2, axis=1)
-    exceeded = (err >= VALID_TIME_EPSILON) | ~np.isfinite(err)
-    hits = np.nonzero(exceeded)[0]
+    hits = np.nonzero(exceeded(pred, truth))[0]
     j_star = int(hits[0]) if hits.size else len(pred)
     return j_star * VALID_TIME_DT
 

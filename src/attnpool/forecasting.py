@@ -22,7 +22,10 @@ vector computed at step 0, and ``best_initial`` runs the single candidate
 that got the largest step-0 weight. The variants of one model run as one
 batch, one tile of the start points per variant: the step-0 weights are
 computed once for all tiles, only the ``additive`` tile recomputes them
-afterwards, and one stepper call integrates every tile's candidates.
+afterwards, and one stepper call integrates every tile's candidates. Given
+the segments' truths, the driver forms no forecast from them: they only
+decide when a row's valid time is settled, and the row then leaves the
+batch.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ from .attention import (
     single_head_backward,
     single_head_forward,
 )
+from .evaluation import exceeded
 from .lorenz import CANDIDATE_RHOS, candidate_one_step_batch
 from .numerics import Array, FlatAdam, spawn_rng, uniform_init
 
@@ -437,28 +441,19 @@ def gather_histories(states: Array, starts, depth: int) -> Array:
 class ClosedLoopResult:
     """Batched closed-loop forecasts.
 
-    ``predictions`` is (B, H, d) with NaN from the truncation step onward;
+    ``predictions`` is (B, H, d), NaN from the truncation step onward and
+    after the step at which the row retired, its valid time decided;
     ``weights`` is the (B, H, M) per-step pooling weight matrix of the
-    attention pooler, None for the other models; ``truncated_at`` holds the
-    step at which each forecast blew up, -1 where it never did.
+    attention pooler, NaN where ``predictions`` is, None for the other
+    models; ``truncated_at`` holds the step at which each forecast blew up,
+    -1 where it did not before it retired or the horizon ended; ``steps``
+    holds the steps each row ran, H for a row that did neither.
     """
 
     predictions: Array
     weights: Array | None
     truncated_at: Array
-
-
-class _Truncation:
-    """Tracks which batch rows are still alive and when the rest died."""
-
-    def __init__(self, n: int):
-        self.active = np.ones(n, dtype=bool)
-        self.truncated_at = np.full(n, -1, dtype=np.int64)
-
-    def kill(self, bad: Array, step: int) -> None:
-        newly = self.active & bad
-        self.truncated_at[newly] = step
-        self.active &= ~bad
+    steps: Array
 
 
 def _finite_rows(arr: Array) -> Array:
@@ -469,12 +464,13 @@ def _finite_rows(arr: Array) -> Array:
 class _RolloutStep:
     """What one model reads and computes at each closed-loop step.
 
-    ``step(states, errors, values)`` gets the newest-first buffers of the
-    last ``states`` outputs and the last ``errors`` candidate errors (each
-    candidate's forecast minus the output it stood in for), plus the
-    candidate forecasts for this step when ``candidates`` is set, else
-    None; it returns the output (B, d) and the pooling weights (B, M) or
-    None.
+    ``step(states, errors, values, rows)`` gets the newest-first buffers of
+    the last ``states`` outputs and the last ``errors`` candidate errors
+    (each candidate's forecast minus the output it stood in for), plus the
+    candidate forecasts for this step when ``candidates`` is set, else None,
+    all for the batch rows ``rows`` still stepping (ascending indices into
+    the tiled batch; every row at step 0); it returns the output and the
+    pooling weights (M per row) or None.
     """
 
     states: int
@@ -489,31 +485,34 @@ def _one_hot_argmax(weights: Array) -> Array:
     return out
 
 
-def _rollout_step(model, variants: tuple[str, ...]) -> _RolloutStep:
-    """The step of ``model`` over a batch of ``len(variants)`` equal tiles,
-    tile i run as ``variants[i]``."""
+def _rollout_step(model, variants: tuple[str, ...], n_segments: int) -> _RolloutStep:
+    """The step of ``model`` over a batch of ``len(variants)`` tiles of
+    ``n_segments`` rows, tile i run as ``variants[i]``."""
+    n_batch = n_segments * len(variants)
     if isinstance(model, AttentionPooler):
-        additive = variants.index("additive") if "additive" in variants else None
-        weights = None
+        additive = np.repeat([v == "additive" for v in variants], n_segments)
+        frozen = None
 
         def weigh(states, errors, values, rows):
             query = np.concatenate([s[rows] for s in states], axis=-1)
             keys = np.concatenate([e[rows] for e in errors], axis=-1)
             return model.forward(query, keys, values[rows])[1]
 
-        def attend(states, errors, values):
-            nonlocal weights
-            n = len(values) // len(variants)  # rows per tile
-            if weights is None:
+        def attend(states, errors, values, rows):
+            nonlocal frozen
+            if frozen is None:
                 # every tile holds the same inputs at step 0, so the first
                 # tile's weights serve them all; the frozen tiles keep them
-                fresh = weigh(states, errors, values, slice(0, n))
-                weights = np.concatenate(
+                fresh = weigh(states, errors, values, slice(0, n_segments))
+                frozen = np.concatenate(
                     [_one_hot_argmax(fresh) if v == "best_initial" else fresh for v in variants]
                 )
-            elif additive is not None:
-                rows = slice(additive * n, (additive + 1) * n)
-                weights[rows] = weigh(states, errors, values, rows)
+                weights = frozen
+            else:
+                weights = frozen[rows]
+                recompute = additive[rows]
+                if recompute.any():
+                    weights[recompute] = weigh(states, errors, values, recompute)
             return np.einsum("bm,bmd->bd", weights, values), weights
 
         length = model.delay_length
@@ -522,16 +521,25 @@ def _rollout_step(model, variants: tuple[str, ...]) -> _RolloutStep:
         raise ValueError(
             f"variants {variants!r}: all but 'additive' are for the attention pooler only"
         )
+
+    def in_place(rows, inputs):
+        # a BLAS matmul's bits for one row can depend on the batch's height
+        # and on the row's place in it, so the baselines keep every row where
+        # it started, in a batch of the full height (retired rows zero)
+        full = np.zeros((n_batch,) + inputs.shape[1:])
+        full[rows] = inputs
+        return full
+
     if isinstance(model, LinearPooler):
 
-        def pool_linear(states, errors, values):
-            return model.predict(values.reshape(len(values), -1)), None
+        def pool_linear(states, errors, values, rows):
+            return model.predict(in_place(rows, values.reshape(len(values), -1)))[rows], None
 
         return _RolloutStep(1, 0, True, pool_linear)
     if isinstance(model, FeedForwardNet):
 
-        def predict_direct(states, errors, values):
-            return model.predict(np.concatenate(states, axis=-1)), None
+        def predict_direct(states, errors, values, rows):
+            return model.predict(in_place(rows, np.concatenate(states, axis=-1)))[rows], None
 
         return _RolloutStep(model.delay_length, 0, False, predict_direct)
     raise TypeError(f"unknown model type {type(model).__name__}")
@@ -543,6 +551,8 @@ def closed_loop_forecast_batch(
     horizon: int,
     stepper: CandidateStepper = None,
     variants: Sequence[str] = ("additive",),
+    truths: Array | None = None,
+    full_horizon: Sequence[str] = (),
 ) -> tuple[ClosedLoopResult, ...]:
     """Autonomous multi-step forecasts from B start points in lockstep, one
     :class:`ClosedLoopResult` per name in ``variants``, in that order.
@@ -551,36 +561,57 @@ def closed_loop_forecast_batch(
     first forecast target: depth is l+1 for the attention pooler (its oldest
     key term is a verified error, whose forecast was launched from the
     sample before the oldest embedded state), l for the direct net and 1
-    for the linear pooler. After initialization the driver sees no truth:
-    candidate models re-integrate from the previous output, which also
-    refills the state buffer, and the error buffer takes the candidates'
-    deviation from it. Rows whose candidates (those seeding the error
-    buffer included) or output blow up are zeroed internally (the origin
-    integrates quietly) and reported as NaN with their truncation step.
+    for the linear pooler. After initialization the driver forms no forecast
+    from the truth: candidate models re-integrate from the previous output,
+    which also refills the state buffer, and the error buffer takes the
+    candidates' deviation from it. Rows whose candidates (those seeding the
+    error buffer included) or output blow up are zeroed internally (the
+    origin integrates quietly), reported as NaN with their truncation step,
+    and leave the batch.
     ``variants`` are distinct names from :data:`VARIANTS`, each a way for
     the attention pooler to weigh the candidates; the other models take
     only ``("additive",)``. The histories are tiled once per variant and
     every tile steps in one batch, so the candidates are integrated by one
     stepper call per step.
+
+    ``truths`` (B, horizon, d), when given, holds the segments' true states;
+    they only decide when a row stops. After each step, every row whose
+    step :func:`~attnpool.evaluation.exceeded` the valid-time threshold has
+    its valid time decided and leaves the batch, its later predictions left
+    NaN, so :func:`~attnpool.evaluation.valid_time` of every row is that of
+    the full rollout. The tiles of the variants named in ``full_horizon``
+    run the whole horizon, as does every tile without ``truths``. A row's
+    steps depend only on its own inputs, so the rows that stay keep their
+    bits.
     """
     variants = tuple(variants)
     if not variants or len(set(variants)) < len(variants) or not set(variants) <= set(VARIANTS):
         raise ValueError(f"variants must be distinct names from {VARIANTS}, got {variants!r}")
+    if not set(full_horizon) <= set(variants):
+        raise ValueError(f"full_horizon {tuple(full_horizon)!r} names no variant of {variants!r}")
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
     if stepper is None:
         stepper = lorenz_candidate_stepper()
-    rollout = _rollout_step(model, variants)
-    depth = max(rollout.states, rollout.errors + 1)
     histories = np.asarray(histories, dtype=np.float64)
+    n_segments = len(histories)
+    rollout = _rollout_step(model, variants, n_segments)
+    depth = max(rollout.states, rollout.errors + 1)
     if histories.ndim != 3 or histories.shape[1] != depth:
         raise ValueError(
             f"histories must be (B, {depth}, d) for this {type(model).__name__}, "
             f"got {histories.shape}"
         )
-    n_segments = len(histories)
+    if truths is not None and np.shape(truths) != (n_segments, horizon, histories.shape[2]):
+        raise ValueError(
+            f"truths must be ({n_segments}, {horizon}, {histories.shape[2]}), "
+            f"got {np.shape(truths)}"
+        )
     histories = np.tile(histories, (len(variants), 1, 1))
     n_batch, _, dim = histories.shape
+    rows = np.arange(n_batch)  # the batch rows still stepping, ascending
+    segment = rows % n_segments
+    judged = np.repeat([truths is not None and v not in full_horizon for v in variants], n_segments)
 
     # newest-first buffers seeded from true history; entry k of the error
     # buffer is (candidate forecast for history index -1-k) - (truth there)
@@ -592,27 +623,45 @@ def closed_loop_forecast_batch(
 
     # a row whose seeded errors are not finite dies at step 0, its entries
     # zeroed like every dead row's, so its weights never go NaN
-    track = _Truncation(n_batch)
+    dead = np.zeros(n_batch, dtype=bool)
     for errors in error_buf:
-        track.kill(~_finite_rows(errors), 0)
+        dead |= ~_finite_rows(errors)
     for errors in error_buf:
-        errors[~track.active] = 0.0
+        errors[dead] = 0.0
+    truncated_at = np.full(n_batch, -1, dtype=np.int64)
+    steps = np.full(n_batch, horizon, dtype=np.int64)
     predictions = np.full((n_batch, horizon, dim), np.nan)
     weights_out = None
     values = None
     for step in range(horizon):
         if rollout.candidates:
             values = stepper(state_buf[0])
-            track.kill(~_finite_rows(values), step)
-            values[~track.active] = 0.0
-        out, weights = rollout.step(state_buf, error_buf, values)
-        track.kill(~_finite_rows(out), step)
-        out = np.where(track.active[:, None], out, 0.0)
-        predictions[track.active, step] = out[track.active]
+            dead |= ~_finite_rows(values)
+            values[dead] = 0.0
+        out, weights = rollout.step(state_buf, error_buf, values, rows)
+        dead |= ~_finite_rows(out)
+        live = ~dead
+        predictions[rows[live], step] = out[live]
         if weights is not None:
             if weights_out is None:
                 weights_out = np.full((n_batch, horizon, weights.shape[1]), np.nan)
-            weights_out[track.active, step] = weights[track.active]
+            weights_out[rows[live], step] = weights[live]
+        truncated_at[rows[dead]] = step
+
+        done = dead
+        if truths is not None:
+            done = dead | (judged[rows] & exceeded(out, truths[segment[rows], step]))
+        if done.any():
+            steps[rows[done]] = step + 1
+            keep = ~done
+            rows, out = rows[keep], out[keep]
+            state_buf = [s[keep] for s in state_buf]
+            error_buf = [e[keep] for e in error_buf]
+            if values is not None:
+                values = values[keep]
+            dead = dead[keep]
+            if not len(rows):
+                break
 
         state_buf.insert(0, out)
         del state_buf[rollout.states :]
@@ -622,9 +671,10 @@ def closed_loop_forecast_batch(
     tiles = [slice(i * n_segments, (i + 1) * n_segments) for i in range(len(variants))]
     return tuple(
         ClosedLoopResult(
-            predictions[rows],
-            None if weights_out is None else weights_out[rows],
-            track.truncated_at[rows],
+            predictions[t],
+            None if weights_out is None else weights_out[t],
+            truncated_at[t],
+            steps[t],
         )
-        for rows in tiles
+        for t in tiles
     )

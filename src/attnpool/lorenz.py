@@ -34,9 +34,10 @@ IC_LOW = (-10.0, -15.0, 10.0)
 IC_HIGH = (10.0, 15.0, 40.0)
 
 
-def rho_true(t: float) -> float:
-    """Time-dependent driving parameter: 38 - 10 cos(2 pi t / T)."""
-    return RHO_MEAN - RHO_AMPLITUDE * math.cos(2.0 * math.pi * t / OSCILLATION_PERIOD)
+def rho_true(t):
+    """Time-dependent driving parameter: 38 - 10 cos(2 pi t / T), at a time
+    or elementwise over an array of times."""
+    return RHO_MEAN - RHO_AMPLITUDE * np.cos(2.0 * np.pi * t / OSCILLATION_PERIOD)
 
 
 # Both RK4 paths evaluate the same expressions in the same order, so they
@@ -60,11 +61,18 @@ class Trajectory:
         return len(self.states)
 
 
+# Stage times at which ``integrate`` evaluates the driving parameter in one
+# call; a table for a whole run would raise the peak memory. The values are
+# read through memoryviews, which hand out plain floats one at a time, as
+# the scalar arithmetic needs, without a float object per table entry.
+RHO_BLOCK = 4096
+
+
 def integrate(
     u0: Array,
     t0: float,
     n_samples: int,
-    rho: Callable[[float], float],
+    rho: Callable[[Array], Array],
     dt: float = DT_INTEGRATION,
     substeps: int = SUBSTEPS,
 ) -> Trajectory:
@@ -73,6 +81,8 @@ def integrate(
     system, a constant for a candidate) with ``SIGMA`` and ``BETA``.
 
     Each step evaluates ``rho`` at its stage times t, t + dt/2 and t + dt.
+    ``rho`` is called on arrays of stage times, a block of substeps at a
+    time, and returns an array of the same shape or a constant.
     ``u0`` itself is not included; the returned trajectory starts at
     t0 + substeps * dt. Raises on blow-up.
     """
@@ -86,27 +96,35 @@ def integrate(
     sixth = dt / 6.0
     x, y, z = float(u0[0]), float(u0[1]), float(u0[2])
     out = np.empty((n_samples, 3))
-    step = 0
-    for j in range(n_samples):
-        for _ in range(substeps):
-            t = t0 + step * dt  # multiplicative time to avoid accumulation drift
-            r = rho(t)
-            ax, ay, az = sigma * (y - x), x * (r - z) - y, x * y - beta * z
-            r = rho(t + half)
-            px, py, pz = x + half * ax, y + half * ay, z + half * az
-            bx, by, bz = sigma * (py - px), px * (r - pz) - py, px * py - beta * pz
-            px, py, pz = x + half * bx, y + half * by, z + half * bz
-            cx, cy, cz = sigma * (py - px), px * (r - pz) - py, px * py - beta * pz
-            r = rho(t + dt)
-            px, py, pz = x + dt * cx, y + dt * cy, z + dt * cz
-            dx, dy, dz = sigma * (py - px), px * (r - pz) - py, px * py - beta * pz
-            x = x + sixth * (ax + 2.0 * bx + 2.0 * cx + dx)
-            y = y + sixth * (ay + 2.0 * by + 2.0 * cy + dy)
-            z = z + sixth * (az + 2.0 * bz + 2.0 * cz + dz)
-            step += 1
-        if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
-            raise FloatingPointError(f"integration blew up at sample {j}")
-        out[j, 0], out[j, 1], out[j, 2] = x, y, z
+    block = max(1, RHO_BLOCK // (3 * substeps))  # samples per block
+    for first in range(0, n_samples, block):
+        last = min(first + block, n_samples)
+        # multiplicative time to avoid accumulation drift
+        t = t0 + np.arange(first * substeps, last * substeps) * dt
+        r_start, r_half, r_end = (
+            memoryview(np.ascontiguousarray(np.broadcast_to(rho(times), times.shape), np.float64))
+            for times in (t, t + half, t + dt)
+        )
+        i = 0
+        for j in range(first, last):
+            for _ in range(substeps):
+                r = r_start[i]
+                ax, ay, az = sigma * (y - x), x * (r - z) - y, x * y - beta * z
+                r = r_half[i]
+                px, py, pz = x + half * ax, y + half * ay, z + half * az
+                bx, by, bz = sigma * (py - px), px * (r - pz) - py, px * py - beta * pz
+                px, py, pz = x + half * bx, y + half * by, z + half * bz
+                cx, cy, cz = sigma * (py - px), px * (r - pz) - py, px * py - beta * pz
+                r = r_end[i]
+                px, py, pz = x + dt * cx, y + dt * cy, z + dt * cz
+                dx, dy, dz = sigma * (py - px), px * (r - pz) - py, px * py - beta * pz
+                x = x + sixth * (ax + 2.0 * bx + 2.0 * cx + dx)
+                y = y + sixth * (ay + 2.0 * by + 2.0 * cy + dy)
+                z = z + sixth * (az + 2.0 * bz + 2.0 * cz + dz)
+                i += 1
+            if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
+                raise FloatingPointError(f"integration blew up at sample {j}")
+            out[j, 0], out[j, 1], out[j, 2] = x, y, z
     return Trajectory(t0=t0 + substeps * dt, dt_sample=dt * substeps, states=out)
 
 

@@ -404,6 +404,29 @@ class TestLorenzRun:
         # the data is generated from the seed and config, not read from files
         assert "dataset" not in manifest and "inputs" not in manifest
 
+    def test_manifest_records_the_closed_loop_work(self, lorenz_out):
+        """Per scored method and delay: the rows, the row-steps they ran,
+        the budget of rows times horizon and the rows that blew up. The
+        tile whose forecasts are written runs its whole budget; every other
+        row stops once its valid time is decided."""
+        out, _ = lorenz_out
+        work = json.loads((out / "manifest.json").read_text())["closed_loop"]
+        series = {(method, l) for method, by_l in work.items() for l in by_l}
+        attention = {(v, l) for v in ("additive", "fixed_attention", "best_initial") for l in "12"}
+        assert series == attention | {("linear", "1"), ("ffnn", "2")}
+        stopped = 0
+        for method, by_l in work.items():
+            for l, record in by_l.items():
+                assert record.keys() == {"rows", "row_steps", "budget", "truncated_rows"}
+                assert record["rows"] == 8 and record["budget"] == 8 * 32
+                assert 8 <= record["row_steps"] <= record["budget"]
+                if (method, l) != ("additive", "2"):
+                    stopped += record["budget"] - record["row_steps"]
+        written = work["additive"]["2"]
+        assert written["truncated_rows"] == 0
+        assert written["row_steps"] == written["budget"]
+        assert stopped > 0
+
     def test_rerun_and_thread_count_leave_outputs_byte_identical(
         self, lorenz_out, tmp_path, worker_pools
     ):
@@ -734,7 +757,8 @@ def closed_loop_result(n_seg, horizon, truncated_at, seed=0):
         if stop >= 0:
             weights[seg, stop:] = np.nan
             predictions[seg, stop:] = np.nan
-    return ClosedLoopResult(predictions, weights, np.array(truncated_at))
+    steps = [horizon if stop < 0 else stop + 1 for stop in truncated_at]
+    return ClosedLoopResult(predictions, weights, np.array(truncated_at), np.array(steps))
 
 
 class TestWeightRows:

@@ -14,6 +14,7 @@ from oracles import (
 )
 
 from attnpool.attention import HEAD_FIELDS, init_single_head
+from attnpool.evaluation import VALID_TIME_DT, exceeded, valid_time
 from attnpool.forecasting import (
     AttentionPooler,
     FeedForwardNet,
@@ -734,3 +735,138 @@ class TestClosedLoop:
             closed_loop_forecast_batch(pooler, hist, 0)
         with pytest.raises(ValueError, match="histories"):
             closed_loop_forecast_batch(pooler, hist[:, :3], 8)
+        truths = np.zeros((1, 8, 3))
+        with pytest.raises(ValueError, match="truths"):
+            closed_loop_forecast_batch(pooler, hist, 8, truths=truths[:, :7])
+        with pytest.raises(ValueError, match="full_horizon"):
+            closed_loop_forecast_batch(
+                pooler, hist, 8, variants=["additive"], truths=truths,
+                full_horizon=["best_initial"],
+            )
+
+
+def step_counter(stepper):
+    """``stepper``, recording the number of states of every call."""
+    sizes = []
+
+    def spy(states):
+        sizes.append(len(states))
+        return stepper(states)
+
+    return spy, sizes
+
+
+def leaving_truths(predictions, leave):
+    """Truths that follow ``predictions`` (NaN read as 0) until step
+    ``leave[b]`` of row b, then sit 7 off in every component, an error of
+    49: each row exceeds first at its ``leave`` unless it blows up
+    earlier; a ``leave`` of the horizon never comes."""
+    truths = np.nan_to_num(predictions, nan=0.0)
+    steps = np.arange(truths.shape[1])
+    truths[steps[None, :] >= np.asarray(leave)[:, None]] += 7.0
+    return truths
+
+
+class TestRetirement:
+    """With the segments' truths, a row leaves the batch once its valid time
+    is decided; everything the valid times and the written tile read keeps
+    its bits."""
+
+    def assert_cut_matches_full(self, cut, full, truths, horizon, judged=True):
+        """Row by row: the same valid time, the bits of the full rollout up
+        to the row's last step, NaN after it; a ``judged`` row's last step
+        is the one that decided its valid time."""
+        for b in range(len(truths)):
+            vt = valid_time(full.predictions[b], truths[b])
+            assert valid_time(cut.predictions[b], truths[b]) == vt
+            n = int(cut.steps[b])
+            # a row that retires first never reaches its blow-up
+            blew_up = full.truncated_at[b]
+            assert cut.truncated_at[b] == (blew_up if 0 <= blew_up < n else -1)
+            np.testing.assert_array_equal(cut.predictions[b, :n], full.predictions[b, :n])
+            assert np.isnan(cut.predictions[b, n:]).all()
+            if full.weights is not None:
+                np.testing.assert_array_equal(cut.weights[b, :n], full.weights[b, :n])
+                assert np.isnan(cut.weights[b, n:]).all()
+            if judged:
+                assert n == min(round(vt / VALID_TIME_DT) + 1, horizon)
+
+    def test_rows_stop_once_their_valid_time_is_decided(self, trained, segments):
+        """Rows exceeding at different steps, rows that never do and rows
+        that blow up, under every variant; the ``fixed_attention`` tile runs
+        the whole horizon and keeps every bit."""
+        pooler, _ = trained
+        hist, stepper, _ = segments
+        horizon = 12
+        full = closed_loop_forecast_batch(pooler, hist, horizon, stepper, variants=VARIANTS)
+        leave = np.resize([0, 2, 5, horizon - 1, horizon, 7], len(hist))
+        truths = leaving_truths(full[0].predictions, leave)
+        spy, sizes = step_counter(stepper)
+        cut = closed_loop_forecast_batch(
+            pooler, hist, horizon, spy, variants=VARIANTS,
+            truths=truths, full_horizon=["fixed_attention"],
+        )
+        for variant, c, f in zip(VARIANTS, cut, full):
+            self.assert_cut_matches_full(c, f, truths, horizon, variant != "fixed_attention")
+            if variant == "fixed_attention":
+                np.testing.assert_array_equal(c.predictions, f.predictions)
+                np.testing.assert_array_equal(c.weights, f.weights)
+                stops = np.where(f.truncated_at < 0, horizon, f.truncated_at + 1)
+                np.testing.assert_array_equal(c.steps, stops)
+        additive = cut[0]
+        assert set(additive.steps.tolist()) >= {1, 3, 6, horizon}
+        assert (additive.truncated_at >= 0).any() and (additive.truncated_at < 0).any()
+        # the seeding calls and step 0 see every row; the batch then shrinks
+        n_batch = len(VARIANTS) * len(hist)
+        assert sizes[: pooler.delay_length + 1] == [n_batch] * (pooler.delay_length + 1)
+        assert sizes == sorted(sizes, reverse=True) and sizes[-1] < n_batch
+        assert sum(sizes) < n_batch * (pooler.delay_length + horizon)
+
+    def test_without_truths_only_blown_up_rows_leave(self, trained, segments):
+        pooler, _ = trained
+        hist, stepper, alone = segments
+        spy, sizes = step_counter(stepper)
+        [res] = closed_loop_forecast_batch(pooler, hist, 12, spy, variants=["additive"])
+        for b, ref in enumerate(alone["additive"]):
+            np.testing.assert_array_equal(res.predictions[b], ref.predictions[0])
+            np.testing.assert_array_equal(res.weights[b], ref.weights[0])
+        stops = np.where(res.truncated_at < 0, 12, res.truncated_at + 1)
+        np.testing.assert_array_equal(res.steps, stops)
+        assert sizes[-1] == int((res.truncated_at < 0).sum())
+
+    @pytest.mark.parametrize("kind", ["linear", "ffnn"])
+    def test_baselines_keep_their_bits_as_rows_leave(self, small, kind):
+        """The baselines' matmuls see every row at its place in a batch of
+        the full height, so the rows that stay keep the bits of the full
+        rollout."""
+        ds, _, _ = small
+        if kind == "linear":
+            rng = np.random.default_rng(5)
+            weight = np.full((3, 33), 1.0 / 11.0) + rng.normal(0.0, 1e-3, (3, 33))
+            model, depth = LinearPooler(weight, np.zeros(3)), 1
+        else:
+            model, depth = init_ffnn(spawn_rng(6, "retire"), ffnn_hidden_size(2), 6, 3), 2
+            model.delay_length = depth
+            model.scaler = Standardizer.identity(6)
+        hist = gather_histories(ds.validation.states, range(8, 300, 13), depth)
+        horizon = 20
+        [full] = closed_loop_forecast_batch(model, hist, horizon)
+        leave = np.resize([0, 3, 9, horizon], len(hist))
+        truths = leaving_truths(full.predictions, leave)
+        [cut] = closed_loop_forecast_batch(model, hist, horizon, truths=truths)
+        self.assert_cut_matches_full(cut, full, truths, horizon)
+        assert set(cut.steps.tolist()) == {1, 4, 10, horizon}
+
+    def test_exceeded_is_the_valid_time_definition(self):
+        """Exactly at the threshold, and for NaN, inf and a finite error too
+        large to square (which warns nothing), the first step ``exceeded``
+        marks is the step ``valid_time`` stops at."""
+        truth = np.zeros((3, 3))
+        below = [10.0, 4.0, 1.999999]
+        for first in ([10.0, 4.0, 2.0], [np.nan, 0.0, 0.0], [0.0, -np.inf, 0.0], [1e200, 0.0, 0.0]):
+            pred = np.array([[1.0, 1.0, 1.0], below, first])
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert exceeded(pred, truth).tolist() == [False, False, True]
+                assert valid_time(pred, truth) == 2 * VALID_TIME_DT
+                assert valid_time(pred[:2], truth[:2]) == 2 * VALID_TIME_DT

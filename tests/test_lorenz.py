@@ -1,12 +1,15 @@
 """Non-stationary Lorenz system, RK4 integration, candidates, dataset."""
 
+import hashlib
 import math
 import tracemalloc
+from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from attnpool.cli import LorenzDataConfig
+from attnpool.cli import LorenzDataConfig, validate_config
 from attnpool.lorenz import (
     BETA,
     CANDIDATE_RHOS,
@@ -106,6 +109,17 @@ class TestDerivativeAndRho:
     def test_rho_periodicity(self):
         for t in np.linspace(0.0, 40.0, 157):
             assert abs(rho_true(t + OSCILLATION_PERIOD) - rho_true(t)) < 1e-12
+
+    def test_rho_over_an_array_keeps_the_scalar_bits(self):
+        """``integrate`` evaluates rho over blocks of stage times; each value
+        keeps the bits of the formula on one float with libm's cosine."""
+        t = -20.0 + np.arange(50_000) * DT_INTEGRATION
+        for times in (t, t + DT_INTEGRATION / 2.0, t + DT_INTEGRATION):
+            expected = [
+                38.0 - 10.0 * math.cos(2.0 * math.pi * s / OSCILLATION_PERIOD)
+                for s in times.tolist()
+            ]
+            np.testing.assert_array_equal(rho_true(times), expected)
 
     def test_rho_range(self):
         ts = np.linspace(0, 100, 5000)
@@ -310,6 +324,18 @@ class TestDataset:
                              n_val_segments=2, segment_len=16, warmup=warmup)
         np.testing.assert_array_equal(a.train.states, b.train.states)
         np.testing.assert_array_equal(a.validation.states, b.validation.states)
+
+    def test_smoke_config_data_keep_their_bits(self):
+        """Pinned digest of the data ``configs/lorenz_smoke.yaml`` runs on.
+        Generation is plain float arithmetic and libm's cosine, with no
+        BLAS, so the digest holds wherever those are IEEE-exact."""
+        config = Path(__file__).resolve().parent.parent / "configs" / "lorenz_smoke.yaml"
+        cfg = validate_config(config)
+        ds = generate_dataset(seed=cfg.seed, **asdict(cfg.data))
+        digest = hashlib.sha256(
+            ds.train.states.tobytes() + ds.validation.states.tobytes()
+        ).hexdigest()
+        assert digest == "598477ac85701088284290ebe7240c23ab979c1c9c5bf23309b624b7dd0336db"
 
     def test_bounded_after_transient(self, small):
         assert np.abs(small.train.states).max() < 100.0
