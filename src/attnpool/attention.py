@@ -129,12 +129,13 @@ def _stacked_forward(heads: Sequence[Array], q: Array, k: Array, v: Array):
     """Pooled outputs (P, B, d), activations (P, B, M, h) and weights
     (P, B, M) of the heads given as stacked ``HEAD_FIELDS`` arrays.
 
-    Both projections are stacked, one matmul per (head, instance). A 2-D
-    gemm over the batch (q @ w_query.T, or keys flattened to (B*M, k)) gives
-    bits that depend on the batch size; stacked, a segment's closed-loop
-    forecast has the same bits whichever segments share its batch, and each
-    head the bits it would give alone. The tanh pre-activation is built in
-    place in the key projection.
+    Both projections are stacked, one matmul per (head, instance): the one
+    row policy of every closed-loop model (:mod:`attnpool.forecasting`). A
+    2-D gemm over the batch (q @ w_query.T, or keys flattened to (B*M, k))
+    gives bits that depend on the batch size; stacked, a segment's forecast
+    has the same bits whichever segments share its batch, and each head the
+    bits it would give alone. The tanh pre-activation is built in place in
+    the key projection.
     """
     w_query, w_key, w_score, bias = heads
     proj_q = q[None, :, None, :] @ w_query.transpose(0, 2, 1)[:, None]     # (P, B, 1, h)

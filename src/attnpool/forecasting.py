@@ -26,6 +26,11 @@ afterwards, and one stepper call integrates every tile's candidates. Given
 the segments' truths, the driver forms no forecast from them: they only
 decide when a row's valid time is settled, and the row then leaves the
 batch.
+
+One row policy holds for every model the closed loop steps: each row of a
+batch has its own matmuls (:func:`_by_row`, ``attention._stacked_forward``),
+so a segment's forecast has the same bits whichever segments share its
+batch, and rows leave it without moving the bits of those that stay.
 """
 
 from __future__ import annotations
@@ -161,6 +166,11 @@ def assemble_open_loop(states: Array, candidates: Array, length: int) -> OpenLoo
 # models
 
 
+def _by_row(x: Array, weight: Array) -> Array:
+    """``x @ weight.T`` for a batch ``x`` (B, d_in), one matmul per row."""
+    return (x[:, None, :] @ weight.T)[:, 0]
+
+
 @dataclass
 class AttentionPooler:
     """Trained single-head attention pooler plus its input standardizers."""
@@ -186,7 +196,7 @@ class LinearPooler:
     bias: Array    # (d_out,)
 
     def predict(self, inputs: Array) -> Array:
-        return np.asarray(inputs, dtype=np.float64) @ self.weight.T + self.bias
+        return _by_row(np.asarray(inputs, dtype=np.float64), self.weight) + self.bias
 
     def forward(self, inputs: Array):
         """``(pooled, None, cache)``: the linear pooler has no weights, and
@@ -222,8 +232,8 @@ def ffnn_forward(net: FeedForwardNet, inputs: Array):
     x = np.asarray(inputs, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != net.w1.shape[1]:
         raise ValueError(f"input dim of {x.shape} does not match w1 {net.w1.shape}")
-    act = np.tanh(x @ net.w1.T + net.b1)
-    return act @ net.w2.T + net.b2, None, (x, act)
+    act = np.tanh(_by_row(x, net.w1) + net.b1)
+    return _by_row(act, net.w2) + net.b2, None, (x, act)
 
 
 def ffnn_backward(
@@ -488,7 +498,6 @@ def _one_hot_argmax(weights: Array) -> Array:
 def _rollout_step(model, variants: tuple[str, ...], n_segments: int) -> _RolloutStep:
     """The step of ``model`` over a batch of ``len(variants)`` tiles of
     ``n_segments`` rows, tile i run as ``variants[i]``."""
-    n_batch = n_segments * len(variants)
     if isinstance(model, AttentionPooler):
         additive = np.repeat([v == "additive" for v in variants], n_segments)
         frozen = None
@@ -521,25 +530,16 @@ def _rollout_step(model, variants: tuple[str, ...], n_segments: int) -> _Rollout
         raise ValueError(
             f"variants {variants!r}: all but 'additive' are for the attention pooler only"
         )
-
-    def in_place(rows, inputs):
-        # a BLAS matmul's bits for one row can depend on the batch's height
-        # and on the row's place in it, so the baselines keep every row where
-        # it started, in a batch of the full height (retired rows zero)
-        full = np.zeros((n_batch,) + inputs.shape[1:])
-        full[rows] = inputs
-        return full
-
     if isinstance(model, LinearPooler):
 
         def pool_linear(states, errors, values, rows):
-            return model.predict(in_place(rows, values.reshape(len(values), -1)))[rows], None
+            return model.predict(values.reshape(len(values), -1)), None
 
         return _RolloutStep(1, 0, True, pool_linear)
     if isinstance(model, FeedForwardNet):
 
         def predict_direct(states, errors, values, rows):
-            return model.predict(in_place(rows, np.concatenate(states, axis=-1)))[rows], None
+            return model.predict(np.concatenate(states, axis=-1)), None
 
         return _RolloutStep(model.delay_length, 0, False, predict_direct)
     raise TypeError(f"unknown model type {type(model).__name__}")
@@ -580,9 +580,7 @@ def closed_loop_forecast_batch(
     its valid time decided and leaves the batch, its later predictions left
     NaN, so :func:`~attnpool.evaluation.valid_time` of every row is that of
     the full rollout. The tiles of the variants named in ``full_horizon``
-    run the whole horizon, as does every tile without ``truths``. A row's
-    steps depend only on its own inputs, so the rows that stay keep their
-    bits.
+    run the whole horizon, as does every tile without ``truths``.
     """
     variants = tuple(variants)
     if not variants or len(set(variants)) < len(variants) or not set(variants) <= set(VARIANTS):
@@ -608,8 +606,8 @@ def closed_loop_forecast_batch(
             f"got {np.shape(truths)}"
         )
     histories = np.tile(histories, (len(variants), 1, 1))
-    n_batch, _, dim = histories.shape
-    rows = np.arange(n_batch)  # the batch rows still stepping, ascending
+    n_rows, _, dim = histories.shape
+    rows = np.arange(n_rows)  # the batch rows still stepping, ascending
     segment = rows % n_segments
     judged = np.repeat([truths is not None and v not in full_horizon for v in variants], n_segments)
 
@@ -623,14 +621,14 @@ def closed_loop_forecast_batch(
 
     # a row whose seeded errors are not finite dies at step 0, its entries
     # zeroed like every dead row's, so its weights never go NaN
-    dead = np.zeros(n_batch, dtype=bool)
+    dead = np.zeros(n_rows, dtype=bool)
     for errors in error_buf:
         dead |= ~_finite_rows(errors)
     for errors in error_buf:
         errors[dead] = 0.0
-    truncated_at = np.full(n_batch, -1, dtype=np.int64)
-    steps = np.full(n_batch, horizon, dtype=np.int64)
-    predictions = np.full((n_batch, horizon, dim), np.nan)
+    truncated_at = np.full(n_rows, -1, dtype=np.int64)
+    steps = np.full(n_rows, horizon, dtype=np.int64)
+    predictions = np.full((n_rows, horizon, dim), np.nan)
     weights_out = None
     values = None
     for step in range(horizon):
@@ -644,7 +642,7 @@ def closed_loop_forecast_batch(
         predictions[rows[live], step] = out[live]
         if weights is not None:
             if weights_out is None:
-                weights_out = np.full((n_batch, horizon, weights.shape[1]), np.nan)
+                weights_out = np.full((n_rows, horizon, weights.shape[1]), np.nan)
             weights_out[rows[live], step] = weights[live]
         truncated_at[rows[dead]] = step
 

@@ -7,12 +7,15 @@ candidates, leave-one-period-out) — runs once in session fixtures; the whole
 file finishes in a few minutes single-threaded.
 """
 
+import csv
 import os
 import time
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 from click.testing import CliRunner
 from oracles import empty_like_fields
 
@@ -25,27 +28,9 @@ from attnpool.attention import (
     single_head_backward,
     single_head_forward,
 )
-from attnpool.evaluation import WISConfig, valid_time, wis_batch, wis_gradient_batch
-from attnpool.forecasting import (
-    TrainConfig,
-    assemble_open_loop,
-    closed_loop_forecast_batch,
-    ffnn_backward,
-    ffnn_forward,
-    gather_histories,
-    init_ffnn,
-    train_attention,
-    train_ffnn,
-    train_linear,
-)
-from attnpool.lorenz import (
-    CANDIDATE_RHOS,
-    DT_SAMPLE,
-    candidate_forecasts,
-    generate_dataset,
-    integrate,
-    rho_true,
-)
+from attnpool.evaluation import WISConfig, wis_batch, wis_gradient_batch
+from attnpool.forecasting import ffnn_backward, ffnn_forward, init_ffnn
+from attnpool.lorenz import CANDIDATE_RHOS, integrate, rho_true
 from attnpool.numerics import uniform_init
 
 GRADIENT_TOLERANCE = 1e-5
@@ -282,6 +267,7 @@ class TestScoreSuite:
 
 PROTOCOL_SEED = 0
 PROTOCOL_DELAY = 5
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 @dataclass
@@ -289,92 +275,55 @@ class ProtocolRun:
     medians: dict
     additive_vts: np.ndarray
     additive_weights: np.ndarray   # (B, H, M), NaN once a row truncates
-    rho_at_step: np.ndarray        # (B, H) true driving parameter
+    rho_at_step: np.ndarray        # (B, H) true driving parameter, NaN where the weights are
     elapsed: float
 
 
-def _medians_of(result, truths):
-    vts = np.array([valid_time(result.predictions[i], truths[i]) for i in range(len(truths))])
-    return vts, float(np.median(vts))
-
-
-def _protocol_job(shared, job):
-    """One of the protocol's two independent halves: ``"attention"`` trains
-    the attention pooler and rolls out its three variants, ``"baselines"``
-    trains and rolls out the linear pooler and the direct net. Returns the
-    medians, and for the attention half the additive variant's valid times
-    and weights."""
-    ds, cand, truths = shared
-    starts = np.array(ds.segment_starts)
-    horizon = ds.segment_len
-    data = assemble_open_loop(ds.train.states, cand, PROTOCOL_DELAY)
-    train_cfg = TrainConfig(epochs=500, learning_rate=1e-3, batch_size=128, seed=PROTOCOL_SEED)
-    medians = {}
-    if job == "attention":
-        pooler, _ = train_attention(data, PROTOCOL_DELAY, config=train_cfg)
-        histories = gather_histories(ds.validation.states, starts, PROTOCOL_DELAY + 1)
-        additive, fixed, best = closed_loop_forecast_batch(
-            pooler, histories, horizon, variants=("additive", "fixed_attention", "best_initial")
-        )
-        additive_vts, medians["additive"] = _medians_of(additive, truths)
-        _, medians["fixed_attention"] = _medians_of(fixed, truths)
-        _, medians["best_initial"] = _medians_of(best, truths)
-        return medians, additive_vts, additive.weights
-
-    current = assemble_open_loop(ds.train.states, cand, 1)
-    linear, _ = train_linear(
-        current.values.reshape(len(current.targets), -1), current.targets, train_cfg
-    )
-    [lin_res] = closed_loop_forecast_batch(
-        linear, gather_histories(ds.validation.states, starts, 1), horizon
-    )
-    _, medians["linear"] = _medians_of(lin_res, truths)
-
-    net, _ = train_ffnn(
-        data.queries,
-        data.targets,
-        PROTOCOL_DELAY,
-        config=TrainConfig(epochs=800, learning_rate=1e-3, batch_size=128, seed=PROTOCOL_SEED),
-    )
-    [ffnn_res] = closed_loop_forecast_batch(
-        net, gather_histories(ds.validation.states, starts, PROTOCOL_DELAY), horizon
-    )
-    _, medians["ffnn"] = _medians_of(ffnn_res, truths)
-    return medians, None, None
+def _csv_columns(path):
+    """A metric CSV's columns by header name, as strings."""
+    with open(path, newline="") as fh:
+        header, *rows = csv.reader(fh)
+    return dict(zip(header, np.array(rows, dtype=str).T))
 
 
 @pytest.fixture(scope="session")
-def protocol() -> ProtocolRun:
+def protocol(tmp_path_factory) -> ProtocolRun:
+    """The shipped ``lorenz-run`` at ``lorenz_full.yaml``'s keys with the
+    delay-5 models only, one worker process per core. The gates read its
+    medians, the additive valid times and the written attention weights."""
     start = time.monotonic()
-    data = cli.LorenzDataConfig()
-    ds = generate_dataset(
-        seed=PROTOCOL_SEED,
-        t_transient=data.t_transient,
-        t_train=data.t_train,
-        t_val=data.t_val,
-        n_val_segments=data.n_val_segments,
-        segment_len=data.segment_len,
-        warmup=data.warmup,
-    )
-    assert len(ds.train.states) == 4000
-    assert len(ds.segment_starts) == 200
+    out = tmp_path_factory.mktemp("protocol")
+    raw = yaml.safe_load((CONFIG_DIR / "lorenz_full.yaml").read_text())
+    raw["model"]["delays"] = [PROTOCOL_DELAY]
+    raw.update(seed=PROTOCOL_SEED, output=str(out / "run"), threads=len(os.sched_getaffinity(0)))
+    config = out / "protocol.yaml"
+    config.write_text(yaml.safe_dump(raw))
+    cfg = cli.validate_config(config)
+    # 4000 training samples, 200 segments of 128 steps
+    assert cfg.data == cli.LorenzDataConfig()
+    assert cfg.model.weights_delay == cfg.model.ffnn_delay == PROTOCOL_DELAY
+    run = cli.run_lorenz_experiment(cfg)
 
-    starts = np.array(ds.segment_starts)
-    horizon = ds.segment_len
-    truths = np.stack([ds.validation.states[s:s + horizon] for s in starts])
-    # the two halves are independent: one worker process per core, the
-    # longer (attention) first
-    shared = (ds, candidate_forecasts(ds.train.states), truths)
-    (medians, additive_vts, additive_weights), (baselines, _, _) = cli._run_jobs(
-        _protocol_job, shared, ["attention", "baselines"], threads=len(os.sched_getaffinity(0))
-    )
+    summary = _csv_columns(run / "vt_summary.csv")
+    assert set(summary["n_segments"]) == {"200"}
+    medians = dict(zip(summary["method"], summary["median_vt"].astype(float)))
+    vts = _csv_columns(run / "valid_times.csv")
+    additive = vts["method"] == "additive"
+    assert (vts["segment_id"][additive].astype(int) == np.arange(200)).all()
 
-    seg_t = ds.validation.t0 + (starts[:, None] + np.arange(horizon)[None, :]) * DT_SAMPLE
+    # one row per (segment, step, candidate) up to each segment's truncation
+    rows = np.loadtxt(run / "attention_weights.csv", delimiter=",", skiprows=1)
+    seg, step = rows[:, 0].astype(int), rows[:, 1].astype(int)
+    candidate = np.searchsorted(CANDIDATE_RHOS, rows[:, 3])
+    weights = np.full((200, cfg.data.segment_len, len(CANDIDATE_RHOS)), np.nan)
+    weights[seg, step, candidate] = rows[:, 4]
+    rho_at_step = np.full(weights.shape[:2], np.nan)
+    rho_at_step[seg, step] = rho_true(rows[:, 2])
     return ProtocolRun(
-        medians={**medians, **baselines},
-        additive_vts=additive_vts,
-        additive_weights=additive_weights,
-        rho_at_step=np.vectorize(rho_true)(seg_t),
+        medians=medians,
+        additive_vts=vts["valid_time"][additive].astype(float),
+        additive_weights=weights,
+        rho_at_step=rho_at_step,
         elapsed=time.monotonic() - start,
     )
 

@@ -77,6 +77,19 @@ def ceiling_stepper(ceiling: float):
     return stepper
 
 
+def baseline(kind: str):
+    """A linear pooler near the candidates' mean, or an untrained direct net
+    at delay 2, and the history depth it rolls out from."""
+    if kind == "linear":
+        rng = np.random.default_rng(5)
+        weight = np.full((3, 33), 1.0 / 11.0) + rng.normal(0.0, 1e-3, (3, 33))
+        return LinearPooler(weight, np.zeros(3)), 1
+    net = init_ffnn(spawn_rng(6, "retire"), ffnn_hidden_size(2), 6, 3)
+    net.delay_length = 2
+    net.scaler = Standardizer.identity(6)
+    return net, 2
+
+
 @pytest.fixture(scope="module")
 def segments(small, trained):
     """Histories of 12 start points along the validation run, the stepper
@@ -96,6 +109,21 @@ def segments(small, trained):
     steps = {int(r.truncated_at[0]) for runs in alone.values() for r in runs}
     assert {-1, 0} < steps
     return hist, stepper, alone
+
+
+@pytest.fixture(scope="module")
+def baselines_alone(segments):
+    """Per baseline kind: the model, its history depth, and each segment of
+    ``segments`` rolled out alone under the same stepper."""
+    hist, stepper, _ = segments
+    out = {}
+    for kind in ("linear", "ffnn"):
+        model, depth = baseline(kind)
+        out[kind] = model, depth, [
+            closed_loop_forecast_batch(model, hist[b : b + 1, -depth:], 12, stepper)[0]
+            for b in range(len(hist))
+        ]
+    return out
 
 
 class TestStandardizer:
@@ -639,18 +667,25 @@ class TestClosedLoop:
         assert res.weights is None
         assert res.truncated_at.tolist() == [-1, -1]
 
-    def test_single_segment_equals_its_batch_row(self, trained, small):
-        pooler, _ = trained
+    @pytest.mark.parametrize("kind", ["attention", "linear", "ffnn"])
+    def test_single_segment_equals_its_batch_row(self, trained, small, kind):
+        """Every model computes each row apart from its batch: a segment
+        rolled out alone has the bits of its row among 23."""
         ds, _, _ = small
-        hist = gather_histories(ds.validation.states, ds.segment_starts, 4)
-        for variant in VARIANTS:
-            [batch] = closed_loop_forecast_batch(pooler, hist, 8, variants=[variant])
+        if kind == "attention":
+            model, depth, variants = trained[0], trained[0].delay_length + 1, VARIANTS
+        else:
+            (model, depth), variants = baseline(kind), ("additive",)
+        hist = gather_histories(ds.validation.states, range(8, 300, 13), depth)
+        for variant in variants:
+            [batch] = closed_loop_forecast_batch(model, hist, 8, variants=[variant])
             for b in range(len(hist)):
                 [single] = closed_loop_forecast_batch(
-                    pooler, hist[b : b + 1], 8, variants=[variant]
+                    model, hist[b : b + 1], 8, variants=[variant]
                 )
                 np.testing.assert_array_equal(single.predictions[0], batch.predictions[b])
-                np.testing.assert_array_equal(single.weights[0], batch.weights[b])
+                if kind == "attention":
+                    np.testing.assert_array_equal(single.weights[0], batch.weights[b])
 
     @pytest.mark.parametrize("ceiling", [56.0, 60.0])
     def test_variants_in_one_call_equal_separate_calls(self, trained, small, ceiling):
@@ -678,19 +713,30 @@ class TestClosedLoop:
 
     @settings(max_examples=30, deadline=None)
     @given(data=st.data())
-    def test_batched_rollout_equals_per_segment_rollouts(self, trained, segments, data):
-        """A batch of any subset of segments, in any order, run under any
-        ordered set of variants, gives each segment its rollout alone."""
-        pooler, _ = trained
+    def test_batched_rollout_equals_per_segment_rollouts(
+        self, trained, segments, baselines_alone, data
+    ):
+        """A batch of any subset of segments, in any order, run by any model
+        (the attention pooler under any ordered set of variants), gives each
+        segment its rollout alone."""
         hist, stepper, alone = segments
+        kind = data.draw(st.sampled_from(["attention", "linear", "ffnn"]))
         rows = data.draw(st.lists(st.integers(0, len(hist) - 1), min_size=1, unique=True))
-        variants = data.draw(st.lists(st.sampled_from(VARIANTS), min_size=1, unique=True))
-        merged = closed_loop_forecast_batch(pooler, hist[rows], 12, stepper, variants=variants)
+        if kind == "attention":
+            model, depth = trained[0], hist.shape[1]
+            variants = data.draw(st.lists(st.sampled_from(VARIANTS), min_size=1, unique=True))
+        else:
+            model, depth, runs = baselines_alone[kind]
+            variants, alone = ["additive"], {"additive": runs}
+        merged = closed_loop_forecast_batch(
+            model, hist[rows, -depth:], 12, stepper, variants=variants
+        )
         for variant, res in zip(variants, merged):
             for i, b in enumerate(rows):
                 ref = alone[variant][b]
                 np.testing.assert_array_equal(res.predictions[i], ref.predictions[0])
-                np.testing.assert_array_equal(res.weights[i], ref.weights[0])
+                if ref.weights is not None:
+                    np.testing.assert_array_equal(res.weights[i], ref.weights[0])
                 assert res.truncated_at[i] == ref.truncated_at[0]
 
     def test_required_history(self, trained, small):
@@ -836,18 +882,11 @@ class TestRetirement:
 
     @pytest.mark.parametrize("kind", ["linear", "ffnn"])
     def test_baselines_keep_their_bits_as_rows_leave(self, small, kind):
-        """The baselines' matmuls see every row at its place in a batch of
-        the full height, so the rows that stay keep the bits of the full
+        """The baselines compute each row apart from the rest of its batch,
+        so as rows leave, the rows that stay keep the bits of the full
         rollout."""
         ds, _, _ = small
-        if kind == "linear":
-            rng = np.random.default_rng(5)
-            weight = np.full((3, 33), 1.0 / 11.0) + rng.normal(0.0, 1e-3, (3, 33))
-            model, depth = LinearPooler(weight, np.zeros(3)), 1
-        else:
-            model, depth = init_ffnn(spawn_rng(6, "retire"), ffnn_hidden_size(2), 6, 3), 2
-            model.delay_length = depth
-            model.scaler = Standardizer.identity(6)
+        model, depth = baseline(kind)
         hist = gather_histories(ds.validation.states, range(8, 300, 13), depth)
         horizon = 20
         [full] = closed_loop_forecast_batch(model, hist, horizon)
