@@ -31,7 +31,7 @@ from dataclasses import MISSING, asdict, dataclass, field, fields
 from datetime import date
 from difflib import get_close_matches
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 import click
 import numpy as np
@@ -623,20 +623,15 @@ def _worker_count(threads: int, n_jobs: int) -> int:
     return min(threads, cores, n_jobs)
 
 
-@contextmanager
-def _one_blas_thread():
-    """Run OpenBLAS on one thread inside the block, then restore its thread
-    count; where numpy bundles no OpenBLAS, BLAS is left as it is.
+# where the numpy wheel keeps the libraries it bundles
+_NUMPY_LIBS = Path(np.__file__).parent.parent / "numpy.libs"
 
-    Every job runs inside this, in a worker or in this process. The bits of
-    some hub kernels depend on OpenBLAS's thread count, so a job's results
-    then depend neither on the worker count nor on the environment's BLAS
-    settings; and the workers already fill the cores, so more BLAS threads
-    would only oversubscribe them.
-    """
-    restore = []
-    libs = Path(np.__file__).parent.parent / "numpy.libs"
-    for lib in sorted(libs.glob("*openblas*")):
+
+def _openblas_thread_controls() -> list[tuple[str, Callable[[], int], Callable[[int], None]]]:
+    """``(file name, get, set)`` of the thread-count calls of each OpenBLAS
+    that the numpy wheel bundles; empty where it bundles none."""
+    controls = []
+    for lib in sorted(_NUMPY_LIBS.glob("*openblas*")):
         handle = ctypes.CDLL(str(lib))
         for name in (
             "scipy_openblas_{}_num_threads64_",
@@ -648,9 +643,31 @@ def _one_blas_thread():
             if get is not None and set_ is not None:
                 get.argtypes, get.restype = [], ctypes.c_int
                 set_.argtypes, set_.restype = [ctypes.c_int], None
-                restore.append((set_, get()))
-                set_(1)
+                controls.append((lib.name, get, set_))
                 break
+    return controls
+
+
+def _blas_pinned() -> list[str]:
+    """The libraries :func:`_one_blas_thread` pins, for the manifest: an
+    empty list says that the jobs ran with BLAS as the environment set it."""
+    return [name for name, _, _ in _openblas_thread_controls()]
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run OpenBLAS on one thread inside the block, then restore its thread
+    count; where numpy bundles no OpenBLAS, BLAS is left as it is.
+
+    Every job runs inside this, in a worker or in this process. The bits of
+    some hub kernels depend on OpenBLAS's thread count, so a job's results
+    then depend neither on the worker count nor on the environment's BLAS
+    settings; and the workers already fill the cores, so more BLAS threads
+    would only oversubscribe them.
+    """
+    restore = [(set_, get()) for _, get, set_ in _openblas_thread_controls()]
+    for set_, _ in restore:
+        set_(1)
     try:
         yield
     finally:
@@ -863,7 +880,8 @@ def run_lorenz_experiment(cfg: ExperimentConfig) -> Path:
             if blocks:
                 with open(stage.path(name), "w", newline="") as fh:
                     fh.writelines(blocks)
-        return _finish(stage, cfg, "lorenz-run", started, extra={"closed_loop": closed_loop})
+        extra = {"closed_loop": closed_loop, "blas_pinned": _blas_pinned()}
+        return _finish(stage, cfg, "lorenz-run", started, extra=extra)
 
 
 def _segment_blocks(header: str, line: str, seg_t0, dt, steps_by_segment) -> list[str]:
@@ -957,13 +975,15 @@ def _covid_job(inputs, job) -> tuple[dict, covid.PeriodScores]:
     samples, periods, config = inputs
     pi, kind = job
     result = covid.train_pooler(kind, samples, holdout=periods[pi], config=config)
+    scores = covid.evaluate_period(result.pooler, samples, periods[pi])
     info = {
         "first_train_wis": float(result.curve[0]) if len(result.curve) else None,
         "final_train_wis": float(result.curve[-1]) if len(result.curve) else None,
         "sort_repairs": result.sort_repairs,
+        "heldout_sort_repairs": scores.sort_repairs,
     }
     click.echo(f"[covid] trained {kind} holding out period {pi}", err=True)
-    return info, covid.evaluate_period(result.pooler, samples, periods[pi])
+    return info, scores
 
 
 def run_covid_experiment(cfg: ExperimentConfig) -> Path:
@@ -1042,7 +1062,10 @@ def run_covid_experiment(cfg: ExperimentConfig) -> Path:
         )
         extra = {
             "n_imputed_cells": len(log),
+            "n_repaired_cells": len(report.repaired_cells),
+            "n_dropped_level_rows": report.dropped_level_rows,
             "ingest_warnings": list(report.warnings),
+            "blas_pinned": _blas_pinned(),
             "training": training_info,
         }
         if best_single_ids:

@@ -7,6 +7,7 @@ Every public operation here either returns finite values or raises.
 
 from __future__ import annotations
 
+import math
 from dataclasses import fields, replace
 from zlib import crc32
 
@@ -45,10 +46,10 @@ BETA2 = 0.999
 EPSILON = 1e-8
 
 # elements per slice of the sliced update: a slice's six vectors (gradient,
-# parameters, two moments, two scratch) take 1.5 MB, so they stay in a 2 MB
-# L2 across the update's passes, where the whole vectors of a hub model (2 MB
-# each at 244,461 parameters) do not; smaller slices lose more to per-call
-# overhead than they gain
+# parameters, two moments, spare parameters, scratch) take 1.5 MB, so they
+# stay in a 2 MB L2 across the update's passes, where the whole vectors of a
+# hub model (2 MB each at 244,461 parameters) do not; smaller slices lose more
+# to per-call overhead than they gain
 ADAM_BLOCK = 32768
 
 
@@ -58,35 +59,52 @@ class FlatAdam:
     every array of the model.
 
     ``flat_params`` holds the array fields of ``model`` in declaration order,
-    and each field is rebound to its view of it; fields that are not arrays
-    are shared, not trained. ``grads`` is a copy of ``model`` whose array
-    fields are views of ``flat_grads``, so a backward that writes into
-    ``grads`` fills what :meth:`step` reads. ``first_moment`` and
-    ``second_moment`` have the layout of ``flat_params``; ``step_count`` is
-    the number of updates already applied. Weight decay is decoupled: it is
-    applied directly to the parameters, not folded into the gradient.
+    and each field is bound to its view of it; fields that are not arrays
+    are shared, not trained. Each step writes the new parameters into a
+    spare vector and then swaps it with ``flat_params``, so after a step
+    ``flat_params`` is another vector than before it, and the model's fields
+    are bound to views of the new one; hold the model's fields, or
+    ``flat_params``, only across code that runs no step. ``grads`` is a copy
+    of ``model`` whose array fields are views of ``flat_grads``, so a
+    backward that writes into ``grads`` fills what :meth:`step` reads.
+    ``first_moment`` and ``second_moment`` have the layout of
+    ``flat_params``; ``step_count`` is the number of updates already
+    applied. Weight decay is decoupled: it is applied directly to the
+    parameters, not folded into the gradient.
     """
 
     def __init__(self, model: object, learning_rate: float, weight_decay: float = 0.0):
         arrays = {n: np.asarray(getattr(model, n), dtype=np.float64) for n in _array_fields(model)}
+        self._model = model
         self._names = list(arrays)
+        self._shapes = [a.shape for a in arrays.values()]
         self._stops = np.cumsum([a.size for a in arrays.values()])
-        self.flat_params = np.zeros(self._stops[-1])
+        self._bind(np.concatenate([a.ravel() for a in arrays.values()]))
         self.flat_grads = np.zeros_like(self.flat_params)
-        grads = {}
-        for (name, a), start, stop in zip(arrays.items(), [0, *self._stops], self._stops):
-            param = self.flat_params[start:stop].reshape(a.shape)
-            param[...] = a
-            setattr(model, name, param)
-            grads[name] = self.flat_grads[start:stop].reshape(a.shape)
-        self.grads = replace(model, **grads)
+        self.grads = replace(model, **self._views(self.flat_grads))
         self.first_moment = np.zeros_like(self.flat_params)
         self.second_moment = np.zeros_like(self.flat_params)
         self.step_count = 0
         self.learning_rate = learning_rate
         self.weight_decay = weight_decay
-        # scratch for the in-place update, so a step allocates nothing
+        # the spare parameter vector and a scratch vector for the update, so
+        # a step allocates nothing
         self._scratch = (np.empty_like(self.flat_params), np.empty_like(self.flat_params))
+
+    def _views(self, flat: Array) -> dict[str, Array]:
+        """Each array field's view of ``flat``, by name."""
+        starts = [0, *self._stops[:-1]]
+        return {
+            name: flat[start:stop].reshape(shape)
+            for name, shape, start, stop in zip(self._names, self._shapes, starts, self._stops)
+        }
+
+    def _bind(self, flat: Array) -> None:
+        """Make ``flat`` the parameter vector and bind the model's array
+        fields to their views of it."""
+        self.flat_params = flat
+        for name, view in self._views(flat).items():
+            setattr(self._model, name, view)
 
     def step(self) -> None:
         adam_step(self)
@@ -100,8 +118,8 @@ def _require_finite_entries(arr: Array, what: str, opt: FlatAdam) -> None:
 
 
 def adam_step(opt: FlatAdam) -> None:
-    """One Adam update of ``opt.flat_params`` in place from
-    ``opt.flat_grads``; advances the moments and the step count.
+    """One Adam update of ``opt``'s parameters from ``opt.flat_grads``;
+    advances the moments and the step count.
 
     A non-finite gradient raises before anything changes: the moments, the
     step count and the parameters are left as they were. A non-finite
@@ -111,11 +129,18 @@ def adam_step(opt: FlatAdam) -> None:
     operations of
 
         m = b1 m + (1 - b1) g,   v = b2 v + (1 - b2) g^2,
-        p = p - lr (m / (1 - b1^t)) / (sqrt(v / (1 - b2^t)) + eps) - lr wd p
+        p = p (1 - lr wd) - a_t m / (sqrt(v) + eps_t)
 
-    in this order, one slice of ``ADAM_BLOCK`` elements at a time. Each
-    element gets the same operations whatever the slicing, so the update
-    gives the same bits as evaluating them array by array.
+    in this order, one slice of ``ADAM_BLOCK`` elements at a time, with
+    ``a_t = lr sqrt(1 - b2^t) / (1 - b1^t)`` and
+    ``eps_t = eps sqrt(1 - b2^t)``: the order of Section 2 of Kingma & Ba
+    (2015), which folds both bias corrections into the step size and the
+    denominator guard, so each element costs one division, with the weight
+    decay decoupled as in AdamW. The new parameters are written into the
+    spare vector, which is then swapped with ``opt.flat_params``, and the
+    model's fields are bound to views of the new vector; nothing is copied
+    back. Each element gets the same operations whatever the slicing, so
+    the update gives the same bits as evaluating them array by array.
     """
     param, grad = opt.flat_params, opt.flat_grads
     _require_finite_entries(grad, "gradient of ", opt)
@@ -123,7 +148,10 @@ def adam_step(opt: FlatAdam) -> None:
     opt.step_count += 1
     t = opt.step_count
     b1, b2, lr, wd = BETA1, BETA2, opt.learning_rate, opt.weight_decay
-    m_scale, v_scale = 1.0 - b1**t, 1.0 - b2**t
+    root_v_scale = math.sqrt(1.0 - b2**t)
+    step_size = lr * root_v_scale / (1.0 - b1**t)
+    guard = EPSILON * root_v_scale
+    decay = 1.0 - lr * wd
     updated, scratch = opt._scratch
     for start in range(0, param.size, ADAM_BLOCK):
         block = slice(start, start + ADAM_BLOCK)
@@ -136,15 +164,12 @@ def adam_step(opt: FlatAdam) -> None:
         step *= 1.0 - b2
         v *= b2
         v += step
-        np.divide(m, m_scale, out=step)
-        step *= lr
-        np.divide(v, v_scale, out=denom)
-        np.sqrt(denom, out=denom)
-        denom += EPSILON
+        np.sqrt(v, out=denom)
+        denom += guard
+        np.multiply(m, step_size, out=step)
         step /= denom
-        np.subtract(p, step, out=step)
-        if wd != 0.0:
-            np.multiply(p, lr * wd, out=denom)
-            step -= denom
+        np.multiply(p, decay, out=denom)
+        np.subtract(denom, step, out=step)
     _require_finite_entries(updated, "updated ", opt)
-    np.copyto(param, updated)
+    opt._scratch = (param, scratch)
+    opt._bind(updated)

@@ -573,6 +573,23 @@ class TestCovidRun:
             "period0", "period1", "period2", "period3"
         }
 
+    def test_manifest_counts_what_ingest_repaired_and_scoring_sorted(self, covid_out):
+        """The ingest counts and each job's held-out sort repairs, next to
+        its training ones; the additive pooler's outputs are convex
+        combinations of sorted quantiles and never need sorting."""
+        out, _ = covid_out
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["n_repaired_cells"] == 0
+        assert manifest["n_dropped_level_rows"] == 0
+        for job, info in manifest["training"].items():
+            assert set(info) == {
+                "first_train_wis", "final_train_wis", "sort_repairs", "heldout_sort_repairs"
+            }, job
+            assert isinstance(info["heldout_sort_repairs"], int), job
+            assert info["heldout_sort_repairs"] >= 0, job
+            if job.endswith("/additive"):
+                assert info["sort_repairs"] == info["heldout_sort_repairs"] == 0, job
+
     def test_manifest_records_ingest_warning_texts(self, covid_out, tmp_path):
         out, _ = covid_out
         with open(out / "forecasts.csv", newline="") as fh:
@@ -599,6 +616,7 @@ class TestCovidRun:
         assert manifest["ingest_warnings"] == [
             f"sorted non-monotone quantiles for ({model}, {location}, {week})"
         ]
+        assert manifest["n_repaired_cells"] == 1
 
     def test_rerun_keeps_input_files_its_previous_manifest_listed(self, covid_out, tmp_path):
         """A covid-run reading forecasts.csv and truth.csv that the previous
@@ -862,6 +880,31 @@ def test_outputs_do_not_depend_on_workers_or_blas_threads(tmp_path, command, tex
         assert run.returncode == 0, run.stderr
         outputs.append(json.loads((tmp_path / threads / "manifest.json").read_text())["outputs"])
     assert outputs[0] == outputs[1]
+
+
+def test_manifests_name_the_openblas_the_pin_found(lorenz_out, covid_out):
+    bundled = sorted(p.name for p in cli._NUMPY_LIBS.glob("*openblas*"))
+    if not bundled:
+        pytest.skip(f"numpy bundles no OpenBLAS in {cli._NUMPY_LIBS}, so nothing is pinned")
+    for out, _ in (lorenz_out, covid_out):
+        pinned = json.loads((out / "manifest.json").read_text())["blas_pinned"]
+        assert pinned, out
+        assert set(pinned) <= set(bundled), (pinned, bundled)
+        assert all("openblas" in name for name in pinned), pinned
+
+
+def test_manifest_records_an_empty_pin_without_a_bundled_openblas(tmp_path, monkeypatch):
+    """Where the numpy wheel holds no OpenBLAS the pin finds nothing and
+    the manifest says so."""
+    libs = tmp_path / "numpy.libs"
+    libs.mkdir()
+    monkeypatch.setattr(cli, "_NUMPY_LIBS", libs)
+    cfg = write_config(
+        tmp_path, COVID_TINY + "  methods: [uniform]\n", out=str(tmp_path / "out")
+    )
+    result = invoke("covid-run", "--config", str(cfg))
+    assert result.exit_code == 0, result.output + str(result.exception)
+    assert json.loads((tmp_path / "out" / "manifest.json").read_text())["blas_pinned"] == []
 
 
 def test_worker_count_is_capped_by_cores_and_jobs(monkeypatch):

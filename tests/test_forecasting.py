@@ -282,6 +282,17 @@ class TestTraining:
         _, curve = trained
         assert curve[-1] < curve[0]
 
+    def test_trained_pooler_holds_views_of_one_flat_vector(self, trained):
+        """The optimizer swaps parameter vectors at each step; the returned
+        pooler's arrays view the last one, in field order."""
+        params = trained[0].params
+        flat = params.w_query.base
+        for name in HEAD_FIELDS:
+            assert getattr(params, name).base is flat, name
+        np.testing.assert_array_equal(
+            np.concatenate([getattr(params, n).ravel() for n in HEAD_FIELDS]), flat
+        )
+
     def test_beats_best_single_candidate(self, small):
         ds, cand, _ = small
         data = assemble_open_loop(ds.train.states, cand, 5)

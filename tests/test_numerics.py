@@ -1,5 +1,6 @@
 """Adam updates, finite differences, and seeded init."""
 
+import math
 from dataclasses import dataclass, fields, make_dataclass
 
 import numpy as np
@@ -134,12 +135,13 @@ class TestAdam:
             opt.step()
 
     def test_flat_update_matches_per_array_recurrence_bitwise(self, monkeypatch):
-        """One in-place update of a multi-array model's flat vector gives the
-        bits of the allocating update applied array by array, weight decay
-        on, in one slice and in 5-element slices, where the array boundaries
-        fall inside slices and the last slice is short. A non-finite result
-        in the last slice names its array and leaves every parameter as it
-        was."""
+        """One sliced update of a multi-array model's flat vector gives the
+        bits of the allocating update applied array by array, in the order
+        with the bias corrections folded into the step size and the guard,
+        weight decay on, in one slice and in 5-element slices, where the
+        array boundaries fall inside slices and the last slice is short. A
+        non-finite result in the last slice names its array and leaves every
+        parameter as it was."""
         # 122 entries: array stops at 24, 96, 108 and 122, a 2-entry last slice
         shapes = {"w_query": (3, 4, 2), "w_key": (3, 4, 6), "bias": (3, 4), "w_out": (2, 7)}
         lr, wd, b1, b2, eps = 0.01, 1e-3, 0.9, 0.999, 1e-8
@@ -159,10 +161,9 @@ class TestAdam:
                     m = b1 * m + (1.0 - b1) * g
                     v = b2 * v + (1.0 - b2) * (g * g)
                     moments[n] = (m, v)
-                    m_hat = m / (1.0 - b1**t)
-                    v_hat = v / (1.0 - b2**t)
-                    updated = p - lr * m_hat / (np.sqrt(v_hat) + eps)
-                    expect[n] = updated - lr * wd * p
+                    step_size = lr * math.sqrt(1.0 - b2**t) / (1.0 - b1**t)
+                    guard = eps * math.sqrt(1.0 - b2**t)
+                    expect[n] = p * (1.0 - lr * wd) - step_size * m / (np.sqrt(v) + guard)
                 opt.step()
                 for n in shapes:
                     np.testing.assert_array_equal(
@@ -173,6 +174,63 @@ class TestAdam:
             with pytest.raises(ValueError, match="updated w_out$"):
                 opt.step()
             np.testing.assert_array_equal(opt.flat_params, before)
+
+    def test_moments_keep_the_textbook_bits_over_many_steps(self):
+        """Over 200 steps, weight decay on and gradient scales from 1e-6 to
+        1e2, the moments equal the textbook recurrence bit for bit, and the
+        parameters stay within 1e-11 of textbook AdamW, which divides the
+        moments by their bias corrections."""
+        lr, wd, b1, b2, eps = 1e-3, 1e-2, 0.9, 0.999, 1e-8
+        rng = np.random.default_rng(17)
+        # |p| starts in [1, 2] and 200 steps of at most lr each move it by
+        # at most 0.2, so no entry nears zero, where rtol would not hold
+        p = rng.uniform(1.0, 2.0, size=270) * rng.choice([-1.0, 1.0], size=270)
+        scales = 10.0 ** np.repeat(np.arange(-6, 3), 30)
+        model, opt = adam_on(p, learning_rate=lr, weight_decay=wd)
+        m, v = np.zeros_like(p), np.zeros_like(p)
+        for t in range(1, 201):
+            g = rng.normal(size=p.size) * scales
+            adam_update(opt, g)
+            m = b1 * m + (1.0 - b1) * g
+            v = b2 * v + (1.0 - b2) * (g * g)
+            m_hat = m / (1.0 - b1**t)
+            v_hat = v / (1.0 - b2**t)
+            p = p - lr * m_hat / (np.sqrt(v_hat) + eps) - lr * wd * p
+            np.testing.assert_array_equal(opt.first_moment, m, err_msg=f"step {t}")
+            np.testing.assert_array_equal(opt.second_moment, v, err_msg=f"step {t}")
+            np.testing.assert_allclose(model.w, p, rtol=1e-11, atol=0, err_msg=f"step {t}")
+
+    def test_a_step_swaps_the_parameter_vector_and_rebinds_the_fields(self):
+        """A step writes the new parameters into the spare vector and swaps
+        it in: afterwards every array field views the new ``flat_params``
+        and none views the old one, now spare, and the gradient fields still
+        view ``flat_grads``. A step whose result is not finite leaves the
+        fields and ``flat_params`` on the old vector, with their old
+        values."""
+        shapes = {"w_query": (3, 4, 2), "w_key": (3, 4, 6), "bias": (3, 4), "w_out": (2, 7)}
+        model, opt = adam_over(shapes, learning_rate=0.01, weight_decay=1e-3)
+        rng = np.random.default_rng(3)
+        opt.flat_params[:] = rng.normal(size=opt.flat_params.size)
+        for t in range(1, 6):
+            opt.flat_grads[:] = rng.normal(size=opt.flat_grads.size)
+            spare = opt.flat_params
+            opt.step()
+            assert opt.flat_params is not spare, f"step {t}"
+            for n in shapes:
+                assert getattr(model, n).base is opt.flat_params, (n, t)
+                assert not np.shares_memory(getattr(model, n), spare), (n, t)
+                assert getattr(opt.grads, n).base is opt.flat_grads, (n, t)
+            np.testing.assert_array_equal(
+                np.concatenate([getattr(model, n).ravel() for n in shapes]), opt.flat_params
+            )
+        model.bias[2, 3] = np.nan
+        vector, values = opt.flat_params, opt.flat_params.copy()
+        with pytest.raises(ValueError, match="updated bias$"):
+            opt.step()
+        assert opt.flat_params is vector
+        for n in shapes:
+            assert getattr(model, n).base is vector, n
+        np.testing.assert_array_equal(opt.flat_params, values)
 
     def test_non_finite_entry_in_buffer_names_its_array(self):
         model, opt = adam_over({"w_query": (2, 3), "w_key": (2, 5), "bias": (2,)})
@@ -192,7 +250,7 @@ class TestAdam:
         before = opt.flat_params.copy()
         with pytest.raises(ValueError, match="updated bias"):
             opt.step()
-        # the check runs before the update is written back
+        # the check runs before the update is swapped in
         np.testing.assert_array_equal(opt.flat_params, before)
 
     def test_fields_are_rebound_to_views_of_the_flat_vector(self):
