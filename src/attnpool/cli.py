@@ -1062,6 +1062,8 @@ def run_covid_experiment(cfg: ExperimentConfig) -> Path:
         )
         extra = {
             "n_imputed_cells": len(log),
+            "n_forecast_rows": report.forecast_rows,
+            "n_truth_rows": report.truth_rows,
             "n_repaired_cells": len(report.repaired_cells),
             "n_dropped_level_rows": report.dropped_level_rows,
             "ingest_warnings": list(report.warnings),

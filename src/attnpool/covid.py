@@ -150,8 +150,10 @@ class ForecastTable:
 
 @dataclass
 class IngestReport:
-    """What ingestion repaired or discarded, for the experiment log."""
+    """What ingestion read, repaired or discarded, for the experiment log."""
 
+    forecast_rows: int = 0  # data rows read from each file
+    truth_rows: int = 0
     dropped_level_rows: int = 0
     repaired_cells: list[tuple[str, str, date]] = field(default_factory=list)
     warnings: list[str] = field(default_factory=list)
@@ -215,8 +217,10 @@ def ingest(
     once, on its first row; later rows look it up, and only a row's value
     is checked on every row. So the first bad occurrence is named by its row.
     """
+    report = IngestReport()
     truth_cells: dict[tuple[str, date], float] = {}
     for rownum, fields in _read_rows(truth_csv, TRUTH_HEADER):
+        report.truth_rows += 1
         loc = fields[0].strip()
         week = _parse_date(truth_csv, rownum, fields[1])
         deaths = _parse_float(truth_csv, rownum, fields[2], "inc_death")
@@ -248,13 +252,13 @@ def ingest(
         raise ValueError(f"{truth_csv}: no truth record for ({locations[l]}, {weeks[w]})")
     truth = TruthTable(locations=locations, weeks=weeks, deaths=deaths)
 
-    report = IngestReport()
     # a cell: one slot per level (see _match_level), then its first row number
     empty = [None] * (N_LEVELS + len(TOLERATED_LEVELS))
     cells: dict[tuple[str, str, date], list] = {}
     cell_of_text: dict[tuple[str, str, str], list] = {}
     slot_of_text: dict[str, int] = {}
     for rownum, fields in _read_rows(forecast_csv, FORECAST_HEADER):
+        report.forecast_rows += 1
         text = (fields[0], fields[1], fields[2])
         cell = cell_of_text.get(text)
         slot = slot_of_text.get(fields[3])

@@ -16,16 +16,18 @@ The trainable pooling model is the additive-attention head from
 Closed-loop mechanics: each step, every candidate model is re-integrated
 from the *pooled* previous output, the pooled output stands in for the truth
 when forming the next query and the next key errors, and the attention
-weights are recomputed from those surrogate inputs. Two degraded variants
-reuse the same trained parameters: ``fixed_attention`` freezes the weight
-vector computed at step 0, and ``best_initial`` runs the single candidate
-that got the largest step-0 weight. The variants of one model run as one
-batch, one tile of the start points per variant: the step-0 weights are
-computed once for all tiles, only the ``additive`` tile recomputes them
-afterwards, and one stepper call integrates every tile's candidates. Given
-the segments' truths, the driver forms no forecast from them: they only
-decide when a row's valid time is settled, and the row then leaves the
-batch.
+weights are recomputed from those surrogate inputs. The driver keeps the
+model's inputs as two newest-first delay-embedding arrays, the query of
+past outputs and the keys of past candidate errors; each step shifts both
+one lag back and writes the new output and errors at lag 0. Two degraded
+variants reuse the same trained parameters: ``fixed_attention`` freezes the
+weight vector computed at step 0, and ``best_initial`` runs the single
+candidate that got the largest step-0 weight. The variants of one model run
+as one batch, one tile of the start points per variant: the step-0 weights
+are computed once for all tiles, only the ``additive`` tile recomputes them
+afterwards, and every tile's candidates are integrated together. Given the
+segments' truths, the driver forms no forecast from them: they only decide
+when a row's valid time is settled, and the row then leaves the batch.
 
 One row policy holds for every model the closed loop steps: each row of a
 batch has its own matmuls (:func:`_by_row`, ``attention._stacked_forward``),
@@ -47,7 +49,7 @@ from .attention import (
     single_head_forward,
 )
 from .evaluation import exceeded
-from .lorenz import CANDIDATE_RHOS, candidate_one_step_batch
+from .lorenz import candidate_steps
 from .numerics import Array, FlatAdam, spawn_rng, uniform_init
 
 # ---------------------------------------------------------------------------
@@ -418,21 +420,6 @@ def train_ffnn(
 
 VARIANTS = ("additive", "fixed_attention", "best_initial")
 
-# A stepper maps current states (B, d) to all candidate one-step forecasts
-# (B, M, d); the closed-loop driver re-invokes it from the pooled output.
-CandidateStepper = Callable[[Array], Array]
-
-
-def lorenz_candidate_stepper(rhos=CANDIDATE_RHOS) -> CandidateStepper:
-    rhos = np.asarray(rhos, dtype=np.float64)
-
-    def stepper(states: Array) -> Array:
-        states = np.asarray(states, dtype=np.float64)
-        tiled = np.broadcast_to(states[:, None, :], (len(states), len(rhos), states.shape[1]))
-        return candidate_one_step_batch(tiled, rhos[None, :])
-
-    return stepper
-
 
 def gather_histories(states: Array, starts, depth: int) -> Array:
     """Stack the ``depth`` samples preceding each start index: (B, depth, d)."""
@@ -470,86 +457,16 @@ def _finite_rows(arr: Array) -> Array:
     return np.isfinite(arr).all(axis=tuple(range(1, arr.ndim)))
 
 
-@dataclass(frozen=True)
-class _RolloutStep:
-    """What one model reads and computes at each closed-loop step.
-
-    ``step(states, errors, values, rows)`` gets the newest-first buffers of
-    the last ``states`` outputs and the last ``errors`` candidate errors
-    (each candidate's forecast minus the output it stood in for), plus the
-    candidate forecasts for this step when ``candidates`` is set, else None,
-    all for the batch rows ``rows`` still stepping (ascending indices into
-    the tiled batch; every row at step 0); it returns the output and the
-    pooling weights (M per row) or None.
-    """
-
-    states: int
-    errors: int
-    candidates: bool
-    step: Callable
-
-
 def _one_hot_argmax(weights: Array) -> Array:
     out = np.zeros_like(weights)
     out[np.arange(len(weights)), weights.argmax(axis=1)] = 1.0
     return out
 
 
-def _rollout_step(model, variants: tuple[str, ...], n_segments: int) -> _RolloutStep:
-    """The step of ``model`` over a batch of ``len(variants)`` tiles of
-    ``n_segments`` rows, tile i run as ``variants[i]``."""
-    if isinstance(model, AttentionPooler):
-        additive = np.repeat([v == "additive" for v in variants], n_segments)
-        frozen = None
-
-        def weigh(states, errors, values, rows):
-            query = np.concatenate([s[rows] for s in states], axis=-1)
-            keys = np.concatenate([e[rows] for e in errors], axis=-1)
-            return model.forward(query, keys, values[rows])[1]
-
-        def attend(states, errors, values, rows):
-            nonlocal frozen
-            if frozen is None:
-                # every tile holds the same inputs at step 0, so the first
-                # tile's weights serve them all; the frozen tiles keep them
-                fresh = weigh(states, errors, values, slice(0, n_segments))
-                frozen = np.concatenate(
-                    [_one_hot_argmax(fresh) if v == "best_initial" else fresh for v in variants]
-                )
-                weights = frozen
-            else:
-                weights = frozen[rows]
-                recompute = additive[rows]
-                if recompute.any():
-                    weights[recompute] = weigh(states, errors, values, recompute)
-            return np.einsum("bm,bmd->bd", weights, values), weights
-
-        length = model.delay_length
-        return _RolloutStep(length, length, True, attend)
-    if variants != ("additive",):
-        raise ValueError(
-            f"variants {variants!r}: all but 'additive' are for the attention pooler only"
-        )
-    if isinstance(model, LinearPooler):
-
-        def pool_linear(states, errors, values, rows):
-            return model.predict(values.reshape(len(values), -1)), None
-
-        return _RolloutStep(1, 0, True, pool_linear)
-    if isinstance(model, FeedForwardNet):
-
-        def predict_direct(states, errors, values, rows):
-            return model.predict(np.concatenate(states, axis=-1)), None
-
-        return _RolloutStep(model.delay_length, 0, False, predict_direct)
-    raise TypeError(f"unknown model type {type(model).__name__}")
-
-
 def closed_loop_forecast_batch(
     model: AttentionPooler | LinearPooler | FeedForwardNet,
     histories: Array,
     horizon: int,
-    stepper: CandidateStepper = None,
     variants: Sequence[str] = ("additive",),
     truths: Array | None = None,
     full_horizon: Sequence[str] = (),
@@ -561,18 +478,24 @@ def closed_loop_forecast_batch(
     first forecast target: depth is l+1 for the attention pooler (its oldest
     key term is a verified error, whose forecast was launched from the
     sample before the oldest embedded state), l for the direct net and 1
-    for the linear pooler. After initialization the driver forms no forecast
-    from the truth: candidate models re-integrate from the previous output,
-    which also refills the state buffer, and the error buffer takes the
-    candidates' deviation from it. Rows whose candidates (those seeding the
-    error buffer included) or output blow up are zeroed internally (the
-    origin integrates quietly), reported as NaN with their truncation step,
-    and leave the batch.
+    for the linear pooler. The driver steps two newest-first delay
+    embeddings, seeded from that history: the query (rows, S*d) of the last
+    S outputs, and the keys (rows, M, E*d) of the last E candidate errors,
+    each candidate's forecast minus the output it stood in for. S is l for
+    the attention pooler and the direct net and 1 for the linear pooler; E
+    is l for the attention pooler and 0 for the others. After
+    initialization the driver forms no forecast from the truth: each step,
+    the candidates (M of them, for every model but the direct net) are
+    integrated from the previous output, which then enters the query at lag
+    0, and the keys take the candidates' deviation from it. Rows whose
+    candidates (those seeding the keys included) or output blow up are
+    zeroed internally (the origin integrates quietly), reported as NaN with
+    their truncation step, and leave the batch.
     ``variants`` are distinct names from :data:`VARIANTS`, each a way for
     the attention pooler to weigh the candidates; the other models take
     only ``("additive",)``. The histories are tiled once per variant and
-    every tile steps in one batch, so the candidates are integrated by one
-    stepper call per step.
+    every tile steps in one batch: the step-0 weights are computed once, on
+    the first tile, and only the ``additive`` tile recomputes them later.
 
     ``truths`` (B, horizon, d), when given, holds the segments' true states;
     they only decide when a row stops. After each step, every row whose
@@ -589,12 +512,22 @@ def closed_loop_forecast_batch(
         raise ValueError(f"full_horizon {tuple(full_horizon)!r} names no variant of {variants!r}")
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
-    if stepper is None:
-        stepper = lorenz_candidate_stepper()
+    attention = isinstance(model, AttentionPooler)
+    if attention:
+        n_states = n_errors = model.delay_length
+    elif variants != ("additive",):
+        raise ValueError(
+            f"variants {variants!r}: all but 'additive' are for the attention pooler only"
+        )
+    elif isinstance(model, LinearPooler):
+        n_states, n_errors = 1, 0
+    elif isinstance(model, FeedForwardNet):
+        n_states, n_errors = model.delay_length, 0
+    else:
+        raise TypeError(f"unknown model type {type(model).__name__}")
     histories = np.asarray(histories, dtype=np.float64)
     n_segments = len(histories)
-    rollout = _rollout_step(model, variants, n_segments)
-    depth = max(rollout.states, rollout.errors + 1)
+    depth = max(n_states, n_errors + 1)
     if histories.ndim != 3 or histories.shape[1] != depth:
         raise ValueError(
             f"histories must be (B, {depth}, d) for this {type(model).__name__}, "
@@ -610,39 +543,51 @@ def closed_loop_forecast_batch(
     rows = np.arange(n_rows)  # the batch rows still stepping, ascending
     segment = rows % n_segments
     judged = np.repeat([truths is not None and v not in full_horizon for v in variants], n_segments)
+    additive = np.repeat([v == "additive" for v in variants], n_segments)
 
-    # newest-first buffers seeded from true history; entry k of the error
-    # buffer is (candidate forecast for history index -1-k) - (truth there)
-    state_buf = [histories[:, -1 - k, :] for k in range(rollout.states)]
-    error_buf = [
-        stepper(histories[:, -2 - k, :]) - histories[:, -1 - k, :][:, None, :]
-        for k in range(rollout.errors)
+    # lag k of the keys is (candidate forecast for history index -1-k) -
+    # (truth there); the baselines' keys are empty
+    query = np.concatenate([histories[:, -1 - k] for k in range(n_states)], axis=-1)
+    errors = [
+        candidate_steps(histories[:, -2 - k]) - histories[:, -1 - k, None] for k in range(n_errors)
     ]
-
+    keys = np.concatenate(errors, axis=-1) if errors else np.empty((n_rows, 0, 0))
     # a row whose seeded errors are not finite dies at step 0, its entries
     # zeroed like every dead row's, so its weights never go NaN
-    dead = np.zeros(n_rows, dtype=bool)
-    for errors in error_buf:
-        dead |= ~_finite_rows(errors)
-    for errors in error_buf:
-        errors[dead] = 0.0
+    dead = ~_finite_rows(keys)
+    keys[dead] = 0.0
     truncated_at = np.full(n_rows, -1, dtype=np.int64)
     steps = np.full(n_rows, horizon, dtype=np.int64)
     predictions = np.full((n_rows, horizon, dim), np.nan)
-    weights_out = None
-    values = None
+    weights_out = np.full((n_rows, horizon, keys.shape[1]), np.nan) if attention else None
     for step in range(horizon):
-        if rollout.candidates:
-            values = stepper(state_buf[0])
+        if not isinstance(model, FeedForwardNet):  # the direct net integrates no candidates
+            values = candidate_steps(query[:, :dim])
             dead |= ~_finite_rows(values)
             values[dead] = 0.0
-        out, weights = rollout.step(state_buf, error_buf, values, rows)
+        if attention:
+            if step == 0:
+                # every tile holds the same inputs at step 0, so the first
+                # tile's weights serve them all; the frozen tiles keep them
+                first = slice(0, n_segments)
+                fresh = model.forward(query[first], keys[first], values[first])[1]
+                weights = frozen = np.concatenate(
+                    [_one_hot_argmax(fresh) if v == "best_initial" else fresh for v in variants]
+                )
+            else:
+                weights = frozen[rows]
+                mask = additive[rows]
+                if mask.any():
+                    weights[mask] = model.forward(query[mask], keys[mask], values[mask])[1]
+            out = np.einsum("bm,bmd->bd", weights, values)
+        elif isinstance(model, LinearPooler):
+            out = model.predict(values.reshape(len(values), -1))
+        else:
+            out = model.predict(query)
         dead |= ~_finite_rows(out)
         live = ~dead
         predictions[rows[live], step] = out[live]
-        if weights is not None:
-            if weights_out is None:
-                weights_out = np.full((n_rows, horizon, weights.shape[1]), np.nan)
+        if attention:
             weights_out[rows[live], step] = weights[live]
         truncated_at[rows[dead]] = step
 
@@ -652,20 +597,17 @@ def closed_loop_forecast_batch(
         if done.any():
             steps[rows[done]] = step + 1
             keep = ~done
-            rows, out = rows[keep], out[keep]
-            state_buf = [s[keep] for s in state_buf]
-            error_buf = [e[keep] for e in error_buf]
-            if values is not None:
+            rows, out, dead = rows[keep], out[keep], dead[keep]
+            query, keys = query[keep], keys[keep]
+            if n_errors:
                 values = values[keep]
-            dead = dead[keep]
             if not len(rows):
                 break
 
-        state_buf.insert(0, out)
-        del state_buf[rollout.states :]
-        if rollout.errors:
-            error_buf.insert(0, values - out[:, None, :])
-            del error_buf[rollout.errors :]
+        # each embedding moves one lag back, the new output and errors at lag 0
+        query = np.concatenate([out, query[:, :-dim]], axis=-1)
+        if n_errors:
+            keys = np.concatenate([values - out[:, None, :], keys[..., :-dim]], axis=-1)
     tiles = [slice(i * n_segments, (i + 1) * n_segments) for i in range(len(variants))]
     return tuple(
         ClosedLoopResult(

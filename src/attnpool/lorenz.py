@@ -203,6 +203,15 @@ def candidate_one_step_batch(states: Array, rho_values: Array) -> Array:
     return out.reshape(states.shape)
 
 
+def candidate_steps(states: Array) -> Array:
+    """Every candidate's one-step forecast from each of the states (B, 3):
+    (B, M, 3), candidate m at ``CANDIDATE_RHOS[m]``."""
+    states = np.asarray(states, dtype=np.float64)
+    rhos = np.asarray(CANDIDATE_RHOS)
+    tiled = np.broadcast_to(states[:, None, :], (len(states), len(rhos), 3))
+    return candidate_one_step_batch(tiled, rhos[None, :])
+
+
 def candidate_forecasts(states: Array) -> Array:
     """One-step forecasts of every candidate from every state of a series.
 
@@ -211,12 +220,9 @@ def candidate_forecasts(states: Array) -> Array:
     Row 0 has no predecessor and is NaN.
     """
     states = np.asarray(states, dtype=np.float64)
-    n = len(states)
-    rhos = np.asarray(CANDIDATE_RHOS)
-    cand = np.full((n, len(rhos), 3), np.nan)
-    if n > 1:
-        tiled = np.broadcast_to(states[:-1, None, :], (n - 1, len(rhos), 3))
-        cand[1:] = candidate_one_step_batch(tiled, rhos[None, :])
+    cand = np.full((len(states), len(CANDIDATE_RHOS), 3), np.nan)
+    if len(states) > 1:
+        cand[1:] = candidate_steps(states[:-1])
     return cand
 
 

@@ -574,13 +574,16 @@ class TestCovidRun:
         }
 
     def test_manifest_counts_what_ingest_repaired_and_scoring_sorted(self, covid_out):
-        """The ingest counts and each job's held-out sort repairs, next to
-        its training ones; the additive pooler's outputs are convex
-        combinations of sorted quantiles and never need sorting."""
+        """The ingest counts (one row read per data line of each input
+        file) and each job's held-out sort repairs, next to its training
+        ones; the additive pooler's outputs are convex combinations of
+        sorted quantiles and never need sorting."""
         out, _ = covid_out
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["n_repaired_cells"] == 0
         assert manifest["n_dropped_level_rows"] == 0
+        for key, name in (("n_forecast_rows", "forecasts.csv"), ("n_truth_rows", "truth.csv")):
+            assert manifest[key] == len((out / name).read_text().splitlines()) - 1, key
         for job, info in manifest["training"].items():
             assert set(info) == {
                 "first_train_wis", "final_train_wis", "sort_repairs", "heldout_sort_repairs"

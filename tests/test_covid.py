@@ -409,6 +409,13 @@ class TestIngest:
         assert full.values.tobytes() == full_b.values.tobytes()
         assert log == log_b
 
+    def test_report_counts_the_data_rows_of_each_file(self, hub_files, ingested):
+        """One row read per line of each file, less its header."""
+        _, _, report = ingested
+        lines = [len(path.read_text().splitlines()) - 1 for path in hub_files]
+        assert min(lines) > 0
+        assert [report.forecast_rows, report.truth_rows] == lines
+
     def test_synthetic_round_trip(self, hub, ingested):
         table, truth, report = ingested
         assert table.models == hub.models

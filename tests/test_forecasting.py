@@ -1,6 +1,7 @@
 """Training loops, baseline models, and forecast drivers."""
 
 import warnings
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from oracles import (
     relative_gradient_error,
 )
 
+from attnpool import forecasting
 from attnpool.attention import HEAD_FIELDS, init_single_head
 from attnpool.evaluation import VALID_TIME_DT, exceeded, valid_time
 from attnpool.forecasting import (
@@ -33,7 +35,6 @@ from attnpool.forecasting import (
     fit,
     gather_histories,
     init_ffnn,
-    lorenz_candidate_stepper,
     train_attention,
     train_ffnn,
     train_linear,
@@ -41,6 +42,8 @@ from attnpool.forecasting import (
 from attnpool.lorenz import (
     CANDIDATE_RHOS,
     candidate_forecasts,
+    candidate_one_step_batch,
+    candidate_steps,
     generate_dataset,
     integrate,
 )
@@ -64,17 +67,30 @@ def trained(small):
     return train_attention(data, 3, config=TrainConfig(epochs=120, seed=7))
 
 
-def ceiling_stepper(ceiling: float):
+@contextmanager
+def candidates_by(steps):
+    """The closed-loop driver integrating its candidates with ``steps``,
+    states (B, d) to forecasts (B, M, d), in place of the Lorenz ensemble."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(forecasting, "candidate_steps", steps)
+        yield
+
+
+def ceiling_steps(ceiling: float):
     """The Lorenz candidates, blowing up from every state whose z exceeds
     ``ceiling``: truncates chosen rows mid-rollout, row by row."""
-    lorenz = lorenz_candidate_stepper()
 
-    def stepper(states):
-        out = lorenz(states)
+    def steps(states):
+        out = candidate_steps(states)
         out[states[:, 2] > ceiling] = np.inf
         return out
 
-    return stepper
+    return steps
+
+
+def one_candidate(rho: float):
+    """A lone Lorenz candidate at ``rho``."""
+    return lambda states: candidate_one_step_batch(states[:, None, :], rho)
 
 
 def baseline(kind: str):
@@ -92,37 +108,39 @@ def baseline(kind: str):
 
 @pytest.fixture(scope="module")
 def segments(small, trained):
-    """Histories of 12 start points along the validation run, the stepper
-    they roll out under, and each one's rollout alone under every variant.
-    Some truncate at step 0, some later, some never."""
+    """Histories of 12 start points along the validation run, the candidate
+    steps they roll out under, and each one's rollout alone under every
+    variant. Some truncate at step 0, some later, some never."""
     ds, _, _ = small
     pooler, _ = trained
     hist = gather_histories(ds.validation.states, range(8, 300, 25), 4)
-    stepper = ceiling_stepper(55.0)
-    alone = {
-        v: [
-            closed_loop_forecast_batch(pooler, hist[b : b + 1], 12, stepper, variants=[v])[0]
-            for b in range(len(hist))
-        ]
-        for v in VARIANTS
-    }
-    steps = {int(r.truncated_at[0]) for runs in alone.values() for r in runs}
-    assert {-1, 0} < steps
-    return hist, stepper, alone
+    steps = ceiling_steps(55.0)
+    with candidates_by(steps):
+        alone = {
+            v: [
+                closed_loop_forecast_batch(pooler, hist[b : b + 1], 12, variants=[v])[0]
+                for b in range(len(hist))
+            ]
+            for v in VARIANTS
+        }
+    stops = {int(r.truncated_at[0]) for runs in alone.values() for r in runs}
+    assert {-1, 0} < stops
+    return hist, steps, alone
 
 
 @pytest.fixture(scope="module")
 def baselines_alone(segments):
     """Per baseline kind: the model, its history depth, and each segment of
-    ``segments`` rolled out alone under the same stepper."""
-    hist, stepper, _ = segments
+    ``segments`` rolled out alone under the same candidate steps."""
+    hist, steps, _ = segments
     out = {}
     for kind in ("linear", "ffnn"):
         model, depth = baseline(kind)
-        out[kind] = model, depth, [
-            closed_loop_forecast_batch(model, hist[b : b + 1, -depth:], 12, stepper)[0]
-            for b in range(len(hist))
-        ]
+        with candidates_by(steps):
+            out[kind] = model, depth, [
+                closed_loop_forecast_batch(model, hist[b : b + 1, -depth:], 12)[0]
+                for b in range(len(hist))
+            ]
     return out
 
 
@@ -524,9 +542,8 @@ class TestClosedLoop:
             delay_length=3,
         )
         hist = gather_histories(truth.states, [6], 4)
-        [res] = closed_loop_forecast_batch(
-            pooler, hist, 20, lorenz_candidate_stepper([28.0])
-        )
+        with candidates_by(one_candidate(28.0)):
+            [res] = closed_loop_forecast_batch(pooler, hist, 20)
         np.testing.assert_array_equal(res.predictions[0], truth.states[6:26])
         np.testing.assert_array_equal(res.weights[0], 1.0)
         assert res.truncated_at[0] == -1
@@ -543,9 +560,8 @@ class TestClosedLoop:
             delay_length=2,
         )
         hist = gather_histories(truth.states, [5], 3)
-        [res] = closed_loop_forecast_batch(
-            pooler, hist, 12, lorenz_candidate_stepper([35.0]), variants=[variant]
-        )
+        with candidates_by(one_candidate(35.0)):
+            [res] = closed_loop_forecast_batch(pooler, hist, 12, variants=[variant])
         ref = integrate(truth.states[4], 0.0, 12, lambda t: 35.0)
         np.testing.assert_array_equal(res.predictions[0], ref.states)
 
@@ -616,11 +632,9 @@ class TestClosedLoop:
         z = hist[:, :, 2]
         rows = np.nonzero((z[:, -1] <= 30.0) & (z[:, :-1] > 30.0).any(axis=1))[0]
         assert len(rows) > 0
-        with warnings.catch_warnings():
+        with warnings.catch_warnings(), candidates_by(ceiling_steps(30.0)):
             warnings.simplefilter("error")
-            results = closed_loop_forecast_batch(
-                pooler, hist[rows], 12, ceiling_stepper(30.0), variants=VARIANTS
-            )
+            results = closed_loop_forecast_batch(pooler, hist[rows], 12, variants=VARIANTS)
         for res in results:
             assert res.truncated_at.tolist() == [0] * len(rows)
             assert np.isnan(res.predictions).all()
@@ -646,36 +660,52 @@ class TestClosedLoop:
         assert np.isfinite(res.predictions).all()
         assert res.truncated_at.tolist() == [-1, -1]
 
-    @pytest.mark.parametrize("kind", ["linear", "ffnn"])
-    def test_rollout_matches_a_plain_loop(self, small, kind):
-        """The linear pooler and the direct net against a plain per-step
-        loop: the pooler pools the candidates launched from its previous
-        output, the net reads its own last l outputs, newest first."""
+    @pytest.mark.parametrize("kind", ["attention", "linear", "ffnn"])
+    def test_rollout_matches_a_plain_loop(self, trained, small, kind):
+        """Each model against a plain per-step loop that keeps lists of
+        per-lag arrays, newest first: the attention pooler (``additive``)
+        attends from its last l outputs over the candidates' last l errors
+        against them, the linear pooler pools the candidates launched from
+        its previous output, and the net reads its own last l outputs."""
         ds, _, _ = small
-        stepper = lorenz_candidate_stepper()
-        if kind == "linear":
+        if kind == "attention":
+            model = trained[0]
+            n_states = n_errors = model.delay_length
+        elif kind == "linear":
             weight = np.zeros((3, 33))
             for c in range(3):
                 weight[c, c::3] = 1.0 / 11.0  # the candidates' mean
-            model, depth = LinearPooler(weight, np.zeros(3)), 1
+            model, n_states, n_errors = LinearPooler(weight, np.zeros(3)), 1, 0
         else:
-            model, depth = init_ffnn(spawn_rng(4, "plain"), 8, 6, 3), 2
-            model.delay_length = depth
+            model, n_states, n_errors = init_ffnn(spawn_rng(4, "plain"), 8, 6, 3), 2, 0
+            model.delay_length = n_states
             model.scaler = Standardizer.identity(6)
+        depth = max(n_states, n_errors + 1)
         hist = gather_histories(ds.validation.states, ds.segment_starts, depth)
         [res] = closed_loop_forecast_batch(model, hist, 10)
 
-        states = [hist[:, -1 - k] for k in range(depth)]
-        expected = []
+        states = [hist[:, -1 - k] for k in range(n_states)]
+        errors = [candidate_steps(hist[:, -2 - k]) - hist[:, -1 - k, None] for k in range(n_errors)]
+        expected, weights = [], []
         for _ in range(10):
-            if kind == "linear":
-                out = model.predict(stepper(states[0]).reshape(len(hist), -1))
+            values = candidate_steps(states[0])
+            if kind == "attention":
+                out, w = model.forward(
+                    np.concatenate(states, axis=-1), np.concatenate(errors, axis=-1), values
+                )
+                weights.append(w)
+                errors = [values - out[:, None, :]] + errors[:-1]
+            elif kind == "linear":
+                out = model.predict(values.reshape(len(hist), -1))
             else:
                 out = model.predict(np.concatenate(states, axis=-1))
             expected.append(out)
             states = [out] + states[:-1]
         np.testing.assert_array_equal(res.predictions, np.stack(expected, axis=1))
-        assert res.weights is None
+        if kind == "attention":
+            np.testing.assert_array_equal(res.weights, np.stack(weights, axis=1))
+        else:
+            assert res.weights is None
         assert res.truncated_at.tolist() == [-1, -1]
 
     @pytest.mark.parametrize("kind", ["attention", "linear", "ffnn"])
@@ -708,14 +738,14 @@ class TestClosedLoop:
         pooler, _ = trained
         ds, _, _ = small
         hist = gather_histories(ds.validation.states, ds.segment_starts, 4)
-        stepper = ceiling_stepper(ceiling)
         for variants in (VARIANTS, ("best_initial", "fixed_attention")):
-            merged = closed_loop_forecast_batch(pooler, hist, 16, stepper, variants=variants)
+            with candidates_by(ceiling_steps(ceiling)):
+                merged = closed_loop_forecast_batch(pooler, hist, 16, variants=variants)
+                runs = [
+                    closed_loop_forecast_batch(pooler, hist, 16, variants=[v]) for v in variants
+                ]
             assert len(merged) == len(variants)
-            for variant, res in zip(variants, merged):
-                [alone] = closed_loop_forecast_batch(
-                    pooler, hist, 16, stepper, variants=[variant]
-                )
+            for res, [alone] in zip(merged, runs):
                 np.testing.assert_array_equal(res.predictions, alone.predictions)
                 np.testing.assert_array_equal(res.weights, alone.weights)
                 np.testing.assert_array_equal(res.truncated_at, alone.truncated_at)
@@ -730,7 +760,7 @@ class TestClosedLoop:
         """A batch of any subset of segments, in any order, run by any model
         (the attention pooler under any ordered set of variants), gives each
         segment its rollout alone."""
-        hist, stepper, alone = segments
+        hist, steps, alone = segments
         kind = data.draw(st.sampled_from(["attention", "linear", "ffnn"]))
         rows = data.draw(st.lists(st.integers(0, len(hist) - 1), min_size=1, unique=True))
         if kind == "attention":
@@ -739,9 +769,8 @@ class TestClosedLoop:
         else:
             model, depth, runs = baselines_alone[kind]
             variants, alone = ["additive"], {"additive": runs}
-        merged = closed_loop_forecast_batch(
-            model, hist[rows, -depth:], 12, stepper, variants=variants
-        )
+        with candidates_by(steps):
+            merged = closed_loop_forecast_batch(model, hist[rows, -depth:], 12, variants=variants)
         for variant, res in zip(variants, merged):
             for i, b in enumerate(rows):
                 ref = alone[variant][b]
@@ -802,13 +831,13 @@ class TestClosedLoop:
             )
 
 
-def step_counter(stepper):
-    """``stepper``, recording the number of states of every call."""
+def step_counter(steps):
+    """``steps``, recording the number of states of every call."""
     sizes = []
 
     def spy(states):
         sizes.append(len(states))
-        return stepper(states)
+        return steps(states)
 
     return spy, sizes
 
@@ -853,16 +882,18 @@ class TestRetirement:
         that blow up, under every variant; the ``fixed_attention`` tile runs
         the whole horizon and keeps every bit."""
         pooler, _ = trained
-        hist, stepper, _ = segments
+        hist, steps, _ = segments
         horizon = 12
-        full = closed_loop_forecast_batch(pooler, hist, horizon, stepper, variants=VARIANTS)
+        with candidates_by(steps):
+            full = closed_loop_forecast_batch(pooler, hist, horizon, variants=VARIANTS)
         leave = np.resize([0, 2, 5, horizon - 1, horizon, 7], len(hist))
         truths = leaving_truths(full[0].predictions, leave)
-        spy, sizes = step_counter(stepper)
-        cut = closed_loop_forecast_batch(
-            pooler, hist, horizon, spy, variants=VARIANTS,
-            truths=truths, full_horizon=["fixed_attention"],
-        )
+        spy, sizes = step_counter(steps)
+        with candidates_by(spy):
+            cut = closed_loop_forecast_batch(
+                pooler, hist, horizon, variants=VARIANTS,
+                truths=truths, full_horizon=["fixed_attention"],
+            )
         for variant, c, f in zip(VARIANTS, cut, full):
             self.assert_cut_matches_full(c, f, truths, horizon, variant != "fixed_attention")
             if variant == "fixed_attention":
@@ -881,9 +912,10 @@ class TestRetirement:
 
     def test_without_truths_only_blown_up_rows_leave(self, trained, segments):
         pooler, _ = trained
-        hist, stepper, alone = segments
-        spy, sizes = step_counter(stepper)
-        [res] = closed_loop_forecast_batch(pooler, hist, 12, spy, variants=["additive"])
+        hist, steps, alone = segments
+        spy, sizes = step_counter(steps)
+        with candidates_by(spy):
+            [res] = closed_loop_forecast_batch(pooler, hist, 12, variants=["additive"])
         for b, ref in enumerate(alone["additive"]):
             np.testing.assert_array_equal(res.predictions[b], ref.predictions[0])
             np.testing.assert_array_equal(res.weights[b], ref.weights[0])
