@@ -157,7 +157,7 @@ def _stacked_backward(heads: Sequence[Array], cache, d_pooled: Array, grads: Seq
     at (P, B, M, h): w_score varies only along h, so it scales the reduced
     gradients, and d_scores is folded into the reductions over M. Gradients
     with respect to the inputs are not formed: no caller trains through the
-    query, keys or values.
+    query, keys or values. The activations of ``cache`` are overwritten.
     """
     q, k, v, act, weights = cache
     w_score = heads[2]
@@ -167,7 +167,7 @@ def _stacked_backward(heads: Sequence[Array], cache, d_pooled: Array, grads: Seq
     inner = np.sum(weights * d_weights, axis=-1, keepdims=True)
     d_scores = weights * (d_weights - inner)                               # (P, B, M)
     np.matmul(d_scores.reshape(p, 1, b * m), act.reshape(p, b * m, h), out=g_score[:, None])
-    d_tanh = act * act
+    d_tanh = np.multiply(act, act, out=act)                                # consumes the cache
     np.subtract(1.0, d_tanh, out=d_tanh)                                   # tanh'
     d_pre_m = (d_scores[..., None, :] @ d_tanh)[:, :, 0]                   # (P, B, h)
     scaled_keys = (d_scores[..., None] * k).reshape(p, b * m, k.shape[2])
@@ -197,7 +197,9 @@ def single_head_backward(
     """Parameter gradients of an arbitrary scalar loss given d loss / d pooled.
 
     The gradients, shaped and typed like ``params``, are written into
-    ``out`` (a training loop passes views into its gradient buffer).
+    ``out`` (a training loop passes views into its gradient buffer). The
+    backward consumes the cache's activations, writing tanh' over them: a
+    second backward needs a fresh forward.
     """
     q, k, v, act, weights = cache
     upstream = np.asarray(upstream, dtype=np.float64)
@@ -232,7 +234,8 @@ def multi_head_backward(
     params: MultiHeadParams, cache, upstream: Array, out: MultiHeadParams
 ) -> MultiHeadParams:
     """Parameter gradients of the stacked heads and the mixer, written into
-    ``out``."""
+    ``out``. Like :func:`single_head_backward`, it consumes the cache's
+    activations: a second backward needs a fresh forward."""
     concat = cache[-1]
     upstream = np.asarray(upstream, dtype=np.float64)
     b, p = len(upstream), params.n_heads

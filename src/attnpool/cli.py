@@ -31,7 +31,7 @@ from dataclasses import MISSING, asdict, dataclass, field, fields
 from datetime import date
 from difflib import get_close_matches
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import click
 import numpy as np
@@ -747,6 +747,7 @@ class _LorenzInputs:
     cand_train: np.ndarray  # candidate forecasts along the training run
     truths: np.ndarray      # (segments, segment_len, 3)
     seg_t0: np.ndarray      # model time of each segment's first step
+    stage: Path             # the staging directory the job writes its CSVs into
 
 
 def _train_lorenz_model(inputs: _LorenzInputs, method: str, length: int):
@@ -767,12 +768,12 @@ def _train_lorenz_model(inputs: _LorenzInputs, method: str, length: int):
     return train_ffnn(data.queries, data.targets, length, hidden=m.ffnn_hidden, config=config)
 
 
-def _lorenz_job(inputs: _LorenzInputs, job) -> tuple[list, list, list, list, list]:
+def _lorenz_job(inputs: _LorenzInputs, job) -> tuple[list, list, list]:
     """Train one (method, l) model, roll out every method scored with it in
-    one closed-loop call and return its loss and valid-time rows, the text
-    blocks of ``attention_weights.csv`` and ``forecasts.csv`` (empty but for
-    the ``additive`` run at ``weights_delay``), and each scored method's
-    closed-loop work.
+    one closed-loop call and return its loss and valid-time rows and each
+    scored method's closed-loop work. The ``additive`` job at
+    ``weights_delay`` writes ``attention_weights.csv`` (and, when asked,
+    ``forecasts.csv``) into the stage itself, one segment block at a time.
 
     Every row stops once its valid time is decided, except in the tile whose
     forecasts are written out, which runs the whole horizon."""
@@ -789,7 +790,7 @@ def _lorenz_job(inputs: _LorenzInputs, job) -> tuple[list, list, list, list, lis
         model, histories, inputs.dataset.segment_len, variants=[v for _, v in scored],
         truths=inputs.truths, full_horizon=["additive"] if written else (),
     )
-    vt_rows, weights_text, forecasts_text, work = [], [], [], []
+    vt_rows, work = [], []
     for (method, _), res in zip(scored, results):
         vts = [valid_time(pred, truth) for pred, truth in zip(res.predictions, inputs.truths)]
         vt_rows.append((method, length, vts))
@@ -800,11 +801,17 @@ def _lorenz_job(inputs: _LorenzInputs, job) -> tuple[list, list, list, list, lis
             "truncated_rows": int((res.truncated_at >= 0).sum()),
         }))
         if written and method == "additive":
-            weights_text = _weights_text(res, inputs.seg_t0, val.dt_sample)
+            _write_blocks(
+                inputs.stage / "attention_weights.csv",
+                _weights_text(res, inputs.seg_t0, val.dt_sample),
+            )
             if m.write_forecasts:
-                forecasts_text = _forecasts_text(res, inputs.truths, inputs.seg_t0, val.dt_sample)
+                _write_blocks(
+                    inputs.stage / "forecasts.csv",
+                    _forecasts_text(res, inputs.truths, inputs.seg_t0, val.dt_sample),
+                )
     click.echo(f"[lorenz] {trained} l={length} done", err=True)
-    return loss_rows, vt_rows, weights_text, forecasts_text, work
+    return loss_rows, vt_rows, work
 
 
 def run_lorenz_experiment(cfg: ExperimentConfig) -> Path:
@@ -829,6 +836,7 @@ def run_lorenz_experiment(cfg: ExperimentConfig) -> Path:
             cand_train=candidate_forecasts(dataset.train.states),
             truths=np.stack([val.states[s : s + horizon] for s in starts]),
             seg_t0=val.t0 + np.asarray(starts) * val.dt_sample,
+            stage=stage.partial,
         )
         # (trained method, l, history depth, ((scored method, variant), ...));
         # the attention variants share one model per delay length
@@ -846,14 +854,11 @@ def run_lorenz_experiment(cfg: ExperimentConfig) -> Path:
 
         vt_rows: list[tuple[str, int, list[float]]] = []
         loss_rows: list[list[str]] = []
-        texts = {}
         closed_loop: dict[str, dict[str, dict]] = {}
         for job in attention + baselines:
-            loss, vts, weights, forecasts, work = done[job]
+            loss, vts, work = done[job]
             loss_rows += loss
             vt_rows += vts
-            if weights:  # the additive job at weights_delay, and only it
-                texts = {"attention_weights.csv": weights, "forecasts.csv": forecasts}
             for method, length, record in work:
                 closed_loop.setdefault(method, {})[str(length)] = record
 
@@ -876,35 +881,37 @@ def run_lorenz_experiment(cfg: ExperimentConfig) -> Path:
             ),
         )
         _write_csv(stage.path("loss_curve.csv"), ["method", "l", "epoch", "loss"], loss_rows)
-        for name, blocks in texts.items():
-            if blocks:
-                with open(stage.path(name), "w", newline="") as fh:
-                    fh.writelines(blocks)
         extra = {"closed_loop": closed_loop, "blas_pinned": _blas_pinned()}
         return _finish(stage, cfg, "lorenz-run", started, extra=extra)
 
 
-def _segment_blocks(header: str, line: str, seg_t0, dt, steps_by_segment) -> list[str]:
-    """A CSV as text blocks: ``header``, then one block per segment holding
-    ``line.format(f"{segment_id},{step},{t}", *fields)`` for each step's
-    ``fields`` in that segment's entry of ``steps_by_segment``.
+def _write_blocks(path: Path, blocks: Iterator[str]) -> None:
+    """Write text blocks to ``path`` as they are made."""
+    with open(path, "w", newline="") as fh:
+        fh.writelines(blocks)
+
+
+def _segment_blocks(header: str, line: str, seg_t0, dt, steps_by_segment) -> Iterator[str]:
+    """A CSV as text blocks, yielded one at a time: ``header``, then one
+    block per segment holding ``line.format(f"{segment_id},{step},{t}",
+    *fields)`` for each step's ``fields`` in that segment's entry of
+    ``steps_by_segment``.
 
     The fields are integers and ``%.17g`` floats (``nan`` and ``inf``
     included), none of which ``csv.writer`` would quote, so the blocks hold
     the bytes it writes; each block is built by one join, without a list
     per row.
     """
-    blocks = [header]
+    yield header
     for seg, steps in enumerate(steps_by_segment):
         t0 = seg_t0[seg]
-        blocks.append("".join(
+        yield "".join(
             line.format(f"{seg},{step},{_fmt(t0 + step * dt)}", *fields)
             for step, fields in enumerate(steps)
-        ))
-    return blocks
+        )
 
 
-def _weights_text(res, seg_t0, dt) -> list[str]:
+def _weights_text(res, seg_t0, dt) -> Iterator[str]:
     """``attention_weights.csv``: one row per (segment, step, candidate) up
     to each segment's truncation."""
     horizon = res.weights.shape[1]
@@ -916,7 +923,7 @@ def _weights_text(res, seg_t0, dt) -> list[str]:
     return _segment_blocks("segment_id,step,t,rho_m,weight\n", line, seg_t0, dt, steps)
 
 
-def _forecasts_text(res, truths, seg_t0, dt) -> list[str]:
+def _forecasts_text(res, truths, seg_t0, dt) -> Iterator[str]:
     """``forecasts.csv``: one row per (segment, step) over the whole horizon,
     the predictions ``nan`` from a segment's truncation on."""
     header = "segment_id,step,t,yhat1,yhat2,yhat3,true1,true2,true3\n"

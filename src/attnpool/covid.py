@@ -497,37 +497,34 @@ def assemble_samples(
             f"need more than {delay} weeks of data, got {n_weeks}"
         )
 
-    n_models = len(forecasts.models)
-    n_locs = len(truth.locations)
-    # per-week key block: median error first, then the 20 other quantiles
-    other_levels = [i for i in range(N_LEVELS) if i != MEDIAN_INDEX]
-    blocks = np.concatenate(
-        [
-            (forecasts.values[:, :, :, MEDIAN_INDEX] - truth.deaths[None, :, :])[..., None],
-            forecasts.values[:, :, :, other_levels],
-        ],
-        axis=3,
-    )  # (M, L, W, 21)
-
     targets = np.arange(delay, n_weeks, dtype=np.intp)
     lags = targets[:, None] - np.arange(1, delay + 1)  # (T, delay), newest first
+    n_locs, n_models = len(truth.locations), len(forecasts.models)
     n_rows = n_locs * len(targets)
-
-    def rows_first(arr: Array) -> Array:
-        """(M, L, T, ...) gathered per model -> (L * T, M, -1), location-major."""
-        return np.moveaxis(arr, 0, 2).reshape(n_rows, n_models, -1)
-
+    locs, models = np.arange(n_locs), np.arange(n_models)
+    # Each gather broadcasts (location, target, model[, lag]) indices, so it
+    # lands straight in row order: (L, T, M, ...) is (L * T, M, ...),
+    # location-major.
+    past = lags[:, None, :]                                   # (T, 1, delay)
+    queries = truth.deaths[:, lags]                           # (L, T, delay)
+    values = forecasts.values[models, locs[:, None, None], targets[:, None]]
     # the forecasts for weeks j .. j-delay+1 are those at lags + 1
-    linear_inputs = rows_first(forecasts.values[:, :, lags + 1]).reshape(n_rows, -1)
+    linear_inputs = forecasts.values[models[:, None], locs[:, None, None, None], past + 1]
+    # per-week key block: median error first, then the 20 other quantiles
+    key_levels = [MEDIAN_INDEX] + [i for i in range(N_LEVELS) if i != MEDIAN_INDEX]
+    keys = forecasts.values[
+        models[:, None, None], locs[:, None, None, None, None], past[..., None], key_levels
+    ]                                                         # (L, T, M, delay, 21)
+    keys[..., 0] -= queries[:, :, None, :]
     return HubSamples(
         models=forecasts.models,
         locations=truth.locations,
         weeks=truth.weeks,
         delay=delay,
-        queries=truth.deaths[:, lags].reshape(n_rows, delay),
-        keys=rows_first(blocks[:, :, lags]),
-        values=rows_first(forecasts.values[:, :, targets]),
-        linear_inputs=linear_inputs,
+        queries=queries.reshape(n_rows, delay),
+        keys=keys.reshape(n_rows, n_models, -1),
+        values=values.reshape(n_rows, n_models, N_LEVELS),
+        linear_inputs=linear_inputs.reshape(n_rows, -1),
         truths=truth.deaths[:, targets].reshape(-1),
         location_idx=np.repeat(np.arange(n_locs, dtype=np.intp), len(targets)),
         week_idx=np.tile(targets, n_locs),
@@ -672,8 +669,10 @@ class QuantilePooler:
     def inputs(self, samples: HubSamples, rows: Array | slice) -> tuple[Array, tuple[Array, ...]]:
         """The row scales and the model's inputs for the sample rows
         ``rows``, an index array or a slice (a slice reads the samples
-        without a copy): each row divided by its location's scale, then
-        standardized, in the order the kind's forward takes them."""
+        without a copy): each row divided by its location's scale when the
+        pooler has per-location scales, then standardized, in the order the
+        kind's forward takes them. An input that is neither divided nor
+        standardized is the samples' own rows."""
         if self.delay != samples.delay:
             raise ValueError(
                 f"pooler was trained at delay {self.delay}, samples use {samples.delay}"
@@ -681,18 +680,29 @@ class QuantilePooler:
         scale = self._row_scales(samples, rows)
         if self.kind in BASELINE_KINDS:
             return scale, (samples.values[rows],)
+        divisor = None if self.location_scales is None else scale
         if self.kind == "linear":
-            return scale, (_per_row(samples.linear_inputs[rows], scale),)
+            return scale, (_per_row(samples.linear_inputs[rows], divisor),)
         return scale, (
-            self.query_scaler.apply(_per_row(samples.queries[rows], scale)),
-            self.key_scaler.apply(_per_row(samples.keys[rows], scale)),
-            _per_row(samples.values[rows], scale),
+            _per_row(samples.queries[rows], divisor, self.query_scaler),
+            _per_row(samples.keys[rows], divisor, self.key_scaler),
+            _per_row(samples.values[rows], divisor),
         )
 
 
-def _per_row(arr: Array, scale: Array) -> Array:
-    """``arr`` with each row (first axis) divided by its entry of ``scale``."""
-    return arr / scale.reshape((-1,) + (1,) * (arr.ndim - 1))
+def _per_row(arr: Array, scale: Array | None, standardizer: Standardizer | None = None) -> Array:
+    """``arr`` with each row (first axis) divided by its entry of ``scale``,
+    then standardized by ``standardizer`` when one is given. Without
+    ``scale`` the division is skipped (``x / 1.0`` is ``x``), so with
+    neither ``arr`` itself comes back; otherwise the division and the
+    standardization share one new array."""
+    if scale is None:
+        return arr if standardizer is None else standardizer.apply(arr)
+    out = arr / scale.reshape((-1,) + (1,) * (arr.ndim - 1))
+    if standardizer is not None:
+        out -= standardizer.mean
+        out /= standardizer.scale
+    return out
 
 
 def _uniform_forward(params: None, values: Array):
@@ -815,7 +825,7 @@ def train_pooler(
     )
     if kind != "linear":
         # the standardizers see the training rows after per-location scaling
-        train_scale = pooler._row_scales(samples, train_rows)
+        train_scale = None if loc_scales is None else pooler._row_scales(samples, train_rows)
         pooler = replace(
             pooler,
             query_scaler=Standardizer.fit(_per_row(samples.queries[train_rows], train_scale)),

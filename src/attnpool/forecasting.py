@@ -25,9 +25,10 @@ weight vector computed at step 0, and ``best_initial`` runs the single
 candidate that got the largest step-0 weight. The variants of one model run
 as one batch, one tile of the start points per variant: the step-0 weights
 are computed once for all tiles, only the ``additive`` tile recomputes them
-afterwards, and every tile's candidates are integrated together. Given the
-segments' truths, the driver forms no forecast from them: they only decide
-when a row's valid time is settled, and the row then leaves the batch.
+afterwards (so after step 0 only its rows keep keys), and every tile's
+candidates are integrated together. Given the segments' truths, the driver
+forms no forecast from them: they only decide when a row's valid time is
+settled, and the row then leaves the batch.
 
 One row policy holds for every model the closed loop steps: each row of a
 batch has its own matmuls (:func:`_by_row`, ``attention._stacked_forward``),
@@ -81,7 +82,10 @@ class Standardizer:
         return cls(mean=np.zeros(dim), scale=np.ones(dim))
 
     def apply(self, arr: Array) -> Array:
-        return (np.asarray(arr, dtype=np.float64) - self.mean) / self.scale
+        """``(arr - mean) / scale`` in one new array, divided in place."""
+        out = np.subtract(arr, self.mean, dtype=np.float64)
+        out /= self.scale
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -128,13 +132,6 @@ class OpenLoopData:
     target_indices: Array  # (N,) indices into the source series
 
 
-def _delayed_states(states: Array, length: int) -> tuple[Array, Array]:
-    """Delay-embedded past states for every target index >= length + 1."""
-    idx = np.arange(length + 1, len(states))
-    stacked = np.concatenate([states[idx - 1 - k] for k in range(length)], axis=-1)
-    return idx, stacked
-
-
 def assemble_open_loop(states: Array, candidates: Array, length: int) -> OpenLoopData:
     states = np.asarray(states, dtype=np.float64)
     candidates = np.asarray(candidates, dtype=np.float64)
@@ -153,11 +150,15 @@ def assemble_open_loop(states: Array, candidates: Array, length: int) -> OpenLoo
         )
     # verified error of each candidate at each index (row 0 has no forecast)
     errors = candidates - states[:, None, :]
-    idx, queries = _delayed_states(states, length)
-    keys = np.concatenate([errors[idx - 1 - k] for k in range(length)], axis=-1)
+    # every target index >= length + 1, and its past indices newest first
+    idx = np.arange(length + 1, n)
+    lags = idx[:, None] - np.arange(1, length + 1)                        # (N, l)
+    # one gather each, straight into row order: (N, l, d) and (N, M, l, d)
+    m = candidates.shape[1]
+    keys = errors[lags[:, None, :, None], np.arange(m)[:, None, None], np.arange(d)]
     return OpenLoopData(
-        queries=queries,
-        keys=keys,
+        queries=states[lags].reshape(len(idx), length * d),
+        keys=keys.reshape(len(idx), m, length * d),
         values=candidates[idx],
         targets=states[idx],
         target_indices=idx,
@@ -495,7 +496,8 @@ def closed_loop_forecast_batch(
     the attention pooler to weigh the candidates; the other models take
     only ``("additive",)``. The histories are tiled once per variant and
     every tile steps in one batch: the step-0 weights are computed once, on
-    the first tile, and only the ``additive`` tile recomputes them later.
+    the first tile, and only the ``additive`` tile recomputes them later,
+    so only its rows keep and shift keys after step 0.
 
     ``truths`` (B, horizon, d), when given, holds the segments' true states;
     they only decide when a row stops. After each step, every row whose
@@ -574,11 +576,13 @@ def closed_loop_forecast_batch(
                 weights = frozen = np.concatenate(
                     [_one_hot_argmax(fresh) if v == "best_initial" else fresh for v in variants]
                 )
+                # from here on the keys hold the rows of the additive tile only
+                keys = keys[additive]
             else:
                 weights = frozen[rows]
                 mask = additive[rows]
                 if mask.any():
-                    weights[mask] = model.forward(query[mask], keys[mask], values[mask])[1]
+                    weights[mask] = model.forward(query[mask], keys, values[mask])[1]
             out = np.einsum("bm,bmd->bd", weights, values)
         elif isinstance(model, LinearPooler):
             out = model.predict(values.reshape(len(values), -1))
@@ -597,17 +601,18 @@ def closed_loop_forecast_batch(
         if done.any():
             steps[rows[done]] = step + 1
             keep = ~done
-            rows, out, dead = rows[keep], out[keep], dead[keep]
-            query, keys = query[keep], keys[keep]
             if n_errors:
-                values = values[keep]
+                keys, values = keys[keep[additive[rows]]], values[keep]
+            rows, out, dead = rows[keep], out[keep], dead[keep]
+            query = query[keep]
             if not len(rows):
                 break
 
         # each embedding moves one lag back, the new output and errors at lag 0
         query = np.concatenate([out, query[:, :-dim]], axis=-1)
         if n_errors:
-            keys = np.concatenate([values - out[:, None, :], keys[..., :-dim]], axis=-1)
+            mask = additive[rows]
+            keys = np.concatenate([values[mask] - out[mask, None, :], keys[..., :-dim]], axis=-1)
     tiles = [slice(i * n_segments, (i + 1) * n_segments) for i in range(len(variants))]
     return tuple(
         ClosedLoopResult(

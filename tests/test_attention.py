@@ -255,6 +255,8 @@ class TestMultiHead:
         np.testing.assert_array_equal(weights, ref_weights)
         fresh = multi_head_backward(mp, cache, upstream, out=empty_like_fields(mp))
         into = MultiHeadParams(**{n: np.full_like(g, np.nan) for n, g in ref_grads.items()})
+        # the backward consumes its cache, so the second one runs on a fresh forward
+        cache = multi_head_forward(mp, query, keys, values)[2]
         multi_head_backward(mp, cache, upstream, out=into)
         for name, expect in ref_grads.items():
             np.testing.assert_array_equal(getattr(fresh, name), expect, err_msg=name)
@@ -328,8 +330,10 @@ class TestBackward:
         V = rng.normal(size=(128, 11, 3))
         G = rng.normal(size=(128, 3))
         _, _, cache = single_head_forward(params, Q, K, V)
+        # the reference reads the activations, which the backward consumes
+        expected = einsum_backward(params, cache, G)
         grads = single_head_backward(params, cache, G, out=empty_like_fields(params))
-        for name, expect in einsum_backward(params, cache, G).items():
+        for name, expect in expected.items():
             # the reductions run over B*M = 1408 terms in another order, so
             # entries that cancel to near zero are held to the array's scale
             scale = np.abs(expect).max()
@@ -352,6 +356,8 @@ class TestBackward:
         _, _, cache = single_head_forward(params, Q, K, V)
         fresh = single_head_backward(params, cache, G, out=empty_like_fields(params))
         into = SingleHeadParams(*(np.full_like(getattr(params, n), np.nan) for n in HEAD_FIELDS))
+        # the backward consumes its cache, so the second one runs on a fresh forward
+        _, _, cache = single_head_forward(params, Q, K, V)
         assert single_head_backward(params, cache, G, out=into) is into
         for name in HEAD_FIELDS:
             np.testing.assert_array_equal(

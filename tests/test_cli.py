@@ -462,6 +462,28 @@ class TestLorenzRun:
         assert sorted(p.name for p in (tmp_path / "out").iterdir()) == []
         assert worker_pools == ([2] if threads == "2" else [])
 
+    def test_failure_after_the_weights_are_streamed_writes_nothing(self, tmp_path, monkeypatch):
+        """At one thread the additive job at weights_delay runs first and
+        writes its segment CSVs into the stage; when the ffnn job after it
+        fails, the run exits 2 and leaves the output directory empty."""
+        streamed = []
+
+        def write_blocks(path, blocks, write=cli._write_blocks):
+            write(path, blocks)
+            streamed.append(path.name)
+
+        def train_ffnn(*args, **kwargs):
+            raise RuntimeError("ffnn training failed")
+
+        monkeypatch.setattr(cli, "_write_blocks", write_blocks)
+        monkeypatch.setattr(cli, "train_ffnn", train_ffnn)
+        cfg = write_config(tmp_path, LORENZ_TINY, out=str(tmp_path / "out"))
+        result = invoke("lorenz-run", "--config", str(cfg), "--threads", "1")
+        assert result.exit_code == 2
+        assert "error: ffnn training failed" in result.stderr
+        assert streamed == ["attention_weights.csv", "forecasts.csv"]
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == []
+
     def test_rerun_removes_the_previous_runs_stale_outputs(self, lorenz_out, tmp_path):
         """A rerun that writes fewer files deletes the ones the previous
         manifest listed, and leaves a file that no manifest lists."""
@@ -788,7 +810,7 @@ class TestWeightRows:
         n_seg, horizon = 5, 7
         res = closed_loop_result(n_seg, horizon, [-1, 3, 0, -1, 6])
         seg_t0 = 12.3 + np.arange(n_seg) * 25.6
-        blocks = cli._weights_text(res, seg_t0, 0.1)
+        blocks = list(cli._weights_text(res, seg_t0, 0.1))
         rows = reference_weight_rows(res, seg_t0, 0.1)
         assert "".join(blocks) == csv_bytes(["segment_id", "step", "t", "rho_m", "weight"], rows)
         assert len(blocks) == 1 + n_seg
@@ -822,13 +844,30 @@ class TestWeightRows:
         seg_t0 = 12.3 + np.arange(n_seg) * 25.6
         tracemalloc.start()
         try:
-            blocks = cli._weights_text(res, seg_t0, 0.1)
+            blocks = list(cli._weights_text(res, seg_t0, 0.1))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         size = sum(len(b) for b in blocks)
         assert size > n_seg * horizon * len(CANDIDATE_RHOS) * 30
         assert peak < 1.5 * size, f"peak {peak} B for a {size} B file"
+
+    def test_streamed_write_holds_about_one_segment_block(self, tmp_path):
+        """Written as they are made, the same 40 blocks never sit in memory
+        together: the write peaks below a quarter of the file's bytes."""
+        n_seg, horizon = 40, 128
+        res = closed_loop_result(n_seg, horizon, [-1] * n_seg)
+        seg_t0 = 12.3 + np.arange(n_seg) * 25.6
+        path = tmp_path / "attention_weights.csv"
+        tracemalloc.start()
+        try:
+            cli._write_blocks(path, cli._weights_text(res, seg_t0, 0.1))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        size = path.stat().st_size
+        assert size == len("".join(cli._weights_text(res, seg_t0, 0.1)))
+        assert peak < 0.25 * size, f"peak {peak} B for a {size} B file"
 
 
 def test_importing_the_cli_does_not_load_scipy_stats():

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from datetime import date, timedelta
 from pathlib import Path
 
@@ -22,7 +23,7 @@ from attnpool.covid import (
     ValidationPeriod,
 )
 from attnpool.evaluation import WIS_ALPHAS, wis_batch
-from attnpool.forecasting import LinearPooler
+from attnpool.forecasting import LinearPooler, Standardizer
 from attnpool.numerics import spawn_rng
 
 
@@ -640,6 +641,52 @@ class TestAssembleSamples:
         with pytest.raises(ValueError, match="delay must be"):
             covid.assemble_samples(truth, forecasts, delay=0)
 
+    def test_matches_the_per_model_gathers_bitwise(self, ingested, imputed, samples):
+        """Each array has the bits of a gather in (model, location, target)
+        order moved into row order by ``moveaxis`` and ``reshape``."""
+        _, truth, _ = ingested
+        full, _ = imputed
+        n_rows, n_models, delay = samples.n_rows, samples.n_models, samples.delay
+        targets = np.arange(delay, len(truth.weeks))
+        lags = targets[:, None] - np.arange(1, delay + 1)
+        others = [i for i in range(covid.N_LEVELS) if i != covid.MEDIAN_INDEX]
+        blocks = np.concatenate(
+            [
+                (full.values[..., covid.MEDIAN_INDEX] - truth.deaths[None])[..., None],
+                full.values[..., others],
+            ],
+            axis=3,
+        )
+
+        def rows_first(arr):
+            return np.moveaxis(arr, 0, 2).reshape(n_rows, n_models, -1)
+
+        np.testing.assert_array_equal(samples.keys, rows_first(blocks[:, :, lags]))
+        np.testing.assert_array_equal(samples.values, rows_first(full.values[:, :, targets]))
+        np.testing.assert_array_equal(
+            samples.linear_inputs, rows_first(full.values[:, :, lags + 1]).reshape(n_rows, -1)
+        )
+        np.testing.assert_array_equal(samples.queries, truth.deaths[:, lags].reshape(n_rows, delay))
+
+    def test_peak_memory_is_near_the_bytes_returned(self, ingested, imputed):
+        """At the desk-scale hub (8 locations x 120 weeks x 9 models) each
+        array is gathered once, with no full-size temporary: the traced
+        peak stays within 1.2 times the bytes of the returned arrays."""
+        _, truth, _ = ingested
+        full, _ = imputed
+        tracemalloc.start()
+        try:
+            s = covid.assemble_samples(truth, full, delay=5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        returned = sum(
+            a.nbytes
+            for a in (s.queries, s.keys, s.values, s.linear_inputs, s.truths,
+                      s.location_idx, s.week_idx)
+        )
+        assert peak <= 1.2 * returned, f"peak {peak} B for {returned} B returned"
+
 
 # ---------------------------------------------------------------------------
 # validation periods
@@ -813,6 +860,65 @@ class TestTrainPooler:
         n0 = np.linalg.norm(r0.pooler.params.w_key)
         n1 = np.linalg.norm(r1.pooler.params.w_key)
         assert n1 < n0
+
+    @pytest.mark.parametrize("scale_per_location", [False, True])
+    def test_multi_head_setup_peaks_below_twice_the_keys(self, samples, scale_per_location):
+        """Before its first epoch, the multi-head pooler's standardizer fits
+        and standardized inputs hold at most two key arrays' worth at once."""
+        cfg = PoolerTrainConfig(epochs=0, hidden=100, n_heads=5, seed=0,
+                                scale_per_location=scale_per_location)
+        period = covid.split_into_periods(samples.weeks, 4, skip=5)[1]
+        tracemalloc.start()
+        try:
+            covid.train_pooler("multi_head", samples, holdout=period, config=cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        keys = samples.keys.nbytes
+        assert peak <= 2 * keys, f"peak {peak} B for a {keys} B key array"
+
+    @pytest.mark.parametrize("kind", ["additive", "linear"])
+    @pytest.mark.parametrize("scale_per_location", [False, True])
+    def test_inputs_match_divide_then_standardize_bitwise(
+        self, samples, kind, scale_per_location
+    ):
+        """The standardizer fits and the inputs of every row, by slice and
+        by index array, hold the bits of each row divided by its location's
+        scale (ones without per-location scaling) and then standardized."""
+        cfg = PoolerTrainConfig(epochs=0, hidden=8, seed=1, scale_per_location=scale_per_location)
+        period = covid.split_into_periods(samples.weeks, 4, skip=5)[2]
+        pooler = covid.train_pooler(kind, samples, holdout=period, config=cfg).pooler
+        train_rows = np.nonzero(~samples.period_mask(period))[0]
+        if scale_per_location:
+            row_scales = pooler.location_scales[samples.location_idx]
+        else:
+            row_scales = np.ones(samples.n_rows)
+
+        def divided(arr, rows):
+            scale = row_scales[rows]
+            return arr[rows] / scale.reshape((-1,) + (1,) * (arr.ndim - 1))
+
+        if kind == "additive":
+            for fitted, arr in ((pooler.query_scaler, samples.queries),
+                                (pooler.key_scaler, samples.keys)):
+                expected = Standardizer.fit(divided(arr, train_rows))
+                np.testing.assert_array_equal(fitted.mean, expected.mean)
+                np.testing.assert_array_equal(fitted.scale, expected.scale)
+        for rows in (slice(None), np.arange(0, samples.n_rows, 3)):
+            scale, inputs = pooler.inputs(samples, rows)
+            np.testing.assert_array_equal(scale, row_scales[rows])
+            if kind == "linear":
+                expected = (divided(samples.linear_inputs, rows),)
+            else:
+                q, k = pooler.query_scaler, pooler.key_scaler
+                expected = (
+                    (divided(samples.queries, rows) - q.mean) / q.scale,
+                    (divided(samples.keys, rows) - k.mean) / k.scale,
+                    divided(samples.values, rows),
+                )
+            assert len(inputs) == len(expected)
+            for got, want in zip(inputs, expected):
+                np.testing.assert_array_equal(got, want)
 
     def test_per_location_scaling_round_trips(self, samples):
         cfg = PoolerTrainConfig(epochs=2, learning_rate=1e-3, batch_size=128,

@@ -171,6 +171,21 @@ class TestStandardizer:
         x = np.random.default_rng(2).normal(size=(5, 3))
         np.testing.assert_array_equal(Standardizer.identity(3).apply(x), x)
 
+    def test_apply_matches_subtract_then_divide_bitwise(self):
+        """One new array, divided in place, holds the bits of
+        ``(x - mean) / scale``, for float64, float32 and list inputs; the
+        input is left as it was."""
+        rng = np.random.default_rng(3)
+        keys = rng.normal(2.0, 15.0, size=(64, 11, 15))
+        s = Standardizer.fit(keys)
+        before = keys.copy()
+        for x in (keys, keys.astype(np.float32), keys[:3].tolist()):
+            expected = (np.asarray(x, dtype=np.float64) - s.mean) / s.scale
+            out = s.apply(x)
+            assert out.dtype == np.float64
+            np.testing.assert_array_equal(out, expected)
+        np.testing.assert_array_equal(keys, before)
+
 
 class TestSizing:
     def test_hidden_size_rule(self):
@@ -212,6 +227,23 @@ class TestAssembleOpenLoop:
                 np.testing.assert_array_equal(data.keys[row, m], key)
             np.testing.assert_array_equal(data.values[row], cand[j])
             np.testing.assert_array_equal(data.targets[row], states[j])
+
+    @pytest.mark.parametrize("length", [1, 2, 5])
+    def test_matches_the_concatenated_lag_gathers_bitwise(self, length):
+        """The one-gather queries and keys hold the bits of the
+        concatenation of ``length`` gathers, one per lag."""
+        rng = np.random.default_rng(length)
+        states = rng.normal(0.0, 20.0, size=(300, 3))
+        cand = states[:, None, :] + rng.normal(size=(300, 11, 3))
+        cand[0] = np.nan
+        data = assemble_open_loop(states, cand, length)
+        idx = np.arange(length + 1, len(states))
+        errors = cand - states[:, None, :]
+        queries = np.concatenate([states[idx - 1 - k] for k in range(length)], axis=-1)
+        keys = np.concatenate([errors[idx - 1 - k] for k in range(length)], axis=-1)
+        np.testing.assert_array_equal(data.queries, queries)
+        np.testing.assert_array_equal(data.keys, keys)
+        assert data.keys.flags.c_contiguous and data.queries.flags.c_contiguous
 
     def test_length_one(self):
         rng = np.random.default_rng(11)
