@@ -623,15 +623,28 @@ def _worker_count(threads: int, n_jobs: int) -> int:
     return min(threads, cores, n_jobs)
 
 
-# where the numpy wheel keeps the libraries it bundles
-_NUMPY_LIBS = Path(np.__file__).parent.parent / "numpy.libs"
+# this process's memory map on Linux: one line per mapped region, ending in
+# the path of the file mapped there
+_SELF_MAPS = Path("/proc/self/maps")
+
+
+def _loaded_openblas() -> list[Path]:
+    """The OpenBLAS libraries this process has loaded, read from its memory
+    map; empty where there is no memory map to read."""
+    try:
+        maps = _SELF_MAPS.read_text()
+    except OSError:
+        return []
+    # a region that maps no file ends in its inode field, 0
+    mapped = {Path(line.split(maxsplit=5)[-1]) for line in maps.splitlines()}
+    return sorted(p for p in mapped if "openblas" in p.name)
 
 
 def _openblas_thread_controls() -> list[tuple[str, Callable[[], int], Callable[[int], None]]]:
     """``(file name, get, set)`` of the thread-count calls of each OpenBLAS
-    that the numpy wheel bundles; empty where it bundles none."""
+    that this process has loaded; empty where it has loaded none."""
     controls = []
-    for lib in sorted(_NUMPY_LIBS.glob("*openblas*")):
+    for lib in _loaded_openblas():
         handle = ctypes.CDLL(str(lib))
         for name in (
             "scipy_openblas_{}_num_threads64_",
@@ -657,7 +670,7 @@ def _blas_pinned() -> list[str]:
 @contextmanager
 def _one_blas_thread():
     """Run OpenBLAS on one thread inside the block, then restore its thread
-    count; where numpy bundles no OpenBLAS, BLAS is left as it is.
+    count; where this process has loaded no OpenBLAS, BLAS is left as it is.
 
     Every job runs inside this, in a worker or in this process. The bits of
     some hub kernels depend on OpenBLAS's thread count, so a job's results

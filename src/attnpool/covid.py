@@ -19,8 +19,11 @@ week. Attention poolers combine the M candidate quantile vectors through a
 convex combination whose weights are recomputed every week from recent
 evidence: a candidate's key starts with the error of its previous median
 forecast, so the score network can read which models have been tracking the
-truth lately. The linear pooler regresses the pooled quantiles directly on
-the stacked candidate forecasts of the most recent weeks.
+truth lately. Both attention kinds hold one
+:class:`attnpool.attention.AttentionParams`: ``additive`` one head,
+``multi_head`` P heads and the mixer of their pooled outputs. The linear
+pooler regresses the pooled quantiles directly on the stacked candidate
+forecasts of the most recent weeks.
 
 Training follows a leave-one-period-out discipline: samples whose target
 week falls inside the held-out validation period never enter a minibatch
@@ -42,9 +45,8 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .attention import (
-    MultiHeadParams,
-    SingleHeadParams,
-    init_single_head,
+    AttentionParams,
+    init_heads,
     multi_head_backward,
     multi_head_forward,
     single_head_backward,
@@ -455,7 +457,6 @@ class HubSamples:
     truths: Array         # (N,)
     location_idx: Array   # (N,) into locations
     week_idx: Array       # (N,) into weeks
-    skipped_weeks: tuple[date, ...]  # too little history, per location
 
     @property
     def n_rows(self) -> int:
@@ -479,9 +480,8 @@ def assemble_samples(
 ) -> HubSamples:
     """Build query/key/value arrays from completed tables.
 
-    The first ``delay`` weeks of the grid lack history and are skipped
-    (reported in ``skipped_weeks``); every later week of every location
-    becomes one sample row.
+    The first ``delay`` weeks of the grid lack history and are skipped;
+    every later week of every location becomes one sample row.
     """
     if delay < 1:
         raise ValueError(f"delay must be >= 1, got {delay}")
@@ -528,7 +528,6 @@ def assemble_samples(
         truths=truth.deaths[:, targets].reshape(-1),
         location_idx=np.repeat(np.arange(n_locs, dtype=np.intp), len(targets)),
         week_idx=np.tile(targets, n_locs),
-        skipped_weeks=truth.weeks[:delay],
     )
 
 
@@ -647,7 +646,7 @@ class QuantilePooler:
     """
 
     kind: str
-    params: SingleHeadParams | MultiHeadParams | LinearPooler | int | None
+    params: AttentionParams | LinearPooler | int | None
     delay: int
     query_scaler: Standardizer | None = None
     key_scaler: Standardizer | None = None
@@ -746,15 +745,6 @@ def _uniform_pool_linear(n_models: int, delay: int) -> LinearPooler:
     return LinearPooler(weight=weight, bias=np.zeros(N_LEVELS))
 
 
-def _head_average_mixer(n_heads: int, dim: int) -> Array:
-    """Output matrix that averages the per-head pools component-wise, so the
-    multi-head model starts at a sane death-count scale."""
-    w = np.zeros((dim, dim * n_heads))
-    for p in range(n_heads):
-        w[np.arange(dim), p * dim + np.arange(dim)] = 1.0 / n_heads
-    return w
-
-
 def _sort_repair(preds: Array) -> tuple[Array, Array, int]:
     """Sort each output row; returns (sorted, permutation, n rows changed)."""
     perm = np.argsort(preds, axis=1, kind="stable")
@@ -808,14 +798,13 @@ def train_pooler(
     key_dim = samples.delay * N_LEVELS
     if kind == "linear":
         params = _uniform_pool_linear(samples.n_models, samples.delay)
-    elif kind == "additive":
-        params = init_single_head(rng, hidden, samples.delay, key_dim)
     else:
-        heads = [
-            init_single_head(rng, hidden, samples.delay, key_dim)
-            for _ in range(cfg.n_heads)
-        ]
-        params = MultiHeadParams.from_heads(heads, _head_average_mixer(cfg.n_heads, N_LEVELS))
+        n_heads = cfg.n_heads if kind == "multi_head" else 1
+        params = init_heads(rng, n_heads, hidden, samples.delay, key_dim)
+        if kind == "multi_head":
+            # the mixer averages the heads' pools component-wise, so the
+            # model starts at a sane death-count scale
+            params.w_out = np.tile(np.eye(N_LEVELS) / n_heads, n_heads)
     pooler = QuantilePooler(
         kind=kind,
         params=params,

@@ -1,7 +1,8 @@
 """Training loop and closed-loop forecast driver for ensemble pooling.
 
-The trainable pooling model is the additive-attention head from
-:mod:`attnpool.attention`; this module supplies the pieces around it:
+The trainable pooling model is one additive-attention head, an
+:class:`attnpool.attention.AttentionParams` stack of one without a mixer;
+this module supplies the pieces around it:
 
 * assembly of open-loop training instances from a trajectory plus the
   candidate one-step forecasts (queries = delay-embedded past states, keys =
@@ -43,12 +44,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .attention import (
-    SingleHeadParams,
-    init_single_head,
-    single_head_backward,
-    single_head_forward,
-)
+from .attention import AttentionParams, init_heads, single_head_backward, single_head_forward
 from .evaluation import exceeded
 from .lorenz import candidate_steps
 from .numerics import Array, FlatAdam, spawn_rng, uniform_init
@@ -117,7 +113,8 @@ def ffnn_hidden_size(length: int) -> int:
 
 @dataclass(frozen=True)
 class OpenLoopData:
-    """Aligned training instances for targets ``target_indices`` of a series.
+    """Aligned training instances for the targets j = l+1 .. n-1 of a
+    series of n samples, in that order, at delay length l.
 
     For target index j: ``queries`` holds the states at j-1 .. j-l (newest
     first), ``keys`` the candidate errors at the same indices, ``values`` the
@@ -129,7 +126,6 @@ class OpenLoopData:
     keys: Array            # (N, M, l*d)
     values: Array          # (N, M, d)
     targets: Array         # (N, d)
-    target_indices: Array  # (N,) indices into the source series
 
 
 def assemble_open_loop(states: Array, candidates: Array, length: int) -> OpenLoopData:
@@ -161,7 +157,6 @@ def assemble_open_loop(states: Array, candidates: Array, length: int) -> OpenLoo
         keys=keys.reshape(len(idx), m, length * d),
         values=candidates[idx],
         targets=states[idx],
-        target_indices=idx,
     )
 
 
@@ -178,7 +173,7 @@ def _by_row(x: Array, weight: Array) -> Array:
 class AttentionPooler:
     """Trained single-head attention pooler plus its input standardizers."""
 
-    params: SingleHeadParams
+    params: AttentionParams  # one head, no mixer
     query_scaler: Standardizer
     key_scaler: Standardizer
     delay_length: int
@@ -364,7 +359,7 @@ def train_attention(
     k = key_scaler.apply(data.keys)
 
     rng = spawn_rng(config.seed, f"train-attention-l{length}")
-    params = init_single_head(rng, hidden, q.shape[1], k.shape[2])
+    params = init_heads(rng, 1, hidden, q.shape[1], k.shape[2])
     curve = fit(
         params, single_head_forward, single_head_backward, (q, k, data.values),
         _squared_error(data.targets), np.arange(len(data.targets)), rng, config,

@@ -57,9 +57,6 @@ class Trajectory:
     dt_sample: float
     states: Array  # (n, 3)
 
-    def __len__(self) -> int:
-        return len(self.states)
-
 
 # Stage times at which ``integrate`` evaluates the driving parameter in one
 # call; a table for a whole run would raise the peak memory. The values are

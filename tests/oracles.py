@@ -90,6 +90,10 @@ def wis_gradient_per_interval(levels, values, observed, cfg=None):
     return grad
 
 
+# the per-head fields of attention parameters, in declaration order
+HEAD_FIELDS = ("w_query", "w_key", "w_score", "bias")
+
+
 def empty_like_fields(model):
     """A fresh gradient buffer for ``model``, to pass a backward as ``out``:
     a copy of the same type whose array fields are new, uninitialized

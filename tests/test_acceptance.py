@@ -21,8 +21,7 @@ from oracles import empty_like_fields
 
 from attnpool import cli, covid
 from attnpool.attention import (
-    MultiHeadParams,
-    init_single_head,
+    init_heads,
     multi_head_backward,
     multi_head_forward,
     single_head_backward,
@@ -98,7 +97,7 @@ class TestGradientSuite:
         start = time.monotonic()
         for seed in range(N_GRADIENT_SEEDS):
             rng = np.random.default_rng(seed)
-            params = init_single_head(rng, hidden=6, query_dim=5, key_dim=4)
+            params = init_heads(rng, 1, hidden=6, query_dim=5, key_dim=4)
             q, k = rng.normal(size=(4, 5)), rng.normal(size=(4, 3, 4))
             v, y = rng.normal(size=(4, 3, 3)), rng.normal(size=(4, 3))
 
@@ -122,8 +121,8 @@ class TestGradientSuite:
         start = time.monotonic()
         for seed in range(N_GRADIENT_SEEDS):
             rng = np.random.default_rng(100 + seed)
-            heads = [init_single_head(rng, hidden=4, query_dim=5, key_dim=4) for _ in range(3)]
-            params = MultiHeadParams.from_heads(heads, uniform_init(rng, (3, 9), 9))
+            params = init_heads(rng, 3, hidden=4, query_dim=5, key_dim=4)
+            params.w_out = uniform_init(rng, (3, 9), 9)
             q, k = rng.normal(size=(4, 5)), rng.normal(size=(4, 3, 4))
             v, y = rng.normal(size=(4, 3, 3)), rng.normal(size=(4, 3))
 

@@ -4,13 +4,16 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from oracles import empty_like_fields, finite_difference_gradient, relative_gradient_error
+from oracles import (
+    HEAD_FIELDS,
+    empty_like_fields,
+    finite_difference_gradient,
+    relative_gradient_error,
+)
 
 from attnpool.attention import (
-    HEAD_FIELDS,
-    MultiHeadParams,
-    SingleHeadParams,
-    init_single_head,
+    AttentionParams,
+    init_heads,
     multi_head_backward,
     multi_head_forward,
     single_head_backward,
@@ -21,13 +24,15 @@ from attnpool.numerics import uniform_init
 
 
 def transcribed_forward(params, query, keys, values):
-    """Straight-line oracle: score/softmax/pool written as explicit loops,
-    independent of the vectorized production path."""
+    """Straight-line oracle for a stack of one head: score/softmax/pool
+    written as explicit loops, independent of the vectorized production
+    path."""
+    w_query, w_key, w_score, bias = (getattr(params, n)[0] for n in HEAD_FIELDS)
     M = keys.shape[0]
     scores = np.empty(M)
     for i in range(M):
-        pre = params.w_query @ query + params.w_key @ keys[i] + params.bias
-        scores[i] = params.w_score @ np.tanh(pre)
+        pre = w_query @ query + w_key @ keys[i] + bias
+        scores[i] = w_score @ np.tanh(pre)
     shifted = np.exp(scores - scores.max())
     a = shifted / shifted.sum()
     pooled = np.zeros(values.shape[1])
@@ -45,14 +50,15 @@ def forward_one(forward, params, query, keys, values):
 
 def random_multi_head(rng, n_heads, hidden, query_dim, key_dim, value_dim):
     """Seeded multi-head parameters: the heads in order, then ``w_out``."""
-    heads = [init_single_head(rng, hidden, query_dim, key_dim) for _ in range(n_heads)]
-    w_out = uniform_init(rng, (value_dim, value_dim * n_heads), value_dim * n_heads)
-    return MultiHeadParams.from_heads(heads, w_out)
+    params = init_heads(rng, n_heads, hidden, query_dim, key_dim)
+    params.w_out = uniform_init(rng, (value_dim, value_dim * n_heads), value_dim * n_heads)
+    return params
 
 
 def head_of(mp, i):
-    """Head i of stacked multi-head parameters, as views."""
-    return SingleHeadParams(mp.w_query[i], mp.w_key[i], mp.w_score[i], mp.bias[i])
+    """Head i of stacked multi-head parameters, as a stack of one without
+    the mixer; its fields are views."""
+    return AttentionParams(*(getattr(mp, n)[i : i + 1] for n in HEAD_FIELDS))
 
 
 def per_head_reference(mp, query, keys, values, upstream):
@@ -67,7 +73,7 @@ def per_head_reference(mp, query, keys, values, upstream):
         single_head_backward(h, p[2], d_concat[:, i, :], out=empty_like_fields(h))
         for i, (h, p) in enumerate(zip(heads, per_head))
     ]
-    grads = {n: np.stack([getattr(g, n) for g in head_grads]) for n in HEAD_FIELDS}
+    grads = {n: np.concatenate([getattr(g, n) for g in head_grads]) for n in HEAD_FIELDS}
     grads["w_out"] = np.einsum("bd,bc->dc", upstream, concat)
     weights = np.stack([p[1] for p in per_head], axis=1)
     return out, weights, grads
@@ -82,7 +88,7 @@ def w_out_then_heads(stacked):
 
 
 def random_instance(rng, hidden=5, M=3, l=2, base_q=3, base_k=3, d=3):
-    params = init_single_head(rng, hidden, base_q * l, base_k * l)
+    params = init_heads(rng, 1, hidden, base_q * l, base_k * l)
     # keep everything in the gradient-friendly range used by the checks
     for name in HEAD_FIELDS:
         arr = getattr(params, name)
@@ -150,7 +156,7 @@ class TestForward:
         # segments share its batch, so one batch gives the bits of its shards
         rng = np.random.default_rng(1000 * length + hidden)
         dim = 3 * length
-        params = init_single_head(rng, hidden, dim, dim)
+        params = init_heads(rng, 1, hidden, dim, dim)
         Q = rng.normal(size=(13, dim))
         K = rng.normal(size=(13, 11, dim))
         V = rng.normal(size=(13, 11, 3))
@@ -204,7 +210,7 @@ class TestMultiHead:
     def test_one_head_identity_mix_equals_single(self):
         rng = np.random.default_rng(11)
         head, query, keys, values = random_instance(rng)
-        mp = MultiHeadParams.from_heads([head], np.eye(3))
+        mp = replace(head, w_out=np.eye(3))
         out_m, w_m, _ = forward_one(multi_head_forward, mp, query, keys, values)
         out_s, w_s, _ = forward_one(single_head_forward, head, query, keys, values)
         np.testing.assert_array_equal(out_m, out_s)
@@ -254,7 +260,7 @@ class TestMultiHead:
         np.testing.assert_array_equal(out, ref_out)
         np.testing.assert_array_equal(weights, ref_weights)
         fresh = multi_head_backward(mp, cache, upstream, out=empty_like_fields(mp))
-        into = MultiHeadParams(**{n: np.full_like(g, np.nan) for n, g in ref_grads.items()})
+        into = AttentionParams(**{n: np.full_like(g, np.nan) for n, g in ref_grads.items()})
         # the backward consumes its cache, so the second one runs on a fresh forward
         cache = multi_head_forward(mp, query, keys, values)[2]
         multi_head_backward(mp, cache, upstream, out=into)
@@ -264,18 +270,21 @@ class TestMultiHead:
 
 
 def einsum_backward(params, cache, upstream):
-    """Reference parameter gradients written as explicit einsum contractions,
-    independent of the matmul reductions of the production path."""
+    """Reference parameter gradients of a stack of one head written as
+    explicit einsum contractions, independent of the matmul reductions of
+    the production path."""
     q, k, v, act, weights = cache
+    act, weights = act[0], weights[0]
     d_weights = np.einsum("bd,bmd->bm", upstream, v)
     d_scores = weights * (d_weights - np.sum(weights * d_weights, axis=1, keepdims=True))
-    d_pre = d_scores[:, :, None] * params.w_score * (1.0 - act * act)
-    return {
+    d_pre = d_scores[:, :, None] * params.w_score[0] * (1.0 - act * act)
+    grads = {
         "w_query": np.einsum("bmh,bq->hq", d_pre, q),
         "w_key": np.einsum("bmh,bmk->hk", d_pre, k),
         "w_score": np.einsum("bm,bmh->h", d_scores, act),
         "bias": d_pre.sum(axis=(0, 1)),
     }
+    return {n: g[None] for n, g in grads.items()}
 
 
 class TestBackward:
@@ -324,7 +333,7 @@ class TestBackward:
     def test_matches_einsum_reference_at_protocol_shape(self):
         # delay-5 protocol shape: B=128, M=11, hidden=120, l=5, 3-D base
         rng = np.random.default_rng(22)
-        params = init_single_head(rng, hidden=120, query_dim=15, key_dim=15)
+        params = init_heads(rng, 1, hidden=120, query_dim=15, key_dim=15)
         Q = rng.normal(size=(128, 15))
         K = rng.normal(size=(128, 11, 15))
         V = rng.normal(size=(128, 11, 3))
@@ -343,19 +352,18 @@ class TestBackward:
 
     @pytest.mark.parametrize("hidden, length", [(120, 5), (600, 1)])
     def test_every_entry_of_a_nan_filled_out_is_written(self, hidden, length):
-        """Gradients written into a NaN-filled ``out`` (the single head runs
-        as a stack of one, through views of ``out``) have the bits of those
-        written into a fresh one, at the protocol batch B=128, M=11."""
+        """Gradients written into a NaN-filled ``out`` have the bits of
+        those written into a fresh one, at the protocol batch B=128, M=11."""
         rng = np.random.default_rng(hidden + length)
         dim = 3 * length
-        params = init_single_head(rng, hidden, dim, dim)
+        params = init_heads(rng, 1, hidden, dim, dim)
         Q = rng.normal(size=(128, dim))
         K = rng.normal(size=(128, 11, dim))
         V = rng.normal(size=(128, 11, 3))
         G = rng.normal(size=(128, 3))
         _, _, cache = single_head_forward(params, Q, K, V)
         fresh = single_head_backward(params, cache, G, out=empty_like_fields(params))
-        into = SingleHeadParams(*(np.full_like(getattr(params, n), np.nan) for n in HEAD_FIELDS))
+        into = AttentionParams(*(np.full_like(getattr(params, n), np.nan) for n in HEAD_FIELDS))
         # the backward consumes its cache, so the second one runs on a fresh forward
         _, _, cache = single_head_forward(params, Q, K, V)
         assert single_head_backward(params, cache, G, out=into) is into
@@ -381,7 +389,7 @@ class TestBackward:
         for j, (arr, grad) in enumerate(zip(w_out_then_heads(mp), w_out_then_heads(grads))):
             def loss_fn(trial_arr, j=j):
                 fields = (*HEAD_FIELDS, "w_out")
-                trial = MultiHeadParams(**{n: getattr(mp, n).copy() for n in fields})
+                trial = AttentionParams(**{n: getattr(mp, n).copy() for n in fields})
                 w_out_then_heads(trial)[j][...] = trial_arr
                 o, _, _ = forward_one(multi_head_forward, trial, query, keys, values)
                 return float(np.mean((o - target) ** 2))
@@ -413,5 +421,45 @@ class TestBackward:
 class TestParams:
     def test_param_count(self):
         rng = np.random.default_rng(21)
-        p = init_single_head(rng, hidden=120, query_dim=15, key_dim=15)
+        p = init_heads(rng, 1, hidden=120, query_dim=15, key_dim=15)
         assert sum(getattr(p, n).size for n in HEAD_FIELDS) == 120 * (15 + 15 + 2)
+
+    @pytest.mark.parametrize("n_heads", [1, 3])
+    def test_init_heads_stacks_heads_drawn_one_after_another(self, n_heads):
+        """Each head draws w_query, w_key, w_score and bias in turn, the
+        next head after it; the draws are stacked, and no mixer is drawn."""
+        params = init_heads(np.random.default_rng(23), n_heads, hidden=4, query_dim=5, key_dim=6)
+        rng = np.random.default_rng(23)
+        heads = [
+            (
+                uniform_init(rng, (4, 5), 5),
+                uniform_init(rng, (4, 6), 6),
+                uniform_init(rng, 4, 4),
+                uniform_init(rng, 4, 4),
+            )
+            for _ in range(n_heads)
+        ]
+        for name, drawn in zip(HEAD_FIELDS, zip(*heads)):
+            np.testing.assert_array_equal(getattr(params, name), np.stack(drawn), err_msg=name)
+        assert params.n_heads == n_heads
+        assert params.w_out is None
+
+    def test_single_head_forward_rejects_more_heads_or_a_mixer(self):
+        rng = np.random.default_rng(24)
+        two = init_heads(rng, 2, hidden=4, query_dim=6, key_dim=6)
+        q, k, v = np.ones((1, 6)), np.ones((1, 3, 6)), np.ones((1, 3, 3))
+        with pytest.raises(ValueError, match="one head without w_out, got 2 heads$"):
+            single_head_forward(two, q, k, v)
+        mixed = replace(head_of(two, 0), w_out=np.eye(3))
+        with pytest.raises(ValueError, match="one head without w_out, got 1 heads and a w_out"):
+            single_head_forward(mixed, q, k, v)
+
+    def test_multi_head_forward_rejects_a_missing_or_misshapen_mixer(self):
+        rng = np.random.default_rng(25)
+        params = init_heads(rng, 2, hidden=4, query_dim=6, key_dim=6)
+        q, k, v = np.ones((1, 6)), np.ones((1, 3, 6)), np.ones((1, 3, 3))
+        with pytest.raises(ValueError, match=r"needs w_out of shape \(3, 6\).*got w_out None"):
+            multi_head_forward(params, q, k, v)
+        params.w_out = np.eye(3)
+        with pytest.raises(ValueError, match=r"needs w_out of shape \(3, 6\).*got w_out \(3, 3\)"):
+            multi_head_forward(params, q, k, v)

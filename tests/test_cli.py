@@ -925,22 +925,37 @@ def test_outputs_do_not_depend_on_workers_or_blas_threads(tmp_path, command, tex
 
 
 def test_manifests_name_the_openblas_the_pin_found(lorenz_out, covid_out):
-    bundled = sorted(p.name for p in cli._NUMPY_LIBS.glob("*openblas*"))
-    if not bundled:
-        pytest.skip(f"numpy bundles no OpenBLAS in {cli._NUMPY_LIBS}, so nothing is pinned")
+    loaded = [p.name for p in cli._loaded_openblas()]
+    if not loaded:
+        pytest.skip("this process has loaded no OpenBLAS, so nothing is pinned")
     for out, _ in (lorenz_out, covid_out):
         pinned = json.loads((out / "manifest.json").read_text())["blas_pinned"]
         assert pinned, out
-        assert set(pinned) <= set(bundled), (pinned, bundled)
+        assert set(pinned) <= set(loaded), (pinned, loaded)
         assert all("openblas" in name for name in pinned), pinned
 
 
-def test_manifest_records_an_empty_pin_without_a_bundled_openblas(tmp_path, monkeypatch):
-    """Where the numpy wheel holds no OpenBLAS the pin finds nothing and
-    the manifest says so."""
-    libs = tmp_path / "numpy.libs"
-    libs.mkdir()
-    monkeypatch.setattr(cli, "_NUMPY_LIBS", libs)
+def test_loaded_openblas_reads_the_memory_map(tmp_path, monkeypatch):
+    """Only mapped files named like OpenBLAS count, each once, however many
+    segments map it; without a memory map to read nothing is found."""
+    maps = tmp_path / "maps"
+    maps.write_text(
+        "7f00-7f01 r--p 00000000 08:01 11 /lib/x 86/libopenblas.so.0\n"
+        "7f01-7f02 r-xp 00001000 08:01 11 /lib/x 86/libopenblas.so.0\n"
+        "7f02-7f03 r-xp 00000000 08:01 12 /lib/libm.so.6\n"
+        "7f03-7f04 rw-p 00000000 00:00 0 \n"
+        "7ffc-7ffd rw-p 00000000 00:00 0 [stack]\n"
+    )
+    monkeypatch.setattr(cli, "_SELF_MAPS", maps)
+    assert cli._loaded_openblas() == [Path("/lib/x 86/libopenblas.so.0")]
+    maps.unlink()
+    assert cli._loaded_openblas() == []
+
+
+def test_manifest_records_an_empty_pin_without_a_loaded_openblas(tmp_path, monkeypatch):
+    """Where the process has loaded no OpenBLAS, or has no memory map to
+    read, the pin finds nothing and the manifest says so."""
+    monkeypatch.setattr(cli, "_loaded_openblas", lambda: [])
     cfg = write_config(
         tmp_path, COVID_TINY + "  methods: [uniform]\n", out=str(tmp_path / "out")
     )

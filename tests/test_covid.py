@@ -11,9 +11,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import HEAD_FIELDS
 
 from attnpool import covid
-from attnpool.attention import HEAD_FIELDS
 from attnpool.covid import (
     ForecastTable,
     GapSpec,
@@ -618,8 +618,12 @@ class TestAssembleSamples:
         assert np.any(s.keys[:, 1, error_cols] != 0.0)
 
     def test_skips_warmup_weeks(self, samples):
-        assert samples.skipped_weeks == samples.weeks[:5]
-        assert int(samples.week_idx.min()) == 5
+        """The first ``delay`` weeks, ``weeks[:5]``, lack history and are
+        no target; every later week is one, at every location."""
+        targets = [samples.weeks[i] for i in np.unique(samples.week_idx)]
+        assert targets == list(samples.weeks[5:])
+        assert not set(targets) & set(samples.weeks[:5])
+        assert samples.n_rows == len(samples.locations) * len(targets)
 
     def test_rejects_incomplete_table(self):
         forecasts, truth = build_tables(seed=11)
@@ -739,11 +743,16 @@ class TestTrainPooler:
     def test_defaults_follow_the_experiment_scale(self, samples):
         quick = PoolerTrainConfig(epochs=0)
         single = covid.train_pooler("additive", samples, config=quick).pooler
-        assert single.params.w_key.shape == (1000, 105)
+        assert single.params.w_key.shape == (1, 1000, 105)
+        assert single.params.w_out is None
         multi = covid.train_pooler("multi_head", samples, config=quick).pooler
         assert multi.params.n_heads == 21
         assert multi.params.w_key.shape == (21, 100, 105)
-        assert multi.params.w_out.shape == (21, 21 * 21)
+        # the mixer starts as the component-wise mean of the heads' pools
+        mean_of_heads = np.zeros((21, 21 * 21))
+        for p in range(21):
+            mean_of_heads[np.arange(21), p * 21 + np.arange(21)] = 1.0 / 21
+        np.testing.assert_array_equal(multi.params.w_out, mean_of_heads)
         assert PoolerTrainConfig().learning_rate == 1e-5
         assert PoolerTrainConfig().epochs == 200
 
@@ -840,7 +849,6 @@ class TestTrainPooler:
             truths=samples.truths,
             location_idx=samples.location_idx,
             week_idx=samples.week_idx,
-            skipped_weeks=samples.skipped_weeks,
         )
         s.values[:, :, :] = np.inf
         with np.errstate(invalid="ignore"):

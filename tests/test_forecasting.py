@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
+    HEAD_FIELDS,
     empty_like_fields,
     finite_difference_gradient,
     fit_linear_ridge,
@@ -15,7 +16,7 @@ from oracles import (
 )
 
 from attnpool import forecasting
-from attnpool.attention import HEAD_FIELDS, init_single_head
+from attnpool.attention import init_heads
 from attnpool.evaluation import VALID_TIME_DT, exceeded, valid_time
 from attnpool.forecasting import (
     AttentionPooler,
@@ -216,8 +217,8 @@ class TestAssembleOpenLoop:
         cand[0] = np.nan
         length = 3
         data = assemble_open_loop(states, cand, length)
-        np.testing.assert_array_equal(data.target_indices, np.arange(4, 12))
-        for row, j in enumerate(data.target_indices):
+        assert len(data.targets) == 8
+        for row, j in enumerate(np.arange(length + 1, 12)):
             query = np.concatenate([states[j - 1 - k] for k in range(length)])
             np.testing.assert_array_equal(data.queries[row], query)
             for m in range(4):
@@ -542,7 +543,7 @@ class TestOpenLoop:
         mutated = states.copy()
         mutated[cut:] = np.random.default_rng(8).normal(0.0, 30.0, mutated[cut:].shape)
         _, pooled2, _ = open_loop(pooler, mutated, candidate_forecasts(mutated))
-        before = data.target_indices < cut
+        before = np.arange(pooler.delay_length + 1, len(states)) < cut
         np.testing.assert_array_equal(pooled[before], pooled2[before])
 
     def test_beats_uniform_average(self, trained, small):
@@ -568,7 +569,7 @@ class TestClosedLoop:
     def test_perfect_model_limit_is_exact(self):
         truth = integrate(np.array([1.0, 2.0, 25.0]), 0.0, 40, lambda t: 28.0)
         pooler = AttentionPooler(
-            params=init_single_head(spawn_rng(0, "cl"), 8, 9, 9),
+            params=init_heads(spawn_rng(0, "cl"), 1, 8, 9, 9),
             query_scaler=Standardizer.identity(9),
             key_scaler=Standardizer.identity(9),
             delay_length=3,
@@ -586,7 +587,7 @@ class TestClosedLoop:
         # must follow the candidate's own trajectory from the warmup end
         truth = integrate(np.array([0.5, -1.0, 20.0]), 0.0, 20, lambda t: 28.0)
         pooler = AttentionPooler(
-            params=init_single_head(spawn_rng(1, "cl"), 8, 6, 6),
+            params=init_heads(spawn_rng(1, "cl"), 1, 8, 6, 6),
             query_scaler=Standardizer.identity(6),
             key_scaler=Standardizer.identity(6),
             delay_length=2,

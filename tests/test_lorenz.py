@@ -241,7 +241,7 @@ class TestKernelsAgainstOracle:
 class TestIntegrate:
     def test_zero_samples(self):
         traj = integrate(np.ones(3), 0.0, 0, frozen(28.0))
-        assert len(traj) == 0
+        assert len(traj.states) == 0
 
     def test_origin_stays_origin(self):
         traj = integrate(np.zeros(3), 0.0, 1, rho_true)
@@ -250,7 +250,7 @@ class TestIntegrate:
     def test_sample_spacing_and_t0(self):
         traj = integrate(np.array([1.0, 1.0, 20.0]), 2.0, 5, frozen(30.0))
         assert traj.dt_sample == pytest.approx(0.1)
-        times = traj.t0 + traj.dt_sample * np.arange(len(traj))
+        times = traj.t0 + traj.dt_sample * np.arange(len(traj.states))
         np.testing.assert_allclose(times, 2.1 + 0.1 * np.arange(5), atol=1e-12)
 
     def test_substep_composition(self):
@@ -303,11 +303,11 @@ def small():
 class TestDataset:
 
     def test_counts_and_spacing(self, small):
-        assert len(small.train) == 400
-        assert len(small.validation) == 8 + 640
+        assert len(small.train.states) == 400
+        assert len(small.validation.states) == 8 + 640
         assert small.segment_starts == [8, 168, 328, 488]
         assert small.segment_len == 32
-        assert small.segment_starts[-1] + small.segment_len <= len(small.validation)
+        assert small.segment_starts[-1] + small.segment_len <= len(small.validation.states)
 
     def test_recording_starts_at_zero(self, small):
         assert small.train.t0 == 0.0
@@ -353,7 +353,7 @@ class TestDataset:
         """The attractor's vertical extent follows the parameter sweep: the
         centered 8-sample running mean of u3 correlates with rho(t)."""
         u3 = small.train.states[:, 2]
-        times = small.train.t0 + small.train.dt_sample * np.arange(len(small.train))
+        times = small.train.t0 + small.train.dt_sample * np.arange(len(small.train.states))
         rho = np.array([rho_true(t) for t in times])
         w = 8
         sm = np.convolve(u3, np.ones(w) / w, mode="valid")

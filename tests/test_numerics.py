@@ -5,12 +5,11 @@ from dataclasses import dataclass, fields, make_dataclass
 
 import numpy as np
 import pytest
-from oracles import finite_difference_gradient, relative_gradient_error
+from oracles import HEAD_FIELDS, finite_difference_gradient, relative_gradient_error
 
 from attnpool import numerics
 from attnpool.attention import (
-    MultiHeadParams,
-    init_single_head,
+    init_heads,
     multi_head_backward,
     multi_head_forward,
     single_head_backward,
@@ -58,12 +57,12 @@ def model_cases(rng):
     net = init_ffnn(rng, hidden=4, in_dim=3, out_dim=2)
     net.delay_length = 3
     x = rng.normal(size=(2, 3))
+    single = init_heads(rng, 1, 3, 2, 4)
+    multi = init_heads(rng, 2, 3, 2, 4)
+    multi.w_out = uniform_init(rng, (2, 4), 4)
     return [
-        (init_single_head(rng, 3, 2, 4),
-         attention_backward(single_head_forward, single_head_backward)),
-        (MultiHeadParams.from_heads(
-            [init_single_head(rng, 3, 2, 4) for _ in range(2)], uniform_init(rng, (2, 4), 4)),
-         attention_backward(multi_head_forward, multi_head_backward)),
+        (single, attention_backward(single_head_forward, single_head_backward)),
+        (multi, attention_backward(multi_head_forward, multi_head_backward)),
         (LinearPooler(weight=rng.normal(size=(2, 3)), bias=rng.normal(size=2)),
          lambda p, out: p.backward(x, upstream, out)),
         (net, lambda p, out: ffnn_backward(p, ffnn_forward(p, x)[2], upstream, out)),
@@ -268,6 +267,17 @@ class TestAdam:
             opt.flat_grads[index] = np.nan
             with pytest.raises(ValueError, match=f"gradient of {name}$"):
                 opt.step()
+
+    def test_one_head_flattens_to_its_four_fields_in_order(self):
+        """A stack of one head without a mixer trains its four head fields,
+        flattened in field order; the absent mixer is no array, so it takes
+        no place in the flat layout."""
+        model = init_heads(np.random.default_rng(9), 1, hidden=3, query_dim=2, key_dim=4)
+        expect = np.concatenate([getattr(model, n).ravel() for n in HEAD_FIELDS])
+        opt = FlatAdam(model, 1e-3)
+        np.testing.assert_array_equal(opt.flat_params, expect)
+        assert opt.flat_params.size == 3 * (2 + 4 + 2)
+        assert model.w_out is None and opt.grads.w_out is None
 
     def test_flat_adam_trains_the_owner_through_its_grads(self):
         """For each model type, ``opt.grads`` is a model of that type whose
