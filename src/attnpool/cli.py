@@ -281,10 +281,10 @@ class CovidModelConfig:
     epochs: int = _key(_int_field(minimum=1), 200)
     learning_rate: float = _key(_float_field(exclusive_minimum=0.0), 1e-5)
     batch_size: int = _key(_int_field(minimum=1), 1)
+    # null weight_decay and hidden resolve per pooler kind (_pooler_settings)
     weight_decay: float | None = _key(_opt(_float_field(minimum=0.0)), None)
     hidden: int | None = _key(_opt(_int_field(minimum=1)), None)
     n_heads: int = _key(_int_field(minimum=1), 21)
-    scale_per_location: bool = _key(_bool_field(), False)
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -989,18 +989,36 @@ def _covid_periods(cfg: ExperimentConfig, samples) -> tuple[covid.ValidationPeri
     return periods
 
 
+def _pooler_settings(
+    model: CovidModelConfig, seed: int, kind: str
+) -> tuple[TrainConfig, int | None, int]:
+    """The training config, hidden size and head count ``kind`` trains at:
+    the model section's values, a null ``hidden`` or ``weight_decay``
+    resolved to the kind's full-scale value (``covid._KIND_DEFAULTS``)."""
+    default_hidden, default_decay = covid._KIND_DEFAULTS[kind]
+    config = TrainConfig(
+        epochs=model.epochs,
+        learning_rate=model.learning_rate,
+        batch_size=model.batch_size,
+        weight_decay=default_decay if model.weight_decay is None else model.weight_decay,
+        seed=seed,
+    )
+    return config, default_hidden if model.hidden is None else model.hidden, model.n_heads
+
+
 def _covid_job(inputs, job) -> tuple[dict, covid.PeriodScores]:
     """Train one kind of pooler with one period held out and score it there;
     return the training record and the period's scores."""
-    samples, periods, config = inputs
+    samples, periods, model, seed = inputs
     pi, kind = job
-    result = covid.train_pooler(kind, samples, holdout=periods[pi], config=config)
+    config, hidden, n_heads = _pooler_settings(model, seed, kind)
+    result = covid.train_pooler(
+        kind, samples, periods[pi], config=config, hidden=hidden, n_heads=n_heads
+    )
     scores = covid.evaluate_period(result.pooler, samples, periods[pi])
     info = {
         "first_train_wis": float(result.curve[0]) if len(result.curve) else None,
         "final_train_wis": float(result.curve[-1]) if len(result.curve) else None,
-        "sort_repairs": result.sort_repairs,
-        "heldout_sort_repairs": scores.sort_repairs,
     }
     click.echo(f"[covid] trained {kind} holding out period {pi}", err=True)
     return info, scores
@@ -1030,21 +1048,10 @@ def run_covid_experiment(cfg: ExperimentConfig) -> Path:
         samples = covid.assemble_samples(truth, full, delay=m.delay)
         periods = _covid_periods(cfg, samples)
 
-        train_cfg = covid.PoolerTrainConfig(
-            epochs=m.epochs,
-            learning_rate=m.learning_rate,
-            batch_size=m.batch_size,
-            weight_decay=m.weight_decay,
-            hidden=m.hidden,
-            n_heads=m.n_heads,
-            seed=cfg.seed,
-            scale_per_location=m.scale_per_location,
-        )
-
         # longest first: the multi-head pooler, then the single head, then linear
         kinds = [k for k in ("multi_head", "additive", "linear") if k in m.methods]
         jobs = [(pi, kind) for kind in kinds for pi in range(len(periods))]
-        done = dict(zip(jobs, _run_jobs(_covid_job, (samples, periods, train_cfg), jobs, cfg.threads)))
+        done = dict(zip(jobs, _run_jobs(_covid_job, (samples, periods, m, cfg.seed), jobs, cfg.threads)))
         training_info = {f"period{pi}/{kind}": info for (pi, kind), (info, _) in done.items()}
         scores = {job: ev for job, (_, ev) in done.items()}
 

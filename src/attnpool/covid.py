@@ -30,14 +30,14 @@ week falls inside the held-out validation period never enter a minibatch
 (asserted in the loop). All trained poolers minimize the same weighted
 interval score used for evaluation. Every method, trained or baseline, is a
 :class:`QuantilePooler`, and :func:`evaluate_period` scores them all through
-one path: the pooler's inputs, its kind's forward, the sort repair, WIS.
+one path: the pooler's inputs, its kind's forward, the sorted output, WIS.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from datetime import date, timedelta
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
@@ -53,7 +53,7 @@ from .attention import (
     single_head_forward,
 )
 from .evaluation import WISConfig, wis_batch, wis_gradient_batch
-from .forecasting import LinearPooler, Standardizer, fit
+from .forecasting import LinearPooler, Standardizer, TrainConfig, fit
 from .numerics import Array, spawn_rng
 
 # ---------------------------------------------------------------------------
@@ -597,37 +597,13 @@ def period_rows(samples: HubSamples, period: ValidationPeriod) -> Array:
 POOLER_KINDS = ("additive", "multi_head", "linear")
 BASELINE_KINDS = ("uniform", "best_single")
 
-# full-scale defaults per kind: (hidden units, weight decay)
+# full-scale defaults per kind: (hidden units, weight decay); the CLI
+# resolves a config's null hidden and weight_decay from these
 _KIND_DEFAULTS = {
     "additive": (1000, 1e-4),
     "multi_head": (100, 1e-5),
     "linear": (None, 0.0),
 }
-
-
-@dataclass(frozen=True)
-class PoolerTrainConfig:
-    """Knobs for WIS training. Defaults follow the full-scale experiment:
-    a small fixed learning rate over 200 epochs, single-sample updates so
-    the parameters actually move, and per-kind weight decay / hidden sizes
-    when left as None."""
-
-    epochs: int = 200
-    learning_rate: float = 1e-5
-    batch_size: int = 1
-    weight_decay: float | None = None
-    hidden: int | None = None
-    n_heads: int = 21
-    seed: int = 0
-    scale_per_location: bool = False
-
-    def __post_init__(self):
-        if self.epochs < 0:
-            raise ValueError(f"epochs must be >= 0, got {self.epochs}")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.n_heads < 1:
-            raise ValueError(f"n_heads must be >= 1, got {self.n_heads}")
 
 
 @dataclass(frozen=True)
@@ -639,10 +615,8 @@ class QuantilePooler:
     untrained baseline (``BASELINE_KINDS``) reads only the candidates'
     values: ``uniform`` takes their mean (``params`` None), ``best_single``
     passes one candidate through (``params`` is its index). The two
-    standardizers are set for the attention kinds only. ``location_scales``
-    is None unless per-location scaling was enabled; it is aligned with
-    ``locations`` and predictions are mapped back to raw death counts on the
-    way out.
+    standardizers are set for the attention kinds only. Every kind reads
+    and predicts raw death counts.
     """
 
     kind: str
@@ -650,58 +624,25 @@ class QuantilePooler:
     delay: int
     query_scaler: Standardizer | None = None
     key_scaler: Standardizer | None = None
-    locations: tuple[str, ...] | None = None
-    location_scales: Array | None = None
 
-    def _row_scales(self, samples: HubSamples, rows: Array | slice) -> Array:
-        """The per-location divisor of each of the sample rows ``rows``;
-        ones without per-location scaling."""
-        if self.location_scales is None:
-            return np.ones(samples.location_idx[rows].size)
-        if self.locations != samples.locations:
-            raise ValueError(
-                "per-location scales do not transfer: pooler and samples "
-                "disagree on the location set"
-            )
-        return self.location_scales[samples.location_idx[rows]]
-
-    def inputs(self, samples: HubSamples, rows: Array | slice) -> tuple[Array, tuple[Array, ...]]:
-        """The row scales and the model's inputs for the sample rows
-        ``rows``, an index array or a slice (a slice reads the samples
-        without a copy): each row divided by its location's scale when the
-        pooler has per-location scales, then standardized, in the order the
-        kind's forward takes them. An input that is neither divided nor
-        standardized is the samples' own rows."""
+    def inputs(self, samples: HubSamples, rows: Array | slice) -> tuple[Array, ...]:
+        """The model's inputs for the sample rows ``rows``, an index array
+        or a slice (a slice reads the samples without a copy), in the order
+        the kind's forward takes them: the attention kinds' queries and keys
+        standardized, every other input the samples' own rows."""
         if self.delay != samples.delay:
             raise ValueError(
                 f"pooler was trained at delay {self.delay}, samples use {samples.delay}"
             )
-        scale = self._row_scales(samples, rows)
         if self.kind in BASELINE_KINDS:
-            return scale, (samples.values[rows],)
-        divisor = None if self.location_scales is None else scale
+            return (samples.values[rows],)
         if self.kind == "linear":
-            return scale, (_per_row(samples.linear_inputs[rows], divisor),)
-        return scale, (
-            _per_row(samples.queries[rows], divisor, self.query_scaler),
-            _per_row(samples.keys[rows], divisor, self.key_scaler),
-            _per_row(samples.values[rows], divisor),
+            return (samples.linear_inputs[rows],)
+        return (
+            self.query_scaler.apply(samples.queries[rows]),
+            self.key_scaler.apply(samples.keys[rows]),
+            samples.values[rows],
         )
-
-
-def _per_row(arr: Array, scale: Array | None, standardizer: Standardizer | None = None) -> Array:
-    """``arr`` with each row (first axis) divided by its entry of ``scale``,
-    then standardized by ``standardizer`` when one is given. Without
-    ``scale`` the division is skipped (``x / 1.0`` is ``x``), so with
-    neither ``arr`` itself comes back; otherwise the division and the
-    standardization share one new array."""
-    if scale is None:
-        return arr if standardizer is None else standardizer.apply(arr)
-    out = arr / scale.reshape((-1,) + (1,) * (arr.ndim - 1))
-    if standardizer is not None:
-        out -= standardizer.mean
-        out /= standardizer.scale
-    return out
 
 
 def _uniform_forward(params: None, values: Array):
@@ -732,7 +673,6 @@ def _kind_functions(kind: str) -> tuple[Callable, Callable | None]:
 class PoolerTrainResult:
     pooler: QuantilePooler
     curve: Array          # epoch-mean WIS on the training rows
-    sort_repairs: int     # rows whose output needed sorting during training
 
 
 def _uniform_pool_linear(n_models: int, delay: int) -> LinearPooler:
@@ -745,44 +685,37 @@ def _uniform_pool_linear(n_models: int, delay: int) -> LinearPooler:
     return LinearPooler(weight=weight, bias=np.zeros(N_LEVELS))
 
 
-def _sort_repair(preds: Array) -> tuple[Array, Array, int]:
-    """Sort each output row; returns (sorted, permutation, n rows changed)."""
+def _sort_quantiles(preds: Array) -> tuple[Array, Array]:
+    """The output layer: each row sorted; returns (sorted, permutation)."""
     perm = np.argsort(preds, axis=1, kind="stable")
-    repaired = np.take_along_axis(preds, perm, axis=1)
-    n_changed = int(np.sum(np.any(np.diff(preds, axis=1) < 0, axis=1)))
-    return repaired, perm, n_changed
-
-
-def _location_scales(samples: HubSamples, train_rows: Array) -> Array:
-    """Mean training truth per location, floored at 1 (scale divisor)."""
-    scales = np.ones(len(samples.locations))
-    for li in range(len(samples.locations)):
-        rows = train_rows[samples.location_idx[train_rows] == li]
-        if rows.size:
-            scales[li] = max(1.0, float(samples.truths[rows].mean()))
-    return scales
+    return np.take_along_axis(preds, perm, axis=1), perm
 
 
 def train_pooler(
     kind: str,
     samples: HubSamples,
     holdout: ValidationPeriod | None = None,
-    config: PoolerTrainConfig | None = None,
+    *,
+    config: TrainConfig,
+    hidden: int | None,
+    n_heads: int,
 ) -> PoolerTrainResult:
     """Fit one pooling model by stochastic subgradient descent on mean WIS.
 
-    Rows whose target week falls inside ``holdout`` are excluded from every
-    minibatch (asserted). Multi-head and linear outputs are sort-repaired
-    inside the loss, with gradients routed back through the permutation;
-    additive outputs are convex combinations of sorted candidate quantiles
-    and need no repair (still counted, expected zero).
+    ``hidden`` is the attention kinds' scoring width (the linear kind has
+    none) and ``n_heads`` the multi-head kind's head count. Rows whose
+    target week falls inside ``holdout`` are excluded from every minibatch
+    (asserted). The loss is the WIS of the sorted output: the sort is the
+    last layer of the ``multi_head`` and ``linear`` kinds, whose raw outputs
+    nothing trains into order, and the gradient goes back through its
+    permutation. ``additive`` outputs are convex combinations of sorted
+    candidate quantiles, already in order, so the sort leaves them as they
+    are.
     """
     if kind not in POOLER_KINDS:
         raise ValueError(f"unknown pooler kind {kind!r}; expected one of {POOLER_KINDS}")
-    cfg = config or PoolerTrainConfig()
-    default_hidden, default_decay = _KIND_DEFAULTS[kind]
-    hidden = cfg.hidden if cfg.hidden is not None else default_hidden
-    decay = cfg.weight_decay if cfg.weight_decay is not None else default_decay
+    if n_heads < 1:
+        raise ValueError(f"n_heads must be >= 1, got {n_heads}")
 
     in_holdout = (
         samples.period_mask(holdout)
@@ -793,46 +726,35 @@ def train_pooler(
     if train_rows.size == 0:
         raise ValueError("holdout period leaves no training rows")
 
-    loc_scales = _location_scales(samples, train_rows) if cfg.scale_per_location else None
-    rng = spawn_rng(cfg.seed, f"train-pooler-{kind}")
+    rng = spawn_rng(config.seed, f"train-pooler-{kind}")
     key_dim = samples.delay * N_LEVELS
     if kind == "linear":
         params = _uniform_pool_linear(samples.n_models, samples.delay)
+        pooler = QuantilePooler(kind=kind, params=params, delay=samples.delay)
     else:
-        n_heads = cfg.n_heads if kind == "multi_head" else 1
-        params = init_heads(rng, n_heads, hidden, samples.delay, key_dim)
+        heads = n_heads if kind == "multi_head" else 1
+        params = init_heads(rng, heads, hidden, samples.delay, key_dim)
         if kind == "multi_head":
             # the mixer averages the heads' pools component-wise, so the
             # model starts at a sane death-count scale
-            params.w_out = np.tile(np.eye(N_LEVELS) / n_heads, n_heads)
-    pooler = QuantilePooler(
-        kind=kind,
-        params=params,
-        delay=samples.delay,
-        locations=samples.locations if loc_scales is not None else None,
-        location_scales=loc_scales,
-    )
-    if kind != "linear":
-        # the standardizers see the training rows after per-location scaling
-        train_scale = None if loc_scales is None else pooler._row_scales(samples, train_rows)
-        pooler = replace(
-            pooler,
-            query_scaler=Standardizer.fit(_per_row(samples.queries[train_rows], train_scale)),
-            key_scaler=Standardizer.fit(_per_row(samples.keys[train_rows], train_scale)),
+            params.w_out = np.tile(np.eye(N_LEVELS) / heads, heads)
+        pooler = QuantilePooler(
+            kind=kind,
+            params=params,
+            delay=samples.delay,
+            query_scaler=Standardizer.fit(samples.queries[train_rows]),
+            key_scaler=Standardizer.fit(samples.keys[train_rows]),
         )
-    scale, inputs = pooler.inputs(samples, slice(None))
-    truths = samples.truths / scale
+    inputs = pooler.inputs(samples, slice(None))
 
     levels = np.array(QUANTILE_LEVELS)
     wis_cfg = WISConfig()
-    repairs = 0
 
     def wis_loss(preds, idx):
-        nonlocal repairs
-        sorted_preds, perm, changed = _sort_repair(preds)
-        repairs += changed
-        scores = wis_batch(levels, sorted_preds, truths[idx], wis_cfg)
-        g_sorted = wis_gradient_batch(levels, sorted_preds, truths[idx], wis_cfg)
+        sorted_preds, perm = _sort_quantiles(preds)
+        truths = samples.truths[idx]
+        scores = wis_batch(levels, sorted_preds, truths, wis_cfg)
+        g_sorted = wis_gradient_batch(levels, sorted_preds, truths, wis_cfg)
         g_sorted /= idx.size
         g_preds = np.empty_like(g_sorted)
         np.put_along_axis(g_preds, perm, g_sorted, axis=1)
@@ -845,10 +767,10 @@ def train_pooler(
 
     forward, backward = _kind_functions(kind)
     curve = fit(
-        params, forward, backward, inputs, wis_loss, train_rows, rng,
-        replace(cfg, weight_decay=decay), check_rows=outside_holdout,
+        params, forward, backward, inputs, wis_loss, train_rows, rng, config,
+        check_rows=outside_holdout,
     )
-    return PoolerTrainResult(pooler=pooler, curve=curve, sort_repairs=repairs)
+    return PoolerTrainResult(pooler=pooler, curve=curve)
 
 
 # ---------------------------------------------------------------------------
@@ -857,12 +779,13 @@ def train_pooler(
 
 @dataclass(frozen=True)
 class QuantilePredictions:
-    """Sort-repaired pooled quantiles (raw death counts) for selected rows."""
+    """Pooled quantiles (raw death counts) for selected rows: the kind's
+    forward, then the sort that is the last layer of the ``multi_head`` and
+    ``linear`` kinds (the other kinds' outputs are already in order)."""
 
     rows: Array           # indices into the samples
     quantiles: Array      # (R, 21), non-decreasing per row
     weights: Array | None  # (R, M) additive, (R, P, M) multi-head, else None
-    sort_repairs: int
 
 
 def predict_quantiles(
@@ -871,16 +794,9 @@ def predict_quantiles(
     if rows is None:
         rows = np.arange(samples.n_rows)
     rows = np.asarray(rows, dtype=np.intp)
-    scale, inputs = pooler.inputs(samples, rows)
     forward, _ = _kind_functions(pooler.kind)
-    preds, weights, _ = forward(pooler.params, *inputs)
-    repaired, _, changed = _sort_repair(preds)
-    return QuantilePredictions(
-        rows=rows,
-        quantiles=repaired * scale[:, None],
-        weights=weights,
-        sort_repairs=changed,
-    )
+    preds, weights, _ = forward(pooler.params, *pooler.inputs(samples, rows))
+    return QuantilePredictions(rows=rows, quantiles=_sort_quantiles(preds)[0], weights=weights)
 
 
 @dataclass(frozen=True)
@@ -895,7 +811,6 @@ class PeriodScores:
     period: ValidationPeriod
     scores: tuple[WeekScore, ...]
     mean_wis: float
-    sort_repairs: int
 
 
 def evaluate_period(
@@ -917,12 +832,7 @@ def evaluate_period(
         )
         for r, s in zip(rows, wis)
     )
-    return PeriodScores(
-        period=period,
-        scores=scores,
-        mean_wis=float(wis.mean()),
-        sort_repairs=preds.sort_repairs,
-    )
+    return PeriodScores(period=period, scores=scores, mean_wis=float(wis.mean()))
 
 
 def candidate_mean_wis(samples: HubSamples, rows: Array | None = None) -> Array:

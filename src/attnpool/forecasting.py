@@ -271,11 +271,21 @@ def init_ffnn(
 
 @dataclass(frozen=True)
 class TrainConfig:
-    epochs: int = 500
-    learning_rate: float = 1e-3
-    batch_size: int = 128
-    weight_decay: float = 0.0
-    seed: int = 0
+    """The knobs of :func:`fit`, the one training config of every trainer.
+    The full-scale values are the experiment config's defaults, so none is
+    declared here."""
+
+    epochs: int
+    learning_rate: float
+    batch_size: int
+    weight_decay: float
+    seed: int
+
+    def __post_init__(self):
+        if self.epochs < 0:
+            raise ValueError(f"epochs must be >= 0, got {self.epochs}")
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
 
 
 def epoch_batches(rng: np.random.Generator, n: int, batch_size: int):
@@ -292,15 +302,15 @@ def fit(
     loss: Callable[[Array, Array], tuple[Array, Array]],
     rows: Array,
     rng: np.random.Generator,
-    config,
+    config: TrainConfig,
     check_rows: Callable[[Array], None] | None = None,
 ) -> Array:
     """The one training step, run by every trainer: trains the array fields
     of ``model`` in place by minibatch Adam and returns the per-epoch loss.
 
-    ``config`` supplies ``epochs``, ``batch_size``, ``learning_rate`` and
-    ``weight_decay`` (a :class:`TrainConfig` or the hub's
-    ``PoolerTrainConfig`` with its weight decay resolved). Each epoch draws
+    ``config`` is the :class:`TrainConfig` whose ``epochs``,
+    ``batch_size``, ``learning_rate`` and ``weight_decay`` the loop reads;
+    its ``seed`` has already seeded ``rng`` and the model. Each epoch draws
     a permutation of ``rows`` from ``rng`` and cuts it into batches. For
     each batch, ``check_rows`` (when given) sees the batch's rows ``idx``
     first; then ``forward(model, *(x[idx] for x in inputs))`` returns

@@ -374,7 +374,7 @@ class TestWeightTracking:
 # synthetic hub pipeline: imputation, leave-one-period-out training, scores
 
 HUB_SEED = 11
-TRAIN_KWARGS = dict(epochs=120, learning_rate=1e-3, batch_size=32, seed=5)
+TRAIN_KWARGS = dict(epochs=120, learning_rate=1e-3, batch_size=32)
 
 
 @dataclass
@@ -389,9 +389,13 @@ class HubRun:
     elapsed: float
 
 
+# each kind's weight decay is its full-scale one, resolved as a run does
 HUB_CONFIGS = {
-    "additive": covid.PoolerTrainConfig(hidden=150, **TRAIN_KWARGS),
-    "multi_head": covid.PoolerTrainConfig(hidden=60, n_heads=5, **TRAIN_KWARGS),
+    kind: cli._pooler_settings(model, 5, kind)
+    for kind, model in (
+        ("additive", cli.CovidModelConfig(hidden=150, **TRAIN_KWARGS)),
+        ("multi_head", cli.CovidModelConfig(hidden=60, n_heads=5, **TRAIN_KWARGS)),
+    )
 }
 
 
@@ -400,7 +404,10 @@ def _hub_job(samples, job):
     period."""
     period, kind = job
     rows = covid.period_rows(samples, period)
-    result = covid.train_pooler(kind, samples, holdout=period, config=HUB_CONFIGS[kind])
+    config, hidden, n_heads = HUB_CONFIGS[kind]
+    result = covid.train_pooler(
+        kind, samples, period, config=config, hidden=hidden, n_heads=n_heads
+    )
     preds = covid.predict_quantiles(result.pooler, samples, rows)
     levels = np.array(covid.QUANTILE_LEVELS)
     return wis_batch(levels, preds.quantiles, samples.truths[rows])

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 from datetime import date, timedelta
 from pathlib import Path
 
@@ -13,17 +14,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import HEAD_FIELDS
 
-from attnpool import covid
+from attnpool import cli, covid
 from attnpool.covid import (
     ForecastTable,
     GapSpec,
     ImputationEntry,
-    PoolerTrainConfig,
     TruthTable,
     ValidationPeriod,
 )
 from attnpool.evaluation import WIS_ALPHAS, wis_batch
-from attnpool.forecasting import LinearPooler, Standardizer
+from attnpool.forecasting import LinearPooler, Standardizer, TrainConfig
 from attnpool.numerics import spawn_rng
 
 
@@ -33,6 +33,15 @@ def week_grid(n, start=date(2024, 1, 6)):
 
 def monotone_cell(rng, center, spread=5.0):
     return np.sort(center + rng.normal(0.0, spread, covid.N_LEVELS))
+
+
+def train(kind, samples, holdout=None, seed=0, **model):
+    """``train_pooler`` at the settings the CLI resolves from a model
+    section holding the keys ``model`` (full-scale values for the rest)."""
+    config, hidden, n_heads = cli._pooler_settings(cli.CovidModelConfig(**model), seed, kind)
+    return covid.train_pooler(
+        kind, samples, holdout, config=config, hidden=hidden, n_heads=n_heads
+    )
 
 
 def build_tables(seed=0, n_models=3, n_locations=2, n_weeks=10):
@@ -88,13 +97,9 @@ def samples(ingested, imputed):
 @pytest.fixture(scope="module")
 def small_trained(samples):
     """One quickly trained pooler per kind, shared by the predict/eval tests."""
-    cfg = PoolerTrainConfig(epochs=30, learning_rate=1e-3, batch_size=64, hidden=40,
-                            n_heads=3, seed=3)
+    cfg = dict(epochs=30, learning_rate=1e-3, batch_size=64, hidden=40, n_heads=3, seed=3)
     period = covid.split_into_periods(samples.weeks, 4, skip=5)[1]
-    return {
-        kind: covid.train_pooler(kind, samples, holdout=period, config=cfg)
-        for kind in covid.POOLER_KINDS
-    }, period
+    return {kind: train(kind, samples, period, **cfg) for kind in covid.POOLER_KINDS}, period
 
 
 # ---------------------------------------------------------------------------
@@ -737,15 +742,48 @@ class TestValidationPeriods:
 
 class TestTrainPooler:
     def test_unknown_kind_rejected(self, samples):
+        config = TrainConfig(epochs=0, learning_rate=1e-5, batch_size=1, weight_decay=0.0, seed=0)
         with pytest.raises(ValueError, match="unknown pooler kind"):
-            covid.train_pooler("softmax", samples)
+            covid.train_pooler("softmax", samples, config=config, hidden=8, n_heads=1)
 
-    def test_defaults_follow_the_experiment_scale(self, samples):
-        quick = PoolerTrainConfig(epochs=0)
-        single = covid.train_pooler("additive", samples, config=quick).pooler
+    @pytest.mark.parametrize(
+        "knob, value, message",
+        [
+            ("epochs", -1, "epochs must be >= 0, got -1"),
+            ("batch_size", 0, "batch_size must be >= 1, got 0"),
+            ("n_heads", 0, "n_heads must be >= 1, got 0"),
+        ],
+    )
+    def test_bad_training_knobs_are_rejected(self, samples, knob, value, message):
+        """The training config (every trainer's) and train_pooler's head
+        count reject what no loop can run."""
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            train("multi_head", samples, **{"epochs": 0, knob: value})
+
+    def test_defaults_follow_the_experiment_scale(self, samples, tmp_path):
+        """A covid config without model keys resolves each kind to its
+        full-scale settings: 200 epochs of single-row updates at lr 1e-5,
+        the kind's hidden size and weight decay, and 21 heads."""
+        path = tmp_path / "covid.yaml"
+        path.write_text("experiment: covid\noutput: out\ndata:\n  synthetic: {}\n")
+        model = cli.validate_config(path).model
+        expect = {"additive": (1000, 1e-4), "multi_head": (100, 1e-5), "linear": (None, 0.0)}
+        resolved = {kind: cli._pooler_settings(model, 0, kind) for kind in expect}
+        for kind, (hidden, decay) in expect.items():
+            config, got_hidden, n_heads = resolved[kind]
+            assert (config.epochs, config.learning_rate, config.batch_size) == (200, 1e-5, 1)
+            assert (got_hidden, config.weight_decay, n_heads) == (hidden, decay, 21), kind
+
+        def untrained(kind):
+            config, hidden, n_heads = resolved[kind]
+            return covid.train_pooler(
+                kind, samples, config=replace(config, epochs=0), hidden=hidden, n_heads=n_heads
+            ).pooler
+
+        single = untrained("additive")
         assert single.params.w_key.shape == (1, 1000, 105)
         assert single.params.w_out is None
-        multi = covid.train_pooler("multi_head", samples, config=quick).pooler
+        multi = untrained("multi_head")
         assert multi.params.n_heads == 21
         assert multi.params.w_key.shape == (21, 100, 105)
         # the mixer starts as the component-wise mean of the heads' pools
@@ -753,11 +791,9 @@ class TestTrainPooler:
         for p in range(21):
             mean_of_heads[np.arange(21), p * 21 + np.arange(21)] = 1.0 / 21
         np.testing.assert_array_equal(multi.params.w_out, mean_of_heads)
-        assert PoolerTrainConfig().learning_rate == 1e-5
-        assert PoolerTrainConfig().epochs == 200
 
     def test_linear_starts_at_the_uniform_pool(self, samples):
-        res = covid.train_pooler("linear", samples, config=PoolerTrainConfig(epochs=0))
+        res = train("linear", samples, epochs=0)
         preds = covid.predict_quantiles(res.pooler, samples)
         np.testing.assert_allclose(
             preds.quantiles, samples.values.mean(axis=1), atol=1e-9
@@ -769,21 +805,23 @@ class TestTrainPooler:
         full, _ = covid.impute_missing(table)
         truth = TruthTable(hub.locations, hub.weeks, hub.truth)
         s = covid.assemble_samples(truth, full, delay=5)
-        cfg = PoolerTrainConfig(epochs=200, learning_rate=1e-3, batch_size=64,
-                                hidden=64, seed=2)
-        res = covid.train_pooler("additive", s, config=cfg)
+        res = train("additive", s, epochs=200, learning_rate=1e-3, batch_size=64, hidden=64,
+                    seed=2)
         uniform = covid.predict_quantiles(covid.baseline_pooler("uniform", s, np.arange(s.n_rows)), s)
         uniform_wis = wis_batch(np.array(covid.QUANTILE_LEVELS), uniform.quantiles, s.truths)
         assert res.curve[-1] < uniform_wis.mean()
         assert res.curve[-1] < res.curve[0]
 
     def test_additive_outputs_monotone_without_repair(self, small_trained, samples):
+        """The additive forward's raw output, with no sort applied, is in
+        order: a convex combination of sorted candidate quantiles."""
         trained, _ = small_trained
-        res = trained["additive"]
-        assert res.sort_repairs == 0
-        preds = covid.predict_quantiles(res.pooler, samples)
-        assert preds.sort_repairs == 0
-        assert np.all(np.diff(preds.quantiles, axis=1) >= 0)
+        pooler = trained["additive"].pooler
+        raw, _, _ = covid.single_head_forward(
+            pooler.params, *pooler.inputs(samples, slice(None))
+        )
+        assert raw.shape == (samples.n_rows, covid.N_LEVELS)
+        assert np.all(np.diff(raw, axis=1) >= 0)
 
     def test_repaired_outputs_monotone(self, small_trained, samples):
         trained, _ = small_trained
@@ -792,26 +830,21 @@ class TestTrainPooler:
             assert np.all(np.diff(preds.quantiles, axis=1) >= 0)
 
     def test_training_is_deterministic(self, samples):
-        cfg = PoolerTrainConfig(epochs=3, learning_rate=1e-3, batch_size=128,
-                                hidden=20, seed=9)
-        r1 = covid.train_pooler("additive", samples, config=cfg)
-        r2 = covid.train_pooler("additive", samples, config=cfg)
+        cfg = dict(epochs=3, learning_rate=1e-3, batch_size=128, hidden=20)
+        r1 = train("additive", samples, seed=9, **cfg)
+        r2 = train("additive", samples, seed=9, **cfg)
         np.testing.assert_array_equal(r1.curve, r2.curve)
         for name in HEAD_FIELDS:
             np.testing.assert_array_equal(
                 getattr(r1.pooler.params, name), getattr(r2.pooler.params, name)
             )
-        r3 = covid.train_pooler(
-            "additive", samples,
-            config=PoolerTrainConfig(epochs=3, learning_rate=1e-3, batch_size=128,
-                                     hidden=20, seed=10),
-        )
+        r3 = train("additive", samples, seed=10, **cfg)
         assert not np.array_equal(r1.curve, r3.curve)
 
     def test_holdout_excluded_and_empty_train_rejected(self, samples):
         everything = ValidationPeriod(samples.weeks[0], samples.weeks[-1])
         with pytest.raises(ValueError, match="no training rows"):
-            covid.train_pooler("linear", samples, holdout=everything)
+            train("linear", samples, everything, epochs=0)
 
     def test_batch_hook_rejects_held_out_rows(self, samples, monkeypatch):
         """train_pooler trains on rows outside the holdout only, and the
@@ -825,10 +858,7 @@ class TestTrainPooler:
             return real_fit(model, forward, backward, inputs, loss, rows, rng, config, check_rows)
 
         monkeypatch.setattr(covid, "fit", spy)
-        covid.train_pooler(
-            "linear", samples, holdout=period,
-            config=PoolerTrainConfig(epochs=1, batch_size=64),
-        )
+        train("linear", samples, period, epochs=1, batch_size=64)
         held_out = np.nonzero(samples.period_mask(period))[0]
         assert held_out.size > 0
         assert not np.isin(seen["rows"], held_out).any()
@@ -853,32 +883,23 @@ class TestTrainPooler:
         s.values[:, :, :] = np.inf
         with np.errstate(invalid="ignore"):
             with pytest.raises(FloatingPointError, match="epoch 0"):
-                covid.train_pooler(
-                    "additive", s,
-                    config=PoolerTrainConfig(epochs=1, batch_size=256, hidden=10, seed=0),
-                )
+                train("additive", s, epochs=1, batch_size=256, hidden=10)
 
     def test_weight_decay_shrinks_parameters(self, samples):
-        base = PoolerTrainConfig(epochs=5, learning_rate=1e-3, batch_size=128,
-                                 hidden=16, seed=4, weight_decay=0.0)
-        heavy = PoolerTrainConfig(epochs=5, learning_rate=1e-3, batch_size=128,
-                                  hidden=16, seed=4, weight_decay=0.5)
-        r0 = covid.train_pooler("additive", samples, config=base)
-        r1 = covid.train_pooler("additive", samples, config=heavy)
+        cfg = dict(epochs=5, learning_rate=1e-3, batch_size=128, hidden=16, seed=4)
+        r0 = train("additive", samples, weight_decay=0.0, **cfg)
+        r1 = train("additive", samples, weight_decay=0.5, **cfg)
         n0 = np.linalg.norm(r0.pooler.params.w_key)
         n1 = np.linalg.norm(r1.pooler.params.w_key)
         assert n1 < n0
 
-    @pytest.mark.parametrize("scale_per_location", [False, True])
-    def test_multi_head_setup_peaks_below_twice_the_keys(self, samples, scale_per_location):
+    def test_multi_head_setup_peaks_below_twice_the_keys(self, samples):
         """Before its first epoch, the multi-head pooler's standardizer fits
         and standardized inputs hold at most two key arrays' worth at once."""
-        cfg = PoolerTrainConfig(epochs=0, hidden=100, n_heads=5, seed=0,
-                                scale_per_location=scale_per_location)
         period = covid.split_into_periods(samples.weeks, 4, skip=5)[1]
         tracemalloc.start()
         try:
-            covid.train_pooler("multi_head", samples, holdout=period, config=cfg)
+            train("multi_head", samples, period, epochs=0, hidden=100, n_heads=5)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -886,59 +907,33 @@ class TestTrainPooler:
         assert peak <= 2 * keys, f"peak {peak} B for a {keys} B key array"
 
     @pytest.mark.parametrize("kind", ["additive", "linear"])
-    @pytest.mark.parametrize("scale_per_location", [False, True])
-    def test_inputs_match_divide_then_standardize_bitwise(
-        self, samples, kind, scale_per_location
-    ):
-        """The standardizer fits and the inputs of every row, by slice and
-        by index array, hold the bits of each row divided by its location's
-        scale (ones without per-location scaling) and then standardized."""
-        cfg = PoolerTrainConfig(epochs=0, hidden=8, seed=1, scale_per_location=scale_per_location)
+    def test_inputs_are_the_training_rows_standardized_bitwise(self, samples, kind):
+        """The standardizers fit the training rows, and the inputs of every
+        row, by slice and by index array, hold the bits of the samples'
+        rows, the attention kind's queries and keys standardized."""
         period = covid.split_into_periods(samples.weeks, 4, skip=5)[2]
-        pooler = covid.train_pooler(kind, samples, holdout=period, config=cfg).pooler
+        pooler = train(kind, samples, period, epochs=0, hidden=8, seed=1).pooler
         train_rows = np.nonzero(~samples.period_mask(period))[0]
-        if scale_per_location:
-            row_scales = pooler.location_scales[samples.location_idx]
-        else:
-            row_scales = np.ones(samples.n_rows)
-
-        def divided(arr, rows):
-            scale = row_scales[rows]
-            return arr[rows] / scale.reshape((-1,) + (1,) * (arr.ndim - 1))
-
         if kind == "additive":
             for fitted, arr in ((pooler.query_scaler, samples.queries),
                                 (pooler.key_scaler, samples.keys)):
-                expected = Standardizer.fit(divided(arr, train_rows))
+                expected = Standardizer.fit(arr[train_rows])
                 np.testing.assert_array_equal(fitted.mean, expected.mean)
                 np.testing.assert_array_equal(fitted.scale, expected.scale)
         for rows in (slice(None), np.arange(0, samples.n_rows, 3)):
-            scale, inputs = pooler.inputs(samples, rows)
-            np.testing.assert_array_equal(scale, row_scales[rows])
+            inputs = pooler.inputs(samples, rows)
             if kind == "linear":
-                expected = (divided(samples.linear_inputs, rows),)
+                expected = (samples.linear_inputs[rows],)
             else:
                 q, k = pooler.query_scaler, pooler.key_scaler
                 expected = (
-                    (divided(samples.queries, rows) - q.mean) / q.scale,
-                    (divided(samples.keys, rows) - k.mean) / k.scale,
-                    divided(samples.values, rows),
+                    (samples.queries[rows] - q.mean) / q.scale,
+                    (samples.keys[rows] - k.mean) / k.scale,
+                    samples.values[rows],
                 )
             assert len(inputs) == len(expected)
             for got, want in zip(inputs, expected):
                 np.testing.assert_array_equal(got, want)
-
-    def test_per_location_scaling_round_trips(self, samples):
-        cfg = PoolerTrainConfig(epochs=2, learning_rate=1e-3, batch_size=128,
-                                hidden=12, seed=6, scale_per_location=True)
-        res = covid.train_pooler("additive", samples, config=cfg)
-        assert res.pooler.location_scales is not None
-        preds = covid.predict_quantiles(res.pooler, samples)
-        assert np.isfinite(preds.quantiles).all()
-        # pooled output stays in the candidates' raw-count hull
-        low = samples.values.min(axis=1) - 1e-9
-        high = samples.values.max(axis=1) + 1e-9
-        assert np.all(preds.quantiles >= low) and np.all(preds.quantiles <= high)
 
 
 # ---------------------------------------------------------------------------
@@ -955,8 +950,7 @@ class TestPredictEvaluate:
             forecasts.models, forecasts.locations, forecasts.weeks, values
         )
         s = covid.assemble_samples(truth, perfect, delay=3)
-        res = covid.train_pooler("additive", s,
-                                 config=PoolerTrainConfig(epochs=0, hidden=8))
+        res = train("additive", s, epochs=0, hidden=8)
         period = ValidationPeriod(s.weeks[3], s.weeks[-1])
         ev = covid.evaluate_period(res.pooler, s, period)
         # softmax weights sum to 1 +- one ulp, so "exact" is 1e-15 relative
@@ -965,8 +959,7 @@ class TestPredictEvaluate:
     def test_single_candidate_passes_through(self):
         forecasts, truth = build_tables(seed=14, n_models=1, n_locations=2, n_weeks=10)
         s = covid.assemble_samples(truth, forecasts, delay=3)
-        res = covid.train_pooler("additive", s,
-                                 config=PoolerTrainConfig(epochs=0, hidden=8))
+        res = train("additive", s, epochs=0, hidden=8)
         preds = covid.predict_quantiles(res.pooler, s)
         np.testing.assert_allclose(preds.quantiles, s.values[:, 0], atol=1e-12)
         np.testing.assert_allclose(preds.weights, 1.0)
@@ -1014,8 +1007,9 @@ class TestPredictEvaluate:
             ),
             delay=samples.delay,
         )
+        raw = pooler.params.predict(*pooler.inputs(samples, np.arange(50)))
+        assert np.any(np.diff(raw, axis=1) < 0)
         preds = covid.predict_quantiles(pooler, samples, rows=np.arange(50))
-        assert preds.sort_repairs > 0
         assert np.all(np.diff(preds.quantiles, axis=1) >= 0)
 
     def test_uniform_and_candidate_baselines(self, samples):
@@ -1028,7 +1022,7 @@ class TestPredictEvaluate:
 
     def test_baseline_poolers_keep_the_candidates_bits(self, samples):
         """The uniform pooler is the candidates' mean and the best_single
-        pooler its period's champion, bit for bit, with no sort repair."""
+        pooler its period's champion, bit for bit."""
         period = covid.split_into_periods(samples.weeks, 4, skip=samples.delay)[2]
         rows = covid.period_rows(samples, period)
         champion = int(np.argmin(covid.candidate_mean_wis(samples, rows)))
@@ -1040,9 +1034,8 @@ class TestPredictEvaluate:
             pooler = covid.baseline_pooler(kind, samples, rows)
             preds = covid.predict_quantiles(pooler, samples, rows)
             assert preds.quantiles.tobytes() == quantiles.tobytes(), kind
-            assert preds.sort_repairs == 0 and preds.weights is None, kind
+            assert preds.weights is None, kind
             ev = covid.evaluate_period(pooler, samples, period)
-            assert ev.sort_repairs == 0, kind
             wis = wis_batch(np.array(covid.QUANTILE_LEVELS), quantiles, samples.truths[rows])
             assert [s.wis for s in ev.scores] == wis.tolist(), kind
         assert covid.baseline_pooler("best_single", samples, rows).params == champion
@@ -1060,9 +1053,7 @@ class TestPredictEvaluate:
             seed=seed % 997, n_models=4, n_locations=1, n_weeks=8
         )
         s = covid.assemble_samples(truth, forecasts, delay=2)
-        res = covid.train_pooler(
-            "additive", s, config=PoolerTrainConfig(epochs=0, hidden=6, seed=seed)
-        )
+        res = train("additive", s, epochs=0, hidden=6, seed=seed)
         preds = covid.predict_quantiles(res.pooler, s)
         assert np.all(np.diff(preds.quantiles, axis=1) >= 0)
         low = s.values.min(axis=1) - 1e-9

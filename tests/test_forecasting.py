@@ -51,6 +51,13 @@ from attnpool.lorenz import (
 from attnpool.numerics import spawn_rng
 
 
+def train_config(**knobs):
+    """A :class:`TrainConfig` at the Lorenz experiment's full-scale knobs,
+    with ``knobs`` in their place."""
+    full = dict(epochs=500, learning_rate=1e-3, batch_size=128, weight_decay=0.0, seed=0)
+    return TrainConfig(**{**full, **knobs})
+
+
 @pytest.fixture(scope="module")
 def small():
     """400-sample training run plus a short validation run, with candidates."""
@@ -65,7 +72,7 @@ def small():
 def trained(small):
     ds, cand, _ = small
     data = assemble_open_loop(ds.train.states, cand, 3)
-    return train_attention(data, 3, config=TrainConfig(epochs=120, seed=7))
+    return train_attention(data, 3, config=train_config(epochs=120, seed=7))
 
 
 @contextmanager
@@ -315,7 +322,7 @@ class TestTraining:
         states = ds.train.states[:200]
         cand = states[:, None, :].copy()  # the lone candidate IS the truth
         data = assemble_open_loop(states, cand, 2)
-        _, curve = train_attention(data, 2, hidden=8, config=TrainConfig(epochs=50, seed=0))
+        _, curve = train_attention(data, 2, hidden=8, config=train_config(epochs=50, seed=0))
         assert curve[-1] == 0.0  # softmax over one model pins the weight at 1
 
     def test_learns_to_select_clean_candidate(self, small):
@@ -326,7 +333,7 @@ class TestTraining:
         cand = np.stack([states, noisy], axis=1)
         data = assemble_open_loop(states, cand, 2)
         uniform_mse = np.mean((data.values.mean(axis=1) - data.targets) ** 2)
-        _, curve = train_attention(data, 2, hidden=16, config=TrainConfig(epochs=150, seed=1))
+        _, curve = train_attention(data, 2, hidden=16, config=train_config(epochs=150, seed=1))
         assert curve[-1] < 0.2 * uniform_mse
 
     def test_loss_curve_improves(self, trained):
@@ -347,7 +354,7 @@ class TestTraining:
     def test_beats_best_single_candidate(self, small):
         ds, cand, _ = small
         data = assemble_open_loop(ds.train.states, cand, 5)
-        _, curve = train_attention(data, 5, config=TrainConfig(epochs=250, seed=5))
+        _, curve = train_attention(data, 5, config=train_config(epochs=250, seed=5))
         best_single = min(
             float(np.mean((data.values[:, m] - data.targets) ** 2))
             for m in range(data.values.shape[1])
@@ -357,7 +364,7 @@ class TestTraining:
     def test_training_is_bitwise_deterministic(self, small):
         ds, cand, _ = small
         data = assemble_open_loop(ds.train.states[:120], cand[:120], 2)
-        cfg = TrainConfig(epochs=5, seed=11)
+        cfg = train_config(epochs=5, seed=11)
         a, curve_a = train_attention(data, 2, hidden=8, config=cfg)
         b, curve_b = train_attention(data, 2, hidden=8, config=cfg)
         np.testing.assert_array_equal(curve_a, curve_b)
@@ -368,15 +375,15 @@ class TestTraining:
     def test_seed_changes_the_fit(self, small):
         ds, cand, _ = small
         data = assemble_open_loop(ds.train.states[:120], cand[:120], 2)
-        a, _ = train_attention(data, 2, hidden=8, config=TrainConfig(epochs=5, seed=11))
-        b, _ = train_attention(data, 2, hidden=8, config=TrainConfig(epochs=5, seed=12))
+        a, _ = train_attention(data, 2, hidden=8, config=train_config(epochs=5, seed=11))
+        b, _ = train_attention(data, 2, hidden=8, config=train_config(epochs=5, seed=12))
         assert not np.array_equal(a.params.w_query, b.params.w_query)
 
     def test_nonfinite_loss_aborts_with_context(self, small):
         ds, cand, _ = small
         data = assemble_open_loop(ds.train.states[:120], cand[:120], 2)
         data.targets[5] = np.nan
-        cfg = TrainConfig(epochs=2, seed=0)
+        cfg = train_config(epochs=2, seed=0)
         flat_values = data.values.reshape(len(data.values), -1)
         for train in (
             lambda: train_attention(data, 2, hidden=8, config=cfg),
@@ -410,7 +417,7 @@ class TestTraining:
 
         curve = fit(
             model, forward, backward, (np.arange(20.0)[:, None] + 100.0,), loss, rows,
-            np.random.default_rng(3), TrainConfig(epochs=2, batch_size=4, learning_rate=1e-2),
+            np.random.default_rng(3), train_config(epochs=2, batch_size=4, learning_rate=1e-2),
         )
         reference = np.random.default_rng(3)
         expected = [rows[b] for _ in range(2) for b in epoch_batches(reference, 10, 4)]
@@ -444,7 +451,7 @@ class TestTraining:
         with pytest.raises(AssertionError, match="held out"):
             fit(
                 model, forward, LinearPooler.backward, (x,), loss, np.arange(20),
-                np.random.default_rng(0), TrainConfig(epochs=1, batch_size=20),
+                np.random.default_rng(0), train_config(epochs=1, batch_size=20),
                 check_rows=reject_row_7,
             )
         assert seen == []
@@ -475,7 +482,7 @@ class TestTraining:
         with pytest.raises(FloatingPointError, match=r"^non-finite training loss at epoch 1, batch 1$"):
             fit(
                 model, LinearPooler.forward, backward, (x,), loss, np.arange(10),
-                np.random.default_rng(5), TrainConfig(epochs=2, batch_size=4, learning_rate=1e-2),
+                np.random.default_rng(5), train_config(epochs=2, batch_size=4, learning_rate=1e-2),
             )
         assert calls == {"loss": 5, "backward": 4}
         assert not np.array_equal(snapshot["weight"], np.ones((2, 3)))
@@ -497,7 +504,7 @@ class TestTraining:
         x = rng.normal(size=(300, 6))
         weight = rng.uniform(-0.3, 0.3, size=(3, 6))
         y = x @ weight.T + 0.1
-        _, curve = train_linear(x, y, config=TrainConfig(epochs=200, seed=2))
+        _, curve = train_linear(x, y, config=train_config(epochs=200, seed=2))
         assert curve[-1] < 0.05 * curve[0]
 
     def test_ffnn_training_improves(self, small):
@@ -505,7 +512,7 @@ class TestTraining:
         data = assemble_open_loop(ds.train.states[:200], cand[:200], 2)
         _, curve = train_ffnn(
             data.queries, data.targets, 2, hidden=20,
-            config=TrainConfig(epochs=30, seed=3),
+            config=train_config(epochs=30, seed=3),
         )
         assert curve[-1] < curve[0]
 
