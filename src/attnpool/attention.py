@@ -66,12 +66,13 @@ def init_heads(
 # forward
 
 
-def softmax(scores: Array, axis: int = -1) -> Array:
-    """Numerically stable softmax (max subtraction before exponentiation)."""
+def softmax(scores: Array) -> Array:
+    """Numerically stable softmax over the last axis (max subtraction
+    before exponentiation)."""
     scores = np.asarray(scores, dtype=np.float64)
-    shifted = scores - np.max(scores, axis=axis, keepdims=True)
+    shifted = scores - np.max(scores, axis=-1, keepdims=True)
     e = np.exp(shifted)
-    return e / np.sum(e, axis=axis, keepdims=True)
+    return e / np.sum(e, axis=-1, keepdims=True)
 
 
 def _batched(params: AttentionParams, query: Array, keys: Array, values: Array):
@@ -118,7 +119,7 @@ def _stacked_forward(params: AttentionParams, q: Array, k: Array, v: Array):
     act += proj_q
     np.tanh(act, out=act)
     scores = (act @ params.w_score[:, None, :, None])[..., 0]                  # (P, B, M)
-    weights = softmax(scores, axis=-1)
+    weights = softmax(scores)
     return np.einsum("pbm,bmd->pbd", weights, v), act, weights
 
 

@@ -57,8 +57,8 @@ from .lorenz import (
     generate_dataset,
 )
 
-LORENZ_METHODS = ("additive", "fixed_attention", "best_initial", "linear", "ffnn")
-COVID_METHODS = ("additive", "multi_head", "linear", "uniform", "best_single")
+LORENZ_METHODS = VARIANTS + ("linear", "ffnn")
+COVID_METHODS = covid.POOLER_KINDS + covid.BASELINE_KINDS
 
 
 class ConfigError(Exception):
@@ -100,12 +100,12 @@ def _no_bool(value):
         raise _Bad(f"expected a number, got the boolean {value}")
 
 
-def _int_field(minimum=None, maximum=None):
+def _int_field(minimum, maximum=None):
     def parse(value):
         _no_bool(value)
         if not isinstance(value, int):
             raise _Bad(f"expected an integer, got {value!r}")
-        if minimum is not None and value < minimum:
+        if value < minimum:
             raise _Bad(f"must be >= {minimum}, got {value}")
         if maximum is not None and value > maximum:
             raise _Bad(f"must be <= {maximum}, got {value}")
@@ -513,7 +513,7 @@ class _OutputStage:
     def file_hashes(self) -> dict[str, str]:
         return {p.name: _sha256(p) for p in sorted(self.partial.iterdir())}
 
-    def commit(self, command: str, inputs: Sequence[Path] = ()) -> None:
+    def commit(self, command: str, inputs: Sequence[Path]) -> None:
         """Move the staged files into place, ``manifest.json`` last, and
         delete the files that the previous run of the same ``command`` listed
         in its manifest and this run did not write. A file no such manifest
@@ -575,7 +575,7 @@ def _fmt(x) -> str:
     return f"{float(x):.17g}"
 
 
-def _finish(stage: _OutputStage, cfg: ExperimentConfig, command: str, started: float, extra=None) -> Path:
+def _finish(stage: _OutputStage, cfg: ExperimentConfig, command: str, started: float, extra: dict) -> Path:
     manifest = {
         "command": command,
         "experiment": cfg.experiment,
@@ -585,9 +585,8 @@ def _finish(stage: _OutputStage, cfg: ExperimentConfig, command: str, started: f
         "package_version": __version__,
         "outputs": stage.file_hashes(),
         "wall_clock_seconds": round(time.perf_counter() - started, 3),
+        **extra,
     }
-    if extra:
-        manifest.update(extra)
     # hashed here with the outputs, not before the run: a 1 MiB read ahead of
     # training moves the allocator's mmap threshold and raises peak memory
     inputs = _input_paths(cfg)
@@ -979,7 +978,7 @@ def _covid_periods(cfg: ExperimentConfig, samples) -> tuple[covid.ValidationPeri
     if periods == "standard":
         periods = covid.DEFAULT_VALIDATION_PERIODS
     elif periods == "split":
-        periods = tuple(covid.split_into_periods(samples.weeks, 4, skip=samples.delay))
+        periods = covid.split_into_periods(samples.weeks, 4, skip=samples.delay)
     for period in periods:
         if not samples.period_mask(period).any():
             raise ValueError(

@@ -52,7 +52,7 @@ from .attention import (
     single_head_backward,
     single_head_forward,
 )
-from .evaluation import WISConfig, wis_batch, wis_gradient_batch
+from .evaluation import wis_batch, wis_gradient_batch
 from .forecasting import LinearPooler, Standardizer, TrainConfig, fit
 from .numerics import Array, spawn_rng
 
@@ -476,7 +476,7 @@ class HubSamples:
 
 
 def assemble_samples(
-    truth: TruthTable, forecasts: ForecastTable, delay: int = 5
+    truth: TruthTable, forecasts: ForecastTable, delay: int
 ) -> HubSamples:
     """Build query/key/value arrays from completed tables.
 
@@ -567,7 +567,7 @@ def check_periods_disjoint(periods: Sequence[ValidationPeriod]) -> None:
 
 
 def split_into_periods(
-    weeks: Sequence[date], n_periods: int = 4, skip: int = 0
+    weeks: Sequence[date], n_periods: int, skip: int
 ) -> tuple[ValidationPeriod, ...]:
     """Split a week grid into contiguous, disjoint validation periods.
 
@@ -694,7 +694,7 @@ def _sort_quantiles(preds: Array) -> tuple[Array, Array]:
 def train_pooler(
     kind: str,
     samples: HubSamples,
-    holdout: ValidationPeriod | None = None,
+    holdout: ValidationPeriod,
     *,
     config: TrainConfig,
     hidden: int | None,
@@ -717,11 +717,7 @@ def train_pooler(
     if n_heads < 1:
         raise ValueError(f"n_heads must be >= 1, got {n_heads}")
 
-    in_holdout = (
-        samples.period_mask(holdout)
-        if holdout is not None
-        else np.zeros(samples.n_rows, dtype=bool)
-    )
+    in_holdout = samples.period_mask(holdout)
     train_rows = np.nonzero(~in_holdout)[0]
     if train_rows.size == 0:
         raise ValueError("holdout period leaves no training rows")
@@ -748,13 +744,12 @@ def train_pooler(
     inputs = pooler.inputs(samples, slice(None))
 
     levels = np.array(QUANTILE_LEVELS)
-    wis_cfg = WISConfig()
 
     def wis_loss(preds, idx):
         sorted_preds, perm = _sort_quantiles(preds)
         truths = samples.truths[idx]
-        scores = wis_batch(levels, sorted_preds, truths, wis_cfg)
-        g_sorted = wis_gradient_batch(levels, sorted_preds, truths, wis_cfg)
+        scores = wis_batch(levels, sorted_preds, truths)
+        g_sorted = wis_gradient_batch(levels, sorted_preds, truths)
         g_sorted /= idx.size
         g_preds = np.empty_like(g_sorted)
         np.put_along_axis(g_preds, perm, g_sorted, axis=1)
@@ -783,20 +778,17 @@ class QuantilePredictions:
     forward, then the sort that is the last layer of the ``multi_head`` and
     ``linear`` kinds (the other kinds' outputs are already in order)."""
 
-    rows: Array           # indices into the samples
     quantiles: Array      # (R, 21), non-decreasing per row
     weights: Array | None  # (R, M) additive, (R, P, M) multi-head, else None
 
 
 def predict_quantiles(
-    pooler: QuantilePooler, samples: HubSamples, rows: Array | None = None
+    pooler: QuantilePooler, samples: HubSamples, rows: Array
 ) -> QuantilePredictions:
-    if rows is None:
-        rows = np.arange(samples.n_rows)
     rows = np.asarray(rows, dtype=np.intp)
     forward, _ = _kind_functions(pooler.kind)
     preds, weights, _ = forward(pooler.params, *pooler.inputs(samples, rows))
-    return QuantilePredictions(rows=rows, quantiles=_sort_quantiles(preds)[0], weights=weights)
+    return QuantilePredictions(quantiles=_sort_quantiles(preds)[0], weights=weights)
 
 
 @dataclass(frozen=True)
@@ -808,7 +800,6 @@ class WeekScore:
 
 @dataclass(frozen=True)
 class PeriodScores:
-    period: ValidationPeriod
     scores: tuple[WeekScore, ...]
     mean_wis: float
 
@@ -832,13 +823,11 @@ def evaluate_period(
         )
         for r, s in zip(rows, wis)
     )
-    return PeriodScores(period=period, scores=scores, mean_wis=float(wis.mean()))
+    return PeriodScores(scores=scores, mean_wis=float(wis.mean()))
 
 
-def candidate_mean_wis(samples: HubSamples, rows: Array | None = None) -> Array:
-    """Mean WIS of each candidate model alone over the selected rows; (M,)."""
-    if rows is None:
-        rows = np.arange(samples.n_rows)
+def candidate_mean_wis(samples: HubSamples, rows: Array) -> Array:
+    """Mean WIS of each candidate model alone over the sample rows ``rows``; (M,)."""
     levels = np.array(QUANTILE_LEVELS)
     out = np.empty(samples.n_models)
     for m in range(samples.n_models):
@@ -927,7 +916,7 @@ def _logistic_bump(x: Array) -> Array:
 
 
 def synthesize_hub(
-    seed: int, n_locations: int = 8, n_weeks: int = 120, n_models: int = 9
+    seed: int, n_locations: int, n_weeks: int, n_models: int
 ) -> SyntheticHub:
     """Seeded synthetic weekly-deaths data with two quality regimes.
 

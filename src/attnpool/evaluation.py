@@ -22,6 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .lorenz import DT_SAMPLE
 from .numerics import Array
 
 # alpha set used throughout; endpoints alpha/2 and 1 - alpha/2 plus the
@@ -34,7 +35,6 @@ WIS_ALPHAS: tuple[float, ...] = (0.02, 0.05, 0.1, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 
 
 
 VALID_TIME_EPSILON = 40.0  # mean-squared-error threshold
-VALID_TIME_DT = 0.1        # sampling interval
 
 
 def exceeded(pred: Array, truth: Array) -> Array:
@@ -56,8 +56,9 @@ def valid_time(pred: Array, truth: Array) -> float:
     error averaged over components, the scale on which the threshold of 40
     is calibrated (the MSE between unrelated states on the attractor
     saturates near 200). Returns ``j* . dt`` for the first index j* that
-    :func:`exceeded` marks (non-finite predictions count as exceedance); if
-    the threshold is never reached the full horizon ``len(pred) . dt`` is
+    :func:`exceeded` marks (non-finite predictions count as exceedance),
+    with dt the sampling interval :data:`attnpool.lorenz.DT_SAMPLE`; if the
+    threshold is never reached the full horizon ``len(pred) . dt`` is
     returned, and if the very first step exceeds, 0.0.
     """
     pred = np.asarray(pred, dtype=np.float64)
@@ -68,7 +69,7 @@ def valid_time(pred: Array, truth: Array) -> float:
         raise ValueError("empty forecast")
     hits = np.nonzero(exceeded(pred, truth))[0]
     j_star = int(hits[0]) if hits.size else len(pred)
-    return j_star * VALID_TIME_DT
+    return j_star * DT_SAMPLE
 
 
 # ---------------------------------------------------------------------------
@@ -139,6 +140,10 @@ class WISConfig:
         return len(self.alphas) + 0.5
 
 
+# the default of both WIS functions, built once
+_WIS = WISConfig()
+
+
 def _level_index(levels: Array, level: float, what: str) -> int:
     hits = np.nonzero(np.abs(levels - level) < 1e-9)[0]
     if hits.size != 1:
@@ -170,7 +175,7 @@ def _wis_layout(levels: Array, cfg: WISConfig):
     return _layout_of(tuple(levels.tolist()), cfg)
 
 
-def wis_batch(levels: Array, values: Array, observed: Array, cfg: WISConfig | None = None) -> Array:
+def wis_batch(levels: Array, values: Array, observed: Array, cfg: WISConfig = _WIS) -> Array:
     """WIS for a batch: ``values`` is (N, L) aligned with ``levels``, one row
     per forecast; ``observed`` is (N,). Returns (N,).
 
@@ -178,7 +183,6 @@ def wis_batch(levels: Array, values: Array, observed: Array, cfg: WISConfig | No
     to the median term one alpha at a time in ``cfg.alphas`` order, so the
     sum is the one a loop over the intervals makes.
     """
-    cfg = cfg or WISConfig()
     levels = np.asarray(levels, dtype=np.float64)
     values = np.atleast_2d(np.asarray(values, dtype=np.float64))
     observed = np.atleast_1d(np.asarray(observed, dtype=np.float64))
@@ -202,7 +206,7 @@ def wis_batch(levels: Array, values: Array, observed: Array, cfg: WISConfig | No
 
 
 def wis_gradient_batch(
-    levels: Array, values: Array, observed: Array, cfg: WISConfig | None = None
+    levels: Array, values: Array, observed: Array, cfg: WISConfig = _WIS
 ) -> Array:
     """Subgradient of WIS w.r.t. each forecast quantile value, batched.
 
@@ -211,7 +215,6 @@ def wis_gradient_batch(
     Returns an array shaped like ``values``; each entry receives exactly one
     term, since the median and the endpoints are distinct levels.
     """
-    cfg = cfg or WISConfig()
     levels = np.asarray(levels, dtype=np.float64)
     values = np.atleast_2d(np.asarray(values, dtype=np.float64))
     observed = np.atleast_1d(np.asarray(observed, dtype=np.float64))

@@ -27,9 +27,10 @@ candidate that got the largest step-0 weight. The variants of one model run
 as one batch, one tile of the start points per variant: the step-0 weights
 are computed once for all tiles, only the ``additive`` tile recomputes them
 afterwards (so after step 0 only its rows keep keys), and every tile's
-candidates are integrated together. Given the segments' truths, the driver
-forms no forecast from them: they only decide when a row's valid time is
-settled, and the row then leaves the batch.
+candidates are integrated together. The driver forms no forecast from the
+segments' truths: they only decide when a row's valid time is settled, and
+the row then leaves the batch, except in the tiles that run the whole
+horizon.
 
 One row policy holds for every model the closed loop steps: each row of a
 batch has its own matmuls (:func:`_by_row`, ``attention._stacked_forward``),
@@ -357,11 +358,12 @@ def _squared_error(targets: Array):
 def train_attention(
     data: OpenLoopData,
     length: int,
-    hidden: int | None = None,
     *,
+    hidden: int | None,
     config: TrainConfig,
 ) -> tuple[AttentionPooler, Array]:
-    """Minibatch-Adam MSE training; returns the pooler and per-epoch losses."""
+    """Minibatch-Adam MSE training; returns the pooler and per-epoch losses.
+    A ``hidden`` of None takes :func:`attention_hidden_size` of ``length``."""
     hidden = attention_hidden_size(length) if hidden is None else hidden
     query_scaler = Standardizer.fit(data.queries)
     key_scaler = Standardizer.fit(data.keys)
@@ -399,12 +401,13 @@ def train_ffnn(
     inputs_raw: Array,
     targets: Array,
     length: int,
-    hidden: int | None = None,
     *,
+    hidden: int | None,
     config: TrainConfig,
 ) -> tuple[FeedForwardNet, Array]:
     """Direct state-forecast baseline, trained from standardized delayed
-    states."""
+    states. A ``hidden`` of None takes :func:`ffnn_hidden_size` of
+    ``length``."""
     hidden = ffnn_hidden_size(length) if hidden is None else hidden
     scaler = Standardizer.fit(inputs_raw)
     x = scaler.apply(inputs_raw)
@@ -473,9 +476,10 @@ def closed_loop_forecast_batch(
     model: AttentionPooler | LinearPooler | FeedForwardNet,
     histories: Array,
     horizon: int,
-    variants: Sequence[str] = ("additive",),
-    truths: Array | None = None,
-    full_horizon: Sequence[str] = (),
+    *,
+    variants: Sequence[str],
+    truths: Array,
+    full_horizon: Sequence[str],
 ) -> tuple[ClosedLoopResult, ...]:
     """Autonomous multi-step forecasts from B start points in lockstep, one
     :class:`ClosedLoopResult` per name in ``variants``, in that order.
@@ -504,13 +508,13 @@ def closed_loop_forecast_batch(
     the first tile, and only the ``additive`` tile recomputes them later,
     so only its rows keep and shift keys after step 0.
 
-    ``truths`` (B, horizon, d), when given, holds the segments' true states;
-    they only decide when a row stops. After each step, every row whose
-    step :func:`~attnpool.evaluation.exceeded` the valid-time threshold has
-    its valid time decided and leaves the batch, its later predictions left
+    ``truths`` (B, horizon, d) holds the segments' true states; they only
+    decide when a row stops. After each step, every row whose step
+    :func:`~attnpool.evaluation.exceeded` the valid-time threshold has its
+    valid time decided and leaves the batch, its later predictions left
     NaN, so :func:`~attnpool.evaluation.valid_time` of every row is that of
     the full rollout. The tiles of the variants named in ``full_horizon``
-    run the whole horizon, as does every tile without ``truths``.
+    run the whole horizon.
     """
     variants = tuple(variants)
     if not variants or len(set(variants)) < len(variants) or not set(variants) <= set(VARIANTS):
@@ -540,7 +544,7 @@ def closed_loop_forecast_batch(
             f"histories must be (B, {depth}, d) for this {type(model).__name__}, "
             f"got {histories.shape}"
         )
-    if truths is not None and np.shape(truths) != (n_segments, horizon, histories.shape[2]):
+    if np.shape(truths) != (n_segments, horizon, histories.shape[2]):
         raise ValueError(
             f"truths must be ({n_segments}, {horizon}, {histories.shape[2]}), "
             f"got {np.shape(truths)}"
@@ -549,7 +553,7 @@ def closed_loop_forecast_batch(
     n_rows, _, dim = histories.shape
     rows = np.arange(n_rows)  # the batch rows still stepping, ascending
     segment = rows % n_segments
-    judged = np.repeat([truths is not None and v not in full_horizon for v in variants], n_segments)
+    judged = np.repeat([v not in full_horizon for v in variants], n_segments)
     additive = np.repeat([v == "additive" for v in variants], n_segments)
 
     # lag k of the keys is (candidate forecast for history index -1-k) -
@@ -600,9 +604,7 @@ def closed_loop_forecast_batch(
             weights_out[rows[live], step] = weights[live]
         truncated_at[rows[dead]] = step
 
-        done = dead
-        if truths is not None:
-            done = dead | (judged[rows] & exceeded(out, truths[segment[rows], step]))
+        done = dead | (judged[rows] & exceeded(out, truths[segment[rows], step]))
         if done.any():
             steps[rows[done]] = step + 1
             keep = ~done

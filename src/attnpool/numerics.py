@@ -73,7 +73,7 @@ class FlatAdam:
     parameters, not folded into the gradient.
     """
 
-    def __init__(self, model: object, learning_rate: float, weight_decay: float = 0.0):
+    def __init__(self, model: object, learning_rate: float, weight_decay: float):
         arrays = {n: np.asarray(getattr(model, n), dtype=np.float64) for n in _array_fields(model)}
         self._model = model
         self._names = list(arrays)

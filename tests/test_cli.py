@@ -1,6 +1,7 @@
 """Config validation, the experiment runners, and the command-line surface."""
 
 import csv
+import inspect
 import io
 import json
 import os
@@ -1022,7 +1023,7 @@ class TestOutputStage:
                 stage.path(name).write_text(f"{tag}\n")
             outputs = stage.file_hashes()
             stage.path("manifest.json").write_text(json.dumps({"command": "x", "outputs": outputs}))
-            stage.commit("x")
+            stage.commit("x", [])
 
     @staticmethod
     def manifest_matches_its_files(directory: Path) -> bool:
@@ -1099,6 +1100,26 @@ class TestCommands:
         result = invoke("version")
         assert result.exit_code == 0
         assert __version__ in result.output
+
+    def test_an_empty_synthetic_section_takes_the_full_hub_shape(self, tmp_path, monkeypatch):
+        """``data.synthetic: {}`` reaches ``synthesize_hub`` as 8 locations,
+        120 weeks and 9 models, seeded by the top-level seed; the config
+        schema is the one place that declares them."""
+        calls = []
+        signature = inspect.signature(covid.synthesize_hub)
+
+        def synthesize_hub(*args, **kwargs):
+            calls.append(dict(signature.bind(*args, **kwargs).arguments))
+            raise RuntimeError("not generated")
+
+        monkeypatch.setattr(covid, "synthesize_hub", synthesize_hub)
+        cfg = write_config(
+            tmp_path, "experiment: covid\nseed: 4\noutput: {out}\ndata:\n  synthetic: {{}}\n",
+            out=str(tmp_path / "out"),
+        )
+        result = invoke("covid-synth", "--config", str(cfg))
+        assert result.exit_code == 2 and "not generated" in result.stderr
+        assert calls == [dict(seed=4, n_locations=8, n_weeks=120, n_models=9)]
 
     def test_covid_synth_requires_a_synthetic_section(self, tmp_path):
         (tmp_path / "f.csv").write_text("x\n")

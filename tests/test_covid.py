@@ -4,7 +4,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
-from dataclasses import replace
+from dataclasses import asdict, replace
 from datetime import date, timedelta
 from pathlib import Path
 
@@ -35,13 +35,24 @@ def monotone_cell(rng, center, spread=5.0):
     return np.sort(center + rng.normal(0.0, spread, covid.N_LEVELS))
 
 
-def train(kind, samples, holdout=None, seed=0, **model):
+# a period that holds no week of any grid here: held out, it leaves every
+# row to train on
+NO_WEEK = ValidationPeriod(date(1900, 1, 6), date(1900, 1, 6))
+
+
+def train(kind, samples, holdout, seed=0, **model):
     """``train_pooler`` at the settings the CLI resolves from a model
     section holding the keys ``model`` (full-scale values for the rest)."""
     config, hidden, n_heads = cli._pooler_settings(cli.CovidModelConfig(**model), seed, kind)
     return covid.train_pooler(
         kind, samples, holdout, config=config, hidden=hidden, n_heads=n_heads
     )
+
+
+def synthesize(seed, **shape):
+    """``synthesize_hub`` at the experiment config's hub shape (8 locations,
+    120 weeks, 9 models), with ``shape`` in its place."""
+    return covid.synthesize_hub(**asdict(cli.CovidSyntheticConfig(seed=seed, **shape)))
 
 
 def build_tables(seed=0, n_models=3, n_locations=2, n_weeks=10):
@@ -66,7 +77,7 @@ def build_tables(seed=0, n_models=3, n_locations=2, n_weeks=10):
 
 @pytest.fixture(scope="module")
 def hub():
-    return covid.synthesize_hub(seed=11)
+    return synthesize(11)
 
 
 @pytest.fixture(scope="module")
@@ -634,7 +645,7 @@ class TestAssembleSamples:
         forecasts, truth = build_tables(seed=11)
         gappy = blank(forecasts, "m0", "s0", [4])
         with pytest.raises(ValueError, match="missing cells"):
-            covid.assemble_samples(truth, gappy)
+            covid.assemble_samples(truth, gappy, delay=3)
 
     def test_rejects_mismatched_grids_and_short_data(self):
         forecasts, truth = build_tables(seed=12, n_weeks=6)
@@ -644,7 +655,7 @@ class TestAssembleSamples:
             deaths=truth.deaths,
         )
         with pytest.raises(ValueError, match="different grids"):
-            covid.assemble_samples(other_truth, forecasts)
+            covid.assemble_samples(other_truth, forecasts, delay=3)
         with pytest.raises(ValueError, match="need more than"):
             covid.assemble_samples(truth, forecasts, delay=6)
         with pytest.raises(ValueError, match="delay must be"):
@@ -727,7 +738,7 @@ class TestValidationPeriods:
 
     def test_split_needs_enough_weeks(self):
         with pytest.raises(ValueError, match="cannot split"):
-            covid.split_into_periods(week_grid(3), 4)
+            covid.split_into_periods(week_grid(3), 4, skip=0)
 
     def test_period_mask_matches_contains(self, samples):
         period = covid.split_into_periods(samples.weeks, 4, skip=5)[2]
@@ -744,7 +755,7 @@ class TestTrainPooler:
     def test_unknown_kind_rejected(self, samples):
         config = TrainConfig(epochs=0, learning_rate=1e-5, batch_size=1, weight_decay=0.0, seed=0)
         with pytest.raises(ValueError, match="unknown pooler kind"):
-            covid.train_pooler("softmax", samples, config=config, hidden=8, n_heads=1)
+            covid.train_pooler("softmax", samples, NO_WEEK, config=config, hidden=8, n_heads=1)
 
     @pytest.mark.parametrize(
         "knob, value, message",
@@ -758,7 +769,7 @@ class TestTrainPooler:
         """The training config (every trainer's) and train_pooler's head
         count reject what no loop can run."""
         with pytest.raises(ValueError, match=f"^{message}$"):
-            train("multi_head", samples, **{"epochs": 0, knob: value})
+            train("multi_head", samples, NO_WEEK, **{"epochs": 0, knob: value})
 
     def test_defaults_follow_the_experiment_scale(self, samples, tmp_path):
         """A covid config without model keys resolves each kind to its
@@ -777,7 +788,8 @@ class TestTrainPooler:
         def untrained(kind):
             config, hidden, n_heads = resolved[kind]
             return covid.train_pooler(
-                kind, samples, config=replace(config, epochs=0), hidden=hidden, n_heads=n_heads
+                kind, samples, NO_WEEK, config=replace(config, epochs=0), hidden=hidden,
+                n_heads=n_heads,
             ).pooler
 
         single = untrained("additive")
@@ -793,21 +805,22 @@ class TestTrainPooler:
         np.testing.assert_array_equal(multi.params.w_out, mean_of_heads)
 
     def test_linear_starts_at_the_uniform_pool(self, samples):
-        res = train("linear", samples, epochs=0)
-        preds = covid.predict_quantiles(res.pooler, samples)
+        res = train("linear", samples, NO_WEEK, epochs=0)
+        preds = covid.predict_quantiles(res.pooler, samples, np.arange(samples.n_rows))
         np.testing.assert_allclose(
             preds.quantiles, samples.values.mean(axis=1), atol=1e-9
         )
 
     def test_wis_training_beats_uniform_on_train_split(self):
-        hub = covid.synthesize_hub(seed=21, n_locations=5, n_weeks=60)
+        hub = synthesize(21, n_locations=5, n_weeks=60)
         table = ForecastTable(hub.models, hub.locations, hub.weeks, hub.forecasts)
         full, _ = covid.impute_missing(table)
         truth = TruthTable(hub.locations, hub.weeks, hub.truth)
         s = covid.assemble_samples(truth, full, delay=5)
-        res = train("additive", s, epochs=200, learning_rate=1e-3, batch_size=64, hidden=64,
-                    seed=2)
-        uniform = covid.predict_quantiles(covid.baseline_pooler("uniform", s, np.arange(s.n_rows)), s)
+        every = np.arange(s.n_rows)
+        res = train("additive", s, NO_WEEK, epochs=200, learning_rate=1e-3, batch_size=64,
+                    hidden=64, seed=2)
+        uniform = covid.predict_quantiles(covid.baseline_pooler("uniform", s, every), s, every)
         uniform_wis = wis_batch(np.array(covid.QUANTILE_LEVELS), uniform.quantiles, s.truths)
         assert res.curve[-1] < uniform_wis.mean()
         assert res.curve[-1] < res.curve[0]
@@ -826,19 +839,20 @@ class TestTrainPooler:
     def test_repaired_outputs_monotone(self, small_trained, samples):
         trained, _ = small_trained
         for kind in ("multi_head", "linear"):
-            preds = covid.predict_quantiles(trained[kind].pooler, samples)
+            every = np.arange(samples.n_rows)
+            preds = covid.predict_quantiles(trained[kind].pooler, samples, every)
             assert np.all(np.diff(preds.quantiles, axis=1) >= 0)
 
     def test_training_is_deterministic(self, samples):
         cfg = dict(epochs=3, learning_rate=1e-3, batch_size=128, hidden=20)
-        r1 = train("additive", samples, seed=9, **cfg)
-        r2 = train("additive", samples, seed=9, **cfg)
+        r1 = train("additive", samples, NO_WEEK, seed=9, **cfg)
+        r2 = train("additive", samples, NO_WEEK, seed=9, **cfg)
         np.testing.assert_array_equal(r1.curve, r2.curve)
         for name in HEAD_FIELDS:
             np.testing.assert_array_equal(
                 getattr(r1.pooler.params, name), getattr(r2.pooler.params, name)
             )
-        r3 = train("additive", samples, seed=10, **cfg)
+        r3 = train("additive", samples, NO_WEEK, seed=10, **cfg)
         assert not np.array_equal(r1.curve, r3.curve)
 
     def test_holdout_excluded_and_empty_train_rejected(self, samples):
@@ -883,12 +897,12 @@ class TestTrainPooler:
         s.values[:, :, :] = np.inf
         with np.errstate(invalid="ignore"):
             with pytest.raises(FloatingPointError, match="epoch 0"):
-                train("additive", s, epochs=1, batch_size=256, hidden=10)
+                train("additive", s, NO_WEEK, epochs=1, batch_size=256, hidden=10)
 
     def test_weight_decay_shrinks_parameters(self, samples):
         cfg = dict(epochs=5, learning_rate=1e-3, batch_size=128, hidden=16, seed=4)
-        r0 = train("additive", samples, weight_decay=0.0, **cfg)
-        r1 = train("additive", samples, weight_decay=0.5, **cfg)
+        r0 = train("additive", samples, NO_WEEK, weight_decay=0.0, **cfg)
+        r1 = train("additive", samples, NO_WEEK, weight_decay=0.5, **cfg)
         n0 = np.linalg.norm(r0.pooler.params.w_key)
         n1 = np.linalg.norm(r1.pooler.params.w_key)
         assert n1 < n0
@@ -950,7 +964,7 @@ class TestPredictEvaluate:
             forecasts.models, forecasts.locations, forecasts.weeks, values
         )
         s = covid.assemble_samples(truth, perfect, delay=3)
-        res = train("additive", s, epochs=0, hidden=8)
+        res = train("additive", s, NO_WEEK, epochs=0, hidden=8)
         period = ValidationPeriod(s.weeks[3], s.weeks[-1])
         ev = covid.evaluate_period(res.pooler, s, period)
         # softmax weights sum to 1 +- one ulp, so "exact" is 1e-15 relative
@@ -959,16 +973,18 @@ class TestPredictEvaluate:
     def test_single_candidate_passes_through(self):
         forecasts, truth = build_tables(seed=14, n_models=1, n_locations=2, n_weeks=10)
         s = covid.assemble_samples(truth, forecasts, delay=3)
-        res = train("additive", s, epochs=0, hidden=8)
-        preds = covid.predict_quantiles(res.pooler, s)
+        res = train("additive", s, NO_WEEK, epochs=0, hidden=8)
+        every = np.arange(s.n_rows)
+        preds = covid.predict_quantiles(res.pooler, s, every)
         np.testing.assert_allclose(preds.quantiles, s.values[:, 0], atol=1e-12)
         np.testing.assert_allclose(preds.weights, 1.0)
         pooled_wis = wis_batch(np.array(covid.QUANTILE_LEVELS), preds.quantiles, s.truths)
-        np.testing.assert_allclose(pooled_wis.mean(), covid.candidate_mean_wis(s)[0])
+        np.testing.assert_allclose(pooled_wis.mean(), covid.candidate_mean_wis(s, every)[0])
 
     def test_pooled_quantiles_stay_in_the_candidate_hull(self, small_trained, samples):
         trained, _ = small_trained
-        preds = covid.predict_quantiles(trained["additive"].pooler, samples)
+        every = np.arange(samples.n_rows)
+        preds = covid.predict_quantiles(trained["additive"].pooler, samples, every)
         low = samples.values.min(axis=1) - 1e-9
         high = samples.values.max(axis=1) + 1e-9
         assert np.all(preds.quantiles >= low) and np.all(preds.quantiles <= high)
@@ -996,7 +1012,7 @@ class TestPredictEvaluate:
         full, _ = imputed
         short = covid.assemble_samples(truth, full, delay=3)
         with pytest.raises(ValueError, match="delay"):
-            covid.predict_quantiles(trained["additive"].pooler, short)
+            covid.predict_quantiles(trained["additive"].pooler, short, np.arange(short.n_rows))
 
     def test_forced_inversion_is_repaired_and_counted(self, samples):
         pooler = covid.QuantilePooler(
@@ -1053,8 +1069,8 @@ class TestPredictEvaluate:
             seed=seed % 997, n_models=4, n_locations=1, n_weeks=8
         )
         s = covid.assemble_samples(truth, forecasts, delay=2)
-        res = train("additive", s, epochs=0, hidden=6, seed=seed)
-        preds = covid.predict_quantiles(res.pooler, s)
+        res = train("additive", s, NO_WEEK, epochs=0, hidden=6, seed=seed)
+        preds = covid.predict_quantiles(res.pooler, s, np.arange(s.n_rows))
         assert np.all(np.diff(preds.quantiles, axis=1) >= 0)
         low = s.values.min(axis=1) - 1e-9
         high = s.values.max(axis=1) + 1e-9
@@ -1067,7 +1083,7 @@ class TestPredictEvaluate:
 
 class TestSynthesizeHub:
     def test_deterministic_arrays_and_files(self, hub, tmp_path):
-        again = covid.synthesize_hub(seed=11)
+        again = synthesize(11)
         np.testing.assert_array_equal(hub.truth, again.truth)
         nan_match = np.isnan(hub.forecasts) == np.isnan(again.forecasts)
         assert nan_match.all()
@@ -1079,7 +1095,10 @@ class TestSynthesizeHub:
         assert (tmp_path / "t1.csv").read_bytes() == (tmp_path / "t2.csv").read_bytes()
 
     def test_synthesizing_does_not_load_scipy(self):
-        code = "import sys, attnpool.covid as c; c.synthesize_hub(seed=1); print('scipy' in sys.modules)"
+        code = (
+            "import sys, attnpool.covid as c; c.synthesize_hub(1, 8, 120, 9); "
+            "print('scipy' in sys.modules)"
+        )
         src = str(Path(covid.__file__).resolve().parents[1])
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         env = {**os.environ, "PYTHONPATH": path}
@@ -1089,7 +1108,7 @@ class TestSynthesizeHub:
         assert out.stdout.strip() == "False"
 
     def test_seeds_differ(self, hub):
-        other = covid.synthesize_hub(seed=12)
+        other = synthesize(12)
         assert not np.array_equal(hub.truth, other.truth)
 
     def test_everything_non_negative_and_monotone(self, hub):
@@ -1110,11 +1129,11 @@ class TestSynthesizeHub:
 
     def test_size_guards(self):
         with pytest.raises(ValueError, match="locations"):
-            covid.synthesize_hub(seed=0, n_locations=4)
+            synthesize(0, n_locations=4)
         with pytest.raises(ValueError, match="weeks"):
-            covid.synthesize_hub(seed=0, n_weeks=20)
+            synthesize(0, n_weeks=20)
         with pytest.raises(ValueError, match="n_models"):
-            covid.synthesize_hub(seed=0, n_models=5)
+            synthesize(0, n_models=5)
 
     def test_regime_swapped_models_swap_quality(self, samples):
         half = len(samples.weeks) // 2

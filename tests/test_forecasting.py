@@ -17,7 +17,7 @@ from oracles import (
 
 from attnpool import forecasting
 from attnpool.attention import init_heads
-from attnpool.evaluation import VALID_TIME_DT, exceeded, valid_time
+from attnpool.evaluation import exceeded, valid_time
 from attnpool.forecasting import (
     AttentionPooler,
     FeedForwardNet,
@@ -42,6 +42,7 @@ from attnpool.forecasting import (
 )
 from attnpool.lorenz import (
     CANDIDATE_RHOS,
+    DT_SAMPLE,
     candidate_forecasts,
     candidate_one_step_batch,
     candidate_steps,
@@ -72,7 +73,17 @@ def small():
 def trained(small):
     ds, cand, _ = small
     data = assemble_open_loop(ds.train.states, cand, 3)
-    return train_attention(data, 3, config=train_config(epochs=120, seed=7))
+    return train_attention(data, 3, hidden=None, config=train_config(epochs=120, seed=7))
+
+
+def full_rollout(model, hist, horizon, variants=("additive",)):
+    """The closed loop with ``full_horizon`` naming every variant: every
+    row runs until it blows up or the horizon ends, so the truths decide
+    nothing and zeros serve (``test_full_horizon_tiles_ignore_the_truths``)."""
+    truths = np.zeros((len(hist), horizon, hist.shape[2]))
+    return closed_loop_forecast_batch(
+        model, hist, horizon, variants=variants, truths=truths, full_horizon=variants
+    )
 
 
 @contextmanager
@@ -126,7 +137,7 @@ def segments(small, trained):
     with candidates_by(steps):
         alone = {
             v: [
-                closed_loop_forecast_batch(pooler, hist[b : b + 1], 12, variants=[v])[0]
+                full_rollout(pooler, hist[b : b + 1], 12, variants=[v])[0]
                 for b in range(len(hist))
             ]
             for v in VARIANTS
@@ -146,7 +157,7 @@ def baselines_alone(segments):
         model, depth = baseline(kind)
         with candidates_by(steps):
             out[kind] = model, depth, [
-                closed_loop_forecast_batch(model, hist[b : b + 1, -depth:], 12)[0]
+                full_rollout(model, hist[b : b + 1, -depth:], 12)[0]
                 for b in range(len(hist))
             ]
     return out
@@ -354,7 +365,7 @@ class TestTraining:
     def test_beats_best_single_candidate(self, small):
         ds, cand, _ = small
         data = assemble_open_loop(ds.train.states, cand, 5)
-        _, curve = train_attention(data, 5, config=train_config(epochs=250, seed=5))
+        _, curve = train_attention(data, 5, hidden=None, config=train_config(epochs=250, seed=5))
         best_single = min(
             float(np.mean((data.values[:, m] - data.targets) ** 2))
             for m in range(data.values.shape[1])
@@ -583,7 +594,7 @@ class TestClosedLoop:
         )
         hist = gather_histories(truth.states, [6], 4)
         with candidates_by(one_candidate(28.0)):
-            [res] = closed_loop_forecast_batch(pooler, hist, 20)
+            [res] = full_rollout(pooler, hist, 20)
         np.testing.assert_array_equal(res.predictions[0], truth.states[6:26])
         np.testing.assert_array_equal(res.weights[0], 1.0)
         assert res.truncated_at[0] == -1
@@ -601,7 +612,7 @@ class TestClosedLoop:
         )
         hist = gather_histories(truth.states, [5], 3)
         with candidates_by(one_candidate(35.0)):
-            [res] = closed_loop_forecast_batch(pooler, hist, 12, variants=[variant])
+            [res] = full_rollout(pooler, hist, 12, variants=[variant])
         ref = integrate(truth.states[4], 0.0, 12, lambda t: 35.0)
         np.testing.assert_array_equal(res.predictions[0], ref.states)
 
@@ -609,8 +620,8 @@ class TestClosedLoop:
         pooler, _ = trained
         ds, _, _ = small
         hist = gather_histories(ds.validation.states, ds.segment_starts, 4)
-        [add] = closed_loop_forecast_batch(pooler, hist, 16, variants=["additive"])
-        [fix] = closed_loop_forecast_batch(pooler, hist, 16, variants=["fixed_attention"])
+        [add] = full_rollout(pooler, hist, 16, variants=["additive"])
+        [fix] = full_rollout(pooler, hist, 16, variants=["fixed_attention"])
         np.testing.assert_array_equal(add.predictions[:, 0], fix.predictions[:, 0])
         np.testing.assert_array_equal(add.weights[:, 0], fix.weights[:, 0])
         assert not np.array_equal(add.predictions, fix.predictions)
@@ -619,8 +630,8 @@ class TestClosedLoop:
         pooler, _ = trained
         ds, _, _ = small
         hist = gather_histories(ds.validation.states, ds.segment_starts, 4)
-        [add] = closed_loop_forecast_batch(pooler, hist, 8, variants=["additive"])
-        [best] = closed_loop_forecast_batch(pooler, hist, 8, variants=["best_initial"])
+        [add] = full_rollout(pooler, hist, 8, variants=["additive"])
+        [best] = full_rollout(pooler, hist, 8, variants=["best_initial"])
         chosen = add.weights[:, 0].argmax(axis=1)
         np.testing.assert_array_equal(best.weights[:, 0].argmax(axis=1), chosen)
         np.testing.assert_allclose(best.weights[:, 0].max(axis=1), 1.0)
@@ -629,7 +640,7 @@ class TestClosedLoop:
         pooler, _ = trained
         ds, _, _ = small
         hist = gather_histories(ds.validation.states, ds.segment_starts, 4)
-        [best] = closed_loop_forecast_batch(pooler, hist, 10, variants=["best_initial"])
+        [best] = full_rollout(pooler, hist, 10, variants=["best_initial"])
         for b, weights in enumerate(best.weights[:, 0]):
             rho = CANDIDATE_RHOS[int(weights.argmax())]
             ref = integrate(hist[b, -1], 0.0, 10, lambda t: rho)
@@ -640,12 +651,12 @@ class TestClosedLoop:
         ds, _, _ = small
         states = ds.validation.states
         start = ds.segment_starts[0]
-        [res] = closed_loop_forecast_batch(
+        [res] = full_rollout(
             pooler, gather_histories(states, [start], 4), 16
         )
         mutated = states.copy()
         mutated[start:] = 999.0  # everything from the first target onward
-        [res2] = closed_loop_forecast_batch(
+        [res2] = full_rollout(
             pooler, gather_histories(mutated, [start], 4), 16
         )
         np.testing.assert_array_equal(res.predictions, res2.predictions)
@@ -656,7 +667,7 @@ class TestClosedLoop:
         ds, _, _ = small
         hist = gather_histories(ds.validation.states, ds.segment_starts, 4)
         mixed = np.stack([hist[0], hist[1] * 1e155])
-        [res] = closed_loop_forecast_batch(pooler, mixed, 8)
+        [res] = full_rollout(pooler, mixed, 8)
         assert res.truncated_at.tolist() == [-1, 0]
         assert np.isfinite(res.predictions[0]).all()
         assert np.isnan(res.predictions[1]).all()
@@ -674,7 +685,7 @@ class TestClosedLoop:
         assert len(rows) > 0
         with warnings.catch_warnings(), candidates_by(ceiling_steps(30.0)):
             warnings.simplefilter("error")
-            results = closed_loop_forecast_batch(pooler, hist[rows], 12, variants=VARIANTS)
+            results = full_rollout(pooler, hist[rows], 12, variants=VARIANTS)
         for res in results:
             assert res.truncated_at.tolist() == [0] * len(rows)
             assert np.isnan(res.predictions).all()
@@ -684,7 +695,7 @@ class TestClosedLoop:
         ds, _, _ = small
         model = LinearPooler(weight=np.full((3, 33), 50.0), bias=np.zeros(3))
         hist = gather_histories(ds.validation.states, [ds.segment_starts[0]], 1)
-        [res] = closed_loop_forecast_batch(model, hist, 12)
+        [res] = full_rollout(model, hist, 12)
         cut = int(res.truncated_at[0])
         assert cut >= 0
         assert np.isfinite(res.predictions[0, :cut]).all()
@@ -696,7 +707,7 @@ class TestClosedLoop:
         net.delay_length = 2
         net.scaler = Standardizer.identity(6)
         hist = gather_histories(ds.validation.states, ds.segment_starts, 2)
-        [res] = closed_loop_forecast_batch(net, hist, 30)
+        [res] = full_rollout(net, hist, 30)
         assert np.isfinite(res.predictions).all()
         assert res.truncated_at.tolist() == [-1, -1]
 
@@ -722,7 +733,7 @@ class TestClosedLoop:
             model.scaler = Standardizer.identity(6)
         depth = max(n_states, n_errors + 1)
         hist = gather_histories(ds.validation.states, ds.segment_starts, depth)
-        [res] = closed_loop_forecast_batch(model, hist, 10)
+        [res] = full_rollout(model, hist, 10)
 
         states = [hist[:, -1 - k] for k in range(n_states)]
         errors = [candidate_steps(hist[:, -2 - k]) - hist[:, -1 - k, None] for k in range(n_errors)]
@@ -759,9 +770,9 @@ class TestClosedLoop:
             (model, depth), variants = baseline(kind), ("additive",)
         hist = gather_histories(ds.validation.states, range(8, 300, 13), depth)
         for variant in variants:
-            [batch] = closed_loop_forecast_batch(model, hist, 8, variants=[variant])
+            [batch] = full_rollout(model, hist, 8, variants=[variant])
             for b in range(len(hist)):
-                [single] = closed_loop_forecast_batch(
+                [single] = full_rollout(
                     model, hist[b : b + 1], 8, variants=[variant]
                 )
                 np.testing.assert_array_equal(single.predictions[0], batch.predictions[b])
@@ -780,9 +791,9 @@ class TestClosedLoop:
         hist = gather_histories(ds.validation.states, ds.segment_starts, 4)
         for variants in (VARIANTS, ("best_initial", "fixed_attention")):
             with candidates_by(ceiling_steps(ceiling)):
-                merged = closed_loop_forecast_batch(pooler, hist, 16, variants=variants)
+                merged = full_rollout(pooler, hist, 16, variants=variants)
                 runs = [
-                    closed_loop_forecast_batch(pooler, hist, 16, variants=[v]) for v in variants
+                    full_rollout(pooler, hist, 16, variants=[v]) for v in variants
                 ]
             assert len(merged) == len(variants)
             for res, [alone] in zip(merged, runs):
@@ -810,7 +821,7 @@ class TestClosedLoop:
             model, depth, runs = baselines_alone[kind]
             variants, alone = ["additive"], {"additive": runs}
         with candidates_by(steps):
-            merged = closed_loop_forecast_batch(model, hist[rows, -depth:], 12, variants=variants)
+            merged = full_rollout(model, hist[rows, -depth:], 12, variants=variants)
         for variant, res in zip(variants, merged):
             for i, b in enumerate(rows):
                 ref = alone[variant][b]
@@ -829,18 +840,18 @@ class TestClosedLoop:
         linear = LinearPooler(np.zeros((3, 33)), np.zeros(3))
         for model, depth in ((pooler, 4), (net, 2), (linear, 1)):
             hist = gather_histories(ds.validation.states, ds.segment_starts, depth)
-            [res] = closed_loop_forecast_batch(model, hist, 3)
+            [res] = full_rollout(model, hist, 3)
             assert res.predictions.shape == (len(hist), 3, 3)
             assert (res.weights is None) == (model is not pooler)
             with pytest.raises(ValueError, match=f"histories must be \\(B, {depth}, d\\)"):
-                closed_loop_forecast_batch(model, hist[:, 1:], 3)
+                full_rollout(model, hist[:, 1:], 3)
 
     def test_variants_apply_to_attention_only(self, small):
         ds, _, _ = small
         linear = LinearPooler(np.zeros((3, 33)), np.zeros(3))
         hist = gather_histories(ds.validation.states, ds.segment_starts, 1)
         with pytest.raises(ValueError, match="attention pooler only"):
-            closed_loop_forecast_batch(linear, hist, 3, variants=["best_initial"])
+            full_rollout(linear, hist, 3, variants=["best_initial"])
 
     def test_gather_histories_slices(self):
         states = np.arange(30.0).reshape(10, 3)
@@ -856,14 +867,16 @@ class TestClosedLoop:
         hist = gather_histories(ds.validation.states, [ds.segment_starts[0]], 4)
         for variants in (["bogus"], [], ["additive", "additive"], "additive"):
             with pytest.raises(ValueError, match="variants"):
-                closed_loop_forecast_batch(pooler, hist, 8, variants=variants)
+                full_rollout(pooler, hist, 8, variants=variants)
         with pytest.raises(ValueError, match="horizon"):
-            closed_loop_forecast_batch(pooler, hist, 0)
+            full_rollout(pooler, hist, 0)
         with pytest.raises(ValueError, match="histories"):
-            closed_loop_forecast_batch(pooler, hist[:, :3], 8)
+            full_rollout(pooler, hist[:, :3], 8)
         truths = np.zeros((1, 8, 3))
         with pytest.raises(ValueError, match="truths"):
-            closed_loop_forecast_batch(pooler, hist, 8, truths=truths[:, :7])
+            closed_loop_forecast_batch(
+                pooler, hist, 8, variants=["additive"], truths=truths[:, :7], full_horizon=[]
+            )
         with pytest.raises(ValueError, match="full_horizon"):
             closed_loop_forecast_batch(
                 pooler, hist, 8, variants=["additive"], truths=truths,
@@ -915,7 +928,7 @@ class TestRetirement:
                 np.testing.assert_array_equal(cut.weights[b, :n], full.weights[b, :n])
                 assert np.isnan(cut.weights[b, n:]).all()
             if judged:
-                assert n == min(round(vt / VALID_TIME_DT) + 1, horizon)
+                assert n == min(round(vt / DT_SAMPLE) + 1, horizon)
 
     def test_rows_stop_once_their_valid_time_is_decided(self, trained, segments):
         """Rows exceeding at different steps, rows that never do and rows
@@ -925,7 +938,7 @@ class TestRetirement:
         hist, steps, _ = segments
         horizon = 12
         with candidates_by(steps):
-            full = closed_loop_forecast_batch(pooler, hist, horizon, variants=VARIANTS)
+            full = full_rollout(pooler, hist, horizon, variants=VARIANTS)
         leave = np.resize([0, 2, 5, horizon - 1, horizon, 7], len(hist))
         truths = leaving_truths(full[0].predictions, leave)
         spy, sizes = step_counter(steps)
@@ -950,18 +963,31 @@ class TestRetirement:
         assert sizes == sorted(sizes, reverse=True) and sizes[-1] < n_batch
         assert sum(sizes) < n_batch * (pooler.delay_length + horizon)
 
-    def test_without_truths_only_blown_up_rows_leave(self, trained, segments):
+    def test_full_horizon_tiles_ignore_the_truths(self, trained, small, segments):
+        """With ``full_horizon`` naming every variant, the segments' own
+        truths and zeros give the same bits: each row is its rollout alone,
+        and only rows that blow up leave the batch early."""
         pooler, _ = trained
+        ds, _, _ = small
         hist, steps, alone = segments
-        spy, sizes = step_counter(steps)
-        with candidates_by(spy):
-            [res] = closed_loop_forecast_batch(pooler, hist, 12, variants=["additive"])
-        for b, ref in enumerate(alone["additive"]):
-            np.testing.assert_array_equal(res.predictions[b], ref.predictions[0])
-            np.testing.assert_array_equal(res.weights[b], ref.weights[0])
-        stops = np.where(res.truncated_at < 0, 12, res.truncated_at + 1)
-        np.testing.assert_array_equal(res.steps, stops)
-        assert sizes[-1] == int((res.truncated_at < 0).sum())
+        own = np.stack([ds.validation.states[s : s + 12] for s in range(8, 300, 25)])
+        runs = []
+        for truths in (own, np.zeros_like(own)):
+            spy, sizes = step_counter(steps)
+            with candidates_by(spy):
+                runs.append(closed_loop_forecast_batch(
+                    pooler, hist, 12, variants=VARIANTS, truths=truths, full_horizon=VARIANTS
+                ))
+            live = sum(int((res.truncated_at < 0).sum()) for res in runs[-1])
+            assert sizes[-1] == live
+        for variant, res, other in zip(VARIANTS, *runs):
+            for field in ("predictions", "weights", "truncated_at", "steps"):
+                np.testing.assert_array_equal(getattr(res, field), getattr(other, field))
+            for b, ref in enumerate(alone[variant]):
+                np.testing.assert_array_equal(res.predictions[b], ref.predictions[0])
+                np.testing.assert_array_equal(res.weights[b], ref.weights[0])
+            stops = np.where(res.truncated_at < 0, 12, res.truncated_at + 1)
+            np.testing.assert_array_equal(res.steps, stops)
 
     @pytest.mark.parametrize("kind", ["linear", "ffnn"])
     def test_baselines_keep_their_bits_as_rows_leave(self, small, kind):
@@ -972,10 +998,12 @@ class TestRetirement:
         model, depth = baseline(kind)
         hist = gather_histories(ds.validation.states, range(8, 300, 13), depth)
         horizon = 20
-        [full] = closed_loop_forecast_batch(model, hist, horizon)
+        [full] = full_rollout(model, hist, horizon)
         leave = np.resize([0, 3, 9, horizon], len(hist))
         truths = leaving_truths(full.predictions, leave)
-        [cut] = closed_loop_forecast_batch(model, hist, horizon, truths=truths)
+        [cut] = closed_loop_forecast_batch(
+            model, hist, horizon, variants=["additive"], truths=truths, full_horizon=[]
+        )
         self.assert_cut_matches_full(cut, full, truths, horizon)
         assert set(cut.steps.tolist()) == {1, 4, 10, horizon}
 
@@ -990,5 +1018,5 @@ class TestRetirement:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 assert exceeded(pred, truth).tolist() == [False, False, True]
-                assert valid_time(pred, truth) == 2 * VALID_TIME_DT
-                assert valid_time(pred[:2], truth[:2]) == 2 * VALID_TIME_DT
+                assert valid_time(pred, truth) == 2 * DT_SAMPLE
+                assert valid_time(pred[:2], truth[:2]) == 2 * DT_SAMPLE

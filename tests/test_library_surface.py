@@ -1,5 +1,6 @@
-"""The library has no public surface that only the tests use, and no
-module imports a name it never reads."""
+"""The library has no public surface that only the tests use, no
+parameter default that only the tests leave out, and no module imports a
+name it never reads."""
 
 import ast
 import importlib
@@ -187,3 +188,138 @@ def test_a_local_or_foreign_name_does_not_hide_an_unused_function(tmp_path, monk
     monkeypatch.syspath_prepend(str(tmp_path))
     found = unreferenced_public_definitions(package, package="surfacepkg")
     assert sorted(found) == ["scores.mean", "scores.wis"]
+
+
+def _defined_functions(node, in_class=None):
+    """``(qualified name, call name, function, in a class body)`` of every
+    function and method defined under ``node``. A class's ``__init__`` is
+    known by the class's name, the name its callers call."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.ClassDef):
+            for qual, name, fn, method in _defined_functions(child, child.name):
+                yield f"{child.name}.{qual}", name, fn, method
+        elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            name = in_class if in_class and child.name == "__init__" else child.name
+            yield child.name, name, child, in_class is not None
+            for qual, inner, fn, method in _defined_functions(child):
+                yield f"{child.name}.{qual}", inner, fn, method
+        else:
+            yield from _defined_functions(child, in_class)
+
+
+def _parameters(fn, method) -> tuple[list[str], set[str]]:
+    """The names of ``fn``'s positional parameters, in order, less a
+    method's ``self`` or ``cls``, and the names of all its parameters that
+    carry a default."""
+    a = fn.args
+    positional = [x.arg for x in (*a.posonlyargs, *a.args)]
+    if method and positional[:1] in (["self"], ["cls"]):
+        positional = positional[1:]
+    defaulted = set(positional[len(positional) - len(a.defaults):]) if a.defaults else set()
+    defaulted |= {x.arg for x, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None}
+    return positional, defaulted
+
+
+def _call_name(call) -> str | None:
+    if isinstance(call.func, ast.Name):
+        return call.func.id
+    if isinstance(call.func, ast.Attribute):
+        return call.func.attr
+    return None
+
+
+def _passed(call, positional) -> set[str]:
+    """The parameters that ``call`` surely passes, given the callee's
+    positional parameter names: none where it passes ``*args`` or
+    ``**kwargs``, which may leave out any."""
+    starred = any(isinstance(x, ast.Starred) for x in call.args)
+    if starred or any(k.arg is None for k in call.keywords):
+        return set()
+    return set(positional[: len(call.args)]) | {k.arg for k in call.keywords}
+
+
+def defaults_no_call_leaves_out(src=SRC) -> list[str]:
+    """``module.function: parameter`` of every parameter default, of a
+    function or method defined in ``src``, that no call in ``src`` leaves
+    out: a default only the tests rely on.
+
+    A call resolves by its bare or attribute name to every function of that
+    name, and calling a class calls its ``__init__``.
+    """
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(src.glob("*.py"))}
+    calls: dict[str, list] = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                calls.setdefault(_call_name(node), []).append(node)
+    found = []
+    for stem, tree in trees.items():
+        for qual, name, fn, method in _defined_functions(tree):
+            positional, always_passed = _parameters(fn, method)
+            for call in calls.get(name, ()):
+                always_passed &= _passed(call, positional)
+            found += [f"{stem}.{qual}: {p}" for p in sorted(always_passed)]
+    return found
+
+
+def test_every_parameter_default_is_left_out_by_a_library_call():
+    assert defaults_no_call_leaves_out() == []
+
+
+DEFAULTS_PACKAGE = {
+    "fit": """
+        class Model:
+            def __init__(self, size, decay=0.0):
+                self.size, self.decay = size, decay
+
+            def run(self, steps=1):
+                return steps
+
+        def scale(x, factor=2.0):
+            return factor * x
+
+        def shift(x, *, by=1.0):
+            return x + by
+
+        def section(cls, optional=False):
+            return cls, optional
+
+        def report(rows, digits=3):
+            return [round(r, digits) for r in rows]
+    """,
+    "runner": """
+        from .fit import Model, report, scale, section, shift
+
+        def main(rows):
+            model = Model(3)
+            model.run(5)
+            section(Model)
+            report(*rows, 2)
+            return scale(shift(1.0, by=2.0), 3.0)
+    """,
+}
+
+
+def test_a_default_only_a_test_leaves_out_is_found(tmp_path):
+    """In a generated package, the defaults that only its test leaves out
+    are found: a method's, called without its ``self``, a positional one
+    and a keyword-only one. Those a package call leaves out pass: a
+    class's ``__init__``, called by the class's name; that of a module
+    function whose first parameter is named ``cls``; and
+    that of a function called with ``*rows`` before the argument that would
+    otherwise fill it."""
+    package = tmp_path / "src" / "fitpkg"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text("")
+    for stem, text in DEFAULTS_PACKAGE.items():
+        (package / f"{stem}.py").write_text(textwrap.dedent(text))
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "test_fit.py").write_text(textwrap.dedent("""
+        from fitpkg.fit import Model, scale, shift
+
+        def test_defaults():
+            assert scale(shift(1.0)) == 4.0 and Model(3).run() == 1
+    """))
+    assert defaults_no_call_leaves_out(package) == [
+        "fit.Model.run: steps", "fit.scale: factor", "fit.shift: by",
+    ]

@@ -257,7 +257,7 @@ class TestAdam:
         and rebound to their views; the last entry of one array and the
         first of the next are named by their own fields."""
         model = make_dataclass("Model", ["w", "b"])(np.ones((2, 3)), np.arange(2.0))
-        opt = FlatAdam(model, 1e-3)
+        opt = FlatAdam(model, 1e-3, 0.0)
         np.testing.assert_array_equal(opt.flat_params, [1, 1, 1, 1, 1, 1, 0, 1])
         opt.flat_params *= 2.0
         np.testing.assert_array_equal(model.w, np.full((2, 3), 2.0))
@@ -274,7 +274,7 @@ class TestAdam:
         no place in the flat layout."""
         model = init_heads(np.random.default_rng(9), 1, hidden=3, query_dim=2, key_dim=4)
         expect = np.concatenate([getattr(model, n).ravel() for n in HEAD_FIELDS])
-        opt = FlatAdam(model, 1e-3)
+        opt = FlatAdam(model, 1e-3, 0.0)
         np.testing.assert_array_equal(opt.flat_params, expect)
         assert opt.flat_params.size == 3 * (2 + 4 + 2)
         assert model.w_out is None and opt.grads.w_out is None
