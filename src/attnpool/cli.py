@@ -28,7 +28,6 @@ import sys
 import time
 from contextlib import contextmanager
 from dataclasses import MISSING, asdict, dataclass, field, fields
-from datetime import date
 from difflib import get_close_matches
 from pathlib import Path
 from typing import Callable, Iterator, Sequence
@@ -189,46 +188,6 @@ def _int_list(minimum):
     return parse
 
 
-def _parse_date(value):
-    if isinstance(value, date):
-        return value
-    if isinstance(value, str):
-        try:
-            return date.fromisoformat(value)
-        except ValueError as exc:
-            raise _Bad(f"bad date {value!r}: {exc}") from None
-    raise _Bad(f"expected a YYYY-MM-DD date, got {value!r}")
-
-
-def _periods_field():
-    """'standard' (the four built-in periods), 'split' (quarter the scored
-    weeks), 'auto', or an explicit list of [start, end] date pairs."""
-
-    def parse(value):
-        if isinstance(value, str):
-            if value in ("auto", "standard", "split"):
-                return value
-            raise _Bad(f"must be auto, standard, split, or a list of date pairs; got {value!r}")
-        if not isinstance(value, list) or not value:
-            raise _Bad("expected auto, standard, split, or a non-empty list of [start, end] pairs")
-        periods = []
-        for i, pair in enumerate(value):
-            if not isinstance(pair, list) or len(pair) != 2:
-                raise _Bad(f"entry {i} must be a [start, end] pair, got {pair!r}")
-            start, end = (_parse_date(d) for d in pair)
-            try:
-                periods.append(covid.ValidationPeriod(start, end))
-            except ValueError as exc:
-                raise _Bad(f"entry {i}: {exc}") from None
-        try:
-            covid.check_periods_disjoint(periods)
-        except ValueError as exc:
-            raise _Bad(str(exc)) from None
-        return tuple(periods)
-
-    return parse
-
-
 @dataclass(frozen=True, kw_only=True)
 class LorenzDataConfig:
     t_transient: float = _key(_float_field(exclusive_minimum=0.0), 100.0)
@@ -271,7 +230,7 @@ class CovidDataConfig:
     truth: Path | None = _key(_opt(_str_field()), None)
     synthetic: CovidSyntheticConfig | None = _section(CovidSyntheticConfig, optional=True)
     # 'auto' in the file resolves to 'split' (synthetic) or 'standard'
-    periods: str | tuple[covid.ValidationPeriod, ...] = _key(_periods_field(), "auto")
+    periods: str = _key(_str_field(("auto", "standard", "split")), "auto")
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -360,18 +319,6 @@ def _build(cls, values: dict):
     return cls(**kwargs)
 
 
-def _jsonable(value):
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, covid.ValidationPeriod):
-        return [value.start.isoformat(), value.end.isoformat()]
-    if isinstance(value, date):
-        return value.isoformat()
-    return value
-
-
 def _resolve(base: Path, raw: str | None) -> Path | None:
     if raw is None:
         return None
@@ -426,7 +373,7 @@ def validate_config(
     # the hash covers the file's values plus the overrides, before the
     # resolutions below
     eff["config_sha256"] = hashlib.sha256(
-        json.dumps(_jsonable(eff), sort_keys=True).encode()
+        json.dumps(eff, sort_keys=True).encode()
     ).hexdigest()
     d, m = eff["data"], eff["model"]
     eff["output"] = Path(eff["output"])
@@ -974,10 +921,9 @@ def _covid_tables(cfg: ExperimentConfig, stage: _OutputStage):
 
 def _covid_periods(cfg: ExperimentConfig, samples) -> tuple[covid.ValidationPeriod, ...]:
     """The configured validation periods; each must hold a scored week."""
-    periods = cfg.data.periods
-    if periods == "standard":
+    if cfg.data.periods == "standard":
         periods = covid.DEFAULT_VALIDATION_PERIODS
-    elif periods == "split":
+    else:
         periods = covid.split_into_periods(samples.weeks, 4, skip=samples.delay)
     for period in periods:
         if not samples.period_mask(period).any():

@@ -187,7 +187,7 @@ def _read_rows(path: str | Path, header: tuple[str, ...]):
             yield rownum, fields
 
 
-def _parse_date(path, rownum, text: str) -> date:
+def _parse_week(path, rownum, text: str) -> date:
     try:
         return date.fromisoformat(text.strip())
     except ValueError:
@@ -224,7 +224,7 @@ def ingest(
     for rownum, fields in _read_rows(truth_csv, TRUTH_HEADER):
         report.truth_rows += 1
         loc = fields[0].strip()
-        week = _parse_date(truth_csv, rownum, fields[1])
+        week = _parse_week(truth_csv, rownum, fields[1])
         deaths = _parse_float(truth_csv, rownum, fields[2], "inc_death")
         if deaths < 0:
             raise ValueError(
@@ -267,7 +267,7 @@ def ingest(
         new = cell is None or slot is None  # a new text: all checks, in one fixed order
         if new:
             model, loc = fields[0].strip(), fields[1].strip()
-            week = _parse_date(forecast_csv, rownum, fields[2])
+            week = _parse_week(forecast_csv, rownum, fields[2])
             raw_level = _parse_float(forecast_csv, rownum, fields[3], "quantile level")
             slot = _match_level(raw_level)
         value = _parse_float(forecast_csv, rownum, fields[4], "value")
@@ -557,13 +557,6 @@ DEFAULT_VALIDATION_PERIODS: tuple[ValidationPeriod, ...] = (
     ValidationPeriod(date(2021, 12, 21), date(2022, 6, 18)),
     ValidationPeriod(date(2022, 7, 9), date(2022, 11, 5)),
 )
-
-
-def check_periods_disjoint(periods: Sequence[ValidationPeriod]) -> None:
-    for i, a in enumerate(periods):
-        for b in periods[i + 1 :]:
-            if a.start <= b.end and b.start <= a.end:
-                raise ValueError(f"validation periods overlap: {a} and {b}")
 
 
 def split_into_periods(

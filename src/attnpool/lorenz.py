@@ -232,15 +232,14 @@ class LorenzDataset:
     """Training trajectory plus a tiled validation run.
 
     ``segment_starts`` index into ``validation.states``; each scored segment
-    is ``segment_len`` samples, and the ``warmup`` samples before the first
-    start exist only to initialize closed-loop forecasts.
+    is ``segment_len`` samples, and the samples before the first start exist
+    only to initialize closed-loop forecasts.
     """
 
     train: Trajectory
     validation: Trajectory
     segment_starts: list[int]
     segment_len: int
-    warmup: int
 
 
 def _random_ic(rng: np.random.Generator) -> Array:
@@ -316,5 +315,4 @@ def generate_dataset(
         validation=validation,
         segment_starts=starts,
         segment_len=segment_len,
-        warmup=warmup,
     )

@@ -277,27 +277,19 @@ class TestValidateConfig:
         with pytest.raises(cli.ConfigError, match="mutually exclusive"):
             cli.validate_config(both)
 
-    def test_explicit_periods_parse_and_must_be_disjoint(self, tmp_path):
-        good = write_config(
+    def test_a_period_list_is_a_config_error(self, tmp_path):
+        """Periods are named (auto, standard, split); a list of date pairs
+        is one error, on its key."""
+        cfg = write_config(
             tmp_path,
             "experiment: covid\noutput: out\n"
             "data:\n  synthetic: {{}}\n"
             "  periods: [[2023-02-04, 2023-04-01], [2023-04-08, 2023-06-03]]\n",
         )
-        parsed = cli.validate_config(good)
-        assert parsed.data.periods == (
-            covid.ValidationPeriod(date(2023, 2, 4), date(2023, 4, 1)),
-            covid.ValidationPeriod(date(2023, 4, 8), date(2023, 6, 3)),
-        )
-        overlapping = write_config(
-            tmp_path,
-            "experiment: covid\noutput: out\n"
-            "data:\n  synthetic: {{}}\n"
-            "  periods: [[2023-02-04, 2023-04-01], [2023-04-01, 2023-06-03]]\n",
-            name="overlap.yaml",
-        )
-        with pytest.raises(cli.ConfigError, match="data.periods.*overlap"):
-            cli.validate_config(overlapping)
+        with pytest.raises(cli.ConfigError) as info:
+            cli.validate_config(cfg)
+        assert len(info.value.errors) == 1
+        assert info.value.errors[0].startswith("data.periods: ")
 
     def test_periods_auto_resolution(self, tmp_path):
         synth = write_config(
@@ -743,13 +735,14 @@ class TestCovidRun:
         calls = []
         monkeypatch.setattr(covid, "train_pooler", lambda *a, **k: calls.append("train"))
         monkeypatch.setattr(covid, "evaluate_period", lambda *a, **k: calls.append("score"))
+        # the synthetic hub's weeks fall in 2023, after the standard periods
         text = COVID_TINY.replace("model:\n", f"model:\n  methods: {methods}\n").replace(
-            "data:\n", "data:\n  periods: [[2023-03-04, 2023-04-29], [2030-01-05, 2030-02-02]]\n"
+            "data:\n", "data:\n  periods: standard\n"
         )
         cfg = write_config(tmp_path, text, out=str(tmp_path / "out"))
         result = invoke("covid-run", "--config", str(cfg))
         assert result.exit_code == 2
-        assert "validation period 2030-01-05..2030-02-02 holds no scored week" in result.stderr
+        assert "validation period 2020-08-29..2021-02-20 holds no scored week" in result.stderr
         assert calls == []
         assert list((tmp_path / "out").iterdir()) == []
 
