@@ -139,11 +139,13 @@ def _bool_field():
 
 def _str_field(choices=None):
     def parse(value):
-        if not isinstance(value, str):
-            raise _Bad(f"expected a string, got {value!r}")
-        if choices is not None and value not in choices:
-            raise _Bad(f"must be one of {', '.join(choices)}; got {value!r}")
-        return value
+        if isinstance(value, str) and (choices is None or value in choices):
+            return value
+        # YAML has already parsed a non-string (dates included), so name its type
+        got = repr(value) if isinstance(value, str) else f"a value of type {type(value).__name__}"
+        if choices is None:
+            raise _Bad(f"expected a string, got {got}")
+        raise _Bad(f"must be one of {', '.join(choices)}; got {got}")
 
     return parse
 

@@ -8,6 +8,7 @@ forecasts of weekly incident deaths:
   assemble_samples  build query/key/value arrays for the pooling models
   train_pooler      fit a pooler (additive / multi-head attention, linear)
                     by minimizing the mean weighted interval score
+  pooler_inputs     pick a pooler's raw input arrays from the samples
   baseline_pooler   the untrained poolers: the uniform candidate mean, and
                     the best single candidate picked in hindsight
   evaluate_period   score any pooler's one-week-ahead forecasts per
@@ -29,8 +30,11 @@ Training follows a leave-one-period-out discipline: samples whose target
 week falls inside the held-out validation period never enter a minibatch
 (asserted in the loop). All trained poolers minimize the same weighted
 interval score used for evaluation. Every method, trained or baseline, is a
-:class:`QuantilePooler`, and :func:`evaluate_period` scores them all through
-one path: the pooler's inputs, its kind's forward, the sorted output, WIS.
+:class:`attnpool.forecasting.Pooler`, the trained-model type of the Lorenz
+pipeline too; a baseline's params are its candidate index (``best_single``)
+or None (``uniform``), and it has no standardizers. :func:`evaluate_period`
+scores them all through one path: the pooler's raw inputs, its kind's
+forward (a baseline's mean or pass-through), the sorted output, WIS.
 """
 
 from __future__ import annotations
@@ -40,20 +44,13 @@ import math
 from dataclasses import dataclass, field
 from datetime import date, timedelta
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .attention import (
-    AttentionParams,
-    init_heads,
-    multi_head_backward,
-    multi_head_forward,
-    single_head_backward,
-    single_head_forward,
-)
+from .attention import init_heads
 from .evaluation import wis_batch, wis_gradient_batch
-from .forecasting import LinearPooler, Standardizer, TrainConfig, fit
+from .forecasting import LinearPooler, Pooler, Standardizer, TrainConfig, fit, kind_functions
 from .numerics import Array, spawn_rng
 
 # ---------------------------------------------------------------------------
@@ -599,72 +596,25 @@ _KIND_DEFAULTS = {
 }
 
 
-@dataclass(frozen=True)
-class QuantilePooler:
-    """One way of pooling the candidates' quantile forecasts, with the
-    input transforms it was fit under.
-
-    A trained kind (``POOLER_KINDS``) holds its model in ``params``. An
-    untrained baseline (``BASELINE_KINDS``) reads only the candidates'
-    values: ``uniform`` takes their mean (``params`` None), ``best_single``
-    passes one candidate through (``params`` is its index). The two
-    standardizers are set for the attention kinds only. Every kind reads
-    and predicts raw death counts.
-    """
-
-    kind: str
-    params: AttentionParams | LinearPooler | int | None
-    delay: int
-    query_scaler: Standardizer | None = None
-    key_scaler: Standardizer | None = None
-
-    def inputs(self, samples: HubSamples, rows: Array | slice) -> tuple[Array, ...]:
-        """The model's inputs for the sample rows ``rows``, an index array
-        or a slice (a slice reads the samples without a copy), in the order
-        the kind's forward takes them: the attention kinds' queries and keys
-        standardized, every other input the samples' own rows."""
-        if self.delay != samples.delay:
-            raise ValueError(
-                f"pooler was trained at delay {self.delay}, samples use {samples.delay}"
-            )
-        if self.kind in BASELINE_KINDS:
-            return (samples.values[rows],)
-        if self.kind == "linear":
-            return (samples.linear_inputs[rows],)
-        return (
-            self.query_scaler.apply(samples.queries[rows]),
-            self.key_scaler.apply(samples.keys[rows]),
-            samples.values[rows],
+def pooler_inputs(pooler: Pooler, samples: HubSamples, rows: Array | slice) -> tuple[Array, ...]:
+    """The raw inputs of ``pooler`` for the sample rows ``rows``, an index
+    array or a slice (a slice reads the samples without a copy), in the
+    order its kind's forward takes them: a baseline's and the linear kind's
+    one array, the attention kinds' queries, keys and values."""
+    if pooler.delay != samples.delay:
+        raise ValueError(
+            f"pooler was trained at delay {pooler.delay}, samples use {samples.delay}"
         )
-
-
-def _uniform_forward(params: None, values: Array):
-    return values.mean(axis=1), None, None
-
-
-def _best_single_forward(champion: int, values: Array):
-    return values[:, champion], None, None
-
-
-def _kind_functions(kind: str) -> tuple[Callable, Callable | None]:
-    """``(forward, backward)`` of a pooler kind. ``forward(params, *inputs)``
-    returns ``(preds, weights, cache)``, ``weights`` None where the kind has
-    none; ``backward(params, cache, upstream, out)`` writes the parameter
-    gradients into ``out`` and returns it; a baseline has no backward. The
-    table is built on each call, so it holds whatever the module's names
-    are bound to then (a profiler that wraps them sees the calls)."""
-    return {
-        "additive": (single_head_forward, single_head_backward),
-        "multi_head": (multi_head_forward, multi_head_backward),
-        "linear": (LinearPooler.forward, LinearPooler.backward),
-        "uniform": (_uniform_forward, None),
-        "best_single": (_best_single_forward, None),
-    }[kind]
+    if pooler.kind in BASELINE_KINDS:
+        return (samples.values[rows],)
+    if pooler.kind == "linear":
+        return (samples.linear_inputs[rows],)
+    return samples.queries[rows], samples.keys[rows], samples.values[rows]
 
 
 @dataclass(frozen=True)
 class PoolerTrainResult:
-    pooler: QuantilePooler
+    pooler: Pooler
     curve: Array          # epoch-mean WIS on the training rows
 
 
@@ -718,8 +668,7 @@ def train_pooler(
     rng = spawn_rng(config.seed, f"train-pooler-{kind}")
     key_dim = samples.delay * N_LEVELS
     if kind == "linear":
-        params = _uniform_pool_linear(samples.n_models, samples.delay)
-        pooler = QuantilePooler(kind=kind, params=params, delay=samples.delay)
+        pooler = Pooler(kind, _uniform_pool_linear(samples.n_models, samples.delay), samples.delay)
     else:
         heads = n_heads if kind == "multi_head" else 1
         params = init_heads(rng, heads, hidden, samples.delay, key_dim)
@@ -727,14 +676,14 @@ def train_pooler(
             # the mixer averages the heads' pools component-wise, so the
             # model starts at a sane death-count scale
             params.w_out = np.tile(np.eye(N_LEVELS) / heads, heads)
-        pooler = QuantilePooler(
+        pooler = Pooler(
             kind=kind,
             params=params,
             delay=samples.delay,
             query_scaler=Standardizer.fit(samples.queries[train_rows]),
             key_scaler=Standardizer.fit(samples.keys[train_rows]),
         )
-    inputs = pooler.inputs(samples, slice(None))
+    inputs = pooler.standardize(*pooler_inputs(pooler, samples, slice(None)))
 
     levels = np.array(QUANTILE_LEVELS)
 
@@ -753,9 +702,9 @@ def train_pooler(
             "leave-one-period-out violation: held-out rows in a minibatch"
         )
 
-    forward, backward = _kind_functions(kind)
+    forward, backward = kind_functions(kind)
     curve = fit(
-        params, forward, backward, inputs, wis_loss, train_rows, rng, config,
+        pooler.params, forward, backward, inputs, wis_loss, train_rows, rng, config,
         check_rows=outside_holdout,
     )
     return PoolerTrainResult(pooler=pooler, curve=curve)
@@ -775,12 +724,15 @@ class QuantilePredictions:
     weights: Array | None  # (R, M) additive, (R, P, M) multi-head, else None
 
 
-def predict_quantiles(
-    pooler: QuantilePooler, samples: HubSamples, rows: Array
-) -> QuantilePredictions:
+def predict_quantiles(pooler: Pooler, samples: HubSamples, rows: Array) -> QuantilePredictions:
     rows = np.asarray(rows, dtype=np.intp)
-    forward, _ = _kind_functions(pooler.kind)
-    preds, weights, _ = forward(pooler.params, *pooler.inputs(samples, rows))
+    inputs = pooler_inputs(pooler, samples, rows)
+    if pooler.kind == "uniform":
+        preds, weights = inputs[0].mean(axis=1), None
+    elif pooler.kind == "best_single":
+        preds, weights = inputs[0][:, pooler.params], None
+    else:
+        preds, weights, _ = pooler.forward(*inputs)
     return QuantilePredictions(quantiles=_sort_quantiles(preds)[0], weights=weights)
 
 
@@ -798,7 +750,7 @@ class PeriodScores:
 
 
 def evaluate_period(
-    pooler: QuantilePooler, samples: HubSamples, period: ValidationPeriod
+    pooler: Pooler, samples: HubSamples, period: ValidationPeriod
 ) -> PeriodScores:
     """Score one-week-ahead pooled forecasts for every (location, week) whose
     target week falls inside the period; the pooler may be of any kind,
@@ -828,7 +780,7 @@ def candidate_mean_wis(samples: HubSamples, rows: Array) -> Array:
     return out
 
 
-def baseline_pooler(kind: str, samples: HubSamples, rows: Array) -> QuantilePooler:
+def baseline_pooler(kind: str, samples: HubSamples, rows: Array) -> Pooler:
     """The untrained pooler of a baseline kind. ``best_single`` passes
     through the candidate of lowest mean WIS over the sample rows ``rows``;
     scored on those same rows it is a hindsight oracle, not a forecast."""
@@ -837,7 +789,7 @@ def baseline_pooler(kind: str, samples: HubSamples, rows: Array) -> QuantilePool
     if len(rows) == 0:
         raise ValueError("a baseline pooler needs at least one sample row")
     champion = int(np.argmin(candidate_mean_wis(samples, rows))) if kind == "best_single" else None
-    return QuantilePooler(kind=kind, params=champion, delay=samples.delay)
+    return Pooler(kind=kind, params=champion, delay=samples.delay)
 
 
 # ---------------------------------------------------------------------------

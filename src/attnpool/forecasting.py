@@ -1,18 +1,24 @@
-"""Training loop and closed-loop forecast driver for ensemble pooling.
+"""Trained pooler, training loop and closed-loop forecast driver.
 
-The trainable pooling model is one additive-attention head, an
-:class:`attnpool.attention.AttentionParams` stack of one without a mixer;
-this module supplies the pieces around it:
+Every trained model of both pipelines is one :class:`Pooler`: a kind, its
+parameters, its delay and the standardizers of its inputs. The kinds are
+``additive`` (one attention head, an
+:class:`attnpool.attention.AttentionParams` stack of one without a mixer),
+``multi_head`` (P heads and their mixer, hub only), ``linear`` (an affine
+map of the flattened candidate forecasts) and ``ffnn`` (a feed-forward net
+that predicts directly from past states, Lorenz only);
+:func:`kind_functions` maps each to its forward and backward. This module
+also supplies:
 
 * assembly of open-loop training instances from a trajectory plus the
   candidate one-step forecasts (queries = delay-embedded past states, keys =
   delay-embedded past candidate errors, values = current candidate forecasts);
 * :func:`fit`, the one training step (optimizer, forward, loss, backward),
-  run by all four trainers: the attention pooler, two baselines — a linear
-  pooler over the flattened candidate forecasts and a feed-forward net that
-  predicts directly from past states — and the hub's quantile pooler;
-* one closed-loop (autonomous, outputs recycled) forecast driver for all
-  three models, batched across many start points.
+  run by all four trainers: the Lorenz attention pooler, linear pooler and
+  direct net, and the hub's quantile pooler; each standardizes its inputs
+  once, before the first step;
+* one closed-loop (autonomous, outputs recycled) forecast driver for the
+  three Lorenz kinds, batched across many start points.
 
 Closed-loop mechanics: each step, every candidate model is re-integrated
 from the *pooled* previous output, the pooled output stands in for the truth
@@ -45,7 +51,14 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .attention import AttentionParams, init_heads, single_head_backward, single_head_forward
+from .attention import (
+    AttentionParams,
+    init_heads,
+    multi_head_backward,
+    multi_head_forward,
+    single_head_backward,
+    single_head_forward,
+)
 from .evaluation import exceeded
 from .lorenz import candidate_steps
 from .numerics import Array, FlatAdam, spawn_rng, uniform_init
@@ -73,10 +86,6 @@ class Standardizer:
         scale = flat.std(axis=0)
         scale = np.where(scale < 1e-8, 1.0, scale)  # constant columns pass through
         return cls(mean=mean, scale=scale)
-
-    @classmethod
-    def identity(cls, dim: int) -> "Standardizer":
-        return cls(mean=np.zeros(dim), scale=np.ones(dim))
 
     def apply(self, arr: Array) -> Array:
         """``(arr - mean) / scale`` in one new array, divided in place."""
@@ -171,36 +180,16 @@ def _by_row(x: Array, weight: Array) -> Array:
 
 
 @dataclass
-class AttentionPooler:
-    """Trained single-head attention pooler plus its input standardizers."""
-
-    params: AttentionParams  # one head, no mixer
-    query_scaler: Standardizer
-    key_scaler: Standardizer
-    delay_length: int
-
-    def forward(self, queries_raw: Array, keys_raw: Array, values: Array):
-        """Pooled forecasts and attention weights for raw (unscaled) inputs."""
-        q = self.query_scaler.apply(queries_raw)
-        k = self.key_scaler.apply(keys_raw)
-        pooled, weights, _ = single_head_forward(self.params, q, k, values)
-        return pooled, weights
-
-
-@dataclass
 class LinearPooler:
     """Affine map from flattened candidate forecasts to a pooled forecast."""
 
     weight: Array  # (d_out, d_in)
     bias: Array    # (d_out,)
 
-    def predict(self, inputs: Array) -> Array:
-        return _by_row(np.asarray(inputs, dtype=np.float64), self.weight) + self.bias
-
     def forward(self, inputs: Array):
         """``(pooled, None, cache)``: the linear pooler has no weights, and
         its backward reads the inputs."""
-        return self.predict(inputs), None, inputs
+        return _by_row(np.asarray(inputs, dtype=np.float64), self.weight) + self.bias, None, inputs
 
     def backward(self, inputs: Array, upstream: Array, out: "LinearPooler") -> "LinearPooler":
         """The parameter gradients for d loss / d output ``upstream``
@@ -218,11 +207,6 @@ class FeedForwardNet:
     b1: Array  # (hidden,)
     w2: Array  # (d_out, hidden)
     b2: Array  # (d_out,)
-    scaler: Standardizer
-    delay_length: int
-
-    def predict(self, inputs_raw: Array) -> Array:
-        return ffnn_forward(self, self.scaler.apply(inputs_raw))[0]
 
 
 def ffnn_forward(net: FeedForwardNet, inputs: Array):
@@ -238,9 +222,8 @@ def ffnn_forward(net: FeedForwardNet, inputs: Array):
 def ffnn_backward(
     net: FeedForwardNet, cache, upstream: Array, out: FeedForwardNet
 ) -> FeedForwardNet:
-    """Parameter gradients given d loss / d out, typed like ``net`` (its
-    standardizer and delay length are shared, not trained), written into
-    ``out``. The gradient with respect to the inputs is not formed: no
+    """Parameter gradients given d loss / d out, typed like ``net``, written
+    into ``out``. The gradient with respect to the inputs is not formed: no
     caller trains through them."""
     x, act = cache
     upstream = np.asarray(upstream, dtype=np.float64)
@@ -261,9 +244,53 @@ def init_ffnn(
         b1=uniform_init(rng, hidden, in_dim),
         w2=uniform_init(rng, (out_dim, hidden), hidden),
         b2=uniform_init(rng, out_dim, hidden),
-        scaler=Standardizer.identity(in_dim),
-        delay_length=1,
     )
+
+
+def kind_functions(kind: str) -> tuple[Callable, Callable]:
+    """``(forward, backward)`` of a trained pooler kind.
+    ``forward(params, *inputs)`` returns ``(preds, weights, cache)``,
+    ``weights`` None where the kind has none; ``backward(params, cache,
+    upstream, out)`` writes the parameter gradients into ``out`` and returns
+    it. The table is built on each call, so it holds whatever the module's
+    names are bound to then (a profiler that wraps them sees the calls)."""
+    return {
+        "additive": (single_head_forward, single_head_backward),
+        "multi_head": (multi_head_forward, multi_head_backward),
+        "linear": (LinearPooler.forward, LinearPooler.backward),
+        "ffnn": (ffnn_forward, ffnn_backward),
+    }[kind]
+
+
+@dataclass(frozen=True)
+class Pooler:
+    """A trained model of either pipeline with the input standardizers it
+    was fit under: ``params`` of a kind of :func:`kind_functions`, or the
+    candidate index or None of a hub baseline kind, at delay ``delay``.
+
+    The first input of the kind's forward (the queries, or the direct net's
+    delayed states) is standardized by ``query_scaler`` and the second (the
+    keys) by ``key_scaler``, each where it is set; every other input, and
+    the output, is raw.
+    """
+
+    kind: str
+    params: AttentionParams | LinearPooler | FeedForwardNet | int | None
+    delay: int
+    query_scaler: Standardizer | None = None
+    key_scaler: Standardizer | None = None
+
+    def standardize(self, *raw_inputs: Array) -> tuple[Array, ...]:
+        """The kind's forward inputs from raw ones: the first two divided
+        by whichever scalers are set, each into a new array."""
+        scalers = (self.query_scaler, self.key_scaler, *[None] * len(raw_inputs))
+        return tuple(x if s is None else s.apply(x) for x, s in zip(raw_inputs, scalers))
+
+    def forward(self, *raw_inputs: Array):
+        """``(preds, weights, cache)`` of the kind's forward on the
+        standardized ``raw_inputs``."""
+        forward, _ = kind_functions(self.kind)
+        return forward(self.params, *self.standardize(*raw_inputs))
 
 
 # ---------------------------------------------------------------------------
@@ -344,15 +371,24 @@ def fit(
     return curve
 
 
-def _squared_error(targets: Array):
-    """The loss of the Lorenz trainers: squared error against ``targets``,
-    averaged over the batch's elements."""
+def _fit_pooler(
+    pooler: Pooler, raw_inputs: Sequence[Array], targets: Array,
+    rng: np.random.Generator, config: TrainConfig,
+) -> Array:
+    """The Lorenz trainers' :func:`fit` of ``pooler`` on every instance:
+    its inputs standardized once, the loss the squared error against
+    ``targets`` averaged over the batch's elements."""
+    targets = np.asarray(targets, dtype=np.float64)
 
-    def loss(preds, idx):
+    def squared_error(preds, idx):
         resid = preds - targets[idx]
         return resid * resid, 2.0 * resid / resid.size
 
-    return loss
+    forward, backward = kind_functions(pooler.kind)
+    return fit(
+        pooler.params, forward, backward, pooler.standardize(*raw_inputs),
+        squared_error, np.arange(len(targets)), rng, config,
+    )
 
 
 def train_attention(
@@ -361,40 +397,33 @@ def train_attention(
     *,
     hidden: int | None,
     config: TrainConfig,
-) -> tuple[AttentionPooler, Array]:
-    """Minibatch-Adam MSE training; returns the pooler and per-epoch losses.
-    A ``hidden`` of None takes :func:`attention_hidden_size` of ``length``."""
+) -> tuple[Pooler, Array]:
+    """Minibatch-Adam MSE training of the ``additive`` pooler; returns it
+    and the per-epoch losses. A ``hidden`` of None takes
+    :func:`attention_hidden_size` of ``length``."""
     hidden = attention_hidden_size(length) if hidden is None else hidden
-    query_scaler = Standardizer.fit(data.queries)
-    key_scaler = Standardizer.fit(data.keys)
-    q = query_scaler.apply(data.queries)
-    k = key_scaler.apply(data.keys)
-
     rng = spawn_rng(config.seed, f"train-attention-l{length}")
-    params = init_heads(rng, 1, hidden, q.shape[1], k.shape[2])
-    curve = fit(
-        params, single_head_forward, single_head_backward, (q, k, data.values),
-        _squared_error(data.targets), np.arange(len(data.targets)), rng, config,
+    params = init_heads(rng, 1, hidden, data.queries.shape[1], data.keys.shape[2])
+    pooler = Pooler(
+        "additive", params, length, Standardizer.fit(data.queries), Standardizer.fit(data.keys)
     )
-    return AttentionPooler(params, query_scaler, key_scaler, length), curve
+    curve = _fit_pooler(pooler, (data.queries, data.keys, data.values), data.targets, rng, config)
+    return pooler, curve
 
 
 def train_linear(
     inputs: Array, targets: Array, config: TrainConfig
-) -> tuple[LinearPooler, Array]:
-    """Adam-trained affine pooler."""
+) -> tuple[Pooler, Array]:
+    """Adam-trained affine pooler of the current candidate forecasts, at
+    delay 1."""
     x = np.asarray(inputs, dtype=np.float64)
-    y = np.asarray(targets, dtype=np.float64)
     rng = spawn_rng(config.seed, "train-linear")
+    out_dim = np.shape(targets)[1]
     model = LinearPooler(
-        weight=uniform_init(rng, (y.shape[1], x.shape[1]), x.shape[1]),
-        bias=np.zeros(y.shape[1]),
+        weight=uniform_init(rng, (out_dim, x.shape[1]), x.shape[1]), bias=np.zeros(out_dim)
     )
-    curve = fit(
-        model, LinearPooler.forward, LinearPooler.backward, (x,),
-        _squared_error(y), np.arange(len(y)), rng, config,
-    )
-    return model, curve
+    pooler = Pooler("linear", model, 1)
+    return pooler, _fit_pooler(pooler, (x,), targets, rng, config)
 
 
 def train_ffnn(
@@ -404,24 +433,15 @@ def train_ffnn(
     *,
     hidden: int | None,
     config: TrainConfig,
-) -> tuple[FeedForwardNet, Array]:
+) -> tuple[Pooler, Array]:
     """Direct state-forecast baseline, trained from standardized delayed
     states. A ``hidden`` of None takes :func:`ffnn_hidden_size` of
     ``length``."""
     hidden = ffnn_hidden_size(length) if hidden is None else hidden
-    scaler = Standardizer.fit(inputs_raw)
-    x = scaler.apply(inputs_raw)
-    y = np.asarray(targets, dtype=np.float64)
-
     rng = spawn_rng(config.seed, f"train-ffnn-l{length}")
-    net = init_ffnn(rng, hidden, x.shape[1], y.shape[1])
-    net.scaler = scaler
-    net.delay_length = length
-    curve = fit(
-        net, ffnn_forward, ffnn_backward, (x,),
-        _squared_error(y), np.arange(len(y)), rng, config,
-    )
-    return net, curve
+    net = init_ffnn(rng, hidden, np.shape(inputs_raw)[1], np.shape(targets)[1])
+    pooler = Pooler("ffnn", net, length, Standardizer.fit(inputs_raw))
+    return pooler, _fit_pooler(pooler, (inputs_raw,), targets, rng, config)
 
 
 # ---------------------------------------------------------------------------
@@ -431,16 +451,13 @@ VARIANTS = ("additive", "fixed_attention", "best_initial")
 
 
 def gather_histories(states: Array, starts, depth: int) -> Array:
-    """Stack the ``depth`` samples preceding each start index: (B, depth, d)."""
+    """The ``depth`` samples preceding each start index, in one gather:
+    (B, depth, d)."""
     states = np.asarray(states, dtype=np.float64)
-    out = []
-    for s in starts:
-        if s < depth:
-            raise ValueError(
-                f"start index {s} has only {s} preceding samples, need {depth}"
-            )
-        out.append(states[s - depth : s])
-    return np.stack(out)
+    starts = np.asarray(starts, dtype=np.intp).reshape(-1)
+    for s in starts[starts < depth][:1]:
+        raise ValueError(f"start index {s} has only {s} preceding samples, need {depth}")
+    return states[starts[:, None] + np.arange(-depth, 0)]
 
 
 @dataclass(frozen=True)
@@ -473,7 +490,7 @@ def _one_hot_argmax(weights: Array) -> Array:
 
 
 def closed_loop_forecast_batch(
-    model: AttentionPooler | LinearPooler | FeedForwardNet,
+    model: Pooler,
     histories: Array,
     horizon: int,
     *,
@@ -484,15 +501,16 @@ def closed_loop_forecast_batch(
     """Autonomous multi-step forecasts from B start points in lockstep, one
     :class:`ClosedLoopResult` per name in ``variants``, in that order.
 
-    ``histories`` is (B, depth, d) of true samples ending just before the
-    first forecast target: depth is l+1 for the attention pooler (its oldest
-    key term is a verified error, whose forecast was launched from the
-    sample before the oldest embedded state), l for the direct net and 1
-    for the linear pooler. The driver steps two newest-first delay
+    ``model`` is a :class:`Pooler` of kind ``additive`` (the attention
+    pooler), ``linear`` or ``ffnn`` (the direct net) at delay l; the Lorenz
+    linear pooler is at delay 1. ``histories`` is (B, depth, d) of true
+    samples ending just before the first forecast target: depth is l+1 for
+    the attention pooler (its oldest key term is a verified error, whose
+    forecast was launched from the sample before the oldest embedded
+    state) and l for the others. The driver steps two newest-first delay
     embeddings, seeded from that history: the query (rows, S*d) of the last
     S outputs, and the keys (rows, M, E*d) of the last E candidate errors,
-    each candidate's forecast minus the output it stood in for. S is l for
-    the attention pooler and the direct net and 1 for the linear pooler; E
+    each candidate's forecast minus the output it stood in for. S is l; E
     is l for the attention pooler and 0 for the others. After
     initialization the driver forms no forecast from the truth: each step,
     the candidates (M of them, for every model but the direct net) are
@@ -523,26 +541,22 @@ def closed_loop_forecast_batch(
         raise ValueError(f"full_horizon {tuple(full_horizon)!r} names no variant of {variants!r}")
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
-    attention = isinstance(model, AttentionPooler)
-    if attention:
-        n_states = n_errors = model.delay_length
-    elif variants != ("additive",):
+    if model.kind not in ("additive", "linear", "ffnn"):
+        raise ValueError(f"the closed loop cannot step a {model.kind!r} pooler")
+    attention = model.kind == "additive"
+    if not attention and variants != ("additive",):
         raise ValueError(
             f"variants {variants!r}: all but 'additive' are for the attention pooler only"
         )
-    elif isinstance(model, LinearPooler):
-        n_states, n_errors = 1, 0
-    elif isinstance(model, FeedForwardNet):
-        n_states, n_errors = model.delay_length, 0
-    else:
-        raise TypeError(f"unknown model type {type(model).__name__}")
+    n_states = model.delay
+    n_errors = model.delay if attention else 0
     histories = np.asarray(histories, dtype=np.float64)
     n_segments = len(histories)
     depth = max(n_states, n_errors + 1)
     if histories.ndim != 3 or histories.shape[1] != depth:
         raise ValueError(
-            f"histories must be (B, {depth}, d) for this {type(model).__name__}, "
-            f"got {histories.shape}"
+            f"histories must be (B, {depth}, d) for a {model.kind} pooler at delay "
+            f"{model.delay}, got {histories.shape}"
         )
     if np.shape(truths) != (n_segments, horizon, histories.shape[2]):
         raise ValueError(
@@ -572,7 +586,7 @@ def closed_loop_forecast_batch(
     predictions = np.full((n_rows, horizon, dim), np.nan)
     weights_out = np.full((n_rows, horizon, keys.shape[1]), np.nan) if attention else None
     for step in range(horizon):
-        if not isinstance(model, FeedForwardNet):  # the direct net integrates no candidates
+        if model.kind != "ffnn":  # the direct net integrates no candidates
             values = candidate_steps(query[:, :dim])
             dead |= ~_finite_rows(values)
             values[dead] = 0.0
@@ -593,10 +607,9 @@ def closed_loop_forecast_batch(
                 if mask.any():
                     weights[mask] = model.forward(query[mask], keys, values[mask])[1]
             out = np.einsum("bm,bmd->bd", weights, values)
-        elif isinstance(model, LinearPooler):
-            out = model.predict(values.reshape(len(values), -1))
         else:
-            out = model.predict(query)
+            inputs = values.reshape(len(values), -1) if model.kind == "linear" else query
+            out = model.forward(inputs)[0]
         dead |= ~_finite_rows(out)
         live = ~dead
         predictions[rows[live], step] = out[live]

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import HEAD_FIELDS
 
-from attnpool import cli, covid
+from attnpool import cli, covid, forecasting
 from attnpool.covid import (
     ForecastTable,
     GapSpec,
@@ -23,7 +23,7 @@ from attnpool.covid import (
     ValidationPeriod,
 )
 from attnpool.evaluation import WIS_ALPHAS, wis_batch
-from attnpool.forecasting import LinearPooler, Standardizer, TrainConfig
+from attnpool.forecasting import LinearPooler, Pooler, Standardizer, TrainConfig
 from attnpool.numerics import spawn_rng
 
 
@@ -825,9 +825,7 @@ class TestTrainPooler:
         order: a convex combination of sorted candidate quantiles."""
         trained, _ = small_trained
         pooler = trained["additive"].pooler
-        raw, _, _ = covid.single_head_forward(
-            pooler.params, *pooler.inputs(samples, slice(None))
-        )
+        raw, _, _ = pooler.forward(*covid.pooler_inputs(pooler, samples, slice(None)))
         assert raw.shape == (samples.n_rows, covid.N_LEVELS)
         assert np.all(np.diff(raw, axis=1) >= 0)
 
@@ -915,34 +913,51 @@ class TestTrainPooler:
         keys = samples.keys.nbytes
         assert peak <= 2 * keys, f"peak {peak} B for a {keys} B key array"
 
-    @pytest.mark.parametrize("kind", ["additive", "linear"])
+    @pytest.mark.parametrize("kind", ["additive", "multi_head", "linear", "ffnn"])
     def test_inputs_are_the_training_rows_standardized_bitwise(self, samples, kind):
-        """The standardizers fit the training rows, and the inputs of every
-        row, by slice and by index array, hold the bits of the samples'
-        rows, the attention kind's queries and keys standardized."""
+        """The standardizers fit the training rows, and the pooler's forward
+        on raw inputs, by slice and by index array, has the bits of its
+        kind's forward on the inputs its standardizers give: the queries (or
+        the direct net's delayed truths) and keys standardized, the rest
+        raw. The ``ffnn`` kind is the Lorenz direct net, here reading the
+        samples' queries."""
         period = covid.split_into_periods(samples.weeks, 4, skip=5)[2]
-        pooler = train(kind, samples, period, epochs=0, hidden=8, seed=1).pooler
         train_rows = np.nonzero(~samples.period_mask(period))[0]
-        if kind == "additive":
-            for fitted, arr in ((pooler.query_scaler, samples.queries),
-                                (pooler.key_scaler, samples.keys)):
-                expected = Standardizer.fit(arr[train_rows])
-                np.testing.assert_array_equal(fitted.mean, expected.mean)
-                np.testing.assert_array_equal(fitted.scale, expected.scale)
+        if kind == "ffnn":
+            config = TrainConfig(
+                epochs=0, learning_rate=1e-3, batch_size=8, weight_decay=0.0, seed=1
+            )
+            pooler, _ = forecasting.train_ffnn(
+                samples.queries[train_rows], samples.truths[train_rows, None], samples.delay,
+                hidden=8, config=config,
+            )
+        else:
+            pooler = train(kind, samples, period, epochs=0, hidden=8, n_heads=3, seed=1).pooler
+        # the kind's standardized inputs, each with the array its scaler fits
+        n_scaled = {"linear": 0, "ffnn": 1}.get(kind, 2)
+        scalers = [(pooler.query_scaler, samples.queries), (pooler.key_scaler, samples.keys)]
+        assert [s is not None for s, _ in scalers] == [i < n_scaled for i in range(2)]
+        fitted = scalers[:n_scaled]
+        for scaler, arr in fitted:
+            expected = Standardizer.fit(arr[train_rows])
+            np.testing.assert_array_equal(scaler.mean, expected.mean)
+            np.testing.assert_array_equal(scaler.scale, expected.scale)
+        forward, _ = forecasting.kind_functions(kind)
         for rows in (slice(None), np.arange(0, samples.n_rows, 3)):
-            inputs = pooler.inputs(samples, rows)
-            if kind == "linear":
-                expected = (samples.linear_inputs[rows],)
+            if kind == "ffnn":
+                raw = (samples.queries[rows],)
             else:
-                q, k = pooler.query_scaler, pooler.key_scaler
-                expected = (
-                    (samples.queries[rows] - q.mean) / q.scale,
-                    (samples.keys[rows] - k.mean) / k.scale,
-                    samples.values[rows],
-                )
-            assert len(inputs) == len(expected)
-            for got, want in zip(inputs, expected):
-                np.testing.assert_array_equal(got, want)
+                raw = covid.pooler_inputs(pooler, samples, rows)
+            standardized = [
+                (x - scaler.mean) / scaler.scale for (scaler, _), x in zip(fitted, raw)
+            ] + list(raw[len(fitted):])
+            got, got_weights, _ = pooler.forward(*raw)
+            want, want_weights, _ = forward(pooler.params, *standardized)
+            assert got.tobytes() == want.tobytes()
+            if want_weights is None:
+                assert got_weights is None
+            else:
+                assert got_weights.tobytes() == want_weights.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -1010,7 +1025,7 @@ class TestPredictEvaluate:
             covid.predict_quantiles(trained["additive"].pooler, short, np.arange(short.n_rows))
 
     def test_forced_inversion_is_repaired_and_counted(self, samples):
-        pooler = covid.QuantilePooler(
+        pooler = Pooler(
             kind="linear",
             params=LinearPooler(
                 weight=-covid._uniform_pool_linear(samples.n_models, samples.delay).weight,
@@ -1018,7 +1033,7 @@ class TestPredictEvaluate:
             ),
             delay=samples.delay,
         )
-        raw = pooler.params.predict(*pooler.inputs(samples, np.arange(50)))
+        raw, _, _ = pooler.forward(*covid.pooler_inputs(pooler, samples, np.arange(50)))
         assert np.any(np.diff(raw, axis=1) < 0)
         preds = covid.predict_quantiles(pooler, samples, rows=np.arange(50))
         assert np.all(np.diff(preds.quantiles, axis=1) >= 0)

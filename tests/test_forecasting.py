@@ -2,6 +2,7 @@
 
 import warnings
 from contextlib import contextmanager
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,9 +20,9 @@ from attnpool import forecasting
 from attnpool.attention import init_heads
 from attnpool.evaluation import exceeded, valid_time
 from attnpool.forecasting import (
-    AttentionPooler,
     FeedForwardNet,
     LinearPooler,
+    Pooler,
     Standardizer,
     VARIANTS,
     TrainConfig,
@@ -118,11 +119,8 @@ def baseline(kind: str):
     if kind == "linear":
         rng = np.random.default_rng(5)
         weight = np.full((3, 33), 1.0 / 11.0) + rng.normal(0.0, 1e-3, (3, 33))
-        return LinearPooler(weight, np.zeros(3)), 1
-    net = init_ffnn(spawn_rng(6, "retire"), ffnn_hidden_size(2), 6, 3)
-    net.delay_length = 2
-    net.scaler = Standardizer.identity(6)
-    return net, 2
+        return Pooler("linear", LinearPooler(weight, np.zeros(3)), 1), 1
+    return Pooler("ffnn", init_ffnn(spawn_rng(6, "retire"), ffnn_hidden_size(2), 6, 3), 2), 2
 
 
 @pytest.fixture(scope="module")
@@ -185,10 +183,6 @@ class TestStandardizer:
         s2 = Standardizer.fit(keys.reshape(-1, 4))
         np.testing.assert_array_equal(s3.mean, s2.mean)
         np.testing.assert_array_equal(s3.scale, s2.scale)
-
-    def test_identity_is_noop(self):
-        x = np.random.default_rng(2).normal(size=(5, 3))
-        np.testing.assert_array_equal(Standardizer.identity(3).apply(x), x)
 
     def test_apply_matches_subtract_then_divide_bitwise(self):
         """One new array, divided in place, holds the bits of
@@ -288,7 +282,6 @@ class TestFeedForwardNet:
         net = FeedForwardNet(
             w1=np.zeros((4, 6)), b1=np.zeros(4),
             w2=np.zeros((3, 4)), b2=np.array([1.0, 2.0, 3.0]),
-            scaler=Standardizer.identity(6), delay_length=2,
         )
         out, weights, _ = ffnn_forward(net, np.ones((5, 6)))
         assert weights is None
@@ -307,7 +300,6 @@ class TestFeedForwardNet:
         net = FeedForwardNet(
             w1=rng.uniform(-0.5, 0.5, (6, 4)), b1=rng.uniform(-0.5, 0.5, 6),
             w2=rng.uniform(-0.5, 0.5, (3, 6)), b2=rng.uniform(-0.5, 0.5, 3),
-            scaler=Standardizer.identity(4), delay_length=1,
         )
         x = rng.uniform(-0.5, 0.5, (4, 4))
         y = rng.uniform(-0.5, 0.5, (4, 3))
@@ -531,8 +523,8 @@ class TestTraining:
 def open_loop(pooler, states, cand):
     """The pooler run one step ahead on the true series: the instances, the
     pooled forecasts and the weights."""
-    data = assemble_open_loop(states, cand, pooler.delay_length)
-    pooled, weights = pooler.forward(data.queries, data.keys, data.values)
+    data = assemble_open_loop(states, cand, pooler.delay)
+    pooled, weights, _ = pooler.forward(data.queries, data.keys, data.values)
     return data, pooled, weights
 
 
@@ -561,7 +553,7 @@ class TestOpenLoop:
         mutated = states.copy()
         mutated[cut:] = np.random.default_rng(8).normal(0.0, 30.0, mutated[cut:].shape)
         _, pooled2, _ = open_loop(pooler, mutated, candidate_forecasts(mutated))
-        before = np.arange(pooler.delay_length + 1, len(states)) < cut
+        before = np.arange(pooler.delay + 1, len(states)) < cut
         np.testing.assert_array_equal(pooled[before], pooled2[before])
 
     def test_beats_uniform_average(self, trained, small):
@@ -577,7 +569,7 @@ class TestOpenLoop:
         rng = np.random.default_rng(12)
         model = LinearPooler(weight=rng.normal(size=(3, 33)), bias=rng.normal(size=3))
         data = assemble_open_loop(ds.validation.states, vcand, 1)
-        predictions = model.predict(data.values.reshape(len(data.values), -1))
+        predictions, _, _ = model.forward(data.values.reshape(len(data.values), -1))
         row = 4
         manual = model.weight @ data.values[row].reshape(-1) + model.bias
         np.testing.assert_allclose(predictions[row], manual, atol=1e-12)
@@ -586,12 +578,7 @@ class TestOpenLoop:
 class TestClosedLoop:
     def test_perfect_model_limit_is_exact(self):
         truth = integrate(np.array([1.0, 2.0, 25.0]), 0.0, 40, lambda t: 28.0)
-        pooler = AttentionPooler(
-            params=init_heads(spawn_rng(0, "cl"), 1, 8, 9, 9),
-            query_scaler=Standardizer.identity(9),
-            key_scaler=Standardizer.identity(9),
-            delay_length=3,
-        )
+        pooler = Pooler("additive", init_heads(spawn_rng(0, "cl"), 1, 8, 9, 9), 3)
         hist = gather_histories(truth.states, [6], 4)
         with candidates_by(one_candidate(28.0)):
             [res] = full_rollout(pooler, hist, 20)
@@ -604,12 +591,7 @@ class TestClosedLoop:
         # truth runs at 28 but the lone candidate at 35: the pooled forecast
         # must follow the candidate's own trajectory from the warmup end
         truth = integrate(np.array([0.5, -1.0, 20.0]), 0.0, 20, lambda t: 28.0)
-        pooler = AttentionPooler(
-            params=init_heads(spawn_rng(1, "cl"), 1, 8, 6, 6),
-            query_scaler=Standardizer.identity(6),
-            key_scaler=Standardizer.identity(6),
-            delay_length=2,
-        )
+        pooler = Pooler("additive", init_heads(spawn_rng(1, "cl"), 1, 8, 6, 6), 2)
         hist = gather_histories(truth.states, [5], 3)
         with candidates_by(one_candidate(35.0)):
             [res] = full_rollout(pooler, hist, 12, variants=[variant])
@@ -693,7 +675,7 @@ class TestClosedLoop:
 
     def test_linear_rollout_truncates_on_explosion(self, small):
         ds, _, _ = small
-        model = LinearPooler(weight=np.full((3, 33), 50.0), bias=np.zeros(3))
+        model = Pooler("linear", LinearPooler(np.full((3, 33), 50.0), np.zeros(3)), 1)
         hist = gather_histories(ds.validation.states, [ds.segment_starts[0]], 1)
         [res] = full_rollout(model, hist, 12)
         cut = int(res.truncated_at[0])
@@ -703,9 +685,7 @@ class TestClosedLoop:
 
     def test_ffnn_rollout_stays_bounded(self, small):
         ds, _, _ = small
-        net = init_ffnn(spawn_rng(2, "clffnn"), 8, 6, 3)
-        net.delay_length = 2
-        net.scaler = Standardizer.identity(6)
+        net = Pooler("ffnn", init_ffnn(spawn_rng(2, "clffnn"), 8, 6, 3), 2)
         hist = gather_histories(ds.validation.states, ds.segment_starts, 2)
         [res] = full_rollout(net, hist, 30)
         assert np.isfinite(res.predictions).all()
@@ -721,16 +701,15 @@ class TestClosedLoop:
         ds, _, _ = small
         if kind == "attention":
             model = trained[0]
-            n_states = n_errors = model.delay_length
+            n_states = n_errors = model.delay
         elif kind == "linear":
             weight = np.zeros((3, 33))
             for c in range(3):
                 weight[c, c::3] = 1.0 / 11.0  # the candidates' mean
-            model, n_states, n_errors = LinearPooler(weight, np.zeros(3)), 1, 0
+            model, n_states, n_errors = Pooler("linear", LinearPooler(weight, np.zeros(3)), 1), 1, 0
         else:
-            model, n_states, n_errors = init_ffnn(spawn_rng(4, "plain"), 8, 6, 3), 2, 0
-            model.delay_length = n_states
-            model.scaler = Standardizer.identity(6)
+            net = init_ffnn(spawn_rng(4, "plain"), 8, 6, 3)
+            model, n_states, n_errors = Pooler("ffnn", net, 2), 2, 0
         depth = max(n_states, n_errors + 1)
         hist = gather_histories(ds.validation.states, ds.segment_starts, depth)
         [res] = full_rollout(model, hist, 10)
@@ -741,15 +720,15 @@ class TestClosedLoop:
         for _ in range(10):
             values = candidate_steps(states[0])
             if kind == "attention":
-                out, w = model.forward(
+                out, w, _ = model.forward(
                     np.concatenate(states, axis=-1), np.concatenate(errors, axis=-1), values
                 )
                 weights.append(w)
                 errors = [values - out[:, None, :]] + errors[:-1]
             elif kind == "linear":
-                out = model.predict(values.reshape(len(hist), -1))
+                out = model.forward(values.reshape(len(hist), -1))[0]
             else:
-                out = model.predict(np.concatenate(states, axis=-1))
+                out = model.forward(np.concatenate(states, axis=-1))[0]
             expected.append(out)
             states = [out] + states[:-1]
         np.testing.assert_array_equal(res.predictions, np.stack(expected, axis=1))
@@ -765,7 +744,7 @@ class TestClosedLoop:
         rolled out alone has the bits of its row among 23."""
         ds, _, _ = small
         if kind == "attention":
-            model, depth, variants = trained[0], trained[0].delay_length + 1, VARIANTS
+            model, depth, variants = trained[0], trained[0].delay + 1, VARIANTS
         else:
             (model, depth), variants = baseline(kind), ("additive",)
         hist = gather_histories(ds.validation.states, range(8, 300, 13), depth)
@@ -835,9 +814,8 @@ class TestClosedLoop:
         the direct net and 1 for the linear pooler."""
         pooler, _ = trained
         ds, _, _ = small
-        net = init_ffnn(spawn_rng(2, "rh"), 4, 6, 3)
-        net.delay_length = 2
-        linear = LinearPooler(np.zeros((3, 33)), np.zeros(3))
+        net = Pooler("ffnn", init_ffnn(spawn_rng(2, "rh"), 4, 6, 3), 2)
+        linear = Pooler("linear", LinearPooler(np.zeros((3, 33)), np.zeros(3)), 1)
         for model, depth in ((pooler, 4), (net, 2), (linear, 1)):
             hist = gather_histories(ds.validation.states, ds.segment_starts, depth)
             [res] = full_rollout(model, hist, 3)
@@ -847,19 +825,44 @@ class TestClosedLoop:
                 full_rollout(model, hist[:, 1:], 3)
 
     def test_variants_apply_to_attention_only(self, small):
+        """A linear or ffnn pooler takes only the ``additive`` variant,
+        alone or next to another."""
         ds, _, _ = small
-        linear = LinearPooler(np.zeros((3, 33)), np.zeros(3))
-        hist = gather_histories(ds.validation.states, ds.segment_starts, 1)
-        with pytest.raises(ValueError, match="attention pooler only"):
-            full_rollout(linear, hist, 3, variants=["best_initial"])
+        for kind in ("linear", "ffnn"):
+            model, depth = baseline(kind)
+            hist = gather_histories(ds.validation.states, ds.segment_starts, depth)
+            for variants in (["best_initial"], ["fixed_attention"], ["additive", "best_initial"]):
+                with pytest.raises(ValueError, match="attention pooler only"):
+                    full_rollout(model, hist, 3, variants=variants)
+
+    @pytest.mark.parametrize("kind", ["multi_head", "uniform"])
+    def test_a_kind_it_cannot_step_is_named(self, trained, small, kind):
+        """Only the Lorenz kinds step: a hub attention kind or a hub
+        baseline is refused by name before any history is read."""
+        ds, _, _ = small
+        hist = gather_histories(ds.validation.states, ds.segment_starts, 4)
+        model = replace(trained[0], kind=kind)
+        with pytest.raises(ValueError, match=f"cannot step a '{kind}' pooler"):
+            full_rollout(model, hist, 3)
 
     def test_gather_histories_slices(self):
+        """One gather holds the bits of the stacked slices, in a new
+        C-ordered array."""
+        states = np.random.default_rng(13).normal(size=(40, 3))
+        starts = [4, 7, 39, 4, 12]
+        hist = gather_histories(states, starts, 4)
+        np.testing.assert_array_equal(hist, np.stack([states[s - 4 : s] for s in starts]))
+        assert hist.flags.c_contiguous and not np.shares_memory(hist, states)
+
+    def test_gather_histories_names_the_first_start_without_history(self):
+        """A start with fewer than ``depth`` samples before it is an error
+        naming that start, wherever it is in the list."""
         states = np.arange(30.0).reshape(10, 3)
-        hist = gather_histories(states, [4, 7], 3)
-        np.testing.assert_array_equal(hist[0], states[1:4])
-        np.testing.assert_array_equal(hist[1], states[4:7])
-        with pytest.raises(ValueError, match="preceding"):
-            gather_histories(states, [2], 3)
+        message = "start index 2 has only 2 preceding samples, need 3"
+        for starts in ([2], [5, 2, 9], np.array([3, 2, 1])):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                gather_histories(states, starts, 3)
+        np.testing.assert_array_equal(gather_histories(states, [3], 3)[0], states[:3])
 
     def test_rejects_bad_arguments(self, trained, small):
         pooler, _ = trained
@@ -959,9 +962,9 @@ class TestRetirement:
         assert (additive.truncated_at >= 0).any() and (additive.truncated_at < 0).any()
         # the seeding calls and step 0 see every row; the batch then shrinks
         n_batch = len(VARIANTS) * len(hist)
-        assert sizes[: pooler.delay_length + 1] == [n_batch] * (pooler.delay_length + 1)
+        assert sizes[: pooler.delay + 1] == [n_batch] * (pooler.delay + 1)
         assert sizes == sorted(sizes, reverse=True) and sizes[-1] < n_batch
-        assert sum(sizes) < n_batch * (pooler.delay_length + horizon)
+        assert sum(sizes) < n_batch * (pooler.delay + horizon)
 
     def test_full_horizon_tiles_ignore_the_truths(self, trained, small, segments):
         """With ``full_horizon`` naming every variant, the segments' own

@@ -55,7 +55,6 @@ def model_cases(rng):
         return lambda p, out: backward(p, forward(p, q, k, v)[2], upstream, out)
 
     net = init_ffnn(rng, hidden=4, in_dim=3, out_dim=2)
-    net.delay_length = 3
     x = rng.normal(size=(2, 3))
     single = init_heads(rng, 1, 3, 2, 4)
     multi = init_heads(rng, 2, 3, 2, 4)
