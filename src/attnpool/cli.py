@@ -1,8 +1,8 @@
 """Config-driven experiment runner.
 
 One YAML file describes a full experiment (which system, which methods, all
-hyperparameters, where outputs go); subcommands run the experiment, generate
-the synthetic hub, or just validate the file. Every run writes its metric CSVs
+hyperparameters, where outputs go); subcommands run the experiment or just
+validate the file. Every run writes its metric CSVs
 plus a ``manifest.json`` recording the seed, a hash of the effective config,
 and per-file content hashes — two runs with the same seed and config hash
 produce byte-identical CSVs. A Lorenz run generates its trajectories from the
@@ -333,13 +333,12 @@ def validate_config(
     *,
     output: str | None = None,
     threads: int | None = None,
-    seed: int | None = None,
 ) -> ExperimentConfig:
     """Parse and exhaustively validate a YAML experiment config.
 
     Raises :class:`ConfigError` carrying *every* problem found, each message
     prefixed with the offending key path. Keyword overrides take the place of
-    the file's ``output``/``threads``/``seed`` before the config is parsed,
+    the file's ``output``/``threads`` before the config is parsed,
     so they are checked like the file's values and the hash reflects what
     actually ran. Relative *input* paths (the hub's data files) resolve against
     the config file's directory, so a config can ship next to its data; the
@@ -365,7 +364,7 @@ def validate_config(
             [f"experiment: must be 'lorenz' or 'covid', got {experiment!r}"]
         )
 
-    overrides = {"output": output, "threads": threads, "seed": seed}
+    overrides = {"output": output, "threads": threads}
     raw.update((key, value) for key, value in overrides.items() if value is not None)
     errors: list[str] = []
     eff = _walk(raw, _CONFIGS[experiment], "", errors)
@@ -400,8 +399,9 @@ def _cross_checks(cfg: ExperimentConfig) -> list[str]:
     errors = []
     d, m = cfg.data, cfg.model
     if cfg.experiment == "lorenz":
+        n_train = None
         try:
-            _dataset_layout(d.t_train, d.t_val, d.n_val_segments, d.segment_len, d.warmup)
+            n_train = _dataset_layout(d.t_train, d.t_val, d.n_val_segments, d.segment_len, d.warmup)[0]
         except ValueError as exc:
             errors.append(f"data.{exc}")
         # the additive rollout is the one that writes the weights and forecasts
@@ -424,6 +424,16 @@ def _cross_checks(cfg: ExperimentConfig) -> list[str]:
         for source, need in needs:
             if d.warmup < need:
                 errors.append(f"data.warmup: must be >= {need} ({source}), got {d.warmup}")
+        # a model of delay length L trains on targets from sample L + 1 on
+        # (sample 0 has no candidate forecast to take an error of), so it
+        # needs L + 2 training samples
+        lengths = {"linear": 1, "ffnn": m.ffnn_delay}
+        longest = max(lengths.get(method, max(m.delays)) for method in m.methods)
+        if n_train is not None and n_train < longest + 2:
+            errors.append(
+                f"data.t_train: {d.t_train} gives {n_train} training samples; the "
+                f"longest delay length trained, {longest}, needs >= {longest + 2}"
+            )
     else:
         has_paths = d.forecasts is not None or d.truth is not None
         if d.synthetic is None:
@@ -897,24 +907,14 @@ def _forecasts_text(res, truths, seg_t0, dt) -> Iterator[str]:
 # COVID experiment
 
 
-def _synthetic_hub(cfg: ExperimentConfig, stage: _OutputStage) -> covid.SyntheticHub:
-    """Generate the configured synthetic hub and stage its two CSVs."""
-    syn = cfg.data.synthetic
-    hub = covid.synthesize_hub(
-        seed=syn.seed,
-        n_locations=syn.n_locations,
-        n_weeks=syn.n_weeks,
-        n_models=syn.n_models,
-    )
-    hub.write_csvs(stage.path("forecasts.csv"), stage.path("truth.csv"))
-    return hub
-
-
 def _covid_tables(cfg: ExperimentConfig, stage: _OutputStage):
+    """Ingest the configured hub CSVs; synthetic data is generated and its
+    two CSVs staged as outputs first, so it is read like real data."""
     d = cfg.data
     if d.synthetic is not None:
-        _synthetic_hub(cfg, stage)
-        return covid.ingest(stage.path("forecasts.csv"), stage.path("truth.csv"))
+        forecasts, truth = stage.path("forecasts.csv"), stage.path("truth.csv")
+        covid.synthesize_hub(**asdict(d.synthetic)).write_csvs(forecasts, truth)
+        return covid.ingest(forecasts, truth)
     for p in (d.forecasts, d.truth):
         if not p.exists():
             raise RuntimeError(f"data file {p} does not exist")
@@ -1049,31 +1049,6 @@ def run_covid_experiment(cfg: ExperimentConfig) -> Path:
         return _finish(stage, cfg, "covid-run", started, extra=extra)
 
 
-def write_synthetic_hub(cfg: ExperimentConfig) -> Path:
-    """Generate the synthetic hub CSVs plus a listing of the injected gaps."""
-    started = time.perf_counter()
-    if cfg.data.synthetic is None:
-        raise RuntimeError("covid-synth needs a data.synthetic section in the config")
-    with _OutputStage(cfg.output) as stage:
-        hub = _synthetic_hub(cfg, stage)
-        _write_csv(
-            stage.path("gaps.csv"),
-            ["model", "location", "week", "expected_rule"],
-            (
-                [g.model_id, g.location, w.isoformat(), g.expected_rule]
-                for g in hub.gaps
-                for w in g.weeks
-            ),
-        )
-        return _finish(
-            stage,
-            cfg,
-            "covid-synth",
-            started,
-            extra={"n_gap_cells": sum(len(g.weeks) for g in hub.gaps)},
-        )
-
-
 # ---------------------------------------------------------------------------
 # command-line interface
 
@@ -1081,22 +1056,23 @@ def write_synthetic_hub(cfg: ExperimentConfig) -> Path:
 def _config_options(fn):
     for opt in (
         click.option("--config", "config_path", required=True, type=click.Path(), help="YAML experiment config."),
-        click.option("--output", "output_override", default=None, help="Override the config's output directory."),
-        click.option("--threads", "threads_override", default=None, type=int, help="Worker processes for the independent training jobs (lorenz-run, covid-run)."),
-        click.option("--seed", "seed_override", default=None, type=int, help="Override the config's seed."),
+        click.option("--output", default=None, help="Override the config's output directory."),
+        click.option("--threads", default=None, type=int, help="Worker processes for the independent training jobs."),
     ):
         fn = opt(fn)
     return fn
 
 
-def _load_or_exit(config_path, experiment, output, threads, seed) -> ExperimentConfig:
+def _load_or_exit(config_path, experiment=None, **overrides) -> ExperimentConfig:
+    """The validated config, or exit 1 after printing every error; a config
+    of another ``experiment`` than the command runs is an error too."""
     try:
-        cfg = validate_config(config_path, output=output, threads=threads, seed=seed)
+        cfg = validate_config(config_path, **overrides)
     except ConfigError as exc:
         for msg in exc.errors:
             click.echo(f"config error: {msg}", err=True)
         sys.exit(1)
-    if cfg.experiment != experiment:
+    if experiment is not None and cfg.experiment != experiment:
         click.echo(
             f"config error: experiment: this command runs {experiment!r} configs, "
             f"got {cfg.experiment!r}",
@@ -1122,25 +1098,17 @@ def main():
 
 @main.command("lorenz-run")
 @_config_options
-def lorenz_run_cmd(config_path, output_override, threads_override, seed_override):
+def lorenz_run_cmd(config_path, **overrides):
     """Train poolers and score closed-loop valid times."""
-    cfg = _load_or_exit(config_path, "lorenz", output_override, threads_override, seed_override)
+    cfg = _load_or_exit(config_path, "lorenz", **overrides)
     _execute(run_lorenz_experiment, cfg)
-
-
-@main.command("covid-synth")
-@_config_options
-def covid_synth_cmd(config_path, output_override, threads_override, seed_override):
-    """Generate synthetic hub-format forecast and truth CSVs."""
-    cfg = _load_or_exit(config_path, "covid", output_override, threads_override, seed_override)
-    _execute(write_synthetic_hub, cfg)
 
 
 @main.command("covid-run")
 @_config_options
-def covid_run_cmd(config_path, output_override, threads_override, seed_override):
+def covid_run_cmd(config_path, **overrides):
     """Run the leave-one-period-out quantile pooling experiment."""
-    cfg = _load_or_exit(config_path, "covid", output_override, threads_override, seed_override)
+    cfg = _load_or_exit(config_path, "covid", **overrides)
     _execute(run_covid_experiment, cfg)
 
 
@@ -1148,12 +1116,7 @@ def covid_run_cmd(config_path, output_override, threads_override, seed_override)
 @click.option("--config", "config_path", required=True, type=click.Path())
 def validate_cmd(config_path):
     """Check a config file and report every problem found."""
-    try:
-        cfg = validate_config(config_path)
-    except ConfigError as exc:
-        for msg in exc.errors:
-            click.echo(f"config error: {msg}", err=True)
-        sys.exit(1)
+    cfg = _load_or_exit(config_path)
     click.echo(f"configuration OK: {cfg.experiment} experiment, seed {cfg.seed}")
     click.echo(f"output directory: {cfg.output}")
     click.echo(f"config hash: {cfg.config_sha256}")

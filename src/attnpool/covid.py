@@ -233,6 +233,8 @@ def ingest(
                 f"({loc}, {week})"
             )
         truth_cells[(loc, week)] = deaths
+    if not truth_cells:
+        raise ValueError(f"{truth_csv}: no data rows")
 
     locations = tuple(sorted({loc for loc, _ in truth_cells}))
     weeks = tuple(sorted({week for _, week in truth_cells}))
@@ -312,6 +314,10 @@ def ingest(
             f"of the {N_LEVELS} required quantile levels"
         )
     keep = count.any(axis=(1, 2))  # a model with only 0.1/0.9 rows is dropped
+    if not keep.any():
+        raise ValueError(
+            f"{forecast_csv}: no forecast cell holds the {N_LEVELS} carried quantile levels"
+        )
     models = tuple(m for m, k in zip(all_models, keep) if k)
     values = grid[keep, ..., :N_LEVELS]  # a copy: keep is a boolean index
     for m, l, w in np.argwhere((np.diff(values, axis=3) < 0).any(axis=3)):

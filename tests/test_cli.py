@@ -12,6 +12,7 @@ import sys
 import time
 import tracemalloc
 from concurrent.futures.process import BrokenProcessPool
+from dataclasses import asdict
 from datetime import date
 from pathlib import Path
 
@@ -264,6 +265,39 @@ class TestValidateConfig:
         enough = write_config(tmp_path, text, name="enough.yaml", warmup=need, model=model)
         assert cli.validate_config(enough).data.warmup == need
 
+    @pytest.mark.parametrize(
+        "model, need",
+        [
+            ("methods: [additive]\n  delays: [5]\n  epochs: 1", 7),
+            ("methods: [linear]\n  epochs: 1", 3),
+            ("methods: [ffnn]\n  ffnn_delay: 5\n  ffnn_epochs: 1", 7),
+        ],
+        ids=["additive", "linear", "ffnn"],
+    )
+    def test_t_train_must_cover_the_longest_trained_delay(self, tmp_path, model, need):
+        """A model of delay length L needs L + 2 training samples: one
+        sample short is a config error on data.t_train, and exactly enough
+        runs."""
+        text = (
+            "experiment: lorenz\noutput: {out}\n"
+            "data:\n  t_train: {t_train}\n  t_val: 25.6\n  n_val_segments: 8\n"
+            "  segment_len: 16\nmodel:\n  {model}\n"
+        )
+        short = write_config(tmp_path, text, out="out", t_train=(need - 1) / 10, model=model)
+        with pytest.raises(cli.ConfigError) as err:
+            cli.validate_config(short)
+        assert err.value.errors == [
+            f"data.t_train: {(need - 1) / 10} gives {need - 1} training samples; the "
+            f"longest delay length trained, {need - 2}, needs >= {need}"
+        ]
+        enough = write_config(
+            tmp_path, text, name="enough.yaml",
+            out=str(tmp_path / "out"), t_train=need / 10, model=model,
+        )
+        assert cli.validate_config(enough).data.t_train == need / 10
+        result = invoke("lorenz-run", "--config", str(enough))
+        assert result.exit_code == 0, result.output + str(result.exception)
+
     def test_covid_needs_exactly_one_data_source(self, tmp_path):
         neither = write_config(tmp_path, "experiment: covid\noutput: out\n")
         with pytest.raises(cli.ConfigError, match="data.forecasts"):
@@ -309,11 +343,12 @@ class TestValidateConfig:
     def test_overrides_enter_the_config_hash(self, tmp_path):
         cfg = write_config(tmp_path, "experiment: lorenz\noutput: out\n")
         base = cli.validate_config(cfg)
-        reseeded = cli.validate_config(cfg, seed=99)
-        assert reseeded.seed == 99
-        assert reseeded.config_sha256 != base.config_sha256
+        moved = cli.validate_config(cfg, output="elsewhere")
+        assert moved.output == Path("elsewhere")
+        assert moved.config_sha256 != base.config_sha256
         rethreaded = cli.validate_config(cfg, threads=4)
         assert rethreaded.threads == 4
+        assert rethreaded.config_sha256 != base.config_sha256
 
     def test_overrides_are_checked_like_the_file(self, tmp_path):
         """An override takes the file's place before parsing: a bad one is
@@ -518,11 +553,10 @@ class TestLorenzRun:
         )
 
     def test_reseeded_run_differs(self, lorenz_out, tmp_path):
-        out, cfg = lorenz_out
-        result = invoke(
-            "lorenz-run", "--config", str(cfg),
-            "--output", str(tmp_path / "d"), "--seed", "1",
-        )
+        out, _ = lorenz_out
+        text = LORENZ_TINY.replace("seed: 0\n", "seed: 1\n")
+        cfg = write_config(tmp_path, text, out=str(tmp_path / "d"))
+        result = invoke("lorenz-run", "--config", str(cfg))
         assert result.exit_code == 0
         assert (tmp_path / "d" / "valid_times.csv").read_bytes() != (
             out / "valid_times.csv"
@@ -552,22 +586,22 @@ class TestCovidRun:
         starts = sorted({r["period_start"] for r in rows})
         assert len(starts) == 4
 
-    def test_imputation_log_matches_injected_gaps(self, covid_out, tmp_path):
+    def test_imputation_log_matches_injected_gaps(self, covid_out):
         out, cfg = covid_out
-        synth = invoke("covid-synth", "--config", str(cfg), "--output", str(tmp_path / "synth"))
-        assert synth.exit_code == 0
-        gap_rows = read_rows(tmp_path / "synth" / "gaps.csv")
+        hub = covid.synthesize_hub(**asdict(cli.validate_config(cfg).data.synthetic))
+        gaps = [(g.model_id, g.location, w.isoformat()) for g in hub.gaps for w in g.weeks]
         log_rows = read_rows(out / "imputation_log.csv")
-        assert len(log_rows) == len(gap_rows)
-        expected = {(g["model"], g["location"], g["week"]) for g in gap_rows}
-        assert {(r["model"], r["location"], r["week"]) for r in log_rows} == expected
+        assert len(log_rows) == len(gaps)
+        assert {(r["model"], r["location"], r["week"]) for r in log_rows} == set(gaps)
 
-    def test_synthetic_data_files_match_the_generator_command(self, covid_out, tmp_path):
+    def test_staged_data_files_are_the_generators_csvs(self, covid_out, tmp_path):
+        """A synthetic run stages the bytes ``SyntheticHub.write_csvs``
+        writes for the config's synthetic section."""
         out, cfg = covid_out
-        synth = invoke("covid-synth", "--config", str(cfg), "--output", str(tmp_path / "s2"))
-        assert synth.exit_code == 0
+        hub = covid.synthesize_hub(**asdict(cli.validate_config(cfg).data.synthetic))
+        hub.write_csvs(tmp_path / "forecasts.csv", tmp_path / "truth.csv")
         for name in ("forecasts.csv", "truth.csv"):
-            assert (tmp_path / "s2" / name).read_bytes() == (out / name).read_bytes()
+            assert (out / name).read_bytes() == (tmp_path / name).read_bytes()
 
     def test_weekly_scores_cover_each_method_on_the_held_out_union(self, covid_out):
         out, _ = covid_out
@@ -690,14 +724,20 @@ class TestCovidRun:
 
     def test_run_leaves_the_outputs_of_another_command(self, tmp_path):
         """Only a previous run of the same command has its files removed:
-        covid-run into a covid-synth directory keeps gaps.csv."""
-        target = tmp_path / "hub"
+        covid-run into a lorenz-run directory keeps every Lorenz file (the
+        Lorenz forecasts.csv is left out: covid-run stages one)."""
+        target = tmp_path / "both"
+        text = LORENZ_TINY.replace("write_forecasts: true", "write_forecasts: false")
+        lorenz = write_config(tmp_path, text, name="lorenz.yaml", out=str(target))
+        assert invoke("lorenz-run", "--config", str(lorenz)).exit_code == 0
+        written = json.loads((target / "manifest.json").read_text())["outputs"]
         text = COVID_TINY.replace("model:\n", "model:\n  methods: [uniform]\n")
         cfg = write_config(tmp_path, text, out=str(target))
-        assert invoke("covid-synth", "--config", str(cfg)).exit_code == 0
         result = invoke("covid-run", "--config", str(cfg))
         assert result.exit_code == 0, result.output + str(result.exception)
-        assert (target / "gaps.csv").exists()
+        assert json.loads((target / "manifest.json").read_text())["command"] == "covid-run"
+        for name, digest in written.items():
+            assert cli._sha256(target / name) == digest, name
 
     def test_rerun_with_threads_is_byte_identical(self, covid_out, tmp_path, worker_pools):
         out, cfg = covid_out
@@ -759,6 +799,48 @@ class TestCovidRun:
         assert result.exit_code == 2
         assert "does not exist" in result.stderr
         assert not (tmp_path / "out" / ".partial").exists()
+
+    @pytest.mark.parametrize(
+        "bad, text",
+        [
+            ("forecasts", ""),
+            ("forecasts", ",".join(covid.FORECAST_HEADER) + "\n"),
+            ("forecasts", "tolerated levels"),
+            ("truth", ""),
+            ("truth", ",".join(covid.TRUTH_HEADER) + "\n"),
+        ],
+        ids=["forecasts-blank", "forecasts-header", "forecasts-tolerated", "truth-blank", "truth-header"],
+    )
+    def test_an_input_without_usable_rows_is_named(self, covid_out, tmp_path, bad, text):
+        """A hub file that is blank, holds only its header, or (forecasts)
+        only rows at the tolerated 0.1/0.9 levels fails ingest with its
+        name; the run exits 2 and writes no output file."""
+        out, _ = covid_out
+        for name in ("forecasts.csv", "truth.csv"):
+            shutil.copy(out / name, tmp_path / name)
+        if text == "tolerated levels":
+            text = ",".join(covid.FORECAST_HEADER) + "\n" + "".join(
+                f"model00,loc00,2023-01-07,{level},{value}\n" for level, value in ((0.1, 3), (0.9, 5))
+            )
+        (tmp_path / f"{bad}.csv").write_text(text)
+        message = {
+            "forecasts": "no forecast cell holds the 21 carried quantile levels",
+            "truth": "no data rows",
+        }[bad]
+        with pytest.raises(ValueError) as err:
+            covid.ingest(tmp_path / "forecasts.csv", tmp_path / "truth.csv")
+        assert str(err.value) == f"{tmp_path / bad}.csv: {message}"
+        cfg = write_config(
+            tmp_path,
+            "experiment: covid\noutput: {out}\n"
+            "data:\n  forecasts: forecasts.csv\n  truth: truth.csv\n"
+            "model:\n  methods: [uniform]\n",
+            out=str(tmp_path / "out"),
+        )
+        result = invoke("covid-run", "--config", str(cfg))
+        assert result.exit_code == 2
+        assert f"error: {tmp_path / bad}.csv: {message}" in result.stderr
+        assert list((tmp_path / "out").iterdir()) == []
 
 
 # ---------------------------------------------------------------------------
@@ -1082,11 +1164,22 @@ class TestCommands:
         documented = {line.split()[1] for line in block.splitlines() if line.startswith("attnpool ")}
         assert documented == set(cli.main.commands)
 
-    def test_lorenz_data_is_an_unknown_command(self, tmp_path):
+    @pytest.mark.parametrize(
+        "command, extra, error",
+        [
+            ("lorenz-data", [], "No such command 'lorenz-data'"),
+            ("covid-synth", [], "No such command 'covid-synth'"),
+            ("lorenz-run", ["--seed", "1"], "No such option"),
+        ],
+        ids=["lorenz-data", "covid-synth", "seed"],
+    )
+    def test_lorenz_data_is_an_unknown_command(self, tmp_path, command, extra, error):
+        """Removed commands, and the removed --seed override (the seed is
+        the config's alone), fail before anything runs."""
         cfg = write_config(tmp_path, LORENZ_TINY, out=str(tmp_path / "out"))
-        result = invoke("lorenz-data", "--config", str(cfg))
+        result = invoke(command, "--config", str(cfg), *extra)
         assert result.exit_code != 0
-        assert "No such command 'lorenz-data'" in result.output
+        assert error in result.output
         assert not (tmp_path / "out").exists()
 
     def test_version(self):
@@ -1112,19 +1205,6 @@ class TestCommands:
             tmp_path, "experiment: covid\nseed: 4\noutput: {out}\ndata:\n  synthetic: {{}}\n",
             out=str(tmp_path / "out"),
         )
-        result = invoke("covid-synth", "--config", str(cfg))
+        result = invoke("covid-run", "--config", str(cfg))
         assert result.exit_code == 2 and "not generated" in result.stderr
         assert calls == [dict(seed=4, n_locations=8, n_weeks=120, n_models=9)]
-
-    def test_covid_synth_requires_a_synthetic_section(self, tmp_path):
-        (tmp_path / "f.csv").write_text("x\n")
-        (tmp_path / "t.csv").write_text("x\n")
-        cfg = write_config(
-            tmp_path,
-            "experiment: covid\noutput: {out}\n"
-            "data:\n  forecasts: f.csv\n  truth: t.csv\n",
-            out=str(tmp_path / "out"),
-        )
-        result = invoke("covid-synth", "--config", str(cfg))
-        assert result.exit_code == 2
-        assert "synthetic" in result.stderr

@@ -167,19 +167,20 @@ def forecast_lines(model="m1", loc="az", week="2024-01-13", value=5.0, levels=No
 
 class TestIngest:
     def test_empty_forecast_file(self, tmp_path):
+        """A header-only forecast file holds no forecast: an error naming
+        the file, not an empty table that fails later."""
         fpath = write_csv(tmp_path / "f.csv", ["model,location,target_end_date,quantile,value"])
         tpath = write_csv(tmp_path / "t.csv", TRUTH_LINES)
-        table, truth, report = covid.ingest(fpath, tpath)
-        assert table.models == ()
-        assert table.values.shape == (0, 1, 3, 21)
-        assert truth.deaths.shape == (1, 3)
+        with pytest.raises(ValueError) as err:
+            covid.ingest(fpath, tpath)
+        assert str(err.value) == f"{fpath}: no forecast cell holds the 21 carried quantile levels"
 
     def test_zero_byte_forecast_file(self, tmp_path):
         fpath = tmp_path / "f.csv"
         fpath.write_text("")
         tpath = write_csv(tmp_path / "t.csv", TRUTH_LINES)
-        table, _, _ = covid.ingest(fpath, tpath)
-        assert table.models == ()
+        with pytest.raises(ValueError, match="no forecast cell holds the 21 carried"):
+            covid.ingest(fpath, tpath)
 
     def test_unknown_quantile_level_names_row(self, tmp_path):
         fpath = write_csv(
