@@ -55,6 +55,7 @@ from .lorenz import (
     candidate_forecasts,
     generate_dataset,
 )
+from .numerics import adam_path
 
 LORENZ_METHODS = VARIANTS + ("linear", "ffnn")
 COVID_METHODS = covid.POOLER_KINDS + covid.BASELINE_KINDS
@@ -454,11 +455,31 @@ def _cross_checks(cfg: ExperimentConfig) -> list[str]:
 # output staging and manifests
 
 
-class _OutputStage:
-    """Collects files under ``<output>/.partial`` until :meth:`commit`; used
-    as a context manager, it discards them if the run raises."""
+def _read_manifest(directory: Path) -> dict:
+    """The manifest in ``directory``; empty where there is none that parses
+    to an object."""
+    try:
+        manifest = json.loads((directory / "manifest.json").read_text())
+    except (OSError, ValueError):
+        return {}
+    return manifest if isinstance(manifest, dict) else {}
 
-    def __init__(self, output_dir: Path):
+
+class _OutputStage:
+    """Collects the files of one run of ``command`` under
+    ``<output>/.partial`` until :meth:`commit`; used as a context manager,
+    it discards them if the run raises. An output directory whose manifest
+    another command wrote is refused before anything is written: a run
+    directory holds the files of one run."""
+
+    def __init__(self, output_dir: Path, command: str):
+        previous = _read_manifest(output_dir).get("command", command)
+        if previous != command:
+            raise RuntimeError(
+                f"output directory {output_dir} holds the outputs of a {previous} run; "
+                f"{command} writes only into its own runs' directories"
+            )
+        self.command = command
         self.final = output_dir
         self.partial = output_dir / ".partial"
         self.final.mkdir(parents=True, exist_ok=True)
@@ -472,16 +493,16 @@ class _OutputStage:
     def file_hashes(self) -> dict[str, str]:
         return {p.name: _sha256(p) for p in sorted(self.partial.iterdir())}
 
-    def commit(self, command: str, inputs: Sequence[Path]) -> None:
+    def commit(self, inputs: Sequence[Path]) -> None:
         """Move the staged files into place, ``manifest.json`` last, and
-        delete the files that the previous run of the same ``command`` listed
-        in its manifest and this run did not write. A file no such manifest
-        lists, and any of the ``inputs`` this run read, is never touched.
+        delete the files that the previous run listed in its manifest and
+        this run did not write. A file no manifest lists, and any of the
+        ``inputs`` this run read, is never touched.
 
         The old manifest goes first, so a crash part-way leaves a directory
         without one rather than a manifest next to another run's files."""
         staged = sorted(self.partial.iterdir())
-        stale = self._previous_outputs(command) - {p.name for p in staged}
+        stale = self._previous_outputs() - {p.name for p in staged}
         keep = {p.resolve() for p in inputs}
         manifest = self.final / "manifest.json"
         manifest.unlink(missing_ok=True)
@@ -493,15 +514,10 @@ class _OutputStage:
             p.replace(self.final / p.name)
         self.partial.rmdir()
 
-    def _previous_outputs(self, command: str) -> set[str]:
-        """File names listed by the manifest already in the output directory,
-        if a run of ``command`` wrote it."""
-        try:
-            manifest = json.loads((self.final / "manifest.json").read_text())
-            outputs = manifest["outputs"]
-        except (OSError, ValueError, KeyError, TypeError):
-            return set()
-        if manifest.get("command") != command or not isinstance(outputs, dict):
+    def _previous_outputs(self) -> set[str]:
+        """File names listed by the manifest already in the output directory."""
+        outputs = _read_manifest(self.final).get("outputs")
+        if not isinstance(outputs, dict):
             return set()
         # only plain names inside the output directory, never a path out of it
         return {n for n in outputs if isinstance(n, str) and n == Path(n).name}
@@ -534,9 +550,9 @@ def _fmt(x) -> str:
     return f"{float(x):.17g}"
 
 
-def _finish(stage: _OutputStage, cfg: ExperimentConfig, command: str, started: float, extra: dict) -> Path:
+def _finish(stage: _OutputStage, cfg: ExperimentConfig, started: float, extra: dict) -> Path:
     manifest = {
-        "command": command,
+        "command": stage.command,
         "experiment": cfg.experiment,
         "seed": cfg.seed,
         "threads": cfg.threads,
@@ -554,7 +570,7 @@ def _finish(stage: _OutputStage, cfg: ExperimentConfig, command: str, started: f
     stage.path("manifest.json").write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n"
     )
-    stage.commit(command, list(inputs.values()))
+    stage.commit(list(inputs.values()))
     return cfg.output
 
 
@@ -797,7 +813,7 @@ def run_lorenz_experiment(cfg: ExperimentConfig) -> Path:
     """
     started = time.perf_counter()
     m = cfg.model
-    with _OutputStage(cfg.output) as stage:
+    with _OutputStage(cfg.output, "lorenz-run") as stage:
         dataset = generate_dataset(seed=cfg.seed, **asdict(cfg.data))
         val, starts, horizon = dataset.validation, dataset.segment_starts, dataset.segment_len
         inputs = _LorenzInputs(
@@ -852,8 +868,8 @@ def run_lorenz_experiment(cfg: ExperimentConfig) -> Path:
             ),
         )
         _write_csv(stage.path("loss_curve.csv"), ["method", "l", "epoch", "loss"], loss_rows)
-        extra = {"closed_loop": closed_loop, "blas_pinned": _blas_pinned()}
-        return _finish(stage, cfg, "lorenz-run", started, extra=extra)
+        extra = {"closed_loop": closed_loop, "blas_pinned": _blas_pinned(), "adam": adam_path()}
+        return _finish(stage, cfg, started, extra=extra)
 
 
 def _write_blocks(path: Path, blocks: Iterator[str]) -> None:
@@ -984,7 +1000,7 @@ def run_covid_experiment(cfg: ExperimentConfig) -> Path:
     """
     started = time.perf_counter()
     m = cfg.model
-    with _OutputStage(cfg.output) as stage:
+    with _OutputStage(cfg.output, "covid-run") as stage:
         table, truth, report = _covid_tables(cfg, stage)
         full, log = covid.impute_missing(table)
         _write_csv(
@@ -1042,11 +1058,12 @@ def run_covid_experiment(cfg: ExperimentConfig) -> Path:
             "n_dropped_level_rows": report.dropped_level_rows,
             "ingest_warnings": list(report.warnings),
             "blas_pinned": _blas_pinned(),
+            "adam": adam_path(),
             "training": training_info,
         }
         if best_single_ids:
             extra["best_single_candidates"] = best_single_ids
-        return _finish(stage, cfg, "covid-run", started, extra=extra)
+        return _finish(stage, cfg, started, extra=extra)
 
 
 # ---------------------------------------------------------------------------

@@ -722,22 +722,26 @@ class TestCovidRun:
             for key in ("forecasts", "truth")
         }
 
-    def test_run_leaves_the_outputs_of_another_command(self, tmp_path):
-        """Only a previous run of the same command has its files removed:
-        covid-run into a lorenz-run directory keeps every Lorenz file (the
-        Lorenz forecasts.csv is left out: covid-run stages one)."""
+    @pytest.mark.parametrize("first", ["lorenz-run", "covid-run"])
+    def test_run_refuses_the_outputs_of_another_command(self, tmp_path, first):
+        """A run into a directory whose manifest another command wrote fails
+        before any job with exit 2, names the directory and that command,
+        and leaves every file of the first run with its hash and nothing
+        else in the directory."""
         target = tmp_path / "both"
-        text = LORENZ_TINY.replace("write_forecasts: true", "write_forecasts: false")
-        lorenz = write_config(tmp_path, text, name="lorenz.yaml", out=str(target))
-        assert invoke("lorenz-run", "--config", str(lorenz)).exit_code == 0
-        written = json.loads((target / "manifest.json").read_text())["outputs"]
+        lorenz = write_config(tmp_path, LORENZ_TINY, name="lorenz.yaml", out=str(target))
         text = COVID_TINY.replace("model:\n", "model:\n  methods: [uniform]\n")
-        cfg = write_config(tmp_path, text, out=str(target))
-        result = invoke("covid-run", "--config", str(cfg))
+        hub = write_config(tmp_path, text, name="covid.yaml", out=str(target))
+        second = "covid-run" if first == "lorenz-run" else "lorenz-run"
+        configs = {"lorenz-run": lorenz, "covid-run": hub}
+        result = invoke(first, "--config", str(configs[first]))
         assert result.exit_code == 0, result.output + str(result.exception)
-        assert json.loads((target / "manifest.json").read_text())["command"] == "covid-run"
-        for name, digest in written.items():
-            assert cli._sha256(target / name) == digest, name
+        before = {p.name: cli._sha256(p) for p in target.iterdir()}
+        result = invoke(second, "--config", str(configs[second]))
+        assert result.exit_code == 2
+        assert f"output directory {target} holds the outputs of a {first} run" in result.stderr
+        assert {p.name: cli._sha256(p) for p in target.iterdir()} == before
+        assert json.loads((target / "manifest.json").read_text())["command"] == first
 
     def test_rerun_with_threads_is_byte_identical(self, covid_out, tmp_path, worker_pools):
         out, cfg = covid_out
@@ -1008,6 +1012,55 @@ def test_outputs_do_not_depend_on_workers_or_blas_threads(tmp_path, command, tex
     assert outputs[0] == outputs[1]
 
 
+@pytest.mark.parametrize("path", ["compiled", "numpy"])
+def test_manifest_names_the_adam_update_that_ran(tmp_path, monkeypatch, path):
+    """The manifest's ``adam`` key is the update every training step ran:
+    the compiled loop, or the numpy passes where no kernel loads."""
+    from attnpool import numerics
+
+    if path == "compiled" and numerics._adam_kernel() is None:
+        pytest.skip("the C compiler builds no Adam kernel that loads")
+    if path == "numpy":
+        monkeypatch.setattr(numerics, "_adam_kernel", lambda: None)
+    ran, numpy_update = [], numerics._numpy_update
+
+    def spy(*args):
+        ran.append("numpy")
+        return numpy_update(*args)
+
+    monkeypatch.setattr(numerics, "_numpy_update", spy)
+    text = COVID_TINY.replace("model:\n", "model:\n  methods: [linear]\n")
+    cfg = write_config(tmp_path, text, out=str(tmp_path / "out"))
+    result = invoke("covid-run", "--config", str(cfg), "--threads", "1")
+    assert result.exit_code == 0, result.output + str(result.exception)
+    assert json.loads((tmp_path / "out" / "manifest.json").read_text())["adam"] == path
+    assert bool(ran) == (path == "numpy")
+
+
+def test_import_and_validate_start_no_compiler(tmp_path):
+    """The Adam kernel is built on first use: importing the package and
+    validating a config start no process."""
+    code = (
+        "import subprocess, sys\n"
+        "def refuse(*args, **kwargs):\n"
+        "    raise AssertionError(f'started {args[0]!r}')\n"
+        "subprocess.run = subprocess.Popen = refuse\n"
+        "import attnpool\n"
+        "from attnpool import cli, numerics\n"
+        "cli.validate_config(sys.argv[1])\n"
+        "assert numerics._adam_kernel.cache_info().currsize == 0\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    for text in (LORENZ_TINY, COVID_TINY):
+        cfg = write_config(tmp_path, text, out=str(tmp_path / "out"))
+        run = subprocess.run(
+            [sys.executable, "-c", code, str(cfg)], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert run.returncode == 0, run.stderr
+
+
 def test_manifests_name_the_openblas_the_pin_found(lorenz_out, covid_out):
     loaded = [p.name for p in cli._loaded_openblas()]
     if not loaded:
@@ -1095,12 +1148,12 @@ class TestOutputStage:
     @staticmethod
     def stage_run(final: Path, tag: str) -> None:
         """Stage three files whose contents name the run, and their manifest."""
-        with cli._OutputStage(final) as stage:
+        with cli._OutputStage(final, "x") as stage:
             for name in ("a.csv", "b.csv", "z.csv"):
                 stage.path(name).write_text(f"{tag}\n")
             outputs = stage.file_hashes()
             stage.path("manifest.json").write_text(json.dumps({"command": "x", "outputs": outputs}))
-            stage.commit("x", [])
+            stage.commit([])
 
     @staticmethod
     def manifest_matches_its_files(directory: Path) -> bool:

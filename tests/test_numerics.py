@@ -1,7 +1,12 @@
 """Adam updates, finite differences, and seeded init."""
 
+import hashlib
 import math
+import os
+import subprocess
+import sysconfig
 from dataclasses import dataclass, fields, make_dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -69,6 +74,17 @@ def model_cases(rng):
 
 
 class TestAdam:
+    """Each case on the compiled update; :class:`TestAdamNumpyPath` runs
+    them all again on the numpy one."""
+
+    @pytest.fixture(autouse=True)
+    def update_path(self):
+        if numerics._adam_kernel() is None:
+            pytest.skip(
+                f"the C compiler {sysconfig.get_config_var('CC')!r} builds no Adam "
+                "kernel that loads; TestAdamNumpyPath runs these cases"
+            )
+
     def test_zero_gradient_is_identity(self):
         """Zero gradient and zero weight decay leave the parameter untouched,
         whatever the step count says."""
@@ -322,6 +338,142 @@ class TestAdam:
             return model.w
 
         np.testing.assert_array_equal(run(), run())
+
+
+class TestAdamNumpyPath(TestAdam):
+    """Every :class:`TestAdam` case on the numpy update, the one that runs
+    where no compiled kernel loads, selected through the module's loader."""
+
+    @pytest.fixture(autouse=True)
+    def update_path(self, monkeypatch):
+        monkeypatch.setattr(numerics, "_adam_kernel", lambda: None)
+
+
+# the parameter count of the full-scale hub pooler (multi_head, P=21)
+HUB_PARAMETERS = 244_461
+
+
+def adam_state(monkeypatch, kernel, size=HUB_PARAMETERS, steps=50):
+    """Parameters and moments after ``steps`` seeded updates with weight
+    decay, gradient scales from 1e-6 to 1e2, on the update ``kernel``
+    (None: the numpy path)."""
+    monkeypatch.setattr(numerics, "_adam_kernel", lambda: kernel)
+    rng = np.random.default_rng(11)
+    model, opt = adam_on(rng.normal(size=size), learning_rate=1e-3, weight_decay=1e-2)
+    for _ in range(steps):
+        adam_update(opt, rng.normal(size=size) * 10.0 ** rng.integers(-6, 3))
+    return model.w, opt.first_moment, opt.second_moment
+
+
+@pytest.fixture(scope="module")
+def compiled_state():
+    """The compiled update's :func:`adam_state`, the reference of the
+    fallback cases."""
+    kernel = numerics._adam_kernel()
+    if kernel is None:
+        pytest.skip(
+            f"the C compiler {sysconfig.get_config_var('CC')!r} builds no Adam kernel that loads"
+        )
+    with pytest.MonkeyPatch.context() as mp:
+        return adam_state(mp, kernel, steps=5)
+
+
+def assert_same_state(state, reference):
+    for name, now, was in zip(("parameters", "first moment", "second moment"), state, reference):
+        np.testing.assert_array_equal(now, was, err_msg=name)
+
+
+class TestAdamBuild:
+    def test_both_paths_give_the_same_bits_at_the_hub_size(self, monkeypatch, compiled_state):
+        assert_same_state(
+            adam_state(monkeypatch, numerics._adam_kernel()), adam_state(monkeypatch, None)
+        )
+
+    def test_without_a_compiler_the_numpy_path_runs(self, tmp_path, monkeypatch, compiled_state):
+        get = sysconfig.get_config_var
+        monkeypatch.setattr(
+            sysconfig, "get_config_var",
+            lambda name: "attnpool-no-such-cc" if name == "CC" else get(name),
+        )
+        kernel = numerics._load_adam_kernel(tmp_path)
+        assert kernel is None
+        assert list(tmp_path.iterdir()) == []
+        assert_same_state(adam_state(monkeypatch, kernel, steps=5), compiled_state)
+
+    def test_a_read_only_cache_builds_into_a_temporary_directory(
+        self, tmp_path, monkeypatch, compiled_state
+    ):
+        """Creating anything in the cache directory fails, as it does in a
+        read-only one for any user (root ignores a directory's mode bits);
+        the kernel is built apart and loaded, and the cache stays empty."""
+        cache = tmp_path / "__pycache__"
+        cache.mkdir()
+        mkdir = os.mkdir
+
+        def read_only(path, *args, **kwargs):
+            if Path(path).parent == cache:
+                raise PermissionError(13, "Read-only cache", str(path))
+            return mkdir(path, *args, **kwargs)
+
+        monkeypatch.setattr(os, "mkdir", read_only)
+        kernel = numerics._load_adam_kernel(cache)
+        assert kernel is not None
+        assert list(cache.iterdir()) == []
+        assert_same_state(adam_state(monkeypatch, kernel, steps=5), compiled_state)
+
+    def test_a_cached_kernel_loads_without_a_compiler(self, tmp_path, monkeypatch, compiled_state):
+        """The library a build left in the cache, with its SHA-256 beside
+        it, is what a later process loads; it starts no compiler."""
+        assert numerics._load_adam_kernel(tmp_path) is not None
+        (library,) = tmp_path.glob("adam-*.so")
+        assert (tmp_path / f"{library.name}.sha256").read_text() == hashlib.sha256(
+            library.read_bytes()
+        ).hexdigest()
+        assert sorted(p.name for p in tmp_path.iterdir()) == [library.name, f"{library.name}.sha256"]
+
+        def no_compiler(*args, **kwargs):
+            raise AssertionError(f"started {args[0]!r}")
+
+        monkeypatch.setattr(subprocess, "run", no_compiler)
+        kernel = numerics._load_adam_kernel(tmp_path)
+        assert kernel is not None
+        assert_same_state(adam_state(monkeypatch, kernel, steps=5), compiled_state)
+
+    @pytest.mark.parametrize("damage", ["truncated", "corrupt"])
+    def test_a_damaged_cached_kernel_is_rebuilt_not_loaded(
+        self, tmp_path, monkeypatch, compiled_state, damage
+    ):
+        """A cached library whose bytes do not match its recorded SHA-256
+        is never loaded: it is built again, and the cache holds the new
+        build."""
+        assert numerics._load_adam_kernel(tmp_path) is not None
+        (library,) = tmp_path.glob("adam-*.so")
+        data = library.read_bytes()
+        middle = len(data) // 2
+        if damage == "truncated":
+            damaged = data[:middle]
+        else:
+            flipped = bytes(b ^ 0xFF for b in data[middle : middle + 64])
+            damaged = data[:middle] + flipped + data[middle + 64 :]
+        # moved over the cached file, not written into it: this process has
+        # that file mapped, and writing into a mapped library breaks the
+        # code already loaded from it
+        (tmp_path / "damaged").write_bytes(damaged)
+        os.replace(tmp_path / "damaged", library)
+        loaded, load = [], numerics._adam_function
+
+        def spy(path):
+            loaded.append(Path(path))
+            return load(path)
+
+        monkeypatch.setattr(numerics, "_adam_function", spy)
+        kernel = numerics._load_adam_kernel(tmp_path)
+        assert kernel is not None
+        assert library not in loaded
+        assert (tmp_path / f"{library.name}.sha256").read_text() == hashlib.sha256(
+            library.read_bytes()
+        ).hexdigest()
+        assert_same_state(adam_state(monkeypatch, kernel, steps=5), compiled_state)
 
 
 class TestFiniteDifference:
