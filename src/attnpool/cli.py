@@ -55,7 +55,7 @@ from .lorenz import (
     candidate_forecasts,
     generate_dataset,
 )
-from .numerics import adam_path
+from .numerics import kernel_path
 
 LORENZ_METHODS = VARIANTS + ("linear", "ffnn")
 COVID_METHODS = covid.POOLER_KINDS + covid.BASELINE_KINDS
@@ -868,7 +868,7 @@ def run_lorenz_experiment(cfg: ExperimentConfig) -> Path:
             ),
         )
         _write_csv(stage.path("loss_curve.csv"), ["method", "l", "epoch", "loss"], loss_rows)
-        extra = {"closed_loop": closed_loop, "blas_pinned": _blas_pinned(), "adam": adam_path()}
+        extra = {"closed_loop": closed_loop, "blas_pinned": _blas_pinned(), "kernels": kernel_path()}
         return _finish(stage, cfg, started, extra=extra)
 
 
@@ -1058,7 +1058,7 @@ def run_covid_experiment(cfg: ExperimentConfig) -> Path:
             "n_dropped_level_rows": report.dropped_level_rows,
             "ingest_warnings": list(report.warnings),
             "blas_pinned": _blas_pinned(),
-            "adam": adam_path(),
+            "kernels": kernel_path(),
             "training": training_info,
         }
         if best_single_ids:

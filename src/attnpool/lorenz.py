@@ -16,6 +16,7 @@ from typing import Callable
 
 import numpy as np
 
+from . import numerics
 from .numerics import Array, spawn_rng
 
 SIGMA = 10.0
@@ -40,13 +41,15 @@ def rho_true(t):
     return RHO_MEAN - RHO_AMPLITUDE * np.cos(2.0 * np.pi * t / OSCILLATION_PERIOD)
 
 
-# Both RK4 paths evaluate the same expressions in the same order, so they
-# agree bit for bit (asserted in the tests). The sequential integrator runs on
-# plain floats with the stages written out: a 3-vector step in numpy spends
-# nearly all its time on array bookkeeping, and a helper call per stage costs
-# more than its arithmetic. The batched candidate stepper keeps the three
-# coordinates as the rows of one (3, lanes) array and writes every stage into
-# buffers it allocates once per call.
+# The RK4 step runs in the package's compiled kernel library (``numerics``):
+# ``rk4_integrate`` for the sequential integrator, ``rk4_lanes`` for the
+# batched candidate stepper. Where that library does not load, the same steps
+# run here: the integrator on plain floats with the stages written out (a
+# 3-vector step in numpy spends nearly all its time on array bookkeeping), the
+# stepper with the three coordinates as the rows of one (3, lanes) array and
+# every stage written into buffers it allocates once per call. All four
+# evaluate the same expressions in the same order, so they agree bit for bit
+# (asserted in the tests).
 
 
 @dataclass
@@ -59,9 +62,7 @@ class Trajectory:
 
 
 # Stage times at which ``integrate`` evaluates the driving parameter in one
-# call; a table for a whole run would raise the peak memory. The values are
-# read through memoryviews, which hand out plain floats one at a time, as
-# the scalar arithmetic needs, without a float object per table entry.
+# call; a table for a whole run would raise the peak memory.
 RHO_BLOCK = 4096
 
 
@@ -81,48 +82,133 @@ def integrate(
     ``rho`` is called on arrays of stage times, a block of substeps at a
     time, and returns an array of the same shape or a constant.
     ``u0`` itself is not included; the returned trajectory starts at
-    t0 + substeps * dt. Raises on blow-up.
+    t0 + substeps * dt. Raises on blow-up, naming the first sample that is
+    not finite.
     """
     u0 = np.asarray(u0, dtype=np.float64)
     if u0.shape != (3,):
         raise ValueError(f"initial state must have shape (3,), got {u0.shape}")
     if n_samples < 0:
         raise ValueError(f"n_samples must be >= 0, got {n_samples}")
-    sigma, beta = SIGMA, BETA
+    lib = numerics.kernels()
     half = dt / 2.0
-    sixth = dt / 6.0
-    x, y, z = float(u0[0]), float(u0[1]), float(u0[2])
+    state = u0.copy()  # advanced block by block
     out = np.empty((n_samples, 3))
     block = max(1, RHO_BLOCK // (3 * substeps))  # samples per block
     for first in range(0, n_samples, block):
         last = min(first + block, n_samples)
         # multiplicative time to avoid accumulation drift
         t = t0 + np.arange(first * substeps, last * substeps) * dt
-        r_start, r_half, r_end = (
-            memoryview(np.ascontiguousarray(np.broadcast_to(rho(times), times.shape), np.float64))
+        tables = [
+            np.ascontiguousarray(np.broadcast_to(rho(times), times.shape), np.float64)
             for times in (t, t + half, t + dt)
-        )
-        i = 0
-        for j in range(first, last):
-            for _ in range(substeps):
-                r = r_start[i]
-                ax, ay, az = sigma * (y - x), x * (r - z) - y, x * y - beta * z
-                r = r_half[i]
-                px, py, pz = x + half * ax, y + half * ay, z + half * az
-                bx, by, bz = sigma * (py - px), px * (r - pz) - py, px * py - beta * pz
-                px, py, pz = x + half * bx, y + half * by, z + half * bz
-                cx, cy, cz = sigma * (py - px), px * (r - pz) - py, px * py - beta * pz
-                r = r_end[i]
-                px, py, pz = x + dt * cx, y + dt * cy, z + dt * cz
-                dx, dy, dz = sigma * (py - px), px * (r - pz) - py, px * py - beta * pz
-                x = x + sixth * (ax + 2.0 * bx + 2.0 * cx + dx)
-                y = y + sixth * (ay + 2.0 * by + 2.0 * cy + dy)
-                z = z + sixth * (az + 2.0 * bz + 2.0 * cz + dz)
-                i += 1
-            if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
-                raise FloatingPointError(f"integration blew up at sample {j}")
-            out[j, 0], out[j, 1], out[j, 2] = x, y, z
+        ]
+        rows = out[first:last]
+        if lib is None:
+            bad = _integrate_block(state, *tables, dt, substeps, rows)
+        else:
+            bad = lib.rk4_integrate(
+                last - first, substeps, dt, SIGMA, BETA, state.ctypes.data,
+                *(a.ctypes.data for a in tables), rows.ctypes.data,
+            )
+        if bad >= 0:
+            raise FloatingPointError(f"integration blew up at sample {first + bad}")
     return Trajectory(t0=t0 + substeps * dt, dt_sample=dt * substeps, states=out)
+
+
+def _integrate_block(
+    state: Array, r_start: Array, r_half: Array, r_end: Array, dt: float, substeps: int,
+    out: Array,
+) -> int:
+    """``rk4_integrate`` of the kernel library on plain floats: records the
+    samples of ``out``, ``substeps`` steps apart, and advances ``state``; step
+    i runs at the parameters ``r_start[i]``, ``r_half[i]`` and ``r_end[i]``.
+    Returns the first sample that is not finite, or -1."""
+    sigma, beta = SIGMA, BETA
+    half = dt / 2.0
+    sixth = dt / 6.0
+    x, y, z = float(state[0]), float(state[1]), float(state[2])
+    # memoryviews hand out plain floats one at a time, as the scalar
+    # arithmetic needs, without a float object per table entry
+    r_start, r_half, r_end = memoryview(r_start), memoryview(r_half), memoryview(r_end)
+    i = 0
+    for j in range(len(out)):
+        for _ in range(substeps):
+            r = r_start[i]
+            ax, ay, az = sigma * (y - x), x * (r - z) - y, x * y - beta * z
+            r = r_half[i]
+            px, py, pz = x + half * ax, y + half * ay, z + half * az
+            bx, by, bz = sigma * (py - px), px * (r - pz) - py, px * py - beta * pz
+            px, py, pz = x + half * bx, y + half * by, z + half * bz
+            cx, cy, cz = sigma * (py - px), px * (r - pz) - py, px * py - beta * pz
+            r = r_end[i]
+            px, py, pz = x + dt * cx, y + dt * cy, z + dt * cz
+            dx, dy, dz = sigma * (py - px), px * (r - pz) - py, px * py - beta * pz
+            x = x + sixth * (ax + 2.0 * bx + 2.0 * cx + dx)
+            y = y + sixth * (ay + 2.0 * by + 2.0 * cy + dy)
+            z = z + sixth * (az + 2.0 * bz + 2.0 * cz + dz)
+            i += 1
+        if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
+            return j
+        out[j, 0], out[j, 1], out[j, 2] = x, y, z
+    state[0], state[1], state[2] = x, y, z
+    return -1
+
+
+def _broadcast_count(a: Array, axes) -> int:
+    """How many of ``axes`` of ``a``, taken in the order given, a broadcast
+    repeats: each has stride 0 or size 1."""
+    count = 0
+    for axis in axes:
+        if a.strides[axis] and a.shape[axis] != 1:
+            break
+        count += 1
+    return count
+
+
+def candidate_one_step_batch(states: Array, rho_values: Array) -> Array:
+    """Vectorized one-sampling-step candidate forecasts: ``SUBSTEPS`` RK4
+    steps under *stationary* parameter values.
+
+    ``states`` (..., 3) and ``rho_values`` broadcastable to its leading axes;
+    returns a new C-contiguous array of ``states.shape``. Non-finite outputs
+    are returned as-is (callers decide how to truncate). Each stage's
+    arithmetic matches the sequential ``integrate`` operation for operation,
+    so the two paths agree bitwise.
+
+    The compiled stepper reads each state and each parameter once: a state
+    that a broadcast repeats over the trailing leading axes (the closed
+    loop's candidate view) is one row of the lanes that share it, and
+    parameters that a broadcast repeats over the first leading axes are read
+    cyclically, so neither is tiled into a copy.
+    """
+    states = np.asarray(states, dtype=np.float64)
+    if states.shape[-1:] != (3,):
+        raise ValueError(f"states must have shape (..., 3), got {states.shape}")
+    lead = states.shape[:-1]
+    rho = np.broadcast_to(np.asarray(rho_values, dtype=np.float64), lead)
+    lib = numerics.kernels()
+    if lib is None:
+        return _numpy_steps(states, rho)
+    out = np.empty(states.shape)
+    if out.size == 0:
+        return out
+    shared = _broadcast_count(states, range(len(lead) - 1, -1, -1))
+    rows = np.ascontiguousarray(states[(Ellipsis, *[0] * shared, slice(None))])
+    cycled = _broadcast_count(rho, range(len(lead)))
+    period = np.ascontiguousarray(rho[(0,) * cycled])
+    lib.rk4_lanes(
+        out.size // 3, rows.ctypes.data, math.prod(lead[len(lead) - shared:]),
+        period.ctypes.data, period.size, SUBSTEPS, DT_INTEGRATION, SIGMA, BETA,
+        out.ctypes.data,
+    )
+    return out
+
+
+# Lanes the numpy stepper integrates at a time: the scratch rows stay a fixed
+# size whatever the lane count, and a block of them stays in cache across the
+# stages.
+LANE_BLOCK = 8192
 
 
 def _deriv_into(k, u, r: Array, tmp: Array) -> None:
@@ -140,25 +226,12 @@ def _deriv_into(k, u, r: Array, tmp: Array) -> None:
     kz -= tmp
 
 
-# Lanes integrated at a time: the scratch rows stay a fixed size whatever the
-# lane count, and a block of them stays in cache across the stages.
-LANE_BLOCK = 8192
-
-
-def candidate_one_step_batch(states: Array, rho_values: Array) -> Array:
-    """Vectorized one-sampling-step candidate forecasts: ``SUBSTEPS`` RK4
-    steps under *stationary* parameter values.
-
-    ``states`` (..., 3) and ``rho_values`` broadcastable to its leading axes;
-    returns a new C-contiguous array of ``states.shape``. Non-finite outputs
-    are returned as-is (callers decide how to truncate). Each stage's
-    arithmetic matches the sequential ``integrate`` operation for operation,
-    so the two paths agree bitwise.
-    """
-    states = np.asarray(states, dtype=np.float64)
-    lead = states.shape[:-1]
+def _numpy_steps(states: Array, rho: Array) -> Array:
+    """The compiled stepper of :func:`candidate_one_step_batch` as numpy
+    passes over blocks of ``LANE_BLOCK`` lanes; ``rho`` has the leading
+    shape of ``states``."""
     lanes = states.reshape(-1, 3)
-    rho = np.broadcast_to(np.asarray(rho_values, dtype=np.float64), lead).reshape(-1)
+    rho = rho.reshape(-1)
     n = len(lanes)
     out = np.empty((n, 3))
     dt = DT_INTEGRATION

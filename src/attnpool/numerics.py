@@ -1,15 +1,18 @@
 """Float64 numerics shared by every model: one Adam optimizer over a model's
-flat parameter vector, and seeded parameter initialization.
+flat parameter vector, seeded parameter initialization, and the package's
+compiled kernel library.
 
 All numeric state in this package lives in C-ordered float64 numpy arrays.
 Every public operation here either returns finite values or raises.
 
-The Adam update runs as one C loop where the Python build's C compiler
-(``sysconfig``'s ``CC``) can build it: compiled on the first :class:`FlatAdam`
-of a process, never at import, and cached next to this module's bytecode in
-``__pycache__/adam-<digest>.so``. Where it cannot be built or loaded, the
-same update runs as numpy passes. Both paths apply the same IEEE operations
-to each element in the same order, so they give the same bits.
+The kernel library is one C source: the Adam update as one loop, and the
+RK4 step of :mod:`attnpool.lorenz` as a sequential integrator and a
+lane-blocked candidate stepper. It is built with the Python build's C
+compiler (``sysconfig``'s ``CC``) on first use in a process, never at import,
+and cached next to this module's bytecode in ``__pycache__/kernels-<digest>.so``.
+Where it cannot be built or loaded, all three run as numpy or Python code
+instead. Both paths apply the same IEEE operations to each element in the
+same order, so they give the same bits.
 """
 
 from __future__ import annotations
@@ -65,17 +68,24 @@ EPSILON = 1e-8
 # slices lose more to per-call overhead than they gain
 ADAM_BLOCK = 32768
 
-# The update of adam_step as one loop. Each element gets the numpy path's
-# operations in its order; -ffp-contract=off keeps a multiply and an add from
-# fusing into one rounding, and no fast-math flag may reorder them.
+# The package's compiled kernels, one C source: the update of adam_step as
+# one loop, and the RK4 step of attnpool.lorenz in a sequential integrator
+# and a lane-blocked stepper. Each element gets its numpy or Python path's
+# operations in their order; -ffp-contract=off keeps a multiply and an add
+# from fusing into one rounding, and no fast-math flag may reorder them.
 # -fno-math-errno lets sqrt vectorize: v is finite and >= 0 once the
-# gradient passed. The finiteness tests are integer ops, which keep both loops
+# gradient passed. The finiteness tests are integer ops, which keep the loops
 # vectorizable: (bits & exponent mask) + 2^52 sets bit 63 exactly when the
-# exponent is all ones, that is for an inf or a NaN.
-_ADAM_SOURCE = r"""
+# exponent is all ones, that is for an inf or a NaN. The stepper holds a
+# block of RK4_LANES lanes as structure-of-arrays, so its loop over the
+# lanes vectorizes.
+RK4_LANES = 64
+_KERNEL_SOURCE = r"""
 #include <math.h>
 #include <stdint.h>
 #include <string.h>
+
+#define RK4_LANES @RK4_LANES@
 
 static inline uint64_t exponent_carry(double x)
 {
@@ -107,22 +117,116 @@ int adam_update(long n, const double *restrict g, const double *restrict p,
     }
     return bad >> 63 ? 2 : 0;
 }
-"""
-_ADAM_FLAGS = ("-O3", "-fPIC", "-shared", "-ffp-contract=off", "-fno-math-errno")
+
+typedef struct { double x, y, z; } vec3;
+
+/* the step size, its half and sixth, and the Lorenz sigma and beta */
+typedef struct { double dt, half, sixth, sigma, beta; } rk4_consts;
+
+static inline vec3 lorenz_rhs(const rk4_consts *s, vec3 u, double r)
+{
+    return (vec3){s->sigma * (u.y - u.x), u.x * (r - u.z) - u.y, u.x * u.y - s->beta * u.z};
+}
+
+static inline vec3 shifted(vec3 u, double h, vec3 k)
+{
+    return (vec3){u.x + h * k.x, u.y + h * k.y, u.z + h * k.z};
+}
+
+/* one RK4 step under the stage parameters r0, r1 (both midpoints), r2 */
+static inline vec3 rk4_step(const rk4_consts *s, vec3 u, double r0, double r1, double r2)
+{
+    vec3 a = lorenz_rhs(s, u, r0);
+    vec3 b = lorenz_rhs(s, shifted(u, s->half, a), r1);
+    vec3 c = lorenz_rhs(s, shifted(u, s->half, b), r1);
+    vec3 d = lorenz_rhs(s, shifted(u, s->dt, c), r2);
+    return (vec3){
+        u.x + s->sixth * (a.x + 2.0 * b.x + 2.0 * c.x + d.x),
+        u.y + s->sixth * (a.y + 2.0 * b.y + 2.0 * c.y + d.y),
+        u.z + s->sixth * (a.z + 2.0 * b.z + 2.0 * c.z + d.z),
+    };
+}
+
+/* Records n samples, substeps steps apart, into out (n, 3), advancing the
+   state u (3) in place; step i runs at r_start[i], r_half[i], r_end[i].
+   Returns the first sample that is not finite, with u and that sample
+   unwritten, or -1. */
+long rk4_integrate(long n, long substeps, double dt, double sigma, double beta,
+                   double *restrict u, const double *restrict r_start,
+                   const double *restrict r_half, const double *restrict r_end,
+                   double *restrict out)
+{
+    const rk4_consts s = {dt, dt / 2.0, dt / 6.0, sigma, beta};
+    vec3 w = {u[0], u[1], u[2]};
+    for (long j = 0, i = 0; j < n; j++) {
+        for (long k = 0; k < substeps; k++, i++)
+            w = rk4_step(&s, w, r_start[i], r_half[i], r_end[i]);
+        if ((exponent_carry(w.x) | exponent_carry(w.y) | exponent_carry(w.z)) >> 63)
+            return j;
+        out[3 * j] = w.x;
+        out[3 * j + 1] = w.y;
+        out[3 * j + 2] = w.z;
+    }
+    u[0] = w.x;
+    u[1] = w.y;
+    u[2] = w.z;
+    return -1;
+}
+
+/* Advances n lanes by substeps steps under stationary parameters into out
+   (n, 3): lane l starts at states[l / repeat] (rows of 3) under
+   rho[l % period]. Non-finite lanes are written as they come. */
+void rk4_lanes(long n, const double *restrict states, long repeat,
+               const double *restrict rho, long period, long substeps,
+               double dt, double sigma, double beta, double *restrict out)
+{
+    const rk4_consts s = {dt, dt / 2.0, dt / 6.0, sigma, beta};
+    double x[RK4_LANES], y[RK4_LANES], z[RK4_LANES], r[RK4_LANES];
+    for (long start = 0; start < n; start += RK4_LANES) {
+        long width = n - start < RK4_LANES ? n - start : RK4_LANES;
+        for (long i = 0; i < width; i++) {
+            const double *u = states + 3 * ((start + i) / repeat);
+            x[i] = u[0];
+            y[i] = u[1];
+            z[i] = u[2];
+            r[i] = rho[(start + i) % period];
+        }
+        for (long k = 0; k < substeps; k++)
+            for (long i = 0; i < width; i++) {
+                vec3 w = rk4_step(&s, (vec3){x[i], y[i], z[i]}, r[i], r[i], r[i]);
+                x[i] = w.x;
+                y[i] = w.y;
+                z[i] = w.z;
+            }
+        for (long i = 0; i < width; i++) {
+            double *o = out + 3 * (start + i);
+            o[0] = x[i];
+            o[1] = y[i];
+            o[2] = z[i];
+        }
+    }
+}
+""".replace("@RK4_LANES@", str(RK4_LANES))
+_KERNEL_FLAGS = ("-O3", "-fPIC", "-shared", "-ffp-contract=off", "-fno-math-errno")
 _ADAM_BAD_GRADIENT, _ADAM_BAD_RESULT = 1, 2
 _BUILD_TIMEOUT_S = 60
 
 
-def _adam_function(library: str):
-    """The loaded kernel's ``adam_update``, its argument types declared."""
-    fn = ctypes.CDLL(library).adam_update
-    fn.argtypes = [ctypes.c_long] + [ctypes.c_void_p] * 5 + [ctypes.c_double] * 7
-    fn.restype = ctypes.c_int
-    return fn
+def _kernel_library(path: str) -> ctypes.CDLL:
+    """The loaded library, the argument types of its functions declared."""
+    lib = ctypes.CDLL(path)
+    double, long, pointer = ctypes.c_double, ctypes.c_long, ctypes.c_void_p
+    lib.adam_update.argtypes = [long] + [pointer] * 5 + [double] * 7
+    lib.adam_update.restype = ctypes.c_int
+    lib.rk4_integrate.argtypes = [long, long] + [double] * 3 + [pointer] * 5
+    lib.rk4_integrate.restype = long
+    lib.rk4_lanes.argtypes = [long, pointer, long, pointer, long, long] + [double] * 3 + [pointer]
+    lib.rk4_lanes.restype = None
+    return lib
 
 
-def _build_adam_kernel(command: list[str], directory: Path, name: str):
-    """Compile the kernel into ``directory/name``, with its SHA-256 in
+def _build_kernels(command: list[str], directory: Path, name: str) -> ctypes.CDLL:
+    """Compile the kernels into ``directory/name``, with its SHA-256 in
     ``name.sha256`` beside it, and return it loaded from the bytes just
     built. Both files are made in a private subdirectory and moved into
     place, so processes that build at once never see a partial file."""
@@ -130,25 +234,26 @@ def _build_adam_kernel(command: list[str], directory: Path, name: str):
     import tempfile
 
     library = directory / name
-    with tempfile.TemporaryDirectory(prefix=".adam-", dir=directory) as tmp:
+    with tempfile.TemporaryDirectory(prefix=".kernels-", dir=directory) as tmp:
         built, digest = Path(tmp, name), Path(tmp, "sha256")
         subprocess.run(
-            [*command, "-o", str(built), "-x", "c", "-"], input=_ADAM_SOURCE, text=True,
+            [*command, "-o", str(built), "-x", "c", "-"], input=_KERNEL_SOURCE, text=True,
             capture_output=True, check=True, timeout=_BUILD_TIMEOUT_S,
         )
-        kernel = _adam_function(str(built))
+        lib = _kernel_library(str(built))
         digest.write_text(hashlib.sha256(built.read_bytes()).hexdigest())
         os.replace(built, library)
         os.replace(digest, f"{library}.sha256")
-        return kernel
+        return lib
 
 
-def _load_adam_kernel(cache_dir: Path):
-    """The compiled update: loaded from ``cache_dir`` where the library
+def _load_kernels(cache_dir: Path) -> ctypes.CDLL | None:
+    """The compiled kernels: loaded from ``cache_dir`` where the library
     there has the bytes its recorded SHA-256 names, else built into
     ``cache_dir``, or into a temporary directory where that fails; None
     where no C compiler builds a library that loads."""
-    # imported here, not at the top: only a process that trains pays for them
+    # imported here, not at the top: only a process that trains or
+    # integrates pays for them
     import shlex
     import subprocess
     import sysconfig
@@ -157,38 +262,39 @@ def _load_adam_kernel(cache_dir: Path):
     cc = sysconfig.get_config_var("CC")
     if not cc:
         return None
-    command = [*shlex.split(cc), *_ADAM_FLAGS]
+    command = [*shlex.split(cc), *_KERNEL_FLAGS]
     suffix = sysconfig.get_config_var("EXT_SUFFIX") or ""
-    key = "\0".join([_ADAM_SOURCE, shlex.join(command), suffix])
-    cached = cache_dir / f"adam-{hashlib.sha256(key.encode()).hexdigest()[:16]}.so"
+    key = "\0".join([_KERNEL_SOURCE, shlex.join(command), suffix])
+    cached = cache_dir / f"kernels-{hashlib.sha256(key.encode()).hexdigest()[:16]}.so"
     try:
         if hashlib.sha256(cached.read_bytes()).hexdigest() == Path(f"{cached}.sha256").read_text():
-            return _adam_function(str(cached))
+            return _kernel_library(str(cached))
     except OSError:  # absent, unreadable or not loadable: built again below
         pass
     try:
         cache_dir.mkdir(exist_ok=True)
-        return _build_adam_kernel(command, cache_dir, cached.name)
+        return _build_kernels(command, cache_dir, cached.name)
     except (OSError, subprocess.SubprocessError):
         pass  # an unwritable cache, or no working compiler: once more, apart from the cache
     try:
         with tempfile.TemporaryDirectory() as tmp:
-            return _build_adam_kernel(command, Path(tmp), cached.name)
+            return _build_kernels(command, Path(tmp), cached.name)
     except (OSError, subprocess.SubprocessError):
         return None
 
 
 @functools.cache
-def _adam_kernel():
-    """The compiled update of this process, built or loaded on first use;
-    None where it cannot be, and then the numpy path runs."""
-    return _load_adam_kernel(Path(__file__).parent / "__pycache__")
+def kernels() -> ctypes.CDLL | None:
+    """The compiled kernels of this process (``adam_update``,
+    ``rk4_integrate`` and ``rk4_lanes``), built or loaded on first use;
+    None where they cannot be, and then the numpy and Python paths run."""
+    return _load_kernels(Path(__file__).parent / "__pycache__")
 
 
-def adam_path() -> str:
-    """Which update :func:`adam_step` runs in this process: ``"compiled"``
-    or ``"numpy"``."""
-    return "numpy" if _adam_kernel() is None else "compiled"
+def kernel_path() -> str:
+    """Which path the Adam update and the RK4 integration run in this
+    process: ``"compiled"`` or ``"numpy"``."""
+    return "numpy" if kernels() is None else "compiled"
 
 
 class FlatAdam:
@@ -228,7 +334,20 @@ class FlatAdam:
         # the spare parameter vector and a scratch vector for the update, so
         # a step allocates nothing
         self._scratch = (np.empty_like(self.flat_params), np.empty_like(self.flat_params))
-        self._kernel = _adam_kernel()
+        lib = kernels()
+        self._kernel = None if lib is None else lib.adam_update
+        if self._kernel is not None:
+            # the compiled update's vectors, checked and addressed once: they
+            # never move, and only the parameter and spare vectors swap
+            vectors = (
+                self.flat_grads, self.flat_params, self.first_moment, self.second_moment,
+                self._scratch[0],
+            )
+            size = self.flat_params.size
+            if any(a.dtype != np.float64 or not a.flags.c_contiguous or a.size != size
+                   for a in vectors):
+                raise ValueError("Adam's vectors must be contiguous float64 of one size")
+            self._addresses = tuple(a.ctypes.data for a in vectors)
 
     def _views(self, flat: Array) -> dict[str, Array]:
         """Each array field's view of ``flat``, by name."""
@@ -297,12 +416,9 @@ def adam_step(opt: FlatAdam) -> None:
         _numpy_update(opt, step_size, guard, decay)
         _require_finite_entries(updated, "updated ", opt)
     else:
-        vectors = (grad, param, opt.first_moment, opt.second_moment, updated)
-        for a in vectors:
-            if a.dtype != np.float64 or not a.flags.c_contiguous or a.size != param.size:
-                raise ValueError("Adam's vectors must be contiguous float64 of one size")
+        g_at, p_at, m_at, v_at, out_at = opt._addresses
         status = opt._kernel(
-            param.size, *(a.ctypes.data for a in vectors),
+            param.size, g_at, p_at, m_at, v_at, out_at,
             b1, 1.0 - b1, b2, 1.0 - b2, step_size, guard, decay,
         )
         if status == _ADAM_BAD_GRADIENT:
@@ -310,6 +426,7 @@ def adam_step(opt: FlatAdam) -> None:
         opt.step_count = t
         if status == _ADAM_BAD_RESULT:
             _require_finite_entries(updated, "updated ", opt)
+        opt._addresses = (g_at, out_at, m_at, v_at, p_at)
     opt._scratch = (param, scratch)
     opt._bind(updated)
 

@@ -1013,32 +1013,44 @@ def test_outputs_do_not_depend_on_workers_or_blas_threads(tmp_path, command, tex
 
 
 @pytest.mark.parametrize("path", ["compiled", "numpy"])
-def test_manifest_names_the_adam_update_that_ran(tmp_path, monkeypatch, path):
-    """The manifest's ``adam`` key is the update every training step ran:
-    the compiled loop, or the numpy passes where no kernel loads."""
-    from attnpool import numerics
+def test_manifest_names_the_adam_update_that_ran(tmp_path, monkeypatch, path, lorenz_out, covid_out):
+    """The manifest's ``kernels`` key is the path that every Adam step and
+    RK4 step ran: the compiled kernel library, or the numpy and Python code
+    where it does not load. A serial run on either path writes the bytes of
+    the module's runs, which took the process's own path."""
+    from attnpool import lorenz, numerics
 
-    if path == "compiled" and numerics._adam_kernel() is None:
-        pytest.skip("the C compiler builds no Adam kernel that loads")
+    if path == "compiled" and numerics.kernels() is None:
+        pytest.skip("the C compiler builds no kernel library that loads")
     if path == "numpy":
-        monkeypatch.setattr(numerics, "_adam_kernel", lambda: None)
-    ran, numpy_update = [], numerics._numpy_update
+        monkeypatch.setattr(numerics, "kernels", lambda: None)
+    ran = set()
+    for module, name in (
+        (numerics, "_numpy_update"), (lorenz, "_integrate_block"), (lorenz, "_numpy_steps")
+    ):
+        def spy(*args, _name=name, _fallback=getattr(module, name)):
+            ran.add(_name)
+            return _fallback(*args)
 
-    def spy(*args):
-        ran.append("numpy")
-        return numpy_update(*args)
-
-    monkeypatch.setattr(numerics, "_numpy_update", spy)
-    text = COVID_TINY.replace("model:\n", "model:\n  methods: [linear]\n")
-    cfg = write_config(tmp_path, text, out=str(tmp_path / "out"))
-    result = invoke("covid-run", "--config", str(cfg), "--threads", "1")
-    assert result.exit_code == 0, result.output + str(result.exception)
-    assert json.loads((tmp_path / "out" / "manifest.json").read_text())["adam"] == path
-    assert bool(ran) == (path == "numpy")
+        monkeypatch.setattr(module, name, spy)
+    for command, text, (reference, _) in (
+        ("lorenz-run", LORENZ_TINY, lorenz_out), ("covid-run", COVID_TINY, covid_out)
+    ):
+        out = tmp_path / command
+        cfg = write_config(tmp_path, text, out=str(out))
+        result = invoke(command, "--config", str(cfg), "--threads", "1")
+        assert result.exit_code == 0, result.output + str(result.exception)
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["kernels"] == path
+        assert "adam" not in manifest
+        expected = json.loads((reference / "manifest.json").read_text())["outputs"]
+        assert manifest["outputs"] == expected, command
+    fallbacks = {"_numpy_update", "_integrate_block", "_numpy_steps"}
+    assert ran == (fallbacks if path == "numpy" else set())
 
 
 def test_import_and_validate_start_no_compiler(tmp_path):
-    """The Adam kernel is built on first use: importing the package and
+    """The kernel library is built on first use: importing the package and
     validating a config start no process."""
     code = (
         "import subprocess, sys\n"
@@ -1048,7 +1060,7 @@ def test_import_and_validate_start_no_compiler(tmp_path):
         "import attnpool\n"
         "from attnpool import cli, numerics\n"
         "cli.validate_config(sys.argv[1])\n"
-        "assert numerics._adam_kernel.cache_info().currsize == 0\n"
+        "assert numerics.kernels.cache_info().currsize == 0\n"
     )
     src = str(Path(cli.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import sysconfig
 import tracemalloc
 from dataclasses import asdict
 from pathlib import Path
@@ -9,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from attnpool import numerics
 from attnpool.cli import LorenzDataConfig, validate_config
 from attnpool.lorenz import (
     BETA,
@@ -17,6 +19,7 @@ from attnpool.lorenz import (
     DT_SAMPLE,
     LANE_BLOCK,
     OSCILLATION_PERIOD,
+    RHO_BLOCK,
     SIGMA,
     SUBSTEPS,
     candidate_forecasts,
@@ -25,6 +28,7 @@ from attnpool.lorenz import (
     integrate,
     rho_true,
 )
+from attnpool.numerics import RK4_LANES
 
 
 # Reference oracle: the RK4 step as plain helper calls on floats, one
@@ -85,6 +89,28 @@ def attractor_states(rng, n):
     return states
 
 
+class OnTheCompiledKernels:
+    """Runs each case of a class on the compiled RK4 kernels; its
+    ``Fallback`` subclass runs them all again on the numpy and Python paths,
+    the ones that run where the kernel library does not load."""
+
+    @pytest.fixture(autouse=True)
+    def rk4_path(self):
+        if numerics.kernels() is None:
+            pytest.skip(
+                f"the C compiler {sysconfig.get_config_var('CC')!r} builds no kernel "
+                "library that loads; the Fallback classes run these cases"
+            )
+
+
+class OnTheFallback:
+    """Selects the numpy and Python RK4 paths through the module's loader."""
+
+    @pytest.fixture(autouse=True)
+    def rk4_path(self, monkeypatch):
+        monkeypatch.setattr(numerics, "kernels", lambda: None)
+
+
 class TestDerivativeAndRho:
     def test_origin_is_fixed_point_of_rhs(self):
         d = _deriv_scalar(0.0, 0.0, 0.0, rho_true(1.7), SIGMA, BETA)
@@ -127,7 +153,7 @@ class TestDerivativeAndRho:
         assert vals.min() >= 28.0 - 1e-9 and vals.max() <= 48.0 + 1e-9
 
 
-class TestRK4:
+class TestRK4(OnTheCompiledKernels):
     def test_origin_fixed_point_exact(self):
         out = rk4_step(np.zeros(3), 0.3, 0.01, rho_true)
         np.testing.assert_array_equal(out, np.zeros(3))
@@ -171,7 +197,11 @@ class TestRK4:
             assert batch.flags.c_contiguous
 
 
-class TestKernelsAgainstOracle:
+class TestRK4Fallback(OnTheFallback, TestRK4):
+    pass
+
+
+class TestKernelsAgainstOracle(OnTheCompiledKernels):
     """Both RK4 paths keep the oracle's operations and their order, so they
     match it bit for bit."""
 
@@ -224,6 +254,64 @@ class TestKernelsAgainstOracle:
         assert np.isinf(out).any() and np.isnan(out).any() and np.isfinite(out).any()
         np.testing.assert_array_equal(out, expected)
 
+    def test_integrate_across_rho_block_edges_at_a_negative_t0(self):
+        """The state and the stage times carry across the blocks of driving
+        parameters that ``integrate`` evaluates at a time."""
+        n = 3 * (RHO_BLOCK // (3 * SUBSTEPS)) + 7
+        u = np.array([-6.0, 1.5, 33.0])
+        expected = oracle_samples(u, -7.3, n, rho_true)
+        np.testing.assert_array_equal(integrate(u, -7.3, n, rho_true).states, expected)
+
+    @pytest.mark.parametrize(
+        "n", [1, RK4_LANES - 1, RK4_LANES, RK4_LANES + 1, 3 * RK4_LANES + 5]
+    )
+    def test_stepper_lane_counts_around_the_lane_block(self, n):
+        """Per-lane parameters, and the candidate view of n states, at lane
+        counts at, below and above the compiled stepper's block width."""
+        states = attractor_states(np.random.default_rng(n), n)
+        rhos = np.resize(CANDIDATE_RHOS, n)
+        expected = np.array([one_sampling_step(s, rho) for s, rho in zip(states, rhos)])
+        np.testing.assert_array_equal(candidate_one_step_batch(states, rhos), expected)
+        candidates = np.asarray(CANDIDATE_RHOS)
+        tiled = np.broadcast_to(states[:, None, :], (n, len(candidates), 3))
+        expected = np.array([[one_sampling_step(s, rho) for rho in candidates] for s in states])
+        np.testing.assert_array_equal(candidate_one_step_batch(tiled, candidates[None, :]), expected)
+
+    def test_blown_up_candidate_lanes_place_nan_and_inf_as_the_oracle(self):
+        """On the closed loop's candidate view, across a lane-block edge,
+        each lane that overflows gives NaN and inf in the coordinates where
+        the oracle does, and its neighbours stay finite."""
+        states = attractor_states(np.random.default_rng(5), 2 * RK4_LANES)
+        states[[3, RK4_LANES - 2, RK4_LANES + 1]] = [
+            (-12.0, 3200.0, -4.0), (1e154, -1e154, 1e154), (2500.0, 2500.0, -2500.0),
+        ]
+        candidates = np.asarray(CANDIDATE_RHOS)
+        tiled = np.broadcast_to(states[:, None, :], (len(states), len(candidates), 3))
+        out = candidate_one_step_batch(tiled, candidates[None, :])
+        expected = np.array([
+            [oracle_samples(s, 0.0, 1, frozen(rho))[0] for rho in CANDIDATE_RHOS] for s in states
+        ])
+        assert np.isinf(expected).any() and np.isnan(expected).any()
+        np.testing.assert_array_equal(np.isnan(out), np.isnan(expected))
+        np.testing.assert_array_equal(np.isinf(out), np.isinf(expected))
+        np.testing.assert_array_equal(out, expected)
+
+    def test_blow_up_names_the_first_non_finite_sample(self):
+        """A driving parameter that turns infinite past a time in a later
+        block of stage times: the error names the first sample the oracle
+        leaves non-finite."""
+        cutoff = (150 * SUBSTEPS + 4.5) * DT_INTEGRATION
+
+        def rho(t):
+            return np.where(t < cutoff, 28.0, np.inf)
+
+        u = np.array([1.0, 2.0, 25.0])
+        oracle = oracle_samples(u, 0.0, 160, lambda t: 28.0 if t < cutoff else math.inf)
+        first = int(np.flatnonzero(~np.isfinite(oracle).all(axis=1))[0])
+        assert first == 150
+        with pytest.raises(FloatingPointError, match=f"blew up at sample {first}$"):
+            integrate(u, 0.0, 160, rho)
+
     def test_stepper_scratch_memory_stays_below_four_results(self):
         """The stage buffers are lane blocks, not full-width copies."""
         states = attractor_states(np.random.default_rng(4), 3999)
@@ -238,7 +326,11 @@ class TestKernelsAgainstOracle:
         assert peak < 4 * out.nbytes, f"peak {peak} B for a {out.nbytes} B result"
 
 
-class TestIntegrate:
+class TestKernelsAgainstOracleFallback(OnTheFallback, TestKernelsAgainstOracle):
+    pass
+
+
+class TestIntegrate(OnTheCompiledKernels):
     def test_zero_samples(self):
         traj = integrate(np.ones(3), 0.0, 0, frozen(28.0))
         assert len(traj.states) == 0
@@ -268,6 +360,10 @@ class TestIntegrate:
         truth_next = one_sampling_step(u, 28.0)
         candidate = candidate_one_step_batch(u[None], 28.0)[0]
         np.testing.assert_array_equal(candidate, truth_next)
+
+
+class TestIntegrateFallback(OnTheFallback, TestIntegrate):
+    pass
 
 
 class TestCandidates:

@@ -79,10 +79,10 @@ class TestAdam:
 
     @pytest.fixture(autouse=True)
     def update_path(self):
-        if numerics._adam_kernel() is None:
+        if numerics.kernels() is None:
             pytest.skip(
-                f"the C compiler {sysconfig.get_config_var('CC')!r} builds no Adam "
-                "kernel that loads; TestAdamNumpyPath runs these cases"
+                f"the C compiler {sysconfig.get_config_var('CC')!r} builds no "
+                "kernel library that loads; TestAdamNumpyPath runs these cases"
             )
 
     def test_zero_gradient_is_identity(self):
@@ -346,7 +346,7 @@ class TestAdamNumpyPath(TestAdam):
 
     @pytest.fixture(autouse=True)
     def update_path(self, monkeypatch):
-        monkeypatch.setattr(numerics, "_adam_kernel", lambda: None)
+        monkeypatch.setattr(numerics, "kernels", lambda: None)
 
 
 # the parameter count of the full-scale hub pooler (multi_head, P=21)
@@ -357,7 +357,7 @@ def adam_state(monkeypatch, kernel, size=HUB_PARAMETERS, steps=50):
     """Parameters and moments after ``steps`` seeded updates with weight
     decay, gradient scales from 1e-6 to 1e2, on the update ``kernel``
     (None: the numpy path)."""
-    monkeypatch.setattr(numerics, "_adam_kernel", lambda: kernel)
+    monkeypatch.setattr(numerics, "kernels", lambda: kernel)
     rng = np.random.default_rng(11)
     model, opt = adam_on(rng.normal(size=size), learning_rate=1e-3, weight_decay=1e-2)
     for _ in range(steps):
@@ -369,10 +369,10 @@ def adam_state(monkeypatch, kernel, size=HUB_PARAMETERS, steps=50):
 def compiled_state():
     """The compiled update's :func:`adam_state`, the reference of the
     fallback cases."""
-    kernel = numerics._adam_kernel()
+    kernel = numerics.kernels()
     if kernel is None:
         pytest.skip(
-            f"the C compiler {sysconfig.get_config_var('CC')!r} builds no Adam kernel that loads"
+            f"the C compiler {sysconfig.get_config_var('CC')!r} builds no kernel library that loads"
         )
     with pytest.MonkeyPatch.context() as mp:
         return adam_state(mp, kernel, steps=5)
@@ -386,7 +386,7 @@ def assert_same_state(state, reference):
 class TestAdamBuild:
     def test_both_paths_give_the_same_bits_at_the_hub_size(self, monkeypatch, compiled_state):
         assert_same_state(
-            adam_state(monkeypatch, numerics._adam_kernel()), adam_state(monkeypatch, None)
+            adam_state(monkeypatch, numerics.kernels()), adam_state(monkeypatch, None)
         )
 
     def test_without_a_compiler_the_numpy_path_runs(self, tmp_path, monkeypatch, compiled_state):
@@ -395,7 +395,7 @@ class TestAdamBuild:
             sysconfig, "get_config_var",
             lambda name: "attnpool-no-such-cc" if name == "CC" else get(name),
         )
-        kernel = numerics._load_adam_kernel(tmp_path)
+        kernel = numerics._load_kernels(tmp_path)
         assert kernel is None
         assert list(tmp_path.iterdir()) == []
         assert_same_state(adam_state(monkeypatch, kernel, steps=5), compiled_state)
@@ -416,7 +416,7 @@ class TestAdamBuild:
             return mkdir(path, *args, **kwargs)
 
         monkeypatch.setattr(os, "mkdir", read_only)
-        kernel = numerics._load_adam_kernel(cache)
+        kernel = numerics._load_kernels(cache)
         assert kernel is not None
         assert list(cache.iterdir()) == []
         assert_same_state(adam_state(monkeypatch, kernel, steps=5), compiled_state)
@@ -424,8 +424,8 @@ class TestAdamBuild:
     def test_a_cached_kernel_loads_without_a_compiler(self, tmp_path, monkeypatch, compiled_state):
         """The library a build left in the cache, with its SHA-256 beside
         it, is what a later process loads; it starts no compiler."""
-        assert numerics._load_adam_kernel(tmp_path) is not None
-        (library,) = tmp_path.glob("adam-*.so")
+        assert numerics._load_kernels(tmp_path) is not None
+        (library,) = tmp_path.glob("kernels-*.so")
         assert (tmp_path / f"{library.name}.sha256").read_text() == hashlib.sha256(
             library.read_bytes()
         ).hexdigest()
@@ -435,7 +435,7 @@ class TestAdamBuild:
             raise AssertionError(f"started {args[0]!r}")
 
         monkeypatch.setattr(subprocess, "run", no_compiler)
-        kernel = numerics._load_adam_kernel(tmp_path)
+        kernel = numerics._load_kernels(tmp_path)
         assert kernel is not None
         assert_same_state(adam_state(monkeypatch, kernel, steps=5), compiled_state)
 
@@ -446,8 +446,8 @@ class TestAdamBuild:
         """A cached library whose bytes do not match its recorded SHA-256
         is never loaded: it is built again, and the cache holds the new
         build."""
-        assert numerics._load_adam_kernel(tmp_path) is not None
-        (library,) = tmp_path.glob("adam-*.so")
+        assert numerics._load_kernels(tmp_path) is not None
+        (library,) = tmp_path.glob("kernels-*.so")
         data = library.read_bytes()
         middle = len(data) // 2
         if damage == "truncated":
@@ -460,14 +460,14 @@ class TestAdamBuild:
         # code already loaded from it
         (tmp_path / "damaged").write_bytes(damaged)
         os.replace(tmp_path / "damaged", library)
-        loaded, load = [], numerics._adam_function
+        loaded, load = [], numerics._kernel_library
 
         def spy(path):
             loaded.append(Path(path))
             return load(path)
 
-        monkeypatch.setattr(numerics, "_adam_function", spy)
-        kernel = numerics._load_adam_kernel(tmp_path)
+        monkeypatch.setattr(numerics, "_kernel_library", spy)
+        kernel = numerics._load_kernels(tmp_path)
         assert kernel is not None
         assert library not in loaded
         assert (tmp_path / f"{library.name}.sha256").read_text() == hashlib.sha256(
