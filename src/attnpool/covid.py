@@ -56,10 +56,12 @@ from .numerics import Array, spawn_rng
 # ---------------------------------------------------------------------------
 # quantile grid
 
-# The 21 quantile levels carried per forecast: the endpoints of the ten
-# scored central intervals plus the median. Input files may additionally
-# carry 0.1 and 0.9; no scored interval uses those two, so they are accepted
-# and dropped with a counted warning.
+# The 21 quantile levels carried per forecast, which are the scored
+# intervals: the k-th level from each end bound the k-th of ten central
+# intervals, whose alpha is twice its lower level, around the median 0.5
+# (``evaluation.wis_batch`` reads them off this grid). Input files may
+# additionally carry 0.1 and 0.9; no scored interval uses those two, so
+# they are accepted and dropped with a counted warning.
 QUANTILE_LEVELS: tuple[float, ...] = (
     0.01, 0.025, 0.05, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4, 0.45, 0.5,
     0.55, 0.6, 0.65, 0.7, 0.75, 0.8, 0.85, 0.95, 0.975, 0.99,

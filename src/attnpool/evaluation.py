@@ -1,7 +1,11 @@
 """Forecast evaluation: valid time, distribution-free median CIs, and the
 weighted interval score (WIS) with its subgradient.
 
-WIS follows the hub convention
+WIS scores a forecast given at a grid of 2K + 1 quantile levels that
+increase and mirror each other about the median 0.5. The k-th level from
+each end bound the k-th central interval, whose alpha is twice its lower
+level, alpha_k = 2 level_k, so the grid alone says which intervals are
+scored. WIS follows the hub convention
 
     WIS = (w0 |y - median| + sum_k w_k IS_{alpha_k}(y)) / (K + 1/2)
 
@@ -16,18 +20,12 @@ i.e. the observation counts as covered.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
 from .lorenz import DT_SAMPLE
 from .numerics import Array
-
-# alpha set used throughout; endpoints alpha/2 and 1 - alpha/2 plus the
-# median give the 21-level quantile grid of the forecast pipeline
-WIS_ALPHAS: tuple[float, ...] = (0.02, 0.05, 0.1, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
 
 
 # ---------------------------------------------------------------------------
@@ -120,80 +118,51 @@ def median_with_ci(samples: Array) -> tuple[float, float, float]:
 # interval score / WIS
 
 
-@dataclass(frozen=True)
-class WISConfig:
-    """Interval levels entering the weighted interval score."""
-
-    alphas: tuple[float, ...] = WIS_ALPHAS
-
-    def __post_init__(self):
-        if len(self.alphas) == 0:
-            raise ValueError("need at least one interval level")
-        for a in self.alphas:
-            if not 0.0 < a < 1.0:
-                raise ValueError(f"alpha must lie in (0, 1), got {a}")
-        if len(set(self.alphas)) != len(self.alphas):
-            raise ValueError("duplicate alpha levels")
-
-    @property
-    def denominator(self) -> float:
-        return len(self.alphas) + 0.5
-
-
-# the default of both WIS functions, built once
-_WIS = WISConfig()
-
-
-def _level_index(levels: Array, level: float, what: str) -> int:
-    hits = np.nonzero(np.abs(levels - level) < 1e-9)[0]
-    if hits.size != 1:
-        raise ValueError(f"quantile level {level} for {what} missing from forecast")
-    return int(hits[0])
-
-
-@lru_cache(maxsize=16)
-def _layout_of(levels: tuple[float, ...], cfg: WISConfig):
-    arr = np.array(levels)
-    med = _level_index(arr, 0.5, "median")
-    lowers = [_level_index(arr, a / 2.0, f"alpha={a} lower") for a in cfg.alphas]
-    uppers = [_level_index(arr, 1.0 - a / 2.0, f"alpha={a} upper") for a in cfg.alphas]
-    arrays = tuple(np.array(x) for x in (lowers, uppers, cfg.alphas))
-    for a in arrays:
-        a.flags.writeable = False  # cached, so shared by every caller
-    return (med, *arrays)
-
-
-def _wis_layout(levels: Array, cfg: WISConfig):
+def _wis_layout(levels: Array):
     """Index of the median in ``levels``, index arrays of the intervals'
-    lower and upper endpoints, and the alphas as an array, in
-    ``cfg.alphas`` order.
+    lower and upper endpoints (the k-th level from each end: 0..m-1 and
+    n-1..m+1, with m = n // 2), and the intervals' alphas, twice the lower
+    levels.
 
-    A training run scores thousands of batches against one level grid, so
-    the layout is found once per (levels, config) and then reused; a
-    missing level raises on every call, since errors are not cached.
+    Raises a ValueError naming a level where the levels do not increase
+    strictly, do not mirror each other about 0.5 within 1e-9, or are even
+    in number; an odd count of mirrored levels has 0.5 at its centre.
     """
-    return _layout_of(tuple(levels.tolist()), cfg)
+    grid = levels.tolist()  # plain floats check a 21-level grid fastest
+    n = len(grid)
+    m = n // 2
+    for before, level in zip(grid, grid[1:]):
+        if level <= before:
+            raise ValueError(f"quantile level {level} does not exceed {before} before it")
+    for lower, upper in zip(grid[: m + 1], reversed(grid)):
+        if abs(lower + upper - 1.0) >= 1e-9:
+            raise ValueError(
+                f"quantile level {upper} needs its mirror {1.0 - upper:g} in place of {lower}"
+            )
+    if n % 2 == 0:
+        raise ValueError(f"quantile levels {grid} have no median 0.5")
+    return m, np.arange(m), np.arange(n - 1, m, -1), 2.0 * levels[:m]
 
 
-def wis_batch(levels: Array, values: Array, observed: Array, cfg: WISConfig = _WIS) -> Array:
+def wis_batch(levels: Array, values: Array, observed: Array) -> Array:
     """WIS for a batch: ``values`` is (N, L) aligned with ``levels``, one row
     per forecast; ``observed`` is (N,). Returns (N,).
 
     The interval terms are formed for all alphas at once, (N, A), and added
-    to the median term one alpha at a time in ``cfg.alphas`` order, so the
-    sum is the one a loop over the intervals makes.
+    to the median term one alpha at a time in grid order, so the sum is
+    the one a loop over the intervals makes.
     """
     levels = np.asarray(levels, dtype=np.float64)
     values = np.atleast_2d(np.asarray(values, dtype=np.float64))
     observed = np.atleast_1d(np.asarray(observed, dtype=np.float64))
-    med, lowers, uppers, alphas = _wis_layout(levels, cfg)
+    med, lowers, uppers, alphas = _wis_layout(levels)
     lo, up = values[:, lowers], values[:, uppers]
     crossed = lo > up
     if crossed.any():
         first = int(np.argmax(crossed.any(axis=0)))
         bad = int(np.argmax(crossed[:, first]))
         raise ValueError(
-            f"interval endpoints crossed for alpha={cfg.alphas[first]} in forecast row {bad}"
+            f"interval endpoints crossed for alpha={alphas[first]} in forecast row {bad}"
         )
     y = observed[:, None]
     below = (2.0 / alphas) * np.maximum(lo - y, 0.0)
@@ -202,12 +171,10 @@ def wis_batch(levels: Array, values: Array, observed: Array, cfg: WISConfig = _W
     total = 0.5 * np.abs(observed - values[:, med])
     for k in range(len(alphas)):
         total += terms[:, k]
-    return total / cfg.denominator
+    return total / (len(alphas) + 0.5)
 
 
-def wis_gradient_batch(
-    levels: Array, values: Array, observed: Array, cfg: WISConfig = _WIS
-) -> Array:
+def wis_gradient_batch(levels: Array, values: Array, observed: Array) -> Array:
     """Subgradient of WIS w.r.t. each forecast quantile value, batched.
 
     Piecewise linear, so the gradient is exact away from kinks; at a kink
@@ -218,9 +185,9 @@ def wis_gradient_batch(
     levels = np.asarray(levels, dtype=np.float64)
     values = np.atleast_2d(np.asarray(values, dtype=np.float64))
     observed = np.atleast_1d(np.asarray(observed, dtype=np.float64))
-    med, lowers, uppers, alphas = _wis_layout(levels, cfg)
+    med, lowers, uppers, alphas = _wis_layout(levels)
     grad = np.zeros_like(values)
-    denom = cfg.denominator
+    denom = len(alphas) + 0.5
     y = observed[:, None]
     w = alphas / 2.0
     grad[:, med] += 0.5 * np.sign(values[:, med] - observed) / denom

@@ -71,8 +71,8 @@ def integrate(
     t0: float,
     n_samples: int,
     rho: Callable[[Array], Array],
-    dt: float = DT_INTEGRATION,
-    substeps: int = SUBSTEPS,
+    dt: float,
+    substeps: int,
 ) -> Trajectory:
     """Record ``n_samples`` states after ``u0``, ``substeps`` RK4 steps apart,
     under the driving parameter ``rho`` of time (``rho_true`` for the true
@@ -326,9 +326,9 @@ def _record_from_zero(rng, n_samples: int, t_transient: float) -> Trajectory:
     parameter is continuous and rho(0) = 28 at the first recorded sample.
     """
     n_trans = round(t_transient / DT_SAMPLE)
-    trans = integrate(_random_ic(rng), -t_transient, n_trans, rho_true)
+    trans = integrate(_random_ic(rng), -t_transient, n_trans, rho_true, DT_INTEGRATION, SUBSTEPS)
     u_star = trans.states[-1]  # state at t ~ 0
-    rest = integrate(u_star, 0.0, n_samples - 1, rho_true)
+    rest = integrate(u_star, 0.0, n_samples - 1, rho_true, DT_INTEGRATION, SUBSTEPS)
     states = np.vstack([u_star, rest.states])
     return Trajectory(t0=0.0, dt_sample=DT_SAMPLE, states=states)
 

@@ -4,7 +4,6 @@ from dataclasses import fields, replace
 
 import numpy as np
 
-from attnpool.evaluation import WISConfig, _wis_layout
 from attnpool.forecasting import LinearPooler
 
 
@@ -48,16 +47,28 @@ def fit_linear_ridge(inputs, targets, ridge=1e-8):
     return LinearPooler(weight=solution[:-1].T.copy(), bias=solution[-1].copy())
 
 
-def wis_per_interval(levels, values, observed, cfg=None):
+def _central_intervals(levels):
+    """The index of the median level and ``(alpha, lower index, upper
+    index)`` of each central interval: every level below 0.5 paired with the
+    level that is close to 1 - level, smallest alpha first."""
+    median = int(np.nonzero(np.isclose(levels, 0.5))[0][0])
+    intervals = [
+        (2.0 * level, i, int(np.nonzero(np.isclose(levels, 1.0 - level))[0][0]))
+        for i, level in enumerate(levels)
+        if level < 0.5
+    ]
+    return median, intervals
+
+
+def wis_per_interval(levels, values, observed):
     """WIS for a batch, one interval level at a time: the loop the batched
     :func:`attnpool.evaluation.wis_batch` replaces, kept as its reference."""
-    cfg = cfg or WISConfig()
     levels = np.asarray(levels, dtype=np.float64)
     values = np.atleast_2d(np.asarray(values, dtype=np.float64))
     observed = np.atleast_1d(np.asarray(observed, dtype=np.float64))
-    med, lowers, uppers, _ = _wis_layout(levels, cfg)
+    med, intervals = _central_intervals(levels)
     total = 0.5 * np.abs(observed - values[:, med])
-    for a, li, ui in zip(cfg.alphas, lowers, uppers):
+    for a, li, ui in intervals:
         lo, up = values[:, li], values[:, ui]
         if np.any(lo > up):
             bad = int(np.nonzero(lo > up)[0][0])
@@ -68,21 +79,20 @@ def wis_per_interval(levels, values, observed, cfg=None):
         below = (2.0 / a) * np.maximum(lo - observed, 0.0)
         above = (2.0 / a) * np.maximum(observed - up, 0.0)
         total += (a / 2.0) * (width + below + above)
-    return total / cfg.denominator
+    return total / (len(intervals) + 0.5)
 
 
-def wis_gradient_per_interval(levels, values, observed, cfg=None):
+def wis_gradient_per_interval(levels, values, observed):
     """WIS subgradient for a batch, one interval level at a time: the
     reference of :func:`attnpool.evaluation.wis_gradient_batch`."""
-    cfg = cfg or WISConfig()
     levels = np.asarray(levels, dtype=np.float64)
     values = np.atleast_2d(np.asarray(values, dtype=np.float64))
     observed = np.atleast_1d(np.asarray(observed, dtype=np.float64))
-    med, lowers, uppers, _ = _wis_layout(levels, cfg)
+    med, intervals = _central_intervals(levels)
     grad = np.zeros_like(values)
-    denom = cfg.denominator
+    denom = len(intervals) + 0.5
     grad[:, med] += 0.5 * np.sign(values[:, med] - observed) / denom
-    for a, li, ui in zip(cfg.alphas, lowers, uppers):
+    for a, li, ui in intervals:
         lo, up = values[:, li], values[:, ui]
         w = a / 2.0
         grad[:, li] += w * (-1.0 + (2.0 / a) * (observed < lo)) / denom

@@ -27,9 +27,9 @@ from attnpool.attention import (
     single_head_backward,
     single_head_forward,
 )
-from attnpool.evaluation import WISConfig, wis_batch, wis_gradient_batch
+from attnpool.evaluation import wis_batch, wis_gradient_batch
 from attnpool.forecasting import ffnn_backward, ffnn_forward, init_ffnn
-from attnpool.lorenz import CANDIDATE_RHOS, integrate, rho_true
+from attnpool.lorenz import CANDIDATE_RHOS, DT_INTEGRATION, SUBSTEPS, integrate, rho_true
 from attnpool.numerics import uniform_init
 
 GRADIENT_TOLERANCE = 1e-5
@@ -209,7 +209,7 @@ class TestIntegratorSuite:
 
     def test_long_trajectory_stays_bounded(self):
         start = time.monotonic()
-        traj = integrate(np.array([-6.0, 8.0, 27.0]), 0.0, 30_000, rho_true)
+        traj = integrate(np.array([-6.0, 8.0, 27.0]), 0.0, 30_000, rho_true, DT_INTEGRATION, SUBSTEPS)
         assert traj.states.shape == (30_000, 3)
         assert np.max(np.abs(traj.states)) < 100.0
         assert time.monotonic() - start < 60.0
@@ -220,7 +220,7 @@ def _one_interval_wis(lower, median, upper, alpha, observed):
     interval: (0.5 |y - median| + (alpha/2) IS) / 1.5, IS the interval score."""
     levels = np.array([alpha / 2, 0.5, 1 - alpha / 2])
     forecast = np.array([[lower, median, upper]])
-    return wis_batch(levels, forecast, np.array([observed]), WISConfig(alphas=(alpha,)))[0]
+    return wis_batch(levels, forecast, np.array([observed]))[0]
 
 
 class TestScoreSuite:

@@ -22,7 +22,7 @@ from attnpool.covid import (
     TruthTable,
     ValidationPeriod,
 )
-from attnpool.evaluation import WIS_ALPHAS, wis_batch
+from attnpool.evaluation import _wis_layout, wis_batch
 from attnpool.forecasting import LinearPooler, Pooler, Standardizer, TrainConfig
 from attnpool.numerics import spawn_rng
 
@@ -118,12 +118,16 @@ def small_trained(samples):
 
 
 class TestQuantileGrid:
-    def test_exactly_the_levels_the_score_needs(self):
-        """Each interval's endpoints alpha/2 and 1 - alpha/2, plus the median."""
-        needed = {0.5}
-        for a in WIS_ALPHAS:
-            needed |= {round(a / 2.0, 6), round(1.0 - a / 2.0, 6)}
-        assert covid.QUANTILE_LEVELS == tuple(sorted(needed))
+    def test_the_grid_is_the_scored_intervals(self):
+        """The score pairs the k-th level from each end around the median
+        and reads each alpha as twice the lower level: the hub's ten
+        intervals, with the bits of the alphas written out."""
+        med, lowers, uppers, alphas = _wis_layout(np.array(covid.QUANTILE_LEVELS))
+        assert med == covid.MEDIAN_INDEX == 10
+        assert lowers.tolist() == list(range(10))
+        assert uppers.tolist() == list(range(20, 10, -1))
+        expected = (0.02, 0.05, 0.1, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
+        assert alphas.tobytes() == np.array(expected).tobytes()
 
     def test_ascending_and_median_position(self):
         assert len(covid.QUANTILE_LEVELS) == 21

@@ -1,5 +1,6 @@
 """Valid time, Conover median CIs, interval score and WIS."""
 
+import re
 from fractions import Fraction
 from math import comb
 
@@ -11,7 +12,7 @@ from oracles import finite_difference_gradient, wis_gradient_per_interval, wis_p
 
 from attnpool.covid import QUANTILE_LEVELS
 from attnpool.evaluation import (
-    WISConfig,
+    _wis_layout,
     median_ci_ranks,
     median_with_ci,
     valid_time,
@@ -133,9 +134,7 @@ def interval_score(lower, upper, alpha, observed):
     forecast: WIS = (0.5 |y - median| + (alpha/2) IS) / 1.5."""
     median = min(max(observed, lower), upper)
     levels = np.array([alpha / 2, 0.5, 1 - alpha / 2])
-    score = wis_batch(
-        levels, np.array([[lower, median, upper]]), np.array([observed]), WISConfig(alphas=(alpha,))
-    )[0]
+    score = wis_batch(levels, np.array([[lower, median, upper]]), np.array([observed]))[0]
     return (1.5 * score - 0.5 * abs(observed - median)) / (alpha / 2)
 
 
@@ -174,7 +173,8 @@ class TestIntervalScore:
             interval_score(3.0, 1.0, 0.5, 2.0)
 
     def test_bad_alpha(self):
-        with pytest.raises(ValueError, match="alpha"):
+        # alpha 1.5 puts its ends at levels 0.75 and 0.25, out of order
+        with pytest.raises(ValueError, match="level 0.5 does not exceed 0.75"):
             interval_score(0.0, 1.0, 1.5, 0.5)
 
 
@@ -186,14 +186,16 @@ def make_forecast(rng, scale=1.0, offset=0.0):
 
 # the one-interval score at alpha = 0.5: levels 0.25, 0.5, 0.75
 ONE_INTERVAL = np.array([0.25, 0.5, 0.75])
-HALF = WISConfig(alphas=(0.5,))
+# the alphas of the 21-level grid, twice its levels below the median
+ALPHAS = tuple(2.0 * level for level in QUANTILE_LEVELS if level < 0.5)
+DENOMINATOR = len(ALPHAS) + 0.5
 
 
 class TestWIS:
     def test_single_interval_worked_case(self):
         # K=1, alpha=0.5, quantiles {0.25: 1, 0.5: 2, 0.75: 3}, y=2:
         # (0.5*|2-2| + 0.25*((3-1))) / 1.5 = 1/3
-        val = wis_batch(ONE_INTERVAL, np.array([[1.0, 2.0, 3.0]]), np.array([2.0]), HALF)[0]
+        val = wis_batch(ONE_INTERVAL, np.array([[1.0, 2.0, 3.0]]), np.array([2.0]))[0]
         assert val == pytest.approx(1.0 / 3.0, rel=1e-12)
 
     def test_required_levels_count(self):
@@ -202,16 +204,22 @@ class TestWIS:
         values = np.linspace(-10, 10, levels.size)
         g = wis_gradient_batch(levels, values[None], np.array([-0.05]))[0]
         assert levels.size == 21 and np.all(g != 0.0)
-        assert WISConfig().denominator == pytest.approx(10.5)
+        assert len(_wis_layout(levels)[3]) == 10
 
     def test_missing_level_names_it(self):
-        # the layout of a complete grid is reused across calls; a grid
-        # missing a level raises on every call, not only the first
-        forecast, y = np.array([[1.0, 2.0, 3.0]]), np.array([2.0])
-        assert wis_batch(ONE_INTERVAL, forecast, y, HALF)[0] > 0.0
-        for _ in range(2):
-            with pytest.raises(ValueError, match="0.25"):
-                wis_batch(ONE_INTERVAL[1:], forecast[:, 1:], y, HALF)
+        # 0.75 bounds an interval only with its mirror 0.25
+        forecast, y = np.array([[2.0, 3.0]]), np.array([2.0])
+        with pytest.raises(ValueError, match="0.25"):
+            wis_batch(ONE_INTERVAL[1:], forecast, y)
+
+    @pytest.mark.parametrize("levels, named", [
+        ((0.1, 0.3, 0.2, 0.5, 0.8, 0.7, 0.9), "0.2"),  # mirrored, not increasing
+        ((0.05, 0.25, 0.5, 0.75, 0.9), "0.9"),  # increasing, not mirrored
+        ((0.25, 0.75), "0.25"),  # increasing and mirrored, no median
+    ])
+    def test_a_grid_that_is_no_set_of_intervals_names_a_level(self, levels, named):
+        with pytest.raises(ValueError, match=rf"\b{re.escape(named)}\b"):
+            wis_batch(np.array(levels), np.zeros((1, len(levels))), np.zeros(1))
 
     def test_perfect_point_mass_scores_zero(self):
         levels = np.array(QUANTILE_LEVELS)
@@ -219,11 +227,10 @@ class TestWIS:
 
     def test_nonnegative_and_zero_iff_all_equal_observation(self):
         rng = np.random.default_rng(3)
-        cfg = WISConfig()
         for _ in range(40):
             levels, values = make_forecast(rng, scale=rng.uniform(0.5, 3))
             y = rng.normal()
-            s = wis_batch(levels, values, np.array([y]), cfg)[0]
+            s = wis_batch(levels, values, np.array([y]))[0]
             assert s >= 0.0
             if s == 0.0:
                 assert np.all(values == y)
@@ -246,24 +253,23 @@ class TestWIS:
 
     def test_batch_matches_mapping_path(self):
         rng = np.random.default_rng(4)
-        cfg = WISConfig()
         levels = np.array(QUANTILE_LEVELS)
         values = np.sort(rng.normal(size=(10, levels.size)), axis=1)
         ys = rng.normal(size=10)
-        batch = wis_batch(levels, values, ys, cfg)
+        batch = wis_batch(levels, values, ys)
         for i in range(10):
-            expect = reference_wis(levels, values[i], float(ys[i]), cfg.alphas)
+            expect = reference_wis(levels, values[i], float(ys[i]), ALPHAS)
             assert batch[i] == pytest.approx(expect, rel=1e-12)
 
     def test_crossed_quantiles_raise(self):
         with pytest.raises(ValueError, match="crossed"):
-            wis_batch(ONE_INTERVAL, np.array([[3.0, 2.0, 1.0]]), np.array([2.0]), HALF)
+            wis_batch(ONE_INTERVAL, np.array([[3.0, 2.0, 1.0]]), np.array([2.0]))
 
     def test_crossings_name_the_first_alpha_then_the_first_row(self):
         """Two alphas crossed in different rows: the error names the alpha
-        that comes first in ``cfg.alphas``, not the one crossed first by
-        row, and the first crossed row of that alpha, as the per-interval
-        loop does."""
+        that comes first on the grid, not the one crossed first by row, and
+        the first crossed row of that alpha, as the per-interval loop
+        does."""
         levels = np.array(QUANTILE_LEVELS)
         values = np.sort(np.random.default_rng(6).normal(size=(6, levels.size)), axis=1)
         swap = {0.1: 4, 0.5: 1}  # alpha 0.1 is crossed in row 4, alpha 0.5 in row 1
@@ -273,15 +279,13 @@ class TestWIS:
             values[row, [lo, up]] = values[row, [up, lo]]
         values[5] = values[4]  # a second crossed row for alpha 0.1
         y = np.zeros(6)
-        for cfg, expect in ((WISConfig(), "alpha=0.1 in forecast row 4"),
-                            (WISConfig(alphas=(0.5, 0.1)), "alpha=0.5 in forecast row 1")):
-            for score in (wis_batch, wis_per_interval):
-                with pytest.raises(ValueError, match=expect):
-                    score(levels, values, y, cfg)
+        for score in (wis_batch, wis_per_interval):
+            with pytest.raises(ValueError, match="alpha=0.1 in forecast row 4"):
+                score(levels, values, y)
 
 
 def wis_cases(rng):
-    """(levels, values, observed, cfg) at N = 1, 32 and 500 on random sorted
+    """(levels, values, observed) at N = 1, 32 and 500 on random sorted
     quantiles; the larger batches hold a row whose observation equals a
     quantile (the zero-subgradient kink) and a NaN row, and one case scores
     a single interval."""
@@ -295,23 +299,23 @@ def wis_cases(rng):
             observed[0], observed[3], observed[-1] = values[0, 3], values[3, 17], values[-1, 10]
             values[1, 7] = np.nan
             observed[2] = np.nan
-        cases.append((levels, values, observed, WISConfig()))
+        cases.append((levels, values, observed))
     values = np.sort(rng.normal(size=(32, 3)), axis=1)
     observed = rng.normal(size=32)
     observed[0] = values[0, 0]
-    cases.append((ONE_INTERVAL, values, observed, HALF))
+    cases.append((ONE_INTERVAL, values, observed))
     return cases
 
 
 def test_batched_wis_and_subgradient_match_the_per_interval_loops_bitwise():
-    for levels, values, observed, cfg in wis_cases(np.random.default_rng(12)):
+    for levels, values, observed in wis_cases(np.random.default_rng(12)):
         pairs = (
             (wis_batch, wis_per_interval),
             (wis_gradient_batch, wis_gradient_per_interval),
         )
         for batched, reference in pairs:
-            got = batched(levels, values, observed, cfg)
-            expect = reference(levels, values, observed, cfg)
+            got = batched(levels, values, observed)
+            expect = reference(levels, values, observed)
             # bytes, so that a zero's sign and a NaN's place count too
             assert got.tobytes() == expect.tobytes(), (batched.__name__, len(values))
 
@@ -320,48 +324,45 @@ class TestWISGradient:
     def test_inside_all_intervals(self):
         """y strictly inside every interval: each lower endpoint gets -w_k/denom,
         each upper +w_k/denom, median term sign(m - y)."""
-        cfg = WISConfig()
         levels = np.array(QUANTILE_LEVELS)
         values = np.linspace(-10, 10, levels.size)
         # y = -0.05 is strictly inside every interval and off every kink
-        g = wis_gradient_batch(levels, values[None], np.array([-0.05]), cfg)[0]
+        g = wis_gradient_batch(levels, values[None], np.array([-0.05]))[0]
         med = np.nonzero(levels == 0.5)[0][0]
-        for k, a in enumerate(cfg.alphas):
+        for a in ALPHAS:
             li = np.nonzero(np.isclose(levels, a / 2))[0][0]
             ui = np.nonzero(np.isclose(levels, 1 - a / 2))[0][0]
-            assert g[li] == pytest.approx(-(a / 2) / cfg.denominator)
-            assert g[ui] == pytest.approx((a / 2) / cfg.denominator)
-        assert g[med] == pytest.approx(0.5 / cfg.denominator)  # median 0 > y = -0.05
+            assert g[li] == pytest.approx(-(a / 2) / DENOMINATOR)
+            assert g[ui] == pytest.approx((a / 2) / DENOMINATOR)
+        assert g[med] == pytest.approx(0.5 / DENOMINATOR)  # median 0 > y = -0.05
 
     def test_far_above_all_quantiles(self):
-        cfg = WISConfig()
         levels = np.array(QUANTILE_LEVELS)
         values = np.linspace(-1, 1, levels.size)
-        g = wis_gradient_batch(levels, values[None], np.array([100.0]), cfg)[0]
-        for a in cfg.alphas:
+        g = wis_gradient_batch(levels, values[None], np.array([100.0]))[0]
+        for a in ALPHAS:
             ui = np.nonzero(np.isclose(levels, 1 - a / 2))[0][0]
-            expect = -(a / 2) / cfg.denominator * (2.0 / a - 1.0)
+            expect = -(a / 2) / DENOMINATOR * (2.0 / a - 1.0)
             assert g[ui] == pytest.approx(expect)
 
     def test_kink_subgradient_is_zero(self):
-        g = wis_gradient_batch(ONE_INTERVAL, np.array([[1.0, 2.0, 3.0]]), np.array([1.0]), HALF)[0]
+        g = wis_gradient_batch(ONE_INTERVAL, np.array([[1.0, 2.0, 3.0]]), np.array([1.0]))[0]
         # y == lower endpoint: indicator off, only the -w contribution remains
         assert g[0] == pytest.approx(-0.25 / 1.5)
         # median at a kink would use sign(0) = 0
-        g2 = wis_gradient_batch(ONE_INTERVAL, np.array([[1.0, 2.0, 3.0]]), np.array([2.0]), HALF)[0]
+        g2 = wis_gradient_batch(ONE_INTERVAL, np.array([[1.0, 2.0, 3.0]]), np.array([2.0]))[0]
         assert g2[1] == 0.0
 
     @pytest.mark.parametrize("seed", range(8))
     def test_matches_finite_differences_away_from_kinks(self, seed):
         rng = np.random.default_rng(1000 + seed)
-        cfg = WISConfig()
         levels = np.array(QUANTILE_LEVELS)
         values = np.sort(rng.uniform(-1, 1, size=levels.size))
         y = float(rng.uniform(-1.5, 1.5))
         if np.min(np.abs(values - y)) < 1e-3:  # keep clear of kinks
             y += 2e-3
-        analytic = wis_gradient_batch(levels, values[None], np.array([y]), cfg)[0]
-        fd = finite_difference_gradient(lambda v: reference_wis(levels, v, y, cfg.alphas), values)
+        analytic = wis_gradient_batch(levels, values[None], np.array([y]))[0]
+        fd = finite_difference_gradient(lambda v: reference_wis(levels, v, y, ALPHAS), values)
         np.testing.assert_allclose(analytic, fd, rtol=1e-6, atol=1e-9)
 
     @settings(deadline=None, max_examples=80)
@@ -376,7 +377,6 @@ class TestWISGradient:
         quantile, the subgradient equals central differences of wis_batch.
         The step is far below the smallest gap, so no difference crosses a
         kink or unsorts the quantiles, and WIS is linear in between."""
-        cfg = WISConfig()
         levels = np.array(QUANTILE_LEVELS)
         values = start + np.concatenate([[0.0], np.cumsum(gaps)])
         if segment == -1:
@@ -386,13 +386,13 @@ class TestWISGradient:
         else:
             y = values[segment] + frac * gaps[segment]
         step = 1e-3 * min(gaps)
-        analytic = wis_gradient_batch(levels, values[None], np.array([y]), cfg)[0]
+        analytic = wis_gradient_batch(levels, values[None], np.array([y]))[0]
         numeric = np.empty_like(values)
         for i in range(values.size):
             up, down = values.copy(), values.copy()
             up[i] += step
             down[i] -= step
-            diff = wis_batch(levels, np.stack([up, down]), np.array([y, y]), cfg)
+            diff = wis_batch(levels, np.stack([up, down]), np.array([y, y]))
             numeric[i] = (diff[0] - diff[1]) / (2.0 * step)
         # Scores stay below ~1e3, so rounding moves a difference quotient by
         # ~1e-12 / 5e-5 at most; one wrong branch moves an entry by at

@@ -43,7 +43,9 @@ from attnpool.forecasting import (
 )
 from attnpool.lorenz import (
     CANDIDATE_RHOS,
+    DT_INTEGRATION,
     DT_SAMPLE,
+    SUBSTEPS,
     candidate_forecasts,
     candidate_one_step_batch,
     candidate_steps,
@@ -577,7 +579,7 @@ class TestOpenLoop:
 
 class TestClosedLoop:
     def test_perfect_model_limit_is_exact(self):
-        truth = integrate(np.array([1.0, 2.0, 25.0]), 0.0, 40, lambda t: 28.0)
+        truth = integrate(np.array([1.0, 2.0, 25.0]), 0.0, 40, lambda t: 28.0, DT_INTEGRATION, SUBSTEPS)
         pooler = Pooler("additive", init_heads(spawn_rng(0, "cl"), 1, 8, 9, 9), 3)
         hist = gather_histories(truth.states, [6], 4)
         with candidates_by(one_candidate(28.0)):
@@ -590,12 +592,12 @@ class TestClosedLoop:
     def test_single_candidate_is_its_autonomous_rollout(self, variant):
         # truth runs at 28 but the lone candidate at 35: the pooled forecast
         # must follow the candidate's own trajectory from the warmup end
-        truth = integrate(np.array([0.5, -1.0, 20.0]), 0.0, 20, lambda t: 28.0)
+        truth = integrate(np.array([0.5, -1.0, 20.0]), 0.0, 20, lambda t: 28.0, DT_INTEGRATION, SUBSTEPS)
         pooler = Pooler("additive", init_heads(spawn_rng(1, "cl"), 1, 8, 6, 6), 2)
         hist = gather_histories(truth.states, [5], 3)
         with candidates_by(one_candidate(35.0)):
             [res] = full_rollout(pooler, hist, 12, variants=[variant])
-        ref = integrate(truth.states[4], 0.0, 12, lambda t: 35.0)
+        ref = integrate(truth.states[4], 0.0, 12, lambda t: 35.0, DT_INTEGRATION, SUBSTEPS)
         np.testing.assert_array_equal(res.predictions[0], ref.states)
 
     def test_fixed_matches_additive_at_step0_only(self, trained, small):
@@ -625,7 +627,7 @@ class TestClosedLoop:
         [best] = full_rollout(pooler, hist, 10, variants=["best_initial"])
         for b, weights in enumerate(best.weights[:, 0]):
             rho = CANDIDATE_RHOS[int(weights.argmax())]
-            ref = integrate(hist[b, -1], 0.0, 10, lambda t: rho)
+            ref = integrate(hist[b, -1], 0.0, 10, lambda t: rho, DT_INTEGRATION, SUBSTEPS)
             np.testing.assert_array_equal(best.predictions[b], ref.states)
 
     def test_autonomous_after_warmup(self, trained, small):

@@ -1,6 +1,6 @@
 """The library has no public surface that only the tests use, no
-parameter default that only the tests leave out, and no module imports a
-name it never reads."""
+parameter default that only the tests leave out or only the tests pass,
+and no module imports a name it never reads."""
 
 import ast
 import importlib
@@ -228,14 +228,31 @@ def _call_name(call) -> str | None:
     return None
 
 
+def _unpacks(call) -> bool:
+    """Whether ``call`` passes ``*args`` or ``**kwargs``, which may pass or
+    leave out any parameter."""
+    starred = any(isinstance(x, ast.Starred) for x in call.args)
+    return starred or any(k.arg is None for k in call.keywords)
+
+
 def _passed(call, positional) -> set[str]:
     """The parameters that ``call`` surely passes, given the callee's
-    positional parameter names: none where it passes ``*args`` or
-    ``**kwargs``, which may leave out any."""
-    starred = any(isinstance(x, ast.Starred) for x in call.args)
-    if starred or any(k.arg is None for k in call.keywords):
+    positional parameter names: none where it unpacks."""
+    if _unpacks(call):
         return set()
     return set(positional[: len(call.args)]) | {k.arg for k in call.keywords}
+
+
+def _trees_and_calls(src):
+    """The parsed modules of ``src`` by stem, and every call in them by the
+    bare or attribute name it calls."""
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(src.glob("*.py"))}
+    calls: dict[str, list] = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                calls.setdefault(_call_name(node), []).append(node)
+    return trees, calls
 
 
 def defaults_no_call_leaves_out(src=SRC) -> list[str]:
@@ -246,12 +263,7 @@ def defaults_no_call_leaves_out(src=SRC) -> list[str]:
     A call resolves by its bare or attribute name to every function of that
     name, and calling a class calls its ``__init__``.
     """
-    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(src.glob("*.py"))}
-    calls: dict[str, list] = {}
-    for tree in trees.values():
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Call):
-                calls.setdefault(_call_name(node), []).append(node)
+    trees, calls = _trees_and_calls(src)
     found = []
     for stem, tree in trees.items():
         for qual, name, fn, method in _defined_functions(tree):
@@ -264,6 +276,28 @@ def defaults_no_call_leaves_out(src=SRC) -> list[str]:
 
 def test_every_parameter_default_is_left_out_by_a_library_call():
     assert defaults_no_call_leaves_out() == []
+
+
+def defaults_no_call_passes(src=SRC) -> list[str]:
+    """``module.function: parameter`` of every parameter default, of a
+    function or method defined in ``src``, that no call in ``src`` passes:
+    a knob only the tests turn. Calls resolve as in
+    :func:`defaults_no_call_leaves_out`.
+    """
+    trees, calls = _trees_and_calls(src)
+    found = []
+    for stem, tree in trees.items():
+        for qual, name, fn, method in _defined_functions(tree):
+            positional, defaulted = _parameters(fn, method)
+            never_passed = set(defaulted)
+            for call in calls.get(name, ()):
+                never_passed -= defaulted if _unpacks(call) else _passed(call, positional)
+            found += [f"{stem}.{qual}: {p}" for p in sorted(never_passed)]
+    return found
+
+
+def test_every_parameter_default_is_passed_by_a_library_call():
+    assert defaults_no_call_passes() == []
 
 
 DEFAULTS_PACKAGE = {
@@ -300,6 +334,19 @@ DEFAULTS_PACKAGE = {
 }
 
 
+def _defaults_package(root, test):
+    """Write ``DEFAULTS_PACKAGE`` as ``root/src/fitpkg`` beside a test
+    module that holds ``test``, and return the package's directory."""
+    package = root / "src" / "fitpkg"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text("")
+    for stem, text in DEFAULTS_PACKAGE.items():
+        (package / f"{stem}.py").write_text(textwrap.dedent(text))
+    (root / "tests").mkdir()
+    (root / "tests" / "test_fit.py").write_text(textwrap.dedent(test))
+    return package
+
+
 def test_a_default_only_a_test_leaves_out_is_found(tmp_path):
     """In a generated package, the defaults that only its test leaves out
     are found: a method's, called without its ``self``, a positional one
@@ -308,18 +355,29 @@ def test_a_default_only_a_test_leaves_out_is_found(tmp_path):
     function whose first parameter is named ``cls``; and
     that of a function called with ``*rows`` before the argument that would
     otherwise fill it."""
-    package = tmp_path / "src" / "fitpkg"
-    package.mkdir(parents=True)
-    (package / "__init__.py").write_text("")
-    for stem, text in DEFAULTS_PACKAGE.items():
-        (package / f"{stem}.py").write_text(textwrap.dedent(text))
-    (tmp_path / "tests").mkdir()
-    (tmp_path / "tests" / "test_fit.py").write_text(textwrap.dedent("""
+    package = _defaults_package(tmp_path, """
         from fitpkg.fit import Model, scale, shift
 
         def test_defaults():
             assert scale(shift(1.0)) == 4.0 and Model(3).run() == 1
-    """))
+    """)
     assert defaults_no_call_leaves_out(package) == [
         "fit.Model.run: steps", "fit.scale: factor", "fit.shift: by",
+    ]
+
+
+def test_a_default_only_a_test_passes_is_found(tmp_path):
+    """In the same generated package, the defaults that only its test
+    passes are found: a class's ``__init__``'s, called by the class's name,
+    and a module function's. Those a package call passes pass:
+    positionally, by keyword, to a method called without its ``self``, and
+    through ``*rows``, which may fill any parameter."""
+    package = _defaults_package(tmp_path, """
+        from fitpkg.fit import Model, section
+
+        def test_knobs():
+            assert Model(3, decay=0.1).decay == 0.1 and section(Model, optional=True)[1]
+    """)
+    assert defaults_no_call_passes(package) == [
+        "fit.Model.__init__: decay", "fit.section: optional",
     ]

@@ -80,7 +80,7 @@ def rk4_step(u, t, dt, rho):
 def one_sampling_step(u, rho):
     """Scalar reference for one candidate step: one recorded sample of the
     sequential integrator under stationary ``rho``."""
-    return integrate(u, 0.0, 1, frozen(rho)).states[0]
+    return integrate(u, 0.0, 1, frozen(rho), DT_INTEGRATION, SUBSTEPS).states[0]
 
 
 def attractor_states(rng, n):
@@ -217,7 +217,8 @@ class TestKernelsAgainstOracle(OnTheCompiledKernels):
     def test_integrate_equals_the_oracle(self, params, t0):
         u = np.array([3.0, -4.0, 21.0])
         expected = oracle_samples(u, t0, 40, **params)
-        np.testing.assert_array_equal(integrate(u, t0, 40, **params).states, expected)
+        traj = integrate(u, t0, 40, dt=DT_INTEGRATION, substeps=SUBSTEPS, **params)
+        np.testing.assert_array_equal(traj.states, expected)
 
     def test_rk4_step_equals_one_oracle_step(self):
         u = np.array([-7.5, 2.25, 30.0])
@@ -260,7 +261,8 @@ class TestKernelsAgainstOracle(OnTheCompiledKernels):
         n = 3 * (RHO_BLOCK // (3 * SUBSTEPS)) + 7
         u = np.array([-6.0, 1.5, 33.0])
         expected = oracle_samples(u, -7.3, n, rho_true)
-        np.testing.assert_array_equal(integrate(u, -7.3, n, rho_true).states, expected)
+        traj = integrate(u, -7.3, n, rho_true, DT_INTEGRATION, SUBSTEPS)
+        np.testing.assert_array_equal(traj.states, expected)
 
     @pytest.mark.parametrize(
         "n", [1, RK4_LANES - 1, RK4_LANES, RK4_LANES + 1, 3 * RK4_LANES + 5]
@@ -310,7 +312,7 @@ class TestKernelsAgainstOracle(OnTheCompiledKernels):
         first = int(np.flatnonzero(~np.isfinite(oracle).all(axis=1))[0])
         assert first == 150
         with pytest.raises(FloatingPointError, match=f"blew up at sample {first}$"):
-            integrate(u, 0.0, 160, rho)
+            integrate(u, 0.0, 160, rho, DT_INTEGRATION, SUBSTEPS)
 
     def test_stepper_scratch_memory_stays_below_four_results(self):
         """The stage buffers are lane blocks, not full-width copies."""
@@ -332,15 +334,15 @@ class TestKernelsAgainstOracleFallback(OnTheFallback, TestKernelsAgainstOracle):
 
 class TestIntegrate(OnTheCompiledKernels):
     def test_zero_samples(self):
-        traj = integrate(np.ones(3), 0.0, 0, frozen(28.0))
+        traj = integrate(np.ones(3), 0.0, 0, frozen(28.0), DT_INTEGRATION, SUBSTEPS)
         assert len(traj.states) == 0
 
     def test_origin_stays_origin(self):
-        traj = integrate(np.zeros(3), 0.0, 1, rho_true)
+        traj = integrate(np.zeros(3), 0.0, 1, rho_true, DT_INTEGRATION, SUBSTEPS)
         np.testing.assert_array_equal(traj.states[0], np.zeros(3))
 
     def test_sample_spacing_and_t0(self):
-        traj = integrate(np.array([1.0, 1.0, 20.0]), 2.0, 5, frozen(30.0))
+        traj = integrate(np.array([1.0, 1.0, 20.0]), 2.0, 5, frozen(30.0), DT_INTEGRATION, SUBSTEPS)
         assert traj.dt_sample == pytest.approx(0.1)
         times = traj.t0 + traj.dt_sample * np.arange(len(traj.states))
         np.testing.assert_allclose(times, 2.1 + 0.1 * np.arange(5), atol=1e-12)
@@ -348,7 +350,7 @@ class TestIntegrate(OnTheCompiledKernels):
     def test_substep_composition(self):
         # one recorded sample equals 10 explicit substeps
         u = np.array([3.0, -4.0, 21.0])
-        traj = integrate(u, 0.0, 1, rho_true)
+        traj = integrate(u, 0.0, 1, rho_true, DT_INTEGRATION, SUBSTEPS)
         x, y, z = u
         for k in range(10):
             x, y, z = _rk4_scalar(x, y, z, k * 0.01, 0.01, rho_true)
