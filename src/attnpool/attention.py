@@ -4,7 +4,7 @@ One attention step scores each of M candidate models against the current
 query, softmaxes the scores into pooling weights, and returns the weighted
 average of the candidate forecasts:
 
-    score_i = w_score . tanh(W_query q + W_key k_i + bias)
+    score_i = w_score . tanh(q W_query + k_i W_key + bias)
     a       = softmax(score)
     pooled  = sum_i a_i F_i
 
@@ -14,12 +14,16 @@ and mixes the concatenated pooled outputs through one output matrix.
 
 Every pooler's parameters are one type, :class:`AttentionParams`: the heads
 stacked on a leading axis, plus the output matrix where there is one. The
-single head is a stack of one without it. The forward and the
-hand-derived backward are written once, for stacked heads
-(``_stacked_forward``, ``_stacked_backward``). All forward functions here
-take a batch: queries ``(B, q)``, keys ``(B, M, k)``, values ``(B, M, d)``.
-The backward is checked against central finite differences in the test
-suite.
+single head is a stack of one without it. The projection matrices are stored
+input-major, ``(P, in, hidden)``, so each projection and each of their
+gradients is a product of matrices in their stored order. The forward and
+the hand-derived backward are written once, for stacked heads
+(``_stacked_forward``, ``_stacked_backward``); their elementwise passes (the
+pre-activation add, and the backward's tanh' pass) run in the compiled kernel
+library of :mod:`attnpool.numerics`, or as numpy passes with the same bits.
+All forward functions here take a batch: queries ``(B, q)``, keys
+``(B, M, k)``, values ``(B, M, d)``. The backward is checked against central
+finite differences in the test suite.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import Array, uniform_init
+from .numerics import Array, broadcast_add, tanh_backward, uniform_init
 
 # ---------------------------------------------------------------------------
 # parameters
@@ -40,8 +44,8 @@ class AttentionParams:
     and the output matrix (d, d * P) that mixes their pooled outputs. The
     single head is a stack of one without a mixer."""
 
-    w_query: Array  # (P, hidden, query_dim)
-    w_key: Array    # (P, hidden, key_dim)
+    w_query: Array  # (P, query_dim, hidden)
+    w_key: Array    # (P, key_dim, hidden)
     w_score: Array  # (P, hidden)
     bias: Array     # (P, hidden)
     w_out: Array | None = None  # (d, d * P)
@@ -55,11 +59,15 @@ def init_heads(
     rng: np.random.Generator, n_heads: int, hidden: int, query_dim: int, key_dim: int
 ) -> AttentionParams:
     """Seeded uniform init, scale 1/sqrt(fan_in) per matrix, drawn head by
-    head (w_query, w_key, w_score, bias) and then stacked; no mixer."""
+    head (w_query, w_key, w_score, bias) and then stacked; no mixer. The
+    projections are drawn (hidden, in) and stored as their transposes."""
     # (shape, fan_in) of w_query, w_key, w_score and bias, in draw order
     shapes = [((hidden, query_dim), query_dim), ((hidden, key_dim), key_dim), *[(hidden, hidden)] * 2]
     draws = [[uniform_init(rng, s, fan_in) for s, fan_in in shapes] for _ in range(n_heads)]
-    return AttentionParams(*map(np.stack, zip(*draws)))
+    w_query, w_key, w_score, bias = map(np.stack, zip(*draws))
+    return AttentionParams(
+        *(np.ascontiguousarray(w.transpose(0, 2, 1)) for w in (w_query, w_key)), w_score, bias
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -92,11 +100,11 @@ def _batched(params: AttentionParams, query: Array, keys: Array, values: Array):
         )
     if keys.shape[1] == 0:
         raise ValueError("ensemble is empty (M = 0)")
-    if query.shape[1] != params.w_query.shape[-1]:
+    if query.shape[1] != params.w_query.shape[1]:
         raise ValueError(
             f"query dim {query.shape[1]} does not match w_query {params.w_query.shape}"
         )
-    if keys.shape[2] != params.w_key.shape[-1]:
+    if keys.shape[2] != params.w_key.shape[1]:
         raise ValueError(f"key dim {keys.shape[2]} does not match w_key {params.w_key.shape}")
     return query, keys, values
 
@@ -107,16 +115,16 @@ def _stacked_forward(params: AttentionParams, q: Array, k: Array, v: Array):
 
     Both projections are stacked, one matmul per (head, instance): the one
     row policy of every closed-loop model (:mod:`attnpool.forecasting`). A
-    2-D gemm over the batch (q @ w_query.T, or keys flattened to (B*M, k))
+    2-D gemm over the batch (q @ w_query, or keys flattened to (B*M, k))
     gives bits that depend on the batch size; stacked, a segment's forecast
     has the same bits whichever segments share its batch, and each head the
     bits it would give alone. The tanh pre-activation is built in place in
     the key projection.
     """
-    proj_q = q[None, :, None, :] @ params.w_query.transpose(0, 2, 1)[:, None]  # (P, B, 1, h)
+    proj_q = q[None, :, None, :] @ params.w_query[:, None]                     # (P, B, 1, h)
     proj_q += params.bias[:, None, None, :]
-    act = k[None] @ params.w_key.transpose(0, 2, 1)[:, None]                   # (P, B, M, h)
-    act += proj_q
+    act = k[None] @ params.w_key[:, None]                                      # (P, B, M, h)
+    broadcast_add(act, proj_q)
     np.tanh(act, out=act)
     scores = (act @ params.w_score[:, None, :, None])[..., 0]                  # (P, B, M)
     weights = softmax(scores)
@@ -128,11 +136,12 @@ def _stacked_backward(params: AttentionParams, cache, d_pooled: Array, grads: At
     (P, B, d), written into the head fields of ``grads``.
 
     The softmax Jacobian is applied in its contracted form a * (g - <a, g>).
-    The pre-activation gradient d_scores * w_score * tanh' is never formed
-    at (P, B, M, h): w_score varies only along h, so it scales the reduced
-    gradients, and d_scores is folded into the reductions over M. Gradients
-    with respect to the inputs are not formed: no caller trains through the
-    query, keys or values. The activations of ``cache`` are overwritten.
+    One pass over the activations folds d_scores into tanh', writing
+    D = (1 - a^2) * d_scores over them, and sums D over M into d_pre; the
+    pre-activation gradient D * w_score is never formed: w_score varies only
+    along h, so it scales the reduced gradients. Gradients with respect to
+    the inputs are not formed: no caller trains through the query, keys or
+    values. The activations of ``cache`` are overwritten.
     """
     q, k, v, act, weights = cache
     w_score = params.w_score
@@ -140,16 +149,12 @@ def _stacked_backward(params: AttentionParams, cache, d_pooled: Array, grads: At
     d_weights = np.einsum("pbd,bmd->pbm", d_pooled, v)
     inner = np.sum(weights * d_weights, axis=-1, keepdims=True)
     d_scores = weights * (d_weights - inner)                               # (P, B, M)
-    np.matmul(d_scores.reshape(p, 1, b * m), act.reshape(p, b * m, h), out=grads.w_score[:, None])
-    d_tanh = np.multiply(act, act, out=act)                                # consumes the cache
-    np.subtract(1.0, d_tanh, out=d_tanh)                                   # tanh'
-    d_pre_m = (d_scores[..., None, :] @ d_tanh)[:, :, 0]                   # (P, B, h)
-    scaled_keys = (d_scores[..., None] * k).reshape(p, b * m, k.shape[2])
-    np.matmul(d_pre_m.transpose(0, 2, 1), q, out=grads.w_query)
-    grads.w_query *= w_score[:, :, None]
-    np.matmul(d_tanh.reshape(p, b * m, h).transpose(0, 2, 1), scaled_keys, out=grads.w_key)
-    grads.w_key *= w_score[:, :, None]
-    np.sum(d_pre_m, axis=1, out=grads.bias)
+    grads.w_score[...], d_pre = tanh_backward(act, d_scores)               # consumes the cache
+    np.matmul(q.T, d_pre, out=grads.w_query)                               # (P, q, h)
+    grads.w_query *= w_score[:, None, :]
+    np.matmul(k.reshape(b * m, -1).T, act.reshape(p, b * m, h), out=grads.w_key)  # (P, k, h)
+    grads.w_key *= w_score[:, None, :]
+    np.sum(d_pre, axis=1, out=grads.bias)
     grads.bias *= w_score
 
 
@@ -178,8 +183,8 @@ def single_head_backward(
 
     The gradients, shaped and typed like ``params``, are written into
     ``out`` (a training loop passes views into its gradient buffer). The
-    backward consumes the cache's activations, writing tanh' over them: a
-    second backward needs a fresh forward.
+    backward consumes the cache's activations, writing tanh' times the score
+    gradient over them: a second backward needs a fresh forward.
     """
     upstream = np.asarray(upstream, dtype=np.float64)
     _stacked_backward(params, cache, upstream[None], out)

@@ -609,8 +609,9 @@ def _loaded_openblas() -> list[Path]:
         maps = _SELF_MAPS.read_text()
     except OSError:
         return []
-    # a region that maps no file ends in its inode field, 0
-    mapped = {Path(line.split(maxsplit=5)[-1]) for line in maps.splitlines()}
+    # a region that maps no file ends in its inode field, 0; only the few
+    # lines that name OpenBLAS somewhere are parsed
+    mapped = {Path(line.split(maxsplit=5)[-1]) for line in maps.splitlines() if "openblas" in line}
     return sorted(p for p in mapped if "openblas" in p.name)
 
 

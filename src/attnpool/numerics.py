@@ -5,14 +5,15 @@ compiled kernel library.
 All numeric state in this package lives in C-ordered float64 numpy arrays.
 Every public operation here either returns finite values or raises.
 
-The kernel library is one C source: the Adam update as one loop, and the
-RK4 step of :mod:`attnpool.lorenz` as a sequential integrator and a
-lane-blocked candidate stepper. It is built with the Python build's C
-compiler (``sysconfig``'s ``CC``) on first use in a process, never at import,
-and cached next to this module's bytecode in ``__pycache__/kernels-<digest>.so``.
-Where it cannot be built or loaded, all three run as numpy or Python code
-instead. Both paths apply the same IEEE operations to each element in the
-same order, so they give the same bits.
+The kernel library is one C source: the Adam update as one loop, the RK4
+step of :mod:`attnpool.lorenz` as a sequential integrator and a lane-blocked
+candidate stepper, and the two elementwise passes of :mod:`attnpool.attention`
+(the forward's pre-activation add and the backward's tanh' pass). It is
+built with the Python build's C compiler (``sysconfig``'s ``CC``) on first
+use in a process, never at import, and cached next to this module's bytecode
+in ``__pycache__/kernels-<digest>.so``. Where it cannot be built or loaded,
+all five run as numpy or Python code instead. Both paths apply the same IEEE
+operations to each element in the same order, so they give the same bits.
 """
 
 from __future__ import annotations
@@ -69,8 +70,9 @@ EPSILON = 1e-8
 ADAM_BLOCK = 32768
 
 # The package's compiled kernels, one C source: the update of adam_step as
-# one loop, and the RK4 step of attnpool.lorenz in a sequential integrator
-# and a lane-blocked stepper. Each element gets its numpy or Python path's
+# one loop, the RK4 step of attnpool.lorenz in a sequential integrator and a
+# lane-blocked stepper, and the attention forward's pre-activation add and
+# its backward's tanh' pass. Each element gets its numpy or Python path's
 # operations in their order; -ffp-contract=off keeps a multiply and an add
 # from fusing into one rounding, and no fast-math flag may reorder them.
 # -fno-math-errno lets sqrt vectorize: v is finite and >= 0 once the
@@ -78,7 +80,9 @@ ADAM_BLOCK = 32768
 # vectorizable: (bits & exponent mask) + 2^52 sets bit 63 exactly when the
 # exponent is all ones, that is for an inf or a NaN. The stepper holds a
 # block of RK4_LANES lanes as structure-of-arrays, so its loop over the
-# lanes vectorizes.
+# lanes vectorizes. The tanh' pass starts each of its sums from +0.0 and
+# adds the terms one after another, as a numpy sum over a middle axis does;
+# a sum whose terms are all -0.0 is then +0.0 on both paths.
 RK4_LANES = 64
 _KERNEL_SOURCE = r"""
 #include <math.h>
@@ -206,6 +210,41 @@ void rk4_lanes(long n, const double *restrict states, long repeat,
         }
     }
 }
+
+/* act (rows, m, h) += proj (rows, h), each row of proj added to the m rows
+   of act that follow it */
+void broadcast_add(long rows, long m, long h, double *restrict act,
+                   const double *restrict proj)
+{
+    for (long r = 0; r < rows; r++, proj += h)
+        for (long i = 0; i < m; i++, act += h)
+            for (long j = 0; j < h; j++)
+                act[j] += proj[j];
+}
+
+/* The backward's pass over the tanh activations act (heads, batch, m, h)
+   with the score gradients ds (heads, batch, m): g (heads, h) gets the sum
+   of ds a over (b, i) in that order, act gets D = (1 - a a) ds, and d_pre
+   (heads, batch, h) gets the sum of D over i. */
+void tanh_backward(long heads, long batch, long m, long h,
+                   double *restrict act, const double *restrict ds,
+                   double *restrict g, double *restrict d_pre)
+{
+    memset(g, 0, heads * h * sizeof *g);
+    memset(d_pre, 0, heads * batch * h * sizeof *d_pre);
+    for (long p = 0; p < heads; p++, g += h)
+        for (long b = 0; b < batch; b++, d_pre += h)
+            for (long i = 0; i < m; i++, act += h) {
+                double s = *ds++;
+                for (long j = 0; j < h; j++) {
+                    double a = act[j];
+                    double d = (1.0 - a * a) * s;
+                    g[j] += s * a;
+                    d_pre[j] += d;
+                    act[j] = d;
+                }
+            }
+}
 """.replace("@RK4_LANES@", str(RK4_LANES))
 _KERNEL_FLAGS = ("-O3", "-fPIC", "-shared", "-ffp-contract=off", "-fno-math-errno")
 _ADAM_BAD_GRADIENT, _ADAM_BAD_RESULT = 1, 2
@@ -222,6 +261,10 @@ def _kernel_library(path: str) -> ctypes.CDLL:
     lib.rk4_integrate.restype = long
     lib.rk4_lanes.argtypes = [long, pointer, long, pointer, long, long] + [double] * 3 + [pointer]
     lib.rk4_lanes.restype = None
+    lib.broadcast_add.argtypes = [long] * 3 + [pointer] * 2
+    lib.broadcast_add.restype = None
+    lib.tanh_backward.argtypes = [long] * 4 + [pointer] * 4
+    lib.tanh_backward.restype = None
     return lib
 
 
@@ -286,15 +329,77 @@ def _load_kernels(cache_dir: Path) -> ctypes.CDLL | None:
 @functools.cache
 def kernels() -> ctypes.CDLL | None:
     """The compiled kernels of this process (``adam_update``,
-    ``rk4_integrate`` and ``rk4_lanes``), built or loaded on first use;
-    None where they cannot be, and then the numpy and Python paths run."""
+    ``rk4_integrate``, ``rk4_lanes``, ``broadcast_add`` and
+    ``tanh_backward``), built or loaded on first use; None where they cannot
+    be, and then the numpy and Python paths run."""
     return _load_kernels(Path(__file__).parent / "__pycache__")
 
 
 def kernel_path() -> str:
-    """Which path the Adam update and the RK4 integration run in this
-    process: ``"compiled"`` or ``"numpy"``."""
+    """Which path the Adam update, the RK4 integration and the attention
+    passes run in this process: ``"compiled"`` or ``"numpy"``."""
     return "numpy" if kernels() is None else "compiled"
+
+
+def _c_address(a: Array) -> int:
+    """The address of the data of ``a``, which a compiled kernel reads as a
+    C-ordered float64 array."""
+    if a.dtype != np.float64 or not a.flags.c_contiguous:
+        raise ValueError(f"a kernel takes C-contiguous float64 arrays, got {a.dtype} {a.strides}")
+    return a.ctypes.data
+
+
+def broadcast_add(act: Array, proj: Array) -> None:
+    """``act`` (P, B, M, h) += ``proj`` (P, B, 1, h), in place: the
+    attention forward's pre-activation, each instance's query projection
+    added to each of its M key projections."""
+    p, b, m, h = act.shape
+    if proj.shape != (p, b, 1, h):
+        raise ValueError(f"cannot add {proj.shape} rows to activations {act.shape}")
+    lib = kernels()
+    if lib is None:
+        _numpy_broadcast_add(act, proj)
+    else:
+        lib.broadcast_add(p * b, m, h, _c_address(act), _c_address(proj))
+
+
+def _numpy_broadcast_add(act: Array, proj: Array) -> None:
+    """:func:`broadcast_add` as one numpy add: the path where no compiled
+    loop loads, and the tests' reference."""
+    act += proj
+
+
+def tanh_backward(act: Array, d_scores: Array) -> tuple[Array, Array]:
+    """The elementwise pass of the attention backward over the tanh
+    activations ``act`` (P, B, M, h), given d loss / d score ``d_scores``
+    (P, B, M). Returns the score gradient (P, h), the sum over (b, m) of
+    ``d_scores * act``, and ``d_pre`` (P, B, h), the sum over m of
+    D = (1 - act^2) * d_scores; D is written over ``act``."""
+    p, b, m, h = act.shape
+    if d_scores.shape != (p, b, m):
+        raise ValueError(f"score gradients {d_scores.shape} do not match activations {act.shape}")
+    lib = kernels()
+    if lib is None:
+        return _numpy_tanh_backward(act, d_scores)
+    ds = np.ascontiguousarray(d_scores)  # held until the pass returns
+    score_grad, d_pre = np.empty((p, h)), np.empty((p, b, h))
+    lib.tanh_backward(
+        p, b, m, h, _c_address(act), _c_address(ds), score_grad.ctypes.data, d_pre.ctypes.data
+    )
+    return score_grad, d_pre
+
+
+def _numpy_tanh_backward(act: Array, d_scores: Array) -> tuple[Array, Array]:
+    """:func:`tanh_backward` as numpy passes: the path where no compiled
+    loop loads, and the tests' reference. numpy sums over a middle axis one
+    term after another, starting from +0.0, as the compiled pass does."""
+    p, b, m, h = act.shape
+    ds = d_scores[..., None]
+    score_grad = (ds * act).reshape(p, b * m, h).sum(axis=1)
+    np.multiply(act, act, out=act)
+    np.subtract(1.0, act, out=act)
+    act *= ds
+    return score_grad, act.sum(axis=2)
 
 
 class FlatAdam:

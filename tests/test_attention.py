@@ -31,7 +31,7 @@ def transcribed_forward(params, query, keys, values):
     M = keys.shape[0]
     scores = np.empty(M)
     for i in range(M):
-        pre = w_query @ query + w_key @ keys[i] + bias
+        pre = query @ w_query + keys[i] @ w_key + bias
         scores[i] = w_score @ np.tanh(pre)
     shifted = np.exp(scores - scores.max())
     a = shifted / shifted.sum()
@@ -89,10 +89,12 @@ def w_out_then_heads(stacked):
 
 def random_instance(rng, hidden=5, M=3, l=2, base_q=3, base_k=3, d=3):
     params = init_heads(rng, 1, hidden, base_q * l, base_k * l)
-    # keep everything in the gradient-friendly range used by the checks
+    # keep everything in the gradient-friendly range used by the checks; the
+    # projections are drawn (hidden, in), as init_heads draws them
     for name in HEAD_FIELDS:
         arr = getattr(params, name)
-        arr[...] = rng.uniform(-0.5, 0.5, size=arr.shape)
+        drawn = arr.transpose(0, 2, 1) if arr.ndim == 3 else arr
+        drawn[...] = rng.uniform(-0.5, 0.5, size=drawn.shape)
     query = rng.uniform(-0.5, 0.5, size=base_q * l)
     keys = rng.uniform(-0.5, 0.5, size=(M, base_k * l))
     values = rng.uniform(-0.5, 0.5, size=(M, d))
@@ -279,8 +281,8 @@ def einsum_backward(params, cache, upstream):
     d_scores = weights * (d_weights - np.sum(weights * d_weights, axis=1, keepdims=True))
     d_pre = d_scores[:, :, None] * params.w_score[0] * (1.0 - act * act)
     grads = {
-        "w_query": np.einsum("bmh,bq->hq", d_pre, q),
-        "w_key": np.einsum("bmh,bmk->hk", d_pre, k),
+        "w_query": np.einsum("bmh,bq->qh", d_pre, q),
+        "w_key": np.einsum("bmh,bmk->kh", d_pre, k),
         "w_score": np.einsum("bm,bmh->h", d_scores, act),
         "bias": d_pre.sum(axis=(0, 1)),
     }
@@ -427,7 +429,9 @@ class TestParams:
     @pytest.mark.parametrize("n_heads", [1, 3])
     def test_init_heads_stacks_heads_drawn_one_after_another(self, n_heads):
         """Each head draws w_query, w_key, w_score and bias in turn, the
-        next head after it; the draws are stacked, and no mixer is drawn."""
+        next head after it; the draws are stacked, the projections drawn
+        (hidden, in) and stored as their transposes, and no mixer is
+        drawn."""
         params = init_heads(np.random.default_rng(23), n_heads, hidden=4, query_dim=5, key_dim=6)
         rng = np.random.default_rng(23)
         heads = [
@@ -440,7 +444,10 @@ class TestParams:
             for _ in range(n_heads)
         ]
         for name, drawn in zip(HEAD_FIELDS, zip(*heads)):
-            np.testing.assert_array_equal(getattr(params, name), np.stack(drawn), err_msg=name)
+            stored = getattr(params, name)
+            if name in ("w_query", "w_key"):
+                stored = stored.transpose(0, 2, 1)
+            np.testing.assert_array_equal(stored, np.stack(drawn), err_msg=name)
         assert params.n_heads == n_heads
         assert params.w_out is None
 

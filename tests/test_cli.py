@@ -1014,9 +1014,9 @@ def test_outputs_do_not_depend_on_workers_or_blas_threads(tmp_path, command, tex
 
 @pytest.mark.parametrize("path", ["compiled", "numpy"])
 def test_manifest_names_the_adam_update_that_ran(tmp_path, monkeypatch, path, lorenz_out, covid_out):
-    """The manifest's ``kernels`` key is the path that every Adam step and
-    RK4 step ran: the compiled kernel library, or the numpy and Python code
-    where it does not load. A serial run on either path writes the bytes of
+    """The manifest's ``kernels`` key is the path that every Adam step, RK4
+    step and attention pass ran: the compiled kernel library, or the numpy
+    and Python code where it does not load. A serial run on either path writes the bytes of
     the module's runs, which took the process's own path."""
     from attnpool import lorenz, numerics
 
@@ -1024,10 +1024,12 @@ def test_manifest_names_the_adam_update_that_ran(tmp_path, monkeypatch, path, lo
         pytest.skip("the C compiler builds no kernel library that loads")
     if path == "numpy":
         monkeypatch.setattr(numerics, "kernels", lambda: None)
+    fallbacks = {
+        (numerics, "_numpy_update"), (lorenz, "_integrate_block"), (lorenz, "_numpy_steps"),
+        (numerics, "_numpy_broadcast_add"), (numerics, "_numpy_tanh_backward"),
+    }
     ran = set()
-    for module, name in (
-        (numerics, "_numpy_update"), (lorenz, "_integrate_block"), (lorenz, "_numpy_steps")
-    ):
+    for module, name in fallbacks:
         def spy(*args, _name=name, _fallback=getattr(module, name)):
             ran.add(_name)
             return _fallback(*args)
@@ -1045,8 +1047,7 @@ def test_manifest_names_the_adam_update_that_ran(tmp_path, monkeypatch, path, lo
         assert "adam" not in manifest
         expected = json.loads((reference / "manifest.json").read_text())["outputs"]
         assert manifest["outputs"] == expected, command
-    fallbacks = {"_numpy_update", "_integrate_block", "_numpy_steps"}
-    assert ran == (fallbacks if path == "numpy" else set())
+    assert ran == ({name for _, name in fallbacks} if path == "numpy" else set())
 
 
 def test_import_and_validate_start_no_compiler(tmp_path):
@@ -1099,6 +1100,34 @@ def test_loaded_openblas_reads_the_memory_map(tmp_path, monkeypatch):
     assert cli._loaded_openblas() == [Path("/lib/x 86/libopenblas.so.0")]
     maps.unlink()
     assert cli._loaded_openblas() == []
+
+
+def every_line_openblas(maps: str) -> list[Path]:
+    """The OpenBLAS libraries of the memory map ``maps``, found by making a
+    path of every line: the reference for the reading that parses only the
+    lines naming OpenBLAS."""
+    mapped = {Path(line.split(maxsplit=5)[-1]) for line in maps.splitlines()}
+    return sorted(p for p in mapped if "openblas" in p.name)
+
+
+def test_loaded_openblas_finds_what_a_path_per_line_finds(tmp_path, monkeypatch):
+    """On this process's own memory map, and on one where OpenBLAS names a
+    directory of a library that is not OpenBLAS, the libraries found are
+    those a path made of every line finds."""
+    if not cli._SELF_MAPS.exists():
+        pytest.skip("no memory map to read on this platform")
+    own = cli._SELF_MAPS.read_text()
+    crafted = (
+        "7f00-7f01 r-xp 00000000 08:01 11 /opt/openblas/lib/libgfortran.so.5\n"
+        "7f01-7f02 r-xp 00000000 08:01 12 /opt/openblas/lib/libscipy_openblas64_.so\n"
+        "7f02-7f03 rw-p 00000000 00:00 0 \n"
+    )
+    maps = tmp_path / "maps"
+    monkeypatch.setattr(cli, "_SELF_MAPS", maps)
+    for text in (own, crafted):
+        maps.write_text(text)
+        assert cli._loaded_openblas() == every_line_openblas(text)
+    assert cli._loaded_openblas() == [Path("/opt/openblas/lib/libscipy_openblas64_.so")]
 
 
 def test_manifest_records_an_empty_pin_without_a_loaded_openblas(tmp_path, monkeypatch):

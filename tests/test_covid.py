@@ -793,11 +793,11 @@ class TestTrainPooler:
             ).pooler
 
         single = untrained("additive")
-        assert single.params.w_key.shape == (1, 1000, 105)
+        assert single.params.w_key.shape == (1, 105, 1000)
         assert single.params.w_out is None
         multi = untrained("multi_head")
         assert multi.params.n_heads == 21
-        assert multi.params.w_key.shape == (21, 100, 105)
+        assert multi.params.w_key.shape == (21, 105, 100)
         # the mixer starts as the component-wise mean of the heads' pools
         mean_of_heads = np.zeros((21, 21 * 21))
         for p in range(21):

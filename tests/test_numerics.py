@@ -476,6 +476,48 @@ class TestAdamBuild:
         assert_same_state(adam_state(monkeypatch, kernel, steps=5), compiled_state)
 
 
+# (P, B, M, h) of the attention passes: the delay-5 and delay-1 protocol
+# heads, and the hub's multi-head layer in batches and in its update regime
+ATTENTION_SHAPES = {
+    "l5": (1, 128, 11, 120), "l1": (1, 128, 11, 600), "hub-batch": (5, 32, 9, 100),
+    "hub-sgd": (21, 1, 9, 100),
+}
+
+
+class TestAttentionPasses:
+    @pytest.mark.parametrize("shape", ATTENTION_SHAPES.values(), ids=ATTENTION_SHAPES.keys())
+    def test_numpy_passes_give_the_compiled_bits(self, monkeypatch, shape):
+        """The pre-activation add and the tanh' pass give, bit for bit, what
+        their numpy fallbacks give. The first instance's score gradients are
+        exact zeros over activations whose first column is negative, so that
+        column's score gradient at B=1 sums only -0.0 terms: its sign says
+        where the sum started."""
+        kernel = numerics.kernels()
+        if kernel is None:
+            pytest.skip(
+                f"the C compiler {sysconfig.get_config_var('CC')!r} builds no kernel library that loads"
+            )
+        p, b, m, h = shape
+        rng = np.random.default_rng(math.prod(shape))
+        act = np.tanh(rng.normal(size=shape))
+        act[:, 0, :, 0] = -np.abs(act[:, 0, :, 0])
+        proj = rng.normal(size=(p, b, 1, h))
+        d_scores = rng.normal(size=(p, b, m))
+        d_scores[:, 0] = 0.0
+        results = []
+        for path in (kernel, None):
+            monkeypatch.setattr(numerics, "kernels", lambda path=path: path)
+            added, passed = act.copy(), act.copy()
+            numerics.broadcast_add(added, proj)
+            results.append((added, passed, *numerics.tanh_backward(passed, d_scores)))
+        for name, compiled, fallback in zip(("add", "D", "score gradient", "d_pre"), *results):
+            assert compiled.shape == fallback.shape, name
+            # compared as integers, so that -0.0 and 0.0 differ
+            np.testing.assert_array_equal(
+                compiled.view(np.int64), fallback.view(np.int64), err_msg=name
+            )
+
+
 class TestFiniteDifference:
     def test_quadratic_is_exact_to_Oh2(self):
         # loss = sum(p^2) has gradient 2p; central differences are exact for
