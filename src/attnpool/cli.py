@@ -119,6 +119,8 @@ def _float_field(minimum=None, exclusive_minimum=None):
         _no_bool(value)
         if not isinstance(value, (int, float)):
             raise _Bad(f"expected a number, got {value!r}")
+        if not abs(value) <= sys.float_info.max:  # NaN, an infinity or a vast integer
+            raise _Bad(f"must be a finite number, got {value}")
         value = float(value)
         if exclusive_minimum is not None and value <= exclusive_minimum:
             raise _Bad(f"must be > {exclusive_minimum}, got {value}")

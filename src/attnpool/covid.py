@@ -164,26 +164,35 @@ def _read_rows(path: str | Path, header: tuple[str, ...]):
     """Yield (row_number, fields) for data rows; validates the header.
 
     Row numbers are 1-based physical CSV rows, so the first data row is 2.
-    An entirely empty file yields nothing.
+    An entirely empty file yields nothing. A file that is not UTF-8 raises,
+    naming its first row that does not decode.
     """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        for rownum, fields in enumerate(reader, start=1):
-            if rownum == 1:
-                if tuple(f.strip() for f in fields) != header:
+    with open(path, newline="", encoding="utf-8") as fh:
+        try:
+            for rownum, fields in enumerate(csv.reader(fh), start=1):
+                if rownum == 1:
+                    if tuple(f.strip() for f in fields) != header:
+                        raise ValueError(
+                            f"{path} row 1: header {fields!r} does not match "
+                            f"expected {','.join(header)!r}"
+                        )
+                    continue
+                if not fields:
+                    continue
+                if len(fields) != len(header):
                     raise ValueError(
-                        f"{path} row 1: header {fields!r} does not match "
-                        f"expected {','.join(header)!r}"
+                        f"{path} row {rownum}: expected {len(header)} fields, "
+                        f"got {len(fields)}"
                     )
-                continue
-            if not fields:
-                continue
-            if len(fields) != len(header):
-                raise ValueError(
-                    f"{path} row {rownum}: expected {len(header)} fields, "
-                    f"got {len(fields)}"
-                )
-            yield rownum, fields
+                yield rownum, fields
+        except UnicodeDecodeError:
+            with open(path, "rb") as raw:  # for the first line that does not decode
+                for rownum, line in enumerate(raw, start=1):
+                    try:
+                        line.decode("utf-8")
+                    except UnicodeDecodeError as exc:
+                        raise ValueError(f"{path} row {rownum}: not UTF-8 text ({exc})") from None
+            raise
 
 
 def _parse_week(path, rownum, text: str) -> date:

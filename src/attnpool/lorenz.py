@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 from typing import Callable
 
 import numpy as np
@@ -43,13 +44,30 @@ def rho_true(t):
 
 # The RK4 step runs in the package's compiled kernel library (``numerics``):
 # ``rk4_integrate`` for the sequential integrator, ``rk4_lanes`` for the
-# batched candidate stepper. Where that library does not load, the same steps
-# run here: the integrator on plain floats with the stages written out (a
-# 3-vector step in numpy spends nearly all its time on array bookkeeping), the
-# stepper with the three coordinates as the rows of one (3, lanes) array and
-# every stage written into buffers it allocates once per call. All four
-# evaluate the same expressions in the same order, so they agree bit for bit
-# (asserted in the tests).
+# batched candidate stepper. Where that library does not load, both run on
+# ``_rk4_step``, the Python twin of the library's ``rk4_step``: the integrator
+# on plain floats, the stepper on arrays of lanes. Every path applies the same
+# expressions in the same order, so all agree bit for bit (see the tests).
+
+
+def _rhs(x, y, z, r):
+    """The Lorenz right-hand side at (x, y, z) under ``r``, on floats or arrays."""
+    return SIGMA * (y - x), x * (r - z) - y, x * y - BETA * z
+
+
+def _rk4_step(x, y, z, r0, r1, r2, dt):
+    """One RK4 step of size ``dt`` from (x, y, z) under the stage parameters
+    ``r0``, ``r1`` (both midpoints) and ``r2``, on floats or arrays."""
+    half, sixth = dt / 2.0, dt / 6.0
+    ax, ay, az = _rhs(x, y, z, r0)
+    bx, by, bz = _rhs(x + half * ax, y + half * ay, z + half * az, r1)
+    cx, cy, cz = _rhs(x + half * bx, y + half * by, z + half * bz, r1)
+    dx, dy, dz = _rhs(x + dt * cx, y + dt * cy, z + dt * cz, r2)
+    return (
+        x + sixth * (ax + 2.0 * bx + 2.0 * cx + dx),
+        y + sixth * (ay + 2.0 * by + 2.0 * cy + dy),
+        z + sixth * (az + 2.0 * bz + 2.0 * cz + dz),
+    )
 
 
 @dataclass
@@ -105,7 +123,7 @@ def integrate(
         ]
         rows = out[first:last]
         if lib is None:
-            bad = _integrate_block(state, *tables, dt, substeps, rows)
+            bad = _integrate_block(state, tables, dt, substeps, rows)
         else:
             bad = lib.rk4_integrate(
                 last - first, substeps, dt, SIGMA, BETA, state.ctypes.data,
@@ -116,42 +134,20 @@ def integrate(
     return Trajectory(t0=t0 + substeps * dt, dt_sample=dt * substeps, states=out)
 
 
-def _integrate_block(
-    state: Array, r_start: Array, r_half: Array, r_end: Array, dt: float, substeps: int,
-    out: Array,
-) -> int:
+def _integrate_block(state: Array, tables: list, dt: float, substeps: int, out: Array) -> int:
     """``rk4_integrate`` of the kernel library on plain floats: records the
     samples of ``out``, ``substeps`` steps apart, and advances ``state``; step
-    i runs at the parameters ``r_start[i]``, ``r_half[i]`` and ``r_end[i]``.
+    i runs at the i-th parameters of the start, midpoint and end ``tables``.
     Returns the first sample that is not finite, or -1."""
-    sigma, beta = SIGMA, BETA
-    half = dt / 2.0
-    sixth = dt / 6.0
-    x, y, z = float(state[0]), float(state[1]), float(state[2])
-    # memoryviews hand out plain floats one at a time, as the scalar
-    # arithmetic needs, without a float object per table entry
-    r_start, r_half, r_end = memoryview(r_start), memoryview(r_half), memoryview(r_end)
-    i = 0
+    x, y, z = state.tolist()
+    stages = zip(*(table.tolist() for table in tables))
     for j in range(len(out)):
-        for _ in range(substeps):
-            r = r_start[i]
-            ax, ay, az = sigma * (y - x), x * (r - z) - y, x * y - beta * z
-            r = r_half[i]
-            px, py, pz = x + half * ax, y + half * ay, z + half * az
-            bx, by, bz = sigma * (py - px), px * (r - pz) - py, px * py - beta * pz
-            px, py, pz = x + half * bx, y + half * by, z + half * bz
-            cx, cy, cz = sigma * (py - px), px * (r - pz) - py, px * py - beta * pz
-            r = r_end[i]
-            px, py, pz = x + dt * cx, y + dt * cy, z + dt * cz
-            dx, dy, dz = sigma * (py - px), px * (r - pz) - py, px * py - beta * pz
-            x = x + sixth * (ax + 2.0 * bx + 2.0 * cx + dx)
-            y = y + sixth * (ay + 2.0 * by + 2.0 * cy + dy)
-            z = z + sixth * (az + 2.0 * bz + 2.0 * cz + dz)
-            i += 1
+        for r0, r1, r2 in islice(stages, substeps):
+            x, y, z = _rk4_step(x, y, z, r0, r1, r2, dt)
         if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
             return j
-        out[j, 0], out[j, 1], out[j, 2] = x, y, z
-    state[0], state[1], state[2] = x, y, z
+        out[j] = x, y, z
+    state[:] = x, y, z
     return -1
 
 
@@ -205,25 +201,10 @@ def candidate_one_step_batch(states: Array, rho_values: Array) -> Array:
     return out
 
 
-# Lanes the numpy stepper integrates at a time: the scratch rows stay a fixed
-# size whatever the lane count, and a block of them stays in cache across the
-# stages.
+# Lanes the numpy stepper integrates at a time, for memory: the stage arrays
+# of a block are a fixed size, where a pass over 44k lanes at once peaked at
+# 8.7 times its result.
 LANE_BLOCK = 8192
-
-
-def _deriv_into(k, u, r: Array, tmp: Array) -> None:
-    """The stationary Lorenz right-hand side of the state rows ``u`` = (x, y,
-    z) under ``r``, written into the rows ``k``; ``tmp`` is scratch."""
-    x, y, z = u
-    kx, ky, kz = k
-    np.subtract(y, x, kx)
-    kx *= SIGMA
-    np.subtract(r, z, ky)
-    ky *= x
-    ky -= y
-    np.multiply(x, y, kz)
-    np.multiply(z, BETA, tmp)
-    kz -= tmp
 
 
 def _numpy_steps(states: Array, rho: Array) -> Array:
@@ -232,44 +213,15 @@ def _numpy_steps(states: Array, rho: Array) -> Array:
     shape of ``states``."""
     lanes = states.reshape(-1, 3)
     rho = rho.reshape(-1)
-    n = len(lanes)
-    out = np.empty((n, 3))
-    dt = DT_INTEGRATION
-    half = dt / 2.0
-    sixth = dt / 6.0
-    width = min(n, LANE_BLOCK)
-    u_buf, k_buf, s_buf, acc_buf = (np.empty((3, width)) for _ in range(4))
-    tmp_buf = np.empty(width)
+    out = np.empty(lanes.shape)
     with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(0, n, LANE_BLOCK):
-            stop = min(start + LANE_BLOCK, n)
-            w = stop - start
-            u, k, s, acc = u_buf[:, :w], k_buf[:, :w], s_buf[:, :w], acc_buf[:, :w]
-            # the coordinate rows, as views made once per block
-            u_rows, k_rows, s_rows = tuple(u), tuple(k), tuple(s)
-            r, tmp = rho[start:stop], tmp_buf[:w]
-            u[...] = lanes[start:stop].T
+        for start in range(0, len(lanes), LANE_BLOCK):
+            block = slice(start, start + LANE_BLOCK)
+            x, y, z = lanes[block].T
+            r = rho[block]
             for _ in range(SUBSTEPS):
-                # acc = ((k1 + 2 k2) + 2 k3) + k4, each stage added as it ends
-                _deriv_into(k_rows, u_rows, r, tmp)
-                np.copyto(acc, k)
-                np.multiply(k, half, s)
-                s += u
-                _deriv_into(k_rows, s_rows, r, tmp)
-                np.multiply(k, 2.0, s)
-                acc += s
-                np.multiply(k, half, s)
-                s += u
-                _deriv_into(k_rows, s_rows, r, tmp)
-                np.multiply(k, 2.0, s)
-                acc += s
-                np.multiply(k, dt, s)
-                s += u
-                _deriv_into(k_rows, s_rows, r, tmp)
-                acc += k
-                acc *= sixth
-                u += acc
-            out[start:stop] = u.T
+                x, y, z = _rk4_step(x, y, z, r, r, r, DT_INTEGRATION)
+            out[block] = np.stack((x, y, z), axis=-1)
     return out.reshape(states.shape)
 
 

@@ -12,7 +12,7 @@ candidate stepper, and the two elementwise passes of :mod:`attnpool.attention`
 built with the Python build's C compiler (``sysconfig``'s ``CC``) on first
 use in a process, never at import, and cached next to this module's bytecode
 in ``__pycache__/kernels-<digest>.so``. Where it cannot be built or loaded,
-all five run as numpy or Python code instead. Both paths apply the same IEEE
+all five run as numpy or Python reference code. Both paths apply the same IEEE
 operations to each element in the same order, so they give the same bits.
 """
 
@@ -60,14 +60,6 @@ def _array_fields(model: object) -> list[str]:
 BETA1 = 0.9
 BETA2 = 0.999
 EPSILON = 1e-8
-
-# elements per slice of the numpy path's update (the compiled loop makes one
-# pass over each vector and takes no slices): a slice's six vectors
-# (gradient, parameters, two moments, spare parameters, scratch) take 1.5 MB,
-# so they stay in a 2 MB L2 across the update's passes, where the whole
-# vectors of a hub model (2 MB each at 244,461 parameters) do not; smaller
-# slices lose more to per-call overhead than they gain
-ADAM_BLOCK = 32768
 
 # The package's compiled kernels, one C source: the update of adam_step as
 # one loop, the RK4 step of attnpool.lorenz in a sequential integrator and a
@@ -500,12 +492,11 @@ def adam_step(opt: FlatAdam) -> None:
     denominator guard, so each element costs one division, with the weight
     decay decoupled as in AdamW. It runs as the compiled loop where this
     process could build it (the optimizer's ``_kernel``), else as numpy
-    passes over one slice of ``ADAM_BLOCK`` elements at a time; each element
-    gets the same operations on either path and whatever the slicing, so
-    both give the bits of evaluating them array by array. The new
-    parameters are written into the spare vector, which is then swapped
-    with ``opt.flat_params``, and the model's fields are bound to views of
-    the new vector; nothing is copied back.
+    passes over the whole vectors; each element gets the same operations on
+    either path, so both give the bits of evaluating them array by array.
+    The new parameters are written into the spare vector, which is then
+    swapped with ``opt.flat_params``, and the model's fields are bound to
+    views of the new vector; nothing is copied back.
     """
     param, grad = opt.flat_params, opt.flat_grads
     t = opt.step_count + 1
@@ -537,26 +528,22 @@ def adam_step(opt: FlatAdam) -> None:
 
 
 def _numpy_update(opt: FlatAdam, step_size: float, guard: float, decay: float) -> None:
-    """The update of :func:`adam_step` as numpy passes, one slice at a time,
-    into the spare vector: the path where no compiled loop loads, and the
-    tests' reference."""
+    """The update of :func:`adam_step` as numpy passes over the whole
+    vectors, into the spare vector: the path where no compiled loop loads,
+    and the tests' reference."""
     b1, b2 = BETA1, BETA2
-    updated, scratch = opt._scratch
-    for start in range(0, opt.flat_params.size, ADAM_BLOCK):
-        block = slice(start, start + ADAM_BLOCK)
-        g, p = opt.flat_grads[block], opt.flat_params[block]
-        m, v = opt.first_moment[block], opt.second_moment[block]
-        step, denom = updated[block], scratch[block]
-        m *= b1
-        np.multiply(g, 1.0 - b1, out=step)
-        m += step
-        np.multiply(g, g, out=step)
-        step *= 1.0 - b2
-        v *= b2
-        v += step
-        np.sqrt(v, out=denom)
-        denom += guard
-        np.multiply(m, step_size, out=step)
-        step /= denom
-        np.multiply(p, decay, out=denom)
-        np.subtract(denom, step, out=step)
+    g, p, m, v = opt.flat_grads, opt.flat_params, opt.first_moment, opt.second_moment
+    step, denom = opt._scratch
+    m *= b1
+    np.multiply(g, 1.0 - b1, out=step)
+    m += step
+    np.multiply(g, g, out=step)
+    step *= 1.0 - b2
+    v *= b2
+    v += step
+    np.sqrt(v, out=denom)
+    denom += guard
+    np.multiply(m, step_size, out=step)
+    step /= denom
+    np.multiply(p, decay, out=denom)
+    np.subtract(denom, step, out=step)

@@ -1244,6 +1244,24 @@ class TestCommands:
         assert result.exit_code == 1
         assert result.stderr.count("config error:") == 2
 
+    @pytest.mark.parametrize(
+        "value", [".nan", ".inf", "-.inf", pytest.param("1" + "0" * 400, id="10**400")]
+    )
+    @pytest.mark.parametrize(
+        "key", ["model.learning_rate", "data.t_transient", "data.t_val", "data.t_train"]
+    )
+    def test_validate_names_a_non_finite_float_key(self, tmp_path, key, value):
+        """NaN, an infinity and an integer past the float range fail as the
+        key's own error, not as a later overflow or conversion: the command
+        exits, it raises nothing that would print a traceback."""
+        section, name = key.split(".")
+        cfg = write_config(
+            tmp_path, f"experiment: lorenz\noutput: out\n{section}:\n  {name}: {value}\n"
+        )
+        result = invoke("validate", "--config", str(cfg))
+        assert isinstance(result.exception, SystemExit) and result.exit_code == 1
+        assert result.stderr.startswith(f"config error: {key}: must be a finite number")
+
     def test_experiment_command_mismatch(self, tmp_path):
         cfg = write_config(tmp_path, "experiment: lorenz\noutput: out\n")
         result = invoke("covid-run", "--config", str(cfg))

@@ -1,6 +1,7 @@
 """Hub-format ingestion, imputation, WIS training, and the synthetic generator."""
 
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -365,6 +366,22 @@ class TestIngest:
             fpath = write_csv(tmp_path / "f9.csv", cell + late)
             with pytest.raises(ValueError, match=f"row 28: {message}"):
                 covid.ingest(fpath, tpath)
+
+    def test_a_latin1_byte_names_its_file_and_row(self, tmp_path):
+        """A latin-1 byte in a forecast row past the first read buffer, after
+        rows that hold UTF-8 text beyond ASCII: the error names the file and
+        that row, not an offset into a buffer."""
+        tpath = write_csv(tmp_path / "t.csv", TRUTH_LINES)
+        lines = [FORECAST_HEADER_LINE] + forecast_lines(model="modèle")
+        for i in range(20):
+            lines += forecast_lines(model=f"m{i}")
+        fpath = tmp_path / "f.csv"
+        fpath.write_bytes(
+            "\n".join(lines).encode("utf-8") + "\nmod\xe9le,az,2024-01-06,0.5,5.0\n".encode("latin-1")
+        )
+        assert fpath.stat().st_size > 8192 and len(lines) == 442
+        with pytest.raises(ValueError, match=re.escape(f"{fpath} row 443: not UTF-8 text (")):
+            covid.ingest(fpath, tpath)
 
     def test_model_with_only_tolerated_levels_is_left_out(self, tmp_path):
         lines = [FORECAST_HEADER_LINE] + forecast_lines()

@@ -148,46 +148,41 @@ class TestAdam:
         with pytest.raises(ValueError, match="w_key"):
             opt.step()
 
-    def test_flat_update_matches_per_array_recurrence_bitwise(self, monkeypatch):
-        """One sliced update of a multi-array model's flat vector gives the
-        bits of the allocating update applied array by array, in the order
-        with the bias corrections folded into the step size and the guard,
-        weight decay on, in one slice and in 5-element slices, where the
-        array boundaries fall inside slices and the last slice is short. A
-        non-finite result in the last slice names its array and leaves every
+    def test_flat_update_matches_per_array_recurrence_bitwise(self):
+        """One update of a multi-array model's flat vector gives the bits of
+        the allocating update applied array by array, in the order with the
+        bias corrections folded into the step size and the guard, weight
+        decay on, where the array boundaries fall inside the vector. A
+        non-finite result in the last array names it and leaves every
         parameter as it was."""
-        # 122 entries: array stops at 24, 96, 108 and 122, a 2-entry last slice
+        # 122 entries: array stops at 24, 96, 108 and 122
         shapes = {"w_query": (3, 4, 2), "w_key": (3, 4, 6), "bias": (3, 4), "w_out": (2, 7)}
         lr, wd, b1, b2, eps = 0.01, 1e-3, 0.9, 0.999, 1e-8
-        for block in (numerics.ADAM_BLOCK, 5):
-            monkeypatch.setattr(numerics, "ADAM_BLOCK", block)
-            rng = np.random.default_rng(5)
-            model, opt = adam_over(shapes, learning_rate=lr, weight_decay=wd)
-            opt.flat_params[:] = rng.normal(size=opt.flat_params.size)
-            expect = {n: getattr(model, n).copy() for n in shapes}
-            moments = {n: (np.zeros(s), np.zeros(s)) for n, s in shapes.items()}
-            for t in range(1, 8):
-                grad = rng.normal(size=opt.flat_grads.size)
-                opt.flat_grads[:] = grad * 10.0 ** rng.integers(-6, 3)
-                for n, p in expect.items():
-                    g = getattr(opt.grads, n)
-                    m, v = moments[n]
-                    m = b1 * m + (1.0 - b1) * g
-                    v = b2 * v + (1.0 - b2) * (g * g)
-                    moments[n] = (m, v)
-                    step_size = lr * math.sqrt(1.0 - b2**t) / (1.0 - b1**t)
-                    guard = eps * math.sqrt(1.0 - b2**t)
-                    expect[n] = p * (1.0 - lr * wd) - step_size * m / (np.sqrt(v) + guard)
-                opt.step()
-                for n in shapes:
-                    np.testing.assert_array_equal(
-                        getattr(model, n), expect[n], err_msg=f"{n} at step {t}, block {block}"
-                    )
-            model.w_out[1, 6] = np.nan  # the last entry, in the (short) last slice
-            before = opt.flat_params.copy()
-            with pytest.raises(ValueError, match="updated w_out$"):
-                opt.step()
-            np.testing.assert_array_equal(opt.flat_params, before)
+        rng = np.random.default_rng(5)
+        model, opt = adam_over(shapes, learning_rate=lr, weight_decay=wd)
+        opt.flat_params[:] = rng.normal(size=opt.flat_params.size)
+        expect = {n: getattr(model, n).copy() for n in shapes}
+        moments = {n: (np.zeros(s), np.zeros(s)) for n, s in shapes.items()}
+        for t in range(1, 8):
+            grad = rng.normal(size=opt.flat_grads.size)
+            opt.flat_grads[:] = grad * 10.0 ** rng.integers(-6, 3)
+            for n, p in expect.items():
+                g = getattr(opt.grads, n)
+                m, v = moments[n]
+                m = b1 * m + (1.0 - b1) * g
+                v = b2 * v + (1.0 - b2) * (g * g)
+                moments[n] = (m, v)
+                step_size = lr * math.sqrt(1.0 - b2**t) / (1.0 - b1**t)
+                guard = eps * math.sqrt(1.0 - b2**t)
+                expect[n] = p * (1.0 - lr * wd) - step_size * m / (np.sqrt(v) + guard)
+            opt.step()
+            for n in shapes:
+                np.testing.assert_array_equal(getattr(model, n), expect[n], err_msg=f"{n} at step {t}")
+        model.w_out[1, 6] = np.nan  # the last entry of the last array
+        before = opt.flat_params.copy()
+        with pytest.raises(ValueError, match="updated w_out$"):
+            opt.step()
+        np.testing.assert_array_equal(opt.flat_params, before)
 
     def test_moments_keep_the_textbook_bits_over_many_steps(self):
         """Over 200 steps, weight decay on and gradient scales from 1e-6 to
